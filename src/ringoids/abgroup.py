@@ -68,6 +68,16 @@ class FinAbGroup:
     def smul(self, n, x):
         return tuple((n * a) % d for a, d in zip(x, self.moduli))
 
+    def combination(self, coeffs, elems):
+        """The reduced sum of c * e over paired integer coefficients and
+        integer vectors."""
+        acc = [0] * len(self.moduli)
+        for c, e in zip(coeffs, elems):
+            if c:
+                for t, v in enumerate(e):
+                    acc[t] += c * v
+        return tuple(v % d for v, d in zip(acc, self.moduli))
+
     def basis_element(self, i):
         return tuple(1 if j == i and self.moduli[i] > 1 else 0
                      for j in range(len(self.moduli)))

@@ -148,7 +148,6 @@ class AdditiveView:
     def biproduct(self, s, t):
         """Canonical (i_s, i_t, p_s, p_t) for the concatenation s + t."""
         st = tuple(s) + tuple(t)
-        ident = self.identity
         zero = self.base.zero
         i_s = MatMorphism(s, st, [[self.base.identity(a) if (i < len(s) and i == j)
                                    else zero(s[j], st[i]) for j in range(len(s))]
@@ -162,36 +161,50 @@ class AdditiveView:
         p_t = MatMorphism(st, t, [[self.base.identity(a) if (j >= len(s) and j - len(s) == i)
                                    else zero(st[j], t[i]) for j in range(len(st))]
                                   for i, a in enumerate(t)])
-        if False:
-            ident  # placate linters about the unused shorthand
         return i_s, i_t, p_s, p_t
 
     # -- isomorphism search -------------------------------------------------
 
-    def is_invertible(self, u):
-        """Complete invertibility criterion: u: a -> b is an isomorphism iff
-        left composition with u is a bijection Hom((c), a) -> Hom((c), b) for
-        every base object c (enough by additivity, since every hom out of a
-        sum splits into columns; injectivity suffices because the hom-set
-        cardinalities agree)."""
-        for c in self.base.objects:
-            if self.hom_order((c,), u.src) != self.hom_order((c,), u.dst):
-                return False
-        for c in self.base.objects:
-            seen = set()
-            col_src = (c,)
-            for h in self.hom_elements(col_src, u.src):
-                img = self.compose(u, h)
-                if img in seen:
-                    return False
-                seen.add(img)
-        return True
+    def left_divide(self, u, w):
+        """The h with u . h = w, or None.  Composition acts column by column,
+        so column k of h is looked up in one table of u . x over
+        x in Hom((c_k), u.src), built once per distinct c_k.  A repeated
+        image in a table also gives None: u is then not a monomorphism,
+        which every caller needs and which makes h unique."""
+        if w.dst != u.dst:
+            raise StructuralError("left division shape mismatch")
+        tables = {}
+        cols = []
+        for k, c in enumerate(w.src):
+            table = tables.get(c)
+            if table is None:
+                table = tables[c] = {}
+                for x in self.hom_elements((c,), u.src):
+                    img = self.compose(u, x).entries
+                    if img in table:
+                        return None
+                    table[img] = x
+            x = table.get(tuple((row[k],) for row in w.entries))
+            if x is None:
+                return None
+            cols.append(x)
+        return MatMorphism(w.src, u.src, [[x.entries[i][0] for x in cols]
+                                          for i in range(len(u.src))])
+
+    def inverse(self, u):
+        """The two-sided inverse of u, or None: the solution v of
+        u . v = 1 is certified by v . u = 1."""
+        v = self.left_divide(u, self.identity(u.dst))
+        if v is None or self.compose(v, u) != self.identity(u.src):
+            return None
+        return v
 
     def find_isomorphism(self, a, b, ceiling=DEFAULT_CEILING):
         """Certified isomorphism a -> b, or None after exhausting Hom(a, b)
         (with sound pruning), or Undecided when the candidate-pair space
-        exceeds the ceiling.  Deterministic: the returned forward matrix is
-        the lexicographically least certified one."""
+        |Hom(a, b)| * |Hom(b, a)| exceeds the ceiling.  Deterministic: the
+        returned forward matrix is the lexicographically least invertible
+        one, and its inverse is unique."""
         a, b = tuple(a), tuple(b)
         if a == b:
             if self.has_identities:
@@ -206,14 +219,10 @@ class AdditiveView:
         size = self.hom_order(a, b) * self.hom_order(b, a)
         if size > ceiling:
             return Undecided((a, b), size, ceiling)
-        one_b = self.identity(b)
-        one_a = self.identity(a)
         for u in self.hom_elements(a, b):
-            if not self.is_invertible(u):
-                continue
-            for v in self.hom_elements(b, a):
-                if self.compose(u, v) == one_b and self.compose(v, u) == one_a:
-                    return IsoWitness(u, v)
+            v = self.inverse(u)
+            if v is not None:
+                return IsoWitness(u, v)
         return None
 
 

@@ -11,10 +11,10 @@ the presented groups.
 from __future__ import annotations
 
 from .additive import DEFAULT_CEILING
-from .groupoids import (GSet, group_as_groupoid, group_ringoid,
-                        orbit_skeleton, transport_groupoid)
-from .intlinalg import (AbPresentation, hom_is_isomorphism, hom_well_defined,
-                        lattice_contains)
+from .groupoids import (group_as_groupoid, group_ringoid, orbit_skeleton,
+                        transport_groupoid)
+from .intlinalg import (AbPresentation, apply_rows, hom_is_isomorphism,
+                        hom_well_defined, lattice_contains)
 from .ktheory import k0_bounded, k0_induced
 from .ringoid import RingoidHom, StructuralError
 
@@ -200,19 +200,10 @@ def naturality_check(f, xs, ys, scalar, bound, ceiling=DEFAULT_CEILING):
     tgt_rel = [list(r) for r in ay.target.presentation.relations]
     commutes = True
     for i in range(len(source_map)):
-        via_source = _apply_matrix(source_map[i], ay.matrix, n_tgt)
+        via_source = apply_rows(source_map[i], ay.matrix, n_tgt)
         via_target = target_map.apply(ax.matrix[i])
         diff = [p - q for p, q in zip(via_source, via_target)]
         if any(diff) and not lattice_contains(tgt_rel, n_tgt, diff):
             commutes = False
     undecided = ax.undecided or ay.undecided
     return NaturalityReport(ax, ay, source_map, target_map, commutes, undecided)
-
-
-def _apply_matrix(vec, matrix, n_out):
-    out = [0] * n_out
-    for i, c in enumerate(vec):
-        if c:
-            for j in range(n_out):
-                out[j] += c * matrix[i][j]
-    return out

@@ -378,6 +378,15 @@ _COMMANDS = {
     "oracle-compare": cmd_oracle_compare,
 }
 
+# Smallest accepted value of the numeric flag each subcommand reads.
+_FLAG_MINIMUM = {
+    "k0": ("bound", 1),
+    "oracle-compare": ("bound", 1),
+    "assembly": ("bound", 1),
+    "nerve-check": ("bound", 0),
+    "k1": ("gl_max", 1),
+}
+
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -401,10 +410,19 @@ def build_parser():
 def run(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command in _FLAG_MINIMUM:
+        dest, least = _FLAG_MINIMUM[args.command]
+        if getattr(args, dest) < least:
+            _note("error: --%s must be at least %d for %s"
+                  % (dest.replace("_", "-"), least, args.command))
+            return EXIT_FAIL
     try:
         doc = _load(args.input)
     except OSError as exc:
         _note("input error: %s" % exc)
+        return EXIT_FAIL
+    except UnicodeDecodeError as exc:
+        _note("input error: %s is not UTF-8 text (%s)" % (args.input, exc))
         return EXIT_FAIL
     except (RGDSyntaxError, RGDSemanticError) as exc:
         _note("parse error: %s" % exc)

@@ -4,14 +4,13 @@ rings)."""
 
 from __future__ import annotations
 
-import itertools
 from math import lcm
 
 from .abgroup import FinAbGroup
 from .groups import FinGroup
 from .ringoid import (AxiomFailure, FiniteRingoid, RingoidHom, StructuralError,
                       ValidationReport)
-from .moduloids import tensor, TensorProduct
+from .moduloids import tensor
 from .ringoid import cyclic_ring
 
 
@@ -227,9 +226,10 @@ class OrbitComponent:
         self.morphism_of = dict(morphism_of)
 
 
-def groupoid_components(g):
-    """Connected components in object order; each with the least object as
-    base and the vertex group there."""
+def orbit_skeleton(g):
+    """Deterministic skeleton data: one OrbitComponent per connected
+    component, in object order, based at its least object with the vertex
+    group there."""
     remaining = list(g.objects)
     components = []
     while remaining:
@@ -245,12 +245,6 @@ def groupoid_components(g):
         components.append(OrbitComponent(comp_objs, base, vertex,
                                          {i: loops[i] for i in range(len(loops))}))
     return components
-
-
-def orbit_skeleton(g):
-    """Deterministic skeleton data: one OrbitComponent per connected
-    component, chosen at the least object."""
-    return groupoid_components(g)
 
 
 # ---------------------------------------------------------------------------
@@ -321,25 +315,6 @@ def group_ringoid(pi, scalar, name=None):
                          scalar=scalar, action=action, name=name)
 
 
-def group_ring_basis(pi, scalar):
-    """Coordinate helper matching group_ringoid's layout: returns
-    (element_of(a, b, mid, relem), block_index)."""
-    ro = scalar.objects[0]
-    rg = scalar.hom(ro, ro)
-    rk = len(rg.moduli)
-
-    def element_of(ringoid, a, b, mid, relem):
-        hom = ringoid.hom(a, b)
-        mids = pi.hom(a, b)
-        out = [0] * len(hom.moduli)
-        pos = mids.index(mid) * rk
-        for t, v in enumerate(relem):
-            out[pos + t] = v
-        return hom.reduce(out)
-
-    return element_of
-
-
 # ---------------------------------------------------------------------------
 # Twisted group ringoids over a functorial family of rings.
 # ---------------------------------------------------------------------------
@@ -361,18 +336,10 @@ class PiRing:
 
     def apply(self, mid, x):
         """Image of x in R_target under the morphism's ring map."""
-        src_obj, tgt_obj = self.groupoid.morphisms[mid]
+        _, tgt_obj = self.groupoid.morphisms[mid]
         tgt = self.rings[tgt_obj]
         to = tgt.objects[0]
-        tg = tgt.hom(to, to)
-        imgs = self.maps[mid]
-        acc = [0] * len(tg.moduli)
-        for j, xj in enumerate(x):
-            if xj:
-                img = imgs[j]
-                for t in range(len(acc)):
-                    acc[t] += xj * img[t]
-        return tuple(v % d for v, d in zip(acc, tg.moduli))
+        return tgt.hom(to, to).combination(x, self.maps[mid])
 
     @classmethod
     def constant(cls, groupoid, ring):

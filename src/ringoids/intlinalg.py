@@ -7,8 +7,6 @@ All arithmetic is arbitrary-precision Python integers; no floating point.
 
 from __future__ import annotations
 
-import itertools
-
 
 class IntMatrix:
     """Immutable dense integer matrix, row-major."""
@@ -420,19 +418,21 @@ def hom_well_defined(src_rel, tgt_rel, gen_matrix, n_tgt):
     """Check every source relation maps into the target relation lattice.
     Returns (ok, offending_relation_or_None)."""
     for row in src_rel:
-        image = _apply_rows(row, gen_matrix, n_tgt)
+        image = apply_rows(row, gen_matrix, n_tgt)
         if not lattice_contains(list(tgt_rel), n_tgt, image):
             return False, row
     return True, None
 
 
-def _apply_rows(vec, gen_matrix, n_tgt):
-    out = [0] * n_tgt
+def apply_rows(vec, matrix, n_out):
+    """The integer row vector vec times matrix (n_out columns).  Rows of
+    matrix under a zero coefficient are never read."""
+    out = [0] * n_out
     for i, c in enumerate(vec):
         if c:
-            gi = gen_matrix[i]
-            for j in range(n_tgt):
-                out[j] += c * gi[j]
+            row = matrix[i]
+            for j in range(n_out):
+                out[j] += c * row[j]
     return out
 
 

@@ -4,9 +4,6 @@ tensor products over a commutative base ring."""
 
 from __future__ import annotations
 
-import itertools
-from math import lcm
-
 from .abgroup import FinAbGroup, GroupQuotient, tensor_group
 from .intlinalg import left_kernel_rows, solve_row_combination, lattice_contains
 from .ringoid import (FiniteRingoid, RingoidHom, StructuralError, direct_sum,
@@ -388,20 +385,15 @@ def ideal_moduloid(ideal, name=None):
             k = len(hom.moduli)
             gens = [list(g) for g in ideal.generators(a, b)]
             p = len(gens)
+            if p == 0:
+                homs[(a, b)] = FinAbGroup(())
+                data[(a, b)] = (gens, None)
+                continue
             # relation lattice: integer combinations of the generators that
             # vanish in the ambient group
             stacked = gens + [[hom.moduli[i] if j == i else 0 for j in range(k)]
                               for i in range(k)]
-            kern = left_kernel_rows(stacked, k) if (p + k) else []
-            rel = [row[:p] for row in kern]
-            rel += [[0] * p]  # keep shape even when there are no generators
-            from .intlinalg import IntMatrix, smith_normal_form
-            from .intlinalg import AbPresentation
-            if p == 0:
-                quo = None
-                homs[(a, b)] = FinAbGroup(())
-                data[(a, b)] = (gens, None)
-                continue
+            rel = [row[:p] for row in left_kernel_rows(stacked, k)]
             # quotient of Z^p by the relation lattice, via the finite-group
             # machinery over an ambient with per-generator orders
             orders = []
@@ -423,11 +415,7 @@ def ideal_moduloid(ideal, name=None):
         gens, quo = data[(a, b)]
         if quo is None:
             return hom.zero()
-        coords = quo.lift(abstract)
-        acc = hom.zero()
-        for c, g in zip(coords, gens):
-            acc = hom.add(acc, hom.smul(c, g))
-        return acc
+        return hom.combination(quo.lift(abstract), gens)
 
     def represent(a, b, elem):
         hom = m.hom(a, b)
@@ -561,7 +549,6 @@ def tensor(m, n, over=None, name=None):
         """Decompose a tensor hom element into integer multiples of pure
         tensors of basis elements."""
         quo, _ = pures[(a_pair, b_pair)]
-        A = m.hom(*a_pair)
         B = n.hom(*b_pair)
         kb = len(B.moduli)
         coords = quo.lift(elem)
@@ -590,16 +577,16 @@ def tensor(m, n, over=None, name=None):
                     row = []
                     for j in range(len(h_fst.moduli)):
                         terms1 = lift_terms((a, a2), (b, b2), h_fst.basis_element(j))
-                        acc = tgt_group.zero()
+                        coeffs, images = [], []
                         for (i2, j2, c2) in terms2:
                             x2 = A2.basis_element(i2)
                             y2 = B2.basis_element(j2)
                             for (i1, j1, c1) in terms1:
                                 xx = m.compose(a, a2, a3, x2, A1.basis_element(i1))
                                 yy = n.compose(b, b2, b3, y2, B1.basis_element(j1))
-                                term = pure_tgt(xx, yy)
-                                acc = tgt_group.add(acc, tgt_group.smul(c1 * c2, term))
-                        row.append(acc)
+                                coeffs.append(c1 * c2)
+                                images.append(pure_tgt(xx, yy))
+                        row.append(tgt_group.combination(coeffs, images))
                     rows.append(tuple(row))
                 table[((a, b), (a2, b2), (a3, b3))] = tuple(rows)
     identities = None
@@ -623,12 +610,10 @@ def tensor(m, n, over=None, name=None):
                     row = []
                     for j in range(len(hom.moduli)):
                         terms = lift_terms((a, a2), (b, b2), hom.basis_element(j))
-                        acc = hom.zero()
-                        for (i1, j1, c1) in terms:
-                            rx = m.act(a, a2, r, A.basis_element(i1))
-                            acc = hom.add(acc, hom.smul(
-                                c1, pure(rx, B.basis_element(j1))))
-                        row.append(acc)
+                        row.append(hom.combination(
+                            [c1 for (_, _, c1) in terms],
+                            [pure(m.act(a, a2, r, A.basis_element(i1)),
+                                  B.basis_element(j1)) for (i1, j1, _) in terms]))
                     rows.append(tuple(row))
                 action[((a, b), (a2, b2))] = tuple(rows)
     if name is None:

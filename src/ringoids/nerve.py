@@ -20,7 +20,7 @@ import itertools
 
 from .additive import DEFAULT_CEILING, complete, enumerate_objsums, iso_class_table
 from .intlinalg import AbPresentation, hom_is_isomorphism
-from .ktheory import KZeroResult, count_vector, k0_bounded
+from .ktheory import count_vector, k0_bounded
 from .ringoid import StructuralError
 
 
@@ -51,12 +51,6 @@ class NerveLevel:
 
     def compose(self, fs, gs):
         return tuple(self.view.compose(f, g) for f, g in zip(fs, gs))
-
-    def face(self, i, obj):
-        return face(i, obj)
-
-    def degeneracy(self, i, obj):
-        return degeneracy(i, obj)
 
     def face_morphism(self, i, fs):
         """Image of a componentwise morphism under the i-th face: interior

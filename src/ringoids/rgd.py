@@ -37,7 +37,7 @@ from .abgroup import FinAbGroup
 from .groupoids import FinGroupoid, GSet
 from .groups import FinGroup
 from .moduloids import Ideal
-from .ringoid import FiniteRingoid, StructuralError
+from .ringoid import FiniteRingoid
 
 
 class RGDSyntaxError(Exception):

@@ -14,8 +14,6 @@ represented.
 
 from __future__ import annotations
 
-import itertools
-
 from .abgroup import FinAbGroup
 
 # Full multiplication tables are cached per object triple when the pair
@@ -138,50 +136,26 @@ class FiniteRingoid:
         return table
 
     def _compose_raw(self, a, b, c, y, x):
-        hac = self.hom(a, c)
-        sc = self.compose_table.get((a, b, c))
-        if sc is None:
-            return hac.zero()
-        moduli = hac.moduli
-        acc = [0] * len(moduli)
-        for i, yi in enumerate(y):
-            if not yi:
-                continue
-            row = sc[i]
-            for j, xj in enumerate(x):
-                if not xj:
-                    continue
-                k = yi * xj
-                img = row[j]
-                for t in range(len(acc)):
-                    acc[t] += k * img[t]
-        return tuple(v % d for v, d in zip(acc, moduli))
+        return _bilinear(self.hom(a, c), self.compose_table.get((a, b, c)), y, x)
 
     def act(self, a, b, r, x):
         """Scalar action r . x for r in the scalar ring, x in Hom(a,b)."""
         if self.scalar is None:
             raise StructuralError("ringoid %r has no scalar ring" % (self.name,))
-        hom = self.hom(a, b)
         table = self.action.get((a, b)) if self.action else None
-        if table is None:
-            return hom.zero()
-        moduli = hom.moduli
-        acc = [0] * len(moduli)
-        for i, ri in enumerate(r):
-            if not ri:
-                continue
-            row = table[i]
-            for j, xj in enumerate(x):
-                if not xj:
-                    continue
-                k = ri * xj
-                img = row[j]
-                for t in range(len(acc)):
-                    acc[t] += k * img[t]
-        return tuple(v % d for v, d in zip(acc, moduli))
+        return _bilinear(self.hom(a, b), table, r, x)
 
     def __repr__(self):
         return "FiniteRingoid(%r, %d objects)" % (self.name, len(self.objects))
+
+
+def _bilinear(hom, table, y, x):
+    """The bilinear extension of structure constants: the sum over i, j of
+    y_i * x_j * table[i][j] in hom (a missing table is the zero map)."""
+    if table is None:
+        return hom.zero()
+    return hom.combination([yi * xj for yi in y for xj in x],
+                           [img for row in table for img in row])
 
 
 # ---------------------------------------------------------------------------
@@ -374,19 +348,8 @@ class RingoidHom:
 
     def apply(self, a, b, x):
         """Image of x in Hom(Fa, Fb), by additive extension."""
-        fa, fb = self.object_map[a], self.object_map[b]
-        tgt = self.target.hom(fa, fb)
-        imgs = self.gen_images.get((a, b))
-        if imgs is None:
-            return tgt.zero()
-        acc = [0] * len(tgt.moduli)
-        for j, xj in enumerate(x):
-            if not xj:
-                continue
-            img = imgs[j]
-            for t in range(len(acc)):
-                acc[t] += xj * img[t]
-        return tuple(v % d for v, d in zip(acc, tgt.moduli))
+        tgt = self.target.hom(self.object_map[a], self.object_map[b])
+        return tgt.combination(x, self.gen_images.get((a, b), ()))
 
     def compose_with(self, other):
         """self after other (other applies first)."""

@@ -3,10 +3,12 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ringoids import (FinAbGroup, FiniteRingoid, IsoWitness, MatMorphism,
-                      RingoidHom, Undecided, complete, cyclic_ring,
-                      enumerate_objsums, iso_class_table, map_completion,
-                      product_ring, validate)
+from ringoids import (FinAbGroup, FiniteRingoid, FinGroup, GSet, IsoWitness,
+                      MatMorphism, RingoidHom, Undecided, complete, cyclic_ring,
+                      discrete_groupoid, enumerate_objsums, gl, group_ringoid,
+                      iso_class_table, map_completion, product_ring,
+                      transport_groupoid, validate)
+from ringoids.ktheory import free_class_of_idempotent
 
 
 def test_hom_orders(f2):
@@ -175,3 +177,134 @@ def test_nonunital_view_restricted(f2):
     assert not view.has_identities
     with pytest.raises(StructuralError):
         view.identity(("*",))
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: the column solver against brute-force searches.
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def disc2(f2):
+    return group_ringoid(discrete_groupoid(("a", "b")), f2)
+
+
+@pytest.fixture(scope="module")
+def c2free(f2):
+    return group_ringoid(transport_groupoid(GSet.regular(FinGroup.cyclic(2))), f2)
+
+
+# (fixture name, longest formal sum compared)
+DIFFERENTIAL_RINGS = [("f2", 3), ("z4", 3), ("f3", 3), ("zero", 3), ("f2xf2", 3),
+                      ("m2f2", 2), ("disc2", 3), ("c2free", 3), ("f2c2", 3)]
+
+
+def _bijective(view, u):
+    """Left composition with u is a bijection Hom((c), u.src) -> Hom((c), u.dst)
+    for every base object c, which by additivity makes u invertible."""
+    for c in view.base.objects:
+        if view.hom_order((c,), u.src) != view.hom_order((c,), u.dst):
+            return False
+        images = {view.compose(u, h) for h in view.hom_elements((c,), u.src)}
+        if len(images) != view.hom_order((c,), u.src):
+            return False
+    return True
+
+
+def _pair_search(view, a, b):
+    """Reference isomorphism search: the least bijective u in Hom(a, b)
+    together with the v in Hom(b, a) found by trying every candidate."""
+    if a == b:
+        return view.identity(a), view.identity(a)
+    for c in view.base.objects:
+        if (view.hom_order((c,), a) != view.hom_order((c,), b)
+                or view.hom_order(a, (c,)) != view.hom_order(b, (c,))):
+            return None
+    one_a, one_b = view.identity(a), view.identity(b)
+    for u in view.hom_elements(a, b):
+        if not _bijective(view, u):
+            continue
+        for v in view.hom_elements(b, a):
+            if view.compose(u, v) == one_b and view.compose(v, u) == one_a:
+                return u, v
+    return None
+
+
+@pytest.mark.parametrize("name,length", DIFFERENTIAL_RINGS)
+def test_find_isomorphism_matches_pair_search(request, name, length):
+    view = complete(request.getfixturevalue(name))
+    sums = enumerate_objsums(view.base.objects, length)
+    for a in sums:
+        for b in sums:
+            res = view.find_isomorphism(a, b, ceiling=1 << 40)
+            expected = _pair_search(view, a, b)
+            if expected is None:
+                assert res is None, (a, b)
+            else:
+                assert (res.forward, res.backward) == expected, (a, b)
+
+
+def test_left_divide_and_inverse(disc2):
+    view = complete(disc2)
+    one = view.identity(("a",))
+    zero = view.zero(("a",), ("a",))
+    assert view.left_divide(zero, one) is None  # zero is not a monomorphism
+    assert view.left_divide(one, zero) == zero
+    # the projection (a, b) -> (a) has a right inverse but is not invertible
+    u = MatMorphism(("a", "b"), ("a",), [[disc2.identity("a"), disc2.zero("b", "a")]])
+    v = view.left_divide(u, one)
+    assert view.compose(u, v) == one
+    assert view.inverse(u) is None
+    assert view.inverse(one) == one
+
+
+def _units_by_powers(view, s):
+    """Number of u in End(s) with u^n = 1 for some n >= 1 (then u^(n-1) is a
+    two-sided inverse); a repeated power without 1 rules u out."""
+    one = view.identity(s)
+    count = 0
+    for u in view.hom_elements(s, s):
+        power, seen = u, set()
+        while power != one and power not in seen:
+            seen.add(power)
+            power = view.compose(u, power)
+        count += power == one
+    return count
+
+
+@pytest.mark.parametrize("name,length", DIFFERENTIAL_RINGS)
+def test_gl_order_matches_unit_count(request, name, length):
+    view = complete(request.getfixturevalue(name))
+    objects = view.base.objects
+    for s in enumerate_objsums(objects, length):
+        if view.hom_order(s, s) > 4096:
+            continue
+        units = _units_by_powers(view, s)
+        solved = sum(view.inverse(u) is not None for u in view.hom_elements(s, s))
+        assert solved == units, s
+        # reordering a sum conjugates its GL: one table per multiset suffices
+        if s == tuple(sorted(s, key=objects.index)):
+            assert len(gl(view, s)) == units, s
+
+
+def _splitting_search(view, a, p, bound):
+    """Reference: the first sum t with u: t -> (a), v: (a) -> t, v.u = 1_t
+    and u.v = p, trying every pair."""
+    pmat = MatMorphism((a,), (a,), [[p]])
+    for t in enumerate_objsums(view.base.objects, bound):
+        one_t = view.identity(t)
+        for u in view.hom_elements(t, (a,)):
+            for v in view.hom_elements((a,), t):
+                if view.compose(v, u) == one_t and view.compose(u, v) == pmat:
+                    return t
+    return None
+
+
+@pytest.mark.parametrize("name", ["z4", "f2xf2", "disc2"])
+def test_free_class_of_idempotent_matches_splitting_search(request, name):
+    r = request.getfixturevalue(name)
+    view = complete(r)
+    for a in r.objects:
+        for p in r.hom(a, a).elements():
+            if r.compose(a, a, a, p, p) == p:
+                assert (free_class_of_idempotent(view, a, p, 3)
+                        == _splitting_search(view, a, p, 3)), (a, p)

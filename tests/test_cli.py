@@ -265,3 +265,28 @@ def test_byte_reproducible_across_hash_seeds(f2_file, command):
     code2, out2 = _run_subprocess(args, "424242")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize("command", [
+    ["k0", "--bound", "0"],
+    ["k0", "--bound", "-1"],
+    ["oracle-compare", "--bound", "0"],
+    ["oracle-compare", "--bound", "-3"],
+    ["assembly", "--bound", "0"],
+    ["assembly", "--bound", "-1"],
+    ["nerve-check", "--bound", "-2"],
+    ["k1", "--gl-max", "0"],
+    ["validate", "--non-utf8"],
+])
+def test_bad_flag_or_input_exits_1_with_one_line(tmp_path, f2_file, capsys, command):
+    if command[-1] == "--non-utf8":
+        path = tmp_path / "latin1.rgd"
+        path.write_bytes(b"ringoid F\xe4\nobject a\n")
+        args = command[:-1] + ["--input", str(path)]
+    else:
+        args = command + ["--input", f2_file]
+    code = run(args)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "error" in captured.err
