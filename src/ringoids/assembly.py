@@ -14,7 +14,7 @@ from .additive import DEFAULT_CEILING
 from .groupoids import (group_as_groupoid, group_ringoid, orbit_skeleton,
                         transport_groupoid)
 from .intlinalg import (AbPresentation, apply_rows, hom_is_isomorphism,
-                        hom_well_defined, lattice_contains)
+                        hom_well_defined, solve_row_combinations)
 from .ktheory import k0_bounded, k0_induced
 from .ringoid import RingoidHom, StructuralError
 
@@ -49,13 +49,10 @@ def _assemble(components, summand_results, target_result, gen_target_vectors):
     matrix = []
     for vectors in gen_target_vectors:
         matrix.extend(vectors)
-    n_tgt = len(target_result.gen_labels)
     ok, _ = hom_well_defined(source_pres.relations,
                              target_result.presentation.relations,
-                             matrix, n_tgt)
-    iso = ok and hom_is_isomorphism(source_pres.relations,
-                                    target_result.presentation.relations,
-                                    matrix, source_pres.generators, n_tgt)
+                             matrix, len(target_result.gen_labels))
+    iso = hom_is_isomorphism(source_pres, target_result.presentation, matrix)
     undecided = target_result.undecided or any(r.undecided for r in summand_results)
     return AssemblyZeroMap(components, summand_results, source_pres,
                            target_result, matrix, ok, iso, undecided)
@@ -197,13 +194,14 @@ def naturality_check(f, xs, ys, scalar, bound, ceiling=DEFAULT_CEILING):
             source_map.append(row)
     # compare the two composites modulo the target relation lattice
     n_tgt = len(ay.target.gen_labels)
-    tgt_rel = [list(r) for r in ay.target.presentation.relations]
-    commutes = True
+    diffs = []
     for i in range(len(source_map)):
         via_source = apply_rows(source_map[i], ay.matrix, n_tgt)
         via_target = target_map.apply(ax.matrix[i])
         diff = [p - q for p, q in zip(via_source, via_target)]
-        if any(diff) and not lattice_contains(tgt_rel, n_tgt, diff):
-            commutes = False
+        if any(diff):
+            diffs.append(diff)
+    commutes = None not in solve_row_combinations(
+        ay.target.presentation.relations, n_tgt, diffs)
     undecided = ax.undecided or ay.undecided
     return NaturalityReport(ax, ay, source_map, target_map, commutes, undecided)

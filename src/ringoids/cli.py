@@ -4,7 +4,8 @@ Subcommands: validate, complete, k0, k1, unitize, quotient, tensor,
 groupring, transport, assembly, nerve-check, oracle-compare.
 
 Exit codes: 0 success, 1 axiom or verification failure (including input
-errors), 2 some isomorphism test was undecided at the configured ceiling.
+errors), 2 some isomorphism test was undecided at the configured ceiling
+(or k1 stopped below --gl-max at the ceiling).
 Results go to stdout, diagnostics to stderr.  All output is deterministic:
 the same input and flags produce byte-identical output.
 """
@@ -100,9 +101,13 @@ def cmd_validate(args, doc):
 
 
 def _require_ringoid(doc):
-    r = doc.first_ringoid()
-    if r is None:
+    names = [name for kind, name in doc.order if kind == "ringoid"]
+    if not names:
         raise StructuralError("the input declares no ringoid")
+    if len(names) > 1:
+        _note("note: computing ringoid %s, the first in the input; ignoring %s"
+              % (names[0], ", ".join(names[1:])))
+    r = doc.ringoids[names[0]]
     rep = validate(r)
     if not rep.ok:
         raise StructuralError("input ringoid %r fails validation: %s"
@@ -169,7 +174,7 @@ def cmd_k1(args, doc):
         "ranks": {str(n): _presentation_json(p) for n, p in res.ranks.items()},
         "last_step_iso": res.last_step_iso,
         "truncated_at": res.truncated_at})
-    return EXIT_OK
+    return EXIT_OK if res.truncated_at is None else EXIT_UNDECIDED
 
 
 def cmd_unitize(args, doc):

@@ -243,31 +243,34 @@ def _snf_of_rows(rows, n):
     return mat, smith_normal_form(mat)
 
 
-def solve_row_combination(rows, n, target):
-    """Coefficients c with sum(c_i * rows_i) == target, or None."""
+def solve_row_combinations(rows, n, targets):
+    """For each target, coefficients c with sum(c_i * rows_i) == target, or
+    None when the target is outside the row lattice.  One Smith normal form
+    of the rows serves every target."""
+    if not targets:
+        return []
     mat, (U, D, V) = _snf_of_rows(rows, n)
     k = mat.rows
-    w = [sum(target[i] * V.data[i][j] for i in range(n)) for j in range(n)]
-    z = [0] * k
     diag = D.diagonal()
-    for j in range(n):
-        d = diag[j] if j < len(diag) else 0
-        if d:
-            if w[j] % d:
-                return None
-            z[j] = w[j] // d
-        elif w[j]:
-            return None
-    return [sum(z[i] * U.data[i][j] for i in range(k)) for j in range(k)]
+    diag += [0] * (n - len(diag))
+    out = []
+    for target in targets:
+        w = [sum(target[i] * V.data[i][j] for i in range(n)) for j in range(n)]
+        if any(w[j] % d if d else w[j] for j, d in enumerate(diag)):
+            out.append(None)
+            continue
+        z = [w[j] // d if d else 0 for j, d in enumerate(diag[:k])] + [0] * (k - n)
+        out.append([sum(z[i] * U.data[i][j] for i in range(k)) for j in range(k)])
+    return out
 
 
 def lattice_contains(rows, n, target):
-    return solve_row_combination(rows, n, target) is not None
+    return solve_row_combinations(rows, n, [target])[0] is not None
 
 
 def lattices_equal(rows_a, rows_b, n):
-    return (all(lattice_contains(rows_b, n, r) for r in rows_a)
-            and all(lattice_contains(rows_a, n, r) for r in rows_b))
+    return (None not in solve_row_combinations(rows_b, n, rows_a)
+            and None not in solve_row_combinations(rows_a, n, rows_b))
 
 
 def left_kernel_rows(rows, n):
@@ -417,9 +420,10 @@ def cokernel(m):
 def hom_well_defined(src_rel, tgt_rel, gen_matrix, n_tgt):
     """Check every source relation maps into the target relation lattice.
     Returns (ok, offending_relation_or_None)."""
-    for row in src_rel:
-        image = apply_rows(row, gen_matrix, n_tgt)
-        if not lattice_contains(list(tgt_rel), n_tgt, image):
+    images = [apply_rows(row, gen_matrix, n_tgt) for row in src_rel]
+    solutions = solve_row_combinations(tgt_rel, n_tgt, images)
+    for row, sol in zip(src_rel, solutions):
+        if sol is None:
             return False, row
     return True, None
 
@@ -436,12 +440,6 @@ def apply_rows(vec, matrix, n_out):
     return out
 
 
-def hom_is_surjective(tgt_rel, gen_matrix, n_tgt):
-    rows = [list(r) for r in gen_matrix] + [list(r) for r in tgt_rel]
-    basis = [[1 if i == j else 0 for j in range(n_tgt)] for i in range(n_tgt)]
-    return all(lattice_contains(rows, n_tgt, e) for e in basis)
-
-
 def hom_kernel_lattice(src_rel, tgt_rel, gen_matrix, n_src, n_tgt):
     """Basis rows of {x in Z^n_src : x*G in lattice(tgt_rel)} + lattice(src_rel)."""
     stacked = [list(r) for r in gen_matrix] + [list(r) for r in tgt_rel]
@@ -450,25 +448,23 @@ def hom_kernel_lattice(src_rel, tgt_rel, gen_matrix, n_src, n_tgt):
     return lattice_basis(projected + [list(r) for r in src_rel], n_src)
 
 
-def hom_is_injective(src_rel, tgt_rel, gen_matrix, n_src, n_tgt):
-    kernel = hom_kernel_lattice(src_rel, tgt_rel, gen_matrix, n_src, n_tgt)
-    return all(lattice_contains(list(src_rel), n_src, row) for row in kernel)
-
-
-def hom_is_isomorphism(src_rel, tgt_rel, gen_matrix, n_src, n_tgt):
-    ok, _ = hom_well_defined(src_rel, tgt_rel, gen_matrix, n_tgt)
-    return (ok and hom_is_surjective(tgt_rel, gen_matrix, n_tgt)
-            and hom_is_injective(src_rel, tgt_rel, gen_matrix, n_src, n_tgt))
+def hom_is_isomorphism(src, tgt, gen_matrix):
+    """Whether gen_matrix defines an isomorphism between the presented groups
+    src and tgt.  A well-defined map onto tgt with src isomorphic to tgt is
+    injective too: finitely generated abelian groups are Noetherian, so a
+    surjective endomorphism of one is injective."""
+    return (src == tgt
+            and hom_well_defined(src.relations, tgt.relations, gen_matrix,
+                                 tgt.generators)[0]
+            and AbPresentation(tgt.generators,
+                               list(gen_matrix) + list(tgt.relations)).is_trivial())
 
 
 def kernel_presentation(src_rel, tgt_rel, gen_matrix, n_src, n_tgt):
     """Presentation of ker(Z^n_src/A -> Z^n_tgt/B) plus its basis rows
     (each basis row is a vector over the source generators)."""
     basis = hom_kernel_lattice(src_rel, tgt_rel, gen_matrix, n_src, n_tgt)
-    rel_rows = []
-    for row in src_rel:
-        coeffs = solve_row_combination(basis, n_src, list(row))
-        if coeffs is None:
-            raise ArithmeticError("source relation escapes the kernel lattice")
-        rel_rows.append(coeffs)
+    rel_rows = solve_row_combinations(basis, n_src, src_rel)
+    if None in rel_rows:
+        raise ArithmeticError("source relation escapes the kernel lattice")
     return AbPresentation(len(basis), rel_rows), basis

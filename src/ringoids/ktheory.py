@@ -18,7 +18,8 @@ from .additive import (DEFAULT_CEILING, MatMorphism, Undecided, complete,
 from .groups import FinGroup, abelianization
 from .intlinalg import (AbPresentation, apply_rows, hom_is_isomorphism,
                         hom_kernel_lattice, hom_well_defined,
-                        kernel_presentation, lattice_contains, lattices_equal)
+                        kernel_presentation, lattices_equal,
+                        solve_row_combinations)
 from .moduloids import scalar_ringoid, unitize, unitization_projection
 from .ringoid import RingoidHom, StructuralError
 
@@ -119,9 +120,8 @@ class InducedMap:
         return apply_rows(vec, self.matrix, len(self.matrix[0]) if self.matrix else 0)
 
     def is_isomorphism(self):
-        return self.well_defined and hom_is_isomorphism(
-            self.source.presentation.relations, self.target.presentation.relations,
-            self.matrix, len(self.matrix), len(self.matrix[0]) if self.matrix else 0)
+        return hom_is_isomorphism(self.source.presentation,
+                                  self.target.presentation, self.matrix)
 
 
 def k0_induced(f, source_result, target_result):
@@ -249,7 +249,7 @@ class RelativeKZeroResult:
 
     __slots__ = ("bound", "presentation", "gen_labels", "kernel_basis",
                  "idem_plus", "idem_scalar", "mplus", "rm", "projection",
-                 "matrix", "undecided", "stabilized", "stabilized_since")
+                 "matrix", "undecided")
 
     def __init__(self, bound, presentation, gen_labels, kernel_basis, idem_plus,
                  idem_scalar, mplus, rm, projection, matrix, undecided):
@@ -264,8 +264,6 @@ class RelativeKZeroResult:
         self.projection = projection
         self.matrix = [list(r) for r in matrix]
         self.undecided = undecided
-        self.stabilized = True
-        self.stabilized_since = min(2, bound) if bound >= 2 else None
 
     def __repr__(self):
         return "RelativeKZeroResult(%s at L=%d)" % (self.presentation, self.bound)
@@ -368,8 +366,7 @@ def cofinality_check(r, bound, ceiling=DEFAULT_CEILING):
                 relations.append(row)
     sub_pres = AbPresentation(n, relations)
     matrix = [count_vector(s, objects) for s in sub_objs]
-    iso = hom_is_isomorphism(sub_pres.relations, ambient.presentation.relations,
-                             matrix, n, len(objects))
+    iso = hom_is_isomorphism(sub_pres, ambient.presentation, matrix)
     witnesses = []
     filler = sub_objs[0] if sub_objs else None
     for s in enumerate_objsums(r.objects, 1):
@@ -478,14 +475,10 @@ def fibration_check(m, ideal, bound, ceiling=DEFAULT_CEILING):
                               if resolved else None)
 
     tgt_rel = k0q.presentation.relations
-    composite_zero = True
-    for row in inclusion_rows:
-        if row is None:
-            composite_zero = False
-            continue
-        image = jmap.apply(row)
-        if not lattice_contains(list(tgt_rel), len(image), image):
-            composite_zero = False
+    images = [jmap.apply(row) for row in inclusion_rows if row is not None]
+    composite_zero = (None not in inclusion_rows
+                      and None not in solve_row_combinations(
+                          tgt_rel, len(quot.objects), images))
     # exactness at K0(M): image lattice of i_* equals kernel lattice of j_*
     lam_m = [list(r) for r in k0m.presentation.relations]
     image_rows = [row for row in inclusion_rows if row is not None] + lam_m
@@ -597,16 +590,11 @@ def k1_bounded(r, n_max, ceiling=DEFAULT_CEILING):
         s = (obj,) * n
         embed = stabilization_embedding(view, s, (obj,))
         gn, gn1 = groups[n], groups[n + 1]
-        src_pres, tgt_pres = ranks[n], ranks[n + 1]
         matrix = []
         for rep in _coset_reps(gn, coords[n]):
             image = embed(gn.elements[rep])
             matrix.append(list(coords[n + 1][gn1.index(image)]))
-        ok, _ = hom_well_defined(src_pres.relations, tgt_pres.relations, matrix,
-                                 tgt_pres.generators)
-        iso = ok and hom_is_isomorphism(src_pres.relations, tgt_pres.relations,
-                                        matrix, src_pres.generators,
-                                        tgt_pres.generators)
+        iso = hom_is_isomorphism(ranks[n], ranks[n + 1], matrix)
         steps.append(StabilizationStep(n, matrix, iso))
     last_step_iso = steps[-1].is_isomorphism if steps else None
     return KOneResult(ranks, groups, steps, last_step_iso, truncated_at)
@@ -715,24 +703,27 @@ def exterior_product(left_result, right_result, tensor_prod, target_result):
         for j, b in enumerate(n.objects):
             pair_index[(i, j)] = t_objects.index((a, b))
     n_tgt = len(t_objects)
-    tgt_rel = list(target_result.presentation.relations)
-    well = True
-    failing = None
+    sides = []
+    vecs = []
     for row in left_result.presentation.relations:
         for j in range(len(n.objects)):
             vec = [0] * n_tgt
             for i, c in enumerate(row):
                 if c:
                     vec[pair_index[(i, j)]] += c
-            if not lattice_contains(tgt_rel, n_tgt, vec):
-                well, failing = False, ("left", row, j)
+            sides.append(("left", row, j))
+            vecs.append(vec)
     for row in right_result.presentation.relations:
         for i in range(len(m.objects)):
             vec = [0] * n_tgt
             for j, c in enumerate(row):
                 if c:
                     vec[pair_index[(i, j)]] += c
-            if not lattice_contains(tgt_rel, n_tgt, vec):
-                well, failing = False, ("right", i, row)
+            sides.append(("right", i, row))
+            vecs.append(vec)
+    solutions = solve_row_combinations(target_result.presentation.relations,
+                                       n_tgt, vecs)
+    failing = [side for side, sol in zip(sides, solutions) if sol is None]
     return ExteriorProduct(left_result, right_result, target_result,
-                           pair_index, well, failing)
+                           pair_index, not failing,
+                           failing[-1] if failing else None)

@@ -5,7 +5,7 @@ tensor products over a commutative base ring."""
 from __future__ import annotations
 
 from .abgroup import FinAbGroup, GroupQuotient, tensor_group
-from .intlinalg import left_kernel_rows, solve_row_combination, lattice_contains
+from .intlinalg import left_kernel_rows, solve_row_combinations, lattice_contains
 from .ringoid import (FiniteRingoid, RingoidHom, StructuralError, direct_sum,
                       ringoid_equal_structure)
 
@@ -417,20 +417,20 @@ def ideal_moduloid(ideal, name=None):
             return hom.zero()
         return hom.combination(quo.lift(abstract), gens)
 
-    def represent(a, b, elem):
+    def represent(a, b, elems):
         hom = m.hom(a, b)
         gens, quo = data[(a, b)]
         if quo is None:
-            if tuple(elem) != hom.zero():
+            if any(tuple(elem) != hom.zero() for elem in elems):
                 raise ArithmeticError("element is not in the ideal")
-            return ()
+            return [()] * len(elems)
         k = len(hom.moduli)
         stacked = [list(g) for g in gens] + \
             [[hom.moduli[i] if j == i else 0 for j in range(k)] for i in range(k)]
-        sol = solve_row_combination(stacked, k, list(elem))
-        if sol is None:
+        sols = solve_row_combinations(stacked, k, elems)
+        if None in sols:
             raise ArithmeticError("element is not in the ideal")
-        return quo.project(sol[:len(gens)])
+        return [quo.project(sol[:len(gens)]) for sol in sols]
 
     table = {}
     for a in m.objects:
@@ -440,10 +440,9 @@ def ideal_moduloid(ideal, name=None):
                 rows = []
                 for i in range(len(hbc.moduli)):
                     y = embed(b, c, hbc.basis_element(i))
-                    row = []
-                    for j in range(len(hab.moduli)):
-                        x = embed(a, b, hab.basis_element(j))
-                        row.append(represent(a, c, m.compose(a, b, c, y, x)))
+                    row = represent(a, c, [
+                        m.compose(a, b, c, y, embed(a, b, hab.basis_element(j)))
+                        for j in range(len(hab.moduli))])
                     rows.append(tuple(row))
                 table[(a, b, c)] = tuple(rows)
     action = None
@@ -457,9 +456,9 @@ def ideal_moduloid(ideal, name=None):
                 rows = []
                 for i in range(len(rg.moduli)):
                     rgen = rg.basis_element(i)
-                    row = [represent(a, b, m.act(a, b, rgen,
-                                                 embed(a, b, hab.basis_element(j))))
-                           for j in range(len(hab.moduli))]
+                    row = represent(a, b, [
+                        m.act(a, b, rgen, embed(a, b, hab.basis_element(j)))
+                        for j in range(len(hab.moduli))])
                     rows.append(tuple(row))
                 action[(a, b)] = tuple(rows)
     if name is None:

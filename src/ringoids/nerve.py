@@ -361,17 +361,13 @@ def oracle_compare(r, bound, ceiling=DEFAULT_CEILING):
     match = k0.presentation == nerve.abelianized
     objects = list(r.objects)
     sums = list(nerve.generator_sums)
-    n_k0 = len(objects)
-    n_nv = len(sums)
     # k0 generator [a] -> nerve generator (a); nerve generator s -> sum of letters
     fwd = []
     for a in objects:
-        row = [0] * n_nv
+        row = [0] * len(sums)
         row[sums.index((a,))] = 1
         fwd.append(row)
     bwd = [count_vector(s, objects) for s in sums]
-    k0_rel = k0.presentation.relations
-    nv_rel = nerve.abelianized.relations
-    fwd_ok = hom_is_isomorphism(k0_rel, nv_rel, fwd, n_k0, n_nv)
-    bwd_ok = hom_is_isomorphism(nv_rel, k0_rel, bwd, n_nv, n_k0)
+    fwd_ok = hom_is_isomorphism(k0.presentation, nerve.abelianized, fwd)
+    bwd_ok = hom_is_isomorphism(nerve.abelianized, k0.presentation, bwd)
     return OracleReport(k0, nerve, match, fwd_ok, bwd_ok, table.undecided)

@@ -207,6 +207,29 @@ def test_undecided_exit_code_2(tmp_path, capsys):
     assert "undecided" in out
 
 
+def test_k1_truncation_exits_2(f2_file, capsys):
+    code = run(["k1", "--input", f2_file, "--gl-max", "3", "--ceiling", "100"])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert out.endswith("truncated at rank 3 (ceiling)\n")
+
+
+def test_first_ringoid_is_named_on_stderr(tmp_path, f2_file, capsys):
+    from ringoids import (cyclic_ring, discrete_groupoid, document_from,
+                          group_ringoid, print_rgd)
+    path = tmp_path / "scalar_first.rgd"
+    ring = group_ringoid(discrete_groupoid(("a", "b")), cyclic_ring(2, name="F2"))
+    path.write_text(print_rgd(document_from([ring])), encoding="utf-8")
+    assert run(["k0", "--input", f2_file]) == 0
+    alone = capsys.readouterr()
+    assert alone.err == ""
+    assert run(["k0", "--input", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == alone.out
+    assert captured.err == ("note: computing ringoid F2, the first in the "
+                            "input; ignoring F2[discrete]\n")
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.rgd"
     path.write_text("hom before section\n", encoding="utf-8")

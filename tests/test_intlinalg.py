@@ -1,12 +1,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ringoids.intlinalg import (AbPresentation, IntMatrix, cokernel,
-                                determinant, hom_is_isomorphism,
+from ringoids.intlinalg import (AbPresentation, IntMatrix, apply_rows,
+                                cokernel, determinant, hom_is_isomorphism,
                                 hom_kernel_lattice, kernel_presentation,
                                 lattice_basis, lattice_contains,
                                 left_kernel_rows, smith_normal_form,
-                                solve_row_combination)
+                                solve_row_combinations)
 
 small_matrices = st.integers(0, 4).flatmap(
     lambda r: st.integers(0, 4).flatmap(
@@ -103,8 +103,8 @@ def test_presentation_torsion_chain():
 
 def test_lattice_solvers():
     rows = [[2, 0], [0, 3]]
-    assert solve_row_combination(rows, 2, [4, 3]) == [2, 1]
-    assert solve_row_combination(rows, 2, [1, 0]) is None
+    assert solve_row_combinations(rows, 2, [[4, 3]]) == [[2, 1]]
+    assert solve_row_combinations(rows, 2, [[1, 0]]) == [None]
     assert lattice_contains(rows, 2, [2, 3])
     assert not lattice_contains(rows, 2, [1, 1])
 
@@ -135,11 +135,111 @@ def test_kernel_presentation_of_mod2_reduction():
 
 
 def test_hom_iso_checks():
-    assert hom_is_isomorphism([], [], [(0, 1), (1, 0)], 2, 2)
-    assert not hom_is_isomorphism([], [], [(2,)], 1, 1)
+    z, z2, z4 = AbPresentation(1), AbPresentation.cyclic(2), AbPresentation.cyclic(4)
+    assert hom_is_isomorphism(AbPresentation(2), AbPresentation(2), [(0, 1), (1, 0)])
+    assert not hom_is_isomorphism(z, z, [(2,)])
     # Z/2 -> Z/4 by x -> 2x is injective but not surjective
-    assert not hom_is_isomorphism([(2,)], [(4,)], [(2,)], 1, 1)
+    assert not hom_is_isomorphism(z2, z4, [(2,)])
     # Z/4 -> Z/2 reduction is surjective but not injective
-    assert not hom_is_isomorphism([(4,)], [(2,)], [(1,)], 1, 1)
+    assert not hom_is_isomorphism(z4, z2, [(1,)])
     # Z/4 -> Z/4 identity
-    assert hom_is_isomorphism([(4,)], [(4,)], [(1,)], 1, 1)
+    assert hom_is_isomorphism(z4, z4, [(1,)])
+
+
+# References: the per-target solver and the three-part isomorphism test
+# (well-defined, surjective, injective through the kernel lattice) that the
+# batched solver and the invariant-based test replaced.
+
+def _ref_solve(rows, n, target):
+    mat = IntMatrix.from_rows(rows) if rows else IntMatrix.zeros(0, n)
+    U, D, V = smith_normal_form(mat)
+    k = mat.rows
+    w = [sum(target[i] * V.data[i][j] for i in range(n)) for j in range(n)]
+    z = [0] * k
+    diag = D.diagonal()
+    for j in range(n):
+        d = diag[j] if j < len(diag) else 0
+        if d:
+            if w[j] % d:
+                return None
+            z[j] = w[j] // d
+        elif w[j]:
+            return None
+    return [sum(z[i] * U.data[i][j] for i in range(k)) for j in range(k)]
+
+
+def _ref_contains(rows, n, target):
+    return _ref_solve(rows, n, target) is not None
+
+
+def _ref_hom_is_isomorphism(src_rel, tgt_rel, gen_matrix, n_src, n_tgt):
+    if not all(_ref_contains(tgt_rel, n_tgt, apply_rows(row, gen_matrix, n_tgt))
+               for row in src_rel):
+        return False
+    onto_rows = [list(r) for r in gen_matrix] + [list(r) for r in tgt_rel]
+    if not all(_ref_contains(onto_rows, n_tgt, [int(i == j) for j in range(n_tgt)])
+               for i in range(n_tgt)):
+        return False
+    kernel = hom_kernel_lattice(src_rel, tgt_rel, gen_matrix, n_src, n_tgt)
+    return all(_ref_contains(src_rel, n_src, row) for row in kernel)
+
+
+def _int_rows(n, min_rows, max_rows, bound):
+    return st.lists(st.lists(st.integers(-bound, bound), min_size=n, max_size=n),
+                    min_size=min_rows, max_size=max_rows)
+
+
+@st.composite
+def _lattice_and_targets(draw):
+    n = draw(st.integers(0, 4))
+    rows = draw(_int_rows(n, 0, 4, 9))
+    coeffs = draw(_int_rows(len(rows), 0, 3, 3))
+    members = [apply_rows(c, rows, n) for c in coeffs]
+    return rows, n, members, draw(_int_rows(n, 0, 3, 9))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lattice_and_targets())
+def test_solve_row_combinations_matches_per_target_solver(case):
+    rows, n, members, others = case
+    targets = members + others
+    sols = solve_row_combinations(rows, n, targets)
+    assert sols == [_ref_solve(rows, n, t) for t in targets]
+    assert None not in sols[:len(members)]
+    for target, c in zip(targets, sols):
+        if c is not None:
+            assert apply_rows(c, rows, n) == target
+
+
+@st.composite
+def _presented_maps(draw):
+    """(src relations, n_src, tgt relations, n_tgt, generator matrix); half
+    the draws are a change of basis x -> xU onto the transformed relations
+    (an isomorphism), sometimes spoiled by one extra target relation."""
+    n_src = draw(st.integers(0, 3))
+    src_rel = draw(_int_rows(n_src, 0, 3, 6))
+    if draw(st.booleans()):
+        u = [[int(i == j) for j in range(n_src)] for i in range(n_src)]
+        if n_src >= 2:
+            ops = draw(st.lists(st.tuples(st.integers(0, n_src - 1),
+                                          st.integers(0, n_src - 1),
+                                          st.integers(-3, 3)), max_size=4))
+            for i, j, q in ops:
+                if i != j:
+                    u[i] = [a + q * b for a, b in zip(u[i], u[j])]
+        tgt_rel = [apply_rows(r, u, n_src) for r in src_rel]
+        tgt_rel += draw(_int_rows(n_src, 0, 1, 3))
+        return src_rel, n_src, tgt_rel, n_src, u
+    n_tgt = draw(st.integers(0, 3))
+    tgt_rel = draw(_int_rows(n_tgt, 0, 3, 6))
+    gen = draw(_int_rows(n_tgt, n_src, n_src, 4))
+    return src_rel, n_src, tgt_rel, n_tgt, gen
+
+
+@settings(max_examples=400, deadline=None)
+@given(_presented_maps())
+def test_hom_is_isomorphism_matches_three_part_check(case):
+    src_rel, n_src, tgt_rel, n_tgt, gen = case
+    src, tgt = AbPresentation(n_src, src_rel), AbPresentation(n_tgt, tgt_rel)
+    assert (hom_is_isomorphism(src, tgt, gen)
+            == _ref_hom_is_isomorphism(src_rel, tgt_rel, gen, n_src, n_tgt))

@@ -95,6 +95,13 @@ def test_k0_relative_ideal_two(ideal_two_moduloid):
     assert rel.presentation.is_trivial()
 
 
+def test_k0_relative_has_no_stabilization_flags(z4):
+    # k0_relative never varies the bound, so it has no stabilization to report
+    rel = k0_relative(forget_units(z4), 0)
+    assert not hasattr(rel, "stabilized")
+    assert not hasattr(rel, "stabilized_since")
+
+
 @pytest.mark.parametrize("ring_name", ["f2", "z4"])
 def test_k0_relative_recovers_absolute_for_unital(ring_name, request):
     ring = request.getfixturevalue(ring_name)
