@@ -1,19 +1,24 @@
 """Bounded K-theory invariants.
 
-K0 is the Grothendieck completion of the bounded iso-class monoid of the
-additive completion; the reported group carries an honest-bound contract
-(the true K0 is a quotient of it, since isomorphisms are only discovered,
-never revoked).  Relative K0 for non-unital moduloids is the kernel, in
-degree zero, of the split surjection induced by the unitization projection,
-computed on bounded idempotent classes so that the splitting is visible.
-K1 is reported per rank as GL_n abelianizations with stabilization maps.
+K0 is the Grothendieck completion of the bounded iso-class monoid of free
+formal sums (sums of base objects) in the additive completion, classified
+by Krull-Schmidt type vector (`additive.Decomposition`).  The reported
+group carries an honest-bound contract: the K0 of free sums is a quotient
+of it, since relations between sums beyond the bound are missing.  It is
+not the K0 of idempotent classes: over F2 x F2 free sums give Z and
+idempotent classes give Z^2.  Relative K0 for non-unital moduloids is the
+kernel, in degree zero, of the split surjection induced by the unitization
+projection, computed on idempotent classes (keyed by the type vector of
+the image) so that the splitting is visible; the fibration check maps
+those classes to free sums by the same type vectors.  K1 is reported per
+rank as GL_n abelianizations with stabilization maps.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .additive import (DEFAULT_CEILING, MatMorphism, Undecided, complete,
+from .additive import (DEFAULT_CEILING, Undecided, complete,
                        enumerate_objsums, iso_class_table)
 from .groups import FinGroup, abelianization
 from .intlinalg import (AbPresentation, apply_rows, hom_is_isomorphism,
@@ -165,16 +170,13 @@ class IdemClasses:
         return "[%s@%s]" % ("+".join(str(c) for c in p) or "0", a)
 
 
-def _idem_image_sizes(r, a, p):
-    sizes = []
-    for c in r.objects:
-        hom = r.hom(c, a)
-        sizes.append(len({r.compose(c, a, a, p, h) for h in hom.elements()}))
-    return tuple(sizes)
-
-
 def idem_classes(r, ceiling=DEFAULT_CEILING):
-    """Classify the idempotents of every End(a), a a single object."""
+    """Classify the idempotents of every End(a), a a single object, by the
+    type vector of im(p): two idempotents are equivalent exactly when their
+    images have the same indecomposable summands (Krull-Schmidt).  An
+    idempotent that cannot be split within the ceiling is a class of its
+    own, and every Undecided record is kept."""
+    dec = complete(r).decomposition(ceiling)
     idems = []
     for a in r.objects:
         hom = r.hom(a, a)
@@ -183,24 +185,19 @@ def idem_classes(r, ceiling=DEFAULT_CEILING):
                 idems.append((a, p))
     reps = []
     class_of = {}
-    invariants = []
-    undecided_pairs = []
+    first = {}
+    undecided_pairs = list(dec.undecided)
     for (a, p) in idems:
-        inv = _idem_image_sizes(r, a, p)
-        assigned = None
-        for idx, (b, q) in enumerate(reps):
-            if invariants[idx] != inv:
-                continue
-            res = _idem_equivalent(r, a, p, b, q, ceiling)
-            if res is True:
-                assigned = idx
-                break
-            if isinstance(res, Undecided):
-                undecided_pairs.append(((a, p), (b, q)))
+        summands = dec.split(a, p)
+        if isinstance(summands, Undecided):
+            undecided_pairs.append(summands)
+            key = (None, a, p)  # never equal to a type vector
+        else:
+            key = dec.key(summands)
+        assigned = first.get(key)
         if assigned is None:
-            assigned = len(reps)
+            assigned = first[key] = len(reps)
             reps.append((a, p))
-            invariants.append(inv)
         class_of[(a, p)] = assigned
     relations = []
     for a in r.objects:
@@ -226,21 +223,6 @@ def idem_classes(r, ceiling=DEFAULT_CEILING):
                     if any(row):
                         relations.append(row)
     return IdemClasses(r, reps, class_of, relations, undecided_pairs)
-
-
-def _idem_equivalent(r, a, p, b, q, ceiling):
-    """p in End(a) ~ q in End(b): search x in Hom(b,a), y in Hom(a,b) with
-    x.y = p and y.x = q (then the images are isomorphic)."""
-    hba, hab = r.hom(b, a), r.hom(a, b)
-    size = hba.order() * hab.order()
-    if size > ceiling:
-        return Undecided(((a, p), (b, q)), size, ceiling)
-    for x in hba.elements():
-        for y in hab.elements():
-            if (r.compose(a, b, a, x, y) == p
-                    and r.compose(b, a, b, y, x) == q):
-                return True
-    return False
 
 
 class RelativeKZeroResult:
@@ -400,33 +382,31 @@ class FibrationReport:
 
 
 def free_class_of_idempotent(view, a, p, bound, ceiling=DEFAULT_CEILING):
-    """The free class of an idempotent p in End(a): an ObjSum t with a
-    certified splitting v.u = 1_t, u.v = p, or None if no such sum exists
-    within the bound."""
-    base = view.base
-    hom = base.hom(a, a)
-    if p == hom.zero():
-        return ()
-    if base.unital and p == base.identity(a):
-        return (a,)
-    pmat = MatMorphism((a,), (a,), [[p]])
-    for t in enumerate_objsums(base.objects, bound):
-        if not t:
-            continue
-        size = view.hom_order(t, (a,)) * view.hom_order((a,), t)
-        if size > ceiling:
-            continue
-        one_t = view.identity(t)
-        for u in view.hom_elements(t, (a,)):
-            v = view.left_divide(u, pmat)
-            if v is not None and view.compose(v, u) == one_t:
-                return t
-    return None
+    """The free class of an idempotent p in End(a): the first sum t within
+    the bound whose type vector equals that of im(p), returned after its
+    splitting v . u = 1_t, u . v = p has been built and verified.  None
+    when no sum within the bound has that type vector.  Undecided when
+    im(p) cannot be split within the ceiling, or when no sum matches while
+    the decomposition has undecided records (an unmerged type may hide
+    the match)."""
+    dec = view.decomposition(ceiling)
+    summands = dec.split(a, p)
+    if isinstance(summands, Undecided):
+        return summands
+    key = dec.key(summands)
+    for t in enumerate_objsums(view.base.objects, bound):
+        if dec.type_vector(t) == key:
+            dec.splitting(t, a, p, summands)
+            return t
+    return dec.undecided[0] if dec.undecided else None
 
 
 def fibration_check(m, ideal, bound, ceiling=DEFAULT_CEILING):
     """Degree-zero exactness of K(J) -> K(M) -> K(M/J) for an ideal in a
-    unital moduloid: composite zero and image = kernel at K0(M), exactly."""
+    unital moduloid: composite zero and image = kernel at K0(M), exactly.
+    When the free class of some idempotent class of J+ is undecided,
+    `composite_zero` and `exact` are None (unknown) and `undecided` is set;
+    a class with no free class within the bound makes `exact` False."""
     from .moduloids import ideal_moduloid, quotient
 
     if not m.unital:
@@ -460,12 +440,14 @@ def fibration_check(m, ideal, bound, ceiling=DEFAULT_CEILING):
     objects = list(m.objects)
     unresolved = []
     class_images = []
+    images_undecided = False
     for (a, p) in rel.idem_plus.reps:
         q = jplus_to_m.apply(a, a, p)
         t = free_class_of_idempotent(view, a, q, bound, ceiling=ceiling)
-        if t is None:
+        if t is None or isinstance(t, Undecided):
             unresolved.append((a, p))
             class_images.append(None)
+            images_undecided = images_undecided or t is not None
         else:
             class_images.append(count_vector(t, objects))
     inclusion_rows = []
@@ -487,7 +469,10 @@ def fibration_check(m, ideal, bound, ceiling=DEFAULT_CEILING):
                                      len(quot.objects))
     exact = (not unresolved
              and lattices_equal(image_rows, kernel_rows, len(objects)))
-    undecided = rel.undecided or k0m.undecided or k0q.undecided
+    if images_undecided:
+        composite_zero = exact = None
+    undecided = (rel.undecided or k0m.undecided or k0q.undecided
+                 or images_undecided)
     return FibrationReport(rel, k0m, k0q, inclusion_rows, jmap,
                            composite_zero, exact, undecided, unresolved)
 

@@ -66,3 +66,55 @@ def f2xf2_moduloid(f2):
     return FiniteRingoid(ring.objects, ring.homs, ring.compose_table,
                          identities=ring.identities, scalar=f2.scalar,
                          action=action, name="F2xF2/F2")
+
+
+def elementary_ringoid(dims, name, positions=None):
+    """A ringoid of matrices over F2: object a stands for F2^dims[a], and
+    Hom(a, b) is spanned by the elementary dims[b] x dims[a] matrices E_ij
+    with (i, j) in positions[(a, b)] (default: all of them).  Composition
+    is the matrix product, so the spans must be closed under it and contain
+    the identity matrices."""
+    objects = tuple(dims)
+    if positions is None:
+        positions = {(a, b): [(i, j) for i in range(dims[b]) for j in range(dims[a])]
+                     for a in objects for b in objects}
+    homs = {key: FinAbGroup((2,) * len(pos)) for key, pos in positions.items()}
+    table = {}
+    for a in objects:
+        for b in objects:
+            for c in objects:
+                target = positions[(a, c)]
+                rows = []
+                for (i, k) in positions[(b, c)]:
+                    row = []
+                    for (k2, j) in positions[(a, b)]:
+                        img = [0] * len(target)
+                        if k == k2:  # E_ik . E_kj = E_ij
+                            img[target.index((i, j))] = 1
+                        row.append(tuple(img))
+                    rows.append(tuple(row))
+                table[(a, b, c)] = tuple(rows)
+    identities = {a: tuple(int(i == j) for (i, j) in positions[(a, a)])
+                  for a in objects}
+    return FiniteRingoid(objects, homs, table, identities=identities, name=name)
+
+
+@pytest.fixture(scope="session")
+def morita():
+    """Free F2-modules of rank 1 and 2: Morita equivalent to F2, with
+    (1) + (1) isomorphic to (2)."""
+    return elementary_ringoid({"1": 1, "2": 2}, "Morita(1,2)")
+
+
+@pytest.fixture(scope="session")
+def morita13():
+    """Free F2-modules of rank 1 and 3."""
+    return elementary_ringoid({"1": 1, "3": 3}, "Morita(1,3)")
+
+
+@pytest.fixture(scope="session")
+def t2f2():
+    """Upper-triangular 2 x 2 matrices over F2: e11 and e22 are orthogonal
+    primitive idempotents that are not equivalent."""
+    return elementary_ringoid({"*": 2}, "T2(F2)",
+                              {("*", "*"): [(0, 0), (0, 1), (1, 1)]})

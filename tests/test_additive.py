@@ -1,13 +1,17 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import elementary_ringoid
 from ringoids import (FinAbGroup, FiniteRingoid, FinGroup, GSet, IsoWitness,
                       MatMorphism, RingoidHom, Undecided, complete, cyclic_ring,
-                      discrete_groupoid, enumerate_objsums, gl, group_ringoid,
-                      iso_class_table, map_completion, product_ring,
+                      discrete_groupoid, document_from, enumerate_objsums, gl,
+                      group_as_groupoid, group_ringoid, iso_class_table,
+                      map_completion, matrix_ring, print_rgd, product_ring,
                       transport_groupoid, validate)
+from ringoids.cli import run
 from ringoids.ktheory import free_class_of_idempotent
 
 
@@ -308,3 +312,190 @@ def test_free_class_of_idempotent_matches_splitting_search(request, name):
             if r.compose(a, a, a, p, p) == p:
                 assert (free_class_of_idempotent(view, a, p, 3)
                         == _splitting_search(view, a, p, 3)), (a, p)
+
+
+def test_free_class_of_idempotent_beyond_the_pair_ceiling(morita13):
+    # E11 + E22 in End(3) splits through (1) + (1).  The splitting search
+    # over whole sums needs (8 * 8)^2 = 4096 candidates for that sum; the
+    # decomposition needs |End(3)| = 512 and 8 * 8 per comparison.
+    view = complete(morita13)
+    p = (1, 0, 0, 0, 1, 0, 0, 0, 0)
+    assert free_class_of_idempotent(view, "3", p, 2, ceiling=512) == ("1", "1")
+    assert free_class_of_idempotent(view, "3", p, 1, ceiling=512) is None
+    # below |End(3)| the answer is unknown, never "no such sum"
+    res = free_class_of_idempotent(complete(morita13), "3", p, 2, ceiling=511)
+    assert isinstance(res, Undecided)
+    assert (res.subject, res.size, res.ceiling) == ("3", 512, 511)
+
+
+def test_free_class_of_idempotent_unknown_while_types_are_unmerged(f2xf2):
+    view = complete(f2xf2)
+    e1 = (1, 0)
+    assert free_class_of_idempotent(view, "*", e1, 3) is None  # e1 is not free
+    # telling e1 from e2 takes |Hom(*, *)|^2 = 16 candidates: below that
+    # they are two unmerged types, and "not free" cannot be certified
+    res = free_class_of_idempotent(view, "*", e1, 3, ceiling=8)
+    assert isinstance(res, Undecided) and res.size == 16
+
+
+# ---------------------------------------------------------------------------
+# The Krull-Schmidt classification against the pairwise search.
+# ---------------------------------------------------------------------------
+
+def _reference_table(view, bound):
+    """Reference classification: each sum joins the first representative
+    that find_isomorphism certifies isomorphic, or starts a new class."""
+    reps, class_of = [], {}
+    for s in enumerate_objsums(view.base.objects, bound):
+        for idx, rep in enumerate(reps):
+            res = view.find_isomorphism(s, rep, ceiling=1 << 40)
+            if isinstance(res, IsoWitness):
+                class_of[s] = idx
+                break
+        else:
+            class_of[s] = len(reps)
+            reps.append(s)
+    return tuple(reps), class_of
+
+
+def _assert_matches_reference(view, bound):
+    table = iso_class_table(view, bound)
+    assert not table.undecided
+    assert (table.reps, table.class_of) == _reference_table(view, bound)
+    for s, w in table.witnesses.items():
+        rep = table.reps[table.class_of[s]]
+        if w is None:
+            assert s == rep
+            continue
+        assert (w.forward.src, w.forward.dst) == (s, rep)
+        assert view.compose(w.backward, w.forward) == view.identity(s)
+        assert view.compose(w.forward, w.backward) == view.identity(rep)
+
+
+@pytest.mark.parametrize("name,length",
+                         DIFFERENTIAL_RINGS + [("morita", 2), ("t2f2", 3)])
+def test_iso_class_table_matches_reference_search(request, name, length):
+    _assert_matches_reference(complete(request.getfixturevalue(name)), length)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in DIFFERENTIAL_RINGS]
+                         + ["morita", "t2f2"])
+def test_summands_are_primitive_orthogonal_idempotents(request, name):
+    r = request.getfixturevalue(name)
+    dec = complete(r).decomposition()
+    for a in r.objects:
+        hom = r.hom(a, a)
+        idems = [x.idem for x in dec.summands[a]]
+        assert hom.combination([1] * len(idems), idems) == r.identity(a)
+        for i, e in enumerate(idems):
+            for j, f in enumerate(idems):
+                assert r.compose(a, a, a, e, f) == (e if i == j else hom.zero())
+            assert e != hom.zero()
+            # primitive: no idempotent of e End(a) e other than 0 and e
+            for f in hom.elements():
+                if f not in (hom.zero(), e) and r.compose(a, a, a, f, f) == f:
+                    assert not (r.compose(a, a, a, e, f) == f == r.compose(a, a, a, f, e))
+
+
+def test_decomposition_of_new_fixtures(morita, t2f2):
+    dec = complete(morita).decomposition()
+    # 1_(2) splits into two primitives, both equivalent to 1_(1)
+    assert [x.type for x in dec.summands["2"]] == [0, 0]
+    dec = complete(t2f2).decomposition()
+    # e11 and e22 are not equivalent: two types on one object
+    assert sorted(x.type for x in dec.summands["*"]) == [0, 1]
+    assert not dec.undecided
+
+
+def test_morita_bound_3_is_decided(morita):
+    table = iso_class_table(complete(morita), 3)
+    assert not table.undecided
+    assert len(table.reps) == 7  # one class per total rank 0..6
+    assert table.class_of[("1", "1")] == table.class_of[("2",)]
+
+
+def test_undecided_records_carry_sizes(morita):
+    view = complete(morita)
+    table = iso_class_table(view, 2, ceiling=15)
+    assert table.undecided
+    # |End(2)| = 16 is over the ceiling, and so is the comparison of 1_(2)
+    # with 1_(1) (|Hom(2, 1)| * |Hom(1, 2)| = 16): (2) keeps a type of its own
+    one_2, one_1 = morita.identity("2"), morita.identity("1")
+    assert [(u.subject, u.size, u.ceiling) for u in table.undecided_pairs] == [
+        ("2", 16, 15), ((("2", one_2), ("1", one_1)), 16, 15)]
+    assert table.class_of[("1", "1")] != table.class_of[("2",)]
+    table = iso_class_table(view, 2, ceiling=16)
+    assert not table.undecided
+    assert table.class_of[("1", "1")] == table.class_of[("2",)]
+
+
+def test_object_over_the_ceiling_merges_only_on_certified_equivalence():
+    # (3) comes first and is over the ceiling, so it keeps 1_(3) as one
+    # summand; 1_(1) is a retract of it (beta . alpha = 1_(1)) but not
+    # equivalent to it (alpha . beta = E11), so (1) starts its own type
+    r = elementary_ringoid({"3": 3, "1": 1}, "Morita(3,1)")
+    table = iso_class_table(complete(r), 1, ceiling=100)
+    assert table.undecided
+    assert [u.subject for u in table.undecided_pairs] == ["3"]
+    assert table.reps == ((), ("3",), ("1",))
+
+
+def _small_ringoids():
+    """Small unital ringoids from the library's builders."""
+    c2 = FinGroup.cyclic(2)
+    groupoids = [group_as_groupoid(c2), discrete_groupoid(("a", "b")),
+                 transport_groupoid(GSet.regular(c2)),
+                 transport_groupoid(GSet.trivial(c2, ("p", "q")))]
+    bare = [cyclic_ring(n, scalar=False) for n in (1, 2, 3, 4)]
+    return st.one_of(
+        st.sampled_from(bare),
+        st.tuples(st.sampled_from(bare[1:]), st.sampled_from(bare[1:])).map(
+            lambda pair: product_ring(*pair)),
+        st.sampled_from([1, 2]).map(lambda n: matrix_ring(bare[1], n)),
+        st.tuples(st.sampled_from(groupoids), st.sampled_from([2, 3])).map(
+            lambda gn: group_ringoid(gn[0], cyclic_ring(gn[1]))))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_small_ringoids())
+def test_classifier_agrees_with_reference_search(r):
+    _assert_matches_reference(complete(r), 2)
+
+
+# ---------------------------------------------------------------------------
+# The decidable frontier through the CLI.
+# ---------------------------------------------------------------------------
+
+def _bare(r, name):
+    """The same ringoid without its scalar ring, so that it is the first
+    ringoid of its RGD file."""
+    return FiniteRingoid(r.objects, r.homs, r.compose_table,
+                         identities=r.identities, name=name)
+
+
+def _run_machine(tmp_path, capsys, cmd, doc, bound):
+    path = tmp_path / "input.rgd"
+    path.write_text(print_rgd(doc), encoding="utf-8")
+    code = run([cmd, "--input", str(path), "--bound", str(bound),
+                "--format", "machine"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_frontier_disc2_bound_5(tmp_path, capsys, disc2):
+    doc = document_from(ringoids=[_bare(disc2, "disc2")])
+    code, out = _run_machine(tmp_path, capsys, "k0", doc, 5)
+    assert (code, out["presentation"]["text"], out["undecided"]) == (0, "Z^2", False)
+
+
+def test_frontier_c2free_bound_4(tmp_path, capsys, c2free):
+    doc = document_from(ringoids=[_bare(c2free, "c2free")])
+    code, out = _run_machine(tmp_path, capsys, "k0", doc, 4)
+    assert (code, out["presentation"]["text"], out["undecided"]) == (0, "Z", False)
+
+
+def test_frontier_assembly_bound_4(tmp_path, capsys, f2):
+    c2 = FinGroup.cyclic(2)
+    doc = document_from(ringoids=[f2], groupoids=[group_as_groupoid(c2, name="C2")],
+                        gsets=[GSet.regular(c2)])
+    code, out = _run_machine(tmp_path, capsys, "assembly", doc, 4)
+    assert (code, out["iso"], out["undecided"]) == (0, True, False)

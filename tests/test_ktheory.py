@@ -5,7 +5,8 @@ from ringoids import (AbPresentation, CeilingExceeded, Ideal, RingoidHom,
                       fibration_check, forget_units, gl, idem_classes,
                       improper_ideal, k0_bounded, k0_induced, k0_relative,
                       k1_bounded, matrix_ring, ring_units, scalar_ringoid,
-                      tensor, validate_hom, zero_ideal, zero_moduloid)
+                      tensor, unitize, validate_hom, zero_ideal,
+                      zero_moduloid)
 from ringoids.intlinalg import hom_well_defined
 from ringoids.ktheory import determinant_of_matmorphism, stabilization_embedding
 
@@ -115,6 +116,79 @@ def test_idem_classes_of_product_ring(f2xf2_moduloid):
     # 0, e1, e2, 1 fall into four distinct classes with [e1] + [e2] = [1]
     assert len(ic.reps) == 4
     assert ic.presentation == AbPresentation.free(2)
+
+
+def _idem_image_sizes(r, a, p):
+    sizes = []
+    for c in r.objects:
+        hom = r.hom(c, a)
+        sizes.append(len({r.compose(c, a, a, p, h) for h in hom.elements()}))
+    return tuple(sizes)
+
+
+def _idem_equivalent(r, a, p, b, q):
+    """p in End(a) ~ q in End(b): search x in Hom(b,a), y in Hom(a,b) with
+    x.y = p and y.x = q (then the images are isomorphic)."""
+    for x in r.hom(b, a).elements():
+        for y in r.hom(a, b).elements():
+            if (r.compose(a, b, a, x, y) == p
+                    and r.compose(b, a, b, y, x) == q):
+                return True
+    return False
+
+
+def _reference_idem_classes(r):
+    """Reference: each idempotent joins the first representative with the
+    same image sizes that the pair search proves equivalent."""
+    reps, class_of, invariants = [], {}, []
+    for a in r.objects:
+        for p in r.hom(a, a).elements():
+            if r.compose(a, a, a, p, p) != p:
+                continue
+            inv = _idem_image_sizes(r, a, p)
+            for idx, (b, q) in enumerate(reps):
+                if invariants[idx] == inv and _idem_equivalent(r, a, p, b, q):
+                    class_of[(a, p)] = idx
+                    break
+            else:
+                class_of[(a, p)] = len(reps)
+                reps.append((a, p))
+                invariants.append(inv)
+    return tuple(reps), class_of
+
+
+@pytest.mark.parametrize("ring_name", ["f2xf2_moduloid", "z4", "m2f2", "t2f2",
+                                       "morita", "f2c2", "unitized_ideal_two",
+                                       "unitized_f2"])
+def test_idem_classes_match_pair_search(ring_name, request):
+    r = request.getfixturevalue(ring_name)
+    ic = idem_classes(r)
+    assert not ic.undecided_pairs
+    assert (ic.reps, ic.class_of) == _reference_idem_classes(r)
+
+
+@pytest.fixture(scope="module")
+def unitized_ideal_two(ideal_two_moduloid):
+    return unitize(ideal_two_moduloid)
+
+
+@pytest.fixture(scope="module")
+def unitized_f2(f2):
+    return unitize(forget_units(f2))
+
+
+def test_fibration_reports_undecided_not_inexact(f2xf2_moduloid):
+    # (e1) in F2 x F2: the idempotent classes of J+ map to e1 and 1 - e1 ...
+    j = Ideal(f2xf2_moduloid, {("*", "*"): ((1, 0),)})
+    # ... which are not free: at the default ceiling that is certified
+    rep = fibration_check(f2xf2_moduloid, j, 2)
+    assert not rep.undecided and rep.unresolved_classes
+    assert rep.exact is False
+    # |Hom(*, *)|^2 = 16 is needed to tell e1 from e2; below it the free
+    # classes are unknown, and so is exactness
+    rep = fibration_check(f2xf2_moduloid, j, 2, ceiling=8)
+    assert rep.undecided
+    assert rep.exact is None and rep.composite_zero is None
 
 
 @pytest.mark.parametrize("ring_name", ["f2", "z4", "zero"])
