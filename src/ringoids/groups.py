@@ -1,5 +1,5 @@
-"""Finite groups by multiplication table, commutator subgroups, and
-abelianization into (rank, torsion) normal form."""
+"""Finite groups by multiplication table, and the abelianization of any
+finite group read off its Cayley graph as a presented abelian group."""
 
 from __future__ import annotations
 
@@ -82,77 +82,50 @@ class FinGroup:
         compose = lambda p, q: tuple(p[q[i]] for i in range(3))
         return cls.from_mult(perms, compose)
 
-    def subgroup_closure(self, generator_indices):
-        """Indices of the subgroup generated by the given elements."""
-        seen = {self.identity}
-        frontier = [self.identity]
-        gens = sorted(set(generator_indices) | {self.identity})
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = self.table[x][g]
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return sorted(seen)
-
-    def commutator_subgroup(self):
-        n = len(self.elements)
-        comms = set()
-        for i in range(n):
-            ii = self.inv(i)
-            for j in range(n):
-                comms.add(self.table[self.table[i][j]][self.table[ii][self.inv(j)]])
-        return self.subgroup_closure(comms)
-
-    def quotient(self, normal_indices):
-        """Quotient by a normal subgroup; cosets labelled by least member."""
-        nset = set(normal_indices)
-        n = len(self.elements)
-        coset_of = [None] * n
-        reps = []
-        for x in range(n):
-            if coset_of[x] is not None:
-                continue
-            members = sorted(self.table[h][x] for h in nset)
-            rep = members[0]
-            reps.append(rep)
-            for m in members:
-                coset_of[m] = rep
-        rep_index = {r: k for k, r in enumerate(reps)}
-        table = [[rep_index[coset_of[self.table[a][b]]] for b in reps] for a in reps]
-        quot = FinGroup(reps, table)
-        return quot, [rep_index[coset_of[x]] for x in range(n)]
-
-
-def decompose_abelian(group):
-    """AbPresentation of an abelian FinGroup (generators = its elements)."""
-    n = len(group.elements)
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            row = [0] * n
-            row[i] += 1
-            row[j] += 1
-            row[group.table[i][j]] -= 1
-            rows.append(row)
-    return AbPresentation(n, rows)
-
 
 def abelianization(group):
-    """G / [G, G] as a normalized presentation, plus the map sending each
-    element index of G to its generator vector in the quotient presentation.
+    """G / [G, G] from one pass over the Cayley graph of G.
 
-    Returns (presentation, coords) where coords[i] is a tuple over the
-    presentation's generators (the elements of the abelian quotient).
+    Uses only len(group), group.identity and group.mul(i, j).  Generators
+    are taken in index order: each element outside the subgroup generated
+    so far becomes the next one, and that subgroup is recomputed by BFS
+    from the identity.  Each addition at least doubles the subgroup, so
+    there are at most log2 |G| generators and fewer than 2 |G| |S|
+    products.  The last BFS gives every element x a tree-path vector
+    coords(x) in Z^S, and every non-tree edge x -s-> xs the abelianized
+    Schreier relator coords(x) + e_s - coords(xs); by Schreier's lemma
+    Z^S modulo these relators is G^ab exactly.
+
+    Returns (presentation, coords, generators): coords[i] is the image of
+    element i in the presentation (a homomorphism), and generator k has
+    coords e_k.
     """
-    commutators = group.commutator_subgroup()
-    quot, coset_map = group.quotient(commutators)
-    pres = decompose_abelian(quot)
-    k = len(quot.elements)
-    coords = []
-    for x in range(len(group.elements)):
-        vec = [0] * k
-        vec[coset_map[x]] = 1
-        coords.append(tuple(vec))
-    return pres, coords
+    gens = []
+    coords, relators = _cayley_bfs(group, gens)
+    for x in range(len(group)):
+        if coords[x] is None:
+            gens.append(x)
+            coords, relators = _cayley_bfs(group, gens)
+    return AbPresentation(len(gens), relators), coords, gens
+
+
+def _cayley_bfs(group, gens):
+    """Tree-path coordinates of the subgroup generated by gens (None
+    outside it) and its distinct non-zero Schreier relators, in order."""
+    k = len(gens)
+    unit = [tuple(int(i == j) for i in range(k)) for j in range(k)]
+    coords = [None] * len(group)
+    coords[group.identity] = (0,) * k
+    queue = [group.identity]
+    relators = {}
+    for x in queue:
+        cx = coords[x]
+        for j, g in enumerate(gens):
+            y = group.mul(x, g)
+            step = tuple(a + b for a, b in zip(cx, unit[j]))
+            if coords[y] is None:
+                coords[y] = step
+                queue.append(y)
+            elif step != coords[y]:
+                relators.setdefault(tuple(a - b for a, b in zip(step, coords[y])))
+    return coords, list(relators)

@@ -11,7 +11,8 @@ kernel, in degree zero, of the split surjection induced by the unitization
 projection, computed on idempotent classes (keyed by the type vector of
 the image) so that the splitting is visible; the fibration check maps
 those classes to free sums by the same type vectors.  K1 is reported per
-rank as GL_n abelianizations with stabilization maps.
+rank as GL_n abelianizations, read off the Cayley graph of GL_n
+(`groups.abelianization`), with stabilization maps.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import itertools
 
 from .additive import (DEFAULT_CEILING, Undecided, complete,
                        enumerate_objsums, iso_class_table)
-from .groups import FinGroup, abelianization
+from .groups import abelianization
 from .intlinalg import (AbPresentation, apply_rows, hom_is_isomorphism,
                         hom_kernel_lattice, hom_well_defined,
                         kernel_presentation, lattices_equal,
@@ -44,7 +45,8 @@ class CeilingExceeded(Exception):
 
 class KZeroResult:
     """Bounded K0: presentation on the base objects, one relation per
-    discovered isomorphism of formal sums within the bound."""
+    distinct non-zero difference [s] - [rep] of isomorphic formal sums
+    within the bound."""
 
     __slots__ = ("bound", "presentation", "gen_labels", "gen_reps",
                  "stabilized", "stabilized_since", "undecided", "table",
@@ -84,17 +86,17 @@ def k0_bounded(r, bound, ceiling=DEFAULT_CEILING, view=None, table=None):
     if table is None:
         table = iso_class_table(view, bound, ceiling=ceiling)
     objects = list(r.objects)
-    relation_info = []
+    # each distinct non-zero row once, with the shortest sum length at which
+    # it occurs; first-occurrence order keeps k0_induced's failing relation
+    shortest = {}
     for s, cls in table.class_of.items():
-        rep = table.reps[cls]
-        if s == rep:
-            continue
-        row = [x - y for x, y in zip(count_vector(s, objects),
-                                     count_vector(rep, objects))]
-        relation_info.append((len(s), row))
+        row = tuple(x - y for x, y in zip(count_vector(s, objects),
+                                          count_vector(table.reps[cls], objects)))
+        if any(row):
+            shortest[row] = min(shortest.get(row, len(s)), len(s))
     per_bound = {}
     for l in range(bound + 1):
-        rows = [row for (mlen, row) in relation_info if mlen <= l]
+        rows = [row for row, mlen in shortest.items() if mlen <= l]
         per_bound[l] = AbPresentation(len(objects), rows)
     stabilized = bound >= 1 and per_bound[bound] == per_bound[bound - 1]
     stabilized_since = None
@@ -481,11 +483,39 @@ def fibration_check(m, ideal, bound, ceiling=DEFAULT_CEILING):
 # GL and bounded K1.
 # ---------------------------------------------------------------------------
 
+class GLGroup:
+    """The invertible endomorphisms of a formal sum, in `hom_elements`
+    order, multiplied on demand by matrix composition.  A product outside
+    the list refutes closure and raises StructuralError."""
+
+    __slots__ = ("view", "elements", "identity", "_index")
+
+    def __init__(self, view, s, elements):
+        self.view = view
+        self.elements = list(elements)
+        self._index = {u: i for i, u in enumerate(self.elements)}
+        self.identity = self._index[view.identity(s)]
+
+    def __len__(self):
+        return len(self.elements)
+
+    def index(self, element):
+        return self._index[element]
+
+    def mul(self, i, j):
+        w = self.view.compose(self.elements[i], self.elements[j])
+        k = self._index.get(w)
+        if k is None:
+            raise StructuralError("a product of invertibles is not invertible")
+        return k
+
+
 def gl(view, s, ceiling=DEFAULT_CEILING):
-    """The group of invertible endomorphisms of a formal sum, as a table.
+    """The group of invertible endomorphisms of a formal sum.
 
     Every element of End(s) is tested by solving u . v = 1 column by column
-    and certifying v . u = 1; the group table then certifies closure."""
+    and certifying v . u = 1.  No table is built: closure is certified edge
+    by edge, since every product `abelianization` walks goes through `mul`."""
     s = tuple(s)
     if not view.has_identities:
         raise StructuralError("GL needs a unital base")
@@ -493,16 +523,8 @@ def gl(view, s, ceiling=DEFAULT_CEILING):
     if n > ceiling:
         raise CeilingExceeded("|End| = %d exceeds the ceiling %d" % (n, ceiling),
                               size=n, ceiling=ceiling)
-    invertibles = [u for u in view.hom_elements(s, s) if view.inverse(u) is not None]
-    index = {u: i for i, u in enumerate(invertibles)}
-    table = []
-    for u in invertibles:
-        row = []
-        for v in invertibles:
-            w = view.compose(u, v)
-            row.append(index[w])  # KeyError here would refute closure
-        table.append(row)
-    return FinGroup(invertibles, table)
+    return GLGroup(view, s, [u for u in view.hom_elements(s, s)
+                             if view.inverse(u) is not None])
 
 
 class StabilizationStep:
@@ -516,7 +538,9 @@ class StabilizationStep:
 
 class KOneResult:
     """Per-rank GL abelianizations with stabilization maps; a single group
-    would misrepresent the limit (GL_3 over F2 already dips back to 0)."""
+    would misrepresent the limit (GL_3 over F2 already dips back to 0).
+    ranks[n] presents GL_n^ab on the generators `abelianization` picked
+    from groups[n]; each step's matrix maps them into ranks[n + 1]."""
 
     __slots__ = ("ranks", "groups", "steps", "last_step_iso", "truncated_at")
 
@@ -547,7 +571,8 @@ def stabilization_embedding(view, s, t):
 
 def k1_bounded(r, n_max, ceiling=DEFAULT_CEILING):
     """Abelianizations of GL_n for n <= n_max over a one-object unital base,
-    with the induced stabilization maps."""
+    with the induced stabilization maps: the row for generator g of GL_n
+    is the coordinate vector of its block-diagonal image in GL_(n+1)."""
     if len(r.objects) != 1:
         raise StructuralError("bounded K1 is implemented for one-object bases")
     obj = r.objects[0]
@@ -555,6 +580,7 @@ def k1_bounded(r, n_max, ceiling=DEFAULT_CEILING):
     groups = {}
     ranks = {}
     coords = {}
+    gens = {}
     truncated_at = None
     for n in range(1, n_max + 1):
         s = (obj,) * n
@@ -563,42 +589,25 @@ def k1_bounded(r, n_max, ceiling=DEFAULT_CEILING):
         except CeilingExceeded:
             truncated_at = n
             break
-        pres, elem_coords = abelianization(g)
         groups[n] = g
-        ranks[n] = pres
-        coords[n] = elem_coords
+        ranks[n], coords[n], gens[n] = abelianization(g)
     steps = []
-    avail = sorted(groups)
-    for n in avail:
+    for n in sorted(groups):
         if n + 1 not in groups:
             break
-        s = (obj,) * n
-        embed = stabilization_embedding(view, s, (obj,))
+        embed = stabilization_embedding(view, (obj,) * n, (obj,))
         gn, gn1 = groups[n], groups[n + 1]
-        matrix = []
-        for rep in _coset_reps(gn, coords[n]):
-            image = embed(gn.elements[rep])
-            matrix.append(list(coords[n + 1][gn1.index(image)]))
+        matrix = [list(coords[n + 1][gn1.index(embed(gn.elements[g]))])
+                  for g in gens[n]]
         iso = hom_is_isomorphism(ranks[n], ranks[n + 1], matrix)
         steps.append(StabilizationStep(n, matrix, iso))
     last_step_iso = steps[-1].is_isomorphism if steps else None
     return KOneResult(ranks, groups, steps, last_step_iso, truncated_at)
 
 
-def _coset_reps(group, elem_coords):
-    """One group element per abelianization generator, in generator order."""
-    k = len(elem_coords[0]) if elem_coords else 0
-    reps = [None] * k
-    for idx, vec in enumerate(elem_coords):
-        pos = vec.index(1)
-        if reps[pos] is None:
-            reps[pos] = idx
-    return reps
-
-
 def determinant_of_matmorphism(r, f):
     """Leibniz determinant of a square matrix over a one-object commutative
-    base; used only as a checkable property of the computed GL tables."""
+    base; used only as a checkable property of the computed GL groups."""
     obj = r.objects[0]
     hom = r.hom(obj, obj)
     n = len(f.src)

@@ -37,7 +37,7 @@ from .abgroup import FinAbGroup
 from .groupoids import FinGroupoid, GSet
 from .groups import FinGroup
 from .moduloids import Ideal
-from .ringoid import FiniteRingoid
+from .ringoid import FiniteRingoid, StructuralError
 
 
 class RGDSyntaxError(Exception):
@@ -213,8 +213,11 @@ class _GroupoidBuilder:
                                        "cannot infer the identity at object %r of "
                                        "groupoid %r; declare it" % (a, self.name))
             identities[a] = candidates[0]
-        return FinGroupoid(self.objects, self.morphisms, comp, identities,
-                           self.inverses or None, name=self.name)
+        try:
+            return FinGroupoid(self.objects, self.morphisms, comp, identities,
+                               self.inverses or None, name=self.name)
+        except StructuralError as exc:
+            raise RGDSemanticError(self.lineno, "groupoid %r: %s" % (self.name, exc))
 
 
 def parse_rgd(text):

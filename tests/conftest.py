@@ -1,8 +1,9 @@
 import pytest
 
-from ringoids import (FinAbGroup, FiniteRingoid, FinGroup, cyclic_ring,
-                      group_as_groupoid, group_ringoid, matrix_ring,
-                      product_ring, with_self_scalar)
+from ringoids import (FinAbGroup, FiniteRingoid, FinGroup, GSet, cyclic_ring,
+                      discrete_groupoid, group_as_groupoid, group_ringoid,
+                      matrix_ring, product_ring, transport_groupoid,
+                      with_self_scalar)
 
 
 @pytest.fixture(scope="session")
@@ -44,6 +45,18 @@ def c2_groupoid():
 @pytest.fixture(scope="session")
 def f2c2(c2_groupoid, f2):
     return group_ringoid(c2_groupoid, f2)
+
+
+@pytest.fixture(scope="session")
+def disc2(f2):
+    """Two discrete objects over F2."""
+    return group_ringoid(discrete_groupoid(("a", "b")), f2)
+
+
+@pytest.fixture(scope="session")
+def c2free(f2):
+    """The transport ringoid of the free C2-orbit over F2."""
+    return group_ringoid(transport_groupoid(GSet.regular(FinGroup.cyclic(2))), f2)
 
 
 @pytest.fixture(scope="session")

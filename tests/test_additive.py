@@ -187,16 +187,6 @@ def test_nonunital_view_restricted(f2):
 # Differential tests: the column solver against brute-force searches.
 # ---------------------------------------------------------------------------
 
-@pytest.fixture(scope="module")
-def disc2(f2):
-    return group_ringoid(discrete_groupoid(("a", "b")), f2)
-
-
-@pytest.fixture(scope="module")
-def c2free(f2):
-    return group_ringoid(transport_groupoid(GSet.regular(FinGroup.cyclic(2))), f2)
-
-
 # (fixture name, longest formal sum compared)
 DIFFERENTIAL_RINGS = [("f2", 3), ("z4", 3), ("f3", 3), ("zero", 3), ("f2xf2", 3),
                       ("m2f2", 2), ("disc2", 3), ("c2free", 3), ("f2c2", 3)]

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ringoids.cli import run
+from ringoids import (FinGroup, GSet, Ideal, cyclic_ring, document_from,
+                      group_as_groupoid, print_rgd)
+from ringoids.cli import _COMMANDS, run
 
 F2_DOC = """\
 ringoid F2
@@ -313,3 +318,95 @@ def test_bad_flag_or_input_exits_1_with_one_line(tmp_path, f2_file, capsys, comm
     assert code == 1
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "error" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: byte mutations of printed documents through every subcommand.
+# ---------------------------------------------------------------------------
+
+def _fuzz_sources():
+    f2 = cyclic_ring(2, name="F2")
+    z4 = cyclic_ring(4, name="Z4")
+    c2 = FinGroup.cyclic(2)
+    with_ideal = document_from(ringoids=[z4])
+    with_ideal.ideals["two"] = ("Z4", Ideal(z4, {("*", "*"): ((2,),)}))
+    with_ideal.order.append(("ideal", "two"))
+    docs = [document_from(ringoids=[f2]),
+            with_ideal,
+            document_from(ringoids=[f2], groupoids=[group_as_groupoid(c2, name="C2")],
+                          gsets=[GSet.regular(c2)]),
+            document_from(ringoids=[cyclic_ring(2, name="A", scalar=False),
+                                    cyclic_ring(3, name="B", scalar=False)])]
+    return [print_rgd(doc).encode("utf-8") for doc in docs]
+
+
+FUZZ_SOURCES = _fuzz_sources()
+
+_chunks = st.one_of(st.binary(min_size=1, max_size=4),
+                    st.text(alphabet="0123456789 -:>*abegp\n", min_size=1,
+                            max_size=4).map(lambda t: t.encode("utf-8")))
+
+
+@st.composite
+def _mutated_documents(draw):
+    data = bytearray(draw(st.sampled_from(FUZZ_SOURCES)))
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(("delete", "overwrite", "splice")))
+        pos = draw(st.integers(0, len(data)))
+        if op == "delete":
+            del data[pos:pos + draw(st.integers(1, 8))]
+        elif op == "overwrite":
+            chunk = draw(_chunks)
+            data[pos:pos + len(chunk)] = chunk
+        else:
+            other = draw(st.sampled_from(FUZZ_SOURCES))
+            start = draw(st.integers(0, len(other)))
+            data[pos:pos] = other[start:start + draw(st.integers(1, 40))]
+    return bytes(data)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def test_fuzz_sources_parse_cleanly(fuzz_dir):
+    path = str(fuzz_dir / "clean.rgd")
+    for data in FUZZ_SOURCES:
+        with open(path, "wb") as fh:
+            fh.write(data)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(["validate", "--input", path]) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=_mutated_documents(), command=st.sampled_from(sorted(_COMMANDS)),
+       bound=st.integers(0, 2), gl_max=st.integers(1, 2),
+       ceiling=st.sampled_from([-1, 0, 3, 64, 4096]),
+       fmt=st.sampled_from(["human", "machine"]))
+def test_cli_fuzz_never_escapes(fuzz_dir, data, command, bound, gl_max,
+                                ceiling, fmt):
+    path = str(fuzz_dir / "input.rgd")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run([command, "--input", path, "--bound", str(bound),
+                    "--gl-max", str(gl_max), "--ceiling", str(ceiling),
+                    "--format", fmt])
+    assert code in (0, 1, 2)
+    if code:
+        assert out.getvalue() or err.getvalue()
+
+
+def test_groupoid_without_inverse_is_a_parse_error(tmp_path, capsys):
+    # found by the fuzz test: a groupoid section with no compose lines
+    # used to raise StructuralError out of the parser
+    path = tmp_path / "bad_groupoid.rgd"
+    path.write_text("groupoid C2\nobject p\nmorphism p p e\nmorphism p p g\n"
+                    "identity p e\n", encoding="utf-8")
+    code = run(["validate", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ("parse error: line 1: groupoid 'C2': morphism 'e' "
+                            "has no inverse\n")

@@ -7,8 +7,11 @@ from ringoids import (AbPresentation, CeilingExceeded, Ideal, RingoidHom,
                       k1_bounded, matrix_ring, ring_units, scalar_ringoid,
                       tensor, unitize, validate_hom, zero_ideal,
                       zero_moduloid)
+from ringoids.groups import abelianization
 from ringoids.intlinalg import hom_well_defined
-from ringoids.ktheory import determinant_of_matmorphism, stabilization_embedding
+from ringoids.ktheory import (GLGroup, count_vector, determinant_of_matmorphism,
+                              stabilization_embedding)
+from ringoids.ringoid import StructuralError
 
 Z = AbPresentation.free(1)
 
@@ -248,6 +251,20 @@ def test_gl_examples(f2, f3):
     assert len(gl(complete(f3), ("*",))) == 2
 
 
+def test_gl_closure_is_certified_edge_by_edge(f2):
+    view = complete(f2)
+    s = ("*", "*")
+    group = gl(view, s)
+    assert not hasattr(group, "table")
+    # drop one invertible: some Cayley edge the abelianization walks lands
+    # on it, and mul refuses the product
+    dropped = next(i for i in range(len(group)) if i != group.identity)
+    partial = GLGroup(view, s, [u for i, u in enumerate(group.elements)
+                                if i != dropped])
+    with pytest.raises(StructuralError):
+        abelianization(partial)
+
+
 def test_gl_ceiling(f2):
     with pytest.raises(CeilingExceeded):
         gl(complete(f2), ("*", "*"), ceiling=10)
@@ -337,3 +354,30 @@ def test_exterior_product_tensor_collapse():
     from ringoids.intlinalg import lattice_contains
     assert lattice_contains([list(r) for r in target.presentation.relations],
                             len(image), image)
+
+
+@pytest.mark.parametrize("ring_name", ["f2", "z4", "f2c2", "disc2", "c2free"])
+def test_k0_relations_are_distinct_and_nonzero(ring_name, request):
+    ring = request.getfixturevalue(ring_name)
+    bound = 3
+    res = k0_bounded(ring, bound)
+    rows = res.presentation.relations
+    assert all(any(row) for row in rows)
+    assert len(set(rows)) == len(rows)
+    # the same groups as one raw row per non-representative sum
+    objects = list(ring.objects)
+    raw = []
+    for s, cls in res.table.class_of.items():
+        rep = res.table.reps[cls]
+        if s != rep:
+            raw.append((len(s), [x - y for x, y in zip(count_vector(s, objects),
+                                                       count_vector(rep, objects))]))
+    for l in range(bound + 1):
+        assert res.per_bound[l] == AbPresentation(
+            len(objects), [row for (n, row) in raw if n <= l])
+    # first-occurrence order of the raw rows
+    first = []
+    for _, row in raw:
+        if any(row) and tuple(row) not in first:
+            first.append(tuple(row))
+    assert list(rows) == first
