@@ -14,8 +14,7 @@ orthogonal idempotents and classifies those up to equivalence; two formal
 sums are then isomorphic exactly when their type vectors (multisets of
 indecomposable types) agree, and the isomorphism is assembled from the
 splittings and verified.  The bounded iso-class table, whose group
-completion is the bounded K0, buckets sums by type vector.  The brute-force
-`AdditiveView.find_isomorphism` is kept as an independent test oracle.
+completion is the bounded K0, buckets sums by type vector.
 """
 
 from __future__ import annotations
@@ -50,10 +49,9 @@ class MatMorphism:
 
 class Undecided:
     """Outcome of a search whose size exceeds the ceiling.  Distinct from
-    None (= certified negative).  The subject is a pair of formal sums
-    (`find_isomorphism`), a base object whose End is too large to
-    enumerate, or a pair ((a, p), (c, q)) of idempotents too costly to
-    compare (`Decomposition`)."""
+    None (= certified negative).  The subject is a base object whose End is
+    too large to enumerate, or a pair ((a, p), (c, q)) of idempotents too
+    costly to compare (`Decomposition`)."""
 
     __slots__ = ("subject", "size", "ceiling")
 
@@ -220,33 +218,6 @@ class AdditiveView:
         if v is None or self.compose(v, u) != self.identity(u.src):
             return None
         return v
-
-    def find_isomorphism(self, a, b, ceiling=DEFAULT_CEILING):
-        """Certified isomorphism a -> b, or None after exhausting Hom(a, b)
-        (with sound pruning), or Undecided when the candidate-pair space
-        |Hom(a, b)| * |Hom(b, a)| exceeds the ceiling.  Deterministic: the
-        returned forward matrix is the lexicographically least invertible
-        one, and its inverse is unique.  A brute-force search over whole
-        sums, kept as the test oracle for `Decomposition`."""
-        a, b = tuple(a), tuple(b)
-        if a == b:
-            if self.has_identities:
-                e = self.identity(a)
-                return IsoWitness(e, e)
-        # prune: isomorphic objects have equal hom-set cardinalities
-        for c in self.base.objects:
-            if self.hom_order((c,), a) != self.hom_order((c,), b):
-                return None
-            if self.hom_order(a, (c,)) != self.hom_order(b, (c,)):
-                return None
-        size = self.hom_order(a, b) * self.hom_order(b, a)
-        if size > ceiling:
-            return Undecided((a, b), size, ceiling)
-        for u in self.hom_elements(a, b):
-            v = self.inverse(u)
-            if v is not None:
-                return IsoWitness(u, v)
-        return None
 
 
 def complete(base):

@@ -283,17 +283,25 @@ def _substitute(word, g, replacement):
 # ---------------------------------------------------------------------------
 
 class NerveKZero:
-    __slots__ = ("bound", "presentation", "simplified", "abelianized",
-                 "generator_sums", "undecided")
+    """The nerve oracle's result: the presentation of the fundamental group,
+    its abelianization (invariants from the sparse elimination of
+    `intlinalg`), and the level-1 sums behind the generators.  The
+    word-level Tietze pass runs only when `simplified` is read."""
 
-    def __init__(self, bound, presentation, simplified, abelianized,
-                 generator_sums, undecided):
+    __slots__ = ("bound", "presentation", "abelianized", "generator_sums",
+                 "undecided")
+
+    def __init__(self, bound, presentation, abelianized, generator_sums,
+                 undecided):
         self.bound = bound
         self.presentation = presentation
-        self.simplified = simplified
         self.abelianized = abelianized
         self.generator_sums = tuple(generator_sums)
         self.undecided = undecided
+
+    @property
+    def simplified(self):
+        return self.presentation.simplify()
 
     def __repr__(self):
         return "NerveKZero(%s at L=%d)" % (self.abelianized, self.bound)
@@ -322,9 +330,7 @@ def k0_via_nerve(r, bound, ceiling=DEFAULT_CEILING, view=None, table=None):
             if len(s) + len(t) <= bound:
                 relators.append((index[s], index[t], -index[s + t]))
     pres = GroupPresentation([_sum_label(s) for s in sums], relators)
-    simplified = pres.simplify()
-    ab = pres.abelianization()
-    return NerveKZero(bound, pres, simplified, ab, sums, table.undecided)
+    return NerveKZero(bound, pres, pres.abelianization(), sums, table.undecided)
 
 
 def _sum_label(s):

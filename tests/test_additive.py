@@ -11,8 +11,37 @@ from ringoids import (FinAbGroup, FiniteRingoid, FinGroup, GSet, IsoWitness,
                       group_as_groupoid, group_ringoid, iso_class_table,
                       map_completion, matrix_ring, print_rgd, product_ring,
                       transport_groupoid, validate)
+from ringoids.additive import DEFAULT_CEILING
 from ringoids.cli import run
 from ringoids.ktheory import free_class_of_idempotent
+
+
+def find_isomorphism(view, a, b, ceiling=DEFAULT_CEILING):
+    """Certified isomorphism a -> b, or None after exhausting Hom(a, b)
+    (with sound pruning), or Undecided when the candidate-pair space
+    |Hom(a, b)| * |Hom(b, a)| exceeds the ceiling.  Deterministic: the
+    returned forward matrix is the lexicographically least invertible one,
+    and its inverse is unique.  A brute-force search over whole sums, kept
+    here as the test oracle for `Decomposition`."""
+    a, b = tuple(a), tuple(b)
+    if a == b:
+        if view.has_identities:
+            e = view.identity(a)
+            return IsoWitness(e, e)
+    # prune: isomorphic objects have equal hom-set cardinalities
+    for c in view.base.objects:
+        if view.hom_order((c,), a) != view.hom_order((c,), b):
+            return None
+        if view.hom_order(a, (c,)) != view.hom_order(b, (c,)):
+            return None
+    size = view.hom_order(a, b) * view.hom_order(b, a)
+    if size > ceiling:
+        return Undecided((a, b), size, ceiling)
+    for u in view.hom_elements(a, b):
+        v = view.inverse(u)
+        if v is not None:
+            return IsoWitness(u, v)
+    return None
 
 
 def test_hom_orders(f2):
@@ -62,14 +91,14 @@ def test_matrix_composition_associative_and_bilinear(rng, modulus):
 
 def test_find_isomorphism_identity(f2):
     view = complete(f2)
-    w = view.find_isomorphism(("*",), ("*",))
+    w = find_isomorphism(view, ("*",), ("*",))
     assert isinstance(w, IsoWitness)
     assert view.compose(w.forward, w.backward) == view.identity(("*",))
 
 
 def test_find_isomorphism_none_across_ranks(f2):
     view = complete(f2)
-    assert view.find_isomorphism(("*",), ("*", "*")) is None
+    assert find_isomorphism(view, ("*",), ("*", "*")) is None
 
 
 def test_find_isomorphism_permutation():
@@ -81,7 +110,7 @@ def test_find_isomorphism_permutation():
                          identities={"a": (1,), "b": (1,)}, name="diag")
     assert validate(diag).ok
     view = complete(diag)
-    w = view.find_isomorphism(("a", "b"), ("b", "a"))
+    w = find_isomorphism(view, ("a", "b"), ("b", "a"))
     assert isinstance(w, IsoWitness)
     assert view.compose(w.forward, w.backward) == view.identity(("b", "a"))
     assert view.compose(w.backward, w.forward) == view.identity(("a", "b"))
@@ -91,19 +120,19 @@ def test_find_isomorphism_symmetric(f2):
     view = complete(f2)
     pairs = [(("*",), ("*", "*")), (("*",), ("*",)), ((), ("*",))]
     for a, b in pairs:
-        fwd = view.find_isomorphism(a, b)
-        bwd = view.find_isomorphism(b, a)
+        fwd = find_isomorphism(view, a, b)
+        bwd = find_isomorphism(view, b, a)
         assert isinstance(fwd, IsoWitness) == isinstance(bwd, IsoWitness)
 
 
 def test_undecided_at_tiny_ceiling(f2):
     view = complete(f2)
-    res = view.find_isomorphism(("*", "*"), ("*", "*"), ceiling=0)
+    res = find_isomorphism(view, ("*", "*"), ("*", "*"), ceiling=0)
     # equal tuples short-circuit to the identity; force a search instead
     assert isinstance(res, IsoWitness)
     diag = product_ring(cyclic_ring(2, scalar=False), cyclic_ring(2, scalar=False))
     pv = complete(diag)
-    res = pv.find_isomorphism(("*",), ("*", "*"), ceiling=0)
+    res = find_isomorphism(pv, ("*",), ("*", "*"), ceiling=0)
     assert res is None  # pruned by cardinality before the ceiling applies
     # a genuinely searched pair under a zero ceiling reports undecided
     from ringoids.abgroup import TRIVIAL_GROUP
@@ -114,7 +143,7 @@ def test_undecided_at_tiny_ceiling(f2):
                               identities={"a": (1,), "b": (1,)}, name="pair")
     assert validate(pair_ring).ok
     pw = complete(pair_ring)
-    res = pw.find_isomorphism(("a",), ("b",), ceiling=0)
+    res = find_isomorphism(pw, ("a",), ("b",), ceiling=0)
     assert isinstance(res, Undecided)
 
 
@@ -229,7 +258,7 @@ def test_find_isomorphism_matches_pair_search(request, name, length):
     sums = enumerate_objsums(view.base.objects, length)
     for a in sums:
         for b in sums:
-            res = view.find_isomorphism(a, b, ceiling=1 << 40)
+            res = find_isomorphism(view, a, b, ceiling=1 << 40)
             expected = _pair_search(view, a, b)
             if expected is None:
                 assert res is None, (a, b)
@@ -338,7 +367,7 @@ def _reference_table(view, bound):
     reps, class_of = [], {}
     for s in enumerate_objsums(view.base.objects, bound):
         for idx, rep in enumerate(reps):
-            res = view.find_isomorphism(s, rep, ceiling=1 << 40)
+            res = find_isomorphism(view, s, rep, ceiling=1 << 40)
             if isinstance(res, IsoWitness):
                 class_of[s] = idx
                 break

@@ -8,8 +8,9 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ringoids import (FinGroup, GSet, Ideal, cyclic_ring, document_from,
-                      group_as_groupoid, print_rgd)
+from ringoids import (FiniteRingoid, FinGroup, GSet, Ideal, cyclic_ring,
+                      discrete_groupoid, document_from, group_as_groupoid,
+                      group_ringoid, print_rgd)
 from ringoids.cli import _COMMANDS, run
 
 F2_DOC = """\
@@ -90,6 +91,16 @@ def test_oracle_compare_output(f2_file, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out == "MATCH: Z\n"
+
+
+def test_oracle_compare_disc3_bound_5(tmp_path, capsys, f2):
+    disc3 = group_ringoid(discrete_groupoid(("a", "b", "c")), f2)
+    bare = FiniteRingoid(disc3.objects, disc3.homs, disc3.compose_table,
+                         identities=disc3.identities, name="disc3")
+    path = tmp_path / "disc3.rgd"
+    path.write_text(print_rgd(document_from(ringoids=[bare])), encoding="utf-8")
+    code = run(["oracle-compare", "--input", str(path), "--bound", "5"])
+    assert (code, capsys.readouterr().out) == (0, "MATCH: Z^3\n")
 
 
 def test_validate_broken_exits_1(tmp_path, capsys):

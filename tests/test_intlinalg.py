@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ringoids.intlinalg import (AbPresentation, IntMatrix, apply_rows,
-                                cokernel, determinant, hom_is_isomorphism,
+from ringoids.intlinalg import (AbPresentation, Elimination, IntMatrix,
+                                apply_rows, cokernel, determinant,
+                                hom_is_isomorphism,
                                 hom_kernel_lattice, kernel_presentation,
                                 lattice_basis, lattice_contains,
                                 left_kernel_rows, smith_normal_form,
@@ -243,3 +244,117 @@ def test_hom_is_isomorphism_matches_three_part_check(case):
     src, tgt = AbPresentation(n_src, src_rel), AbPresentation(n_tgt, tgt_rel)
     assert (hom_is_isomorphism(src, tgt, gen)
             == _ref_hom_is_isomorphism(src_rel, tgt_rel, gen, n_src, n_tgt))
+
+
+# ---------------------------------------------------------------------------
+# The sparse unit-pivot elimination against the dense Smith normal form.
+# ---------------------------------------------------------------------------
+
+def _dense_invariants(rows, n):
+    diag = smith_normal_form(IntMatrix.from_rows(rows))[1].diagonal() if rows else []
+    nonzero = [d for d in diag if d]
+    return n - len(nonzero), tuple(d for d in nonzero if d >= 2)
+
+
+def _eliminated_invariants(elim):
+    # the residue presents the group on the free (never pivoted) columns
+    return _dense_invariants(elim.residue_matrix()[1], elim.n - len(elim.pivots))
+
+
+@st.composite
+def _relation_matrices(draw):
+    """Up to 12 x 8, so on both sides of the size at which the library
+    starts eliminating.  Half the draws plant +-1 entries among small
+    ones; the other half have no +-1 entry, so nothing is eliminated."""
+    n = draw(st.integers(0, 8))
+    if draw(st.booleans()):
+        entries = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+    else:
+        entries = st.integers(-9, 9).filter(lambda x: x not in (1, -1))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=12))
+    return rows, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(_relation_matrices())
+def test_elimination_invariants_match_dense_snf(case):
+    rows, n = case
+    want = _dense_invariants(rows, n)
+    elim = Elimination(rows, n)
+    assert _eliminated_invariants(elim) == want
+    p = AbPresentation(n, rows)
+    assert (p.rank, p.torsion) == want
+    for j, unit, row, _ in elim.pivots:
+        assert row[j] == unit and unit in (1, -1)
+    assert all(row for row, _ in elim.residue)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_relation_matrices(), st.data())
+def test_elimination_solver_matches_dense_solver(case, data):
+    rows, n = case
+    coeffs = data.draw(_int_rows(len(rows), 0, 3, 3))
+    targets = [apply_rows(c, rows, n) for c in coeffs]
+    targets += data.draw(_int_rows(n, 0, 3, 9))
+    ref = [_ref_solve(rows, n, t) for t in targets]
+    for sols in (Elimination(rows, n).solve(targets),
+                 solve_row_combinations(rows, n, targets)):
+        assert [c is None for c in sols] == [c is None for c in ref]
+        for target, c in zip(targets, sols):
+            if c is not None:
+                assert apply_rows(c, rows, n) == target
+
+
+def test_elimination_clears_unit_relations():
+    # x0 = -x1 and x1 = 2 x2 leave Z/4 on x2 from the last relation
+    rows = [[1, 1, 0], [0, 1, -2], [0, 0, 4], [2, 2, 0]]
+    elim = Elimination(rows, 3)
+    assert len(elim.pivots) == 2
+    assert [row for row, _ in elim.residue] == [{2: 4}]
+    assert elim.fate[3] is None  # a multiple of the first row vanishes
+    assert AbPresentation(3, rows) == AbPresentation.cyclic(4)
+
+
+def _tamper_pivot_sign(elim):
+    j, unit, row, comb = elim.pivots[0]
+    elim.pivots[0] = (j, -unit, row, comb)
+
+
+def _tamper_pivot_entry(elim):
+    j, unit, row, comb = elim.pivots[0]
+    elim.pivots[0] = (j, unit, {k: x + (k != j) for k, x in row.items()}, comb)
+
+
+def _tamper_pivot_combination(elim):
+    j, unit, row, comb = elim.pivots[-1]
+    elim.pivots[-1] = (j, unit, row, {i: -c for i, c in comb.items()})
+
+
+def _tamper_residue_combination(elim):
+    row, comb = elim.residue[0]
+    elim.residue[0] = (row, {i: 2 * c for i, c in comb.items()})
+
+
+def _tamper_fate(elim):
+    elim.fate[0] = (0, 1)
+
+
+@pytest.mark.parametrize("tamper", [_tamper_pivot_sign, _tamper_pivot_entry,
+                                    _tamper_pivot_combination,
+                                    _tamper_residue_combination, _tamper_fate])
+def test_tampered_elimination_raises(tamper):
+    rows = [[1, 2, 0, 0], [0, 3, 1, 0], [0, 2, 0, 5], [1, 0, 1, 5]]
+    elim = Elimination(rows, 4)
+    assert elim.pivots and elim.residue
+    tamper(elim)
+    with pytest.raises(ArithmeticError):
+        elim.certify()
+
+
+def test_tampered_combination_fails_the_solution_check():
+    rows = [[1, 2, 0, 0], [0, 3, 1, 0], [0, 2, 0, 5], [1, 0, 1, 5]]
+    elim = Elimination(rows, 4)
+    j, unit, row, comb = elim.pivots[0]
+    elim.pivots[0] = (j, unit, row, {i: -c for i, c in comb.items()})
+    with pytest.raises(ArithmeticError):
+        elim.solve([rows[0]])

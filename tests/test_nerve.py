@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import elementary_ringoid
 from ringoids import (AbPresentation, GroupPresentation,
                       check_simplicial_identities, complete, degeneracy, face,
                       k0_bounded, k0_via_nerve, nerve_level, oracle_compare)
@@ -142,3 +144,26 @@ def test_nerve_relations_monotone_in_bound(f2):
     ok, _ = hom_well_defined(res3.abelianized.relations,
                              res4.abelianized.relations, include, n4)
     assert ok
+
+
+@st.composite
+def _incidence_ringoids(draw):
+    """Random elementary ringoids over F2 on one or two objects of dimension
+    1 or 2.  Each basis vector gets a level, and E_ij lies in Hom(a, b) when
+    the level of i (in b) is at most that of j (in a); the spans are then
+    closed under composition and hold the identities."""
+    names = ("a", "b")[:draw(st.integers(1, 2))]
+    dims = {x: draw(st.integers(1, 2)) for x in names}
+    level = {x: [draw(st.integers(0, 2)) for _ in range(dims[x])] for x in names}
+    positions = {(a, b): [(i, j) for i in range(dims[b]) for j in range(dims[a])
+                          if level[b][i] <= level[a][j]]
+                 for a in names for b in names}
+    return elementary_ringoid(dims, "E", positions)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_incidence_ringoids(), st.integers(1, 3))
+def test_oracle_agrees_on_random_elementary_ringoids(r, bound):
+    rep = oracle_compare(r, bound)
+    assert rep.ok
+    assert rep.k0.presentation == rep.nerve.abelianized
