@@ -276,12 +276,8 @@ def zero_ideal(m):
 
 def validate_ideal(ideal):
     """Raise IdealError (with witness) unless the generators are absorbing
-    and closed under the scalar action.  The membership checks are grouped
-    by target hom-set, one `solve_row_combinations` call per group; the
-    error names the first failing check in scan order."""
+    and closed under the scalar action."""
     m = ideal.parent
-    rg = _scalar_data(m)[2] if m.scalar is not None else None
-    checks = []  # (target hom-set, element, message, witness) in scan order
     for a in m.objects:
         for b in m.objects:
             for g in ideal.generators(a, b):
@@ -291,37 +287,26 @@ def validate_ideal(ideal):
                         if hbc.moduli[i] == 1:
                             continue
                         x = hbc.basis_element(i)
-                        checks.append(((a, c), m.compose(a, b, c, x, g),
-                                       "ideal not absorbing on the left",
-                                       (a, b, c, x, g)))
+                        if not ideal.contains(a, c, m.compose(a, b, c, x, g)):
+                            raise IdealError("ideal not absorbing on the left",
+                                             witness=(a, b, c, x, g))
                     hca = m.hom(c, a)
                     for i in range(len(hca.moduli)):
                         if hca.moduli[i] == 1:
                             continue
                         x = hca.basis_element(i)
-                        checks.append(((c, b), m.compose(c, a, b, g, x),
-                                       "ideal not absorbing on the right",
-                                       (c, a, b, g, x)))
-                if rg is not None:
+                        if not ideal.contains(c, b, m.compose(c, a, b, g, x)):
+                            raise IdealError("ideal not absorbing on the right",
+                                             witness=(c, a, b, g, x))
+                if m.scalar is not None:
+                    _, ro, rg = _scalar_data(m)
                     for i in range(len(rg.moduli)):
                         if rg.moduli[i] == 1:
                             continue
                         r = rg.basis_element(i)
-                        checks.append(((a, b), m.act(a, b, r, g),
-                                       "ideal not closed under the scalar action",
-                                       (a, b, r, g)))
-    by_target = {}
-    for k, check in enumerate(checks):
-        by_target.setdefault(check[0], []).append(k)
-    failed = []
-    for (a, b), ks in by_target.items():
-        sols = solve_row_combinations(ideal.subgroup_rows(a, b),
-                                      len(m.hom(a, b).moduli),
-                                      [list(checks[k][1]) for k in ks])
-        failed.extend(k for k, sol in zip(ks, sols) if sol is None)
-    if failed:
-        _, _, message, witness = checks[min(failed)]
-        raise IdealError(message, witness=witness)
+                        if not ideal.contains(a, b, m.act(a, b, r, g)):
+                            raise IdealError("ideal not closed under the scalar action",
+                                             witness=(a, b, r, g))
 
 
 def quotient(m, ideal, name=None):

@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 
 from ringoids import (FinAbGroup, Ideal, IdealError, RingoidHom, cyclic_ring,
@@ -237,67 +235,3 @@ def test_tensor_commutative_presentation_level(f2, z4):
 def test_tensor_mismatched_scalars_rejected(f2, z4):
     with pytest.raises(StructuralError):
         tensor(f2, z4, over=f2.scalar)
-
-
-def _validate_ideal_per_element(ideal):
-    """Reference: the membership checks one element at a time, in scan
-    order, as `validate_ideal` made them before they were batched."""
-    m = ideal.parent
-    for a in m.objects:
-        for b in m.objects:
-            for g in ideal.generators(a, b):
-                for c in m.objects:
-                    hbc = m.hom(b, c)
-                    for i in range(len(hbc.moduli)):
-                        if hbc.moduli[i] == 1:
-                            continue
-                        x = hbc.basis_element(i)
-                        if not ideal.contains(a, c, m.compose(a, b, c, x, g)):
-                            raise IdealError("ideal not absorbing on the left",
-                                             witness=(a, b, c, x, g))
-                    hca = m.hom(c, a)
-                    for i in range(len(hca.moduli)):
-                        if hca.moduli[i] == 1:
-                            continue
-                        x = hca.basis_element(i)
-                        if not ideal.contains(c, b, m.compose(c, a, b, g, x)):
-                            raise IdealError("ideal not absorbing on the right",
-                                             witness=(c, a, b, g, x))
-                if m.scalar is not None:
-                    _, ro, rg = _scalar_data(m)
-                    for i in range(len(rg.moduli)):
-                        if rg.moduli[i] == 1:
-                            continue
-                        r = rg.basis_element(i)
-                        if not ideal.contains(a, b, m.act(a, b, r, g)):
-                            raise IdealError("ideal not closed under the scalar action",
-                                             witness=(a, b, r, g))
-
-
-def _ideal_outcome(check, ideal):
-    try:
-        check(ideal)
-    except IdealError as exc:
-        return str(exc), exc.witness
-    return None
-
-
-@pytest.mark.parametrize("ring_name,some_fail", [
-    ("z4", False), ("ideal_two_moduloid", False), ("f2xf2_moduloid", True),
-    ("m2f2", True), ("f2c2", True), ("c2free", True)])
-def test_validate_ideal_matches_per_element_reference(ring_name, some_fail,
-                                                       request):
-    r = request.getfixturevalue(ring_name)
-    singles = [{key: (tuple(x),)} for key in itertools.product(r.objects, repeat=2)
-               for x in r.hom(*key).elements()]
-    # pairs of generators in different hom-sets, so the first failure in scan
-    # order may come from a later batch than another failure
-    pairs = [{**s, **t} for s, t in itertools.combinations(singles, 2)
-             if set(s) != set(t)][:200]
-    failures = 0
-    for gens in singles + pairs:
-        ideal = Ideal(r, gens)
-        want = _ideal_outcome(_validate_ideal_per_element, ideal)
-        assert _ideal_outcome(validate_ideal, ideal) == want, gens
-        failures += want is not None
-    assert bool(failures) == some_fail
