@@ -34,8 +34,8 @@ from .ktheory import (CeilingExceeded, KOneResult, KZeroResult,
                       RelativeKZeroResult, cofinality_check, exterior_product,
                       fibration_check, gl, idem_classes, k0_bounded,
                       k0_induced, k0_relative, k1_bounded, ring_units)
-from .nerve import (GroupPresentation, NerveLevel, check_simplicial_identities,
-                    degeneracy, face, k0_via_nerve, nerve_level, oracle_compare)
+from .nerve import (NerveLevel, check_simplicial_identities, degeneracy, face,
+                    k0_via_nerve, nerve_level, oracle_compare)
 from .assembly import (AssemblyZeroMap, assembly_zero,
                        equivariant_assembly_zero, naturality_check)
 from .rgd import (RGDDocument, RGDSemanticError, RGDSyntaxError, document_from,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from math import gcd
 
-from .intlinalg import IntMatrix, smith_normal_form, unimodular_inverse
+from .intlinalg import IntMatrix, smith_normal_form, solve_row_combinations
 
 
 class FinAbGroup:
@@ -118,7 +118,13 @@ class GroupQuotient:
         if len(diag) < k or any(d == 0 for d in diag[:k]):
             raise ArithmeticError("quotient of a finite group must be finite")
         self._v = V
-        self._vinv = unimodular_inverse(V)
+        # row i of V^-1 solves c.V = e_i; V is unimodular, so c is unique
+        vinv = solve_row_combinations([list(row) for row in V.data], k,
+                                      [[int(i == j) for j in range(k)]
+                                       for i in range(k)])
+        if None in vinv:
+            raise ArithmeticError("Smith transform is not unimodular")
+        self._vinv = IntMatrix.from_rows(vinv)
         self._kept = tuple(j for j in range(k) if diag[j] != 1)
         self._diag = tuple(diag[j] for j in self._kept)
         self.group = FinAbGroup(self._diag)

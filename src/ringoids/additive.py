@@ -124,9 +124,6 @@ class AdditiveView:
                            [[self.base.identity(a) if i == j else self.base.zero(b, a)
                              for j, b in enumerate(s)] for i, a in enumerate(s)])
 
-    def is_identity(self, f):
-        return f.src == f.dst and f == self.identity(f.src)
-
     # -- arithmetic -------------------------------------------------------
 
     def add(self, f, g):

@@ -13,8 +13,7 @@ from __future__ import annotations
 from .additive import DEFAULT_CEILING
 from .groupoids import (group_as_groupoid, group_ringoid, orbit_skeleton,
                         transport_groupoid)
-from .intlinalg import (AbPresentation, apply_rows, hom_is_isomorphism,
-                        hom_well_defined, solve_row_combinations)
+from .intlinalg import AbPresentation, apply_rows, hom_well_defined
 from .ktheory import k0_bounded, k0_induced
 from .ringoid import RingoidHom, StructuralError
 
@@ -49,10 +48,10 @@ def _assemble(components, summand_results, target_result, gen_target_vectors):
     matrix = []
     for vectors in gen_target_vectors:
         matrix.extend(vectors)
-    ok, _ = hom_well_defined(source_pres.relations,
-                             target_result.presentation.relations,
-                             matrix, len(target_result.gen_labels))
-    iso = hom_is_isomorphism(source_pres, target_result.presentation, matrix)
+    target = target_result.presentation
+    ok = hom_well_defined(source_pres.relations, target, matrix)[0]
+    # hom_is_isomorphism, with well-definedness computed once
+    iso = ok and source_pres == target and target.generated_by(matrix)
     undecided = target_result.undecided or any(r.undecided for r in summand_results)
     return AssemblyZeroMap(components, summand_results, source_pres,
                            target_result, matrix, ok, iso, undecided)
@@ -201,7 +200,6 @@ def naturality_check(f, xs, ys, scalar, bound, ceiling=DEFAULT_CEILING):
         diff = [p - q for p, q in zip(via_source, via_target)]
         if any(diff):
             diffs.append(diff)
-    commutes = None not in solve_row_combinations(
-        ay.target.presentation.relations, n_tgt, diffs)
+    commutes = all(ay.target.presentation.kills(diffs))
     undecided = ax.undecided or ay.undecided
     return NaturalityReport(ax, ay, source_map, target_map, commutes, undecided)

@@ -8,8 +8,10 @@ Every relation matrix of an `AbPresentation`, and every lattice of
 `solve_row_combinations` with at least `_DENSE_SOLVE_CELLS` entries, first
 goes through `Elimination`, a certified sparse unit-pivot elimination
 (abelian Tietze moves).  Only its residue reaches the dense Smith normal
-form.  Smaller lattices, `left_kernel_rows` and `abgroup.GroupQuotient`
-use the dense form directly.
+form.  A presentation keeps its elimination and answers its own lattice
+questions from it: whether vectors are zero in the group (`kills`) and
+whether rows map onto it (`generated_by`).  Smaller lattices and
+`left_kernel_rows` use the dense form directly.
 """
 
 from __future__ import annotations
@@ -66,17 +68,8 @@ class IntMatrix:
     def __matmul__(self, other):
         return self.mul(other)
 
-    def transpose(self):
-        return IntMatrix(self.cols, self.rows,
-                         [[self.data[i][j] for i in range(self.rows)]
-                          for j in range(self.cols)])
-
     def diagonal(self):
         return [self.data[i][i] for i in range(min(self.rows, self.cols))]
-
-    def is_diagonal(self):
-        return all(self.data[i][j] == 0
-                   for i in range(self.rows) for j in range(self.cols) if i != j)
 
     def __eq__(self, other):
         return (isinstance(other, IntMatrix) and self.rows == other.rows
@@ -220,26 +213,6 @@ def smith_normal_form(m):
         assert all(diag[i + 1] % diag[i] == 0 for i in range(len(diag) - 1) if diag[i]), \
             "SNF divisibility chain failed"
     return U, D, V
-
-
-def unimodular_inverse(m):
-    """Inverse of a unimodular integer matrix (via the adjugate)."""
-    n = m.rows
-    det = determinant(m)
-    if det not in (1, -1):
-        raise ValueError("matrix is not unimodular")
-    adj = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = IntMatrix(n - 1, n - 1,
-                              [[m.data[p][q] for q in range(n) if q != i]
-                               for p in range(n) if p != j])
-            row.append((-1) ** (i + j) * determinant(minor))
-        adj.append(row)
-    if det == -1:
-        adj = [[-x for x in row] for row in adj]
-    return IntMatrix(n, n, adj)
 
 
 # ---------------------------------------------------------------------------
@@ -576,12 +549,14 @@ class AbPresentation:
     """Finitely presented abelian group, normalized by Smith normal form.
 
     Two presentations compare equal exactly when their normal forms
-    (free rank, torsion divisibility chain) coincide.  The invariants come
-    from the sparse elimination and the Smith normal form of its residue;
-    `relations` keeps the rows as given.
+    (free rank, torsion divisibility chain) coincide.  `relations` keeps
+    the rows as given, and `elimination` is their one factorization: the
+    invariants come from the Smith normal form of its residue, and the
+    lattice questions about the group (`kills`, `generated_by`) are
+    answered from it too, so the relations are never eliminated again.
     """
 
-    __slots__ = ("generators", "relations", "rank", "torsion")
+    __slots__ = ("generators", "relations", "elimination", "rank", "torsion")
 
     def __init__(self, generators, relations=()):
         self.generators = int(generators)
@@ -589,12 +564,30 @@ class AbPresentation:
         for row in self.relations:
             if len(row) != self.generators:
                 raise ValueError("relation length does not match generator count")
-        elim = Elimination(self.relations, self.generators)
+        self.elimination = elim = Elimination(self.relations, self.generators)
         rows = elim.residue_matrix()[1]
         diag = smith_normal_form(IntMatrix.from_rows(rows))[1].diagonal() if rows else []
         nonzero = [d for d in diag if d]
         self.rank = self.generators - len(elim.pivots) - len(nonzero)
         self.torsion = tuple(d for d in nonzero if d >= 2)
+
+    def kills(self, vectors):
+        """For each vector over the generators, whether it is zero in the
+        group, i.e. lies in the relation lattice.  Every yes is certified by
+        a combination of the relations."""
+        return [c is not None for c in self.elimination.solve(vectors)]
+
+    def generated_by(self, rows):
+        """Whether the rows (vectors over the generators) generate the group.
+        Substitution through the pivots is an isomorphism onto the free
+        columns modulo the residue, so the rows generate exactly when their
+        residuals and the residue present the trivial group there."""
+        elim = self.elimination
+        free = [j for j in range(self.generators) if j not in elim._order]
+        residuals = [elim.substitute(_sparse(row))[1] for row in rows]
+        residuals += [row for row, _ in elim.residue]
+        return AbPresentation(len(free), [[v.get(j, 0) for j in free]
+                                          for v in residuals]).is_trivial()
 
     @classmethod
     def free(cls, n):
@@ -659,13 +652,12 @@ def cokernel(m):
 # generators).
 # ---------------------------------------------------------------------------
 
-def hom_well_defined(src_rel, tgt_rel, gen_matrix, n_tgt):
-    """Check every source relation maps into the target relation lattice.
-    Returns (ok, offending_relation_or_None)."""
-    images = [apply_rows(row, gen_matrix, n_tgt) for row in src_rel]
-    solutions = solve_row_combinations(tgt_rel, n_tgt, images)
-    for row, sol in zip(src_rel, solutions):
-        if sol is None:
+def hom_well_defined(src_rel, tgt, gen_matrix):
+    """Check that every source relation maps to zero in the presented
+    target group tgt.  Returns (ok, offending_relation_or_None)."""
+    images = [apply_rows(row, gen_matrix, tgt.generators) for row in src_rel]
+    for row, zero in zip(src_rel, tgt.kills(images)):
+        if not zero:
             return False, row
     return True, None
 
@@ -692,14 +684,13 @@ def hom_kernel_lattice(src_rel, tgt_rel, gen_matrix, n_src, n_tgt):
 
 def hom_is_isomorphism(src, tgt, gen_matrix):
     """Whether gen_matrix defines an isomorphism between the presented groups
-    src and tgt.  A well-defined map onto tgt with src isomorphic to tgt is
-    injective too: finitely generated abelian groups are Noetherian, so a
-    surjective endomorphism of one is injective."""
+    src and tgt: equal invariants, well defined, and onto.  A well-defined
+    map onto tgt with src isomorphic to tgt is injective too: finitely
+    generated abelian groups are Noetherian, so a surjective endomorphism
+    of one is injective.  Both lattice questions go to tgt's elimination."""
     return (src == tgt
-            and hom_well_defined(src.relations, tgt.relations, gen_matrix,
-                                 tgt.generators)[0]
-            and AbPresentation(tgt.generators,
-                               list(gen_matrix) + list(tgt.relations)).is_trivial())
+            and hom_well_defined(src.relations, tgt, gen_matrix)[0]
+            and tgt.generated_by(gen_matrix))
 
 
 def kernel_presentation(src_rel, tgt_rel, gen_matrix, n_src, n_tgt):

@@ -24,8 +24,7 @@ from .additive import (DEFAULT_CEILING, Undecided, complete,
 from .groups import abelianization
 from .intlinalg import (AbPresentation, apply_rows, hom_is_isomorphism,
                         hom_kernel_lattice, hom_well_defined,
-                        kernel_presentation, lattices_equal,
-                        solve_row_combinations)
+                        kernel_presentation, lattices_equal)
 from .moduloids import scalar_ringoid, unitize, unitization_projection
 from .ringoid import RingoidHom, StructuralError
 
@@ -142,8 +141,7 @@ def k0_induced(f, source_result, target_result):
         row[tgt_objects.index(f.object_map[a])] = 1
         matrix.append(row)
     ok, bad = hom_well_defined(source_result.presentation.relations,
-                               target_result.presentation.relations,
-                               matrix, len(tgt_objects))
+                               target_result.presentation, matrix)
     return InducedMap(source_result, target_result, matrix, ok, bad)
 
 
@@ -458,15 +456,14 @@ def fibration_check(m, ideal, bound, ceiling=DEFAULT_CEILING):
         inclusion_rows.append(apply_rows(vec, class_images, len(objects))
                               if resolved else None)
 
-    tgt_rel = k0q.presentation.relations
     images = [jmap.apply(row) for row in inclusion_rows if row is not None]
     composite_zero = (None not in inclusion_rows
-                      and None not in solve_row_combinations(
-                          tgt_rel, len(quot.objects), images))
+                      and all(k0q.presentation.kills(images)))
     # exactness at K0(M): image lattice of i_* equals kernel lattice of j_*
     lam_m = [list(r) for r in k0m.presentation.relations]
     image_rows = [row for row in inclusion_rows if row is not None] + lam_m
-    kernel_rows = hom_kernel_lattice(k0m.presentation.relations, tgt_rel,
+    kernel_rows = hom_kernel_lattice(k0m.presentation.relations,
+                                     k0q.presentation.relations,
                                      jmap.matrix, len(objects),
                                      len(quot.objects))
     exact = (not unresolved
@@ -715,9 +712,8 @@ def exterior_product(left_result, right_result, tensor_prod, target_result):
                     vec[pair_index[(i, j)]] += c
             sides.append(("right", i, row))
             vecs.append(vec)
-    solutions = solve_row_combinations(target_result.presentation.relations,
-                                       n_tgt, vecs)
-    failing = [side for side, sol in zip(sides, solutions) if sol is None]
+    failing = [side for side, zero
+               in zip(sides, target_result.presentation.kills(vecs)) if not zero]
     return ExteriorProduct(left_result, right_result, target_result,
                            pair_index, not failing,
                            failing[-1] if failing else None)

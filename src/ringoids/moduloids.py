@@ -497,9 +497,6 @@ class TensorProduct:
         b_pair = (b, b')."""
         return self._pures[(a_pair, b_pair)][1](x, y)
 
-    def hom_quotient(self, a_pair, b_pair):
-        return self._pures[(a_pair, b_pair)][0]
-
 
 def tensor(m, n, over=None, name=None):
     """M tensor_R N.  With over=None the tensor is taken over Z (no

@@ -9,9 +9,10 @@ object (the empty sum).
 The oracle computes the fundamental group of the 2-truncated realization
 of the isomorphism nerve: one generator per formal sum within the bound,
 a relation (s)(t) = (s + t) for each level-2 object, and (s) = (t) for
-each discovered isomorphism.  Its abelianization must agree with the
-Grothendieck-completion K0 at equal bounds; the two pipelines share only
-the isomorphism searcher.
+each discovered isomorphism.  These relations make the group abelian, so
+it is presented directly as an abelian group, one relation row per
+relator.  It must agree with the Grothendieck-completion K0 at equal
+bounds; the two pipelines share only the isomorphism searcher.
 """
 
 from __future__ import annotations
@@ -158,150 +159,21 @@ def check_simplicial_identities(r, n_max, bound, view=None):
 
 
 # ---------------------------------------------------------------------------
-# Group presentations with Tietze-style simplification.
-# ---------------------------------------------------------------------------
-
-class GroupPresentation:
-    """Generators and relator words (tuples of nonzero ints, sign = inverse).
-    Simplification uses only group-preserving moves: free and cyclic
-    reduction, dropping empty relators, and eliminating a generator that
-    occurs exactly once in some relator by solving for it."""
-
-    __slots__ = ("generators", "relators")
-
-    def __init__(self, generators, relators):
-        self.generators = tuple(generators)
-        self.relators = tuple(tuple(w) for w in relators)
-
-    def __repr__(self):
-        return "GroupPresentation(<%d gens | %d relators>)" % (
-            len(self.generators), len(self.relators))
-
-    def display(self):
-        def word_str(w):
-            if not w:
-                return "1"
-            parts = []
-            for x in w:
-                name = self.generators[abs(x) - 1]
-                parts.append(str(name) if x > 0 else "%s^-1" % name)
-            return "*".join(parts)
-        gens = ", ".join(str(g) for g in self.generators)
-        rels = ", ".join(word_str(w) for w in self.relators)
-        return "< %s | %s >" % (gens if gens else "-", rels if rels else "-")
-
-    def abelianization(self):
-        rows = []
-        for w in self.relators:
-            row = [0] * len(self.generators)
-            for x in w:
-                row[abs(x) - 1] += 1 if x > 0 else -1
-            rows.append(row)
-        return AbPresentation(len(self.generators), rows)
-
-    def simplify(self):
-        gens = list(self.generators)
-        relators = [_free_reduce(w) for w in self.relators]
-        changed = True
-        while changed:
-            changed = False
-            relators = [_cyclic_reduce(_free_reduce(w)) for w in relators]
-            relators = [w for w in relators if w]
-            # deduplicate, preserving order
-            seen = set()
-            uniq = []
-            for w in relators:
-                if w not in seen:
-                    seen.add(w)
-                    uniq.append(w)
-            relators = uniq
-            # eliminate a generator occurring exactly once in some relator
-            for ridx, w in enumerate(relators):
-                counts = {}
-                for x in w:
-                    counts[abs(x)] = counts.get(abs(x), 0) + 1
-                candidates = [g for g, c in counts.items() if c == 1]
-                if not candidates:
-                    continue
-                g = max(candidates)
-                pos = next(k for k, x in enumerate(w) if abs(x) == g)
-                # w = u g^e v  =>  g^e = u^-1 v^-1, so g = (u^-1 v^-1)^(1/e)
-                u, x, v = w[:pos], w[pos], w[pos + 1:]
-                rest = _free_reduce(tuple(-t for t in reversed(u))
-                                    + tuple(-t for t in reversed(v)))
-                if x < 0:
-                    rest = tuple(-t for t in reversed(rest))
-                replacement = rest
-                new_relators = []
-                for k, other in enumerate(relators):
-                    if k == ridx:
-                        continue
-                    new_relators.append(_substitute(other, g, replacement))
-                relators = [_free_reduce(w2) for w2 in new_relators]
-                # drop generator g, renumbering those above it
-                del gens[g - 1]
-                relators = [tuple(x2 - (1 if x2 > g else 0) if x2 > 0
-                                  else x2 + (1 if -x2 > g else 0)
-                                  for x2 in w2)
-                            for w2 in relators]
-                changed = True
-                break
-        return GroupPresentation(gens, relators)
-
-
-def _free_reduce(word):
-    out = []
-    for x in word:
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
-    return tuple(out)
-
-
-def _cyclic_reduce(word):
-    word = list(word)
-    while len(word) >= 2 and word[0] == -word[-1]:
-        word = word[1:-1]
-    return tuple(word)
-
-
-def _substitute(word, g, replacement):
-    out = []
-    for x in word:
-        if x == g:
-            out.extend(replacement)
-        elif x == -g:
-            out.extend(-t for t in reversed(replacement))
-        else:
-            out.append(x)
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
 # The K0 oracle through the 2-truncated nerve realization.
 # ---------------------------------------------------------------------------
 
 class NerveKZero:
-    """The nerve oracle's result: the presentation of the fundamental group,
-    its abelianization (invariants from the sparse elimination of
-    `intlinalg`), and the level-1 sums behind the generators.  The
-    word-level Tietze pass runs only when `simplified` is read."""
+    """The nerve oracle's result: the fundamental group as a presented
+    abelian group (one generator per level-1 sum, one relation row per
+    relator), and the level-1 sums behind the generators."""
 
-    __slots__ = ("bound", "presentation", "abelianized", "generator_sums",
-                 "undecided")
+    __slots__ = ("bound", "abelianized", "generator_sums", "undecided")
 
-    def __init__(self, bound, presentation, abelianized, generator_sums,
-                 undecided):
+    def __init__(self, bound, abelianized, generator_sums, undecided):
         self.bound = bound
-        self.presentation = presentation
         self.abelianized = abelianized
         self.generator_sums = tuple(generator_sums)
         self.undecided = undecided
-
-    @property
-    def simplified(self):
-        return self.presentation.simplify()
 
     def __repr__(self):
         return "NerveKZero(%s at L=%d)" % (self.abelianized, self.bound)
@@ -313,28 +185,34 @@ def k0_via_nerve(r, bound, ceiling=DEFAULT_CEILING, view=None, table=None):
     its faces glues the relation (s)(t)(s+t)^-1; each isomorphism in the
     level-1 isomorphism category glues (s)(t)^-1; the degenerate 1-cell of
     the zero object is collapsed.  The group is abelian modulo these
-    relations, so its abelianization is the group."""
+    relations, so each relator is recorded as its exponent-sum row:
+    e_() first, then e_s - e_rep, then e_s + e_t - e_(s+t)."""
     if view is None:
         view = complete(r)
     if table is None:
         table = iso_class_table(view, bound, ceiling=ceiling)
     sums = enumerate_objsums(r.objects, bound)
-    index = {s: i + 1 for i, s in enumerate(sums)}
-    relators = [(index[()],)]
+    index = {s: i for i, s in enumerate(sums)}
+
+    def relator(plus, minus=()):
+        row = [0] * len(sums)
+        for s in plus:
+            row[index[s]] += 1
+        for s in minus:
+            row[index[s]] -= 1
+        return row
+
+    rows = [relator([()])]
     for s, cls in table.class_of.items():
         rep = table.reps[cls]
         if s != rep:
-            relators.append((index[s], -index[rep]))
+            rows.append(relator([s], [rep]))
     for s in sums:
         for t in sums:
             if len(s) + len(t) <= bound:
-                relators.append((index[s], index[t], -index[s + t]))
-    pres = GroupPresentation([_sum_label(s) for s in sums], relators)
-    return NerveKZero(bound, pres, pres.abelianization(), sums, table.undecided)
-
-
-def _sum_label(s):
-    return "+".join(str(a) for a in s) if s else "0"
+                rows.append(relator([s, t], [s + t]))
+    return NerveKZero(bound, AbPresentation(len(sums), rows), sums,
+                      table.undecided)
 
 
 class OracleReport:

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import strategies as st
 
 from ringoids import (FinAbGroup, FiniteRingoid, FinGroup, GSet, cyclic_ring,
                       discrete_groupoid, group_as_groupoid, group_ringoid,
@@ -110,6 +111,21 @@ def elementary_ringoid(dims, name, positions=None):
     identities = {a: tuple(int(i == j) for (i, j) in positions[(a, a)])
                   for a in objects}
     return FiniteRingoid(objects, homs, table, identities=identities, name=name)
+
+
+@st.composite
+def incidence_ringoids(draw):
+    """Random elementary ringoids over F2 on one or two objects of dimension
+    1 or 2.  Each basis vector gets a level, and E_ij lies in Hom(a, b) when
+    the level of i (in b) is at most that of j (in a); the spans are then
+    closed under composition and hold the identities."""
+    names = ("a", "b")[:draw(st.integers(1, 2))]
+    dims = {x: draw(st.integers(1, 2)) for x in names}
+    level = {x: [draw(st.integers(0, 2)) for _ in range(dims[x])] for x in names}
+    positions = {(a, b): [(i, j) for i in range(dims[b]) for j in range(dims[a])
+                          if level[b][i] <= level[a][j]]
+                 for a in names for b in names}
+    return elementary_ringoid(dims, "E", positions)
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ringoids.abgroup import FinAbGroup, GroupQuotient, tensor_group
 
@@ -33,6 +34,30 @@ def test_quotient_z4_by_2():
     assert q.project((1,)) != q.project((0,))
     for e in q.group.elements():
         assert q.project(q.lift(e)) == e
+
+
+@st.composite
+def _quotients_and_points(draw):
+    """Ambients of up to 9 factors, so the inverse Smith transform is
+    solved on both sides of the size where the solver starts eliminating."""
+    k = draw(st.integers(0, 9))
+    moduli = draw(st.lists(st.integers(1, 6), min_size=k, max_size=k))
+    vec = st.lists(st.integers(-12, 12), min_size=k, max_size=k)
+    return moduli, draw(st.lists(vec, max_size=3)), draw(st.lists(vec, max_size=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_quotients_and_points())
+def test_quotient_lift_is_a_section(case):
+    moduli, extra, points = case
+    amb = FinAbGroup(moduli)
+    q = GroupQuotient(amb, extra)
+    for x in points:
+        image = q.project(x)
+        assert q.group.contains(image)
+        lifted = q.lift(image)
+        assert amb.contains(lifted)
+        assert q.project(lifted) == image
 
 
 def test_quotient_is_homomorphism():

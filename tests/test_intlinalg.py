@@ -246,6 +246,50 @@ def test_hom_is_isomorphism_matches_three_part_check(case):
             == _ref_hom_is_isomorphism(src_rel, tgt_rel, gen, n_src, n_tgt))
 
 
+@settings(max_examples=300, deadline=None)
+@given(_presented_maps())
+def test_presentation_queries_match_the_solver(case):
+    src_rel, n_src, tgt_rel, n_tgt, gen = case
+    tgt = AbPresentation(n_tgt, tgt_rel)
+    vectors = ([apply_rows(row, gen, n_tgt) for row in src_rel]
+               + [list(row) for row in gen] + [list(row) for row in tgt_rel])
+    assert tgt.kills(vectors) == [
+        c is not None for c in solve_row_combinations(tgt_rel, n_tgt, vectors)]
+    assert (tgt.generated_by(gen)
+            == AbPresentation(n_tgt, list(gen) + list(tgt_rel)).is_trivial())
+
+
+def test_hom_is_isomorphism_reuses_the_target_elimination(morita, monkeypatch):
+    # the oracle's comparison maps for F2-modules of rank 1 and 2, where
+    # (1) + (1) = (2) gives both presentations relations
+    from ringoids import complete, iso_class_table, k0_bounded
+    from ringoids import intlinalg
+    from ringoids.ktheory import count_vector
+    from ringoids.nerve import k0_via_nerve
+
+    objects = list(morita.objects)
+    table = iso_class_table(complete(morita), 3)
+    k0 = k0_bounded(morita, 3, table=table).presentation
+    nerve = k0_via_nerve(morita, 3, table=table)
+    sums = list(nerve.generator_sums)
+    fwd = [[int(s == (a,)) for s in sums] for a in objects]
+    bwd = [count_vector(s, objects) for s in sums]
+    built = []
+
+    class CountingElimination(intlinalg.Elimination):
+        def __init__(self, rows, n):
+            built.append({tuple(row) for row in rows})
+            super().__init__(rows, n)
+
+    monkeypatch.setattr(intlinalg, "Elimination", CountingElimination)
+    assert hom_is_isomorphism(k0, nerve.abelianized, fwd)
+    assert hom_is_isomorphism(nerve.abelianized, k0, bwd)
+    assert built  # the onto test presents the small reduced group
+    for tgt in (k0, nerve.abelianized):
+        assert tgt.relations
+        assert not any(set(tgt.relations) <= rows for rows in built)
+
+
 # ---------------------------------------------------------------------------
 # The sparse unit-pivot elimination against the dense Smith normal form.
 # ---------------------------------------------------------------------------

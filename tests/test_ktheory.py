@@ -47,7 +47,7 @@ def test_k0_monotone_in_bound(f2, z4, zero, f2c2):
         ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         for l in range(1, res.bound):
             ok, _ = hom_well_defined(res.per_bound[l].relations,
-                                     res.per_bound[l + 1].relations, ident, n)
+                                     res.per_bound[l + 1], ident)
             assert ok
 
 

@@ -1,12 +1,123 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import elementary_ringoid
-from ringoids import (AbPresentation, GroupPresentation,
-                      check_simplicial_identities, complete, degeneracy, face,
+from conftest import incidence_ringoids
+from ringoids import (AbPresentation, check_simplicial_identities, complete,
+                      degeneracy, enumerate_objsums, face, iso_class_table,
                       k0_bounded, k0_via_nerve, nerve_level, oracle_compare)
 from ringoids.intlinalg import hom_well_defined
 from ringoids.nerve import NerveLevel
+
+
+# ---------------------------------------------------------------------------
+# Reference: the fundamental group of the nerve as a word presentation,
+# with word-level Tietze simplification.  The library presents the group
+# directly as an abelian group; these check it against the words.
+# ---------------------------------------------------------------------------
+
+class GroupPresentation:
+    """Generators and relator words (tuples of nonzero ints, sign = inverse).
+    Simplification uses only group-preserving moves: free and cyclic
+    reduction, dropping empty relators, and eliminating a generator that
+    occurs exactly once in some relator by solving for it."""
+
+    def __init__(self, generators, relators):
+        self.generators = tuple(generators)
+        self.relators = tuple(tuple(w) for w in relators)
+
+    def abelianization(self):
+        rows = []
+        for w in self.relators:
+            row = [0] * len(self.generators)
+            for x in w:
+                row[abs(x) - 1] += 1 if x > 0 else -1
+            rows.append(row)
+        return AbPresentation(len(self.generators), rows)
+
+    def simplify(self):
+        gens = list(self.generators)
+        relators = [_free_reduce(w) for w in self.relators]
+        changed = True
+        while changed:
+            changed = False
+            relators = [_cyclic_reduce(_free_reduce(w)) for w in relators]
+            relators = list(dict.fromkeys(w for w in relators if w))
+            # eliminate a generator occurring exactly once in some relator
+            for ridx, w in enumerate(relators):
+                counts = {}
+                for x in w:
+                    counts[abs(x)] = counts.get(abs(x), 0) + 1
+                candidates = [g for g, c in counts.items() if c == 1]
+                if not candidates:
+                    continue
+                g = max(candidates)
+                pos = next(k for k, x in enumerate(w) if abs(x) == g)
+                # w = u g^e v  =>  g^e = u^-1 v^-1, so g = (u^-1 v^-1)^(1/e)
+                u, x, v = w[:pos], w[pos], w[pos + 1:]
+                rest = _free_reduce(tuple(-t for t in reversed(u))
+                                    + tuple(-t for t in reversed(v)))
+                if x < 0:
+                    rest = tuple(-t for t in reversed(rest))
+                relators = [_free_reduce(_substitute(other, g, rest))
+                            for k, other in enumerate(relators) if k != ridx]
+                # drop generator g, renumbering those above it
+                del gens[g - 1]
+                relators = [tuple(x2 - (1 if x2 > g else 0) if x2 > 0
+                                  else x2 + (1 if -x2 > g else 0)
+                                  for x2 in w2)
+                            for w2 in relators]
+                changed = True
+                break
+        return GroupPresentation(gens, relators)
+
+
+def _free_reduce(word):
+    out = []
+    for x in word:
+        if out and out[-1] == -x:
+            out.pop()
+        else:
+            out.append(x)
+    return tuple(out)
+
+
+def _cyclic_reduce(word):
+    word = list(word)
+    while len(word) >= 2 and word[0] == -word[-1]:
+        word = word[1:-1]
+    return tuple(word)
+
+
+def _substitute(word, g, replacement):
+    out = []
+    for x in word:
+        if x == g:
+            out.extend(replacement)
+        elif x == -g:
+            out.extend(-t for t in reversed(replacement))
+        else:
+            out.append(x)
+    return tuple(out)
+
+
+def _nerve_words(r, bound):
+    """The word presentation of the nerve's fundamental group: the zero
+    object's generator, (s)(rep)^-1 per isomorphism to a class
+    representative, and (s)(t)(s+t)^-1 per level-2 object."""
+    table = iso_class_table(complete(r), bound)
+    sums = enumerate_objsums(r.objects, bound)
+    index = {s: i + 1 for i, s in enumerate(sums)}
+    relators = [(index[()],)]
+    for s, cls in table.class_of.items():
+        rep = table.reps[cls]
+        if s != rep:
+            relators.append((index[s], -index[rep]))
+    for s in sums:
+        for t in sums:
+            if len(s) + len(t) <= bound:
+                relators.append((index[s], index[t], -index[s + t]))
+    return GroupPresentation(["+".join(map(str, s)) or "0" for s in sums],
+                             relators)
 
 
 def test_face_formulas():
@@ -83,14 +194,26 @@ def test_presentation_simplify_keeps_torsion():
 def test_k0_via_nerve_f2(f2):
     res = k0_via_nerve(f2, 3)
     assert res.abelianized == AbPresentation.free(1)
-    assert len(res.simplified.generators) == 1
-    assert res.simplified.relators == ()
+    simplified = _nerve_words(f2, 3).simplify()
+    assert len(simplified.generators) == 1
+    assert simplified.relators == ()
 
 
 def test_k0_via_nerve_zero_ring(zero):
     res = k0_via_nerve(zero, 2)
     assert res.abelianized.is_trivial()
-    assert len(res.simplified.generators) == 0
+    simplified = _nerve_words(zero, 2).simplify()
+    assert len(simplified.generators) == 0
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 4])
+@pytest.mark.parametrize("ring_name", ["f2", "z4", "zero", "f2c2", "disc2"])
+def test_nerve_rows_are_the_abelianized_words(ring_name, bound, request):
+    ring = request.getfixturevalue(ring_name)
+    res = k0_via_nerve(ring, bound)
+    words = _nerve_words(ring, bound)
+    assert words.abelianization().relations == res.abelianized.relations
+    assert len(words.generators) == res.abelianized.generators
 
 
 def test_k0_via_nerve_z4_matches_k0(z4):
@@ -141,28 +264,13 @@ def test_nerve_relations_monotone_in_bound(f2):
         row = [0] * n4
         row[sums4.index(s)] = 1
         include.append(row)
-    ok, _ = hom_well_defined(res3.abelianized.relations,
-                             res4.abelianized.relations, include, n4)
+    ok, _ = hom_well_defined(res3.abelianized.relations, res4.abelianized,
+                             include)
     assert ok
 
 
-@st.composite
-def _incidence_ringoids(draw):
-    """Random elementary ringoids over F2 on one or two objects of dimension
-    1 or 2.  Each basis vector gets a level, and E_ij lies in Hom(a, b) when
-    the level of i (in b) is at most that of j (in a); the spans are then
-    closed under composition and hold the identities."""
-    names = ("a", "b")[:draw(st.integers(1, 2))]
-    dims = {x: draw(st.integers(1, 2)) for x in names}
-    level = {x: [draw(st.integers(0, 2)) for _ in range(dims[x])] for x in names}
-    positions = {(a, b): [(i, j) for i in range(dims[b]) for j in range(dims[a])
-                          if level[b][i] <= level[a][j]]
-                 for a in names for b in names}
-    return elementary_ringoid(dims, "E", positions)
-
-
 @settings(max_examples=25, deadline=None)
-@given(_incidence_ringoids(), st.integers(1, 3))
+@given(incidence_ringoids(), st.integers(1, 3))
 def test_oracle_agrees_on_random_elementary_ringoids(r, bound):
     rep = oracle_compare(r, bound)
     assert rep.ok

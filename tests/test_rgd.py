@@ -1,7 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ringoids import (RGDSemanticError, RGDSyntaxError, document_from,
-                      parse_rgd, print_rgd, validate, validate_groupoid)
+from conftest import incidence_ringoids
+from ringoids import (FinGroup, GSet, RGDSemanticError, RGDSyntaxError,
+                      cyclic_ring, discrete_groupoid, document_from,
+                      group_as_groupoid, group_ringoid, parse_rgd, print_rgd,
+                      ringoid_equal_structure, transport_groupoid, validate,
+                      validate_groupoid)
 from ringoids.moduloids import quotient, unitize
 from ringoids.ringoid import forget_units
 
@@ -129,3 +134,36 @@ def test_document_from_constructed_ringoid():
     assert validate(ring).ok
     assert ring.hom("a", "a").order() == 4
     assert ring.scalar is not None
+
+
+def _small_groupoids():
+    """Discrete groupoids, cyclic groups and transport groupoids of C2 on
+    named points (points print as their names, so they must be strings to
+    parse back equal)."""
+    c2 = FinGroup.cyclic(2)
+    swap = GSet(c2, ("p", "q"), {("p", 0): "p", ("p", 1): "q",
+                                 ("q", 0): "q", ("q", 1): "p"})
+    fixed = GSet(c2, ("p",), {("p", 0): "p", ("p", 1): "p"})
+    return st.one_of(
+        st.sampled_from([("a",), ("a", "b")]).map(discrete_groupoid),
+        st.integers(1, 3).map(lambda n: group_as_groupoid(
+            FinGroup.cyclic(n), name="C%d" % n)),
+        st.sampled_from([swap, fixed]).map(transport_groupoid))
+
+
+_RINGOIDS = st.one_of(
+    incidence_ringoids(),
+    st.builds(group_ringoid, _small_groupoids(),
+              st.sampled_from([2, 3]).map(lambda p: cyclic_ring(p, name="F%d" % p))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_RINGOIDS)
+def test_print_parse_round_trip(ring):
+    doc = document_from(ringoids=[ring])
+    text = print_rgd(doc)
+    parsed = parse_rgd(text)
+    assert list(parsed.ringoids) == list(doc.ringoids)
+    for name, r in doc.ringoids.items():
+        assert ringoid_equal_structure(parsed.ringoids[name], r)
+    assert print_rgd(parsed) == text
