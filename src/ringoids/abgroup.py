@@ -82,6 +82,12 @@ class FinAbGroup:
         return tuple(1 if j == i and self.moduli[i] > 1 else 0
                      for j in range(len(self.moduli)))
 
+    def relation_rows(self):
+        """The rows d_i e_i, which generate the kernel of Z^k -> self."""
+        k = len(self.moduli)
+        return [[d if j == i else 0 for j in range(k)]
+                for i, d in enumerate(self.moduli)]
+
     def elements(self):
         """All elements in lexicographic coordinate order."""
         return itertools.product(*(range(d) for d in self.moduli))
@@ -103,9 +109,7 @@ class GroupQuotient:
     def __init__(self, ambient, extra_rows=()):
         self.ambient = ambient
         k = len(ambient.moduli)
-        rows = [[ambient.moduli[i] if j == i else 0 for j in range(k)]
-                for i in range(k)]
-        rows += [list(r) for r in extra_rows]
+        rows = ambient.relation_rows() + [list(r) for r in extra_rows]
         if k == 0:
             self.group = TRIVIAL_GROUP
             self._v = self._vinv = None

@@ -11,11 +11,11 @@ the presented groups.
 from __future__ import annotations
 
 from .additive import DEFAULT_CEILING
-from .groupoids import (group_as_groupoid, group_ringoid, orbit_skeleton,
-                        transport_groupoid)
+from .groupoids import (group_as_groupoid, group_ringoid, group_ringoid_map,
+                        orbit_skeleton, transport_groupoid)
 from .intlinalg import AbPresentation, apply_rows, hom_well_defined
 from .ktheory import k0_bounded, k0_induced
-from .ringoid import RingoidHom, StructuralError
+from .ringoid import StructuralError
 
 
 class AssemblyZeroMap:
@@ -144,7 +144,6 @@ def naturality_check(f, xs, ys, scalar, bound, ceiling=DEFAULT_CEILING):
         raise StructuralError("naturality needs G-sets over the same group")
     if not equivariant_map_is_valid(f, xs, ys):
         raise StructuralError("the map is not equivariant")
-    G = xs.group
     ax = equivariant_assembly_zero(xs, scalar, bound, ceiling=ceiling)
     ay = equivariant_assembly_zero(ys, scalar, bound, ceiling=ceiling)
     bar_x = transport_groupoid(xs)
@@ -152,24 +151,8 @@ def naturality_check(f, xs, ys, scalar, bound, ceiling=DEFAULT_CEILING):
     ring_x = group_ringoid(bar_x, scalar)
     ring_y = group_ringoid(bar_y, scalar)
     # induced map on the transport ringoids: x -> f(x), (x, g) -> (f(x), g)
-    ro = scalar.objects[0]
-    rg = scalar.hom(ro, ro)
-    rk = len(rg.moduli)
-    gen_images = {}
-    for a in bar_x.objects:
-        for b in bar_x.objects:
-            imgs = []
-            for (src_pt, g) in bar_x.hom(a, b):
-                target_mid = (f[src_pt], g)
-                pos = bar_y.hom(f[a], f[b]).index(target_mid)
-                for t in range(rk):
-                    hom_y = ring_y.hom(f[a], f[b])
-                    vec = [0] * len(hom_y.moduli)
-                    vec[pos * rk + t] = 1
-                    imgs.append(hom_y.reduce(vec))
-            gen_images[(a, b)] = tuple(imgs)
-    rf = RingoidHom(ring_x, ring_y, {a: f[a] for a in bar_x.objects}, gen_images,
-                    name="R(f)")
+    rf = group_ringoid_map(ring_x, ring_y, bar_x, bar_y, f,
+                           lambda mid: (f[mid[0]], mid[1]), name="R(f)")
     target_map = k0_induced(rf, ax.target, ay.target)
 
     # induced map on source summands: orbit of X -> orbit of its image in Y,

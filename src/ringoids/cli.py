@@ -21,7 +21,7 @@ from .additive import DEFAULT_CEILING, enumerate_objsums
 from .assembly import assembly_zero, equivariant_assembly_zero
 from .groupoids import group_ringoid, orbit_skeleton, transport_groupoid
 from .ktheory import k0_bounded, k1_bounded
-from .moduloids import quotient, unitize
+from .moduloids import quotient, tensor, unitize
 from .nerve import check_simplicial_identities, oracle_compare
 from .rgd import (RGDSemanticError, RGDSyntaxError, document_from, parse_rgd,
                   print_rgd)
@@ -228,35 +228,14 @@ def cmd_tensor(args, doc):
             over = m.scalar
     if over is None:
         _note("note: tensoring over Z (no shared scalar ring)")
-    tp = tensor_of(m, n, over)
+    tp = tensor(m, n, over=over)
     rep = validate(tp.ringoid)
-    text = print_rgd(document_from(ringoids=[_str_objects(tp.ringoid)]))
+    text = print_rgd(document_from(ringoids=[tp.ringoid]))
     lines = [text.rstrip("\n"), "validation: %s" % ("clean" if rep.ok else "FAILED")]
     _emit(args, lines, {"op": "tensor", "left": m.name, "right": n.name,
                         "over": over.name if over is not None else "Z",
                         "rgd": text, "ok": rep.ok})
     return EXIT_OK if rep.ok else EXIT_FAIL
-
-
-def tensor_of(m, n, over):
-    from .moduloids import tensor
-    return tensor(m, n, over=over)
-
-
-def _str_objects(r):
-    """Rename tuple object ids to printable strings for RGD output."""
-    from .ringoid import FiniteRingoid
-    names = {a: ("%s" % (a,)).replace(" ", "") for a in r.objects}
-    homs = {(names[a], names[b]): g for (a, b), g in r.homs.items()}
-    table = {(names[a], names[b], names[c]): t
-             for (a, b, c), t in r.compose_table.items()}
-    identities = ({names[a]: e for a, e in r.identities.items()}
-                  if r.identities else None)
-    action = ({(names[a], names[b]): t for (a, b), t in r.action.items()}
-              if r.action else None)
-    return FiniteRingoid([names[a] for a in r.objects], homs, table,
-                         identities=identities, scalar=r.scalar, action=action,
-                         unital=r.unital, name=r.name)
 
 
 def cmd_groupring(args, doc):

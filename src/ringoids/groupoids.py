@@ -8,8 +8,8 @@ from math import lcm
 
 from .abgroup import FinAbGroup
 from .groups import FinGroup
-from .ringoid import (AxiomFailure, FiniteRingoid, RingoidHom, StructuralError,
-                      ValidationReport)
+from .ringoid import (AxiomFailure, StructuralError, ValidationReport, tabulate,
+                      tabulate_hom)
 from .moduloids import tensor
 from .ringoid import cyclic_ring
 
@@ -251,6 +251,30 @@ def orbit_skeleton(g):
 # Group ringoids.
 # ---------------------------------------------------------------------------
 
+def _terms(pi, a, b, x, rk):
+    """An element of a linearized Hom(a,b), whose coordinates are one block
+    of rk per morphism in pi.hom(a, b) order, as (morphism, coefficient)
+    pairs with the zero coefficients left out."""
+    out = []
+    for pos, mid in enumerate(pi.hom(a, b)):
+        coeff = x[pos * rk:(pos + 1) * rk]
+        if any(coeff):
+            out.append((mid, coeff))
+    return out
+
+
+def _linear(pi, hom, a, b, terms, rk):
+    """The element of a linearized Hom(a,b) that is the sum of its
+    (morphism, coefficient) terms."""
+    mids = pi.hom(a, b)
+    out = [0] * len(hom.moduli)
+    for mid, coeff in terms:
+        pos = mids.index(mid) * rk
+        for t, v in enumerate(coeff):
+            out[pos + t] += v
+    return hom.reduce(out)
+
+
 def group_ringoid(pi, scalar, name=None):
     """R pi: the free R-linearization of a groupoid, with convolution
     composition (x_i g_i)(y_j h_j) = (x_i y_j)(g_i h_j) and scalar action
@@ -259,60 +283,43 @@ def group_ringoid(pi, scalar, name=None):
     rg = scalar.hom(ro, ro)
     rk = len(rg.moduli)
     objects = pi.objects
-    homs = {}
-    blocks = {}
-    for a in objects:
-        for b in objects:
-            mids = pi.hom(a, b)
-            blocks[(a, b)] = {mid: i for i, mid in enumerate(mids)}
-            homs[(a, b)] = FinAbGroup(rg.moduli * len(mids))
+    homs = {(a, b): FinAbGroup(rg.moduli * len(pi.hom(a, b)))
+            for a in objects for b in objects}
 
-    def place(a, b, mid, relem):
-        hom = homs[(a, b)]
-        out = [0] * len(hom.moduli)
-        pos = blocks[(a, b)][mid] * rk
-        for t, v in enumerate(relem):
-            out[pos + t] = v
-        return hom.reduce(out)
+    def mul(a, b, c, y, x):
+        return _linear(pi, homs[(a, c)], a, c,
+                       [(pi.compose(g, h), scalar.compose(ro, ro, ro, s, t))
+                        for g, s in _terms(pi, b, c, y, rk)
+                        for h, t in _terms(pi, a, b, x, rk)], rk)
 
-    table = {}
-    for a in objects:
-        for b in objects:
-            for c in objects:
-                mids_bc, mids_ab = pi.hom(b, c), pi.hom(a, b)
-                rows = []
-                for gmid in mids_bc:
-                    for i in range(rk):
-                        ri = rg.basis_element(i)
-                        row = []
-                        for hmid in mids_ab:
-                            gh = pi.compose(gmid, hmid)
-                            for j in range(rk):
-                                prod = scalar.compose(ro, ro, ro, ri,
-                                                      rg.basis_element(j))
-                                row.append(place(a, c, gh, prod))
-                        rows.append(tuple(row))
-                table[(a, b, c)] = tuple(rows)
-    identities = {a: place(a, a, pi.identity(a), scalar.identity(ro))
+    def act(a, b, r, x):
+        return _linear(pi, homs[(a, b)], a, b,
+                       [(h, scalar.compose(ro, ro, ro, r, t))
+                        for h, t in _terms(pi, a, b, x, rk)], rk)
+
+    identities = {a: _linear(pi, homs[(a, a)], a, a,
+                             [(pi.identity(a), scalar.identity(ro))], rk)
                   for a in objects}
-    action = {}
-    for a in objects:
-        for b in objects:
-            mids = pi.hom(a, b)
-            rows = []
-            for i in range(rk):
-                ri = rg.basis_element(i)
-                row = []
-                for mid in mids:
-                    for j in range(rk):
-                        prod = scalar.compose(ro, ro, ro, ri, rg.basis_element(j))
-                        row.append(place(a, b, mid, prod))
-                rows.append(tuple(row))
-            action[(a, b)] = tuple(rows)
     if name is None:
         name = "%s[%s]" % (scalar.name, pi.name)
-    return FiniteRingoid(objects, homs, table, identities=identities,
-                         scalar=scalar, action=action, name=name)
+    return tabulate(objects, homs, mul, identities=identities, scalar=scalar,
+                    act=act, name=name)
+
+
+def group_ringoid_map(source, target, pi, sigma, object_map, morphism_map,
+                      name=""):
+    """R(F): R pi -> R sigma for a functor F given on objects and on
+    morphism ids, on group ringoids over one coefficient ring:
+    sum x_g g -> sum x_g F(g)."""
+    ro = source.scalar.objects[0]
+    rk = len(source.scalar.hom(ro, ro).moduli)
+    return tabulate_hom(
+        source, target, object_map,
+        lambda a, b, x: _linear(sigma, target.hom(object_map[a], object_map[b]),
+                                object_map[a], object_map[b],
+                                [(morphism_map(g), c)
+                                 for g, c in _terms(pi, a, b, x, rk)], rk),
+        name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -420,53 +427,26 @@ def twisted_group_ringoid(pi, pi_ring, name=None):
     (x g)(y h) = (x . g(y)) (g h)."""
     validate_pi_ring(pi_ring)
     objects = pi.objects
-    homs = {}
-    ring_of = {}
-    for a in objects:
-        for b in objects:
-            rb = pi_ring.ring(b)
-            bo = rb.objects[0]
-            bg = rb.hom(bo, bo)
-            ring_of[(a, b)] = (rb, bo, bg)
-            homs[(a, b)] = FinAbGroup(bg.moduli * len(pi.hom(a, b)))
+    rings = {b: pi_ring.ring(b) for b in objects}
+    coeffs = {b: r.hom(r.objects[0], r.objects[0]) for b, r in rings.items()}
+    rk = {b: len(g.moduli) for b, g in coeffs.items()}
+    homs = {(a, b): FinAbGroup(coeffs[b].moduli * len(pi.hom(a, b)))
+            for a in objects for b in objects}
 
-    def place(a, b, mid, relem):
-        rb, bo, bg = ring_of[(a, b)]
-        rk = len(bg.moduli)
-        hom = homs[(a, b)]
-        out = [0] * len(hom.moduli)
-        pos = pi.hom(a, b).index(mid) * rk
-        for t, v in enumerate(relem):
-            out[pos + t] = v
-        return hom.reduce(out)
+    def mul(a, b, c, y, x):
+        rc, co = rings[c], rings[c].objects[0]
+        return _linear(pi, homs[(a, c)], a, c,
+                       [(pi.compose(g, h), rc.compose(co, co, co, s, pi_ring.apply(g, t)))
+                        for g, s in _terms(pi, b, c, y, rk[c])
+                        for h, t in _terms(pi, a, b, x, rk[b])], rk[c])
 
-    table = {}
-    for a in objects:
-        for b in objects:
-            for c in objects:
-                rc, co, cg = ring_of[(b, c)]
-                rb_, bo_, bg_ = ring_of[(a, b)]
-                rows = []
-                for gmid in pi.hom(b, c):
-                    for i in range(len(cg.moduli)):
-                        xi = cg.basis_element(i)
-                        row = []
-                        for hmid in pi.hom(a, b):
-                            gh = pi.compose(gmid, hmid)
-                            for j in range(len(bg_.moduli)):
-                                yj = bg_.basis_element(j)
-                                twisted = pi_ring.apply(gmid, yj)  # g(y) in R_c
-                                coeff = rc.compose(co, co, co, xi, twisted)
-                                row.append(place(a, c, gh, coeff))
-                        rows.append(tuple(row))
-                table[(a, b, c)] = tuple(rows)
-    identities = {}
-    for a in objects:
-        ra, ao, ag = ring_of[(a, a)]
-        identities[a] = place(a, a, pi.identity(a), ra.identity(ao))
+    identities = {a: _linear(pi, homs[(a, a)], a, a,
+                             [(pi.identity(a), rings[a].identity(rings[a].objects[0]))],
+                             rk[a])
+                  for a in objects}
     if name is None:
         name = "Rtw[%s]" % pi.name
-    return FiniteRingoid(objects, homs, table, identities=identities, name=name)
+    return tabulate(objects, homs, mul, identities=identities, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -497,21 +477,15 @@ def group_ringoid_tensor_iso(pi, scalar):
     zn_pi = group_ringoid(pi, cyclic_ring(exponent, scalar=False, name="Z/%d" % exponent))
     tp = tensor(zn_pi, scalar, name="Z%s[%s](x)%s" % (exponent, pi.name, scalar.name))
     target = tp.ringoid
-    object_map = {a: (a, ro) for a in pi.objects}
-    gen_images = {}
-    for a in pi.objects:
-        for b in pi.objects:
-            mids = pi.hom(a, b)
-            zn_hom = zn_pi.hom(a, b)
-            imgs = []
-            for mid_pos, mid in enumerate(mids):
-                basis_g = tuple(1 if t == mid_pos else 0
-                                for t in range(len(zn_hom.moduli)))
-                for j in range(rk):
-                    imgs.append(tp.pure((a, b), (ro, ro), basis_g,
-                                        rg.basis_element(j)))
-            gen_images[(a, b)] = tuple(imgs)
-    theta = RingoidHom(source, target, object_map, gen_images, name="theta")
+    def image(a, b, x):
+        # g in (Z/N) pi is the element 1 . g, and x_g g goes to (1 . g) (x) x_g
+        pures = [tp.pure((a, b), (ro, ro),
+                         _linear(pi, zn_pi.hom(a, b), a, b, [(g, (1,))], 1), c)
+                 for g, c in _terms(pi, a, b, x, rk)]
+        return target.hom((a, ro), (b, ro)).combination([1] * len(pures), pures)
+
+    theta = tabulate_hom(source, target, {a: (a, ro) for a in pi.objects}, image,
+                         name="theta")
     return GroupRingTensorIso(source, tp, theta, exponent)
 
 

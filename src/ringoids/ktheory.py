@@ -26,7 +26,7 @@ from .intlinalg import (AbPresentation, apply_rows, hom_is_isomorphism,
                         hom_kernel_lattice, hom_well_defined,
                         kernel_presentation, lattices_equal)
 from .moduloids import scalar_ringoid, unitize, unitization_projection
-from .ringoid import RingoidHom, StructuralError
+from .ringoid import StructuralError, tabulate_hom
 
 
 class CeilingExceeded(Exception):
@@ -419,23 +419,16 @@ def fibration_check(m, ideal, bound, ceiling=DEFAULT_CEILING):
     k0q = k0_bounded(quot, bound, ceiling=ceiling)
     jmap = k0_induced(qhom, k0m, k0q)
 
-    # J+ -> M: (x + lambda) -> incl(x) + lambda . e_a  (m is unital)
-    scalar = m.scalar
-    ro = scalar.objects[0]
-    rg = scalar.hom(ro, ro)
-    rk = len(rg.moduli)
-    gen_images = {}
-    for a in m.objects:
-        for b in m.objects:
-            sub_hom = sub.hom(a, b)
-            imgs = [incl.apply(a, b, sub_hom.basis_element(j))
-                    for j in range(len(sub_hom.moduli))]
-            if a == b:
-                imgs += [m.act(a, a, rg.basis_element(i), m.identity(a))
-                         for i in range(rk)]
-            gen_images[(a, b)] = tuple(imgs)
-    jplus_to_m = RingoidHom(rel.mplus, m, {a: a for a in m.objects}, gen_images,
-                            name="J+ -> M")
+    def to_m(a, b, z):
+        # J+ -> M: (x + lambda) -> incl(x) + lambda . e_a  (m is unital)
+        k = len(sub.hom(a, b).moduli)
+        out = incl.apply(a, b, z[:k])
+        if a == b:
+            out = m.hom(a, a).add(out, m.act(a, a, z[k:], m.identity(a)))
+        return out
+
+    jplus_to_m = tabulate_hom(rel.mplus, m, {a: a for a in m.objects}, to_m,
+                              name="J+ -> M")
 
     objects = list(m.objects)
     unresolved = []

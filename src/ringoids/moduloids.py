@@ -4,10 +4,12 @@ tensor products over a commutative base ring."""
 
 from __future__ import annotations
 
-from .abgroup import FinAbGroup, GroupQuotient, tensor_group
+from math import gcd, lcm
+
+from .abgroup import TRIVIAL_GROUP, FinAbGroup, GroupQuotient, tensor_group
 from .intlinalg import left_kernel_rows, solve_row_combinations, lattice_contains
-from .ringoid import (FiniteRingoid, RingoidHom, StructuralError, direct_sum,
-                      ringoid_equal_structure)
+from .ringoid import (StructuralError, direct_sum, forget_units,
+                      ringoid_equal_structure, tabulate, tabulate_hom)
 
 
 def _scalar_data(r):
@@ -21,24 +23,27 @@ def _scalar_data(r):
 def scalar_ringoid(objects, scalar, name=None):
     """R_M: the unital moduloid with Hom(a,a) = R and Hom(a,b) = 0."""
     ro = scalar.objects[0]
-    rg = scalar.hom(ro, ro)
     objects = tuple(objects)
-    trivial = FinAbGroup(())
-    homs = {}
-    table = {}
-    action = {}
-    for a in objects:
-        for b in objects:
-            homs[(a, b)] = rg if a == b else trivial
-            if a == b:
-                action[(a, b)] = scalar.compose_table[(ro, ro, ro)]
-    for a in objects:
-        table[(a, a, a)] = scalar.compose_table[(ro, ro, ro)]
-    identities = {a: scalar.identity(ro) for a in objects}
+    homs = {(a, b): scalar.hom(ro, ro) if a == b else TRIVIAL_GROUP
+            for a in objects for b in objects}
+
+    def mul(a, b, c, y, x):
+        return scalar.compose(ro, ro, ro, y, x) if a == b == c else homs[(a, c)].zero()
+
+    def act(a, b, r, x):
+        return scalar.compose(ro, ro, ro, r, x) if a == b else ()
+
     if name is None:
         name = "R_M(%s)" % scalar.name
-    return FiniteRingoid(objects, homs, table, identities=identities,
-                         scalar=scalar, action=action, name=name)
+    return tabulate(objects, homs, mul,
+                    identities={a: scalar.identity(ro) for a in objects},
+                    scalar=scalar, act=act, name=name)
+
+
+def _r_part(m):
+    """(x + l) -> l on M (+) R_M and on M+, whose Hom(a,b) both hold the
+    coordinates of M's Hom(a,b) followed, when a = b, by those of R."""
+    return lambda a, b, z: z[len(m.hom(a, b).moduli):]
 
 
 def unitize(m, name=None):
@@ -48,93 +53,49 @@ def unitize(m, name=None):
     if m.unital:
         raise StructuralError("unitize expects a non-unital moduloid")
     scalar, ro, rg = _scalar_data(m)
-    rk = len(rg.moduli)
     objects = m.objects
-    homs = {}
-    for a in objects:
-        for b in objects:
-            base = m.hom(a, b)
-            homs[(a, b)] = FinAbGroup(base.moduli + rg.moduli) if a == b else base
+    homs = {(a, b): FinAbGroup(m.hom(a, b).moduli + rg.moduli) if a == b
+            else m.hom(a, b) for a in objects for b in objects}
+    r_part = _r_part(m)
 
-    def pad(a, b, melem=None, relem=None):
-        base = m.hom(a, b)
-        out = tuple(melem) if melem is not None else base.zero()
+    def m_part(a, b, z):
+        return z[:len(m.hom(a, b).moduli)]
+
+    def mul(a, b, c, y, x):
+        # (y + l)(x + u) = yx + l.x + u.y + lu: l is there when b = c, so
+        # l.x lies in Hom(a,b) = Hom(a,c), and u when a = b, so u.y does
+        out = m.compose(a, b, c, m_part(b, c, y), m_part(a, b, x))
+        if b == c:
+            out = m.hom(a, c).add(out, m.act(a, b, r_part(b, c, y), m_part(a, b, x)))
         if a == b:
-            out = out + (tuple(relem) if relem is not None else rg.zero())
+            out = m.hom(a, c).add(out, m.act(b, c, r_part(a, b, x), m_part(b, c, y)))
+        if a == c:
+            out += (scalar.compose(ro, ro, ro, r_part(b, c, y), r_part(a, b, x))
+                    if a == b else rg.zero())
         return out
 
-    table = {}
-    for a in objects:
-        for b in objects:
-            for c in objects:
-                hbc, hab = m.hom(b, c), m.hom(a, b)
-                kbc, kab = len(hbc.moduli), len(hab.moduli)
-                n_f = kbc + (rk if b == c else 0)
-                n_g = kab + (rk if a == b else 0)
-                rows = []
-                for i in range(n_f):
-                    row = []
-                    for j in range(n_g):
-                        if i < kbc and j < kab:
-                            img = m.compose(a, b, c, hbc.basis_element(i),
-                                            hab.basis_element(j))
-                            row.append(pad(a, c, melem=img))
-                        elif i >= kbc and j < kab:
-                            # lambda . y lands in Hom(a,b) = Hom(a,c) since b = c
-                            img = m.act(a, b, rg.basis_element(i - kbc),
-                                        hab.basis_element(j))
-                            row.append(pad(a, c, melem=img))
-                        elif i < kbc and j >= kab:
-                            # u . x lands in Hom(b,c) = Hom(a,c) since a = b
-                            img = m.act(b, c, rg.basis_element(j - kab),
-                                        hbc.basis_element(i))
-                            row.append(pad(a, c, melem=img))
-                        else:
-                            rr = scalar.compose(ro, ro, ro, rg.basis_element(i - kbc),
-                                                rg.basis_element(j - kab))
-                            row.append(pad(a, c, relem=rr))
-                    rows.append(tuple(row))
-                table[(a, b, c)] = tuple(rows)
-    identities = {a: pad(a, a, relem=scalar.identity(ro)) for a in objects}
-    action = {}
-    for a in objects:
-        for b in objects:
-            hab = m.hom(a, b)
-            rows = []
-            for i in range(rk):
-                rgen = rg.basis_element(i)
-                row = [pad(a, b, melem=m.act(a, b, rgen, hab.basis_element(j)))
-                       for j in range(len(hab.moduli))]
-                if a == b:
-                    row += [pad(a, b, relem=scalar.compose(ro, ro, ro, rgen,
-                                                           rg.basis_element(j)))
-                            for j in range(rk)]
-                rows.append(tuple(row))
-            action[(a, b)] = tuple(rows)
+    def act(a, b, r, x):
+        out = m.act(a, b, r, m_part(a, b, x))
+        if a == b:
+            out += scalar.compose(ro, ro, ro, r, r_part(a, b, x))
+        return out
+
     if name is None:
         name = "%s+" % m.name
-    return FiniteRingoid(objects, homs, table, identities=identities,
-                         scalar=scalar, action=action, name=name)
+    return tabulate(objects, homs, mul,
+                    identities={a: m.hom(a, a).zero() + scalar.identity(ro)
+                                for a in objects},
+                    scalar=scalar, act=act, name=name)
 
 
 def unitization_projection(m, mplus=None, rm=None):
     """pi: M+ -> R_M, identity on objects, (x + l) -> l."""
-    scalar, ro, rg = _scalar_data(m)
+    scalar, _, _ = _scalar_data(m)
     if mplus is None:
         mplus = unitize(m)
     if rm is None:
         rm = scalar_ringoid(m.objects, scalar)
-    rk = len(rg.moduli)
-    gen_images = {}
-    for a in m.objects:
-        for b in m.objects:
-            hab = m.hom(a, b)
-            kab = len(hab.moduli)
-            imgs = [rg.zero() if a == b else () for _ in range(kab)]
-            if a == b:
-                imgs += [rg.basis_element(i) for i in range(rk)]
-            gen_images[(a, b)] = tuple(imgs)
-    return RingoidHom(mplus, rm, {a: a for a in m.objects}, gen_images, name="pi")
+    return tabulate_hom(mplus, rm, {a: a for a in m.objects}, _r_part(m), name="pi")
 
 
 class UnitizationSplitting:
@@ -160,60 +121,29 @@ class UnitizationSplitting:
 def unitization_splitting(m):
     if not m.unital:
         raise StructuralError("the splitting isomorphism needs a unital moduloid")
-    scalar, ro, rg = _scalar_data(m)
-    rk = len(rg.moduli)
+    scalar, _, _ = _scalar_data(m)
     rm = scalar_ringoid(m.objects, scalar)
     msum = direct_sum(m, rm, name="%s(+)R_M" % m.name)
-    nonunital = FiniteRingoid(m.objects, m.homs, m.compose_table, identities=None,
-                              scalar=m.scalar, action=m.action, unital=False,
-                              name=m.name)
+    nonunital = forget_units(m)
     mplus = unitize(nonunital)
+    r_part = _r_part(m)
 
-    def plus_elem(a, b, melem, relem):
-        out = tuple(melem)
-        if a == b:
-            out = out + tuple(relem)
-        return out
+    def shift(sign):
+        """(x, l) -> (x + sign . l.e_a, l): alpha for sign -1, its inverse
+        for sign +1 (both sides share one coordinate layout)."""
+        def fn(a, b, z):
+            x = z[:len(m.hom(a, b).moduli)]
+            if a != b:
+                return x
+            hom, l = m.hom(a, a), r_part(a, b, z)
+            return hom.add(x, hom.smul(sign, m.act(a, a, l, m.identity(a)))) + l
+        return fn
 
-    alpha_images = {}
-    inv_images = {}
-    for a in m.objects:
-        for b in m.objects:
-            hab = m.hom(a, b)
-            kab = len(hab.moduli)
-            ea = m.identity(a) if a == b else None
-            imgs = []
-            for j in range(kab):
-                imgs.append(plus_elem(a, b, hab.basis_element(j), rg.zero()))
-            if a == b:
-                for i in range(rk):
-                    rgen = rg.basis_element(i)
-                    corr = hab.neg(m.act(a, a, rgen, ea))
-                    imgs.append(plus_elem(a, a, corr, rgen))
-            alpha_images[(a, b)] = tuple(imgs)
-            inv = []
-            for j in range(kab):
-                vec = tuple(hab.basis_element(j))
-                inv.append(vec + ((0,) * rk if a == b else ()))
-            if a == b:
-                for i in range(rk):
-                    rgen = rg.basis_element(i)
-                    vec = tuple(m.act(a, a, rgen, ea))
-                    inv.append(vec + tuple(rgen))
-            inv_images[(a, b)] = tuple(inv)
     ident = {a: a for a in m.objects}
-    alpha = RingoidHom(msum, mplus, ident, alpha_images, name="alpha")
-    alpha_inv = RingoidHom(mplus, msum, ident, inv_images, name="alpha^-1")
+    alpha = tabulate_hom(msum, mplus, ident, shift(-1), name="alpha")
+    alpha_inv = tabulate_hom(mplus, msum, ident, shift(1), name="alpha^-1")
     # the obvious quotient M (+) R_M -> R_M
-    proj_sum_images = {}
-    for a in m.objects:
-        for b in m.objects:
-            kab = len(m.hom(a, b).moduli)
-            imgs = [rg.zero() if a == b else () for _ in range(kab)]
-            if a == b:
-                imgs += [rg.basis_element(i) for i in range(rk)]
-            proj_sum_images[(a, b)] = tuple(imgs)
-    projection_sum = RingoidHom(msum, rm, ident, proj_sum_images, name="pi'")
+    projection_sum = tabulate_hom(msum, rm, ident, r_part, name="pi'")
     projection_plus = unitization_projection(nonunital, mplus=mplus, rm=rm)
     return UnitizationSplitting(msum, mplus, rm, alpha, alpha_inv,
                                 projection_sum, projection_plus)
@@ -249,16 +179,11 @@ class Ideal:
     def generators(self, a, b):
         return self.gens.get((a, b), ())
 
-    def subgroup_rows(self, a, b):
-        hom = self.parent.hom(a, b)
-        k = len(hom.moduli)
-        rows = [[hom.moduli[i] if j == i else 0 for j in range(k)] for i in range(k)]
-        rows += [list(g) for g in self.generators(a, b)]
-        return rows
-
     def contains(self, a, b, elem):
         hom = self.parent.hom(a, b)
-        return lattice_contains(self.subgroup_rows(a, b), len(hom.moduli), list(elem))
+        return lattice_contains(hom.relation_rows()
+                                + [list(g) for g in self.generators(a, b)],
+                                len(hom.moduli), list(elem))
 
 
 def improper_ideal(m):
@@ -311,70 +236,38 @@ def validate_ideal(ideal):
 
 def quotient(m, ideal, name=None):
     """(M/J, canonical quotient homomorphism).  Hom-groups are quotients by
-    the generated subgroups, normalized by Smith normal form."""
+    the generated subgroups, normalized by Smith normal form; composition
+    and action are those of M on lifts, projected back."""
     if ideal.parent is not m:
         raise StructuralError("ideal does not belong to this moduloid")
     validate_ideal(ideal)
-    quos = {}
-    homs = {}
-    for a in m.objects:
-        for b in m.objects:
-            hom = m.hom(a, b)
-            q = GroupQuotient(hom, [list(g) for g in ideal.generators(a, b)])
-            quos[(a, b)] = q
-            homs[(a, b)] = q.group
-    table = {}
-    for a in m.objects:
-        for b in m.objects:
-            for c in m.objects:
-                qbc, qab, qac = quos[(b, c)], quos[(a, b)], quos[(a, c)]
-                rows = []
-                for i in range(len(qbc.group.moduli)):
-                    y = qbc.lift(qbc.group.basis_element(i))
-                    row = []
-                    for j in range(len(qab.group.moduli)):
-                        x = qab.lift(qab.group.basis_element(j))
-                        row.append(qac.project(m.compose(a, b, c, y, x)))
-                    rows.append(tuple(row))
-                table[(a, b, c)] = tuple(rows)
+    quos = {(a, b): GroupQuotient(m.hom(a, b), [list(g) for g in ideal.generators(a, b)])
+            for a in m.objects for b in m.objects}
+
+    def mul(a, b, c, y, x):
+        return quos[(a, c)].project(
+            m.compose(a, b, c, quos[(b, c)].lift(y), quos[(a, b)].lift(x)))
+
+    def act(a, b, r, x):
+        return quos[(a, b)].project(m.act(a, b, r, quos[(a, b)].lift(x)))
+
     identities = None
     if m.unital:
         identities = {a: quos[(a, a)].project(m.identity(a)) for a in m.objects}
-    scalar = m.scalar
-    action = None
-    if scalar is not None:
-        _, ro, rg = _scalar_data(m)
-        action = {}
-        for a in m.objects:
-            for b in m.objects:
-                q = quos[(a, b)]
-                rows = []
-                for i in range(len(rg.moduli)):
-                    rgen = rg.basis_element(i)
-                    row = [q.project(m.act(a, b, rgen,
-                                           q.lift(q.group.basis_element(j))))
-                           for j in range(len(q.group.moduli))]
-                    rows.append(tuple(row))
-                action[(a, b)] = tuple(rows)
     if name is None:
         name = "%s/J" % m.name
-    result = FiniteRingoid(m.objects, homs, table, identities=identities,
-                           scalar=scalar, action=action, name=name)
-    gen_images = {}
-    for a in m.objects:
-        for b in m.objects:
-            hom = m.hom(a, b)
-            q = quos[(a, b)]
-            gen_images[(a, b)] = tuple(q.project(hom.basis_element(j))
-                                       for j in range(len(hom.moduli)))
-    qhom = RingoidHom(m, result, {a: a for a in m.objects}, gen_images, name="quot")
+    result = tabulate(m.objects, {key: q.group for key, q in quos.items()}, mul,
+                      identities=identities, scalar=m.scalar, act=act, name=name)
+    qhom = tabulate_hom(m, result, {a: a for a in m.objects},
+                        lambda a, b, x: quos[(a, b)].project(x), name="quot")
     return result, qhom
 
 
 def ideal_moduloid(ideal, name=None):
     """The ideal as an abstract non-unital moduloid (hom-groups are the
     generated subgroups in Smith normal form), plus the inclusion into the
-    parent as a RingoidHom."""
+    parent as a RingoidHom.  Composition and action are those of M on
+    embedded elements, represented back in the ideal's coordinates."""
     m = ideal.parent
     validate_ideal(ideal)
     data = {}
@@ -382,31 +275,20 @@ def ideal_moduloid(ideal, name=None):
     for a in m.objects:
         for b in m.objects:
             hom = m.hom(a, b)
-            k = len(hom.moduli)
             gens = [list(g) for g in ideal.generators(a, b)]
-            p = len(gens)
-            if p == 0:
-                homs[(a, b)] = FinAbGroup(())
+            if not gens:
+                homs[(a, b)] = TRIVIAL_GROUP
                 data[(a, b)] = (gens, None)
                 continue
             # relation lattice: integer combinations of the generators that
             # vanish in the ambient group
-            stacked = gens + [[hom.moduli[i] if j == i else 0 for j in range(k)]
-                              for i in range(k)]
-            rel = [row[:p] for row in left_kernel_rows(stacked, k)]
+            rel = [row[:len(gens)] for row in
+                   left_kernel_rows(gens + hom.relation_rows(), len(hom.moduli))]
             # quotient of Z^p by the relation lattice, via the finite-group
             # machinery over an ambient with per-generator orders
-            orders = []
-            for g in gens:
-                n = 1
-                acc = hom.reduce(g)
-                while acc != hom.zero():
-                    acc = hom.add(acc, hom.reduce(g))
-                    n += 1
-                orders.append(n)
-            ambient = FinAbGroup(orders)
-            extra = [r for r in rel if any(r)]
-            quo = GroupQuotient(ambient, extra)
+            orders = [lcm(*(d // gcd(d, v) for d, v in zip(hom.moduli, g)))
+                      for g in gens]
+            quo = GroupQuotient(FinAbGroup(orders), [r for r in rel if any(r)])
             homs[(a, b)] = quo.group
             data[(a, b)] = (gens, quo)
 
@@ -417,61 +299,29 @@ def ideal_moduloid(ideal, name=None):
             return hom.zero()
         return hom.combination(quo.lift(abstract), gens)
 
-    def represent(a, b, elems):
+    def represent(a, b, elem):
         hom = m.hom(a, b)
         gens, quo = data[(a, b)]
         if quo is None:
-            if any(tuple(elem) != hom.zero() for elem in elems):
+            if tuple(elem) != hom.zero():
                 raise ArithmeticError("element is not in the ideal")
-            return [()] * len(elems)
-        k = len(hom.moduli)
-        stacked = [list(g) for g in gens] + \
-            [[hom.moduli[i] if j == i else 0 for j in range(k)] for i in range(k)]
-        sols = solve_row_combinations(stacked, k, elems)
-        if None in sols:
+            return ()
+        [sol] = solve_row_combinations(gens + hom.relation_rows(), len(hom.moduli),
+                                       [elem])
+        if sol is None:
             raise ArithmeticError("element is not in the ideal")
-        return [quo.project(sol[:len(gens)]) for sol in sols]
+        return quo.project(sol[:len(gens)])
 
-    table = {}
-    for a in m.objects:
-        for b in m.objects:
-            for c in m.objects:
-                hbc, hab = homs[(b, c)], homs[(a, b)]
-                rows = []
-                for i in range(len(hbc.moduli)):
-                    y = embed(b, c, hbc.basis_element(i))
-                    row = represent(a, c, [
-                        m.compose(a, b, c, y, embed(a, b, hab.basis_element(j)))
-                        for j in range(len(hab.moduli))])
-                    rows.append(tuple(row))
-                table[(a, b, c)] = tuple(rows)
-    action = None
-    scalar = m.scalar
-    if scalar is not None:
-        _, ro, rg = _scalar_data(m)
-        action = {}
-        for a in m.objects:
-            for b in m.objects:
-                hab = homs[(a, b)]
-                rows = []
-                for i in range(len(rg.moduli)):
-                    rgen = rg.basis_element(i)
-                    row = represent(a, b, [
-                        m.act(a, b, rgen, embed(a, b, hab.basis_element(j)))
-                        for j in range(len(hab.moduli))])
-                    rows.append(tuple(row))
-                action[(a, b)] = tuple(rows)
+    def mul(a, b, c, y, x):
+        return represent(a, c, m.compose(a, b, c, embed(b, c, y), embed(a, b, x)))
+
+    def act(a, b, r, x):
+        return represent(a, b, m.act(a, b, r, embed(a, b, x)))
+
     if name is None:
         name = "J(%s)" % m.name
-    sub = FiniteRingoid(m.objects, homs, table, identities=None, scalar=scalar,
-                        action=action, unital=False, name=name)
-    gen_images = {}
-    for a in m.objects:
-        for b in m.objects:
-            hab = homs[(a, b)]
-            gen_images[(a, b)] = tuple(embed(a, b, hab.basis_element(j))
-                                       for j in range(len(hab.moduli)))
-    inclusion = RingoidHom(sub, m, {a: a for a in m.objects}, gen_images, name="incl")
+    sub = tabulate(m.objects, homs, mul, scalar=m.scalar, act=act, name=name)
+    inclusion = tabulate_hom(sub, m, {a: a for a in m.objects}, embed, name="incl")
     return sub, inclusion
 
 
@@ -554,67 +404,37 @@ def tensor(m, n, over=None, name=None):
                 out.append((pos // kb, pos % kb, cval))
         return out
 
-    table = {}
-    for (a, b) in objects:
-        for (a2, b2) in objects:
-            for (a3, b3) in objects:
-                src_key = ((a, b), (a2, b2))
-                snd_key = ((a2, b2), (a3, b3))
-                tgt_pair = ((a, a3), (b, b3))
-                quo_tgt, pure_tgt = pures[tgt_pair]
-                h_snd = homs[((a2, b2), (a3, b3))]
-                h_fst = homs[((a, b), (a2, b2))]
-                A1, B1 = m.hom(a, a2), n.hom(b, b2)
-                A2, B2 = m.hom(a2, a3), n.hom(b2, b3)
-                tgt_group = quo_tgt.group
-                rows = []
-                for i in range(len(h_snd.moduli)):
-                    terms2 = lift_terms((a2, a3), (b2, b3), h_snd.basis_element(i))
-                    row = []
-                    for j in range(len(h_fst.moduli)):
-                        terms1 = lift_terms((a, a2), (b, b2), h_fst.basis_element(j))
-                        coeffs, images = [], []
-                        for (i2, j2, c2) in terms2:
-                            x2 = A2.basis_element(i2)
-                            y2 = B2.basis_element(j2)
-                            for (i1, j1, c1) in terms1:
-                                xx = m.compose(a, a2, a3, x2, A1.basis_element(i1))
-                                yy = n.compose(b, b2, b3, y2, B1.basis_element(j1))
-                                coeffs.append(c1 * c2)
-                                images.append(pure_tgt(xx, yy))
-                        row.append(tgt_group.combination(coeffs, images))
-                    rows.append(tuple(row))
-                table[((a, b), (a2, b2), (a3, b3))] = tuple(rows)
+    def mul(p, q, t, y, x):
+        (a, b), (a2, b2), (a3, b3) = p, q, t
+        A1, B1 = m.hom(a, a2), n.hom(b, b2)
+        A2, B2 = m.hom(a2, a3), n.hom(b2, b3)
+        pure = pures[((a, a3), (b, b3))][1]
+        coeffs, images = [], []
+        for (i2, j2, c2) in lift_terms((a2, a3), (b2, b3), y):
+            for (i1, j1, c1) in lift_terms((a, a2), (b, b2), x):
+                coeffs.append(c1 * c2)
+                images.append(pure(
+                    m.compose(a, a2, a3, A2.basis_element(i2), A1.basis_element(i1)),
+                    n.compose(b, b2, b3, B2.basis_element(j2), B1.basis_element(j1))))
+        return homs[(p, t)].combination(coeffs, images)
+
+    def act(p, q, r, x):
+        (a, b), (a2, b2) = p, q
+        A, B = m.hom(a, a2), n.hom(b, b2)
+        pure = pures[((a, a2), (b, b2))][1]
+        terms = lift_terms((a, a2), (b, b2), x)
+        return homs[(p, q)].combination(
+            [c for (_, _, c) in terms],
+            [pure(m.act(a, a2, r, A.basis_element(i)), B.basis_element(j))
+             for (i, j, _) in terms])
+
     identities = None
     if m.unital and n.unital:
-        identities = {}
-        for (a, b) in objects:
-            _, pure = pures[((a, a), (b, b))]
-            identities[(a, b)] = pure(m.identity(a), n.identity(b))
-    scalar = over
-    action = None
-    if over is not None:
-        action = {}
-        for (a, b) in objects:
-            for (a2, b2) in objects:
-                hom = homs[((a, b), (a2, b2))]
-                _, pure = pures[((a, a2), (b, b2))]
-                A, B = m.hom(a, a2), n.hom(b, b2)
-                rows = []
-                for t in range(len(rg.moduli)):
-                    r = rg.basis_element(t)
-                    row = []
-                    for j in range(len(hom.moduli)):
-                        terms = lift_terms((a, a2), (b, b2), hom.basis_element(j))
-                        row.append(hom.combination(
-                            [c1 for (_, _, c1) in terms],
-                            [pure(m.act(a, a2, r, A.basis_element(i1)),
-                                  B.basis_element(j1)) for (i1, j1, _) in terms]))
-                    rows.append(tuple(row))
-                action[((a, b), (a2, b2))] = tuple(rows)
+        identities = {(a, b): pures[((a, a), (b, b))][1](m.identity(a), n.identity(b))
+                      for (a, b) in objects}
     if name is None:
         tag = over.name if over is not None else "Z"
         name = "%s(x)_%s %s" % (m.name, tag, n.name)
-    ring = FiniteRingoid(objects, homs, table, identities=identities,
-                         scalar=scalar, action=action, name=name)
+    ring = tabulate(objects, homs, mul, identities=identities, scalar=over,
+                    act=act, name=name)
     return TensorProduct(ring, m, n, over, pures)

@@ -555,17 +555,25 @@ def _scalar_name_of(ringoid, doc):
     return None
 
 
+def _object_name(a):
+    """An object as one RGD token: str(a) with spaces removed, so tuple
+    objects (tensor products) and int objects (G-set points) print too;
+    they parse back as strings."""
+    return str(a).replace(" ", "")
+
+
 def _print_ringoid(r, doc):
     lines = ["ringoid %s" % r.name]
+    names = {a: _object_name(a) for a in r.objects}
     for a in r.objects:
-        lines.append("object %s" % (a,))
+        lines.append("object %s" % names[a])
     order = {a: i for i, a in enumerate(r.objects)}
     for a in r.objects:
         for b in r.objects:
             hom = r.hom(a, b)
             if len(hom.moduli):
                 lines.append("hom %s %s cyclic %s"
-                             % (a, b, " ".join(str(d) for d in hom.moduli)))
+                             % (names[a], names[b], " ".join(str(d) for d in hom.moduli)))
     compose_lines = []
     for (a, b, c), table in r.compose_table.items():
         for i, row in enumerate(table):
@@ -573,14 +581,14 @@ def _print_ringoid(r, doc):
                 if any(img):
                     compose_lines.append(((order[a], order[b], order[c], j, i),
                                           "compose %s %s %s: %d %d -> %s"
-                                          % (a, b, c, j, i,
+                                          % (names[a], names[b], names[c], j, i,
                                              " ".join(str(x) for x in img))))
     compose_lines.sort(key=lambda t: t[0])
     lines.extend(text for _, text in compose_lines)
     if r.unital and r.identities:
         for a in r.objects:
             lines.append("identity %s: %s"
-                         % (a, " ".join(str(x) for x in r.identities[a])))
+                         % (names[a], " ".join(str(x) for x in r.identities[a])))
     if r.scalar is not None:
         sname = _scalar_name_of(r, doc)
         if sname is not None:
@@ -592,7 +600,7 @@ def _print_ringoid(r, doc):
                         if any(img):
                             action_lines.append(((order[a], order[b], i, j),
                                                  "action %s %s: %d %d -> %s"
-                                                 % (a, b, i, j,
+                                                 % (names[a], names[b], i, j,
                                                     " ".join(str(x) for x in img))))
             action_lines.sort(key=lambda t: t[0])
             lines.extend(text for _, text in action_lines)

@@ -356,28 +356,18 @@ class RingoidHom:
         if other.target is not self.source:
             raise StructuralError("homomorphisms do not compose")
         object_map = {a: self.object_map[fa] for a, fa in other.object_map.items()}
-        gen_images = {}
-        for a in other.source.objects:
-            for b in other.source.objects:
-                hom = other.source.hom(a, b)
-                fa, fb = other.object_map[a], other.object_map[b]
-                gen_images[(a, b)] = tuple(
-                    self.apply(fa, fb, other.apply(a, b, hom.basis_element(j)))
-                    for j in range(len(hom.moduli)))
-        return RingoidHom(other.source, self.target, object_map, gen_images)
+        return tabulate_hom(
+            other.source, self.target, object_map,
+            lambda a, b, x: self.apply(other.object_map[a], other.object_map[b],
+                                       other.apply(a, b, x)))
 
     def __repr__(self):
         return "RingoidHom(%r)" % (self.name,)
 
 
 def identity_hom(r):
-    gen_images = {}
-    for a in r.objects:
-        for b in r.objects:
-            hom = r.hom(a, b)
-            gen_images[(a, b)] = tuple(hom.basis_element(j)
-                                       for j in range(len(hom.moduli)))
-    return RingoidHom(r, r, {a: a for a in r.objects}, gen_images, name="id")
+    return tabulate_hom(r, r, {a: a for a in r.objects}, lambda a, b, x: x,
+                        name="id")
 
 
 def validate_hom(f):
@@ -428,6 +418,56 @@ def validate_hom(f):
 
 
 # ---------------------------------------------------------------------------
+# Tabulation: a bilinear product given on elements, recorded on generators.
+# ---------------------------------------------------------------------------
+
+def _basis(hom):
+    return [hom.basis_element(i) for i in range(len(hom.moduli))]
+
+
+def tabulate(objects, homs, compose, identities=None, scalar=None, act=None,
+             name=""):
+    """The ringoid on the given objects and hom-groups whose composition is
+    compose(a, b, c, y, x), the composite y . x for y in Hom(b,c) and x in
+    Hom(a,b), and, when a scalar ring is given, whose scalar action is
+    act(a, b, r, x).  Both maps are given on elements and must be bilinear;
+    they are evaluated on generators, so this is the only construction
+    that knows the structure-constant layout."""
+    objects = tuple(objects)
+    basis = {key: _basis(hom) for key, hom in homs.items()}
+    table = {}
+    for a in objects:
+        for b in objects:
+            for c in objects:
+                hac = homs[(a, c)]
+                table[(a, b, c)] = tuple(
+                    tuple(hac.reduce(compose(a, b, c, y, x)) for x in basis[(a, b)])
+                    for y in basis[(b, c)])
+    action = None
+    if scalar is not None:
+        ro = scalar.objects[0]
+        action = {(a, b): tuple(
+            tuple(homs[(a, b)].reduce(act(a, b, r, x)) for x in basis[(a, b)])
+            for r in _basis(scalar.hom(ro, ro)))
+            for a in objects for b in objects}
+    return FiniteRingoid(objects, homs, table, identities=identities,
+                         scalar=scalar, action=action, name=name)
+
+
+def tabulate_hom(source, target, object_map, fn, name=""):
+    """The additive functor with the given object map that sends x in
+    Hom(a,b) to fn(a, b, x), an additive map given on elements and recorded
+    on generators."""
+    gen_images = {}
+    for a in source.objects:
+        for b in source.objects:
+            tgt = target.hom(object_map[a], object_map[b])
+            gen_images[(a, b)] = tuple(tgt.reduce(fn(a, b, x))
+                                       for x in _basis(source.hom(a, b)))
+    return RingoidHom(source, target, object_map, gen_images, name=name)
+
+
+# ---------------------------------------------------------------------------
 # Builders.
 # ---------------------------------------------------------------------------
 
@@ -449,16 +489,10 @@ def with_self_scalar(ring):
     obj = ring.objects[0]
     scalar = FiniteRingoid(ring.objects, ring.homs, ring.compose_table,
                            identities=ring.identities, name=ring.name)
-    action = {(obj, obj): ring.compose_table.get((obj, obj, obj),
-                                                 _zero_table(ring.hom(obj, obj)))}
-    return FiniteRingoid(ring.objects, ring.homs, ring.compose_table,
-                         identities=ring.identities, scalar=scalar,
-                         action=action, name=ring.name)
-
-
-def _zero_table(hom):
-    k = len(hom.moduli)
-    return tuple(tuple(hom.zero() for _ in range(k)) for _ in range(k))
+    return tabulate(ring.objects, ring.homs, ring.compose,
+                    identities=ring.identities, scalar=scalar,
+                    act=lambda a, b, r, x: ring.compose(obj, obj, obj, r, x),
+                    name=ring.name)
 
 
 def cyclic_ring(n, name=None, scalar=True):
@@ -481,71 +515,54 @@ def product_ring(r1, r2, name=None, scalar=False):
         raise StructuralError("product_ring needs one-object ringoids")
     o1, o2 = r1.objects[0], r2.objects[0]
     h1, h2 = r1.hom(o1, o1), r2.hom(o2, o2)
-    k1, k2 = len(h1.moduli), len(h2.moduli)
-    hom = FinAbGroup(h1.moduli + h2.moduli)
+    k1 = len(h1.moduli)
 
-    def pad1(v):
-        return tuple(v) + (0,) * k2
+    def mul(a, b, c, y, x):
+        return (r1.compose(o1, o1, o1, y[:k1], x[:k1])
+                + r2.compose(o2, o2, o2, y[k1:], x[k1:]))
 
-    def pad2(v):
-        return (0,) * k1 + tuple(v)
-
-    products = []
-    for i in range(k1 + k2):
-        row = []
-        for j in range(k1 + k2):
-            if i < k1 and j < k1:
-                row.append(pad1(r1.compose(o1, o1, o1, h1.basis_element(i),
-                                           h1.basis_element(j))))
-            elif i >= k1 and j >= k1:
-                row.append(pad2(r2.compose(o2, o2, o2, h2.basis_element(i - k1),
-                                           h2.basis_element(j - k1))))
-            else:
-                row.append(hom.zero())
-        products.append(tuple(row))
     ident = None
     if r1.unital and r2.unital:
-        ident = tuple(r1.identity(o1)) + tuple(r2.identity(o2))
+        ident = {"*": tuple(r1.identity(o1)) + tuple(r2.identity(o2))}
     if name is None:
         name = "%sx%s" % (r1.name, r2.name)
-    ring = one_object_ringoid(hom.moduli, products, identity=ident, name=name)
+    ring = tabulate(("*",), {("*", "*"): FinAbGroup(h1.moduli + h2.moduli)}, mul,
+                    identities=ident, name=name)
     return with_self_scalar(ring) if scalar else ring
 
 
 def matrix_ring(base, n, name=None):
-    """n x n matrices over a one-object ring, as a one-object ringoid."""
+    """n x n matrices over a one-object ring, as a one-object ringoid.  The
+    entry (p, q) of a matrix is the block of k coordinates starting at
+    (p * n + q) * k, for the k generators of the base."""
     if len(base.objects) != 1:
         raise StructuralError("matrix_ring needs a one-object base")
     o = base.objects[0]
     h = base.hom(o, o)
     k = len(h.moduli)
-    slots = [(p, q, t) for p in range(n) for q in range(n) for t in range(k)]
-    moduli = tuple(h.moduli[t] for (_, _, t) in slots)
-    hom = FinAbGroup(moduli)
 
-    def put(p, q, elem, acc):
-        for t, val in enumerate(elem):
-            acc[(p * n + q) * k + t] = (acc[(p * n + q) * k + t] + val) % moduli[(p * n + q) * k + t]
+    def entry(x, p, q):
+        return x[(p * n + q) * k:(p * n + q + 1) * k]
 
-    products = []
-    for (p1, q1, t1) in slots:
-        row = []
-        for (p2, q2, t2) in slots:
-            acc = [0] * len(slots)
-            if q1 == p2:  # E_{p1 q1} . E_{p2 q2} lands at (p1, q2)
-                prod = base.compose(o, o, o, h.basis_element(t1), h.basis_element(t2))
-                put(p1, q2, prod, acc)
-            row.append(tuple(acc))
-        products.append(tuple(row))
+    def mul(a, b, c, y, x):
+        out = ()
+        for p in range(n):
+            for q in range(n):
+                acc = h.zero()
+                for t in range(n):
+                    acc = h.add(acc, base.compose(o, o, o, entry(y, p, t), entry(x, t, q)))
+                out += acc
+        return out
+
     ident = None
     if base.unital:
-        acc = [0] * len(slots)
-        for p in range(n):
-            put(p, p, base.identity(o), acc)
-        ident = tuple(acc)
+        one = base.identity(o)
+        ident = {"*": tuple(v for p in range(n) for q in range(n)
+                            for v in (one if p == q else h.zero()))}
     if name is None:
         name = "M%d(%s)" % (n, base.name)
-    return one_object_ringoid(moduli, products, identity=ident, name=name)
+    return tabulate(("*",), {("*", "*"): FinAbGroup(h.moduli * (n * n))}, mul,
+                    identities=ident, name=name)
 
 
 def direct_sum(r1, r2, name=""):
@@ -554,61 +571,28 @@ def direct_sum(r1, r2, name=""):
     if tuple(r1.objects) != tuple(r2.objects):
         raise StructuralError("direct sum needs identical object lists")
     objects = r1.objects
-    homs = {}
-    table = {}
-    for a in objects:
-        for b in objects:
-            homs[(a, b)] = FinAbGroup(r1.hom(a, b).moduli + r2.hom(a, b).moduli)
-    for a in objects:
-        for b in objects:
-            for c in objects:
-                h1bc, h1ab, h1ac = r1.hom(b, c), r1.hom(a, b), r1.hom(a, c)
-                h2bc, h2ab, h2ac = r2.hom(b, c), r2.hom(a, b), r2.hom(a, c)
-                k1bc, k1ab = len(h1bc.moduli), len(h1ab.moduli)
-                rows = []
-                for i in range(k1bc + len(h2bc.moduli)):
-                    row = []
-                    for j in range(k1ab + len(h2ab.moduli)):
-                        if i < k1bc and j < k1ab:
-                            img = r1.compose(a, b, c, h1bc.basis_element(i),
-                                             h1ab.basis_element(j))
-                            row.append(tuple(img) + h2ac.zero())
-                        elif i >= k1bc and j >= k1ab:
-                            img = r2.compose(a, b, c, h2bc.basis_element(i - k1bc),
-                                             h2ab.basis_element(j - k1ab))
-                            row.append(h1ac.zero() + tuple(img))
-                        else:
-                            row.append(homs[(a, c)].zero())
-                    rows.append(tuple(row))
-                table[(a, b, c)] = tuple(rows)
+    homs = {(a, b): FinAbGroup(r1.hom(a, b).moduli + r2.hom(a, b).moduli)
+            for a in objects for b in objects}
+
+    def split(a, b, x):
+        k = len(r1.hom(a, b).moduli)
+        return x[:k], x[k:]
+
+    def mul(a, b, c, y, x):
+        (y1, y2), (x1, x2) = split(b, c, y), split(a, b, x)
+        return r1.compose(a, b, c, y1, x1) + r2.compose(a, b, c, y2, x2)
+
+    def act(a, b, r, x):
+        x1, x2 = split(a, b, x)
+        return r1.act(a, b, r, x1) + r2.act(a, b, r, x2)
+
     identities = None
     if r1.unital and r2.unital:
         identities = {a: tuple(r1.identity(a)) + tuple(r2.identity(a))
                       for a in objects}
-    scalar = None
-    action = None
-    if r1.scalar is not None and r2.scalar is not None:
-        scalar = r1.scalar
-        ro = scalar.objects[0]
-        rk = len(scalar.hom(ro, ro).moduli)
-        action = {}
-        for a in objects:
-            for b in objects:
-                h1, h2 = r1.hom(a, b), r2.hom(a, b)
-                rows = []
-                for i in range(rk):
-                    rgen = scalar.hom(ro, ro).basis_element(i)
-                    row = []
-                    for j in range(len(h1.moduli)):
-                        row.append(tuple(r1.act(a, b, rgen, h1.basis_element(j)))
-                                   + h2.zero())
-                    for j in range(len(h2.moduli)):
-                        row.append(h1.zero()
-                                   + tuple(r2.act(a, b, rgen, h2.basis_element(j))))
-                    rows.append(tuple(row))
-                action[(a, b)] = tuple(rows)
-    return FiniteRingoid(objects, homs, table, identities=identities,
-                         scalar=scalar, action=action, name=name)
+    scalar = r1.scalar if r2.scalar is not None else None
+    return tabulate(objects, homs, mul, identities=identities, scalar=scalar,
+                    act=act, name=name)
 
 
 def zero_moduloid(objects, scalar, name="0-moduloid"):

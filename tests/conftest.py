@@ -3,7 +3,7 @@ from hypothesis import strategies as st
 
 from ringoids import (FinAbGroup, FiniteRingoid, FinGroup, GSet, cyclic_ring,
                       discrete_groupoid, group_as_groupoid, group_ringoid,
-                      matrix_ring, product_ring, transport_groupoid,
+                      matrix_ring, product_ring, tensor, transport_groupoid,
                       with_self_scalar)
 
 
@@ -126,6 +126,37 @@ def incidence_ringoids(draw):
                           if level[b][i] <= level[a][j]]
                  for a in names for b in names}
     return elementary_ringoid(dims, "E", positions)
+
+
+def small_groupoids():
+    """Discrete groupoids, cyclic groups, and transport groupoids of C2: on
+    named points and on the int points of the regular G-set."""
+    c2 = FinGroup.cyclic(2)
+    swap = GSet(c2, ("p", "q"), {("p", 0): "p", ("p", 1): "q",
+                                 ("q", 0): "q", ("q", 1): "p"})
+    fixed = GSet(c2, ("p",), {("p", 0): "p", ("p", 1): "p"})
+    return st.one_of(
+        st.sampled_from([("a",), ("a", "b")]).map(discrete_groupoid),
+        st.integers(1, 3).map(lambda n: group_as_groupoid(
+            FinGroup.cyclic(n), name="C%d" % n)),
+        st.sampled_from([swap, fixed, GSet.regular(c2)]).map(transport_groupoid))
+
+
+def _group_ringoids():
+    return st.builds(group_ringoid, small_groupoids(),
+                     st.sampled_from([2, 3]).map(lambda p: cyclic_ring(p, name="F%d" % p)))
+
+
+def small_ringoids():
+    """Incidence ringoids, group ringoids of small groupoids, and tensor
+    products over Z of an incidence ringoid with a group ringoid (whose
+    objects are pairs; named here, since the default tensor name has a
+    space and is no RGD token)."""
+    return st.one_of(
+        incidence_ringoids(),
+        _group_ringoids(),
+        st.builds(lambda m, n: tensor(m, n, name="T").ringoid, incidence_ringoids(),
+                  _group_ringoids()))
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,12 @@
 import pytest
+from hypothesis import given, settings
 
+from conftest import small_ringoids
 from ringoids import (FinAbGroup, FiniteRingoid, RingoidHom, StructuralError,
-                      cyclic_ring, identity_hom, one_object_ringoid, validate,
-                      validate_hom, zero_moduloid)
+                      cyclic_ring, identity_hom, one_object_ringoid,
+                      ringoid_equal_structure, validate, validate_hom,
+                      zero_moduloid)
+from ringoids.ringoid import tabulate
 
 
 def test_validate_accepts_standard_rings(f2, f3, z4, m2f2, f2c2, f2xf2):
@@ -98,3 +102,15 @@ def test_compose_bilinearity_generates_full_product(z4):
     for x in h.elements():
         for y in h.elements():
             assert z4.compose("*", "*", "*", x, y) == ((x[0] * y[0]) % 4,)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_ringoids())
+def test_tabulating_a_ringoid_reproduces_it(r):
+    """Composition and action evaluated on elements and tabulated again give
+    back the structure constants they were evaluated from."""
+    t = tabulate(r.objects, r.homs, r.compose, identities=r.identities,
+                 scalar=r.scalar, act=r.act, name=r.name)
+    assert ringoid_equal_structure(t, r)
+    assert t.action == r.action
+    assert t.identities == r.identities
