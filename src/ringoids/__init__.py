@@ -32,8 +32,9 @@ from .groupoids import (FinGroupoid, GSet, PiRing, PiRingError,
                         validate_pi_ring)
 from .ktheory import (CeilingExceeded, KOneResult, KZeroResult,
                       RelativeKZeroResult, cofinality_check, exterior_product,
-                      fibration_check, gl, idem_classes, k0_bounded,
-                      k0_induced, k0_relative, k1_bounded, ring_units)
+                      fibration_check, gl, gl_order, idem_classes,
+                      k0_bounded, k0_induced, k0_relative, k1_bounded,
+                      ring_units)
 from .nerve import (NerveLevel, check_simplicial_identities, degeneracy, face,
                     k0_via_nerve, nerve_level, oracle_compare)
 from .assembly import (AssemblyZeroMap, assembly_zero,

@@ -83,37 +83,24 @@ class FinGroup:
         return cls.from_mult(perms, compose)
 
 
-def abelianization(group):
-    """G / [G, G] from one pass over the Cayley graph of G.
+def abelianization(group, gens):
+    """G / [G, G] from one pass over the Cayley graph of G with respect to
+    the given generators (element indices).
 
-    Uses only len(group), group.identity and group.mul(i, j).  Generators
-    are taken in index order: each element outside the subgroup generated
-    so far becomes the next one, and that subgroup is recomputed by BFS
-    from the identity.  Each addition at least doubles the subgroup, so
-    there are at most log2 |G| generators and fewer than 2 |G| |S|
-    products.  The last BFS gives every element x a tree-path vector
-    coords(x) in Z^S, and every non-tree edge x -s-> xs the abelianized
-    Schreier relator coords(x) + e_s - coords(xs); by Schreier's lemma
-    Z^S modulo these relators is G^ab exactly.
+    Uses only len(group), group.identity and group.mul(x, g) for g in gens,
+    so a group that keeps its Cayley edges (`ktheory.GLGroup`) answers
+    every product from them.  The BFS from the identity gives every
+    element x a tree-path vector coords(x) in Z^gens, and every non-tree
+    edge x -g-> xg the abelianized Schreier relator coords(x) + e_g -
+    coords(xg); by Schreier's lemma Z^gens modulo these relators is G^ab
+    exactly.  Raises ValueError when the generators do not reach every
+    element.
 
-    Returns (presentation, coords, generators): coords[i] is the image of
-    element i in the presentation (a homomorphism), and generator k has
-    coords e_k.
+    Returns (presentation, coords): coords[x] is the image of element x in
+    the presentation (a homomorphism), and generator k has coords e_k.
     """
-    gens = []
-    coords, relators = _cayley_bfs(group, gens)
-    for x in range(len(group)):
-        if coords[x] is None:
-            gens.append(x)
-            coords, relators = _cayley_bfs(group, gens)
-    return AbPresentation(len(gens), relators), coords, gens
-
-
-def _cayley_bfs(group, gens):
-    """Tree-path coordinates of the subgroup generated by gens (None
-    outside it) and its distinct non-zero Schreier relators, in order."""
+    gens = list(gens)
     k = len(gens)
-    unit = [tuple(int(i == j) for i in range(k)) for j in range(k)]
     coords = [None] * len(group)
     coords[group.identity] = (0,) * k
     queue = [group.identity]
@@ -122,10 +109,14 @@ def _cayley_bfs(group, gens):
         cx = coords[x]
         for j, g in enumerate(gens):
             y = group.mul(x, g)
-            step = tuple(a + b for a, b in zip(cx, unit[j]))
-            if coords[y] is None:
+            step = cx[:j] + (cx[j] + 1,) + cx[j + 1:]
+            cy = coords[y]
+            if cy is None:
                 coords[y] = step
                 queue.append(y)
-            elif step != coords[y]:
-                relators.setdefault(tuple(a - b for a, b in zip(step, coords[y])))
-    return coords, list(relators)
+            elif step != cy:
+                relators.setdefault(tuple(a - b for a, b in zip(step, cy)))
+    if len(queue) != len(group):
+        raise ValueError("the generators reach %d of %d elements"
+                         % (len(queue), len(group)))
+    return AbPresentation(k, list(relators)), coords

@@ -11,15 +11,16 @@ kernel, in degree zero, of the split surjection induced by the unitization
 projection, computed on idempotent classes (keyed by the type vector of
 the image) so that the splitting is visible; the fibration check maps
 those classes to free sums by the same type vectors.  K1 is reported per
-rank as GL_n abelianizations, read off the Cayley graph of GL_n
-(`groups.abelianization`), with stabilization maps.
+rank as GL_n abelianizations, read off the Cayley graph of GL_n on Bass's
+generators (`gl`, certified by the Krull-Schmidt order formula
+`gl_order`; `groups.abelianization`), with stabilization maps.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .additive import (DEFAULT_CEILING, Undecided, complete,
+from .additive import (DEFAULT_CEILING, MatMorphism, Undecided, complete,
                        enumerate_objsums, iso_class_table)
 from .groups import abelianization
 from .intlinalg import (AbPresentation, apply_rows, hom_is_isomorphism,
@@ -474,17 +475,42 @@ def fibration_check(m, ideal, bound, ceiling=DEFAULT_CEILING):
 # ---------------------------------------------------------------------------
 
 class GLGroup:
-    """The invertible endomorphisms of a formal sum, in `hom_elements`
-    order, multiplied on demand by matrix composition.  A product outside
-    the list refutes closure and raises StructuralError."""
+    """The subgroup of GL(s) generated by the given invertible matrices,
+    closed by breadth-first search from the identity under right
+    multiplication by the generators.  `elements` are in discovery order,
+    `generators` holds the indices of the generators, and edges[x][k] is
+    the index of elements[x] . elements[generators[k]]: the Cayley graph
+    that `abelianization` walks, so it composes nothing.  Any other
+    product is composed and looked up, and one outside the group raises
+    StructuralError."""
 
-    __slots__ = ("view", "elements", "identity", "_index")
+    __slots__ = ("view", "elements", "generators", "edges", "identity",
+                 "_index", "_slot")
 
-    def __init__(self, view, s, elements):
+    def __init__(self, view, s, generators):
+        one = view.identity(tuple(s))
+        elements = [one]
+        index = {one: 0}
+        gens = list(dict.fromkeys(generators))
+        steps = [_right_multiplier(view, one, g) for g in gens]
+        edges = []
+        for x in elements:
+            row = []
+            for step in steps:
+                y = step(x)
+                k = index.get(y)
+                if k is None:
+                    k = index[y] = len(elements)
+                    elements.append(y)
+                row.append(k)
+            edges.append(row)
         self.view = view
-        self.elements = list(elements)
-        self._index = {u: i for i, u in enumerate(self.elements)}
-        self.identity = self._index[view.identity(s)]
+        self.elements = elements
+        self.edges = edges
+        self.identity = 0
+        self._index = index
+        self.generators = [index[g] for g in gens]
+        self._slot = {g: k for k, g in enumerate(self.generators)}
 
     def __len__(self):
         return len(self.elements)
@@ -493,6 +519,9 @@ class GLGroup:
         return self._index[element]
 
     def mul(self, i, j):
+        k = self._slot.get(j)
+        if k is not None:
+            return self.edges[i][k]
         w = self.view.compose(self.elements[i], self.elements[j])
         k = self._index.get(w)
         if k is None:
@@ -500,12 +529,45 @@ class GLGroup:
         return k
 
 
-def gl(view, s, ceiling=DEFAULT_CEILING):
-    """The group of invertible endomorphisms of a formal sum.
+def _right_multiplier(view, one, g):
+    """x -> x . g, computed as x + x . (g - 1) from the non-zero entries of
+    g - 1: for an elementary or diagonal generator, one column of x
+    changes by n base compositions instead of a full matrix product."""
+    base = view.base
+    s = g.src
+    diff = [(k, l, base.hom(s[l], s[k]).sub(gkl, one.entries[k][l]))
+            for k, row in enumerate(g.entries) for l, gkl in enumerate(row)
+            if gkl != one.entries[k][l]]
 
-    Every element of End(s) is tested by solving u . v = 1 column by column
-    and certifying v . u = 1.  No table is built: closure is certified edge
-    by edge, since every product `abelianization` walks goes through `mul`."""
+    def step(x):
+        entries = [list(row) for row in x.entries]
+        for k, l, d in diff:
+            for r, row in enumerate(entries):
+                hom = base.hom(s[l], s[r])
+                row[l] = hom.add(row[l], base.compose(s[l], s[k], s[r],
+                                                      x.entries[r][k], d))
+        return MatMorphism(s, s, entries)
+
+    return step
+
+
+def gl(view, s, ceiling=DEFAULT_CEILING):
+    """GL(s), the group of invertible endomorphisms of a formal sum, as the
+    closure of Bass's generators (Bass, "K-theory and stable algebra",
+    1964): the elementary matrices e_ij(x) for i != j and x an additive
+    generator of Hom(s_j, s_i), and diag(1, ..., u, ..., 1) for every unit
+    u of End(s_i), found among the 1x1 matrices.  Every generator is
+    certified by `inverse`.  They generate GL(s) over every finite base:
+    modulo the radical J = J(End s) their images generate each GL_m(k)
+    block, and 1 + J splits as lower unitriangular times diagonal times
+    upper unitriangular.  A single object's units are all enumerated, so
+    its closure is GL(s) by construction; a longer sum's closure counts as
+    GL(s) only when its size equals `gl_order`, and a mismatch raises
+    StructuralError.
+
+    Raises CeilingExceeded when |End(s)| exceeds the ceiling, or when the
+    Krull-Schmidt decomposition of an object of a longer sum is undecided
+    there."""
     s = tuple(s)
     if not view.has_identities:
         raise StructuralError("GL needs a unital base")
@@ -513,8 +575,119 @@ def gl(view, s, ceiling=DEFAULT_CEILING):
     if n > ceiling:
         raise CeilingExceeded("|End| = %d exceeds the ceiling %d" % (n, ceiling),
                               size=n, ceiling=ceiling)
-    return GLGroup(view, s, [u for u in view.hom_elements(s, s)
-                             if view.inverse(u) is not None])
+    group = GLGroup(view, s, bass_generators(view, s))
+    if len(s) > 1:
+        certify_gl_order(view, s, group, ceiling)
+    return group
+
+
+def bass_generators(view, s):
+    """The elementary matrices e_ij(x), x an additive generator of
+    Hom(s_j, s_i), and the unit diagonals diag(1, ..., u, ..., 1), u != 1,
+    each certified invertible by `inverse`."""
+    base = view.base
+    one = view.identity(s)
+    units = {}
+    gens = []
+
+    def with_entry(i, j, x):
+        entries = [list(row) for row in one.entries]
+        entries[i][j] = x
+        return MatMorphism(s, s, entries)
+
+    for i, a in enumerate(s):
+        if a not in units:
+            units[a] = [u.entries[0][0] for u in view.hom_elements((a,), (a,))
+                        if view.inverse(u) is not None]
+        gens.extend(with_entry(i, i, u) for u in units[a]
+                    if u != base.identity(a))
+        for j, b in enumerate(s):
+            hom = base.hom(b, a)
+            if i != j:
+                gens.extend(with_entry(i, j, hom.basis_element(k))
+                            for k in range(len(hom.moduli)) if hom.moduli[k] > 1)
+    for g in gens:
+        if view.inverse(g) is None:
+            raise StructuralError("the generator %r is not invertible" % (g,))
+    return gens
+
+
+def gl_order(view, s, ceiling=DEFAULT_CEILING):
+    """|GL(s)| by the Krull-Schmidt order formula, without enumeration.
+
+    E = End(s) has E / J(E) = prod_t M_(m_t)(k_t), where m_t is the
+    multiplicity of type t in the type vector of s and k_t is the residue
+    field of the local ring of type t, so |GL(s)| = |J(E)| prod_t
+    |GL_(m_t)(k_t)| and |J(E)| = |E| / prod_t |k_t|^(m_t^2).  The local
+    ring is read at the first summand e of type t in s: e End(s_i) e is
+    isomorphic to rho End(d) rho for the type's representative (d, rho),
+    and no larger than End(s).  Its non-units are its nilpotents (the
+    radical), and |k_t| = |e End e| / |non-units|.
+
+    Raises CeilingExceeded when an Undecided record of the decomposition
+    touches an object of s: its types may then be unmerged."""
+    s = tuple(s)
+    dec = view.decomposition(ceiling)
+    for rec in dec.undecided:
+        # the subject is a base object or a pair ((a, p), (c, q))
+        if rec.subject in view.base.objects:
+            touched = (rec.subject,)
+        else:
+            (a, _), (c, _) = rec.subject
+            touched = (a, c)
+        if any(b in s for b in touched):
+            raise CeilingExceeded("the decomposition of %r is undecided: %r"
+                                  % (s, rec), size=rec.size, ceiling=ceiling)
+    first = {}
+    mult = {}
+    for a in s:
+        for x in dec.summands[a]:
+            first.setdefault(x.type, (a, x.idem))
+            mult[x.type] = mult.get(x.type, 0) + 1
+    radical_quotient = 1
+    count = 1
+    for t, m in mult.items():
+        q = _residue_field_order(view.base, *first[t])
+        radical_quotient *= q ** (m * m)
+        for i in range(m):
+            count *= q ** m - q ** i
+    radical, rem = divmod(view.hom_order(s, s), radical_quotient)
+    if rem:
+        raise StructuralError("|End(%r)| is not divisible by the order %d of "
+                              "its semisimple quotient" % (s, radical_quotient))
+    return radical * count
+
+
+def _residue_field_order(base, a, e):
+    """|L| / |non-units of L| for the local ring L = e End(a) e, whose
+    non-units are its nilpotents: y^N = 0 for some N >= log2 |L|, since
+    the radical's nilpotency index is at most the length of L."""
+    zero = base.zero(a, a)
+    ring = set()
+    for y in base.hom(a, a).elements():
+        ring.add(base.compose(a, a, a, e, base.compose(a, a, a, y, e)))
+    depth = len(ring).bit_length()
+    nilpotent = 0
+    for y in ring:
+        power, exponent = y, 1
+        while exponent < depth and power != zero:
+            power = base.compose(a, a, a, power, power)
+            exponent *= 2
+        nilpotent += power == zero
+    q, rem = divmod(len(ring), nilpotent)
+    if rem:
+        raise StructuralError("the corner ring of %r at %r is not local" % (a, e))
+    return q
+
+
+def certify_gl_order(view, s, group, ceiling=DEFAULT_CEILING):
+    """Raise StructuralError unless the closure has the order of GL(s),
+    which for Bass's generators is impossible by theorem."""
+    expected = gl_order(view, s, ceiling)
+    if len(group) != expected:
+        raise StructuralError("the closure of GL(%r) has %d elements, the "
+                              "order formula gives %d"
+                              % (s, len(group), expected))
 
 
 class StabilizationStep:
@@ -529,8 +702,9 @@ class StabilizationStep:
 class KOneResult:
     """Per-rank GL abelianizations with stabilization maps; a single group
     would misrepresent the limit (GL_3 over F2 already dips back to 0).
-    ranks[n] presents GL_n^ab on the generators `abelianization` picked
-    from groups[n]; each step's matrix maps them into ranks[n + 1]."""
+    ranks[n] presents GL_n^ab on the Bass generators of groups[n], read
+    off the Cayley edges of its closure; each step's matrix maps them
+    into ranks[n + 1]."""
 
     __slots__ = ("ranks", "groups", "steps", "last_step_iso", "truncated_at")
 
@@ -570,7 +744,6 @@ def k1_bounded(r, n_max, ceiling=DEFAULT_CEILING):
     groups = {}
     ranks = {}
     coords = {}
-    gens = {}
     truncated_at = None
     for n in range(1, n_max + 1):
         s = (obj,) * n
@@ -580,7 +753,7 @@ def k1_bounded(r, n_max, ceiling=DEFAULT_CEILING):
             truncated_at = n
             break
         groups[n] = g
-        ranks[n], coords[n], gens[n] = abelianization(g)
+        ranks[n], coords[n] = abelianization(g, g.generators)
     steps = []
     for n in sorted(groups):
         if n + 1 not in groups:
@@ -588,7 +761,7 @@ def k1_bounded(r, n_max, ceiling=DEFAULT_CEILING):
         embed = stabilization_embedding(view, (obj,) * n, (obj,))
         gn, gn1 = groups[n], groups[n + 1]
         matrix = [list(coords[n + 1][gn1.index(embed(gn.elements[g]))])
-                  for g in gens[n]]
+                  for g in gn.generators]
         iso = hom_is_isomorphism(ranks[n], ranks[n + 1], matrix)
         steps.append(StabilizationStep(n, matrix, iso))
     last_step_iso = steps[-1].is_isomorphism if steps else None

@@ -434,7 +434,7 @@ def tensor(m, n, over=None, name=None):
                       for (a, b) in objects}
     if name is None:
         tag = over.name if over is not None else "Z"
-        name = "%s(x)_%s %s" % (m.name, tag, n.name)
+        name = "%s(x)_{%s}%s" % (m.name, tag, n.name)
     ring = tabulate(objects, homs, mul, identities=identities, scalar=over,
                     act=act, name=name)
     return TensorProduct(ring, m, n, over, pures)

@@ -150,12 +150,11 @@ def _group_ringoids():
 def small_ringoids():
     """Incidence ringoids, group ringoids of small groupoids, and tensor
     products over Z of an incidence ringoid with a group ringoid (whose
-    objects are pairs; named here, since the default tensor name has a
-    space and is no RGD token)."""
+    objects are pairs), under their default names."""
     return st.one_of(
         incidence_ringoids(),
         _group_ringoids(),
-        st.builds(lambda m, n: tensor(m, n, name="T").ringoid, incidence_ringoids(),
+        st.builds(lambda m, n: tensor(m, n).ringoid, incidence_ringoids(),
                   _group_ringoids()))
 
 

@@ -282,6 +282,58 @@ def test_tensor_command(tmp_path, capsys):
     assert "cyclic" not in captured.out
 
 
+@pytest.mark.parametrize("over_f2", [False, True])
+def test_tensor_output_validates(tmp_path, capsys, f2, f2xf2_moduloid, over_f2):
+    # the product's name is one RGD token, F2(x)_{Z}Z3 or
+    # F2(x)_{F2}F2xF2/F2, so its printed section parses again
+    path = tmp_path / "two.rgd"
+    text = (print_rgd(document_from(ringoids=[f2, f2xf2_moduloid])) if over_f2
+            else TWO_RINGS_DOC)
+    path.write_text(text, encoding="utf-8")
+    assert run(["tensor", "--input", str(path)]) == 0
+    out = capsys.readouterr().out
+    rgd_text, status = out.rstrip("\n").rsplit("\n", 1)
+    assert status == "validation: clean"
+    assert ("ringoid F2(x)_{F2}F2xF2/F2" if over_f2
+            else "ringoid F2(x)_{Z}Z3") in rgd_text
+    assert run(["tensor", "--input", str(path), "--format", "machine"]) == 0
+    machine = json.loads(capsys.readouterr().out)
+    assert machine["rgd"].rstrip("\n") == rgd_text
+    printed = tmp_path / "product.rgd"
+    printed.write_text(machine["rgd"], encoding="utf-8")
+    assert run(["validate", "--input", str(printed)]) == 0
+    assert "clean" in capsys.readouterr().out
+
+
+FRONTIER_K1 = {
+    ("f3", 3): ("GL1^ab = Z/2\nGL2^ab = Z/2\nGL3^ab = Z/2\n"
+                "stabilization GL1 -> GL2: isomorphism\n"
+                "stabilization GL2 -> GL3: isomorphism\n"),
+    ("z4", 3): ("GL1^ab = Z/2\nGL2^ab = Z/2 + Z/2\nGL3^ab = Z/2\n"
+                "stabilization GL1 -> GL2: not an isomorphism\n"
+                "stabilization GL2 -> GL3: not an isomorphism\n"),
+    ("m2f2", 2): ("GL1^ab = Z/2\nGL2^ab = 0\n"
+                  "stabilization GL1 -> GL2: not an isomorphism\n"),
+    ("f2", 4): ("GL1^ab = 0\nGL2^ab = Z/2\nGL3^ab = 0\nGL4^ab = 0\n"
+                "stabilization GL1 -> GL2: not an isomorphism\n"
+                "stabilization GL2 -> GL3: not an isomorphism\n"
+                "stabilization GL3 -> GL4: isomorphism\n"),
+}
+
+
+@pytest.mark.frontier
+@pytest.mark.parametrize("ring_name,gl_max", sorted(FRONTIER_K1))
+def test_k1_frontier(tmp_path, capsys, request, ring_name, gl_max):
+    # GL3(F3) has 11232 elements, GL3(Z/4) 86016, GL4(F2) 20160 (as GL2
+    # of M2(F2) and as GL4 of F2); each closure passes the order formula
+    path = tmp_path / (ring_name + ".rgd")
+    ring = request.getfixturevalue(ring_name)
+    path.write_text(print_rgd(document_from(ringoids=[ring])), encoding="utf-8")
+    code = run(["k1", "--input", str(path), "--gl-max", str(gl_max)])
+    assert code == 0
+    assert capsys.readouterr().out == FRONTIER_K1[(ring_name, gl_max)]
+
+
 def _run_subprocess(args, hash_seed):
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = hash_seed

@@ -128,12 +128,33 @@ EXPECTED = {
 }
 
 
+def index_order_generators(group):
+    """Each element, in index order, that is not yet a product of the ones
+    taken before it: at most log2 |G| generators, since each one at least
+    doubles the subgroup reached."""
+    gens = []
+    reached = {group.identity}
+    for x in range(len(group)):
+        if x not in reached:
+            gens.append(x)
+            queue = [group.identity]
+            reached = {group.identity}
+            for y in queue:
+                for g in gens:
+                    z = group.mul(y, g)
+                    if z not in reached:
+                        reached.add(z)
+                        queue.append(z)
+    return gens
+
+
 def assert_is_quotient_map(group):
-    """abelianization(group) presents G^ab with coords the quotient map:
-    generator k has coords e_k (so coords is onto), coords is a
-    homomorphism, and its kernel is the reference [G, G].  Returns the
-    presentation."""
-    pres, coords, gens = abelianization(group)
+    """abelianization(group) on index-order generators presents G^ab with
+    coords the quotient map: generator k has coords e_k (so coords is
+    onto), coords is a homomorphism, and its kernel is the reference
+    [G, G].  Returns the presentation."""
+    gens = index_order_generators(group)
+    pres, coords = abelianization(group, gens)
     k = pres.generators
     assert k == len(gens) and 2 ** k <= len(group)
     for pos, g in enumerate(gens):
@@ -170,7 +191,7 @@ def test_bad_table_rejected():
 
 
 def test_abelianization_trivial():
-    pres, _, _ = abelianization(FinGroup.cyclic(1))
+    pres, _ = abelianization(FinGroup.cyclic(1), [])
     assert pres.is_trivial()
 
 
@@ -179,24 +200,24 @@ def test_abelianization_s3():
     assert s3.is_valid()
     commutators = reference_commutator_subgroup(s3)
     assert len(commutators) == 3  # brute-force closure gives A3
-    pres, _, _ = abelianization(s3)
+    pres, _ = abelianization(s3, [1, 2])
     assert pres == AbPresentation.cyclic(2)
 
 
 def test_abelianization_fixes_abelian_input():
     c4 = FinGroup.cyclic(4)
-    pres, _, _ = abelianization(c4)
+    pres, _ = abelianization(c4, [1])
     assert pres == AbPresentation.cyclic(4)
     klein = FinGroup.from_mult(
         [(a, b) for a in range(2) for b in range(2)],
         lambda x, y: ((x[0] + y[0]) % 2, (x[1] + y[1]) % 2))
-    pres, _, _ = abelianization(klein)
+    pres, _ = abelianization(klein, [1, 2])
     assert pres == AbPresentation(2, [(2, 0), (0, 2)])
 
 
 def test_abelianization_coords_are_homomorphic():
     s3 = FinGroup.symmetric3()
-    pres, coords, _ = abelianization(s3)
+    pres, coords = abelianization(s3, range(1, len(s3)))
     # the coset map must be a homomorphism into the presented group: the
     # coordinates of a product differ from the sum of coordinates by a
     # relation of the presentation
@@ -220,10 +241,17 @@ def test_abelianization_matches_reference(name):
 
 def test_abelianization_generators_in_index_order():
     # C6 by 1 alone; in S3 the first two non-identity elements generate
-    pres, _, gens = abelianization(FinGroup.cyclic(6))
-    assert gens == [1] and pres.generators == 1
-    _, _, gens = abelianization(FinGroup.symmetric3())
-    assert gens == [1, 2]
+    c6, s3 = FinGroup.cyclic(6), FinGroup.symmetric3()
+    assert index_order_generators(c6) == [1]
+    assert index_order_generators(s3) == [1, 2]
+    # generator k of the presentation is the k-th one given, in any order
+    pres, coords = abelianization(c6, [1])
+    assert pres == AbPresentation.cyclic(6) and coords[1] == (1,)
+    pres, coords = abelianization(s3, [2, 1])
+    assert pres.generators == 2 and coords[2] == (1, 0) and coords[1] == (0, 1)
+    # generators that miss an element are refused: 2 reaches 3 of C6
+    with pytest.raises(ValueError):
+        abelianization(c6, [2])
 
 
 def _order(names):
@@ -309,8 +337,8 @@ def assert_steps_are_induced_maps(ring, res):
     for step in res.steps:
         n = step.rank
         g, g1 = res.groups[n], res.groups[n + 1]
-        _, coords, _ = abelianization(g)
-        pres1, coords1, _ = abelianization(g1)
+        _, coords = abelianization(g, g.generators)
+        pres1, coords1 = abelianization(g1, g1.generators)
         embed = stabilization_embedding(view, (obj,) * n, (obj,))
         k1 = pres1.generators
         defects = [[a - b for a, b in zip(apply_rows(coords[x], step.matrix, k1),

@@ -1,17 +1,19 @@
 import pytest
+from hypothesis import given, settings
 
-from ringoids import (AbPresentation, CeilingExceeded, Ideal, RingoidHom,
-                      cofinality_check, complete, cyclic_ring, exterior_product,
-                      fibration_check, forget_units, gl, idem_classes,
-                      improper_ideal, k0_bounded, k0_induced, k0_relative,
-                      k1_bounded, matrix_ring, ring_units, scalar_ringoid,
-                      tensor, unitize, validate_hom, zero_ideal,
-                      zero_moduloid)
-from ringoids.groups import abelianization
+from conftest import incidence_ringoids
+from ringoids import (AbPresentation, CeilingExceeded, FinAbGroup, Ideal,
+                      RingoidHom, cofinality_check, complete, cyclic_ring,
+                      enumerate_objsums, exterior_product, fibration_check,
+                      forget_units, gl, gl_order, idem_classes, improper_ideal,
+                      k0_bounded, k0_induced, k0_relative, k1_bounded,
+                      matrix_ring, ring_units, scalar_ringoid, tensor, unitize,
+                      validate, validate_hom, zero_ideal, zero_moduloid)
 from ringoids.intlinalg import hom_well_defined
-from ringoids.ktheory import (GLGroup, count_vector, determinant_of_matmorphism,
+from ringoids.ktheory import (GLGroup, bass_generators, certify_gl_order,
+                              count_vector, determinant_of_matmorphism,
                               stabilization_embedding)
-from ringoids.ringoid import StructuralError
+from ringoids.ringoid import StructuralError, tabulate
 
 Z = AbPresentation.free(1)
 
@@ -256,13 +258,119 @@ def test_gl_closure_is_certified_edge_by_edge(f2):
     s = ("*", "*")
     group = gl(view, s)
     assert not hasattr(group, "table")
-    # drop one invertible: some Cayley edge the abelianization walks lands
-    # on it, and mul refuses the product
-    dropped = next(i for i in range(len(group)) if i != group.identity)
-    partial = GLGroup(view, s, [u for i, u in enumerate(group.elements)
-                                if i != dropped])
+    # every Cayley edge the abelianization walks is the product it names
+    for x, row in enumerate(group.edges):
+        for g, y in zip(group.generators, row):
+            assert group.elements[y] == view.compose(group.elements[x],
+                                                     group.elements[g])
+            assert group.mul(x, g) == y
+    # a closure built by hand from all but one generator misses
+    # invertibles, and the order certificate refuses it
+    gens = [group.elements[g] for g in group.generators]
+    partial = GLGroup(view, s, gens[1:])
+    assert 1 < len(partial) < len(group)
     with pytest.raises(StructuralError):
-        abelianization(partial)
+        certify_gl_order(view, s, partial)
+
+
+def reference_gl(view, s):
+    """The invertible endomorphisms of s, by one `inverse` solve for every
+    element of End(s), in `hom_elements` order."""
+    return [u for u in view.hom_elements(s, s) if view.inverse(u) is not None]
+
+
+ORDER_RINGS = ["f2", "z4", "f3", "zero", "f2xf2", "m2f2", "disc2", "c2free",
+               "f2c2"]
+
+
+@pytest.mark.parametrize("name", ORDER_RINGS)
+def test_gl_closure_equals_enumeration(request, name):
+    """On every sum of length <= 2 (3 over F2) whose End(s) has at most
+    4096 elements, the order formula equals the brute-force count and the
+    closure equals the enumeration as a set.  M2(F2)^2 is over that size;
+    its order is checked against |GL4(F2)| below."""
+    view = complete(request.getfixturevalue(name))
+    length = 3 if name == "f2" else 2
+    checked = 0
+    for s in enumerate_objsums(view.base.objects, length):
+        if view.hom_order(s, s) > 4096:
+            continue
+        units = reference_gl(view, s)
+        assert gl_order(view, s) == len(units), s
+        assert set(gl(view, s).elements) == set(units), s
+        checked += 1
+    assert checked >= 2
+
+
+@settings(max_examples=20, deadline=None)
+@given(incidence_ringoids())
+def test_gl_closure_equals_enumeration_on_incidence_ringoids(r):
+    # non-equivalent primitives and maps between two objects
+    view = complete(r)
+    for s in enumerate_objsums(r.objects, 2):
+        if view.hom_order(s, s) > 1024:
+            continue
+        units = reference_gl(view, s)
+        assert gl_order(view, s) == len(units), s
+        assert set(gl(view, s).elements) == set(units), s
+
+
+def test_gl_order_formula_without_enumeration(m2f2, f3):
+    # End(M2(F2)^2) has 65536 elements; |GL4(F2)| = 20160
+    assert gl_order(complete(m2f2), ("*", "*")) == 20160
+    # |GL3(F3)| = 26 * 24 * 18
+    view = complete(f3)
+    assert gl_order(view, ("*",) * 3) == 11232
+    assert len(gl(view, ("*",) * 3)) == 11232
+
+
+def test_gl_certificate_catches_a_short_closure(f3):
+    # elementary matrices alone generate SL2(F3), 24 of the 48 invertibles
+    view = complete(f3)
+    s = ("*", "*")
+    elementary = [g for g in bass_generators(view, s)
+                  if all(g.entries[i][i] == (1,) for i in range(2))]
+    short = GLGroup(view, s, elementary)
+    assert len(short) == 24
+    with pytest.raises(StructuralError):
+        certify_gl_order(view, s, short)
+    assert len(gl(view, s)) == 48
+
+
+def _m2f2_beside_f2(m2f2, f2):
+    """Objects a with End(a) = M2(F2) and b with End(b) = F2, and no maps
+    between them."""
+    objects = ("a", "b")
+    homs = {(x, y): FinAbGroup(()) for x in objects for y in objects}
+    homs[("a", "a")] = m2f2.hom("*", "*")
+    homs[("b", "b")] = f2.hom("*", "*")
+    rings = {"a": m2f2, "b": f2}
+
+    def mul(a, b, c, y, x):
+        if a == b == c:
+            return rings[a].compose("*", "*", "*", y, x)
+        return homs[(a, c)].zero()
+
+    return tabulate(objects, homs, mul,
+                    identities={x: rings[x].identity("*") for x in objects})
+
+
+def test_gl_undecided_decomposition_exceeds_the_ceiling(m2f2, f2):
+    r = _m2f2_beside_f2(m2f2, f2)
+    assert validate(r).ok
+    view = complete(r)
+    s = ("a", "b")
+    # |End(s)| = 32 fits a ceiling of 100, but telling e11 from e22 in
+    # End(a) needs 256 > 100 maps: no order is reported
+    assert view.hom_order(s, s) == 32
+    with pytest.raises(CeilingExceeded):
+        gl(view, s, ceiling=100)
+    with pytest.raises(CeilingExceeded):
+        gl_order(view, s, ceiling=100)
+    # at a ceiling of 10, End(a) itself is not split
+    with pytest.raises(CeilingExceeded):
+        gl_order(view, s, ceiling=10)
+    assert len(gl(view, s)) == 6
 
 
 def test_gl_ceiling(f2):
@@ -304,6 +412,14 @@ def test_k1_truncates_at_ceiling(f2):
     res = k1_bounded(f2, 3, ceiling=100)
     assert res.truncated_at == 3
     assert 1 in res.ranks and 2 in res.ranks and 3 not in res.ranks
+
+
+def test_k1_rank_one_needs_no_decomposition(m2f2):
+    # |End| = 16 fits a ceiling of 100 while splitting M2(F2) does not:
+    # GL1 is its enumerated units, and only rank 2 is over the ceiling
+    res = k1_bounded(m2f2, 2, ceiling=100)
+    assert res.ranks == {1: AbPresentation.cyclic(2)}
+    assert res.truncated_at == 2
 
 
 @pytest.mark.parametrize("ring_name,n", [("f2", 2), ("f3", 2), ("z4", 2)])
