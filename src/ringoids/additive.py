@@ -180,6 +180,16 @@ class AdditiveView:
                                   for i, a in enumerate(t)])
         return i_s, i_t, p_s, p_t
 
+    def block_sum(self, f, g):
+        """The block-diagonal matrix f (+) g: f.src + g.src -> f.dst + g.dst,
+        with zero off-diagonal blocks."""
+        zero = self.base.zero
+        top = [list(row) + [zero(b, c) for b in g.src]
+               for c, row in zip(f.dst, f.entries)]
+        bottom = [[zero(b, c) for b in f.src] + list(row)
+                  for c, row in zip(g.dst, g.entries)]
+        return MatMorphism(f.src + g.src, f.dst + g.dst, top + bottom)
+
     # -- isomorphism search -------------------------------------------------
 
     def left_divide(self, u, w):
@@ -310,18 +320,28 @@ class Decomposition:
 
     # -- splitting and classification -------------------------------------
 
+    def idempotents(self, a):
+        """The idempotents of End(a) in `elements()` order, zero first, or
+        [] when |End(a)| exceeds the ceiling (`undecided` then holds the
+        record for a)."""
+        idems = self._idempotents.get(a)
+        if idems is None:
+            base = self.view.base
+            hom = base.hom(a, a)
+            idems = []
+            if hom.order() <= self.ceiling:
+                idems = [f for f in hom.elements()
+                         if base.compose(a, a, a, f, f) == f]
+            self._idempotents[a] = idems
+        return idems
+
     def _split(self, a, e):
         """Primitive orthogonal idempotents of End(a) summing to e."""
         base = self.view.base
         hom = base.hom(a, a)
         if e == hom.zero():
             return []
-        idems = self._idempotents.get(a)
-        if idems is None:
-            idems = self._idempotents[a] = [
-                f for f in hom.elements()
-                if f != hom.zero() and base.compose(a, a, a, f, f) == f]
-        for f in idems:
+        for f in self.idempotents(a)[1:]:
             if (f != e and base.compose(a, a, a, e, f) == f
                     and base.compose(a, a, a, f, e) == f):
                 return self._split(a, f) + self._split(a, hom.sub(e, f))
@@ -462,9 +482,6 @@ class IsoClassTable:
     @property
     def undecided(self):
         return bool(self.undecided_pairs)
-
-    def members(self, cls):
-        return [s for s, c in self.class_of.items() if c == cls]
 
     def __repr__(self):
         return "IsoClassTable(bound=%d, %d classes, %d sums)" % (

@@ -16,7 +16,7 @@ class FinGroup:
 
     __slots__ = ("elements", "table", "identity", "_index")
 
-    def __init__(self, elements, table, name=None):
+    def __init__(self, elements, table):
         self.elements = list(elements)
         self.table = [list(row) for row in table]
         self._index = {e: i for i, e in enumerate(self.elements)}
@@ -66,11 +66,11 @@ class FinGroup:
         return True
 
     @classmethod
-    def from_mult(cls, elements, op, name=None):
+    def from_mult(cls, elements, op):
         elements = list(elements)
         idx = {e: i for i, e in enumerate(elements)}
         table = [[idx[op(a, b)] for b in elements] for a in elements]
-        return cls(elements, table, name=name)
+        return cls(elements, table)
 
     @classmethod
     def cyclic(cls, n):

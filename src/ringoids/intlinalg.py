@@ -284,49 +284,13 @@ def left_kernel_rows(rows, n):
 
 
 def lattice_basis(rows, n):
-    """Independent basis of the row lattice, by integer row echelon."""
-    basis = []  # kept sorted by pivot column, each row led by its pivot
-    for vec in rows:
-        vec = list(vec)
-        j = 0
-        while True:
-            while j < n and vec[j] == 0:
-                j += 1
-            if j == n:
-                break
-            pos = None
-            for idx, (pj, _) in enumerate(basis):
-                if pj == j:
-                    pos = idx
-                    break
-            if pos is None:
-                basis.append((j, vec))
-                basis.sort(key=lambda t: t[0])
-                break
-            row = basis[pos][1]
-            a, b = row[j], vec[j]
-            if b % a == 0:
-                q = b // a
-                for k in range(j, n):
-                    vec[k] -= q * row[k]
-            else:
-                x, y, g = _xgcd(a, b)
-                ag, bg = a // g, b // g
-                for k in range(j, n):
-                    rk, vk = row[k], vec[k]
-                    row[k] = x * rk + y * vk
-                    vec[k] = -bg * rk + ag * vk
-    return [row for _, row in basis]
-
-
-def _xgcd(a, b):
-    x, nx, y, ny, g, ng = 1, 0, 0, 1, a, b
-    while ng:
-        q = g // ng
-        x, nx = nx, x - q * nx
-        y, ny = ny, y - q * ny
-        g, ng = ng, g - q * ng
-    return x, y, g
+    """Independent basis of the row lattice: the first rank rows of U * M
+    for the Smith normal form U * M * V = D of the matrix M of the rows.
+    U is unimodular, so the rows of U * M = D * V^-1 span the lattice, and
+    those past the rank are zero."""
+    mat, (U, D, _) = _snf_of_rows(rows, n)
+    rank = sum(1 for d in D.diagonal() if d)
+    return [list(row) for row in U.mul(mat).data[:rank]]
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,14 @@ of it, since relations between sums beyond the bound are missing.  It is
 not the K0 of idempotent classes: over F2 x F2 free sums give Z and
 idempotent classes give Z^2.  Relative K0 for non-unital moduloids is the
 kernel, in degree zero, of the split surjection induced by the unitization
-projection, computed on idempotent classes (keyed by the type vector of
-the image) so that the splitting is visible; the fibration check maps
-those classes to free sums by the same type vectors.  K1 is reported per
-rank as GL_n abelianizations, read off the Cayley graph of GL_n on Bass's
-generators (`gl`, certified by the Krull-Schmidt order formula
-`gl_order`; `groups.abelianization`), with stabilization maps.
+projection, computed on the idempotent classes of single objects (keyed
+by the type vector of the image, with relations from the type vectors)
+so that the splitting is visible.  These classes are not bounded by sum
+length: their only limit is the ceiling.  The fibration check maps them
+to free sums by the same type vectors.  K1 is reported per rank as GL_n
+abelianizations, read off the Cayley graph of GL_n on Bass's generators
+(`gl`, certified by the Krull-Schmidt order formula `gl_order`;
+`groups.abelianization`), with stabilization maps.
 """
 
 from __future__ import annotations
@@ -48,16 +50,14 @@ class KZeroResult:
     distinct non-zero difference [s] - [rep] of isomorphic formal sums
     within the bound."""
 
-    __slots__ = ("bound", "presentation", "gen_labels", "gen_reps",
-                 "stabilized", "stabilized_since", "undecided", "table",
-                 "per_bound")
+    __slots__ = ("bound", "presentation", "gen_labels", "stabilized",
+                 "stabilized_since", "undecided", "table", "per_bound")
 
-    def __init__(self, bound, presentation, gen_labels, gen_reps, stabilized,
+    def __init__(self, bound, presentation, gen_labels, stabilized,
                  stabilized_since, undecided, table, per_bound):
         self.bound = bound
         self.presentation = presentation
         self.gen_labels = tuple(gen_labels)
-        self.gen_reps = tuple(gen_reps)
         self.stabilized = stabilized
         self.stabilized_since = stabilized_since
         self.undecided = undecided
@@ -104,10 +104,9 @@ def k0_bounded(r, bound, ceiling=DEFAULT_CEILING, view=None, table=None):
         if all(per_bound[j] == per_bound[l - 1] for j in range(l, bound + 1)):
             stabilized_since = l
             break
-    gen_reps = [table.reps[table.class_of[(a,)]] for a in objects]
     return KZeroResult(bound, per_bound[bound], [str(a) for a in objects],
-                       gen_reps, stabilized, stabilized_since,
-                       table.undecided, table, per_bound)
+                       stabilized, stabilized_since, table.undecided, table,
+                       per_bound)
 
 
 class InducedMap:
@@ -147,13 +146,14 @@ def k0_induced(f, source_result, target_result):
 
 
 # ---------------------------------------------------------------------------
-# Bounded idempotent classes (the projective shadow used by relative K0).
+# Idempotent classes (the projective shadow used by relative K0).
 # ---------------------------------------------------------------------------
 
 class IdemClasses:
     """Certified classes of idempotent endomorphisms of single objects,
-    with relations [p] + [q] = [p + q] for orthogonal pairs (witnessed by
-    an explicit splitting, no search needed) and [0] = 0."""
+    keyed by the type vector of the image, with one relation
+    [c] = sum of [(t,)] over the types t in the key of each split class c
+    whose key does not have length 1 (the empty key gives [0] = 0)."""
 
     __slots__ = ("ringoid", "reps", "class_of", "relations", "presentation",
                  "undecided_pairs")
@@ -174,61 +174,48 @@ class IdemClasses:
 def idem_classes(r, ceiling=DEFAULT_CEILING):
     """Classify the idempotents of every End(a), a a single object, by the
     type vector of im(p): two idempotents are equivalent exactly when their
-    images have the same indecomposable summands (Krull-Schmidt).  An
-    idempotent that cannot be split within the ceiling is a class of its
-    own, and every Undecided record is kept."""
+    images have the same indecomposable summands (Krull-Schmidt), and type
+    vectors add, so the relations come from the keys.  The idempotents are
+    those the decomposition lists: an End(a) over the ceiling gives none.
+    An idempotent that cannot be split within the ceiling is a class of its
+    own with no relation, and every Undecided record is kept."""
     dec = complete(r).decomposition(ceiling)
-    idems = []
-    for a in r.objects:
-        hom = r.hom(a, a)
-        for p in hom.elements():
-            if r.compose(a, a, a, p, p) == p:
-                idems.append((a, p))
     reps = []
     class_of = {}
     first = {}
     undecided_pairs = list(dec.undecided)
-    for (a, p) in idems:
-        summands = dec.split(a, p)
-        if isinstance(summands, Undecided):
-            undecided_pairs.append(summands)
-            key = (None, a, p)  # never equal to a type vector
-        else:
+    for a in r.objects:
+        for p in dec.idempotents(a):
+            summands = dec.split(a, p)
+            if isinstance(summands, Undecided):
+                undecided_pairs.append(summands)
+                class_of[(a, p)] = len(reps)
+                reps.append((a, p))
+                continue
             key = dec.key(summands)
-        assigned = first.get(key)
-        if assigned is None:
-            assigned = first[key] = len(reps)
-            reps.append((a, p))
-        class_of[(a, p)] = assigned
+            assigned = first.get(key)
+            if assigned is None:
+                assigned = first[key] = len(reps)
+                reps.append((a, p))
+            class_of[(a, p)] = assigned
     relations = []
-    for a in r.objects:
-        hom = r.hom(a, a)
-        zc = class_of.get((a, hom.zero()))
-        if zc is not None:
+    for key, c in first.items():
+        if len(key) != 1:
             row = [0] * len(reps)
-            row[zc] = 1
+            row[c] = 1
+            for t in key:
+                # each summand of a split p is a listed idempotent of End(a)
+                row[first[(t,)]] -= 1
             relations.append(row)
-            break
-    for a in r.objects:
-        hom = r.hom(a, a)
-        local = [p for (b, p) in idems if b == a]
-        for i, p in enumerate(local):
-            for q in local[i:]:
-                if (r.compose(a, a, a, p, q) == hom.zero()
-                        and r.compose(a, a, a, q, p) == hom.zero()):
-                    s = hom.add(p, q)
-                    row = [0] * len(reps)
-                    row[class_of[(a, p)]] += 1
-                    row[class_of[(a, q)]] += 1
-                    row[class_of[(a, s)]] -= 1
-                    if any(row):
-                        relations.append(row)
     return IdemClasses(r, reps, class_of, relations, undecided_pairs)
 
 
 class RelativeKZeroResult:
     """Degree-zero relative K-theory of a non-unital moduloid: the kernel of
-    K0(M+) -> K0(R_M) on bounded idempotent classes."""
+    K0(M+) -> K0(R_M) on idempotent classes of single objects.  `bound` is
+    recorded as given; no part of the computation reads it.  `kernel_basis`
+    is one basis of the kernel lattice (rows over the classes of M+), and
+    `gen_labels` names its rows."""
 
     __slots__ = ("bound", "presentation", "gen_labels", "kernel_basis",
                  "idem_plus", "idem_scalar", "mplus", "rm", "projection",
@@ -256,9 +243,11 @@ def k0_relative(m, bound, ceiling=DEFAULT_CEILING):
     """Kernel of the split surjection K0(M+) -> K0(R_M) in degree zero.
 
     The free iso-class monoid cannot see the splitting (M+ has the same
-    objects as R_M), so both sides are computed on bounded idempotent
-    classes; for unital m this recovers the absolute K0, which is the
-    degree-zero content of the unitization corollary.
+    objects as R_M), so both sides are computed on the idempotent classes
+    of single objects (`idem_classes`), which no bound limits: `bound` is
+    only recorded.  For unital m this recovers the absolute K0, which is
+    the degree-zero content of the unitization corollary.  An End(a) over
+    the ceiling contributes no classes and sets `undecided`.
     """
     if m.unital:
         raise StructuralError("relative K0 expects a non-unital moduloid")
@@ -405,9 +394,10 @@ def free_class_of_idempotent(view, a, p, bound, ceiling=DEFAULT_CEILING):
 def fibration_check(m, ideal, bound, ceiling=DEFAULT_CEILING):
     """Degree-zero exactness of K(J) -> K(M) -> K(M/J) for an ideal in a
     unital moduloid: composite zero and image = kernel at K0(M), exactly.
-    When the free class of some idempotent class of J+ is undecided,
-    `composite_zero` and `exact` are None (unknown) and `undecided` is set;
-    a class with no free class within the bound makes `exact` False."""
+    `undecided` is set when any of the three K0s, or the free class of some
+    idempotent class of J+, has an Undecided record; `composite_zero` and
+    `exact` are then None (unknown).  A class with no free class within
+    the bound makes `exact` False."""
     from .moduloids import ideal_moduloid, quotient
 
     if not m.unital:
@@ -432,16 +422,16 @@ def fibration_check(m, ideal, bound, ceiling=DEFAULT_CEILING):
                               name="J+ -> M")
 
     objects = list(m.objects)
+    undecided = rel.undecided or k0m.undecided or k0q.undecided
     unresolved = []
     class_images = []
-    images_undecided = False
     for (a, p) in rel.idem_plus.reps:
         q = jplus_to_m.apply(a, a, p)
         t = free_class_of_idempotent(view, a, q, bound, ceiling=ceiling)
         if t is None or isinstance(t, Undecided):
             unresolved.append((a, p))
             class_images.append(None)
-            images_undecided = images_undecided or t is not None
+            undecided = undecided or t is not None
         else:
             class_images.append(count_vector(t, objects))
     inclusion_rows = []
@@ -462,10 +452,8 @@ def fibration_check(m, ideal, bound, ceiling=DEFAULT_CEILING):
                                      len(quot.objects))
     exact = (not unresolved
              and lattices_equal(image_rows, kernel_rows, len(objects)))
-    if images_undecided:
+    if undecided:
         composite_zero = exact = None
-    undecided = (rel.undecided or k0m.undecided or k0q.undecided
-                 or images_undecided)
     return FibrationReport(rel, k0m, k0q, inclusion_rows, jmap,
                            composite_zero, exact, undecided, unresolved)
 
@@ -722,15 +710,10 @@ class KOneResult:
 
 
 def stabilization_embedding(view, s, t):
-    """j: GL(s) -> GL(s + t), x -> i_s x p_s + i_t p_t (a block-diagonal
-    matrix extending by the identity)."""
-    i_s, i_t, p_s, p_t = view.biproduct(s, t)
-
-    def embed(x):
-        return view.add(view.compose(view.compose(i_s, x), p_s),
-                        view.compose(i_t, p_t))
-
-    return embed
+    """j: GL(s) -> GL(s + t), x -> x (+) 1_t (a block-diagonal matrix
+    extending by the identity)."""
+    one = view.identity(tuple(t))
+    return lambda x: view.block_sum(x, one)
 
 
 def k1_bounded(r, n_max, ceiling=DEFAULT_CEILING):

@@ -61,15 +61,8 @@ class NerveLevel:
             return tuple(fs[1:])
         if i == n:
             return tuple(fs[:-1])
-        merged = self._block_sum(fs[i - 1], fs[i])
+        merged = self.view.block_sum(fs[i - 1], fs[i])
         return tuple(fs[:i - 1]) + (merged,) + tuple(fs[i + 1:])
-
-    def _block_sum(self, f, g):
-        view = self.view
-        i_s, i_t, p_s, p_t = view.biproduct(f.src, g.src)
-        j_s, j_t, q_s, q_t = view.biproduct(f.dst, g.dst)
-        return view.add(view.compose(view.compose(j_s, f), p_s),
-                        view.compose(view.compose(j_t, g), p_t))
 
 
 def face(i, obj):

@@ -345,7 +345,7 @@ def _split_arrow(toks, lineno, col0):
     raise RGDSyntaxError(lineno, col0, "expected '->'")
 
 
-def _strip_colon(toks, lineno, col0, expect_head_args):
+def _strip_colon(toks, lineno, col0):
     """Split 'head a b ... : tail' allowing the colon to be glued."""
     out = []
     tail_start = None
@@ -381,7 +381,7 @@ def _ringoid_line(b, head, toks, lineno, col0):
         b.homs[(a, bb)] = FinAbGroup(moduli)
         return
     if head == "compose":
-        heads, tail = _strip_colon(toks, lineno, col0, 4)
+        heads, tail = _strip_colon(toks, lineno, col0)
         if len(heads) != 4:
             raise RGDSyntaxError(lineno, col0, "expected: compose A B C: gj gi -> ...")
         a, bb, c = heads[1][0], heads[2][0], heads[3][0]
@@ -406,7 +406,7 @@ def _ringoid_line(b, head, toks, lineno, col0):
         b.compose.setdefault((a, bb, c), {})[(gi, gj)] = tuple(coords)
         return
     if head == "identity":
-        heads, tail = _strip_colon(toks, lineno, col0, 2)
+        heads, tail = _strip_colon(toks, lineno, col0)
         if len(heads) != 2:
             raise RGDSyntaxError(lineno, col0, "expected: identity A: c1 ...")
         a = heads[1][0]
@@ -424,7 +424,7 @@ def _ringoid_line(b, head, toks, lineno, col0):
         b.scalar_name = toks[1][0]
         return
     if head == "action":
-        heads, tail = _strip_colon(toks, lineno, col0, 3)
+        heads, tail = _strip_colon(toks, lineno, col0)
         if len(heads) == 2:
             a, bb = heads[1][0], heads[1][0]
         elif len(heads) == 3:
@@ -514,7 +514,7 @@ def _gset_line(section, head, toks, lineno, col0):
 
 def _ideal_line(section, head, toks, lineno, col0):
     if head == "gen":
-        heads, tail = _strip_colon(toks, lineno, col0, 3)
+        heads, tail = _strip_colon(toks, lineno, col0)
         if len(heads) != 3:
             raise RGDSyntaxError(lineno, col0, "expected: gen A B: c1 ...")
         coords = [_int(t, lineno, c) for t, c in tail]

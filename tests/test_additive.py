@@ -61,6 +61,24 @@ def test_biproduct_equations(f2):
                     view.compose(i_t, p_t)) == view.identity(s + t)
 
 
+@pytest.mark.parametrize("ring_name", ["f2", "disc2", "c2free"])
+def test_block_sum_matches_biproduct_formula(ring_name, request):
+    # f (+) g = j_s f p_s + j_t g p_t, on every pair of 1 x 1 and 1 x 2
+    # blocks between base objects
+    view = complete(request.getfixturevalue(ring_name))
+    objects = view.base.objects
+    shapes = [(s, t) for s in enumerate_objsums(objects, 2) if s
+              for t in enumerate_objsums(objects, 1) if t]
+    for (s, t), (u, w) in itertools.product(shapes[:4], repeat=2):
+        _, _, p_s, p_u = view.biproduct(s, u)
+        j_t, j_w, _, _ = view.biproduct(t, w)
+        for f in itertools.islice(view.hom_elements(s, t), 4):
+            for g in itertools.islice(view.hom_elements(u, w), 4):
+                want = view.add(view.compose(view.compose(j_t, f), p_s),
+                                view.compose(view.compose(j_w, g), p_u))
+                assert view.block_sum(f, g) == want
+
+
 def _random_matrix(view, src, dst, rng):
     entries = []
     for b in dst:

@@ -6,7 +6,7 @@ from ringoids.intlinalg import (AbPresentation, Elimination, IntMatrix,
                                 hom_is_isomorphism,
                                 hom_kernel_lattice, kernel_presentation,
                                 lattice_basis, lattice_contains,
-                                left_kernel_rows, smith_normal_form,
+                                lattices_equal, left_kernel_rows, smith_normal_form,
                                 solve_row_combinations)
 
 small_matrices = st.integers(0, 4).flatmap(
@@ -402,3 +402,60 @@ def test_tampered_combination_fails_the_solution_check():
     elim.pivots[0] = (j, unit, row, {i: -c for i, c in comb.items()})
     with pytest.raises(ArithmeticError):
         elim.solve([rows[0]])
+
+
+def echelon_lattice_basis(rows, n):
+    """Reference: an independent basis of the row lattice by integer row
+    echelon, each new row reduced against the basis row with the same
+    pivot column by the extended Euclidean algorithm."""
+    basis = []  # kept sorted by pivot column, each row led by its pivot
+    for vec in rows:
+        vec = list(vec)
+        j = 0
+        while True:
+            while j < n and vec[j] == 0:
+                j += 1
+            if j == n:
+                break
+            pos = next((idx for idx, (pj, _) in enumerate(basis) if pj == j), None)
+            if pos is None:
+                basis.append((j, vec))
+                basis.sort(key=lambda t: t[0])
+                break
+            row = basis[pos][1]
+            a, b = row[j], vec[j]
+            if b % a == 0:
+                q = b // a
+                for k in range(j, n):
+                    vec[k] -= q * row[k]
+            else:
+                x, y, g = _xgcd(a, b)
+                ag, bg = a // g, b // g
+                for k in range(j, n):
+                    rk, vk = row[k], vec[k]
+                    row[k] = x * rk + y * vk
+                    vec[k] = -bg * rk + ag * vk
+    return [row for _, row in basis]
+
+
+def _xgcd(a, b):
+    x, nx, y, ny, g, ng = 1, 0, 0, 1, a, b
+    while ng:
+        q = g // ng
+        x, nx = nx, x - q * nx
+        y, ny = ny, y - q * ny
+        g, ng = ng, g - q * ng
+    return x, y, g
+
+
+@settings(max_examples=300, deadline=None)
+@given(_relation_matrices())
+def test_lattice_basis_matches_echelon_reference(case):
+    rows, n = case
+    basis = lattice_basis(rows, n)
+    ref = echelon_lattice_basis(rows, n)
+    assert len(basis) == len(ref)
+    assert lattices_equal(basis, ref, n)
+    assert lattices_equal(basis, rows, n)
+    # independent: as many rows as the rank of the lattice
+    assert len(left_kernel_rows(basis, n)) == 0

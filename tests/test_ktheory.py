@@ -9,7 +9,7 @@ from ringoids import (AbPresentation, CeilingExceeded, FinAbGroup, Ideal,
                       k0_bounded, k0_induced, k0_relative, k1_bounded,
                       matrix_ring, ring_units, scalar_ringoid, tensor, unitize,
                       validate, validate_hom, zero_ideal, zero_moduloid)
-from ringoids.intlinalg import hom_well_defined
+from ringoids.intlinalg import hom_well_defined, lattices_equal
 from ringoids.ktheory import (GLGroup, bass_generators, certify_gl_order,
                               count_vector, determinant_of_matmorphism,
                               stabilization_embedding)
@@ -180,6 +180,96 @@ def unitized_ideal_two(ideal_two_moduloid):
 @pytest.fixture(scope="module")
 def unitized_f2(f2):
     return unitize(forget_units(f2))
+
+
+@pytest.fixture(scope="module")
+def unitized_f2xf2(f2xf2_moduloid):
+    return unitize(forget_units(f2xf2_moduloid))
+
+
+@pytest.fixture(scope="module")
+def unitized_f2c2(f2c2):
+    return unitize(forget_units(f2c2))
+
+
+def orthogonal_pair_relations(r, ic):
+    """Reference: the relations among the classes of `ic` found by search,
+    [0] = 0 once and [p] + [q] = [p + q] for every orthogonal pair p, q of
+    idempotents of one End(a)."""
+    n = len(ic.reps)
+    relations = []
+    for a in r.objects:
+        zc = ic.class_of.get((a, r.zero(a, a)))
+        if zc is not None:
+            row = [0] * n
+            row[zc] = 1
+            relations.append(row)
+            break
+    for a in r.objects:
+        hom = r.hom(a, a)
+        local = [p for (b, p) in ic.class_of if b == a]
+        for i, p in enumerate(local):
+            for q in local[i:]:
+                if (r.compose(a, a, a, p, q) == hom.zero()
+                        and r.compose(a, a, a, q, p) == hom.zero()):
+                    row = [0] * n
+                    row[ic.class_of[(a, p)]] += 1
+                    row[ic.class_of[(a, q)]] += 1
+                    row[ic.class_of[(a, hom.add(p, q))]] -= 1
+                    if any(row):
+                        relations.append(row)
+    return relations
+
+
+def _assert_type_vector_relations_match_pair_search(r):
+    ic = idem_classes(r)
+    assert not ic.undecided_pairs
+    ref = orthogonal_pair_relations(r, ic)
+    assert lattices_equal(ic.relations, ref, len(ic.reps))
+    assert ic.presentation == AbPresentation(len(ic.reps), ref)
+
+
+@settings(max_examples=30, deadline=None)
+@given(incidence_ringoids())
+def test_idem_relations_match_pair_search_on_incidence_ringoids(r):
+    _assert_type_vector_relations_match_pair_search(r)
+
+
+@pytest.mark.parametrize("ring_name", ["unitized_ideal_two", "unitized_f2",
+                                       "unitized_f2xf2", "unitized_f2c2",
+                                       "f2xf2_moduloid", "morita"])
+def test_idem_relations_match_pair_search(ring_name, request):
+    _assert_type_vector_relations_match_pair_search(
+        request.getfixturevalue(ring_name))
+
+
+def test_idem_classes_never_enumerate_an_end_over_the_ceiling(morita,
+                                                              monkeypatch):
+    # End(2) = M2(F2) has 16 elements, End(1) = F2 has 2
+    enumerated = []
+    elements = FinAbGroup.elements
+
+    def spy(group):
+        enumerated.append(group.order())
+        return elements(group)
+
+    monkeypatch.setattr(FinAbGroup, "elements", spy)
+    ic = idem_classes(morita, ceiling=8)
+    assert enumerated and max(enumerated) <= 8
+    assert ("2", 16, 8) in [(u.subject, u.size, u.ceiling)
+                            for u in ic.undecided_pairs]
+    assert ic.reps == (("1", (0,)), ("1", (1,)))
+
+
+def test_fibration_undecided_relative_k0_has_no_verdict(z4):
+    # |End(*)| in J+ = (2)+ is 2 * 4 = 8, over the ceiling; Z/4 and Z/4/(2)
+    # are decided at it
+    j = Ideal(z4, {("*", "*"): ((2,),)})
+    rep = fibration_check(z4, j, 2, ceiling=4)
+    assert rep.k0_ideal.undecided
+    assert not rep.k0_total.undecided and not rep.k0_quotient.undecided
+    assert rep.undecided
+    assert rep.composite_zero is None and rep.exact is None
 
 
 def test_fibration_reports_undecided_not_inexact(f2xf2_moduloid):
