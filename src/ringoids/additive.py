@@ -14,7 +14,10 @@ orthogonal idempotents and classifies those up to equivalence; two formal
 sums are then isomorphic exactly when their type vectors (multisets of
 indecomposable types) agree, and the isomorphism is assembled from the
 splittings and verified.  The bounded iso-class table, whose group
-completion is the bounded K0, buckets sums by type vector.
+completion is the bounded K0, buckets sums by type vector.  Direct sum is
+commutative up to a permutation matrix, so the table classifies multisets
+of base objects only, each written as its sorted sum; any other ordering
+(a word) resolves through its sorted form (`IsoClassTable.class_of_word`).
 """
 
 from __future__ import annotations
@@ -464,27 +467,37 @@ class Decomposition:
 
 
 class IsoClassTable:
-    """Classification of all formal sums of length <= bound into certified
-    isomorphism classes, with the partial direct-sum table on classes.
+    """Classification of the multisets of base objects of size <= bound
+    into certified isomorphism classes.  A multiset is written as the sum
+    of its objects sorted by their position in `base.objects`; `class_of`
+    and `witnesses` are keyed by these sorted sums.  A word (a sum in any
+    order) lies in the class of its sorted form: `class_of_word`.
     `undecided_pairs` holds the `Undecided` records of the decomposition:
     when it is non-empty, classes may be split that are isomorphic."""
 
-    __slots__ = ("bound", "reps", "class_of", "oplus", "witnesses", "undecided_pairs")
+    __slots__ = ("bound", "reps", "class_of", "witnesses", "undecided_pairs",
+                 "_position")
 
-    def __init__(self, bound, reps, class_of, oplus, witnesses, undecided_pairs):
+    def __init__(self, bound, objects, reps, class_of, witnesses, undecided_pairs):
         self.bound = bound
         self.reps = tuple(reps)
         self.class_of = dict(class_of)
-        self.oplus = dict(oplus)
         self.witnesses = dict(witnesses)
         self.undecided_pairs = tuple(undecided_pairs)
+        self._position = {a: i for i, a in enumerate(objects)}
 
     @property
     def undecided(self):
         return bool(self.undecided_pairs)
 
+    def class_of_word(self, s):
+        """The class of the word s within the bound: the class of its sorted
+        form.  The permutation matrix that sorts s is an isomorphism by
+        construction (its inverse is its transpose), so it is never built."""
+        return self.class_of[tuple(sorted(s, key=self._position.__getitem__))]
+
     def __repr__(self):
-        return "IsoClassTable(bound=%d, %d classes, %d sums)" % (
+        return "IsoClassTable(bound=%d, %d classes, %d multisets)" % (
             self.bound, len(self.reps), len(self.class_of))
 
 
@@ -497,10 +510,19 @@ def enumerate_objsums(objects, bound):
     return out
 
 
+def enumerate_multisets(objects, bound):
+    """The multisets of objects of size <= bound, each as its sorted sum,
+    in `enumerate_objsums` order: the sorted words of that list."""
+    for n in range(bound + 1):
+        yield from itertools.combinations_with_replacement(objects, n)
+
+
 def iso_class_table(view, bound, ceiling=DEFAULT_CEILING):
-    """Bucket the formal sums of length <= bound by type vector.  The
-    representative of a class is its first sum in `enumerate_objsums`
-    order; every other member carries a verified witness to it."""
+    """Bucket the multisets of size <= bound by type vector.  The
+    representative of a class is its first multiset in `enumerate_multisets`
+    order, which is also its first word in `enumerate_objsums` order: the
+    sorted form of a word has its class and comes no later.  Every other
+    multiset carries a verified witness to it."""
     if not view.has_identities:
         raise StructuralError("iso classes need a unital base")
     dec = view.decomposition(ceiling)
@@ -508,7 +530,7 @@ def iso_class_table(view, bound, ceiling=DEFAULT_CEILING):
     class_of = {}
     witnesses = {}
     first = {}
-    for s in enumerate_objsums(view.base.objects, bound):
+    for s in enumerate_multisets(view.base.objects, bound):
         key = dec.type_vector(s)
         assigned = first.get(key)
         if assigned is None:
@@ -518,9 +540,5 @@ def iso_class_table(view, bound, ceiling=DEFAULT_CEILING):
         else:
             witnesses[s] = dec.isomorphism(s, reps[assigned])
         class_of[s] = assigned
-    oplus = {}
-    for i, r1 in enumerate(reps):
-        for j, r2 in enumerate(reps):
-            if len(r1) + len(r2) <= bound:
-                oplus[(i, j)] = class_of[r1 + r2]
-    return IsoClassTable(bound, reps, class_of, oplus, witnesses, dec.undecided)
+    return IsoClassTable(bound, view.base.objects, reps, class_of, witnesses,
+                         dec.undecided)

@@ -51,6 +51,13 @@ def _note(msg):
     sys.stderr.write(msg + "\n")
 
 
+def _emit_rgd(args, text, ok, machine_obj):
+    """Emit a printed RGD document, so that human-format stdout parses
+    again, and its validation status on stderr."""
+    _emit(args, [text.rstrip("\n")], machine_obj)
+    _note("validation: %s" % ("clean" if ok else "FAILED"))
+
+
 def _presentation_json(p):
     return {"rank": p.rank, "torsion": list(p.torsion), "text": str(p)}
 
@@ -188,9 +195,8 @@ def cmd_unitize(args, doc):
     rep = validate(mplus)
     out_doc = document_from(ringoids=[mplus])
     text = print_rgd(out_doc)
-    lines = [text.rstrip("\n"), "validation: %s" % ("clean" if rep.ok else "FAILED")]
-    _emit(args, lines, {"op": "unitize", "ringoid": r.name, "rgd": text,
-                        "ok": rep.ok})
+    _emit_rgd(args, text, rep.ok, {"op": "unitize", "ringoid": r.name,
+                                   "rgd": text, "ok": rep.ok})
     return EXIT_OK if rep.ok else EXIT_FAIL
 
 
@@ -206,9 +212,8 @@ def cmd_quotient(args, doc):
     q, _qhom = quotient(m, ideal)
     qrep = validate(q)
     text = print_rgd(document_from(ringoids=[q]))
-    lines = [text.rstrip("\n"), "validation: %s" % ("clean" if qrep.ok else "FAILED")]
-    _emit(args, lines, {"op": "quotient", "ringoid": of_name, "rgd": text,
-                        "ok": qrep.ok})
+    _emit_rgd(args, text, qrep.ok, {"op": "quotient", "ringoid": of_name,
+                                    "rgd": text, "ok": qrep.ok})
     return EXIT_OK if qrep.ok else EXIT_FAIL
 
 
@@ -231,10 +236,10 @@ def cmd_tensor(args, doc):
     tp = tensor(m, n, over=over)
     rep = validate(tp.ringoid)
     text = print_rgd(document_from(ringoids=[tp.ringoid]))
-    lines = [text.rstrip("\n"), "validation: %s" % ("clean" if rep.ok else "FAILED")]
-    _emit(args, lines, {"op": "tensor", "left": m.name, "right": n.name,
-                        "over": over.name if over is not None else "Z",
-                        "rgd": text, "ok": rep.ok})
+    _emit_rgd(args, text, rep.ok, {"op": "tensor", "left": m.name,
+                                   "right": n.name,
+                                   "over": over.name if over is not None else "Z",
+                                   "rgd": text, "ok": rep.ok})
     return EXIT_OK if rep.ok else EXIT_FAIL
 
 
@@ -252,9 +257,8 @@ def cmd_groupring(args, doc):
     ring = group_ringoid(g, r)
     rep = validate(ring)
     text = print_rgd(document_from(ringoids=[ring]))
-    lines = [text.rstrip("\n"), "validation: %s" % ("clean" if rep.ok else "FAILED")]
-    _emit(args, lines, {"op": "groupring", "groupoid": g.name, "ring": r.name,
-                        "rgd": text, "ok": rep.ok})
+    _emit_rgd(args, text, rep.ok, {"op": "groupring", "groupoid": g.name,
+                                   "ring": r.name, "rgd": text, "ok": rep.ok})
     return EXIT_OK if rep.ok else EXIT_FAIL
 
 

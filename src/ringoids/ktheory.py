@@ -20,10 +20,8 @@ abelianizations, read off the Cayley graph of GL_n on Bass's generators
 
 from __future__ import annotations
 
-import itertools
-
 from .additive import (DEFAULT_CEILING, MatMorphism, Undecided, complete,
-                       enumerate_objsums, iso_class_table)
+                       enumerate_multisets, enumerate_objsums, iso_class_table)
 from .groups import abelianization
 from .intlinalg import (AbPresentation, apply_rows, hom_is_isomorphism,
                         hom_kernel_lattice, hom_well_defined,
@@ -47,8 +45,9 @@ class CeilingExceeded(Exception):
 
 class KZeroResult:
     """Bounded K0: presentation on the base objects, one relation per
-    distinct non-zero difference [s] - [rep] of isomorphic formal sums
-    within the bound."""
+    distinct non-zero difference [s] - [rep] of isomorphic multisets
+    within the bound.  A word has the row of its sorted form, so the
+    words add no relation."""
 
     __slots__ = ("bound", "presentation", "gen_labels", "stabilized",
                  "stabilized_since", "undecided", "table", "per_bound")
@@ -311,7 +310,7 @@ def cofinality_check(r, bound, ceiling=DEFAULT_CEILING):
 
     def key_of(flat):
         if len(flat) <= bound:
-            return ("class", table.class_of[flat])
+            return ("class", table.class_of_word(flat))
         return ("flat", flat)
 
     buckets = {}
@@ -372,8 +371,9 @@ class FibrationReport:
 
 
 def free_class_of_idempotent(view, a, p, bound, ceiling=DEFAULT_CEILING):
-    """The free class of an idempotent p in End(a): the first sum t within
-    the bound whose type vector equals that of im(p), returned after its
+    """The free class of an idempotent p in End(a): the first multiset t
+    within the bound (in `enumerate_multisets` order, so also the first
+    word) whose type vector equals that of im(p), returned after its
     splitting v . u = 1_t, u . v = p has been built and verified.  None
     when no sum within the bound has that type vector.  Undecided when
     im(p) cannot be split within the ceiling, or when no sum matches while
@@ -384,7 +384,7 @@ def free_class_of_idempotent(view, a, p, bound, ceiling=DEFAULT_CEILING):
     if isinstance(summands, Undecided):
         return summands
     key = dec.key(summands)
-    for t in enumerate_objsums(view.base.objects, bound):
+    for t in enumerate_multisets(view.base.objects, bound):
         if dec.type_vector(t) == key:
             dec.splitting(t, a, p, summands)
             return t
@@ -395,9 +395,12 @@ def fibration_check(m, ideal, bound, ceiling=DEFAULT_CEILING):
     """Degree-zero exactness of K(J) -> K(M) -> K(M/J) for an ideal in a
     unital moduloid: composite zero and image = kernel at K0(M), exactly.
     `undecided` is set when any of the three K0s, or the free class of some
-    idempotent class of J+, has an Undecided record; `composite_zero` and
-    `exact` are then None (unknown).  A class with no free class within
-    the bound makes `exact` False."""
+    idempotent class of J+, has an Undecided record.  `unresolved_classes`
+    lists the idempotent classes of J+ with no certified free class within
+    the bound: such a class lives in the K0 of the idempotent completion,
+    not of free sums, so its image is not known here.  When either is
+    non-empty, `composite_zero` and `exact` are None (unknown), and these
+    two fields record why."""
     from .moduloids import ideal_moduloid, quotient
 
     if not m.unital:
@@ -440,20 +443,17 @@ def fibration_check(m, ideal, bound, ceiling=DEFAULT_CEILING):
         inclusion_rows.append(apply_rows(vec, class_images, len(objects))
                               if resolved else None)
 
-    images = [jmap.apply(row) for row in inclusion_rows if row is not None]
-    composite_zero = (None not in inclusion_rows
-                      and all(k0q.presentation.kills(images)))
-    # exactness at K0(M): image lattice of i_* equals kernel lattice of j_*
-    lam_m = [list(r) for r in k0m.presentation.relations]
-    image_rows = [row for row in inclusion_rows if row is not None] + lam_m
-    kernel_rows = hom_kernel_lattice(k0m.presentation.relations,
-                                     k0q.presentation.relations,
-                                     jmap.matrix, len(objects),
-                                     len(quot.objects))
-    exact = (not unresolved
-             and lattices_equal(image_rows, kernel_rows, len(objects)))
-    if undecided:
-        composite_zero = exact = None
+    composite_zero = exact = None
+    if not (undecided or unresolved):
+        images = [jmap.apply(row) for row in inclusion_rows]
+        composite_zero = all(k0q.presentation.kills(images))
+        # exactness at K0(M): image lattice of i_* equals kernel lattice of j_*
+        image_rows = inclusion_rows + [list(r) for r in k0m.presentation.relations]
+        kernel_rows = hom_kernel_lattice(k0m.presentation.relations,
+                                         k0q.presentation.relations,
+                                         jmap.matrix, len(objects),
+                                         len(quot.objects))
+        exact = lattices_equal(image_rows, kernel_rows, len(objects))
     return FibrationReport(rel, k0m, k0q, inclusion_rows, jmap,
                            composite_zero, exact, undecided, unresolved)
 
@@ -749,39 +749,6 @@ def k1_bounded(r, n_max, ceiling=DEFAULT_CEILING):
         steps.append(StabilizationStep(n, matrix, iso))
     last_step_iso = steps[-1].is_isomorphism if steps else None
     return KOneResult(ranks, groups, steps, last_step_iso, truncated_at)
-
-
-def determinant_of_matmorphism(r, f):
-    """Leibniz determinant of a square matrix over a one-object commutative
-    base; used only as a checkable property of the computed GL groups."""
-    obj = r.objects[0]
-    hom = r.hom(obj, obj)
-    n = len(f.src)
-    total = hom.zero()
-    for perm in itertools.permutations(range(n)):
-        sign = _perm_sign(perm)
-        prod = r.identity(obj)
-        for i in range(n):
-            prod = r.compose(obj, obj, obj, prod, f.entries[i][perm[i]])
-        total = hom.add(total, hom.smul(sign, prod))
-    return total
-
-
-def _perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def ring_units(r):

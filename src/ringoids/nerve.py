@@ -179,7 +179,9 @@ def k0_via_nerve(r, bound, ceiling=DEFAULT_CEILING, view=None, table=None):
     level-1 isomorphism category glues (s)(t)^-1; the degenerate 1-cell of
     the zero object is collapsed.  The group is abelian modulo these
     relations, so each relator is recorded as its exponent-sum row:
-    e_() first, then e_s - e_rep, then e_s + e_t - e_(s+t)."""
+    e_() first, then e_s - e_rep for each sum s in order, then
+    e_s + e_t - e_(s+t).  The isomorphism s -> rep is the permutation
+    sorting s followed by the table's witness for the sorted form."""
     if view is None:
         view = complete(r)
     if table is None:
@@ -196,8 +198,8 @@ def k0_via_nerve(r, bound, ceiling=DEFAULT_CEILING, view=None, table=None):
         return row
 
     rows = [relator([()])]
-    for s, cls in table.class_of.items():
-        rep = table.reps[cls]
+    for s in sums:
+        rep = table.reps[table.class_of_word(s)]
         if s != rep:
             rows.append(relator([s], [rep]))
     for s in sums:
@@ -230,7 +232,10 @@ def oracle_compare(r, bound, ceiling=DEFAULT_CEILING):
     """Run the monoid-completion K0 and the nerve oracle at the same bound
     and certify they agree: equal normal forms, and the generator-wise
     comparison maps are mutually inverse isomorphisms of the presented
-    groups."""
+    groups.  The bound must be at least 1, so that the base objects are
+    generators of the nerve side."""
+    if bound < 1:
+        raise StructuralError("oracle comparison needs a bound of at least 1")
     view = complete(r)
     table = iso_class_table(view, bound, ceiling=ceiling)
     k0 = k0_bounded(r, bound, ceiling=ceiling, view=view, table=table)

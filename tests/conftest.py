@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import strategies as st
 
@@ -52,6 +54,12 @@ def f2c2(c2_groupoid, f2):
 def disc2(f2):
     """Two discrete objects over F2."""
     return group_ringoid(discrete_groupoid(("a", "b")), f2)
+
+
+@pytest.fixture(scope="session")
+def disc3(f2):
+    """Three discrete objects over F2."""
+    return group_ringoid(discrete_groupoid(("a", "b", "c")), f2)
 
 
 @pytest.fixture(scope="session")
@@ -177,3 +185,36 @@ def t2f2():
     primitive idempotents that are not equivalent."""
     return elementary_ringoid({"*": 2}, "T2(F2)",
                               {("*", "*"): [(0, 0), (0, 1), (1, 1)]})
+
+
+def determinant_of_matmorphism(r, f):
+    """Leibniz determinant of a square matrix over a one-object commutative
+    base; a checkable property of the computed GL groups."""
+    obj = r.objects[0]
+    hom = r.hom(obj, obj)
+    n = len(f.src)
+    total = hom.zero()
+    for perm in itertools.permutations(range(n)):
+        sign = _perm_sign(perm)
+        prod = r.identity(obj)
+        for i in range(n):
+            prod = r.compose(obj, obj, obj, prod, f.entries[i][perm[i]])
+        total = hom.add(total, hom.smul(sign, prod))
+    return total
+
+
+def _perm_sign(perm):
+    sign = 1
+    seen = [False] * len(perm)
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        length = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign

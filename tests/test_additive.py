@@ -11,7 +11,7 @@ from ringoids import (FinAbGroup, FiniteRingoid, FinGroup, GSet, IsoWitness,
                       group_as_groupoid, group_ringoid, iso_class_table,
                       map_completion, matrix_ring, print_rgd, product_ring,
                       transport_groupoid, validate)
-from ringoids.additive import DEFAULT_CEILING
+from ringoids.additive import DEFAULT_CEILING, enumerate_multisets
 from ringoids.cli import run
 from ringoids.ktheory import free_class_of_idempotent
 
@@ -169,8 +169,6 @@ def test_iso_class_table_f2(f2):
     view = complete(f2)
     table = iso_class_table(view, 3)
     assert len(table.reps) == 4  # ranks 0..3, no collapse
-    assert table.oplus[(1, 1)] == 2
-    assert table.oplus[(1, 2)] == 3
     assert not table.undecided
 
 
@@ -187,17 +185,19 @@ def test_iso_class_table_zero_ring(zero):
     assert len(table.reps) == 1  # everything is isomorphic to 0
 
 
-def test_oplus_commutative(f2, z4):
-    for ring in (f2, z4):
-        view = complete(ring)
-        table = iso_class_table(view, 3)
-        for (i, j), cls in table.oplus.items():
-            assert table.oplus[(j, i)] == cls
-
-
 def test_objsum_enumeration_order(f2):
     sums = enumerate_objsums(f2.objects, 2)
     assert sums == [(), ("*",), ("*", "*")]
+
+
+def test_multisets_are_the_sorted_words(disc2):
+    objects = disc2.objects
+    words = enumerate_objsums(objects, 3)
+    # the non-decreasing words, in the same order
+    ordered = [s for s in words
+               if all(objects.index(x) <= objects.index(y)
+                      for x, y in zip(s, s[1:]))]
+    assert list(enumerate_multisets(objects, 3)) == ordered
 
 
 def test_map_completion_entrywise(z4, f2):
@@ -398,7 +398,13 @@ def _reference_table(view, bound):
 def _assert_matches_reference(view, bound):
     table = iso_class_table(view, bound)
     assert not table.undecided
-    assert (table.reps, table.class_of) == _reference_table(view, bound)
+    reps, class_of = _reference_table(view, bound)
+    assert table.reps == reps
+    # every word, through its sorted form
+    assert {s: table.class_of_word(s) for s in class_of} == class_of
+    # the table itself holds the multisets only, each with its witness
+    multisets = list(enumerate_multisets(view.base.objects, bound))
+    assert list(table.class_of) == list(table.witnesses) == multisets
     for s, w in table.witnesses.items():
         rep = table.reps[table.class_of[s]]
         if w is None:

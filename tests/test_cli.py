@@ -276,7 +276,7 @@ def test_tensor_command(tmp_path, capsys):
     code = run(["tensor", "--input", str(path)])
     captured = capsys.readouterr()
     assert code == 0
-    assert "validation: clean" in captured.out
+    assert "validation: clean" in captured.err
     assert "tensoring over Z" in captured.err
     # F2 (x)_Z Z/3 collapses: no hom lines survive in the printed result
     assert "cyclic" not in captured.out
@@ -291,9 +291,9 @@ def test_tensor_output_validates(tmp_path, capsys, f2, f2xf2_moduloid, over_f2):
             else TWO_RINGS_DOC)
     path.write_text(text, encoding="utf-8")
     assert run(["tensor", "--input", str(path)]) == 0
-    out = capsys.readouterr().out
-    rgd_text, status = out.rstrip("\n").rsplit("\n", 1)
-    assert status == "validation: clean"
+    captured = capsys.readouterr()
+    rgd_text = captured.out.rstrip("\n")
+    assert captured.err.splitlines()[-1] == "validation: clean"
     assert ("ringoid F2(x)_{F2}F2xF2/F2" if over_f2
             else "ringoid F2(x)_{Z}Z3") in rgd_text
     assert run(["tensor", "--input", str(path), "--format", "machine"]) == 0
@@ -303,6 +303,18 @@ def test_tensor_output_validates(tmp_path, capsys, f2, f2xf2_moduloid, over_f2):
     printed.write_text(machine["rgd"], encoding="utf-8")
     assert run(["validate", "--input", str(printed)]) == 0
     assert "clean" in capsys.readouterr().out
+
+
+def test_tensor_stdout_is_valid_rgd(tmp_path, capsys):
+    # human-format stdout is the printed document alone, so it can be
+    # passed on to another subcommand as it is
+    path = tmp_path / "two.rgd"
+    path.write_text(TWO_RINGS_DOC, encoding="utf-8")
+    assert run(["tensor", "--input", str(path)]) == 0
+    printed = tmp_path / "product.rgd"
+    printed.write_text(capsys.readouterr().out, encoding="utf-8")
+    assert run(["validate", "--input", str(printed)]) == 0
+    assert capsys.readouterr().out == "ringoid F2(x)_{Z}Z3: clean\n"
 
 
 FRONTIER_K1 = {

@@ -1,18 +1,18 @@
 import pytest
 from hypothesis import given, settings
 
-from conftest import incidence_ringoids
+from conftest import determinant_of_matmorphism, incidence_ringoids
 from ringoids import (AbPresentation, CeilingExceeded, FinAbGroup, Ideal,
                       RingoidHom, cofinality_check, complete, cyclic_ring,
                       enumerate_objsums, exterior_product, fibration_check,
                       forget_units, gl, gl_order, idem_classes, improper_ideal,
                       k0_bounded, k0_induced, k0_relative, k1_bounded,
-                      matrix_ring, ring_units, scalar_ringoid, tensor, unitize,
-                      validate, validate_hom, zero_ideal, zero_moduloid)
+                      matrix_ring, product_ring, ring_units, scalar_ringoid,
+                      tensor, unitize, validate, validate_hom, with_self_scalar,
+                      zero_ideal, zero_moduloid)
 from ringoids.intlinalg import hom_well_defined, lattices_equal
 from ringoids.ktheory import (GLGroup, bass_generators, certify_gl_order,
-                              count_vector, determinant_of_matmorphism,
-                              stabilization_embedding)
+                              count_vector, stabilization_embedding)
 from ringoids.ringoid import StructuralError, tabulate
 
 Z = AbPresentation.free(1)
@@ -33,6 +33,15 @@ def test_k0_f2(f2):
 def test_k0_matrix_ring(m2f2):
     res = k0_bounded(m2f2, 2)
     assert res.presentation == Z
+
+
+@pytest.mark.parametrize("ring_name,bound", [("disc3", 12), ("c2free", 16)])
+def test_k0_far_beyond_the_stabilization_length(request, ring_name, bound):
+    # the table classifies multisets, so these bounds take seconds
+    res = k0_bounded(request.getfixturevalue(ring_name), bound)
+    assert res.presentation == AbPresentation.free(3 if ring_name == "disc3" else 1)
+    assert res.stabilized_since == 2
+    assert not res.undecided
 
 
 def test_k0_zero_ring(zero):
@@ -278,12 +287,32 @@ def test_fibration_reports_undecided_not_inexact(f2xf2_moduloid):
     # ... which are not free: at the default ceiling that is certified
     rep = fibration_check(f2xf2_moduloid, j, 2)
     assert not rep.undecided and rep.unresolved_classes
-    assert rep.exact is False
+    # their images live in the K0 of idempotents, not of free sums
+    assert rep.exact is None and rep.composite_zero is None
     # |Hom(*, *)|^2 = 16 is needed to tell e1 from e2; below it the free
     # classes are unknown, and so is exactness
     rep = fibration_check(f2xf2_moduloid, j, 2, ceiling=8)
     assert rep.undecided
     assert rep.exact is None and rep.composite_zero is None
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3])
+@pytest.mark.parametrize("ring", ["F2xF2", "Z/6"])
+def test_fibration_unresolved_classes_give_no_verdict(ring, bound):
+    # the zero ideal: K0(J) = 0, so the composite is zero, but the classes
+    # of the two primitive idempotents of J+ (both rings are products of
+    # two fields) have no free class; an unresolved class gives no
+    # verdict, never a false one
+    if ring == "F2xF2":
+        base = product_ring(cyclic_ring(2, scalar=False),
+                            cyclic_ring(2, scalar=False))
+    else:
+        base = cyclic_ring(6, scalar=False)
+    m = with_self_scalar(base)
+    rep = fibration_check(m, zero_ideal(m), bound)
+    assert rep.k0_ideal.presentation.is_trivial()
+    assert not rep.undecided and len(rep.unresolved_classes) == 2
+    assert rep.composite_zero is None and rep.exact is None
 
 
 @pytest.mark.parametrize("ring_name", ["f2", "z4", "zero"])
@@ -570,11 +599,11 @@ def test_k0_relations_are_distinct_and_nonzero(ring_name, request):
     rows = res.presentation.relations
     assert all(any(row) for row in rows)
     assert len(set(rows)) == len(rows)
-    # the same groups as one raw row per non-representative sum
+    # the same groups as one raw row per non-representative word
     objects = list(ring.objects)
     raw = []
-    for s, cls in res.table.class_of.items():
-        rep = res.table.reps[cls]
+    for s in enumerate_objsums(objects, bound):
+        rep = res.table.reps[res.table.class_of_word(s)]
         if s != rep:
             raw.append((len(s), [x - y for x, y in zip(count_vector(s, objects),
                                                        count_vector(rep, objects))]))

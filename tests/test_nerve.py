@@ -7,6 +7,7 @@ from ringoids import (AbPresentation, check_simplicial_identities, complete,
                       k0_bounded, k0_via_nerve, nerve_level, oracle_compare)
 from ringoids.intlinalg import hom_well_defined
 from ringoids.nerve import NerveLevel
+from ringoids.ringoid import StructuralError
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +109,8 @@ def _nerve_words(r, bound):
     sums = enumerate_objsums(r.objects, bound)
     index = {s: i + 1 for i, s in enumerate(sums)}
     relators = [(index[()],)]
-    for s, cls in table.class_of.items():
-        rep = table.reps[cls]
+    for s in sums:
+        rep = table.reps[table.class_of_word(s)]
         if s != rep:
             relators.append((index[s], -index[rep]))
     for s in sums:
@@ -228,6 +229,12 @@ def test_oracle_compare(ring_name, request):
     assert rep.match
     assert rep.map_forward_ok and rep.map_backward_ok
     assert rep.ok
+
+
+def test_oracle_compare_needs_a_positive_bound(f2):
+    # at bound 0 the base objects are not among the nerve's generators
+    with pytest.raises(StructuralError, match="bound of at least 1"):
+        oracle_compare(f2, 0)
 
 
 def test_oracle_compare_two_object_ringoid(z4):
