@@ -3,8 +3,9 @@ decidable shadows of their K-theory: bounded K0 by Grothendieck completion,
 bounded K1 by GL abelianization, a nerve-based fundamental-group oracle,
 and degree-zero assembly maps.  Exact integer arithmetic throughout.
 
-All values are immutable after construction and every operation is pure,
-so everything here is safe to use from concurrent threads.
+Every operation is pure and every value is immutable after construction,
+apart from caches filled once and idempotently (a ringoid's composition
+tables and its completion), so everything here is thread-safe.
 """
 
 from .intlinalg import (AbPresentation, IntMatrix, cokernel, determinant,
@@ -33,10 +34,9 @@ from .groupoids import (FinGroupoid, GSet, PiRing, PiRingError,
 from .ktheory import (CeilingExceeded, KOneResult, KZeroResult,
                       RelativeKZeroResult, cofinality_check, exterior_product,
                       fibration_check, gl, gl_order, idem_classes,
-                      k0_bounded, k0_induced, k0_relative, k1_bounded,
-                      ring_units)
+                      k0_bounded, k0_induced, k0_relative, k1_bounded)
 from .nerve import (NerveLevel, check_simplicial_identities, degeneracy, face,
-                    k0_via_nerve, nerve_level, oracle_compare)
+                    k0_via_nerve, oracle_compare)
 from .assembly import (AssemblyZeroMap, assembly_zero,
                        equivariant_assembly_zero, naturality_check)
 from .rgd import (RGDDocument, RGDSemanticError, RGDSyntaxError, document_from,

@@ -82,16 +82,17 @@ class IsoWitness:
 
 
 class AdditiveView:
-    """The completion R_+ of a validated base ringoid."""
+    """The completion R_+ of a validated base ringoid (see `complete`)."""
 
     def __init__(self, base):
         self.base = base
         self.has_identities = base.unital
         self._decompositions = {}
+        self._tables = {}
 
     def decomposition(self, ceiling=DEFAULT_CEILING):
         """The Krull-Schmidt decomposition of the base objects at this
-        ceiling, computed once per view."""
+        ceiling, computed once per ringoid."""
         dec = self._decompositions.get(ceiling)
         if dec is None:
             dec = self._decompositions[ceiling] = Decomposition(self, ceiling)
@@ -137,12 +138,6 @@ class AdditiveView:
             [base.hom(f.src[j], f.dst[i]).add(f.entries[i][j], g.entries[i][j])
              for j in range(len(f.src))] for i in range(len(f.dst))])
 
-    def neg(self, f):
-        base = self.base
-        return MatMorphism(f.src, f.dst, [
-            [base.hom(f.src[j], f.dst[i]).neg(f.entries[i][j])
-             for j in range(len(f.src))] for i in range(len(f.dst))])
-
     def compose(self, f, g):
         """f . g for g: a -> b and f: b -> c (matrix product)."""
         if g.dst != f.src:
@@ -166,22 +161,15 @@ class AdditiveView:
     # -- biproduct structure ----------------------------------------------
 
     def biproduct(self, s, t):
-        """Canonical (i_s, i_t, p_s, p_t) for the concatenation s + t."""
-        st = tuple(s) + tuple(t)
-        zero = self.base.zero
-        i_s = MatMorphism(s, st, [[self.base.identity(a) if (i < len(s) and i == j)
-                                   else zero(s[j], st[i]) for j in range(len(s))]
-                                  for i, a in enumerate(st)])
-        i_t = MatMorphism(t, st, [[self.base.identity(a) if (i >= len(s) and i - len(s) == j)
-                                   else zero(t[j], st[i]) for j in range(len(t))]
-                                  for i, a in enumerate(st)])
-        p_s = MatMorphism(st, s, [[self.base.identity(a) if (j < len(s) and i == j)
-                                   else zero(st[j], s[i]) for j in range(len(st))]
-                                  for i, a in enumerate(s)])
-        p_t = MatMorphism(st, t, [[self.base.identity(a) if (j >= len(s) and j - len(s) == i)
-                                   else zero(st[j], t[i]) for j in range(len(st))]
-                                  for i, a in enumerate(t)])
-        return i_s, i_t, p_s, p_t
+        """Canonical (i_s, i_t, p_s, p_t) for the concatenation s + t: the
+        blocks of the identity of s + t."""
+        s, t = tuple(s), tuple(t)
+        one_s, one_t = self.identity(s).entries, self.identity(t).entries
+        s_to_t, t_to_s = self.zero(s, t).entries, self.zero(t, s).entries
+        return (MatMorphism(s, s + t, one_s + s_to_t),
+                MatMorphism(t, s + t, t_to_s + one_t),
+                MatMorphism(s + t, s, [a + b for a, b in zip(one_s, t_to_s)]),
+                MatMorphism(s + t, t, [a + b for a, b in zip(s_to_t, one_t)]))
 
     def block_sum(self, f, g):
         """The block-diagonal matrix f (+) g: f.src + g.src -> f.dst + g.dst,
@@ -231,19 +219,21 @@ class AdditiveView:
 
 
 def complete(base):
-    """The additive completion view of a validated ringoid."""
-    return AdditiveView(base)
+    """The additive completion of a validated ringoid, built on first use
+    and kept in the ringoid: `complete(r) is complete(r)`."""
+    view = base._completion
+    if view is None:
+        view = base._completion = AdditiveView(base)
+    return view
 
 
 class CompletionFunctor:
     """The induced additive functor between completions: entrywise images."""
 
-    __slots__ = ("hom", "source_view", "target_view")
+    __slots__ = ("hom",)
 
-    def __init__(self, hom, source_view=None, target_view=None):
+    def __init__(self, hom):
         self.hom = hom
-        self.source_view = source_view or AdditiveView(hom.source)
-        self.target_view = target_view or AdditiveView(hom.target)
 
     def apply_object(self, s):
         return tuple(self.hom.apply_object(a) for a in s)
@@ -255,8 +245,8 @@ class CompletionFunctor:
         return MatMorphism(self.apply_object(f.src), self.apply_object(f.dst), entries)
 
 
-def map_completion(hom, source_view=None, target_view=None):
-    return CompletionFunctor(hom, source_view, target_view)
+def map_completion(hom):
+    return CompletionFunctor(hom)
 
 
 class Summand:
@@ -472,16 +462,19 @@ class IsoClassTable:
     of its objects sorted by their position in `base.objects`; `class_of`
     and `witnesses` are keyed by these sorted sums.  A word (a sum in any
     order) lies in the class of its sorted form: `class_of_word`.
+    `class_of_type` maps the type vector of each class to its index.
     `undecided_pairs` holds the `Undecided` records of the decomposition:
     when it is non-empty, classes may be split that are isomorphic."""
 
-    __slots__ = ("bound", "reps", "class_of", "witnesses", "undecided_pairs",
-                 "_position")
+    __slots__ = ("bound", "reps", "class_of", "class_of_type", "witnesses",
+                 "undecided_pairs", "_position")
 
-    def __init__(self, bound, objects, reps, class_of, witnesses, undecided_pairs):
+    def __init__(self, bound, objects, reps, class_of, class_of_type, witnesses,
+                 undecided_pairs):
         self.bound = bound
         self.reps = tuple(reps)
         self.class_of = dict(class_of)
+        self.class_of_type = dict(class_of_type)
         self.witnesses = dict(witnesses)
         self.undecided_pairs = tuple(undecided_pairs)
         self._position = {a: i for i, a in enumerate(objects)}
@@ -518,13 +511,15 @@ def enumerate_multisets(objects, bound):
 
 
 def iso_class_table(view, bound, ceiling=DEFAULT_CEILING):
-    """Bucket the multisets of size <= bound by type vector.  The
-    representative of a class is its first multiset in `enumerate_multisets`
-    order, which is also its first word in `enumerate_objsums` order: the
-    sorted form of a word has its class and comes no later.  Every other
-    multiset carries a verified witness to it."""
+    """Bucket the multisets of size <= bound by type vector, once per ringoid,
+    bound and ceiling.  The representative of a class is its first multiset
+    in `enumerate_multisets` order, which is also its first word in
+    `enumerate_objsums` order: the sorted form of a word has its class and
+    comes no later.  Every other multiset carries a verified witness to it."""
     if not view.has_identities:
         raise StructuralError("iso classes need a unital base")
+    if (bound, ceiling) in view._tables:
+        return view._tables[(bound, ceiling)]
     dec = view.decomposition(ceiling)
     reps = []
     class_of = {}
@@ -540,5 +535,6 @@ def iso_class_table(view, bound, ceiling=DEFAULT_CEILING):
         else:
             witnesses[s] = dec.isomorphism(s, reps[assigned])
         class_of[s] = assigned
-    return IsoClassTable(bound, view.base.objects, reps, class_of, witnesses,
-                         dec.undecided)
+    table = view._tables[(bound, ceiling)] = IsoClassTable(
+        bound, view.base.objects, reps, class_of, first, witnesses, dec.undecided)
+    return table

@@ -57,14 +57,11 @@ def _assemble(components, summand_results, target_result, gen_target_vectors):
                            target_result, matrix, ok, iso, undecided)
 
 
-def assembly_zero(pi, scalar, bound, ceiling=DEFAULT_CEILING,
-                  ringoid_result=None, ringoid=None):
+def assembly_zero(pi, scalar, bound, ceiling=DEFAULT_CEILING):
     """Degree-zero assembly for a groupoid pi and ring R: a copy of K0(R)
     per connected component, sent to the class of the chosen object."""
-    if ringoid is None:
-        ringoid = group_ringoid(pi, scalar)
-    if ringoid_result is None:
-        ringoid_result = k0_bounded(ringoid, bound, ceiling=ceiling)
+    ringoid = group_ringoid(pi, scalar)
+    ringoid_result = k0_bounded(ringoid, bound, ceiling=ceiling)
     components = orbit_skeleton(pi)
     k0r = k0_bounded(scalar, bound, ceiling=ceiling)
     tgt_objects = list(ringoid.objects)

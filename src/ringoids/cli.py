@@ -4,8 +4,8 @@ Subcommands: validate, complete, k0, k1, unitize, quotient, tensor,
 groupring, transport, assembly, nerve-check, oracle-compare.
 
 Exit codes: 0 success, 1 axiom or verification failure (including input
-errors), 2 some isomorphism test was undecided at the configured ceiling
-(or k1 stopped below --gl-max at the ceiling).
+and usage errors), 2 some isomorphism test was undecided at the configured
+ceiling (or k1 stopped below --gl-max at the ceiling).
 Results go to stdout, diagnostics to stderr.  All output is deterministic:
 the same input and flags produce byte-identical output.
 """
@@ -108,13 +108,16 @@ def cmd_validate(args, doc):
 
 
 def _require_ringoid(doc):
-    names = [name for kind, name in doc.order if kind == "ringoid"]
-    if not names:
+    """The first ringoid that no other one in the input takes as its scalar."""
+    rings = [doc.ringoids[name] for kind, name in doc.order if kind == "ringoid"]
+    if not rings:
         raise StructuralError("the input declares no ringoid")
-    if len(names) > 1:
-        _note("note: computing ringoid %s, the first in the input; ignoring %s"
-              % (names[0], ", ".join(names[1:])))
-    r = doc.ringoids[names[0]]
+    r = next((r for r in rings
+              if not any(o.scalar is r for o in rings if o is not r)), rings[0])
+    if len(rings) > 1:
+        _note("note: computing ringoid %s, the first that no other ringoid "
+              "takes as its scalar; ignoring %s"
+              % (r.name, ", ".join(o.name for o in rings if o is not r)))
     rep = validate(r)
     if not rep.ok:
         raise StructuralError("input ringoid %r fails validation: %s"
@@ -376,8 +379,15 @@ _FLAG_MINIMUM = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise, so that `run` exits 1: 2 means undecided here."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ringoids",
         description="Finite ringoids, their additive completions, and the "
                     "decidable shadows of their K-theory.")
@@ -397,7 +407,11 @@ def build_parser():
 
 def run(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except argparse.ArgumentError as exc:
+        _note("error: %s" % exc)
+        return EXIT_FAIL
     if args.command in _FLAG_MINIMUM:
         dest, least = _FLAG_MINIMUM[args.command]
         if getattr(args, dest) < least:

@@ -20,8 +20,10 @@ abelianizations, read off the Cayley graph of GL_n on Bass's generators
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .additive import (DEFAULT_CEILING, MatMorphism, Undecided, complete,
-                       enumerate_multisets, enumerate_objsums, iso_class_table)
+                       enumerate_objsums, iso_class_table)
 from .groups import abelianization
 from .intlinalg import (AbPresentation, apply_rows, hom_is_isomorphism,
                         hom_kernel_lattice, hom_well_defined,
@@ -77,13 +79,11 @@ def count_vector(objsum, objects):
     return vec
 
 
-def k0_bounded(r, bound, ceiling=DEFAULT_CEILING, view=None, table=None):
+def k0_bounded(r, bound, ceiling=DEFAULT_CEILING):
+    """Bounded K0, read off the iso-class table of the completion of r."""
     if not r.unital:
         raise StructuralError("absolute K0 needs a unital ringoid")
-    if view is None:
-        view = complete(r)
-    if table is None:
-        table = iso_class_table(view, bound, ceiling=ceiling)
+    table = iso_class_table(complete(r), bound, ceiling=ceiling)
     objects = list(r.objects)
     # each distinct non-zero row once, with the shortest sum length at which
     # it occurs; first-occurrence order keeps k0_induced's failing relation
@@ -297,52 +297,57 @@ class CofinalityReport:
 
 def cofinality_check(r, bound, ceiling=DEFAULT_CEILING):
     """K0 comparison for the strictly cofinal subcategory of sums of length
-    at least 2.  Relations on the subcategory side are harvested from single
-    objects and from pairs (2-tuples in its own completion): two pairs with
-    the same flattening are isomorphic by the identity matrix, and
-    flattenings within the ambient bound use the ambient classification."""
+    at least 2, on the table's multisets of length >= 2.  Its relations come
+    from the pairs (u, v) of its words, u no later than v in
+    `enumerate_objsums` order, with isomorphic flattenings within the bound
+    or one flattening beyond it.  Sparse rows span them, each sum read as
+    the first generator of its class: [u] = [c] for u in the class c;
+    [s] + [t] = [s t] within the bound; and [s] + [x t] = [s x] + [t] for an
+    object x with s x t beyond the bound when |s| + 1 < |t|, or when
+    |s| + 1 = |t| and s x is no later than t reversed."""
     ambient = k0_bounded(r, bound, ceiling=ceiling)
     table = ambient.table
     objects = list(r.objects)
-    sub_objs = [s for s in enumerate_objsums(r.objects, bound) if len(s) >= 2]
+    sub_objs = [s for s in table.class_of if len(s) >= 2]
     index = {s: i for i, s in enumerate(sub_objs)}
-    n = len(sub_objs)
+    first = {}
+    for s in sub_objs:
+        first.setdefault(table.class_of[s], s)
 
-    def key_of(flat):
-        if len(flat) <= bound:
-            return ("class", table.class_of_word(flat))
-        return ("flat", flat)
+    def first_of(word):
+        return first[table.class_of_word(word)]
 
-    buckets = {}
+    def no_later(u, v):
+        return [objects.index(a) for a in u] <= [objects.index(a) for a in v]
 
-    def put(key, vec):
-        buckets.setdefault(key, []).append(vec)
+    rows = {}
+
+    def relate(plus, minus):
+        row = Counter(index[s] for s in plus)
+        row.subtract(index[s] for s in minus)
+        rows.setdefault(tuple(sorted((j, c) for j, c in row.items() if c)))
 
     for s in sub_objs:
-        vec = [0] * n
-        vec[index[s]] = 1
-        put(key_of(s), vec)
+        relate([s], [first_of(s)])
     for i, s in enumerate(sub_objs):
         for t in sub_objs[i:]:
-            vec = [0] * n
-            vec[index[s]] += 1
-            vec[index[t]] += 1
-            put(key_of(s + t), vec)
+            if len(s) + len(t) <= bound:
+                relate([s, t], [first_of(s + t)])
+            if len(s) < len(t) < bound <= len(s) + len(t):
+                for x in objects:
+                    if len(s) + 1 < len(t) or no_later(s + (x,), t[::-1]):
+                        relate([s, first_of((x,) + t)],
+                               [first_of(s + (x,)), t])
     relations = []
-    for key in buckets:
-        pivot, *rest = buckets[key]
-        for vec in rest:
-            row = [a - b for a, b in zip(vec, pivot)]
-            if any(row):
-                relations.append(row)
-    sub_pres = AbPresentation(n, relations)
+    for key in filter(None, rows):
+        relations.append([0] * len(sub_objs))
+        for j, c in key:
+            relations[-1][j] = c
+    sub_pres = AbPresentation(len(sub_objs), relations)
     matrix = [count_vector(s, objects) for s in sub_objs]
     iso = hom_is_isomorphism(sub_pres, ambient.presentation, matrix)
-    witnesses = []
-    filler = sub_objs[0] if sub_objs else None
-    for s in enumerate_objsums(r.objects, 1):
-        if filler is not None and len(s + filler) <= bound:
-            witnesses.append((s, filler, s + filler))
+    witnesses = [(s, f, s + f) for f in sub_objs[:1]
+                 for s in enumerate_objsums(r.objects, 1) if len(s + f) <= bound]
     return CofinalityReport(sub_pres, ambient, matrix, iso, witnesses,
                             ambient.undecided)
 
@@ -371,24 +376,25 @@ class FibrationReport:
 
 
 def free_class_of_idempotent(view, a, p, bound, ceiling=DEFAULT_CEILING):
-    """The free class of an idempotent p in End(a): the first multiset t
-    within the bound (in `enumerate_multisets` order, so also the first
-    word) whose type vector equals that of im(p), returned after its
-    splitting v . u = 1_t, u . v = p has been built and verified.  None
-    when no sum within the bound has that type vector.  Undecided when
-    im(p) cannot be split within the ceiling, or when no sum matches while
-    the decomposition has undecided records (an unmerged type may hide
-    the match)."""
+    """The free class of an idempotent p in End(a): the representative t of
+    the class of the iso-class table whose type vector equals that of im(p)
+    (the first such multiset within the bound, so also the first word),
+    returned after its splitting v . u = 1_t, u . v = p has been built and
+    verified.  None when no sum within the bound has that type vector.
+    Undecided when im(p) cannot be split within the ceiling, or when no sum
+    matches while the decomposition has undecided records (an unmerged
+    type may hide the match)."""
     dec = view.decomposition(ceiling)
     summands = dec.split(a, p)
     if isinstance(summands, Undecided):
         return summands
-    key = dec.key(summands)
-    for t in enumerate_multisets(view.base.objects, bound):
-        if dec.type_vector(t) == key:
-            dec.splitting(t, a, p, summands)
-            return t
-    return dec.undecided[0] if dec.undecided else None
+    table = iso_class_table(view, bound, ceiling=ceiling)
+    cls = table.class_of_type.get(dec.key(summands))
+    if cls is None:
+        return dec.undecided[0] if dec.undecided else None
+    t = table.reps[cls]
+    dec.splitting(t, a, p, summands)
+    return t
 
 
 def fibration_check(m, ideal, bound, ceiling=DEFAULT_CEILING):
@@ -407,8 +413,7 @@ def fibration_check(m, ideal, bound, ceiling=DEFAULT_CEILING):
         raise StructuralError("fibration check needs a unital moduloid")
     sub, incl = ideal_moduloid(ideal)
     rel = k0_relative(sub, bound, ceiling=ceiling)
-    view = complete(m)
-    k0m = k0_bounded(m, bound, ceiling=ceiling, view=view)
+    k0m = k0_bounded(m, bound, ceiling=ceiling)
     quot, qhom = quotient(m, ideal)
     k0q = k0_bounded(quot, bound, ceiling=ceiling)
     jmap = k0_induced(qhom, k0m, k0q)
@@ -430,7 +435,7 @@ def fibration_check(m, ideal, bound, ceiling=DEFAULT_CEILING):
     class_images = []
     for (a, p) in rel.idem_plus.reps:
         q = jplus_to_m.apply(a, a, p)
-        t = free_class_of_idempotent(view, a, q, bound, ceiling=ceiling)
+        t = free_class_of_idempotent(complete(m), a, q, bound, ceiling=ceiling)
         if t is None or isinstance(t, Undecided):
             unresolved.append((a, p))
             class_images.append(None)
@@ -749,21 +754,6 @@ def k1_bounded(r, n_max, ceiling=DEFAULT_CEILING):
         steps.append(StabilizationStep(n, matrix, iso))
     last_step_iso = steps[-1].is_isomorphism if steps else None
     return KOneResult(ranks, groups, steps, last_step_iso, truncated_at)
-
-
-def ring_units(r):
-    """Unit group elements of a one-object ring, by exhaustive search."""
-    obj = r.objects[0]
-    hom = r.hom(obj, obj)
-    one = r.identity(obj)
-    units = []
-    for u in hom.elements():
-        for v in hom.elements():
-            if (r.compose(obj, obj, obj, u, v) == one
-                    and r.compose(obj, obj, obj, v, u) == one):
-                units.append(u)
-                break
-    return units
 
 
 # ---------------------------------------------------------------------------

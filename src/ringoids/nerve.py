@@ -17,8 +17,6 @@ bounds; the two pipelines share only the isomorphism searcher.
 
 from __future__ import annotations
 
-import itertools
-
 from .additive import DEFAULT_CEILING, complete, enumerate_objsums, iso_class_table
 from .intlinalg import AbPresentation, hom_is_isomorphism
 from .ktheory import count_vector, k0_bounded
@@ -26,23 +24,19 @@ from .ringoid import StructuralError
 
 
 class NerveLevel:
-    """Level n: tuples of formal sums with total length within the bound.
-    Morphisms between tuples are componentwise matrices of the completion;
-    faces and degeneracies act by the merge/drop/insert formulas."""
+    """Level n of the nerve of the completion of r: tuples of formal sums
+    with total length within the bound, in lexicographic order.  Morphisms
+    are componentwise matrices; faces and degeneracies act by the
+    merge/drop/insert formulas."""
 
     __slots__ = ("view", "n", "bound", "objects")
 
-    def __init__(self, view, n, bound):
-        self.view = view
+    def __init__(self, r, n, bound):
+        self.view = complete(r)
         self.n = n
         self.bound = bound
-        self.objects = tuple(self._enumerate())
-
-    def _enumerate(self):
-        sums = enumerate_objsums(self.view.base.objects, self.bound)
-        for combo in itertools.product(sums, repeat=self.n):
-            if sum(len(s) for s in combo) <= self.bound:
-                yield combo
+        sums = enumerate_objsums(r.objects, bound)
+        self.objects = tuple(_tuples_within(sums, n, bound))
 
     def hom_order(self, src, dst):
         total = 1
@@ -63,6 +57,20 @@ class NerveLevel:
             return tuple(fs[:-1])
         merged = self.view.block_sum(fs[i - 1], fs[i])
         return tuple(fs[:i - 1]) + (merged,) + tuple(fs[i + 1:])
+
+
+def _tuples_within(sums, n, budget):
+    """The n-tuples of sums of total length at most budget, in lexicographic
+    order; `sums` is sorted by length, so each loop stops at the first sum
+    longer than the budget left."""
+    if n == 0:
+        yield ()
+        return
+    for s in sums:
+        if len(s) > budget:
+            break
+        for rest in _tuples_within(sums, n - 1, budget - len(s)):
+            yield (s,) + rest
 
 
 def face(i, obj):
@@ -86,12 +94,6 @@ def degeneracy(i, obj):
     return tuple(obj[:i]) + ((),) + tuple(obj[i:])
 
 
-def nerve_level(r, n, bound, view=None):
-    if view is None:
-        view = complete(r)
-    return NerveLevel(view, n, bound)
-
-
 class SimplicialReport:
     __slots__ = ("checked", "failures")
 
@@ -104,7 +106,7 @@ class SimplicialReport:
         return not self.failures
 
 
-def check_simplicial_identities(r, n_max, bound, view=None):
+def check_simplicial_identities(r, n_max, bound):
     """Exhaustively verify the simplicial identities on every enumerated
     object up to level n_max within the bound:
       face_i face_j = face_{j-1} face_i            (i < j)
@@ -113,12 +115,10 @@ def check_simplicial_identities(r, n_max, bound, view=None):
       face_j deg_j = id = face_{j+1} deg_j
       face_i deg_j = deg_j face_{i-1}              (i > j + 1)
     """
-    if view is None:
-        view = complete(r)
     failures = []
     checked = 0
     for n in range(n_max + 1):
-        level = NerveLevel(view, n, bound)
+        level = NerveLevel(r, n, bound)
         for obj in level.objects:
             if n >= 2:
                 for j in range(n + 1):
@@ -172,7 +172,7 @@ class NerveKZero:
         return "NerveKZero(%s at L=%d)" % (self.abelianized, self.bound)
 
 
-def k0_via_nerve(r, bound, ceiling=DEFAULT_CEILING, view=None, table=None):
+def k0_via_nerve(r, bound, ceiling=DEFAULT_CEILING):
     """Fundamental group of the 2-truncation: generators are the level-1
     objects (formal sums within the bound); each level-2 object (s, t) with
     its faces glues the relation (s)(t)(s+t)^-1; each isomorphism in the
@@ -181,11 +181,9 @@ def k0_via_nerve(r, bound, ceiling=DEFAULT_CEILING, view=None, table=None):
     relations, so each relator is recorded as its exponent-sum row:
     e_() first, then e_s - e_rep for each sum s in order, then
     e_s + e_t - e_(s+t).  The isomorphism s -> rep is the permutation
-    sorting s followed by the table's witness for the sorted form."""
-    if view is None:
-        view = complete(r)
-    if table is None:
-        table = iso_class_table(view, bound, ceiling=ceiling)
+    sorting s followed by the witness for the sorted form in the iso-class
+    table that `k0_bounded` reads."""
+    table = iso_class_table(complete(r), bound, ceiling=ceiling)
     sums = enumerate_objsums(r.objects, bound)
     index = {s: i for i, s in enumerate(sums)}
 
@@ -233,13 +231,12 @@ def oracle_compare(r, bound, ceiling=DEFAULT_CEILING):
     and certify they agree: equal normal forms, and the generator-wise
     comparison maps are mutually inverse isomorphisms of the presented
     groups.  The bound must be at least 1, so that the base objects are
-    generators of the nerve side."""
+    generators of the nerve side.  Both sides read the one iso-class table
+    of the completion at this bound and ceiling."""
     if bound < 1:
         raise StructuralError("oracle comparison needs a bound of at least 1")
-    view = complete(r)
-    table = iso_class_table(view, bound, ceiling=ceiling)
-    k0 = k0_bounded(r, bound, ceiling=ceiling, view=view, table=table)
-    nerve = k0_via_nerve(r, bound, ceiling=ceiling, view=view, table=table)
+    k0 = k0_bounded(r, bound, ceiling=ceiling)
+    nerve = k0_via_nerve(r, bound, ceiling=ceiling)
     match = k0.presentation == nerve.abelianized
     objects = list(r.objects)
     sums = list(nerve.generator_sums)
@@ -252,4 +249,4 @@ def oracle_compare(r, bound, ceiling=DEFAULT_CEILING):
     bwd = [count_vector(s, objects) for s in sums]
     fwd_ok = hom_is_isomorphism(k0.presentation, nerve.abelianized, fwd)
     bwd_ok = hom_is_isomorphism(nerve.abelianized, k0.presentation, bwd)
-    return OracleReport(k0, nerve, match, fwd_ok, bwd_ok, table.undecided)
+    return OracleReport(k0, nerve, match, fwd_ok, bwd_ok, k0.undecided)

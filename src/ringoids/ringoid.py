@@ -76,7 +76,7 @@ class FiniteRingoid:
     """
 
     __slots__ = ("name", "objects", "homs", "compose_table", "identities",
-                 "scalar", "action", "unital", "_pair_mul")
+                 "scalar", "action", "unital", "_pair_mul", "_completion")
 
     def __init__(self, objects, homs, compose_table, identities=None,
                  scalar=None, action=None, unital=None, name=""):
@@ -92,6 +92,7 @@ class FiniteRingoid:
                         for key, table in action.items()} if action else None)
         self.unital = (self.identities is not None) if unital is None else unital
         self._pair_mul = {}
+        self._completion = None
 
     # -- basic access -------------------------------------------------
 

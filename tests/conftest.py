@@ -218,3 +218,19 @@ def _perm_sign(perm):
         if length % 2 == 0:
             sign = -sign
     return sign
+
+
+def ring_units(r):
+    """Unit group elements of a one-object ring, by exhaustive O(|R|^2)
+    search: the reference for the units the GL closure finds."""
+    obj = r.objects[0]
+    hom = r.hom(obj, obj)
+    one = r.identity(obj)
+    units = []
+    for u in hom.elements():
+        for v in hom.elements():
+            if (r.compose(obj, obj, obj, u, v) == one
+                    and r.compose(obj, obj, obj, v, u) == one):
+                units.append(u)
+                break
+    return units

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from conftest import determinant_of_matmorphism
+from conftest import determinant_of_matmorphism, ring_units
 from ringoids import (AbPresentation, FinAbGroup, FinGroup, FiniteRingoid,
                       GSet, Ideal, assembly_zero, check_simplicial_identities,
                       cofinality_check, complete, cyclic_ring,
@@ -160,7 +160,6 @@ def test_criterion_09_k1_shadow(f2, f3):
     assert res3.ranks[1] == AbPresentation.cyclic(2)
     assert res3.ranks[2] == AbPresentation.cyclic(2)
     assert res3.last_step_iso is True
-    from ringoids import ring_units
     units = {tuple(u) for u in ring_units(f3)}
     dets = {determinant_of_matmorphism(f3, u) for u in res3.groups[2].elements}
     assert dets == units

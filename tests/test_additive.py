@@ -185,6 +185,51 @@ def test_iso_class_table_zero_ring(zero):
     assert len(table.reps) == 1  # everything is isomorphic to 0
 
 
+def test_one_completion_per_ringoid(f2xf2):
+    assert complete(f2xf2) is complete(f2xf2)
+
+
+def test_iso_class_table_is_kept_per_bound_and_ceiling(f2xf2):
+    view = complete(f2xf2)
+    table = iso_class_table(view, 3)
+    assert iso_class_table(view, 3) is table
+    assert iso_class_table(view, 3, ceiling=DEFAULT_CEILING) is table
+    assert iso_class_table(view, 2) is not table
+    below = iso_class_table(view, 3, ceiling=8)
+    assert below is not table and iso_class_table(view, 3, ceiling=8) is below
+    # the table answers for the ceiling it was asked for
+    assert below.undecided and not table.undecided
+
+
+def test_class_of_type_indexes_the_classes(disc2):
+    table = iso_class_table(complete(disc2), 3)
+    dec = complete(disc2).decomposition()
+    assert sorted(table.class_of_type.values()) == list(range(len(table.reps)))
+    for key, cls in table.class_of_type.items():
+        assert dec.type_vector(table.reps[cls]) == key
+
+
+def test_one_decomposition_per_ceiling(monkeypatch):
+    from ringoids import additive, idem_classes, k0_bounded, k0_via_nerve
+    r = group_ringoid(discrete_groupoid(("a", "b")), cyclic_ring(2, name="F2"))
+    built = []
+    original = additive.Decomposition.__init__
+
+    def counting(self, view, ceiling):
+        built.append(ceiling)
+        original(self, view, ceiling)
+
+    monkeypatch.setattr(additive.Decomposition, "__init__", counting)
+    for ceiling in (DEFAULT_CEILING, 64):
+        k0_bounded(r, 3, ceiling=ceiling)
+        k0_via_nerve(r, 3, ceiling=ceiling)
+        idem_classes(r, ceiling=ceiling)
+        for a in r.objects:
+            assert free_class_of_idempotent(complete(r), a, r.identity(a), 3,
+                                            ceiling=ceiling) == (a,)
+    assert built == [DEFAULT_CEILING, 64]
+
+
 def test_objsum_enumeration_order(f2):
     sums = enumerate_objsums(f2.objects, 2)
     assert sums == [(), ("*",), ("*", "*")]

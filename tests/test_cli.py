@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ringoids import (FiniteRingoid, FinGroup, GSet, Ideal, cyclic_ring,
-                      discrete_groupoid, document_from, group_as_groupoid,
-                      group_ringoid, print_rgd)
+                      discrete_groupoid, document_from, forget_units,
+                      group_as_groupoid, group_ringoid, print_rgd)
 from ringoids.cli import _COMMANDS, run
 
 F2_DOC = """\
@@ -230,20 +230,39 @@ def test_k1_truncation_exits_2(f2_file, capsys):
     assert out.endswith("truncated at rank 3 (ceiling)\n")
 
 
-def test_first_ringoid_is_named_on_stderr(tmp_path, f2_file, capsys):
-    from ringoids import (cyclic_ring, discrete_groupoid, document_from,
-                          group_ringoid, print_rgd)
+def test_first_ringoid_is_named_on_stderr(tmp_path, capsys):
+    # the printed group ring declares its scalar ring F2 first; the file is
+    # about the group ring, the one ringoid no other takes as its scalar
     path = tmp_path / "scalar_first.rgd"
+    alone_path = tmp_path / "alone.rgd"
     ring = group_ringoid(discrete_groupoid(("a", "b")), cyclic_ring(2, name="F2"))
+    bare = FiniteRingoid(ring.objects, ring.homs, ring.compose_table,
+                         identities=ring.identities, name=ring.name)
     path.write_text(print_rgd(document_from([ring])), encoding="utf-8")
-    assert run(["k0", "--input", f2_file]) == 0
+    alone_path.write_text(print_rgd(document_from([bare])), encoding="utf-8")
+    assert run(["k0", "--input", str(alone_path)]) == 0
     alone = capsys.readouterr()
     assert alone.err == ""
     assert run(["k0", "--input", str(path)]) == 0
     captured = capsys.readouterr()
-    assert captured.out == alone.out
-    assert captured.err == ("note: computing ringoid F2, the first in the "
-                            "input; ignoring F2[discrete]\n")
+    assert captured.out == alone.out == "K0 = Z^2 (stabilized at L=2)\n"
+    assert captured.err == ("note: computing ringoid F2[discrete], the first "
+                            "that no other ringoid takes as its scalar; "
+                            "ignoring F2\n")
+
+
+def test_unitize_computes_the_ringoid_over_the_scalar(tmp_path, capsys):
+    # a printed non-unital F2[C2] declares its scalar ring F2 first
+    ring = group_ringoid(group_as_groupoid(FinGroup.cyclic(2), name="C2"),
+                         cyclic_ring(2, name="F2"))
+    path = tmp_path / "nonunital.rgd"
+    path.write_text(print_rgd(document_from([forget_units(ring)])),
+                    encoding="utf-8")
+    assert run(["unitize", "--input", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert "ringoid F2[C2]+\n" in captured.out
+    assert "unital" not in captured.err
+    assert captured.err.startswith("note: computing ringoid F2[C2], ")
 
 
 def test_parse_error_exit_code(tmp_path, capsys):
@@ -380,12 +399,21 @@ def test_byte_reproducible_across_hash_seeds(f2_file, command):
     ["nerve-check", "--bound", "-2"],
     ["k1", "--gl-max", "0"],
     ["validate", "--non-utf8"],
+    ["k0", "--bound", "abc"],
+    ["k1", "--ceiling", "x"],
+    ["k0", "--format", "xml"],
+    ["oracle-compare", "--bound"],
+    ["k0", "--no-input"],
+    ["frobnicate"],
+    [],
 ])
 def test_bad_flag_or_input_exits_1_with_one_line(tmp_path, f2_file, capsys, command):
-    if command[-1] == "--non-utf8":
+    if command[-1:] == ["--non-utf8"]:
         path = tmp_path / "latin1.rgd"
         path.write_bytes(b"ringoid F\xe4\nobject a\n")
         args = command[:-1] + ["--input", str(path)]
+    elif command[-1:] == ["--no-input"]:
+        args = command[:-1]
     else:
         args = command + ["--input", f2_file]
     code = run(args)
@@ -393,6 +421,14 @@ def test_bad_flag_or_input_exits_1_with_one_line(tmp_path, f2_file, capsys, comm
     assert code == 1
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "error" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["k0", "--help"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 0
+    assert "usage: ringoids" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
@@ -454,10 +490,25 @@ def test_fuzz_sources_parse_cleanly(fuzz_dir):
             assert run(["validate", "--input", path]) == 0
 
 
+def _not_an_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+def _flag(ints):
+    """A flag value: an int from the given strategy, or text that int()
+    rejects, which argparse refuses before any input is read."""
+    return st.one_of(ints.map(str),
+                     st.text(max_size=4).filter(_not_an_int))
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=_mutated_documents(), command=st.sampled_from(sorted(_COMMANDS)),
-       bound=st.integers(0, 2), gl_max=st.integers(1, 2),
-       ceiling=st.sampled_from([-1, 0, 3, 64, 4096]),
+       bound=_flag(st.integers(0, 2)), gl_max=_flag(st.integers(1, 2)),
+       ceiling=_flag(st.sampled_from([-1, 0, 3, 64, 4096])),
        fmt=st.sampled_from(["human", "machine"]))
 def test_cli_fuzz_never_escapes(fuzz_dir, data, command, bound, gl_max,
                                 ceiling, fmt):
@@ -466,12 +517,15 @@ def test_cli_fuzz_never_escapes(fuzz_dir, data, command, bound, gl_max,
         fh.write(data)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run([command, "--input", path, "--bound", str(bound),
-                    "--gl-max", str(gl_max), "--ceiling", str(ceiling),
+        code = run([command, "--input", path, "--bound", bound,
+                    "--gl-max", gl_max, "--ceiling", ceiling,
                     "--format", fmt])
     assert code in (0, 1, 2)
     if code:
         assert out.getvalue() or err.getvalue()
+    if any(map(_not_an_int, (bound, gl_max, ceiling))):
+        assert code == 1 and out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1
 
 
 def test_groupoid_without_inverse_is_a_parse_error(tmp_path, capsys):

@@ -1,13 +1,13 @@
 import pytest
 from hypothesis import given, settings
 
-from conftest import determinant_of_matmorphism, incidence_ringoids
+from conftest import determinant_of_matmorphism, incidence_ringoids, ring_units
 from ringoids import (AbPresentation, CeilingExceeded, FinAbGroup, Ideal,
                       RingoidHom, cofinality_check, complete, cyclic_ring,
                       enumerate_objsums, exterior_product, fibration_check,
                       forget_units, gl, gl_order, idem_classes, improper_ideal,
-                      k0_bounded, k0_induced, k0_relative, k1_bounded,
-                      matrix_ring, product_ring, ring_units, scalar_ringoid,
+                      iso_class_table, k0_bounded, k0_induced, k0_relative,
+                      k1_bounded, matrix_ring, product_ring, scalar_ringoid,
                       tensor, unitize, validate, validate_hom, with_self_scalar,
                       zero_ideal, zero_moduloid)
 from ringoids.intlinalg import hom_well_defined, lattices_equal
@@ -315,13 +315,63 @@ def test_fibration_unresolved_classes_give_no_verdict(ring, bound):
     assert rep.composite_zero is None and rep.exact is None
 
 
-@pytest.mark.parametrize("ring_name", ["f2", "z4", "zero"])
+@pytest.mark.parametrize("ring_name", ["f2", "z4", "zero", "disc2", "disc3",
+                                       "c2free"])
 def test_cofinality(ring_name, request):
     ring = request.getfixturevalue(ring_name)
-    rep = cofinality_check(ring, 4)
-    assert rep.is_isomorphism
-    assert rep.sub_presentation == rep.ambient.presentation
-    assert rep.cofinality_witnesses
+    for bound in [4] if ring_name == "zero" else range(1, 6):
+        rep = cofinality_check(ring, bound)
+        assert rep.is_isomorphism is (bound >= 4), bound
+        if bound >= 4:
+            assert rep.sub_presentation == rep.ambient.presentation
+            assert rep.cofinality_witnesses
+
+
+def _word_pair_relations(r, bound):
+    """Reference for the subcategory side of `cofinality_check`: each word
+    of length >= 2 and each pair (s, t) of them with s no later than t,
+    bucketed by the class of the word or of the flattening s + t within
+    the bound and by the flattening itself beyond it, with the differences
+    inside a bucket as relations.  Rows are mapped to the multisets, each
+    word to its sorted form; returns the multisets and the rows."""
+    table = iso_class_table(complete(r), bound)
+    words = [s for s in enumerate_objsums(r.objects, bound) if len(s) >= 2]
+    multisets = [s for s in table.class_of if len(s) >= 2]
+    column = {s: multisets.index(tuple(sorted(s, key=r.objects.index)))
+              for s in words}
+
+    def key_of(flat):
+        return (table.class_of_word(flat),) if len(flat) <= bound else flat
+
+    buckets = {}
+    for i, s in enumerate(words):
+        buckets.setdefault(key_of(s), []).append((s,))
+        for t in words[i:]:
+            buckets.setdefault(key_of(s + t), []).append((s, t))
+    rows = []
+    for pivot, *rest in buckets.values():
+        for terms in rest:
+            row = [0] * len(multisets)
+            for s in terms:
+                row[column[s]] += 1
+            for s in pivot:
+                row[column[s]] -= 1
+            rows.append(row)
+    return multisets, rows
+
+
+@pytest.mark.parametrize("ring_name", ["f2", "f2xf2", "disc2", "c2free",
+                                       "morita13"])
+def test_cofinality_relations_match_the_word_pairs(ring_name, request):
+    r = request.getfixturevalue(ring_name)
+    for bound in range(1, 5):
+        multisets, want = _word_pair_relations(r, bound)
+        rep = cofinality_check(r, bound)
+        objects = list(r.objects)
+        assert rep.matrix == [count_vector(s, objects) for s in multisets]
+        assert lattices_equal(want, [list(row) for row in
+                                     rep.sub_presentation.relations],
+                              len(multisets)), bound
 
 
 def test_fibration_z4_mod_two(z4):

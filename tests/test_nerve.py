@@ -1,10 +1,12 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import incidence_ringoids
 from ringoids import (AbPresentation, check_simplicial_identities, complete,
                       degeneracy, enumerate_objsums, face, iso_class_table,
-                      k0_bounded, k0_via_nerve, nerve_level, oracle_compare)
+                      k0_bounded, k0_via_nerve, oracle_compare)
 from ringoids.intlinalg import hom_well_defined
 from ringoids.nerve import NerveLevel
 from ringoids.ringoid import StructuralError
@@ -138,16 +140,27 @@ def test_degeneracy_inserts_zero():
 
 
 def test_nerve_level_enumeration(f2):
-    lvl2 = nerve_level(f2, 2, 3)
+    lvl2 = NerveLevel(f2, 2, 3)
     assert all(sum(len(s) for s in obj) <= 3 for obj in lvl2.objects)
     assert (("*",), ("*",)) in lvl2.objects
-    lvl0 = nerve_level(f2, 0, 3)
+    lvl0 = NerveLevel(f2, 0, 3)
     assert lvl0.objects == ((),)
 
 
+@pytest.mark.parametrize("ring_name", ["f2xf2", "disc2"])
+def test_nerve_level_matches_product_and_filter(ring_name, request):
+    r = request.getfixturevalue(ring_name)
+    for bound in range(5):
+        sums = enumerate_objsums(r.objects, bound)
+        for n in range(4):
+            want = tuple(c for c in itertools.product(sums, repeat=n)
+                         if sum(len(s) for s in c) <= bound)
+            assert NerveLevel(r, n, bound).objects == want
+
+
 def test_nerve_level_morphisms(f2):
-    view = complete(f2)
-    lvl = NerveLevel(view, 2, 2)
+    lvl = NerveLevel(f2, 2, 2)
+    view = lvl.view
     src = (("*",), ("*",))
     assert lvl.hom_order(src, src) == 4
     fs = (view.identity(("*",)), view.identity(("*",)))
