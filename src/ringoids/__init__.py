@@ -6,40 +6,71 @@ and degree-zero assembly maps.  Exact integer arithmetic throughout.
 Every operation is pure and every value is immutable after construction,
 apart from caches filled once and idempotently (a ringoid's composition
 tables and its completion), so everything here is thread-safe.
+
+The names below resolve on first use (PEP 562): `ringoids.k0_bounded`
+imports `ringoids.ktheory` and caches the name in this module, so a
+program compiles only the modules it uses.  That cache is filled once and
+idempotently like the others, and the imports hold the import lock, so
+thread-safety is unchanged.  Submodules (`ringoids.ktheory`, ...) resolve
+as attributes the same way.
 """
 
-from .intlinalg import (AbPresentation, IntMatrix, cokernel, determinant,
-                        smith_normal_form)
-from .abgroup import FinAbGroup, GroupQuotient, tensor_group
-from .groups import FinGroup, abelianization
-from .ringoid import (AxiomFailure, FiniteRingoid, RingoidHom, StructuralError,
-                      ValidationReport, cyclic_ring, direct_sum, forget_units,
-                      identity_hom, matrix_ring, one_object_ringoid,
-                      product_ring, ringoid_equal_structure, validate,
-                      validate_hom, with_self_scalar, zero_moduloid, zero_ring)
-from .additive import (AdditiveView, IsoClassTable, IsoWitness, MatMorphism,
-                       Undecided, complete, enumerate_objsums,
-                       iso_class_table, map_completion)
-from .moduloids import (Ideal, IdealError, TensorProduct, ideal_moduloid,
-                        improper_ideal, quotient, scalar_ringoid, tensor,
-                        unitization_projection, unitization_splitting, unitize,
-                        validate_ideal, zero_ideal)
-from .groupoids import (FinGroupoid, GSet, PiRing, PiRingError,
-                        disjoint_union_gset, discrete_groupoid,
-                        group_as_groupoid, group_ringoid,
-                        group_ringoid_tensor_iso, hom_is_bijective_everywhere,
-                        orbit_skeleton, transport_groupoid,
-                        twisted_group_ringoid, validate_groupoid,
-                        validate_pi_ring)
-from .ktheory import (CeilingExceeded, KOneResult, KZeroResult,
-                      RelativeKZeroResult, cofinality_check, exterior_product,
-                      fibration_check, gl, gl_order, idem_classes,
-                      k0_bounded, k0_induced, k0_relative, k1_bounded)
-from .nerve import (NerveLevel, check_simplicial_identities, degeneracy, face,
-                    k0_via_nerve, oracle_compare)
-from .assembly import (AssemblyZeroMap, assembly_zero,
-                       equivariant_assembly_zero, naturality_check)
-from .rgd import (RGDDocument, RGDSemanticError, RGDSyntaxError, document_from,
-                  parse_rgd, print_rgd)
+import importlib
 
+# Each submodule and the names this package exports from it.
+_EXPORTS = {
+    "intlinalg": ("AbPresentation", "IntMatrix", "cokernel", "determinant",
+                  "smith_normal_form"),
+    "abgroup": ("FinAbGroup", "GroupQuotient", "tensor_group"),
+    "groups": ("FinGroup", "abelianization"),
+    "ringoid": ("AxiomFailure", "FiniteRingoid", "RingoidHom",
+                "StructuralError", "ValidationReport", "cyclic_ring",
+                "direct_sum", "forget_units", "identity_hom", "matrix_ring",
+                "one_object_ringoid", "product_ring",
+                "ringoid_equal_structure", "validate", "validate_hom",
+                "with_self_scalar", "zero_moduloid", "zero_ring"),
+    "additive": ("AdditiveView", "IsoClassTable", "IsoWitness", "MatMorphism",
+                 "Undecided", "complete", "enumerate_objsums",
+                 "iso_class_table", "map_completion"),
+    "moduloids": ("Ideal", "IdealError", "TensorProduct", "ideal_moduloid",
+                  "improper_ideal", "quotient", "scalar_ringoid", "tensor",
+                  "unitization_projection", "unitization_splitting",
+                  "unitize", "validate_ideal", "zero_ideal"),
+    "groupoids": ("FinGroupoid", "GSet", "PiRing", "PiRingError",
+                  "disjoint_union_gset", "discrete_groupoid",
+                  "group_as_groupoid", "group_ringoid",
+                  "group_ringoid_tensor_iso", "hom_is_bijective_everywhere",
+                  "orbit_skeleton", "transport_groupoid",
+                  "twisted_group_ringoid", "validate_groupoid",
+                  "validate_pi_ring"),
+    "ktheory": ("CeilingExceeded", "KOneResult", "KZeroResult",
+                "RelativeKZeroResult", "cofinality_check", "exterior_product",
+                "fibration_check", "gl", "gl_order", "idem_classes",
+                "k0_bounded", "k0_induced", "k0_relative", "k1_bounded"),
+    "nerve": ("NerveLevel", "check_simplicial_identities", "degeneracy",
+              "face", "k0_via_nerve", "oracle_compare"),
+    "assembly": ("AssemblyZeroMap", "assembly_zero",
+                 "equivariant_assembly_zero", "naturality_check"),
+    "rgd": ("RGDDocument", "RGDSemanticError", "RGDSyntaxError",
+            "document_from", "parse_rgd", "print_rgd"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
+
+__all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return importlib.import_module("." + name, __name__)
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(importlib.import_module("." + module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | set(_EXPORTS))

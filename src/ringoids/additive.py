@@ -24,9 +24,7 @@ from __future__ import annotations
 
 import itertools
 
-from .ringoid import StructuralError
-
-DEFAULT_CEILING = 1 << 20
+from .ringoid import DEFAULT_CEILING, StructuralError
 
 
 class MatMorphism:

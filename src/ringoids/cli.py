@@ -8,6 +8,9 @@ and usage errors), 2 some isomorphism test was undecided at the configured
 ceiling (or k1 stopped below --gl-max at the ceiling).
 Results go to stdout, diagnostics to stderr.  All output is deterministic:
 the same input and flags produce byte-identical output.
+
+Each subcommand imports its engine when it runs, so a process compiles
+only the modules of the subcommand it runs.
 """
 
 from __future__ import annotations
@@ -16,17 +19,10 @@ import argparse
 import json
 import sys
 
-from .additive import complete as complete_view
-from .additive import DEFAULT_CEILING, enumerate_objsums
-from .assembly import assembly_zero, equivariant_assembly_zero
-from .groupoids import group_ringoid, orbit_skeleton, transport_groupoid
-from .ktheory import k0_bounded, k1_bounded
-from .moduloids import quotient, tensor, unitize
-from .nerve import check_simplicial_identities, oracle_compare
 from .rgd import (RGDSemanticError, RGDSyntaxError, document_from, parse_rgd,
                   print_rgd)
-from .ringoid import StructuralError, forget_units, validate
-from .groupoids import validate_groupoid
+from .ringoid import (DEFAULT_CEILING, StructuralError, forget_units,
+                      ringoid_equal_structure, validate)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -92,6 +88,7 @@ def cmd_validate(args, doc):
             for f in rep.failures:
                 lines.append("  %s at %r witness %r" % (f.axiom, f.location, f.witness))
         elif kind == "groupoid":
+            from .groupoids import validate_groupoid
             rep = validate_groupoid(doc.groupoids[name])
             status = "clean" if rep.ok else "FAILED " + ", ".join(rep.axioms_violated())
             lines.append("groupoid %s: %s" % (name, status))
@@ -126,6 +123,7 @@ def _require_ringoid(doc):
 
 
 def cmd_complete(args, doc):
+    from .additive import complete as complete_view, enumerate_objsums
     r = _require_ringoid(doc)
     view = complete_view(r)
     lines = ["additive completion of %s" % r.name]
@@ -155,6 +153,7 @@ def cmd_complete(args, doc):
 
 
 def cmd_k0(args, doc):
+    from .ktheory import k0_bounded
     r = _require_ringoid(doc)
     res = k0_bounded(r, args.bound, ceiling=args.ceiling)
     lines = ["K0 = %s (%s)" % (res.presentation, _stab_text(res))]
@@ -168,6 +167,7 @@ def cmd_k0(args, doc):
 
 
 def cmd_k1(args, doc):
+    from .ktheory import k1_bounded
     r = _require_ringoid(doc)
     res = k1_bounded(r, args.gl_max, ceiling=args.ceiling)
     lines = []
@@ -188,6 +188,7 @@ def cmd_k1(args, doc):
 
 
 def cmd_unitize(args, doc):
+    from .moduloids import unitize
     r = _require_ringoid(doc)
     if r.scalar is None:
         raise StructuralError("unitize needs a scalar ring")
@@ -204,6 +205,7 @@ def cmd_unitize(args, doc):
 
 
 def cmd_quotient(args, doc):
+    from .moduloids import quotient
     first = doc.first_ideal()
     if first is None:
         raise StructuralError("quotient needs an ideal section in the input")
@@ -221,6 +223,7 @@ def cmd_quotient(args, doc):
 
 
 def cmd_tensor(args, doc):
+    from .moduloids import tensor
     m = doc.nth_ringoid(0)
     n = doc.nth_ringoid(1)
     if m is None or n is None:
@@ -231,7 +234,6 @@ def cmd_tensor(args, doc):
             raise StructuralError("ringoid %r fails validation" % (r.name,))
     over = None
     if m.scalar is not None and n.scalar is not None:
-        from .ringoid import ringoid_equal_structure
         if m.scalar is n.scalar or ringoid_equal_structure(m.scalar, n.scalar):
             over = m.scalar
     if over is None:
@@ -247,6 +249,7 @@ def cmd_tensor(args, doc):
 
 
 def cmd_groupring(args, doc):
+    from .groupoids import group_ringoid, validate_groupoid
     g = doc.first_groupoid()
     r = doc.first_ringoid()
     if g is None or r is None:
@@ -266,6 +269,7 @@ def cmd_groupring(args, doc):
 
 
 def cmd_transport(args, doc):
+    from .groupoids import orbit_skeleton, transport_groupoid, validate_groupoid
     xs = doc.first_gset()
     if xs is None:
         raise StructuralError("transport needs a gset section")
@@ -291,6 +295,8 @@ def cmd_transport(args, doc):
 
 
 def cmd_assembly(args, doc):
+    from .assembly import assembly_zero, equivariant_assembly_zero
+    from .groupoids import validate_groupoid
     r = _require_ringoid(doc)
     xs = doc.first_gset()
     if xs is not None:
@@ -319,6 +325,7 @@ def cmd_assembly(args, doc):
 
 
 def cmd_nerve_check(args, doc):
+    from .nerve import check_simplicial_identities
     r = _require_ringoid(doc)
     n_max = min(3, args.bound)
     rep = check_simplicial_identities(r, n_max, args.bound)
@@ -334,6 +341,7 @@ def cmd_nerve_check(args, doc):
 
 
 def cmd_oracle_compare(args, doc):
+    from .nerve import oracle_compare
     r = _require_ringoid(doc)
     rep = oracle_compare(r, args.bound, ceiling=args.ceiling)
     if rep.ok:
@@ -369,13 +377,14 @@ _COMMANDS = {
     "oracle-compare": cmd_oracle_compare,
 }
 
-# Smallest accepted value of the numeric flag each subcommand reads.
+# Smallest accepted value of each numeric flag a subcommand reads, in the
+# order they are checked.
 _FLAG_MINIMUM = {
-    "k0": ("bound", 1),
-    "oracle-compare": ("bound", 1),
-    "assembly": ("bound", 1),
-    "nerve-check": ("bound", 0),
-    "k1": ("gl_max", 1),
+    "k0": (("bound", 1), ("ceiling", 0)),
+    "oracle-compare": (("bound", 1), ("ceiling", 0)),
+    "assembly": (("bound", 1), ("ceiling", 0)),
+    "nerve-check": (("bound", 0),),
+    "k1": (("gl_max", 1), ("ceiling", 0)),
 }
 
 
@@ -412,8 +421,7 @@ def run(argv=None):
     except argparse.ArgumentError as exc:
         _note("error: %s" % exc)
         return EXIT_FAIL
-    if args.command in _FLAG_MINIMUM:
-        dest, least = _FLAG_MINIMUM[args.command]
+    for dest, least in _FLAG_MINIMUM.get(args.command, ()):
         if getattr(args, dest) < least:
             _note("error: --%s must be at least %d for %s"
                   % (dest.replace("_", "-"), least, args.command))

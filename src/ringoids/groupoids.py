@@ -10,7 +10,6 @@ from .abgroup import FinAbGroup
 from .groups import FinGroup
 from .ringoid import (AxiomFailure, StructuralError, ValidationReport, tabulate,
                       tabulate_hom)
-from .moduloids import tensor
 from .ringoid import cyclic_ring
 
 
@@ -467,6 +466,8 @@ def group_ringoid_tensor_iso(pi, scalar):
     """theta: R pi -> (Z/N) pi (x)_Z R where N is the additive exponent of R
     (so N.R = 0 and the target agrees with Z pi (x)_Z R).  theta sends
     x_1 g_1 + ... + x_n g_n to g_1 (x) x_1 + ... + g_n (x) x_n."""
+    from .moduloids import tensor
+
     source = group_ringoid(pi, scalar)
     ro = scalar.objects[0]
     rg = scalar.hom(ro, ro)

@@ -24,11 +24,9 @@ from collections import Counter
 
 from .additive import (DEFAULT_CEILING, MatMorphism, Undecided, complete,
                        enumerate_objsums, iso_class_table)
-from .groups import abelianization
 from .intlinalg import (AbPresentation, apply_rows, hom_is_isomorphism,
                         hom_kernel_lattice, hom_well_defined,
                         kernel_presentation, lattices_equal)
-from .moduloids import scalar_ringoid, unitize, unitization_projection
 from .ringoid import StructuralError, tabulate_hom
 
 
@@ -248,6 +246,8 @@ def k0_relative(m, bound, ceiling=DEFAULT_CEILING):
     the degree-zero content of the unitization corollary.  An End(a) over
     the ceiling contributes no classes and sets `undecided`.
     """
+    from .moduloids import scalar_ringoid, unitize, unitization_projection
+
     if m.unital:
         raise StructuralError("relative K0 expects a non-unital moduloid")
     if m.scalar is None:
@@ -725,6 +725,8 @@ def k1_bounded(r, n_max, ceiling=DEFAULT_CEILING):
     """Abelianizations of GL_n for n <= n_max over a one-object unital base,
     with the induced stabilization maps: the row for generator g of GL_n
     is the coordinate vector of its block-diagonal image in GL_(n+1)."""
+    from .groups import abelianization
+
     if len(r.objects) != 1:
         raise StructuralError("bounded K1 is implemented for one-object bases")
     obj = r.objects[0]

@@ -34,9 +34,6 @@ from __future__ import annotations
 import re
 
 from .abgroup import FinAbGroup
-from .groupoids import FinGroupoid, GSet
-from .groups import FinGroup
-from .moduloids import Ideal
 from .ringoid import FiniteRingoid, StructuralError
 
 
@@ -192,6 +189,8 @@ class _GroupoidBuilder:
         self.inverses = {}
 
     def build(self):
+        from .groupoids import FinGroupoid
+
         comp = dict(self.compose)
         identities = dict(self.identities)
         for a in self.objects:
@@ -291,51 +290,64 @@ def parse_rgd(text):
     close_section()
 
     for section in pending_gsets:
-        g = doc.groupoids.get(section["over"])
-        if g is None:
-            raise RGDSemanticError(section["line"], "gset %r is over undeclared groupoid %r"
-                                   % (section["name"], section["over"]))
-        if len(g.objects) != 1:
-            raise RGDSemanticError(section["line"], "gset group %r must have one object"
-                                   % (section["over"],))
-        obj = g.objects[0]
-        mids = list(g.hom(obj, obj))
-        table = [[mids.index(g.compose(mids[j], mids[i])) for j in range(len(mids))]
-                 for i in range(len(mids))]
-        group = FinGroup(mids, table)
-        points = section["points"]
-        act = {}
-        for (x, gid, y, lineno) in section["acts"]:
-            if x not in points or y not in points:
-                raise RGDSemanticError(lineno, "act line names an unknown point")
-            if gid not in mids:
-                raise RGDSemanticError(lineno, "act line names an unknown morphism %r" % (gid,))
-            act[(x, group.index(gid))] = y
-        for x in points:
-            for gi in range(len(group)):
-                act.setdefault((x, gi), None)
-        for (x, gi), y in act.items():
-            if y is None:
-                raise RGDSemanticError(section["line"],
-                                       "gset %r: action of %r on point %r undeclared"
-                                       % (section["name"], mids[gi], x))
-        doc.gsets[section["name"]] = GSet(group, points, act)
+        doc.gsets[section["name"]] = _build_gset(section, doc)
     for section in pending_ideals:
-        parent = doc.ringoids.get(section["of"])
-        if parent is None:
-            raise RGDSemanticError(section["line"], "ideal %r is of undeclared ringoid %r"
-                                   % (section["name"], section["of"]))
-        gens = {}
-        for (a, b, coords, lineno) in section["gens"]:
-            hom = parent.homs.get((a, b))
-            if hom is None:
-                raise RGDSemanticError(lineno, "unknown hom (%r, %r)" % (a, b))
-            if len(coords) != len(hom.moduli):
-                raise RGDSemanticError(lineno, "generator has %d coordinates, hom has %d"
-                                       % (len(coords), len(hom.moduli)))
-            gens.setdefault((a, b), []).append(hom.reduce(coords))
-        doc.ideals[section["name"]] = (section["of"], Ideal(parent, gens))
+        doc.ideals[section["name"]] = (section["of"], _build_ideal(section, doc))
     return doc
+
+
+def _build_gset(section, doc):
+    from .groupoids import GSet
+    from .groups import FinGroup
+
+    g = doc.groupoids.get(section["over"])
+    if g is None:
+        raise RGDSemanticError(section["line"], "gset %r is over undeclared groupoid %r"
+                               % (section["name"], section["over"]))
+    if len(g.objects) != 1:
+        raise RGDSemanticError(section["line"], "gset group %r must have one object"
+                               % (section["over"],))
+    obj = g.objects[0]
+    mids = list(g.hom(obj, obj))
+    table = [[mids.index(g.compose(mids[j], mids[i])) for j in range(len(mids))]
+             for i in range(len(mids))]
+    group = FinGroup(mids, table)
+    points = section["points"]
+    act = {}
+    for (x, gid, y, lineno) in section["acts"]:
+        if x not in points or y not in points:
+            raise RGDSemanticError(lineno, "act line names an unknown point")
+        if gid not in mids:
+            raise RGDSemanticError(lineno, "act line names an unknown morphism %r" % (gid,))
+        act[(x, group.index(gid))] = y
+    for x in points:
+        for gi in range(len(group)):
+            act.setdefault((x, gi), None)
+    for (x, gi), y in act.items():
+        if y is None:
+            raise RGDSemanticError(section["line"],
+                                   "gset %r: action of %r on point %r undeclared"
+                                   % (section["name"], mids[gi], x))
+    return GSet(group, points, act)
+
+
+def _build_ideal(section, doc):
+    from .moduloids import Ideal
+
+    parent = doc.ringoids.get(section["of"])
+    if parent is None:
+        raise RGDSemanticError(section["line"], "ideal %r is of undeclared ringoid %r"
+                               % (section["name"], section["of"]))
+    gens = {}
+    for (a, b, coords, lineno) in section["gens"]:
+        hom = parent.homs.get((a, b))
+        if hom is None:
+            raise RGDSemanticError(lineno, "unknown hom (%r, %r)" % (a, b))
+        if len(coords) != len(hom.moduli):
+            raise RGDSemanticError(lineno, "generator has %d coordinates, hom has %d"
+                                   % (len(coords), len(hom.moduli)))
+        gens.setdefault((a, b), []).append(hom.reduce(coords))
+    return Ideal(parent, gens)
 
 
 def _split_arrow(toks, lineno, col0):

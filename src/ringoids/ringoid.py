@@ -20,6 +20,11 @@ from .abgroup import FinAbGroup
 # space is at most this large.
 _PAIR_CACHE_LIMIT = 1 << 16
 
+# Default candidate ceiling of the searches in the additive completion
+# (re-exported by `additive`); defined here so that the CLI's parser does
+# not load the completion.
+DEFAULT_CEILING = 1 << 20
+
 
 class StructuralError(Exception):
     """Malformed structure data (bad index, wrong arity) as opposed to a

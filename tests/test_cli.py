@@ -423,6 +423,16 @@ def test_bad_flag_or_input_exits_1_with_one_line(tmp_path, f2_file, capsys, comm
     assert captured.err.count("\n") == 1 and "error" in captured.err
 
 
+@pytest.mark.parametrize("command", ["k0", "k1", "assembly", "oracle-compare"])
+def test_negative_ceiling_is_rejected(f2_file, capsys, command):
+    # --ceiling 0 stays valid (see test_undecided_exit_code_2)
+    code = run([command, "--input", f2_file, "--ceiling", "-1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == ("error: --ceiling must be at least 0 for %s\n"
+                            % command)
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["k0", "--help"]])
 def test_help_exits_0(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -1,0 +1,86 @@
+"""Each subcommand in a new interpreter: it exits as in process, prints the
+same, and loads only the modules it runs.
+
+In process every module is loaded by earlier tests, so a module that a
+subcommand imports on first use but fails to import would go unseen there.
+"""
+
+import contextlib
+import io
+import json
+import subprocess
+import sys
+
+import pytest
+
+from ringoids.cli import _COMMANDS, run
+from test_cli import C2_ASSEMBLY_DOC, F2_DOC, TWO_RINGS_DOC, Z4_WITH_IDEAL
+
+VALIDATE = {"cli", "rgd", "ringoid", "abgroup", "intlinalg"}
+K0 = VALIDATE | {"additive", "ktheory"}
+
+# subcommand -> (input document, extra flags, loaded ringoids.* modules, or
+# None where the set is not pinned)
+CASES = {
+    "validate": (F2_DOC, [], VALIDATE),
+    "complete": (F2_DOC, [], None),
+    "k0": (F2_DOC, ["--bound", "3"], K0),
+    "k1": (F2_DOC, ["--gl-max", "2"], K0 | {"groups"}),
+    "unitize": (F2_DOC, [], None),
+    "quotient": (Z4_WITH_IDEAL, [], None),
+    "tensor": (TWO_RINGS_DOC, [], None),
+    "groupring": (C2_ASSEMBLY_DOC, [], None),
+    "transport": (C2_ASSEMBLY_DOC, [], None),
+    "assembly": (C2_ASSEMBLY_DOC, ["--bound", "3"],
+                 K0 | {"assembly", "groupoids", "groups"}),
+    "nerve-check": (F2_DOC, ["--bound", "3"], K0 | {"nerve"}),
+    "oracle-compare": (F2_DOC, ["--bound", "3"], K0 | {"nerve"}),
+}
+
+# Runs cli.run on argv in this interpreter and prints its exit code,
+# stdout and the ringoids.* modules it loaded as one JSON line.
+_SCRIPT = """\
+import contextlib, io, json, sys
+from ringoids import cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.run(sys.argv[1:])
+print(json.dumps([code, out.getvalue(),
+                  sorted(m[len("ringoids."):] for m in sys.modules
+                         if m.startswith("ringoids."))]))
+"""
+
+
+def _fresh_run(argv):
+    proc = subprocess.run([sys.executable, "-c", _SCRIPT, *argv],
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_every_subcommand_has_a_case():
+    assert sorted(CASES) == sorted(_COMMANDS)
+
+
+@pytest.mark.parametrize("command", sorted(CASES))
+def test_subcommand_in_a_new_interpreter(tmp_path, command):
+    doc, flags, modules = CASES[command]
+    path = tmp_path / "input.rgd"
+    path.write_text(doc, encoding="utf-8")
+    argv = [command, "--input", str(path), *flags]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = run(argv)
+    assert code == 0
+    fresh_code, fresh_out, loaded = _fresh_run(argv)
+    assert (fresh_code, fresh_out) == (code, out.getvalue())
+    if modules is not None:
+        assert set(loaded) == modules
+
+
+def test_validate_loads_groupoids_only_for_a_groupoid_section(tmp_path):
+    path = tmp_path / "c2.rgd"
+    path.write_text(C2_ASSEMBLY_DOC, encoding="utf-8")
+    code, _, modules = _fresh_run(["validate", "--input", str(path)])
+    assert code == 0
+    assert set(modules) == VALIDATE | {"groupoids", "groups"}

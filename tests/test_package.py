@@ -1,0 +1,99 @@
+"""The package surface: the exported names, each resolved on first use to
+the object its defining module holds."""
+
+import importlib
+import subprocess
+import sys
+
+import pytest
+
+import ringoids
+
+EXPORTED = (
+    "AbPresentation AdditiveView AssemblyZeroMap AxiomFailure CeilingExceeded "
+    "FinAbGroup FinGroup FinGroupoid FiniteRingoid GSet GroupQuotient Ideal "
+    "IdealError IntMatrix IsoClassTable IsoWitness KOneResult KZeroResult "
+    "MatMorphism NerveLevel PiRing PiRingError RGDDocument RGDSemanticError "
+    "RGDSyntaxError RelativeKZeroResult RingoidHom StructuralError "
+    "TensorProduct Undecided ValidationReport abelianization assembly_zero "
+    "check_simplicial_identities cofinality_check cokernel complete "
+    "cyclic_ring degeneracy determinant direct_sum discrete_groupoid "
+    "disjoint_union_gset document_from enumerate_objsums "
+    "equivariant_assembly_zero exterior_product face fibration_check "
+    "forget_units gl gl_order group_as_groupoid group_ringoid "
+    "group_ringoid_tensor_iso hom_is_bijective_everywhere ideal_moduloid "
+    "idem_classes identity_hom improper_ideal iso_class_table k0_bounded "
+    "k0_induced k0_relative k0_via_nerve k1_bounded map_completion "
+    "matrix_ring naturality_check one_object_ringoid oracle_compare "
+    "orbit_skeleton parse_rgd print_rgd product_ring quotient "
+    "ringoid_equal_structure scalar_ringoid smith_normal_form tensor "
+    "tensor_group transport_groupoid twisted_group_ringoid "
+    "unitization_projection unitization_splitting unitize validate "
+    "validate_groupoid validate_hom validate_ideal validate_pi_ring "
+    "with_self_scalar zero_ideal zero_moduloid zero_ring").split()
+
+SUBMODULES = ("abgroup", "additive", "assembly", "groupoids", "groups",
+              "intlinalg", "ktheory", "moduloids", "nerve", "rgd", "ringoid")
+
+
+def test_all_lists_the_exported_names():
+    assert len(EXPORTED) == 95
+    assert ringoids.__all__ == sorted(EXPORTED)
+    assert set(EXPORTED) | set(SUBMODULES) <= set(dir(ringoids))
+
+
+def test_each_name_is_the_object_of_its_defining_module():
+    for name in EXPORTED:
+        obj = getattr(ringoids, name)
+        assert obj.__module__.startswith("ringoids."), name
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from ringoids import *", namespace)
+    for name in EXPORTED:
+        assert namespace[name] is getattr(ringoids, name)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ringoids.no_such_name
+    assert not hasattr(ringoids, "DEFAULT_CEILING")
+
+
+def test_submodules_are_attributes():
+    for module in SUBMODULES:
+        assert getattr(ringoids, module) is importlib.import_module(
+            "ringoids." + module)
+
+
+def test_version():
+    assert ringoids.__version__ == "0.1.0"
+
+
+def _fresh(code):
+    """Run code in a new interpreter; returns its stdout lines."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    return proc.stdout.splitlines()
+
+
+def test_first_use_loads_only_the_defining_layers():
+    # in this process every module is loaded already, so a new one shows
+    # what a name pulls in on first use
+    out = _fresh(
+        "import sys, ringoids\n"
+        "def loaded():\n"
+        "    return ' '.join(sorted(m for m in sys.modules"
+        " if m.startswith('ringoids.')))\n"
+        "print(loaded())\n"
+        "ringoids.FinAbGroup\n"
+        "print(loaded())\n"
+        "print(ringoids.ktheory.k0_bounded is ringoids.k0_bounded)\n"
+        "print(loaded())\n")
+    assert out == ["",
+                   "ringoids.abgroup ringoids.intlinalg",
+                   "True",
+                   "ringoids.abgroup ringoids.additive ringoids.intlinalg "
+                   "ringoids.ktheory ringoids.ringoid"]
