@@ -23,12 +23,13 @@ _EXPORTS = {
                   "smith_normal_form"),
     "abgroup": ("FinAbGroup", "GroupQuotient", "tensor_group"),
     "groups": ("FinGroup", "abelianization"),
-    "ringoid": ("AxiomFailure", "FiniteRingoid", "RingoidHom",
-                "StructuralError", "ValidationReport", "cyclic_ring",
-                "direct_sum", "forget_units", "identity_hom", "matrix_ring",
-                "one_object_ringoid", "product_ring",
-                "ringoid_equal_structure", "validate", "validate_hom",
-                "with_self_scalar", "zero_moduloid", "zero_ring"),
+    "ringoid": ("AxiomFailure", "FiniteRingoid", "StructuralError",
+                "ValidationReport", "validate"),
+    "constructions": ("RingoidHom", "cyclic_ring", "direct_sum",
+                      "forget_units", "identity_hom", "matrix_ring",
+                      "one_object_ringoid", "product_ring",
+                      "ringoid_equal_structure", "validate_hom",
+                      "with_self_scalar", "zero_moduloid", "zero_ring"),
     "additive": ("AdditiveView", "IsoClassTable", "IsoWitness", "MatMorphism",
                  "Undecided", "complete", "enumerate_objsums",
                  "iso_class_table", "map_completion"),
@@ -44,15 +45,17 @@ _EXPORTS = {
                   "twisted_group_ringoid", "validate_groupoid",
                   "validate_pi_ring"),
     "ktheory": ("CeilingExceeded", "KOneResult", "KZeroResult",
-                "RelativeKZeroResult", "cofinality_check", "exterior_product",
-                "fibration_check", "gl", "gl_order", "idem_classes",
-                "k0_bounded", "k0_induced", "k0_relative", "k1_bounded"),
+                "exterior_product", "gl", "gl_order", "k0_bounded",
+                "k0_induced", "k1_bounded"),
+    "relative": ("RelativeKZeroResult", "cofinality_check",
+                 "fibration_check", "idem_classes", "k0_relative"),
     "nerve": ("NerveLevel", "check_simplicial_identities", "degeneracy",
               "face", "k0_via_nerve", "oracle_compare"),
     "assembly": ("AssemblyZeroMap", "assembly_zero",
                  "equivariant_assembly_zero", "naturality_check"),
     "rgd": ("RGDDocument", "RGDSemanticError", "RGDSyntaxError",
-            "document_from", "parse_rgd", "print_rgd"),
+            "parse_rgd"),
+    "rgdprint": ("document_from", "print_rgd"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

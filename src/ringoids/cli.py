@@ -19,10 +19,8 @@ import argparse
 import json
 import sys
 
-from .rgd import (RGDSemanticError, RGDSyntaxError, document_from, parse_rgd,
-                  print_rgd)
-from .ringoid import (DEFAULT_CEILING, StructuralError, forget_units,
-                      ringoid_equal_structure, validate)
+from .rgd import RGDSemanticError, RGDSyntaxError, parse_rgd
+from .ringoid import DEFAULT_CEILING, StructuralError, validate
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -47,11 +45,16 @@ def _note(msg):
     sys.stderr.write(msg + "\n")
 
 
-def _emit_rgd(args, text, ok, machine_obj):
-    """Emit a printed RGD document, so that human-format stdout parses
-    again, and its validation status on stderr."""
-    _emit(args, [text.rstrip("\n")], machine_obj)
+def _emit_rgd(args, ring, machine_obj):
+    """Validate a constructed ringoid and emit it as an RGD document, so
+    that human-format stdout parses again, with its validation status on
+    stderr.  The machine object gains the printed text and the status."""
+    from .rgdprint import document_from, print_rgd
+    ok = validate(ring).ok
+    text = print_rgd(document_from(ringoids=[ring]))
+    _emit(args, [text.rstrip("\n")], dict(machine_obj, rgd=text, ok=ok))
     _note("validation: %s" % ("clean" if ok else "FAILED"))
+    return EXIT_OK if ok else EXIT_FAIL
 
 
 def _presentation_json(p):
@@ -188,6 +191,7 @@ def cmd_k1(args, doc):
 
 
 def cmd_unitize(args, doc):
+    from .constructions import forget_units
     from .moduloids import unitize
     r = _require_ringoid(doc)
     if r.scalar is None:
@@ -195,13 +199,7 @@ def cmd_unitize(args, doc):
     if r.unital:
         _note("note: input is unital; forgetting its identities first")
         r = forget_units(r)
-    mplus = unitize(r)
-    rep = validate(mplus)
-    out_doc = document_from(ringoids=[mplus])
-    text = print_rgd(out_doc)
-    _emit_rgd(args, text, rep.ok, {"op": "unitize", "ringoid": r.name,
-                                   "rgd": text, "ok": rep.ok})
-    return EXIT_OK if rep.ok else EXIT_FAIL
+    return _emit_rgd(args, unitize(r), {"op": "unitize", "ringoid": r.name})
 
 
 def cmd_quotient(args, doc):
@@ -215,14 +213,11 @@ def cmd_quotient(args, doc):
     if not rep.ok:
         raise StructuralError("parent ringoid fails validation")
     q, _qhom = quotient(m, ideal)
-    qrep = validate(q)
-    text = print_rgd(document_from(ringoids=[q]))
-    _emit_rgd(args, text, qrep.ok, {"op": "quotient", "ringoid": of_name,
-                                    "rgd": text, "ok": qrep.ok})
-    return EXIT_OK if qrep.ok else EXIT_FAIL
+    return _emit_rgd(args, q, {"op": "quotient", "ringoid": of_name})
 
 
 def cmd_tensor(args, doc):
+    from .constructions import ringoid_equal_structure
     from .moduloids import tensor
     m = doc.nth_ringoid(0)
     n = doc.nth_ringoid(1)
@@ -239,13 +234,9 @@ def cmd_tensor(args, doc):
     if over is None:
         _note("note: tensoring over Z (no shared scalar ring)")
     tp = tensor(m, n, over=over)
-    rep = validate(tp.ringoid)
-    text = print_rgd(document_from(ringoids=[tp.ringoid]))
-    _emit_rgd(args, text, rep.ok, {"op": "tensor", "left": m.name,
-                                   "right": n.name,
-                                   "over": over.name if over is not None else "Z",
-                                   "rgd": text, "ok": rep.ok})
-    return EXIT_OK if rep.ok else EXIT_FAIL
+    return _emit_rgd(args, tp.ringoid, {
+        "op": "tensor", "left": m.name, "right": n.name,
+        "over": over.name if over is not None else "Z"})
 
 
 def cmd_groupring(args, doc):
@@ -260,12 +251,8 @@ def cmd_groupring(args, doc):
     rrep = validate(r)
     if not rrep.ok:
         raise StructuralError("ringoid fails validation")
-    ring = group_ringoid(g, r)
-    rep = validate(ring)
-    text = print_rgd(document_from(ringoids=[ring]))
-    _emit_rgd(args, text, rep.ok, {"op": "groupring", "groupoid": g.name,
-                                   "ring": r.name, "rgd": text, "ok": rep.ok})
-    return EXIT_OK if rep.ok else EXIT_FAIL
+    return _emit_rgd(args, group_ringoid(g, r), {
+        "op": "groupring", "groupoid": g.name, "ring": r.name})
 
 
 def cmd_transport(args, doc):
@@ -441,6 +428,11 @@ def run(argv=None):
         return _COMMANDS[args.command](args, doc)
     except (StructuralError, RGDSemanticError) as exc:
         _note("error: %s" % exc)
+        return EXIT_FAIL
+    except MemoryError:
+        # a search that outgrows a memory limit (say, a huge --bound); with
+        # no limit the process may be killed before this is raised
+        _note("error: out of memory in %s" % args.command)
         return EXIT_FAIL
 
 

@@ -7,10 +7,9 @@ from __future__ import annotations
 from math import lcm
 
 from .abgroup import FinAbGroup
+from .constructions import cyclic_ring, tabulate, tabulate_hom
 from .groups import FinGroup
-from .ringoid import (AxiomFailure, StructuralError, ValidationReport, tabulate,
-                      tabulate_hom)
-from .ringoid import cyclic_ring
+from .ringoid import AxiomFailure, StructuralError, ValidationReport
 
 
 class FinGroupoid:

@@ -7,9 +7,10 @@ from __future__ import annotations
 from math import gcd, lcm
 
 from .abgroup import TRIVIAL_GROUP, FinAbGroup, GroupQuotient, tensor_group
+from .constructions import (direct_sum, forget_units, ringoid_equal_structure,
+                            tabulate, tabulate_hom)
 from .intlinalg import left_kernel_rows, solve_row_combinations, lattice_contains
-from .ringoid import (StructuralError, direct_sum, forget_units,
-                      ringoid_equal_structure, tabulate, tabulate_hom)
+from .ringoid import StructuralError
 
 
 def _scalar_data(r):

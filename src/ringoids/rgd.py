@@ -25,8 +25,9 @@ Grammar ('#' starts a comment, blank lines ignored):
     point ID
     act X g -> Y
 
-Indices are 0-based.  parse -> print -> parse is the identity on the
-normalized form.
+Indices are 0-based.  `parse_rgd` reads this format and
+`rgdprint.print_rgd` writes its normalized form; parse -> print -> parse
+is the identity on that form.
 """
 
 from __future__ import annotations
@@ -533,167 +534,3 @@ def _ideal_line(section, head, toks, lineno, col0):
         section["gens"].append((heads[1][0], heads[2][0], coords, lineno))
         return
     raise RGDSyntaxError(lineno, col0, "unknown ideal directive %r" % (head,))
-
-
-# ---------------------------------------------------------------------------
-# Printing (normalized form).
-# ---------------------------------------------------------------------------
-
-def print_rgd(doc):
-    lines = []
-    for kind, name in doc.order:
-        if kind == "ringoid":
-            lines.extend(_print_ringoid(doc.ringoids[name], doc))
-        elif kind == "groupoid":
-            lines.extend(_print_groupoid(doc.groupoids[name]))
-        elif kind == "gset":
-            lines.extend(_print_gset(name, doc.gsets[name], doc))
-        elif kind == "ideal":
-            of_name, ideal = doc.ideals[name]
-            lines.extend(_print_ideal(name, of_name, ideal))
-        lines.append("")
-    return "\n".join(lines).rstrip("\n") + "\n"
-
-
-def _scalar_name_of(ringoid, doc):
-    for name, r in doc.ringoids.items():
-        if r is ringoid.scalar:
-            return name
-    if ringoid.scalar.name == ringoid.name:
-        return ringoid.name
-    for name, r in doc.ringoids.items():
-        if r.name == ringoid.scalar.name:
-            return name
-    return None
-
-
-def _object_name(a):
-    """An object as one RGD token: str(a) with spaces removed, so tuple
-    objects (tensor products) and int objects (G-set points) print too;
-    they parse back as strings."""
-    return str(a).replace(" ", "")
-
-
-def _print_ringoid(r, doc):
-    lines = ["ringoid %s" % r.name]
-    names = {a: _object_name(a) for a in r.objects}
-    for a in r.objects:
-        lines.append("object %s" % names[a])
-    order = {a: i for i, a in enumerate(r.objects)}
-    for a in r.objects:
-        for b in r.objects:
-            hom = r.hom(a, b)
-            if len(hom.moduli):
-                lines.append("hom %s %s cyclic %s"
-                             % (names[a], names[b], " ".join(str(d) for d in hom.moduli)))
-    compose_lines = []
-    for (a, b, c), table in r.compose_table.items():
-        for i, row in enumerate(table):
-            for j, img in enumerate(row):
-                if any(img):
-                    compose_lines.append(((order[a], order[b], order[c], j, i),
-                                          "compose %s %s %s: %d %d -> %s"
-                                          % (names[a], names[b], names[c], j, i,
-                                             " ".join(str(x) for x in img))))
-    compose_lines.sort(key=lambda t: t[0])
-    lines.extend(text for _, text in compose_lines)
-    if r.unital and r.identities:
-        for a in r.objects:
-            lines.append("identity %s: %s"
-                         % (names[a], " ".join(str(x) for x in r.identities[a])))
-    if r.scalar is not None:
-        sname = _scalar_name_of(r, doc)
-        if sname is not None:
-            lines.append("scalar %s" % sname)
-            action_lines = []
-            for (a, b), table in (r.action or {}).items():
-                for i, row in enumerate(table):
-                    for j, img in enumerate(row):
-                        if any(img):
-                            action_lines.append(((order[a], order[b], i, j),
-                                                 "action %s %s: %d %d -> %s"
-                                                 % (names[a], names[b], i, j,
-                                                    " ".join(str(x) for x in img))))
-            action_lines.sort(key=lambda t: t[0])
-            lines.extend(text for _, text in action_lines)
-    return lines
-
-
-def _print_groupoid(g):
-    lines = ["groupoid %s" % g.name]
-    for a in g.objects:
-        lines.append("object %s" % (a,))
-    for mid, (a, b) in g.morphisms.items():
-        lines.append("morphism %s %s %s" % (a, b, mid))
-    for a in g.objects:
-        lines.append("identity %s %s" % (a, g.identities[a]))
-    comp_lines = sorted("compose %s %s -> %s" % (h, gg, k)
-                        for (gg, h), k in g.comp.items())
-    lines.extend(comp_lines)
-    inv_lines = sorted("inverse %s %s" % (mid, inv)
-                       for mid, inv in g.inverses.items())
-    lines.extend(inv_lines)
-    return lines
-
-
-def _print_gset(name, gset, doc):
-    over = None
-    for gname, g in doc.groupoids.items():
-        if len(g.objects) == 1 and list(g.hom(g.objects[0], g.objects[0])) \
-                == list(gset.group.elements):
-            over = gname
-            break
-    lines = ["gset %s over %s" % (name, over if over else "?")]
-    for p in gset.points:
-        lines.append("point %s" % (p,))
-    for p in gset.points:
-        for gi in range(len(gset.group)):
-            lines.append("act %s %s -> %s" % (p, gset.group.elements[gi],
-                                              gset.apply(p, gi)))
-    return lines
-
-
-def _print_ideal(name, of_name, ideal):
-    lines = ["ideal %s of %s" % (name, of_name)]
-    for (a, b), gens in ideal.gens.items():
-        for g in gens:
-            lines.append("gen %s %s: %s" % (a, b, " ".join(str(x) for x in g)))
-    return lines
-
-
-def document_from(ringoids=(), groupoids=(), gsets=()):
-    """Wrap constructed structures as a document (pulling in scalar rings as
-    their own sections so the output is self-contained)."""
-    doc = RGDDocument()
-
-    def add_ringoid(r):
-        if any(existing is r for existing in doc.ringoids.values()):
-            return
-        if (r.scalar is not None and r.scalar.name != r.name
-                and not any(existing is r.scalar or existing.name == r.scalar.name
-                            for existing in doc.ringoids.values())):
-            add_ringoid(r.scalar)
-        name = r.name or "ringoid%d" % (len(doc.ringoids) + 1)
-        base = name
-        k = 2
-        while name in doc.ringoids:
-            name = "%s_%d" % (base, k)
-            k += 1
-        if name != r.name:
-            r = FiniteRingoid(r.objects, r.homs, r.compose_table,
-                              identities=r.identities, scalar=r.scalar,
-                              action=r.action, unital=r.unital, name=name)
-        doc.ringoids[name] = r
-        doc.order.append(("ringoid", name))
-
-    for r in ringoids:
-        add_ringoid(r)
-    for g in groupoids:
-        name = g.name or "groupoid%d" % (len(doc.groupoids) + 1)
-        doc.groupoids[name] = g
-        doc.order.append(("groupoid", name))
-    for i, s in enumerate(gsets):
-        name = "gset%d" % (i + 1)
-        doc.gsets[name] = s
-        doc.order.append(("gset", name))
-    return doc

@@ -13,7 +13,7 @@ from ringoids import (FinAbGroup, FiniteRingoid, FinGroup, GSet, IsoWitness,
                       transport_groupoid, validate)
 from ringoids.additive import DEFAULT_CEILING, enumerate_multisets
 from ringoids.cli import run
-from ringoids.ktheory import free_class_of_idempotent
+from ringoids.relative import free_class_of_idempotent
 
 
 def find_isomorphism(view, a, b, ceiling=DEFAULT_CEILING):

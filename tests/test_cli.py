@@ -433,6 +433,25 @@ def test_negative_ceiling_is_rejected(f2_file, capsys, command):
                             % command)
 
 
+@pytest.mark.parametrize("command, engine", [
+    ("k0", "ringoids.ktheory.k0_bounded"),
+    ("oracle-compare", "ringoids.nerve.oracle_compare"),
+    ("k1", "ringoids.ktheory.k1_bounded"),
+])
+def test_out_of_memory_exits_1_with_one_line(f2_file, capsys, monkeypatch,
+                                             command, engine):
+    # a huge --bound under a memory limit ends in MemoryError inside the
+    # engine; the CLI reports it instead of printing a traceback
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(engine, exhausted)
+    code = run([command, "--input", f2_file])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == "error: out of memory in %s\n" % command
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["k0", "--help"]])
 def test_help_exits_0(argv, capsys):
     with pytest.raises(SystemExit) as exc:

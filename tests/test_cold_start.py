@@ -18,6 +18,10 @@ from test_cli import C2_ASSEMBLY_DOC, F2_DOC, TWO_RINGS_DOC, Z4_WITH_IDEAL
 
 VALIDATE = {"cli", "rgd", "ringoid", "abgroup", "intlinalg"}
 K0 = VALIDATE | {"additive", "ktheory"}
+# a groupoid or gset section loads groupoids, which tabulates
+GROUPOIDS = {"groupoids", "groups", "constructions"}
+# the subcommands that print a constructed ringoid as RGD
+PRINTS = VALIDATE | {"constructions", "rgdprint"}
 
 # subcommand -> (input document, extra flags, loaded ringoids.* modules, or
 # None where the set is not pinned)
@@ -26,13 +30,13 @@ CASES = {
     "complete": (F2_DOC, [], None),
     "k0": (F2_DOC, ["--bound", "3"], K0),
     "k1": (F2_DOC, ["--gl-max", "2"], K0 | {"groups"}),
-    "unitize": (F2_DOC, [], None),
-    "quotient": (Z4_WITH_IDEAL, [], None),
-    "tensor": (TWO_RINGS_DOC, [], None),
-    "groupring": (C2_ASSEMBLY_DOC, [], None),
+    "unitize": (F2_DOC, [], PRINTS | {"moduloids"}),
+    "quotient": (Z4_WITH_IDEAL, [], PRINTS | {"moduloids"}),
+    "tensor": (TWO_RINGS_DOC, [], PRINTS | {"moduloids"}),
+    "groupring": (C2_ASSEMBLY_DOC, [], PRINTS | GROUPOIDS),
     "transport": (C2_ASSEMBLY_DOC, [], None),
     "assembly": (C2_ASSEMBLY_DOC, ["--bound", "3"],
-                 K0 | {"assembly", "groupoids", "groups"}),
+                 K0 | {"assembly"} | GROUPOIDS),
     "nerve-check": (F2_DOC, ["--bound", "3"], K0 | {"nerve"}),
     "oracle-compare": (F2_DOC, ["--bound", "3"], K0 | {"nerve"}),
 }
@@ -83,4 +87,4 @@ def test_validate_loads_groupoids_only_for_a_groupoid_section(tmp_path):
     path.write_text(C2_ASSEMBLY_DOC, encoding="utf-8")
     code, _, modules = _fresh_run(["validate", "--input", str(path)])
     assert code == 0
-    assert set(modules) == VALIDATE | {"groupoids", "groups"}
+    assert set(modules) == VALIDATE | GROUPOIDS

@@ -31,7 +31,7 @@ from ringoids import (FiniteRingoid, FinGroup, GSet, Ideal, PiRing,
                       tensor, transport_groupoid, twisted_group_ringoid,
                       unitization_projection, unitization_splitting, unitize,
                       zero_ideal, zero_moduloid)
-from ringoids.ringoid import RingoidHom
+from ringoids.constructions import RingoidHom
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 DATA = os.path.join(HERE, "data", "constructions.json")

@@ -10,10 +10,11 @@ from ringoids import (AbPresentation, CeilingExceeded, FinAbGroup, Ideal,
                       k1_bounded, matrix_ring, product_ring, scalar_ringoid,
                       tensor, unitize, validate, validate_hom, with_self_scalar,
                       zero_ideal, zero_moduloid)
+from ringoids.constructions import tabulate
 from ringoids.intlinalg import hom_well_defined, lattices_equal
 from ringoids.ktheory import (GLGroup, bass_generators, certify_gl_order,
                               count_vector, stabilization_embedding)
-from ringoids.ringoid import StructuralError, tabulate
+from ringoids.ringoid import StructuralError
 
 Z = AbPresentation.free(1)
 

@@ -1,7 +1,9 @@
 """The package surface: the exported names, each resolved on first use to
 the object its defining module holds."""
 
+import ast
 import importlib
+import pathlib
 import subprocess
 import sys
 
@@ -32,14 +34,22 @@ EXPORTED = (
     "validate_groupoid validate_hom validate_ideal validate_pi_ring "
     "with_self_scalar zero_ideal zero_moduloid zero_ring").split()
 
-SUBMODULES = ("abgroup", "additive", "assembly", "groupoids", "groups",
-              "intlinalg", "ktheory", "moduloids", "nerve", "rgd", "ringoid")
+SUBMODULES = ("abgroup", "additive", "assembly", "constructions",
+              "groupoids", "groups", "intlinalg", "ktheory", "moduloids",
+              "nerve", "relative", "rgd", "rgdprint", "ringoid")
 
 
 def test_all_lists_the_exported_names():
     assert len(EXPORTED) == 95
     assert ringoids.__all__ == sorted(EXPORTED)
     assert set(EXPORTED) | set(SUBMODULES) <= set(dir(ringoids))
+
+
+def test_every_library_module_has_an_export_entry():
+    # a module split off later must not silently drop out of dir(ringoids)
+    package = pathlib.Path(ringoids.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")} - {"__init__", "cli"}
+    assert set(ringoids._EXPORTS) == modules == set(SUBMODULES)
 
 
 def test_each_name_is_the_object_of_its_defining_module():
@@ -97,3 +107,37 @@ def test_first_use_loads_only_the_defining_layers():
                    "True",
                    "ringoids.abgroup ringoids.additive ringoids.intlinalg "
                    "ringoids.ktheory ringoids.ringoid"]
+
+
+def _unused_top_level_imports(source):
+    """The names a module binds by a top-level import and never reads."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in bound.items()
+                  if name not in read)
+
+
+def test_unused_import_detection():
+    assert _unused_top_level_imports(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from .a import b, c as d\n"
+        "def f():\n"
+        "    return d(os)\n") == [(3, "b")]
+
+
+def test_no_module_keeps_an_unused_top_level_import():
+    # an unused import of a module off a subcommand's path would compile
+    # that module again in every process that runs the subcommand
+    package = pathlib.Path(ringoids.__file__).parent
+    unused = {path.name: _unused_top_level_imports(path.read_text("utf-8"))
+              for path in sorted(package.glob("*.py"))}
+    assert {name: found for name, found in unused.items() if found} == {}

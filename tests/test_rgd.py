@@ -6,7 +6,7 @@ from ringoids import (FiniteRingoid, RGDSemanticError, RGDSyntaxError,
                       document_from, parse_rgd, print_rgd,
                       ringoid_equal_structure, validate, validate_groupoid)
 from ringoids.moduloids import quotient, unitize
-from ringoids.ringoid import forget_units
+from ringoids.constructions import forget_units
 
 F2_DOC = """\
 # the field with two elements

@@ -6,7 +6,7 @@ from ringoids import (FinAbGroup, FiniteRingoid, RingoidHom, StructuralError,
                       cyclic_ring, identity_hom, one_object_ringoid,
                       ringoid_equal_structure, validate, validate_hom,
                       zero_moduloid)
-from ringoids.ringoid import tabulate
+from ringoids.constructions import tabulate
 
 
 def test_validate_accepts_standard_rings(f2, f3, z4, m2f2, f2c2, f2xf2):
