@@ -13,7 +13,8 @@ from __future__ import annotations
 from .additive import DEFAULT_CEILING
 from .groupoids import (group_as_groupoid, group_ringoid, group_ringoid_map,
                         orbit_skeleton, transport_groupoid)
-from .intlinalg import AbPresentation, apply_rows, hom_well_defined
+from .intlinalg import (AbPresentation, apply_rows, exponent_row,
+                        hom_well_defined)
 from .ktheory import k0_bounded, k0_induced
 from .ringoid import StructuralError
 
@@ -41,15 +42,18 @@ class AssemblyZeroMap:
             self.source_presentation, self.target.presentation, self.iso)
 
 
-def _assemble(components, summand_results, target_result, gen_target_vectors):
+def _assemble(components, summand_results, target_ringoid, target_result):
+    """The map sending every generator of the summand of a component to the
+    class of the component's chosen object."""
     source_pres = AbPresentation.zero()
     for res in summand_results:
         source_pres = source_pres.direct_sum(res.presentation)
-    matrix = []
-    for vectors in gen_target_vectors:
-        matrix.extend(vectors)
+    index = {a: j for j, a in enumerate(target_ringoid.objects)}
+    matrix = [exponent_row(index, [comp.base])
+              for comp, res in zip(components, summand_results)
+              for _ in res.gen_labels]
     target = target_result.presentation
-    ok = hom_well_defined(source_pres.relations, target, matrix)[0]
+    ok = hom_well_defined(source_pres, target, matrix)[0]
     # hom_is_isomorphism, with well-definedness computed once
     iso = ok and source_pres == target and target.generated_by(matrix)
     undecided = target_result.undecided or any(r.undecided for r in summand_results)
@@ -64,18 +68,8 @@ def assembly_zero(pi, scalar, bound, ceiling=DEFAULT_CEILING):
     ringoid_result = k0_bounded(ringoid, bound, ceiling=ceiling)
     components = orbit_skeleton(pi)
     k0r = k0_bounded(scalar, bound, ceiling=ceiling)
-    tgt_objects = list(ringoid.objects)
-    summand_results = []
-    gen_vectors = []
-    for comp in components:
-        summand_results.append(k0r)
-        vectors = []
-        for _ in k0r.gen_labels:
-            row = [0] * len(tgt_objects)
-            row[tgt_objects.index(comp.base)] = 1
-            vectors.append(row)
-        gen_vectors.append(vectors)
-    return _assemble(components, summand_results, ringoid_result, gen_vectors)
+    return _assemble(components, [k0r] * len(components), ringoid,
+                     ringoid_result)
 
 
 def equivariant_assembly_zero(gset, scalar, bound, ceiling=DEFAULT_CEILING):
@@ -89,22 +83,13 @@ def equivariant_assembly_zero(gset, scalar, bound, ceiling=DEFAULT_CEILING):
     ringoid = group_ringoid(bar, scalar)
     target = k0_bounded(ringoid, bound, ceiling=ceiling)
     components = orbit_skeleton(bar)
-    tgt_objects = list(ringoid.objects)
     summand_results = []
-    gen_vectors = []
     for comp in components:
         vertex_groupoid = group_as_groupoid(comp.vertex_group,
                                             name="H@%s" % (comp.base,))
         vring = group_ringoid(vertex_groupoid, scalar)
-        res = k0_bounded(vring, bound, ceiling=ceiling)
-        summand_results.append(res)
-        vectors = []
-        for _ in res.gen_labels:
-            row = [0] * len(tgt_objects)
-            row[tgt_objects.index(comp.base)] = 1
-            vectors.append(row)
-        gen_vectors.append(vectors)
-    return _assemble(components, summand_results, target, gen_vectors)
+        summand_results.append(k0_bounded(vring, bound, ceiling=ceiling))
+    return _assemble(components, summand_results, ringoid, target)
 
 
 class NaturalityReport:
@@ -164,13 +149,11 @@ def naturality_check(f, xs, ys, scalar, bound, ceiling=DEFAULT_CEILING):
         pos += len(res.gen_labels)
     n_src_y = pos
     source_map = []
-    for ci, comp in enumerate(comps_x):
+    for comp, res in zip(comps_x, ax.source_summands):
         image_pt = f[comp.base]
         cj = next(j for j, cy in enumerate(comps_y) if image_pt in cy.objects)
-        for _ in ax.source_summands[ci].gen_labels:
-            row = [0] * n_src_y
-            row[offsets_y[cj]] = 1
-            source_map.append(row)
+        source_map += [exponent_row(range(n_src_y), [offsets_y[cj]])
+                       for _ in res.gen_labels]
     # compare the two composites modulo the target relation lattice
     n_tgt = len(ay.target.gen_labels)
     diffs = []

@@ -4,14 +4,14 @@ Smith normal form with transform certificates, row-lattice solvers, and
 finitely presented abelian groups in (rank, torsion chain) normal form.
 All arithmetic is arbitrary-precision Python integers; no floating point.
 
-Every relation matrix of an `AbPresentation`, and every lattice of
-`solve_row_combinations` with at least `_DENSE_SOLVE_CELLS` entries, first
-goes through `Elimination`, a certified sparse unit-pivot elimination
-(abelian Tietze moves).  Only its residue reaches the dense Smith normal
-form.  A presentation keeps its elimination and answers its own lattice
-questions from it: whether vectors are zero in the group (`kills`) and
-whether rows map onto it (`generated_by`).  Smaller lattices and
-`left_kernel_rows` use the dense form directly.
+Relation rows over named generators are written by `exponent_row`.  Every
+relation matrix of an `AbPresentation`, and every lattice of
+`solve_row_combinations`, first goes through `Elimination`, a certified
+sparse unit-pivot elimination (abelian Tietze moves).  Only its residue
+reaches the dense Smith normal form.  A presentation keeps its elimination
+and answers its own lattice questions from it: whether vectors are zero in
+the group (`kills`) and whether rows map onto it (`generated_by`).
+`left_kernel_rows` and `lattice_basis` use the dense form directly.
 """
 
 from __future__ import annotations
@@ -219,6 +219,19 @@ def smith_normal_form(m):
 # Row lattices.  A lattice in Z^n is given by a list of generator rows.
 # ---------------------------------------------------------------------------
 
+def exponent_row(index, plus=(), minus=()):
+    """The relation row +1 per generator in plus, -1 per generator in minus,
+    repeats adding up.  index maps a generator to its position: a dict over
+    named generators (a missing one raises KeyError), or range(n) when the
+    generators are the positions themselves."""
+    row = [0] * len(index)
+    for g in plus:
+        row[index[g]] += 1
+    for g in minus:
+        row[index[g]] -= 1
+    return row
+
+
 def _snf_of_rows(rows, n):
     mat = IntMatrix.from_rows(rows) if rows else IntMatrix.zeros(0, n)
     if mat.cols != n:
@@ -245,16 +258,6 @@ def _dense_solve(rows, n, targets):
     return out
 
 
-# Below this many entries (rows times columns) `solve_row_combinations`
-# solves by the dense Smith normal form alone, so a small lattice keeps the
-# coefficients the dense solver gives.  With dependent rows the elimination
-# returns another exact solution: for rows (0, 3), (0, 3), (0, 2) and
-# target (0, 2) it gives [2, 0, -2], the dense solver [0, 2, -2].  Speed
-# does not call for the branch: on the small lattices of the benchmark
-# workloads the elimination is as fast as the dense form or faster.
-_DENSE_SOLVE_CELLS = 64
-
-
 def solve_row_combinations(rows, n, targets):
     """For each target, coefficients c with sum(c_i * rows_i) == target, or
     None when the target is outside the row lattice.  One factorization of
@@ -262,8 +265,6 @@ def solve_row_combinations(rows, n, targets):
     normal form of its residue."""
     if not targets:
         return []
-    if len(rows) * n < _DENSE_SOLVE_CELLS:
-        return _dense_solve(rows, n, targets)
     return Elimination(rows, n).solve(targets)
 
 
@@ -616,11 +617,12 @@ def cokernel(m):
 # generators).
 # ---------------------------------------------------------------------------
 
-def hom_well_defined(src_rel, tgt, gen_matrix):
-    """Check that every source relation maps to zero in the presented
-    target group tgt.  Returns (ok, offending_relation_or_None)."""
-    images = [apply_rows(row, gen_matrix, tgt.generators) for row in src_rel]
-    for row, zero in zip(src_rel, tgt.kills(images)):
+def hom_well_defined(src, tgt, gen_matrix):
+    """Check that every relation of the presented source group src maps to
+    zero in the presented target group tgt.  Returns (ok,
+    offending_relation_or_None)."""
+    images = [apply_rows(row, gen_matrix, tgt.generators) for row in src.relations]
+    for row, zero in zip(src.relations, tgt.kills(images)):
         if not zero:
             return False, row
     return True, None
@@ -638,12 +640,12 @@ def apply_rows(vec, matrix, n_out):
     return out
 
 
-def hom_kernel_lattice(src_rel, tgt_rel, gen_matrix, n_src, n_tgt):
-    """Basis rows of {x in Z^n_src : x*G in lattice(tgt_rel)} + lattice(src_rel)."""
-    stacked = [list(r) for r in gen_matrix] + [list(r) for r in tgt_rel]
-    zk = left_kernel_rows(stacked, n_tgt)
-    projected = [z[:n_src] for z in zk]
-    return lattice_basis(projected + [list(r) for r in src_rel], n_src)
+def hom_kernel_lattice(src, tgt, gen_matrix):
+    """Basis rows of {x : x*G in the relation lattice of tgt} plus the
+    relation lattice of src, as vectors over the source generators."""
+    zk = left_kernel_rows(list(gen_matrix) + list(tgt.relations), tgt.generators)
+    projected = [z[:src.generators] for z in zk]
+    return lattice_basis(projected + list(src.relations), src.generators)
 
 
 def hom_is_isomorphism(src, tgt, gen_matrix):
@@ -653,15 +655,16 @@ def hom_is_isomorphism(src, tgt, gen_matrix):
     generated abelian groups are Noetherian, so a surjective endomorphism
     of one is injective.  Both lattice questions go to tgt's elimination."""
     return (src == tgt
-            and hom_well_defined(src.relations, tgt, gen_matrix)[0]
+            and hom_well_defined(src, tgt, gen_matrix)[0]
             and tgt.generated_by(gen_matrix))
 
 
-def kernel_presentation(src_rel, tgt_rel, gen_matrix, n_src, n_tgt):
-    """Presentation of ker(Z^n_src/A -> Z^n_tgt/B) plus its basis rows
-    (each basis row is a vector over the source generators)."""
-    basis = hom_kernel_lattice(src_rel, tgt_rel, gen_matrix, n_src, n_tgt)
-    rel_rows = solve_row_combinations(basis, n_src, src_rel)
+def kernel_presentation(src, tgt, gen_matrix):
+    """Presentation of the kernel of the map src -> tgt of presented groups,
+    plus its basis rows (each basis row is a vector over the source
+    generators)."""
+    basis = hom_kernel_lattice(src, tgt, gen_matrix)
+    rel_rows = solve_row_combinations(basis, src.generators, src.relations)
     if None in rel_rows:
         raise ArithmeticError("source relation escapes the kernel lattice")
     return AbPresentation(len(basis), rel_rows), basis

@@ -16,8 +16,8 @@ formula `gl_order`; `groups.abelianization`), with stabilization maps.
 from __future__ import annotations
 
 from .additive import DEFAULT_CEILING, MatMorphism, complete, iso_class_table
-from .intlinalg import (AbPresentation, apply_rows, hom_is_isomorphism,
-                        hom_well_defined)
+from .intlinalg import (AbPresentation, apply_rows, exponent_row,
+                        hom_is_isomorphism, hom_well_defined)
 from .ringoid import StructuralError
 
 
@@ -61,25 +61,18 @@ class KZeroResult:
             if self.stabilized_since else ", not stabilized")
 
 
-def count_vector(objsum, objects):
-    vec = [0] * len(objects)
-    for a in objsum:
-        vec[objects.index(a)] += 1
-    return vec
-
-
 def k0_bounded(r, bound, ceiling=DEFAULT_CEILING):
     """Bounded K0, read off the iso-class table of the completion of r."""
     if not r.unital:
         raise StructuralError("absolute K0 needs a unital ringoid")
     table = iso_class_table(complete(r), bound, ceiling=ceiling)
     objects = list(r.objects)
+    index = {a: i for i, a in enumerate(objects)}
     # each distinct non-zero row once, with the shortest sum length at which
     # it occurs; first-occurrence order keeps k0_induced's failing relation
     shortest = {}
     for s, cls in table.class_of.items():
-        row = tuple(x - y for x, y in zip(count_vector(s, objects),
-                                          count_vector(table.reps[cls], objects)))
+        row = tuple(exponent_row(index, s, table.reps[cls]))
         if any(row):
             shortest[row] = min(shortest.get(row, len(s)), len(s))
     per_bound = {}
@@ -121,14 +114,9 @@ class InducedMap:
 def k0_induced(f, source_result, target_result):
     """Induced map on bounded K0 along a ringoid homomorphism.  A relation
     that fails to transport is reported as a bound artifact, not raised."""
-    src_objects = list(f.source.objects)
-    tgt_objects = list(f.target.objects)
-    matrix = []
-    for a in src_objects:
-        row = [0] * len(tgt_objects)
-        row[tgt_objects.index(f.object_map[a])] = 1
-        matrix.append(row)
-    ok, bad = hom_well_defined(source_result.presentation.relations,
+    index = {b: j for j, b in enumerate(f.target.objects)}
+    matrix = [exponent_row(index, [f.object_map[a]]) for a in f.source.objects]
+    ok, bad = hom_well_defined(source_result.presentation,
                                target_result.presentation, matrix)
     return InducedMap(source_result, target_result, matrix, ok, bad)
 

@@ -18,8 +18,8 @@ bounds; the two pipelines share only the isomorphism searcher.
 from __future__ import annotations
 
 from .additive import DEFAULT_CEILING, complete, enumerate_objsums, iso_class_table
-from .intlinalg import AbPresentation, hom_is_isomorphism
-from .ktheory import count_vector, k0_bounded
+from .intlinalg import AbPresentation, exponent_row, hom_is_isomorphism
+from .ktheory import k0_bounded
 from .ringoid import StructuralError
 
 
@@ -178,32 +178,23 @@ def k0_via_nerve(r, bound, ceiling=DEFAULT_CEILING):
     its faces glues the relation (s)(t)(s+t)^-1; each isomorphism in the
     level-1 isomorphism category glues (s)(t)^-1; the degenerate 1-cell of
     the zero object is collapsed.  The group is abelian modulo these
-    relations, so each relator is recorded as its exponent-sum row:
-    e_() first, then e_s - e_rep for each sum s in order, then
-    e_s + e_t - e_(s+t).  The isomorphism s -> rep is the permutation
+    relations, so each relator is written as its exponent-sum row by
+    `exponent_row`: e_() first, then e_s - e_rep for each sum s in order,
+    then e_s + e_t - e_(s+t).  The isomorphism s -> rep is the permutation
     sorting s followed by the witness for the sorted form in the iso-class
     table that `k0_bounded` reads."""
     table = iso_class_table(complete(r), bound, ceiling=ceiling)
     sums = enumerate_objsums(r.objects, bound)
     index = {s: i for i, s in enumerate(sums)}
-
-    def relator(plus, minus=()):
-        row = [0] * len(sums)
-        for s in plus:
-            row[index[s]] += 1
-        for s in minus:
-            row[index[s]] -= 1
-        return row
-
-    rows = [relator([()])]
+    rows = [exponent_row(index, [()])]
     for s in sums:
         rep = table.reps[table.class_of_word(s)]
         if s != rep:
-            rows.append(relator([s], [rep]))
+            rows.append(exponent_row(index, [s], [rep]))
     for s in sums:
         for t in sums:
             if len(s) + len(t) <= bound:
-                rows.append(relator([s, t], [s + t]))
+                rows.append(exponent_row(index, [s, t], [s + t]))
     return NerveKZero(bound, AbPresentation(len(sums), rows), sums,
                       table.undecided)
 
@@ -238,15 +229,12 @@ def oracle_compare(r, bound, ceiling=DEFAULT_CEILING):
     k0 = k0_bounded(r, bound, ceiling=ceiling)
     nerve = k0_via_nerve(r, bound, ceiling=ceiling)
     match = k0.presentation == nerve.abelianized
-    objects = list(r.objects)
-    sums = list(nerve.generator_sums)
+    sums = nerve.generator_sums
+    sum_index = {s: i for i, s in enumerate(sums)}
+    obj_index = {a: i for i, a in enumerate(r.objects)}
     # k0 generator [a] -> nerve generator (a); nerve generator s -> sum of letters
-    fwd = []
-    for a in objects:
-        row = [0] * len(sums)
-        row[sums.index((a,))] = 1
-        fwd.append(row)
-    bwd = [count_vector(s, objects) for s in sums]
+    fwd = [exponent_row(sum_index, [(a,)]) for a in r.objects]
+    bwd = [exponent_row(obj_index, s) for s in sums]
     fwd_ok = hom_is_isomorphism(k0.presentation, nerve.abelianized, fwd)
     bwd_ok = hom_is_isomorphism(nerve.abelianized, k0.presentation, bwd)
     return OracleReport(k0, nerve, match, fwd_ok, bwd_ok, k0.undecided)

@@ -12,15 +12,13 @@ the K0 of the subcategory of sums of length at least 2.
 
 from __future__ import annotations
 
-from collections import Counter
-
 from .additive import (DEFAULT_CEILING, Undecided, complete,
                        enumerate_objsums, iso_class_table)
 from .constructions import tabulate_hom
-from .intlinalg import (AbPresentation, apply_rows, hom_is_isomorphism,
-                        hom_kernel_lattice, kernel_presentation,
-                        lattices_equal)
-from .ktheory import count_vector, k0_bounded, k0_induced
+from .intlinalg import (AbPresentation, apply_rows, exponent_row,
+                        hom_is_isomorphism, hom_kernel_lattice,
+                        kernel_presentation, lattices_equal)
+from .ktheory import k0_bounded, k0_induced
 from .ringoid import StructuralError
 
 
@@ -34,14 +32,13 @@ class IdemClasses:
     [c] = sum of [(t,)] over the types t in the key of each split class c
     whose key does not have length 1 (the empty key gives [0] = 0)."""
 
-    __slots__ = ("ringoid", "reps", "class_of", "relations", "presentation",
+    __slots__ = ("ringoid", "reps", "class_of", "presentation",
                  "undecided_pairs")
 
     def __init__(self, ringoid, reps, class_of, relations, undecided_pairs):
         self.ringoid = ringoid
         self.reps = tuple(reps)
         self.class_of = dict(class_of)
-        self.relations = [list(r) for r in relations]
         self.presentation = AbPresentation(len(reps), relations)
         self.undecided_pairs = tuple(undecided_pairs)
 
@@ -77,15 +74,9 @@ def idem_classes(r, ceiling=DEFAULT_CEILING):
                 assigned = first[key] = len(reps)
                 reps.append((a, p))
             class_of[(a, p)] = assigned
-    relations = []
-    for key, c in first.items():
-        if len(key) != 1:
-            row = [0] * len(reps)
-            row[c] = 1
-            for t in key:
-                # each summand of a split p is a listed idempotent of End(a)
-                row[first[(t,)]] -= 1
-            relations.append(row)
+    # each summand of a split p is a listed idempotent of End(a)
+    relations = [exponent_row(range(len(reps)), [c], [first[(t,)] for t in key])
+                 for key, c in first.items() if len(key) != 1]
     return IdemClasses(r, reps, class_of, relations, undecided_pairs)
 
 
@@ -139,14 +130,10 @@ def k0_relative(m, bound, ceiling=DEFAULT_CEILING):
     projection = unitization_projection(m, mplus=mplus, rm=rm)
     icp = idem_classes(mplus, ceiling=ceiling)
     icr = idem_classes(rm, ceiling=ceiling)
-    matrix = []
-    for (a, p) in icp.reps:
-        q = projection.apply(a, a, p)
-        row = [0] * len(icr.reps)
-        row[icr.class_of[(a, q)]] = 1
-        matrix.append(row)
-    pres, basis = kernel_presentation(icp.relations, icr.relations, matrix,
-                                      len(icp.reps), len(icr.reps))
+    matrix = [exponent_row(range(len(icr.reps)),
+                           [icr.class_of[(a, projection.apply(a, a, p))]])
+              for (a, p) in icp.reps]
+    pres, basis = kernel_presentation(icp.presentation, icr.presentation, matrix)
     labels = []
     for vec in basis:
         terms = []
@@ -189,7 +176,7 @@ def cofinality_check(r, bound, ceiling=DEFAULT_CEILING):
     |s| + 1 = |t| and s x is no later than t reversed."""
     ambient = k0_bounded(r, bound, ceiling=ceiling)
     table = ambient.table
-    objects = list(r.objects)
+    obj_index = {a: i for i, a in enumerate(r.objects)}
     sub_objs = [s for s in table.class_of if len(s) >= 2]
     index = {s: i for i, s in enumerate(sub_objs)}
     first = {}
@@ -200,14 +187,14 @@ def cofinality_check(r, bound, ceiling=DEFAULT_CEILING):
         return first[table.class_of_word(word)]
 
     def no_later(u, v):
-        return [objects.index(a) for a in u] <= [objects.index(a) for a in v]
+        return [obj_index[a] for a in u] <= [obj_index[a] for a in v]
 
     rows = {}
 
     def relate(plus, minus):
-        row = Counter(index[s] for s in plus)
-        row.subtract(index[s] for s in minus)
-        rows.setdefault(tuple(sorted((j, c) for j, c in row.items() if c)))
+        row = exponent_row(index, plus, minus)
+        if any(row):
+            rows.setdefault(tuple(row))
 
     for s in sub_objs:
         relate([s], [first_of(s)])
@@ -216,17 +203,12 @@ def cofinality_check(r, bound, ceiling=DEFAULT_CEILING):
             if len(s) + len(t) <= bound:
                 relate([s, t], [first_of(s + t)])
             if len(s) < len(t) < bound <= len(s) + len(t):
-                for x in objects:
+                for x in r.objects:
                     if len(s) + 1 < len(t) or no_later(s + (x,), t[::-1]):
                         relate([s, first_of((x,) + t)],
                                [first_of(s + (x,)), t])
-    relations = []
-    for key in filter(None, rows):
-        relations.append([0] * len(sub_objs))
-        for j, c in key:
-            relations[-1][j] = c
-    sub_pres = AbPresentation(len(sub_objs), relations)
-    matrix = [count_vector(s, objects) for s in sub_objs]
+    sub_pres = AbPresentation(len(sub_objs), list(rows))
+    matrix = [exponent_row(obj_index, s) for s in sub_objs]
     iso = hom_is_isomorphism(sub_pres, ambient.presentation, matrix)
     witnesses = [(s, f, s + f) for f in sub_objs[:1]
                  for s in enumerate_objsums(r.objects, 1) if len(s + f) <= bound]
@@ -311,7 +293,7 @@ def fibration_check(m, ideal, bound, ceiling=DEFAULT_CEILING):
     jplus_to_m = tabulate_hom(rel.mplus, m, {a: a for a in m.objects}, to_m,
                               name="J+ -> M")
 
-    objects = list(m.objects)
+    index = {a: i for i, a in enumerate(m.objects)}
     undecided = rel.undecided or k0m.undecided or k0q.undecided
     unresolved = []
     class_images = []
@@ -323,11 +305,11 @@ def fibration_check(m, ideal, bound, ceiling=DEFAULT_CEILING):
             class_images.append(None)
             undecided = undecided or t is not None
         else:
-            class_images.append(count_vector(t, objects))
+            class_images.append(exponent_row(index, t))
     inclusion_rows = []
     for vec in rel.kernel_basis:
         resolved = all(class_images[i] is not None for i, c in enumerate(vec) if c)
-        inclusion_rows.append(apply_rows(vec, class_images, len(objects))
+        inclusion_rows.append(apply_rows(vec, class_images, len(index))
                               if resolved else None)
 
     composite_zero = exact = None
@@ -335,12 +317,10 @@ def fibration_check(m, ideal, bound, ceiling=DEFAULT_CEILING):
         images = [jmap.apply(row) for row in inclusion_rows]
         composite_zero = all(k0q.presentation.kills(images))
         # exactness at K0(M): image lattice of i_* equals kernel lattice of j_*
-        image_rows = inclusion_rows + [list(r) for r in k0m.presentation.relations]
-        kernel_rows = hom_kernel_lattice(k0m.presentation.relations,
-                                         k0q.presentation.relations,
-                                         jmap.matrix, len(objects),
-                                         len(quot.objects))
-        exact = lattices_equal(image_rows, kernel_rows, len(objects))
+        image_rows = inclusion_rows + list(k0m.presentation.relations)
+        kernel_rows = hom_kernel_lattice(k0m.presentation, k0q.presentation,
+                                         jmap.matrix)
+        exact = lattices_equal(image_rows, kernel_rows, len(index))
     return FibrationReport(rel, k0m, k0q, inclusion_rows, jmap,
                            composite_zero, exact, undecided, unresolved)
 

@@ -284,8 +284,7 @@ def test_nerve_relations_monotone_in_bound(f2):
         row = [0] * n4
         row[sums4.index(s)] = 1
         include.append(row)
-    ok, _ = hom_well_defined(res3.abelianized.relations, res4.abelianized,
-                             include)
+    ok, _ = hom_well_defined(res3.abelianized, res4.abelianized, include)
     assert ok
 
 
