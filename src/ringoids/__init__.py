@@ -55,6 +55,7 @@ _EXPORTS = {
                  "equivariant_assembly_zero", "naturality_check"),
     "rgd": ("RGDDocument", "RGDSemanticError", "RGDSyntaxError",
             "parse_rgd"),
+    "rgdsections": (),
     "rgdprint": ("document_from", "print_rgd"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()

@@ -11,8 +11,6 @@ from __future__ import annotations
 import itertools
 from math import gcd
 
-from .intlinalg import IntMatrix, smith_normal_form, solve_row_combinations
-
 
 class FinAbGroup:
     """Product of cyclic groups Z/d1 x ... x Z/dk, every d_i >= 1."""
@@ -107,6 +105,7 @@ class GroupQuotient:
     __slots__ = ("ambient", "group", "_v", "_vinv", "_kept", "_diag")
 
     def __init__(self, ambient, extra_rows=()):
+        from .intlinalg import IntMatrix, smith_normal_form, solve_row_combinations
         self.ambient = ambient
         k = len(ambient.moduli)
         rows = ambient.relation_rows() + [list(r) for r in extra_rows]

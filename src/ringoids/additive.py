@@ -23,8 +23,16 @@ of base objects only, each written as its sorted sum; any other ordering
 from __future__ import annotations
 
 import itertools
+import math
 
 from .ringoid import DEFAULT_CEILING, StructuralError
+
+# The most letters (base objects, counted over all its multisets) an
+# iso-class table may hold.  A table takes about 20 bytes per letter
+# (`k0` of F2 at bound 10000: 5.0e7 letters, 1.0 GB peak, CPython 3.11),
+# so this refuses tables of about 2 GB and more.  The largest table of the
+# tests holds 4095 letters (disc3 at bound 12), of the benchmark 105.
+TABLE_LETTER_LIMIT = 10 ** 8
 
 
 class MatMorphism:
@@ -64,6 +72,11 @@ class Undecided:
     def __repr__(self):
         return "Undecided(%r, size=%d > ceiling=%d)" % (self.subject, self.size,
                                                          self.ceiling)
+
+
+class SizeLimitExceeded(MemoryError):
+    """A table refused before it is built, because its predicted size is
+    over a fixed limit: building it would take gigabytes of memory."""
 
 
 class IsoWitness:
@@ -508,16 +521,35 @@ def enumerate_multisets(objects, bound):
         yield from itertools.combinations_with_replacement(objects, n)
 
 
+def table_letters(n, bound):
+    """The total length of the multisets of size <= bound of n objects:
+    the sum over k <= bound of k * C(n + k - 1, k), which is
+    n * C(n + bound, bound - 1)."""
+    return n * math.comb(n + bound, bound - 1) if bound >= 1 else 0
+
+
+def _three_figures(x):
+    exponent = int(math.log10(x))
+    return "%.2fe%d" % (x / 10 ** exponent, exponent)
+
+
 def iso_class_table(view, bound, ceiling=DEFAULT_CEILING):
     """Bucket the multisets of size <= bound by type vector, once per ringoid,
     bound and ceiling.  The representative of a class is its first multiset
     in `enumerate_multisets` order, which is also its first word in
     `enumerate_objsums` order: the sorted form of a word has its class and
-    comes no later.  Every other multiset carries a verified witness to it."""
+    comes no later.  Every other multiset carries a verified witness to it.
+    Raises SizeLimitExceeded, before enumerating, when the multisets would
+    hold more than TABLE_LETTER_LIMIT letters in all."""
     if not view.has_identities:
         raise StructuralError("iso classes need a unital base")
     if (bound, ceiling) in view._tables:
         return view._tables[(bound, ceiling)]
+    letters = table_letters(len(view.base.objects), bound)
+    if letters > TABLE_LETTER_LIMIT:
+        raise SizeLimitExceeded(
+            "iso-class table at bound %d would hold %s letters, over the "
+            "limit of %d" % (bound, _three_figures(letters), TABLE_LETTER_LIMIT))
     dec = view.decomposition(ceiling)
     reps = []
     class_of = {}

@@ -387,17 +387,16 @@ def build_parser():
         prog="ringoids",
         description="Finite ringoids, their additive completions, and the "
                     "decidable shadows of their K-theory.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--input", required=True, help="RGD input file")
-        p.add_argument("--bound", type=int, default=3,
-                       help="length bound L for formal sums (default 3)")
-        p.add_argument("--gl-max", type=int, default=2, dest="gl_max",
-                       help="largest GL rank for k1 (default 2)")
-        p.add_argument("--ceiling", type=int, default=DEFAULT_CEILING,
-                       help="candidate ceiling for searches (default 2^20)")
-        p.add_argument("--format", choices=("human", "machine"), default="human")
+    parser.add_argument("command", choices=list(_COMMANDS))
+    parser.add_argument("--input", required=True, help="RGD input file")
+    parser.add_argument("--bound", type=int, default=3,
+                        help="length bound L for formal sums (default 3)")
+    parser.add_argument("--gl-max", type=int, default=2, dest="gl_max",
+                        help="largest GL rank for k1 (default 2)")
+    parser.add_argument("--ceiling", type=int, default=DEFAULT_CEILING,
+                        help="candidate ceiling for searches (default 2^20)")
+    parser.add_argument("--format", choices=("human", "machine"),
+                        default="human")
     return parser
 
 
@@ -429,10 +428,11 @@ def run(argv=None):
     except (StructuralError, RGDSemanticError) as exc:
         _note("error: %s" % exc)
         return EXIT_FAIL
-    except MemoryError:
-        # a search that outgrows a memory limit (say, a huge --bound); with
-        # no limit the process may be killed before this is raised
-        _note("error: out of memory in %s" % args.command)
+    except MemoryError as exc:
+        # a search that outgrows a memory limit; with no limit the process
+        # may be killed before this is raised.  A table refused by its size
+        # guard (additive.SizeLimitExceeded) says why.
+        _note("error: %s" % (str(exc) or "out of memory in %s" % args.command))
         return EXIT_FAIL
 
 

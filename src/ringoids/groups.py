@@ -5,8 +5,6 @@ from __future__ import annotations
 
 import itertools
 
-from .intlinalg import AbPresentation
-
 
 class FinGroup:
     """Finite group: element list plus full multiplication table on indices.
@@ -99,6 +97,7 @@ def abelianization(group, gens):
     Returns (presentation, coords): coords[x] is the image of element x in
     the presentation (a homomorphism), and generator k has coords e_k.
     """
+    from .intlinalg import AbPresentation
     gens = list(gens)
     k = len(gens)
     coords = [None] * len(group)

@@ -11,7 +11,9 @@ from ringoids import (FinAbGroup, FiniteRingoid, FinGroup, GSet, IsoWitness,
                       group_as_groupoid, group_ringoid, iso_class_table,
                       map_completion, matrix_ring, print_rgd, product_ring,
                       transport_groupoid, validate)
-from ringoids.additive import DEFAULT_CEILING, enumerate_multisets
+from ringoids import additive
+from ringoids.additive import (DEFAULT_CEILING, SizeLimitExceeded,
+                               enumerate_multisets, table_letters)
 from ringoids.cli import run
 from ringoids.relative import free_class_of_idempotent
 
@@ -243,6 +245,26 @@ def test_multisets_are_the_sorted_words(disc2):
                if all(objects.index(x) <= objects.index(y)
                       for x, y in zip(s, s[1:]))]
     assert list(enumerate_multisets(objects, 3)) == ordered
+
+
+def test_table_letters_counts_the_letters_of_the_multisets():
+    for n in range(4):
+        for bound in range(6):
+            multisets = enumerate_multisets(range(n), bound)
+            assert table_letters(n, bound) == sum(map(len, multisets))
+
+
+def test_iso_class_table_over_the_letter_limit_is_refused(monkeypatch):
+    # a ringoid of its own, so that no cached table answers first; F2 to
+    # bound 3 holds 0 + 1 + 2 + 3 letters
+    view = complete(cyclic_ring(2))
+    monkeypatch.setattr(additive, "TABLE_LETTER_LIMIT", 5)
+    with pytest.raises(SizeLimitExceeded,
+                       match="at bound 3 would hold 6.00e0 letters, over the "
+                             "limit of 5"):
+        iso_class_table(view, 3)
+    monkeypatch.setattr(additive, "TABLE_LETTER_LIMIT", 6)
+    assert len(iso_class_table(view, 3).class_of) == 4
 
 
 def test_map_completion_entrywise(z4, f2):

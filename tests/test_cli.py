@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from ringoids import (FiniteRingoid, FinGroup, GSet, Ideal, cyclic_ring,
                       discrete_groupoid, document_from, forget_units,
                       group_as_groupoid, group_ringoid, print_rgd)
+from ringoids.additive import TABLE_LETTER_LIMIT
 from ringoids.cli import _COMMANDS, run
 
 F2_DOC = """\
@@ -452,12 +453,42 @@ def test_out_of_memory_exits_1_with_one_line(f2_file, capsys, monkeypatch,
     assert captured.err == "error: out of memory in %s\n" % command
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["k0", "--help"]])
+@pytest.mark.parametrize("argv", [["--help"]] + [[command, "--help"]
+                                                  for command in _COMMANDS])
 def test_help_exits_0(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 0
-    assert "usage: ringoids" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert out.startswith("usage: ringoids")
+    usage = out.split("\n\n")[0]
+    assert all(command in usage for command in _COMMANDS)
+
+
+def test_flag_before_the_command_is_accepted(f2_file, capsys):
+    assert run(["k0", "--input", f2_file, "--bound", "2"]) == 0
+    after = capsys.readouterr()
+    assert run(["--bound", "2", "k0", "--input", f2_file]) == 0
+    assert capsys.readouterr() == after
+
+
+@pytest.mark.parametrize("command, doc", [("k0", F2_DOC),
+                                          ("oracle-compare", F2_DOC),
+                                          ("assembly", C2_ASSEMBLY_DOC)])
+def test_absurd_bound_is_refused_by_its_predicted_size(tmp_path, command, doc):
+    # the guard decides from the prediction alone: without it the run grows
+    # until memory runs out, so the timeout fails it long before that
+    path = tmp_path / "input.rgd"
+    path.write_text(doc, encoding="utf-8")
+    bound = 99999999999999999999999
+    proc = subprocess.run(
+        [sys.executable, "-m", "ringoids.cli", command, "--input", str(path),
+         "--bound", str(bound)],
+        capture_output=True, text=True, timeout=5)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("error: iso-class table at bound %d " % bound)
+    assert "over the limit of %d" % TABLE_LETTER_LIMIT in proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,15 @@ import pytest
 from ringoids.cli import _COMMANDS, run
 from test_cli import C2_ASSEMBLY_DOC, F2_DOC, TWO_RINGS_DOC, Z4_WITH_IDEAL
 
-VALIDATE = {"cli", "rgd", "ringoid", "abgroup", "intlinalg"}
-K0 = VALIDATE | {"additive", "ktheory"}
-# a groupoid or gset section loads groupoids, which tabulates
-GROUPOIDS = {"groupoids", "groups", "constructions"}
+VALIDATE = {"cli", "rgd", "ringoid", "abgroup"}
+K0 = VALIDATE | {"additive", "ktheory", "intlinalg"}
+# a groupoid or gset section loads the section parsers and groupoids,
+# which tabulates
+GROUPOIDS = {"rgdsections", "groupoids", "groups", "constructions"}
+# moduloids solves in the relation lattice; an ideal section loads the
+# section parsers and moduloids
+MODULOIDS = {"moduloids", "constructions", "intlinalg"}
+IDEALS = {"rgdsections"} | MODULOIDS
 # the subcommands that print a constructed ringoid as RGD
 PRINTS = VALIDATE | {"constructions", "rgdprint"}
 
@@ -30,9 +35,9 @@ CASES = {
     "complete": (F2_DOC, [], None),
     "k0": (F2_DOC, ["--bound", "3"], K0),
     "k1": (F2_DOC, ["--gl-max", "2"], K0 | {"groups"}),
-    "unitize": (F2_DOC, [], PRINTS | {"moduloids"}),
-    "quotient": (Z4_WITH_IDEAL, [], PRINTS | {"moduloids"}),
-    "tensor": (TWO_RINGS_DOC, [], PRINTS | {"moduloids"}),
+    "unitize": (F2_DOC, [], PRINTS | MODULOIDS),
+    "quotient": (Z4_WITH_IDEAL, [], PRINTS | IDEALS),
+    "tensor": (TWO_RINGS_DOC, [], PRINTS | MODULOIDS),
     "groupring": (C2_ASSEMBLY_DOC, [], PRINTS | GROUPOIDS),
     "transport": (C2_ASSEMBLY_DOC, [], None),
     "assembly": (C2_ASSEMBLY_DOC, ["--bound", "3"],
@@ -53,6 +58,11 @@ print(json.dumps([code, out.getvalue(),
                   sorted(m[len("ringoids."):] for m in sys.modules
                          if m.startswith("ringoids."))]))
 """
+
+
+def _has_section_beyond_ringoids(doc):
+    return any(line.split()[:1] in (["groupoid"], ["gset"], ["ideal"])
+               for line in doc.splitlines())
 
 
 def _fresh_run(argv):
@@ -78,6 +88,8 @@ def test_subcommand_in_a_new_interpreter(tmp_path, command):
     assert code == 0
     fresh_code, fresh_out, loaded = _fresh_run(argv)
     assert (fresh_code, fresh_out) == (code, out.getvalue())
+    # no subcommand compiles the section parsers for a ringoid-only input
+    assert ("rgdsections" in loaded) == _has_section_beyond_ringoids(doc)
     if modules is not None:
         assert set(loaded) == modules
 
@@ -88,3 +100,11 @@ def test_validate_loads_groupoids_only_for_a_groupoid_section(tmp_path):
     code, _, modules = _fresh_run(["validate", "--input", str(path)])
     assert code == 0
     assert set(modules) == VALIDATE | GROUPOIDS
+
+
+def test_validate_loads_moduloids_only_for_an_ideal_section(tmp_path):
+    path = tmp_path / "z4.rgd"
+    path.write_text(Z4_WITH_IDEAL, encoding="utf-8")
+    code, _, modules = _fresh_run(["validate", "--input", str(path)])
+    assert code == 0
+    assert set(modules) == VALIDATE | IDEALS

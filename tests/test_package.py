@@ -36,7 +36,8 @@ EXPORTED = (
 
 SUBMODULES = ("abgroup", "additive", "assembly", "constructions",
               "groupoids", "groups", "intlinalg", "ktheory", "moduloids",
-              "nerve", "relative", "rgd", "rgdprint", "ringoid")
+              "nerve", "relative", "rgd", "rgdprint", "rgdsections",
+              "ringoid")
 
 
 def test_all_lists_the_exported_names():
@@ -103,7 +104,7 @@ def test_first_use_loads_only_the_defining_layers():
         "print(ringoids.ktheory.k0_bounded is ringoids.k0_bounded)\n"
         "print(loaded())\n")
     assert out == ["",
-                   "ringoids.abgroup ringoids.intlinalg",
+                   "ringoids.abgroup",
                    "True",
                    "ringoids.abgroup ringoids.additive ringoids.intlinalg "
                    "ringoids.ktheory ringoids.ringoid"]
