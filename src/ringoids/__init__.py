@@ -19,8 +19,7 @@ import importlib
 
 # Each submodule and the names this package exports from it.
 _EXPORTS = {
-    "intlinalg": ("AbPresentation", "IntMatrix", "cokernel", "determinant",
-                  "smith_normal_form"),
+    "intlinalg": ("AbPresentation", "IntMatrix", "smith_normal_form"),
     "abgroup": ("FinAbGroup", "GroupQuotient", "tensor_group"),
     "groups": ("FinGroup", "abelianization"),
     "ringoid": ("AxiomFailure", "FiniteRingoid", "StructuralError",

@@ -75,8 +75,9 @@ class Undecided:
 
 
 class SizeLimitExceeded(MemoryError):
-    """A table refused before it is built, because its predicted size is
-    over a fixed limit: building it would take gigabytes of memory."""
+    """A table or an enumeration refused before it is built, because its
+    predicted size is over a fixed limit: building it would take gigabytes
+    of memory."""
 
 
 class IsoWitness:

@@ -430,8 +430,8 @@ def run(argv=None):
         return EXIT_FAIL
     except MemoryError as exc:
         # a search that outgrows a memory limit; with no limit the process
-        # may be killed before this is raised.  A table refused by its size
-        # guard (additive.SizeLimitExceeded) says why.
+        # may be killed before this is raised.  An enumeration refused by a
+        # size guard (additive.SizeLimitExceeded) says why.
         _note("error: %s" % (str(exc) or "out of memory in %s" % args.command))
         return EXIT_FAIL
 

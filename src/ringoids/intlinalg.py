@@ -8,9 +8,11 @@ Relation rows over named generators are written by `exponent_row`.  Every
 relation matrix of an `AbPresentation`, and every lattice of
 `solve_row_combinations`, first goes through `Elimination`, a certified
 sparse unit-pivot elimination (abelian Tietze moves).  Only its residue
-reaches the dense Smith normal form.  A presentation keeps its elimination
-and answers its own lattice questions from it: whether vectors are zero in
-the group (`kills`) and whether rows map onto it (`generated_by`).
+reaches the dense Smith normal form, once: the elimination keeps that one
+factorization, and both the invariants of a presentation and every solve
+read it.  A presentation keeps its elimination and answers its own lattice
+questions from it: whether vectors are zero in the group (`kills`) and
+whether rows map onto it (`generated_by`).
 `left_kernel_rows` and `lattice_basis` use the dense form directly.
 """
 
@@ -41,18 +43,8 @@ class IntMatrix:
         return cls(r, c, rows_list)
 
     @classmethod
-    def identity(cls, n):
-        return cls(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
     def zeros(cls, r, c):
         return cls(r, c, [[0] * c for _ in range(r)])
-
-    def entry(self, i, j):
-        return self.data[i][j]
-
-    def row(self, i):
-        return self.data[i]
 
     def mul(self, other):
         if self.cols != other.rows:
@@ -64,9 +56,6 @@ class IntMatrix:
                 sum(row[k] * od[k][j] for k in range(self.cols))
                 for j in range(other.cols)))
         return IntMatrix(self.rows, other.cols, out)
-
-    def __matmul__(self, other):
-        return self.mul(other)
 
     def diagonal(self):
         return [self.data[i][i] for i in range(min(self.rows, self.cols))]
@@ -80,33 +69,6 @@ class IntMatrix:
 
     def __repr__(self):
         return "IntMatrix(%d, %d, %r)" % (self.rows, self.cols, [list(r) for r in self.data])
-
-
-def determinant(m):
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if m.rows != m.cols:
-        raise ValueError("determinant needs a square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = [list(row) for row in m.data]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def smith_normal_form(m):
@@ -239,25 +201,6 @@ def _snf_of_rows(rows, n):
     return mat, smith_normal_form(mat)
 
 
-def _dense_solve(rows, n, targets):
-    mat, (U, D, V) = _snf_of_rows(rows, n)
-    k = mat.rows
-    diag = D.diagonal()
-    diag += [0] * (n - len(diag))
-    out = []
-    for target in targets:
-        w = [sum(target[i] * V.data[i][j] for i in range(n)) for j in range(n)]
-        if any(w[j] % d if d else w[j] for j, d in enumerate(diag)):
-            out.append(None)
-            continue
-        z = [w[j] // d if d else 0 for j, d in enumerate(diag[:k])] + [0] * (k - n)
-        c = [sum(z[i] * U.data[i][j] for i in range(k)) for j in range(k)]
-        if apply_rows(c, rows, n) != list(target):
-            raise ArithmeticError("solution does not reproduce its target")
-        out.append(c)
-    return out
-
-
 def solve_row_combinations(rows, n, targets):
     """For each target, coefficients c with sum(c_i * rows_i) == target, or
     None when the target is outside the row lattice.  One factorization of
@@ -301,7 +244,7 @@ def lattice_basis(rows, n):
 # (Havas, Holt and Rees, "Recognizing badly presented Z-modules", Linear
 # Algebra Appl. 192, 1993; Sims, "Computation with Finitely Presented
 # Groups", 1994, ch. 8).  Only the residue reaches the dense Smith normal
-# form.  Rows are dicts {column: non-zero entry}.
+# form, once per elimination.  Rows are dicts {column: non-zero entry}.
 # ---------------------------------------------------------------------------
 
 def _sparse(row):
@@ -339,9 +282,15 @@ class Elimination:
       - no residue row touches a pivot column.
     Then the substitution map and the inclusion of the free columns are
     mutually inverse isomorphisms Z^n / <rows> <-> Z^free / <residue>.
+
+    The residue is factored once, here: `snf` is the Smith normal form
+    (U, D, V) of the residue over the free columns it touches (`columns`,
+    each mapped to its position), or None when the residue is empty.  The
+    invariants of a presentation and every `solve` read it.
     """
 
-    __slots__ = ("n", "rows", "pivots", "residue", "fate", "_order")
+    __slots__ = ("n", "rows", "pivots", "residue", "fate", "columns", "snf",
+                 "_order")
 
     def __init__(self, rows, n):
         if any(len(row) != n for row in rows):
@@ -408,6 +357,12 @@ class Elimination:
             m, kept_sign = seen[key]
             self.fate[i] = (m, sign * kept_sign)
         self.certify()
+        self.columns = {k: x for x, k in enumerate(
+            sorted({k for row, _ in self.residue for k in row}))}
+        self.snf = None
+        if self.residue:
+            self.snf = smith_normal_form(IntMatrix.from_rows(
+                [[row.get(k, 0) for k in self.columns] for row, _ in self.residue]))
 
     def combine(self, comb):
         """The sparse row sum(c_i * rows_i) for a combination {i: c_i}."""
@@ -465,32 +420,15 @@ class Elimination:
                 raise ArithmeticError("substitution map does not send a relation "
                                       "to its residue row")
 
-    def residue_matrix(self):
-        """(columns, dense rows): the residue over the columns it touches."""
-        cols = sorted({k for row, _ in self.residue for k in row})
-        return cols, [[row.get(k, 0) for k in cols] for row, _ in self.residue]
-
     def solve(self, targets):
         """`solve_row_combinations` through the elimination: each target is
         substituted through the pivots, its residual is solved against the
-        residue by the dense Smith normal form, and the coefficients are
-        mapped back to the original rows.  Every solution is checked."""
-        cols, residue_rows = self.residue_matrix()
-        pos = {k: x for x, k in enumerate(cols)}
-        reduced = []  # (pivot coefficients, dense residual or None)
+        residue, and the coefficients are mapped back to the original rows.
+        Every solution is checked."""
+        out = []
         for target in targets:
             coef, v = self.substitute(_sparse(target))
-            vec = None
-            if all(k in pos for k in v):
-                vec = [0] * len(cols)
-                for k, x in v.items():
-                    vec[pos[k]] = x
-            reduced.append((coef, vec))
-        sols = iter(_dense_solve(residue_rows, len(cols),
-                                 [vec for _, vec in reduced if vec is not None]))
-        out = []
-        for target, (coef, vec) in zip(targets, reduced):
-            z = None if vec is None else next(sols)
+            z = self._solve_residual(v)
             if z is None:
                 out.append(None)
                 continue
@@ -505,6 +443,34 @@ class Elimination:
             out.append([c.get(i, 0) for i in range(len(self.rows))])
         return out
 
+    def _solve_residual(self, v):
+        """Coefficients z with sum(z_m * residue_m) == v for a sparse v over
+        the free columns, or None when v is outside the residue lattice.
+        With U * M * V = D for the residue matrix M, z * M == v exactly when
+        y * D == v * V for y = z * U^-1, and D is diagonal."""
+        pos = self.columns
+        if any(k not in pos for k in v):
+            return None
+        if self.snf is None:
+            return []
+        U, D, V = self.snf
+        w = [0] * D.cols
+        for k, x in v.items():
+            for j, e in enumerate(V.data[pos[k]]):
+                w[j] += x * e
+        diag = D.diagonal()
+        if any(w[len(diag):]) or any(wj % d if d else wj for wj, d in zip(w, diag)):
+            return None
+        y = [wj // d if d else 0 for wj, d in zip(w, diag)] + [0] * (U.rows - len(diag))
+        z = [sum(y[i] * U.data[i][m] for i in range(U.rows)) for m in range(U.rows)]
+        got = {}
+        for (row, _), q in zip(self.residue, z):
+            if q:
+                _add_multiple(got, q, row)
+        if got != v:
+            raise ArithmeticError("solution does not reproduce its residual")
+        return z
+
 
 # ---------------------------------------------------------------------------
 # Finitely presented abelian groups.
@@ -516,9 +482,9 @@ class AbPresentation:
     Two presentations compare equal exactly when their normal forms
     (free rank, torsion divisibility chain) coincide.  `relations` keeps
     the rows as given, and `elimination` is their one factorization: the
-    invariants come from the Smith normal form of its residue, and the
-    lattice questions about the group (`kills`, `generated_by`) are
-    answered from it too, so the relations are never eliminated again.
+    invariants come from the Smith normal form it keeps of its residue, and
+    the lattice questions about the group (`kills`, `generated_by`) are
+    answered from it too, so the relations are never factored again.
     """
 
     __slots__ = ("generators", "relations", "elimination", "rank", "torsion")
@@ -526,13 +492,8 @@ class AbPresentation:
     def __init__(self, generators, relations=()):
         self.generators = int(generators)
         self.relations = tuple(tuple(map(int, row)) for row in relations)
-        for row in self.relations:
-            if len(row) != self.generators:
-                raise ValueError("relation length does not match generator count")
         self.elimination = elim = Elimination(self.relations, self.generators)
-        rows = elim.residue_matrix()[1]
-        diag = smith_normal_form(IntMatrix.from_rows(rows))[1].diagonal() if rows else []
-        nonzero = [d for d in diag if d]
+        nonzero = [d for d in elim.snf[1].diagonal() if d] if elim.snf else []
         self.rank = self.generators - len(elim.pivots) - len(nonzero)
         self.torsion = tuple(d for d in nonzero if d >= 2)
 
@@ -574,15 +535,6 @@ class AbPresentation:
     def is_trivial(self):
         return self.rank == 0 and not self.torsion
 
-    def order(self):
-        """Group order, or None when infinite."""
-        if self.rank:
-            return None
-        out = 1
-        for t in self.torsion:
-            out *= t
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, AbPresentation):
             return NotImplemented
@@ -602,11 +554,6 @@ class AbPresentation:
 
     def __repr__(self):
         return "AbPresentation(rank=%d, torsion=%r)" % (self.rank, list(self.torsion))
-
-
-def cokernel(m):
-    """Presentation of Z^cols modulo the row span of m."""
-    return AbPresentation(m.cols, m.data)
 
 
 # ---------------------------------------------------------------------------

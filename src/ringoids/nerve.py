@@ -13,25 +13,78 @@ each discovered isomorphism.  These relations make the group abelian, so
 it is presented directly as an abelian group, one relation row per
 relator.  It must agree with the Grothendieck-completion K0 at equal
 bounds; the two pipelines share only the isomorphism searcher.
+
+Both enumerations are refused before they start when their predicted size
+is over a fixed limit: the dense relation cells of the oracle and the
+tuples of a level (`level_size`).
 """
 
 from __future__ import annotations
 
-from .additive import DEFAULT_CEILING, complete, enumerate_objsums, iso_class_table
+import math
+
+from .additive import (DEFAULT_CEILING, SizeLimitExceeded, _three_figures,
+                       complete, enumerate_objsums, iso_class_table)
 from .intlinalg import AbPresentation, exponent_row, hom_is_isomorphism
 from .ktheory import k0_bounded
 from .ringoid import StructuralError
+
+# The most dense relation cells (relators x generators) the oracle may
+# build, and the most tuples a nerve level may hold.  A cell takes about 16
+# bytes, its row and the row's copy in the presentation (disc2 at bound 9:
+# 1.0e7 cells, 173 MB), so this refuses relations of about 5 GB and more.
+# The largest oracle run that finishes, disc2 at bound 11, predicts 2.0e8
+# cells and takes 47 s; disc3 at bound 8 predicts 9.2e8.  A level-3 tuple
+# takes about 70 bytes (disc3 at bound 7: 105 796 tuples, 7.2 MB), so this
+# refuses levels of about 2 GB and more.  CPython 3.11 on x86-64.
+RELATION_CELL_LIMIT = 3 * 10 ** 8
+LEVEL_TUPLE_LIMIT = 3 * 10 ** 7
+
+# With two objects or more a size is at least 2^bound, so over this bound
+# it is evaluated at this bound alone, as a lower bound far over the limits.
+_EXACT_BOUND = 1000
+
+
+def level_size(k, n, bound):
+    """The number of n-tuples of words in k letters with total length at
+    most bound: C(m + n - 1, n - 1) * k^m of total length m."""
+    if n == 0 or k == 0:
+        return 1
+    if k == 1:
+        return math.comb(bound + n, n)
+    return sum(math.comb(m + n - 1, n - 1) * k ** m for m in range(bound + 1))
+
+
+def _refuse_over(stage, unit, limit, k, bound, size_at):
+    """Raise SizeLimitExceeded when size_at(bound), the predicted size of the
+    stage, is over the limit."""
+    exact = k < 2 or bound <= _EXACT_BOUND
+    size = size_at(bound if exact else _EXACT_BOUND)
+    if size > limit:
+        raise SizeLimitExceeded(
+            "%s at bound %d would hold %s%s %s, over the limit of %d"
+            % (stage, bound, "" if exact else "more than ",
+               _three_figures(size), unit, limit))
+
+
+def _refuse_large_level(r, n, bound):
+    k = len(r.objects)
+    _refuse_over("nerve level %d" % n, "tuples", LEVEL_TUPLE_LIMIT, k, bound,
+                 lambda b: level_size(k, n, b))
 
 
 class NerveLevel:
     """Level n of the nerve of the completion of r: tuples of formal sums
     with total length within the bound, in lexicographic order.  Morphisms
     are componentwise matrices; faces and degeneracies act by the
-    merge/drop/insert formulas."""
+    merge/drop/insert formulas.  Raises SizeLimitExceeded, before
+    enumerating, when the level would hold more than LEVEL_TUPLE_LIMIT
+    tuples."""
 
     __slots__ = ("view", "n", "bound", "objects")
 
     def __init__(self, r, n, bound):
+        _refuse_large_level(r, n, bound)
         self.view = complete(r)
         self.n = n
         self.bound = bound
@@ -114,7 +167,9 @@ def check_simplicial_identities(r, n_max, bound):
       face_i deg_j = deg_{j-1} face_i              (i < j)
       face_j deg_j = id = face_{j+1} deg_j
       face_i deg_j = deg_j face_{i-1}              (i > j + 1)
+    The top level is the largest, so its size is checked first.
     """
+    _refuse_large_level(r, n_max, bound)
     failures = []
     checked = 0
     for n in range(n_max + 1):
@@ -182,7 +237,14 @@ def k0_via_nerve(r, bound, ceiling=DEFAULT_CEILING):
     `exponent_row`: e_() first, then e_s - e_rep for each sum s in order,
     then e_s + e_t - e_(s+t).  The isomorphism s -> rep is the permutation
     sorting s followed by the witness for the sorted form in the iso-class
-    table that `k0_bounded` reads."""
+    table that `k0_bounded` reads.  Raises SizeLimitExceeded, before
+    enumerating, when the dense rows could hold more than
+    RELATION_CELL_LIMIT cells: at most one row per sum and per pair of
+    sums (levels 1 and 2), plus one, over one column per sum."""
+    k = len(r.objects)
+    _refuse_over("nerve relations", "cells", RELATION_CELL_LIMIT, k, bound,
+                 lambda b: (1 + level_size(k, 1, b) + level_size(k, 2, b))
+                 * level_size(k, 1, b))
     table = iso_class_table(complete(r), bound, ceiling=ceiling)
     sums = enumerate_objsums(r.objects, bound)
     index = {s: i for i, s in enumerate(sums)}

@@ -491,6 +491,34 @@ def test_absurd_bound_is_refused_by_its_predicted_size(tmp_path, command, doc):
     assert "over the limit of %d" % TABLE_LETTER_LIMIT in proc.stderr
 
 
+def _disc3_doc():
+    ring = group_ringoid(discrete_groupoid(("a", "b", "c")),
+                         cyclic_ring(2, name="F2"))
+    bare = FiniteRingoid(ring.objects, ring.homs, ring.compose_table,
+                         identities=ring.identities, name="disc3")
+    return print_rgd(document_from([bare]))
+
+
+@pytest.mark.parametrize("command, doc, bound, stage", [
+    ("oracle-compare", _disc3_doc(), 8, "nerve relations"),
+    ("nerve-check", F2_DOC, 99999999999999999999999, "nerve level 3"),
+    ("nerve-check", _disc3_doc(), 99999999999999999999999, "nerve level 3")])
+def test_nerve_side_is_refused_by_its_predicted_size(tmp_path, command, doc,
+                                                     bound, stage):
+    # oracle-compare at disc3 bound 8 passes the iso-class table guard (990
+    # letters), and its dense nerve rows would take gigabytes
+    path = tmp_path / "input.rgd"
+    path.write_text(doc, encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "ringoids.cli", command, "--input", str(path),
+         "--bound", str(bound)],
+        capture_output=True, text=True, timeout=5)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("error: %s at bound %d would hold " % (stage, bound))
+    assert "over the limit of " in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # Fuzzing: byte mutations of printed documents through every subcommand.
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ringoids import intlinalg
 from ringoids.intlinalg import (AbPresentation, Elimination, IntMatrix,
-                                apply_rows, cokernel, determinant,
-                                exponent_row, hom_is_isomorphism,
+                                apply_rows, exponent_row, hom_is_isomorphism,
                                 hom_kernel_lattice, kernel_presentation,
                                 lattice_basis, lattice_contains,
                                 lattices_equal, left_kernel_rows, smith_normal_form,
@@ -15,6 +15,41 @@ small_matrices = st.integers(0, 4).flatmap(
             st.lists(st.integers(-9, 9), min_size=c, max_size=c),
             min_size=r, max_size=r).map(
                 lambda rows: IntMatrix(r, c, rows))))
+
+
+def _identity(n):
+    return IntMatrix(n, n, [[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def determinant(m):
+    """Reference: the exact determinant of a square IntMatrix by
+    fraction-free (Bareiss) elimination."""
+    n = m.rows
+    a = [list(row) for row in m.data]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1] if n else 1
+
+
+def test_reference_determinant():
+    assert determinant(_identity(0)) == 1
+    assert determinant(IntMatrix.from_rows([[0, 1], [1, 0]])) == -1
+    assert determinant(IntMatrix.from_rows([[2, 1], [4, 2]])) == 0
+    assert determinant(IntMatrix.from_rows([[0, 2, 1], [3, 0, 0], [1, 1, 1]])) == -3
 
 
 def test_snf_diag_2_3():
@@ -30,9 +65,8 @@ def test_snf_zero_matrix():
 
 
 def test_snf_identity():
-    m = IntMatrix.identity(3)
-    _, D, _ = smith_normal_form(m)
-    assert D == IntMatrix.identity(3)
+    _, D, _ = smith_normal_form(_identity(3))
+    assert D == _identity(3)
 
 
 @settings(max_examples=200, deadline=None)
@@ -49,8 +83,13 @@ def test_snf_properties(m):
         else:
             assert diag[i + 1] == 0
     assert all(d >= 0 for d in diag)
-    assert all(D.entry(i, j) == 0
+    assert all(D.data[i][j] == 0
                for i in range(D.rows) for j in range(D.cols) if i != j)
+
+
+def cokernel(m):
+    """Z^cols modulo the row span of the IntMatrix m."""
+    return AbPresentation(m.cols, m.data)
 
 
 def test_cokernel_examples():
@@ -329,8 +368,17 @@ def _dense_invariants(rows, n):
 
 
 def _eliminated_invariants(elim):
-    # the residue presents the group on the free (never pivoted) columns
-    return _dense_invariants(elim.residue_matrix()[1], elim.n - len(elim.pivots))
+    # the residue presents the group on the free (never pivoted) columns,
+    # and the elimination keeps the Smith normal form of its matrix
+    free = elim.n - len(elim.pivots)
+    if elim.snf is None:
+        assert not elim.residue
+        return free, ()
+    U, D, V = elim.snf
+    rows = [[row.get(k, 0) for k in elim.columns] for row, _ in elim.residue]
+    assert U.mul(IntMatrix.from_rows(rows)).mul(V) == D
+    nonzero = [d for d in D.diagonal() if d]
+    return free - len(nonzero), tuple(d for d in nonzero if d >= 2)
 
 
 @st.composite
@@ -373,6 +421,67 @@ def test_elimination_solver_matches_dense_solver(case, data):
     for target, c in zip(targets, sols):
         if c is not None:
             assert apply_rows(c, rows, n) == target
+
+
+def _counting_snf(mp):
+    """Record every matrix that intlinalg hands to smith_normal_form."""
+    calls = []
+    snf = intlinalg.smith_normal_form
+
+    def counting(m):
+        calls.append(m)
+        return snf(m)
+
+    mp.setattr(intlinalg, "smith_normal_form", counting)
+    return calls
+
+
+def test_a_presentation_factors_its_residue_once(monkeypatch):
+    calls = _counting_snf(monkeypatch)
+    # x0 = -x1 is eliminated; the residue 4 x1 = 6 x2 = 0 gives Z/2 + Z/12
+    tgt = AbPresentation(3, [(1, 1, 0), (0, 4, 0), (0, 0, 6)])
+    assert tgt.elimination.residue and len(calls) == 1
+    residue = calls[0]
+    src = AbPresentation(2, [(2, 0), (0, 12)])
+    assert src == tgt and len(calls) == 2
+    assert tgt.kills([[4, 0, 0], [1, 0, 0], [1, 1, 6]]) == [True, False, True]
+    assert tgt.kills([[0, 0, 3], [0, 2, 6]]) == [False, False]
+    assert len(calls) == 2
+    # e0 -> 3 x2 and e1 -> x1 + x2; the onto test presents a new, smaller
+    # group, whose residue may be factored, but never tgt's again
+    assert hom_is_isomorphism(src, tgt, [(0, 0, 3), (0, 1, 1)])
+    assert not hom_is_isomorphism(src, tgt, [(0, 0, 3), (0, 2, 1)])
+    assert calls.count(residue) == 1
+
+
+def test_an_empty_residue_is_never_factored(monkeypatch):
+    calls = _counting_snf(monkeypatch)
+    p = AbPresentation(3, [(1, 1, 0), (0, 1, -1)])
+    assert not p.elimination.residue and p.elimination.snf is None
+    assert p == AbPresentation.free(1)
+    assert p.kills([[1, 0, 1], [0, 0, 1]]) == [True, False]
+    assert AbPresentation.free(2).kills([[0, 0], [1, 0]]) == [True, False]
+    assert solve_row_combinations([[1, 2]], 2, [[2, 4], [1, 0]]) == [[2], None]
+    assert calls == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(_relation_matrices(), st.data())
+def test_each_elimination_factors_at_most_once(case, data):
+    rows, n = case
+    targets = data.draw(_int_rows(n, 0, 3, 9))
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _counting_snf(mp)
+        elim = Elimination(rows, n)
+        assert len(calls) == (1 if elim.residue else 0)
+        elim.solve(targets)
+        elim.solve(targets)
+        assert len(calls) == (1 if elim.residue else 0)
+
+
+def test_a_relation_of_the_wrong_length_is_refused():
+    with pytest.raises(ValueError):
+        AbPresentation(2, [(1, 2, 3)])
 
 
 def test_elimination_clears_unit_relations():
@@ -428,6 +537,16 @@ def test_tampered_combination_fails_the_solution_check():
     elim.pivots[0] = (j, unit, row, {i: -c for i, c in comb.items()})
     with pytest.raises(ArithmeticError):
         elim.solve([rows[0]])
+
+
+def test_tampered_residue_factorization_fails_the_residual_check():
+    # no unit entries: both rows are residue, factored as U = V = 1
+    elim = Elimination([[2, 0], [0, 4]], 2)
+    U, D, V = elim.snf
+    assert U == IntMatrix.from_rows([[1, 0], [0, 1]])
+    elim.snf = (IntMatrix.from_rows([[0, 1], [1, 0]]), D, V)
+    with pytest.raises(ArithmeticError, match="residual"):
+        elim.solve([[2, 0]])
 
 
 def echelon_lattice_basis(rows, n):

@@ -7,8 +7,11 @@ from conftest import incidence_ringoids
 from ringoids import (AbPresentation, check_simplicial_identities, complete,
                       degeneracy, enumerate_objsums, face, iso_class_table,
                       k0_bounded, k0_via_nerve, oracle_compare)
+from ringoids import nerve
+from ringoids.additive import SizeLimitExceeded, _three_figures
 from ringoids.intlinalg import hom_well_defined
-from ringoids.nerve import NerveLevel
+from ringoids.nerve import (LEVEL_TUPLE_LIMIT, RELATION_CELL_LIMIT, NerveLevel,
+                            level_size)
 from ringoids.ringoid import StructuralError
 
 
@@ -156,6 +159,83 @@ def test_nerve_level_matches_product_and_filter(ring_name, request):
             want = tuple(c for c in itertools.product(sums, repeat=n)
                          if sum(len(s) for s in c) <= bound)
             assert NerveLevel(r, n, bound).objects == want
+
+
+def test_level_size_counts_the_tuples(f2, disc2, disc3, zero):
+    for r in (f2, disc2, disc3, zero):
+        for bound in range(5):
+            sums = enumerate_objsums(r.objects, bound)
+            assert level_size(len(r.objects), 1, bound) == len(sums)
+            for n in range(4):
+                want = sum(1 for c in itertools.product(sums, repeat=n)
+                           if sum(len(s) for s in c) <= bound)
+                assert level_size(len(r.objects), n, bound) == want
+    assert level_size(0, 2, 5) == 1
+
+
+def _cells(k, bound):
+    words = level_size(k, 1, bound)
+    return (1 + words + level_size(k, 2, bound)) * words
+
+
+@pytest.mark.parametrize("ring_name", ["f2", "z4", "disc2", "disc3", "f2c2"])
+def test_nerve_relations_stay_within_their_predicted_cells(ring_name, request):
+    r = request.getfixturevalue(ring_name)
+    for bound in range(1, 4):
+        p = k0_via_nerve(r, bound).abelianized
+        assert len(p.relations) * p.generators <= _cells(len(r.objects), bound)
+
+
+def test_relation_cell_limit_keeps_every_oracle_that_finishes():
+    # disc2 at bound 11 finishes (47 s); disc3 at bound 8 was killed
+    assert _cells(2, 11) == 201281535 <= RELATION_CELL_LIMIT
+    assert _cells(3, 8) == 920084295 > RELATION_CELL_LIMIT
+
+
+def _no_enumeration(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated past the size guard")
+
+    for name in ("enumerate_objsums", "iso_class_table", "_tuples_within"):
+        monkeypatch.setattr(nerve, name, refuse)
+
+
+def test_nerve_relations_are_refused_by_their_prediction(disc2, monkeypatch):
+    cells = _cells(2, 3)
+    monkeypatch.setattr(nerve, "RELATION_CELL_LIMIT", cells)
+    assert k0_via_nerve(disc2, 3).abelianized == AbPresentation.free(2)
+    monkeypatch.setattr(nerve, "RELATION_CELL_LIMIT", cells - 1)
+    _no_enumeration(monkeypatch)
+    with pytest.raises(SizeLimitExceeded,
+                       match="nerve relations at bound 3 would hold %s cells, "
+                             "over the limit of %d"
+                             % (_three_figures(cells), cells - 1)):
+        k0_via_nerve(disc2, 3)
+
+
+def test_nerve_levels_are_refused_by_their_prediction(disc2, monkeypatch):
+    tuples = level_size(2, 3, 3)
+    monkeypatch.setattr(nerve, "LEVEL_TUPLE_LIMIT", tuples)
+    assert check_simplicial_identities(disc2, 3, 3).ok
+    monkeypatch.setattr(nerve, "LEVEL_TUPLE_LIMIT", tuples - 1)
+    _no_enumeration(monkeypatch)
+    for run in (lambda: NerveLevel(disc2, 3, 3),
+                lambda: check_simplicial_identities(disc2, 3, 3)):
+        with pytest.raises(SizeLimitExceeded,
+                           match="nerve level 3 at bound 3 would hold %s tuples"
+                                 % _three_figures(tuples)):
+            run()
+
+
+def test_an_absurd_bound_is_refused_by_a_lower_bound(disc3, f2):
+    bound = 10 ** 23
+    with pytest.raises(SizeLimitExceeded, match="would hold more than 9.94e482 "
+                                                "tuples, over the limit of %d"
+                                                % LEVEL_TUPLE_LIMIT):
+        check_simplicial_identities(disc3, 3, bound)
+    # with one object the count is C(bound + 3, 3), written down exactly
+    with pytest.raises(SizeLimitExceeded, match="would hold 1.67e68 tuples"):
+        check_simplicial_identities(f2, 3, bound)
 
 
 def test_nerve_level_morphisms(f2):

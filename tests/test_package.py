@@ -18,8 +18,8 @@ EXPORTED = (
     "MatMorphism NerveLevel PiRing PiRingError RGDDocument RGDSemanticError "
     "RGDSyntaxError RelativeKZeroResult RingoidHom StructuralError "
     "TensorProduct Undecided ValidationReport abelianization assembly_zero "
-    "check_simplicial_identities cofinality_check cokernel complete "
-    "cyclic_ring degeneracy determinant direct_sum discrete_groupoid "
+    "check_simplicial_identities cofinality_check complete "
+    "cyclic_ring degeneracy direct_sum discrete_groupoid "
     "disjoint_union_gset document_from enumerate_objsums "
     "equivariant_assembly_zero exterior_product face fibration_check "
     "forget_units gl gl_order group_as_groupoid group_ringoid "
@@ -41,7 +41,7 @@ SUBMODULES = ("abgroup", "additive", "assembly", "constructions",
 
 
 def test_all_lists_the_exported_names():
-    assert len(EXPORTED) == 95
+    assert len(EXPORTED) == 93
     assert ringoids.__all__ == sorted(EXPORTED)
     assert set(EXPORTED) | set(SUBMODULES) <= set(dir(ringoids))
 
