@@ -10,10 +10,10 @@ Krull-Schmidt category (Atiyah 1956; Krause, "Krull-Schmidt categories
 and projective covers", Expo. Math. 2015): every object is a finite sum of
 indecomposables with local endomorphism rings, uniquely up to isomorphism
 and order.  `Decomposition` splits each base object once into primitive
-orthogonal idempotents and classifies those up to equivalence; two formal
-sums are then isomorphic exactly when their type vectors (multisets of
-indecomposable types) agree, and the isomorphism is assembled from the
-splittings and verified.  The bounded iso-class table, whose group
+orthogonal idempotents, checks each split and classifies the primitives
+up to equivalence; two formal sums are then isomorphic exactly when their
+type vectors (multisets of indecomposable types) agree, as the checks
+prove without building one.  The bounded iso-class table, whose group
 completion is the bounded K0, buckets sums by type vector.  Direct sum is
 commutative up to a permutation matrix, so the table classifies multisets
 of base objects only, each written as its sorted sum; any other ordering
@@ -28,7 +28,7 @@ import math
 from .ringoid import DEFAULT_CEILING, StructuralError
 
 # The most letters (base objects, counted over all its multisets) an
-# iso-class table may hold.  A table takes about 20 bytes per letter
+# iso-class table may hold.  Any table takes about 20 bytes per letter
 # (`k0` of F2 at bound 10000: 5.0e7 letters, 1.0 GB peak, CPython 3.11),
 # so this refuses tables of about 2 GB and more.  The largest table of the
 # tests holds 4095 letters (disc3 at bound 12), of the benchmark 105.
@@ -280,10 +280,21 @@ class Decomposition:
 
     Each 1_a is split into primitive orthogonal idempotents: e splits into
     f and e - f for the first idempotent f of End(a), in `elements()` order,
-    with f != 0, f != e and e f = f = f e.  The primitives are classified up
-    to equivalence (p ~ q when beta . alpha = p and alpha . beta = q), and
-    each type keeps its first primitive as representative.  A formal sum's
-    type vector is the sorted tuple of its summands' types.
+    with f != 0, f != e and e f = f = f e.  Each split, of 1_a here and of p
+    in `split`, is checked once (`_checked`).  The primitives are classified
+    up to equivalence (p ~ q when beta . alpha = p and alpha . beta = q),
+    and each type keeps its first primitive as representative.  A formal
+    sum's type vector is the sorted tuple of its summands' types.
+
+    Sums s, t of equal type vector are isomorphic without a built witness:
+    the transfer pair U = sum beta_y alpha_x: s -> t and
+    V = sum beta_x alpha_y: t -> s over paired summands x of s, y of t
+    (`_transfer`) has V U = 1, and U V = 1 alike, because
+      1. the split check gives e_z e_y = 0 (z != y in one object), sum e = 1;
+      2. `_equivalence` checks beta alpha = e, alpha beta = rho, and
+         alpha = alpha e, beta = beta rho by construction;
+      3. so alpha_z beta_y = alpha_z e_z e_y beta_y is rho if z = y, else 0,
+         and V U has blocks sum_x beta_x rho alpha_x = sum_x e_x = 1.
 
     The ceiling bounds |End(a)| for enumerating idempotents and
     |Hom(a, c)| * |Hom(c, a)| for testing two idempotents for equivalence.
@@ -310,7 +321,7 @@ class Decomposition:
                 undecided.append(Undecided(a, order, ceiling))
                 primitives = [one]
             else:
-                primitives = self._split(a, one)
+                primitives = self._checked(a, one, self._split(a, one))
             summands = []
             for e in primitives:
                 found, pending = self._classify(a, e)
@@ -351,6 +362,18 @@ class Decomposition:
                     and base.compose(a, a, a, f, e) == f):
                 return self._split(a, f) + self._split(a, hom.sub(e, f))
         return [e]
+
+    def _checked(self, a, e, parts):
+        """The parts of a split of e in End(a), once checked to be pairwise
+        orthogonal idempotents that sum to e; StructuralError otherwise."""
+        base = self.view.base
+        hom = base.hom(a, a)
+        if (hom.combination([1] * len(parts), parts) != e
+                or any(base.compose(a, a, a, f, g) != (f if i == j else hom.zero())
+                       for i, f in enumerate(parts) for j, g in enumerate(parts))):
+            raise StructuralError("the split of %r in End(%r) into %r is not one "
+                                  "into orthogonal idempotents" % (e, a, parts))
+        return parts
 
     def _equivalence(self, a, p, c, q):
         """(alpha, beta) in q Hom(a, c) p x p Hom(c, a) q with
@@ -400,7 +423,7 @@ class Decomposition:
         if order > self.ceiling:
             return Undecided(a, order, self.ceiling)
         summands = []
-        for e in self._split(a, p):
+        for e in self._checked(a, p, self._split(a, p)):
             found, pending = self._classify(a, e)
             if found is None:
                 if pending:
@@ -424,70 +447,54 @@ class Decomposition:
     def type_vector(self, s):
         return self.key(x for _, x in self._slots(s))
 
-    def _transfer(self, s, t, s_slots, t_slots):
+    def _transfer(self, s, t):
         """The matrix s -> t carrying the k-th summand of each type in s to
         the k-th summand of that type in t through the type's
         representative: entry (j, i) sums beta_y . alpha_x over the paired
-        slots (i, x) of s and (j, y) of t."""
+        summands x of s[i] and y of t[j]."""
         base = self.view.base
         entries = [[base.zero(a, b) for a in s] for b in t]
         queues = {}
-        for j, y in t_slots:
+        for j, y in self._slots(t):
             queues.setdefault(y.type, []).append((j, y))
-        for i, x in s_slots:
+        for i, x in self._slots(s):
             j, y = queues[x.type].pop(0)
             d = self.types[x.type][0]
             term = base.compose(s[i], d, t[j], y.beta, x.alpha)
             entries[j][i] = base.hom(s[i], t[j]).add(entries[j][i], term)
         return MatMorphism(s, t, entries)
 
-    def _verified(self, s, t, s_slots, t_slots, s_idem, t_idem):
-        """u: s -> t and v: t -> s from the splittings, with v . u = s_idem
-        and u . v = t_idem checked by composition."""
-        view = self.view
-        u = self._transfer(s, t, s_slots, t_slots)
-        v = self._transfer(t, s, t_slots, s_slots)
-        if view.compose(v, u) != s_idem or view.compose(u, v) != t_idem:
-            raise StructuralError("the witness %r -> %r built from the "
-                                  "splittings fails verification" % (s, t))
-        return u, v
-
     def isomorphism(self, s, t):
-        """Verified isomorphism s -> t between sums of equal type vector."""
+        """The isomorphism s -> t between sums of equal type vector: the
+        transfer pair, built on request and checked by composition."""
         view = self.view
-        u, v = self._verified(s, t, self._slots(s), self._slots(t),
-                              view.identity(s), view.identity(t))
+        u, v = self._transfer(s, t), self._transfer(t, s)
+        if (view.compose(v, u) != view.identity(s)
+                or view.compose(u, v) != view.identity(t)):
+            raise StructuralError("the isomorphism %r -> %r built from the "
+                                  "splittings fails its check" % (s, t))
         return IsoWitness(u, v)
-
-    def splitting(self, t, a, p, summands):
-        """Verified splitting of the idempotent p of End(a) through the sum
-        t, given the summands of im(p) (same type vector as t): u: t -> (a)
-        and v: (a) -> t with v . u = 1_t and u . v = p."""
-        return self._verified(t, (a,), self._slots(t), [(0, x) for x in summands],
-                              self.view.identity(t),
-                              MatMorphism((a,), (a,), [[p]]))
 
 
 class IsoClassTable:
     """Classification of the multisets of base objects of size <= bound
-    into certified isomorphism classes.  A multiset is written as the sum
-    of its objects sorted by their position in `base.objects`; `class_of`
-    and `witnesses` are keyed by these sorted sums.  A word (a sum in any
-    order) lies in the class of its sorted form: `class_of_word`.
+    into certified isomorphism classes by type vector (`Decomposition`).  A
+    multiset is written as the sum of its objects sorted by their position
+    in `base.objects`; `class_of` is keyed by these sorted sums.  A word (a
+    sum in any order) lies in the class of its sorted form: `class_of_word`.
     `class_of_type` maps the type vector of each class to its index.
     `undecided_pairs` holds the `Undecided` records of the decomposition:
     when it is non-empty, classes may be split that are isomorphic."""
 
-    __slots__ = ("bound", "reps", "class_of", "class_of_type", "witnesses",
-                 "undecided_pairs", "_position")
+    __slots__ = ("bound", "reps", "class_of", "class_of_type", "undecided_pairs",
+                 "_position")
 
-    def __init__(self, bound, objects, reps, class_of, class_of_type, witnesses,
+    def __init__(self, bound, objects, reps, class_of, class_of_type,
                  undecided_pairs):
         self.bound = bound
         self.reps = tuple(reps)
         self.class_of = dict(class_of)
         self.class_of_type = dict(class_of_type)
-        self.witnesses = dict(witnesses)
         self.undecided_pairs = tuple(undecided_pairs)
         self._position = {a: i for i, a in enumerate(objects)}
 
@@ -539,7 +546,7 @@ def iso_class_table(view, bound, ceiling=DEFAULT_CEILING):
     bound and ceiling.  The representative of a class is its first multiset
     in `enumerate_multisets` order, which is also its first word in
     `enumerate_objsums` order: the sorted form of a word has its class and
-    comes no later.  Every other multiset carries a verified witness to it.
+    comes no later.  No isomorphism is built (see `Decomposition`).
     Raises SizeLimitExceeded, before enumerating, when the multisets would
     hold more than TABLE_LETTER_LIMIT letters in all."""
     if not view.has_identities:
@@ -554,18 +561,13 @@ def iso_class_table(view, bound, ceiling=DEFAULT_CEILING):
     dec = view.decomposition(ceiling)
     reps = []
     class_of = {}
-    witnesses = {}
     first = {}
     for s in enumerate_multisets(view.base.objects, bound):
         key = dec.type_vector(s)
-        assigned = first.get(key)
-        if assigned is None:
-            assigned = first[key] = len(reps)
+        if key not in first:
+            first[key] = len(reps)
             reps.append(s)
-            witnesses[s] = None
-        else:
-            witnesses[s] = dec.isomorphism(s, reps[assigned])
-        class_of[s] = assigned
+        class_of[s] = first[key]
     table = view._tables[(bound, ceiling)] = IsoClassTable(
-        bound, view.base.objects, reps, class_of, first, witnesses, dec.undecided)
+        bound, view.base.objects, reps, class_of, first, dec.undecided)
     return table

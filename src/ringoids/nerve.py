@@ -30,13 +30,14 @@ from .ktheory import k0_bounded
 from .ringoid import StructuralError
 
 # The most dense relation cells (relators x generators) the oracle may
-# build, and the most tuples a nerve level may hold.  A cell takes about 16
-# bytes, its row and the row's copy in the presentation (disc2 at bound 9:
-# 1.0e7 cells, 173 MB), so this refuses relations of about 5 GB and more.
-# The largest oracle run that finishes, disc2 at bound 11, predicts 2.0e8
-# cells and takes 47 s; disc3 at bound 8 predicts 9.2e8.  A level-3 tuple
-# takes about 70 bytes (disc3 at bound 7: 105 796 tuples, 7.2 MB), so this
-# refuses levels of about 2 GB and more.  CPython 3.11 on x86-64.
+# build, and the most tuples of a nerve level that may be enumerated.  A
+# cell takes about 16 bytes, its row and the row's copy in the presentation
+# (disc2 at bound 9: 1.0e7 cells, 173 MB), so this refuses relations of
+# about 5 GB and more.  The largest oracle run that finishes, disc2 at
+# bound 11, predicts 2.0e8 cells and takes 47 s; disc3 at bound 8 predicts
+# 9.2e8.  A level is checked at about 80 us per tuple (disc3 at bound 7:
+# 105 796 at level 3, 8.2 s), so this refuses about 40 minutes of work, or
+# about 2 GB in a `NerveLevel` (70 bytes per tuple).  CPython 3.11, x86-64.
 RELATION_CELL_LIMIT = 3 * 10 ** 8
 LEVEL_TUPLE_LIMIT = 3 * 10 ** 7
 
@@ -167,14 +168,14 @@ def check_simplicial_identities(r, n_max, bound):
       face_i deg_j = deg_{j-1} face_i              (i < j)
       face_j deg_j = id = face_{j+1} deg_j
       face_i deg_j = deg_j face_{i-1}              (i > j + 1)
-    The top level is the largest, so its size is checked first.
+    Each tuple is made as it is checked; the top level, the largest, is sized.
     """
     _refuse_large_level(r, n_max, bound)
+    sums = enumerate_objsums(r.objects, bound)
     failures = []
     checked = 0
     for n in range(n_max + 1):
-        level = NerveLevel(r, n, bound)
-        for obj in level.objects:
+        for obj in _tuples_within(sums, n, bound):
             if n >= 2:
                 for j in range(n + 1):
                     for i in range(j):
@@ -235,12 +236,12 @@ def k0_via_nerve(r, bound, ceiling=DEFAULT_CEILING):
     the zero object is collapsed.  The group is abelian modulo these
     relations, so each relator is written as its exponent-sum row by
     `exponent_row`: e_() first, then e_s - e_rep for each sum s in order,
-    then e_s + e_t - e_(s+t).  The isomorphism s -> rep is the permutation
-    sorting s followed by the witness for the sorted form in the iso-class
-    table that `k0_bounded` reads.  Raises SizeLimitExceeded, before
-    enumerating, when the dense rows could hold more than
-    RELATION_CELL_LIMIT cells: at most one row per sum and per pair of
-    sums (levels 1 and 2), plus one, over one column per sum."""
+    then e_s + e_t - e_(s+t) for each level-2 object (s, t) in order.  The
+    isomorphism s -> rep is the permutation sorting s followed by one that
+    the iso-class table `k0_bounded` reads certifies by type vector.
+    Raises SizeLimitExceeded, before enumerating, when the dense rows could
+    hold more than RELATION_CELL_LIMIT cells: at most one row per sum and
+    per pair of sums (levels 1 and 2), plus one, over one column per sum."""
     k = len(r.objects)
     _refuse_over("nerve relations", "cells", RELATION_CELL_LIMIT, k, bound,
                  lambda b: (1 + level_size(k, 1, b) + level_size(k, 2, b))
@@ -253,10 +254,8 @@ def k0_via_nerve(r, bound, ceiling=DEFAULT_CEILING):
         rep = table.reps[table.class_of_word(s)]
         if s != rep:
             rows.append(exponent_row(index, [s], [rep]))
-    for s in sums:
-        for t in sums:
-            if len(s) + len(t) <= bound:
-                rows.append(exponent_row(index, [s, t], [s + t]))
+    for s, t in _tuples_within(sums, 2, bound):
+        rows.append(exponent_row(index, [s, t], [s + t]))
     return NerveKZero(bound, AbPresentation(len(sums), rows), sums,
                       table.undecided)
 

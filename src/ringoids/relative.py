@@ -242,12 +242,12 @@ class FibrationReport:
 def free_class_of_idempotent(view, a, p, bound, ceiling=DEFAULT_CEILING):
     """The free class of an idempotent p in End(a): the representative t of
     the class of the iso-class table whose type vector equals that of im(p)
-    (the first such multiset within the bound, so also the first word),
-    returned after its splitting v . u = 1_t, u . v = p has been built and
-    verified.  None when no sum within the bound has that type vector.
-    Undecided when im(p) cannot be split within the ceiling, or when no sum
-    matches while the decomposition has undecided records (an unmerged
-    type may hide the match)."""
+    (the first such multiset within the bound, so also the first word).
+    im(p) is isomorphic to t because the split of p passed its check
+    (`Decomposition`), so no splitting is built.  None when no sum within
+    the bound has that type vector.  Undecided when im(p) cannot be split
+    within the ceiling, or when no sum matches while the decomposition has
+    undecided records (an unmerged type may hide the match)."""
     dec = view.decomposition(ceiling)
     summands = dec.split(a, p)
     if isinstance(summands, Undecided):
@@ -256,9 +256,7 @@ def free_class_of_idempotent(view, a, p, bound, ceiling=DEFAULT_CEILING):
     cls = table.class_of_type.get(dec.key(summands))
     if cls is None:
         return dec.undecided[0] if dec.undecided else None
-    t = table.reps[cls]
-    dec.splitting(t, a, p, summands)
-    return t
+    return table.reps[cls]
 
 
 def fibration_check(m, ideal, bound, ceiling=DEFAULT_CEILING):

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import elementary_ringoid
-from ringoids import (FinAbGroup, FiniteRingoid, FinGroup, GSet, IsoWitness,
-                      MatMorphism, RingoidHom, Undecided, complete, cyclic_ring,
-                      discrete_groupoid, document_from, enumerate_objsums, gl,
-                      group_as_groupoid, group_ringoid, iso_class_table,
+from ringoids import (AbPresentation, FinAbGroup, FiniteRingoid, FinGroup, GSet,
+                      IsoWitness, MatMorphism, RingoidHom, StructuralError,
+                      Undecided, complete, cyclic_ring, discrete_groupoid,
+                      document_from, enumerate_objsums, gl, group_as_groupoid,
+                      group_ringoid, iso_class_table, k0_bounded,
                       map_completion, matrix_ring, print_rgd, product_ring,
                       transport_groupoid, validate)
 from ringoids import additive
@@ -469,14 +470,16 @@ def _assert_matches_reference(view, bound):
     assert table.reps == reps
     # every word, through its sorted form
     assert {s: table.class_of_word(s) for s in class_of} == class_of
-    # the table itself holds the multisets only, each with its witness
+    # the table itself holds the multisets only; the decomposition builds
+    # the isomorphism of each to its representative on request
     multisets = list(enumerate_multisets(view.base.objects, bound))
-    assert list(table.class_of) == list(table.witnesses) == multisets
-    for s, w in table.witnesses.items():
+    assert list(table.class_of) == multisets
+    dec = view.decomposition()
+    for s in multisets:
         rep = table.reps[table.class_of[s]]
-        if w is None:
-            assert s == rep
+        if s == rep:
             continue
+        w = dec.isomorphism(s, rep)
         assert (w.forward.src, w.forward.dst) == (s, rep)
         assert view.compose(w.backward, w.forward) == view.identity(s)
         assert view.compose(w.forward, w.backward) == view.identity(rep)
@@ -505,6 +508,82 @@ def test_summands_are_primitive_orthogonal_idempotents(request, name):
             for f in hom.elements():
                 if f not in (hom.zero(), e) and r.compose(a, a, a, f, f) == f:
                     assert not (r.compose(a, a, a, e, f) == f == r.compose(a, a, a, f, e))
+
+
+@pytest.mark.parametrize("name", ["f2xf2", "m2f2", "disc2", "morita"])
+def test_a_tampered_split_fails_its_check(request, name):
+    # over F2 a part added twice more leaves the sum as it is, but is not
+    # orthogonal to itself; a dropped part leaves the sum short
+    r = request.getfixturevalue(name)
+    dec = complete(r).decomposition()
+    for a in r.objects:
+        one = r.identity(a)
+        parts = [x.idem for x in dec.summands[a]]
+        assert dec._checked(a, one, parts) == parts
+        for tampered in (parts[:-1], parts + parts[:1] * 2):
+            with pytest.raises(StructuralError, match="not one into orthogonal"):
+                dec._checked(a, one, tampered)
+
+
+def test_each_split_is_checked_when_it_is_made(f2xf2, monkeypatch):
+    view = complete(f2xf2)
+    dec = additive.Decomposition(view, DEFAULT_CEILING)
+    split = additive.Decomposition._split
+    monkeypatch.setattr(additive.Decomposition, "_split",
+                        lambda self, a, e: split(self, a, e)[:-1])
+    with pytest.raises(StructuralError, match="split of"):
+        additive.Decomposition(view, DEFAULT_CEILING)
+    # the split of an idempotent other than 1_a, made on first request
+    with pytest.raises(StructuralError, match="split of"):
+        dec.split("*", (1, 0))
+
+
+def _count_witnesses(monkeypatch):
+    """Count the transfer matrices and matrix products built from now on:
+    every isomorphism and splitting the decomposition could build makes
+    two of each."""
+    built = []
+
+    def count(cls, name):
+        original = getattr(cls, name)
+
+        def counting(self, *args):
+            built.append(name)
+            return original(self, *args)
+        monkeypatch.setattr(cls, name, counting)
+
+    count(additive.Decomposition, "_transfer")
+    count(additive.AdditiveView, "compose")
+    return built
+
+
+def test_bounded_k0_builds_no_witness(monkeypatch):
+    # a c2free of its own, so that no cached table answers; the table has
+    # 496 multisets in 31 classes, so 465 multisets are not representatives
+    r = group_ringoid(transport_groupoid(GSet.regular(FinGroup.cyclic(2))),
+                      cyclic_ring(2, name="F2"))
+    built = _count_witnesses(monkeypatch)
+    res = k0_bounded(r, 30)
+    assert res.presentation == AbPresentation.free(1)
+    table = iso_class_table(complete(r), 30)
+    assert (len(table.class_of), len(table.reps)) == (496, 31)
+    assert built == []
+    # one witness on request: two transfers and the two products checking them
+    complete(r).decomposition().isomorphism((0, 0), (0, 1))
+    assert sorted(built) == ["_transfer"] * 2 + ["compose"] * 2
+
+
+def test_free_class_of_idempotent_builds_no_splitting(monkeypatch):
+    r = elementary_ringoid({"2": 2, "1": 1}, "Morita(2,1)")
+    built = _count_witnesses(monkeypatch)
+    view = complete(r)
+    classes = [free_class_of_idempotent(view, a, p, 2)
+               for a in r.objects for p in view.decomposition().idempotents(a)]
+    # in element order, End(2) = M2(F2) lists 0, six rank-one idempotents
+    # and 1 (the fifth), and End(1) = F2 lists 0 and 1
+    one, two = ("1",), ("2",)
+    assert classes == [(), one, one, one, one, two, one, one, (), one]
+    assert built == []
 
 
 def test_decomposition_of_new_fixtures(morita, t2f2):
