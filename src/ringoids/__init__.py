@@ -48,8 +48,8 @@ _EXPORTS = {
                 "k0_induced", "k1_bounded"),
     "relative": ("RelativeKZeroResult", "cofinality_check",
                  "fibration_check", "idem_classes", "k0_relative"),
-    "nerve": ("NerveLevel", "check_simplicial_identities", "degeneracy",
-              "face", "k0_via_nerve", "oracle_compare"),
+    "nerve": ("check_simplicial_identities", "degeneracy", "face",
+              "k0_via_nerve", "oracle_compare"),
     "assembly": ("AssemblyZeroMap", "assembly_zero",
                  "equivariant_assembly_zero", "naturality_check"),
     "rgd": ("RGDDocument", "RGDSemanticError", "RGDSyntaxError",

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .ringoid import DEFAULT_CEILING, StructuralError
+from .ringoid import DEFAULT_CEILING, StructuralError, _gens
 
 # The most letters (base objects, counted over all its multisets) an
 # iso-class table may hold.  Any table takes about 20 bytes per letter
@@ -59,8 +59,7 @@ class MatMorphism:
 class Undecided:
     """Outcome of a search whose size exceeds the ceiling.  Distinct from
     None (= certified negative).  The subject is a base object whose End is
-    too large to enumerate, or a pair ((a, p), (c, q)) of idempotents too
-    costly to compare (`Decomposition`)."""
+    too large to enumerate (`Decomposition`)."""
 
     __slots__ = ("subject", "size", "ceiling")
 
@@ -118,16 +117,6 @@ class AdditiveView:
             for a in src:
                 n *= self.base.hom(a, b).order()
         return n
-
-    def hom_elements(self, src, dst):
-        """All matrices src -> dst in lexicographic entry order (row-major,
-        each entry in its group's coordinate order)."""
-        groups = [[self.base.hom(a, b) for a in src] for b in dst]
-        pools = [g.elements() for row in groups for g in row]
-        m = len(src)
-        for flat in itertools.product(*pools):
-            entries = [flat[i * m:(i + 1) * m] for i in range(len(dst))]
-            yield MatMorphism(src, dst, entries)
 
     def zero(self, src, dst):
         return MatMorphism(src, dst,
@@ -193,42 +182,6 @@ class AdditiveView:
                   for c, row in zip(g.dst, g.entries)]
         return MatMorphism(f.src + g.src, f.dst + g.dst, top + bottom)
 
-    # -- isomorphism search -------------------------------------------------
-
-    def left_divide(self, u, w):
-        """The h with u . h = w, or None.  Composition acts column by column,
-        so column k of h is looked up in one table of u . x over
-        x in Hom((c_k), u.src), built once per distinct c_k.  A repeated
-        image in a table also gives None: u is then not a monomorphism,
-        which every caller needs and which makes h unique."""
-        if w.dst != u.dst:
-            raise StructuralError("left division shape mismatch")
-        tables = {}
-        cols = []
-        for k, c in enumerate(w.src):
-            table = tables.get(c)
-            if table is None:
-                table = tables[c] = {}
-                for x in self.hom_elements((c,), u.src):
-                    img = self.compose(u, x).entries
-                    if img in table:
-                        return None
-                    table[img] = x
-            x = table.get(tuple((row[k],) for row in w.entries))
-            if x is None:
-                return None
-            cols.append(x)
-        return MatMorphism(w.src, u.src, [[x.entries[i][0] for x in cols]
-                                          for i in range(len(u.src))])
-
-    def inverse(self, u):
-        """The two-sided inverse of u, or None: the solution v of
-        u . v = 1 is certified by v . u = 1."""
-        v = self.left_divide(u, self.identity(u.dst))
-        if v is None or self.compose(v, u) != self.identity(u.src):
-            return None
-        return v
-
 
 def complete(base):
     """The additive completion of a validated ringoid, built on first use
@@ -237,6 +190,34 @@ def complete(base):
     if view is None:
         view = base._completion = AdditiveView(base)
     return view
+
+
+def is_nilpotent(base, a, y):
+    """Whether y in End(a) is nilpotent: y^N = 0 for the first N = 2^k, a
+    power reached by squaring, with N >= log2 |End(a)|.  A nilpotent's
+    index is at most that: the left ideals End(a) y^k shrink strictly, each
+    at least by half, until they reach 0."""
+    zero = base.zero(a, a)
+    depth = base.hom(a, a).order().bit_length()
+    power, exponent = y, 1
+    while exponent < depth and power != zero:
+        power = base.compose(a, a, a, power, power)
+        exponent *= 2
+    return power == zero
+
+
+def inverse_by_powers(base, a, u, one):
+    """The inverse of u in the ring of End(a) with unit `one` that holds
+    it (a corner ring one End(a) one): u^(k-1) for the first k with
+    u^k = one, or None when a power repeats first, as it does exactly
+    when u is not a unit of that finite ring."""
+    previous, power, seen = one, u, set()
+    while power != one:
+        if power in seen:
+            return None
+        seen.add(power)
+        previous, power = power, base.compose(a, a, a, u, power)
+    return previous
 
 
 class CompletionFunctor:
@@ -296,12 +277,12 @@ class Decomposition:
       3. so alpha_z beta_y = alpha_z e_z e_y beta_y is rho if z = y, else 0,
          and V U has blocks sum_x beta_x rho alpha_x = sum_x e_x = 1.
 
-    The ceiling bounds |End(a)| for enumerating idempotents and
-    |Hom(a, c)| * |Hom(c, a)| for testing two idempotents for equivalence.
-    An object over it keeps 1_a as its one summand with a type of its own,
-    and a primitive whose comparison is over it is not merged; both leave
-    an `Undecided` record in `undecided`, so types merge only on certified
-    equivalences."""
+    The ceiling bounds |End(a)|, whose idempotents are enumerated.  An
+    object over it keeps 1_a as its one summand with a type of its own,
+    is never compared, and leaves an `Undecided` record in `undecided`, so
+    types merge only on certified equivalences.  No comparison could merge
+    it anyway: a primitive q ~ 1_a of an object c within the ceiling would
+    have a corner ring q End(c) q isomorphic to End(a), larger than End(c)."""
 
     def __init__(self, view, ceiling):
         if not view.has_identities:
@@ -324,9 +305,8 @@ class Decomposition:
                 primitives = self._checked(a, one, self._split(a, one))
             summands = []
             for e in primitives:
-                found, pending = self._classify(a, e)
+                found = self._classify(a, e)
                 if found is None:
-                    undecided.extend(pending)
                     found = Summand(e, len(self.types), e, e)
                     self.types.append((a, e))
                 summands.append(found)
@@ -377,37 +357,53 @@ class Decomposition:
 
     def _equivalence(self, a, p, c, q):
         """(alpha, beta) in q Hom(a, c) p x p Hom(c, a) q with
-        beta . alpha = p and alpha . beta = q, None if there is none, or
-        Undecided when |Hom(a, c)| * |Hom(c, a)| exceeds the ceiling."""
+        beta . alpha = p and alpha . beta = q, or None if there is none.
+
+        The primitives p and q have local corner rings pAp and qAq, whose
+        non-units are additively closed.  Every beta . alpha is a sum of the
+        products beta_i . alpha_j of alpha_j = q g_j p and beta_i = p h_i q
+        over the generators g_j of Hom(a, c) and h_i of Hom(c, a), so
+        beta . alpha = p needs one of them to be a unit u of pAp, that is,
+        not nilpotent.  Then beta = u^-1 beta_i has beta . alpha_j = p, and
+        alpha_j . beta is a non-zero idempotent of the local qAq, so it is q."""
         if (a, p) == (c, q):
             return p, p
         base = self.view.base
-        hac, hca = base.hom(a, c), base.hom(c, a)
-        size = hac.order() * hca.order()
-        if size > self.ceiling:
-            return Undecided(((a, p), (c, q)), size, self.ceiling)
-        alphas = dict.fromkeys(base.compose(a, c, c, q, base.compose(a, a, c, x, p))
-                               for x in hac.elements())
-        betas = dict.fromkeys(base.compose(c, a, a, p, base.compose(c, c, a, y, q))
-                              for y in hca.elements())
-        for alpha in alphas:
-            for beta in betas:
-                if (base.compose(a, c, a, beta, alpha) == p
-                        and base.compose(c, a, c, alpha, beta) == q):
-                    return alpha, beta
+        alphas = [base.compose(a, c, c, q, base.compose(a, a, c, g, p))
+                  for _, g, _ in _gens(base.hom(a, c))]
+        betas = [base.compose(c, a, a, p, base.compose(c, c, a, h, q))
+                 for _, h, _ in _gens(base.hom(c, a))]
+        for beta_i in betas:
+            for alpha in alphas:
+                u = base.compose(a, c, a, beta_i, alpha)
+                if is_nilpotent(base, a, u):
+                    continue
+                inv = inverse_by_powers(base, a, u, p)
+                if inv is None:
+                    raise StructuralError("the corner ring of %r at %r is not "
+                                          "local" % (a, p))
+                beta = base.compose(c, a, a, inv, beta_i)
+                if (base.compose(a, c, a, beta, alpha) != p
+                        or base.compose(c, a, c, alpha, beta) != q):
+                    raise StructuralError(
+                        "the equivalence of %r in End(%r) with %r in End(%r) "
+                        "fails its check" % (p, a, q, c))
+                return alpha, beta
         return None
 
     def _classify(self, a, e):
-        """The Summand of e for the first type equivalent to it, or None,
-        together with the Undecided comparisons met on the way."""
-        pending = []
+        """The Summand of e for the first type equivalent to it, or None.
+        Nothing over the ceiling is compared: neither e when |End(a)| is,
+        nor a type whose object is."""
+        hom = self.view.base.hom
+        if hom(a, a).order() > self.ceiling:
+            return None
         for t, (d, rho) in enumerate(self.types):
-            res = self._equivalence(a, e, d, rho)
-            if isinstance(res, Undecided):
-                pending.append(res)
-            elif res is not None:
-                return Summand(e, t, *res), pending
-        return None, pending
+            if hom(d, d).order() <= self.ceiling:
+                res = self._equivalence(a, e, d, rho)
+                if res is not None:
+                    return Summand(e, t, *res)
+        return None
 
     def split(self, a, p):
         """The classified summands of im(p) for an idempotent p of End(a),
@@ -424,10 +420,8 @@ class Decomposition:
             return Undecided(a, order, self.ceiling)
         summands = []
         for e in self._checked(a, p, self._split(a, p)):
-            found, pending = self._classify(a, e)
+            found = self._classify(a, e)
             if found is None:
-                if pending:
-                    return pending[0]
                 # impossible by Krull-Schmidt: im(e) is a summand of a
                 raise StructuralError("primitive idempotent %r of End(%r) has no "
                                       "indecomposable type" % (e, a))
@@ -466,7 +460,11 @@ class Decomposition:
 
     def isomorphism(self, s, t):
         """The isomorphism s -> t between sums of equal type vector: the
-        transfer pair, built on request and checked by composition."""
+        transfer pair, built on request and checked by composition.
+        StructuralError when the type vectors differ."""
+        if self.type_vector(s) != self.type_vector(t):
+            raise StructuralError("%r and %r have unequal type vectors"
+                                  % (s, t))
         view = self.view
         u, v = self._transfer(s, t), self._transfer(t, s)
         if (view.compose(v, u) != view.identity(s)

@@ -15,10 +15,11 @@ formula `gl_order`; `groups.abelianization`), with stabilization maps.
 
 from __future__ import annotations
 
-from .additive import DEFAULT_CEILING, MatMorphism, complete, iso_class_table
+from .additive import (DEFAULT_CEILING, MatMorphism, complete,
+                       inverse_by_powers, is_nilpotent, iso_class_table)
 from .intlinalg import (AbPresentation, apply_rows, exponent_row,
                         hom_is_isomorphism, hom_well_defined)
-from .ringoid import StructuralError
+from .ringoid import StructuralError, _gens
 
 
 class CeilingExceeded(Exception):
@@ -207,18 +208,17 @@ def gl(view, s, ceiling=DEFAULT_CEILING):
     closure of Bass's generators (Bass, "K-theory and stable algebra",
     1964): the elementary matrices e_ij(x) for i != j and x an additive
     generator of Hom(s_j, s_i), and diag(1, ..., u, ..., 1) for every unit
-    u of End(s_i), found among the 1x1 matrices.  Every generator is
-    certified by `inverse`.  They generate GL(s) over every finite base:
-    modulo the radical J = J(End s) their images generate each GL_m(k)
+    u of End(s_i).  Every generator is built with its inverse and certified
+    by composing the two both ways.  They generate GL(s) over every finite
+    base: modulo the radical J = J(End s) their images generate each GL_m(k)
     block, and 1 + J splits as lower unitriangular times diagonal times
     upper unitriangular.  A single object's units are all enumerated, so
     its closure is GL(s) by construction; a longer sum's closure counts as
     GL(s) only when its size equals `gl_order`, and a mismatch raises
     StructuralError.
 
-    Raises CeilingExceeded when |End(s)| exceeds the ceiling, or when the
-    Krull-Schmidt decomposition of an object of a longer sum is undecided
-    there."""
+    Raises CeilingExceeded when |End(s)| exceeds the ceiling.  Below it no
+    End(s_i) is over it, so every object of s is split."""
     s = tuple(s)
     if not view.has_identities:
         raise StructuralError("GL needs a unital base")
@@ -234,12 +234,14 @@ def gl(view, s, ceiling=DEFAULT_CEILING):
 
 def bass_generators(view, s):
     """The elementary matrices e_ij(x), x an additive generator of
-    Hom(s_j, s_i), and the unit diagonals diag(1, ..., u, ..., 1), u != 1,
-    each certified invertible by `inverse`."""
+    Hom(s_j, s_i), and the unit diagonals diag(1, ..., u, ..., 1), u != 1
+    a unit of End(s_i) in element order.  Each is built with its inverse,
+    e_ij(-x) or the diagonal of u^-1 (`inverse_by_powers`), and certified
+    by composing the two both ways."""
     base = view.base
     one = view.identity(s)
     units = {}
-    gens = []
+    pairs = []
 
     def with_entry(i, j, x):
         entries = [list(row) for row in one.entries]
@@ -248,19 +250,23 @@ def bass_generators(view, s):
 
     for i, a in enumerate(s):
         if a not in units:
-            units[a] = [u.entries[0][0] for u in view.hom_elements((a,), (a,))
-                        if view.inverse(u) is not None]
-        gens.extend(with_entry(i, i, u) for u in units[a]
-                    if u != base.identity(a))
+            one_a = base.identity(a)
+            units[a] = []
+            for u in base.hom(a, a).elements():
+                v = inverse_by_powers(base, a, u, one_a)
+                if v is not None and u != one_a:
+                    units[a].append((u, v))
+        pairs.extend((with_entry(i, i, u), with_entry(i, i, v))
+                     for u, v in units[a])
         for j, b in enumerate(s):
             hom = base.hom(b, a)
             if i != j:
-                gens.extend(with_entry(i, j, hom.basis_element(k))
-                            for k in range(len(hom.moduli)) if hom.moduli[k] > 1)
-    for g in gens:
-        if view.inverse(g) is None:
+                pairs.extend((with_entry(i, j, x), with_entry(i, j, hom.neg(x)))
+                             for _, x, _ in _gens(hom))
+    for g, h in pairs:
+        if view.compose(g, h) != one or view.compose(h, g) != one:
             raise StructuralError("the generator %r is not invertible" % (g,))
-    return gens
+    return [g for g, _ in pairs]
 
 
 def gl_order(view, s, ceiling=DEFAULT_CEILING):
@@ -275,18 +281,12 @@ def gl_order(view, s, ceiling=DEFAULT_CEILING):
     and no larger than End(s).  Its non-units are its nilpotents (the
     radical), and |k_t| = |e End e| / |non-units|.
 
-    Raises CeilingExceeded when an Undecided record of the decomposition
-    touches an object of s: its types may then be unmerged."""
+    Raises CeilingExceeded when an object of s is over the ceiling (an
+    Undecided record of the decomposition): its 1_a is then not split."""
     s = tuple(s)
     dec = view.decomposition(ceiling)
     for rec in dec.undecided:
-        # the subject is a base object or a pair ((a, p), (c, q))
-        if rec.subject in view.base.objects:
-            touched = (rec.subject,)
-        else:
-            (a, _), (c, _) = rec.subject
-            touched = (a, c)
-        if any(b in s for b in touched):
+        if rec.subject in s:
             raise CeilingExceeded("the decomposition of %r is undecided: %r"
                                   % (s, rec), size=rec.size, ceiling=ceiling)
     first = {}
@@ -311,20 +311,10 @@ def gl_order(view, s, ceiling=DEFAULT_CEILING):
 
 def _residue_field_order(base, a, e):
     """|L| / |non-units of L| for the local ring L = e End(a) e, whose
-    non-units are its nilpotents: y^N = 0 for some N >= log2 |L|, since
-    the radical's nilpotency index is at most the length of L."""
-    zero = base.zero(a, a)
-    ring = set()
-    for y in base.hom(a, a).elements():
-        ring.add(base.compose(a, a, a, e, base.compose(a, a, a, y, e)))
-    depth = len(ring).bit_length()
-    nilpotent = 0
-    for y in ring:
-        power, exponent = y, 1
-        while exponent < depth and power != zero:
-            power = base.compose(a, a, a, power, power)
-            exponent *= 2
-        nilpotent += power == zero
+    non-units are its nilpotents (`is_nilpotent`)."""
+    ring = {base.compose(a, a, a, e, base.compose(a, a, a, y, e))
+            for y in base.hom(a, a).elements()}
+    nilpotent = sum(is_nilpotent(base, a, y) for y in ring)
     q, rem = divmod(len(ring), nilpotent)
     if rem:
         raise StructuralError("the corner ring of %r at %r is not local" % (a, e))

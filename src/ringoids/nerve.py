@@ -37,7 +37,8 @@ from .ringoid import StructuralError
 # bound 11, predicts 2.0e8 cells and takes 47 s; disc3 at bound 8 predicts
 # 9.2e8.  A level is checked at about 80 us per tuple (disc3 at bound 7:
 # 105 796 at level 3, 8.2 s), so this refuses about 40 minutes of work, or
-# about 2 GB in a `NerveLevel` (70 bytes per tuple).  CPython 3.11, x86-64.
+# about 2 GB for a level held in memory (70 bytes per tuple).  CPython 3.11,
+# x86-64.
 RELATION_CELL_LIMIT = 3 * 10 ** 8
 LEVEL_TUPLE_LIMIT = 3 * 10 ** 7
 
@@ -72,45 +73,6 @@ def _refuse_large_level(r, n, bound):
     k = len(r.objects)
     _refuse_over("nerve level %d" % n, "tuples", LEVEL_TUPLE_LIMIT, k, bound,
                  lambda b: level_size(k, n, b))
-
-
-class NerveLevel:
-    """Level n of the nerve of the completion of r: tuples of formal sums
-    with total length within the bound, in lexicographic order.  Morphisms
-    are componentwise matrices; faces and degeneracies act by the
-    merge/drop/insert formulas.  Raises SizeLimitExceeded, before
-    enumerating, when the level would hold more than LEVEL_TUPLE_LIMIT
-    tuples."""
-
-    __slots__ = ("view", "n", "bound", "objects")
-
-    def __init__(self, r, n, bound):
-        _refuse_large_level(r, n, bound)
-        self.view = complete(r)
-        self.n = n
-        self.bound = bound
-        sums = enumerate_objsums(r.objects, bound)
-        self.objects = tuple(_tuples_within(sums, n, bound))
-
-    def hom_order(self, src, dst):
-        total = 1
-        for s, t in zip(src, dst):
-            total *= self.view.hom_order(s, t)
-        return total
-
-    def compose(self, fs, gs):
-        return tuple(self.view.compose(f, g) for f, g in zip(fs, gs))
-
-    def face_morphism(self, i, fs):
-        """Image of a componentwise morphism under the i-th face: interior
-        faces take the block sum of the two merged components."""
-        n = len(fs)
-        if i == 0:
-            return tuple(fs[1:])
-        if i == n:
-            return tuple(fs[:-1])
-        merged = self.view.block_sum(fs[i - 1], fs[i])
-        return tuple(fs[:i - 1]) + (merged,) + tuple(fs[i + 1:])
 
 
 def _tuples_within(sums, n, budget):

@@ -3,9 +3,10 @@ import itertools
 import pytest
 from hypothesis import strategies as st
 
-from ringoids import (FinAbGroup, FiniteRingoid, FinGroup, GSet, cyclic_ring,
-                      discrete_groupoid, group_as_groupoid, group_ringoid,
-                      matrix_ring, product_ring, tensor, transport_groupoid,
+from ringoids import (FinAbGroup, FiniteRingoid, FinGroup, GSet, MatMorphism,
+                      StructuralError, cyclic_ring, discrete_groupoid,
+                      group_as_groupoid, group_ringoid, matrix_ring,
+                      product_ring, tensor, transport_groupoid,
                       with_self_scalar)
 
 
@@ -185,6 +186,53 @@ def t2f2():
     primitive idempotents that are not equivalent."""
     return elementary_ringoid({"*": 2}, "T2(F2)",
                               {("*", "*"): [(0, 0), (0, 1), (1, 1)]})
+
+
+def hom_elements(view, src, dst):
+    """All matrices src -> dst in lexicographic entry order (row-major,
+    each entry in its group's coordinate order)."""
+    groups = [[view.base.hom(a, b) for a in src] for b in dst]
+    pools = [g.elements() for row in groups for g in row]
+    m = len(src)
+    for flat in itertools.product(*pools):
+        entries = [flat[i * m:(i + 1) * m] for i in range(len(dst))]
+        yield MatMorphism(src, dst, entries)
+
+
+def left_divide(view, u, w):
+    """The h with u . h = w, or None.  Composition acts column by column,
+    so column k of h is looked up in one table of u . x over
+    x in Hom((c_k), u.src), built once per distinct c_k.  A repeated
+    image in a table also gives None: u is then not a monomorphism,
+    which every caller needs and which makes h unique."""
+    if w.dst != u.dst:
+        raise StructuralError("left division shape mismatch")
+    tables = {}
+    cols = []
+    for k, c in enumerate(w.src):
+        table = tables.get(c)
+        if table is None:
+            table = tables[c] = {}
+            for x in hom_elements(view, (c,), u.src):
+                img = view.compose(u, x).entries
+                if img in table:
+                    return None
+                table[img] = x
+        x = table.get(tuple((row[k],) for row in w.entries))
+        if x is None:
+            return None
+        cols.append(x)
+    return MatMorphism(w.src, u.src, [[x.entries[i][0] for x in cols]
+                                      for i in range(len(u.src))])
+
+
+def inverse(view, u):
+    """The two-sided inverse of u, or None: the solution v of
+    u . v = 1 is certified by v . u = 1."""
+    v = left_divide(view, u, view.identity(u.dst))
+    if v is None or view.compose(v, u) != view.identity(u.src):
+        return None
+    return v
 
 
 def determinant_of_matmorphism(r, f):

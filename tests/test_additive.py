@@ -4,7 +4,8 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import elementary_ringoid
+from conftest import (elementary_ringoid, hom_elements, incidence_ringoids,
+                      inverse, left_divide, small_ringoids)
 from ringoids import (AbPresentation, FinAbGroup, FiniteRingoid, FinGroup, GSet,
                       IsoWitness, MatMorphism, RingoidHom, StructuralError,
                       Undecided, complete, cyclic_ring, discrete_groupoid,
@@ -40,8 +41,8 @@ def find_isomorphism(view, a, b, ceiling=DEFAULT_CEILING):
     size = view.hom_order(a, b) * view.hom_order(b, a)
     if size > ceiling:
         return Undecided((a, b), size, ceiling)
-    for u in view.hom_elements(a, b):
-        v = view.inverse(u)
+    for u in hom_elements(view, a, b):
+        v = inverse(view, u)
         if v is not None:
             return IsoWitness(u, v)
     return None
@@ -75,8 +76,8 @@ def test_block_sum_matches_biproduct_formula(ring_name, request):
     for (s, t), (u, w) in itertools.product(shapes[:4], repeat=2):
         _, _, p_s, p_u = view.biproduct(s, u)
         j_t, j_w, _, _ = view.biproduct(t, w)
-        for f in itertools.islice(view.hom_elements(s, t), 4):
-            for g in itertools.islice(view.hom_elements(u, w), 4):
+        for f in itertools.islice(hom_elements(view, s, t), 4):
+            for g in itertools.islice(hom_elements(view, u, w), 4):
                 want = view.add(view.compose(view.compose(j_t, f), p_s),
                                 view.compose(view.compose(j_w, g), p_u))
                 assert view.block_sum(f, g) == want
@@ -198,10 +199,12 @@ def test_iso_class_table_is_kept_per_bound_and_ceiling(f2xf2):
     assert iso_class_table(view, 3) is table
     assert iso_class_table(view, 3, ceiling=DEFAULT_CEILING) is table
     assert iso_class_table(view, 2) is not table
-    below = iso_class_table(view, 3, ceiling=8)
-    assert below is not table and iso_class_table(view, 3, ceiling=8) is below
-    # the table answers for the ceiling it was asked for
-    assert below.undecided and not table.undecided
+    at_8 = iso_class_table(view, 3, ceiling=8)
+    assert at_8 is not table and iso_class_table(view, 3, ceiling=8) is at_8
+    below = iso_class_table(view, 3, ceiling=3)
+    assert below is not at_8 and iso_class_table(view, 3, ceiling=3) is below
+    # the table answers for the ceiling it was asked for: |End(*)| = 4
+    assert below.undecided and not at_8.undecided and not table.undecided
 
 
 def test_class_of_type_indexes_the_classes(disc2):
@@ -313,7 +316,7 @@ def _bijective(view, u):
     for c in view.base.objects:
         if view.hom_order((c,), u.src) != view.hom_order((c,), u.dst):
             return False
-        images = {view.compose(u, h) for h in view.hom_elements((c,), u.src)}
+        images = {view.compose(u, h) for h in hom_elements(view, (c,), u.src)}
         if len(images) != view.hom_order((c,), u.src):
             return False
     return True
@@ -329,10 +332,10 @@ def _pair_search(view, a, b):
                 or view.hom_order(a, (c,)) != view.hom_order(b, (c,))):
             return None
     one_a, one_b = view.identity(a), view.identity(b)
-    for u in view.hom_elements(a, b):
+    for u in hom_elements(view, a, b):
         if not _bijective(view, u):
             continue
-        for v in view.hom_elements(b, a):
+        for v in hom_elements(view, b, a):
             if view.compose(u, v) == one_b and view.compose(v, u) == one_a:
                 return u, v
     return None
@@ -356,14 +359,14 @@ def test_left_divide_and_inverse(disc2):
     view = complete(disc2)
     one = view.identity(("a",))
     zero = view.zero(("a",), ("a",))
-    assert view.left_divide(zero, one) is None  # zero is not a monomorphism
-    assert view.left_divide(one, zero) == zero
+    assert left_divide(view, zero, one) is None  # zero is not a monomorphism
+    assert left_divide(view, one, zero) == zero
     # the projection (a, b) -> (a) has a right inverse but is not invertible
     u = MatMorphism(("a", "b"), ("a",), [[disc2.identity("a"), disc2.zero("b", "a")]])
-    v = view.left_divide(u, one)
+    v = left_divide(view, u, one)
     assert view.compose(u, v) == one
-    assert view.inverse(u) is None
-    assert view.inverse(one) == one
+    assert inverse(view, u) is None
+    assert inverse(view, one) == one
 
 
 def _units_by_powers(view, s):
@@ -371,7 +374,7 @@ def _units_by_powers(view, s):
     two-sided inverse); a repeated power without 1 rules u out."""
     one = view.identity(s)
     count = 0
-    for u in view.hom_elements(s, s):
+    for u in hom_elements(view, s, s):
         power, seen = u, set()
         while power != one and power not in seen:
             seen.add(power)
@@ -388,7 +391,8 @@ def test_gl_order_matches_unit_count(request, name, length):
         if view.hom_order(s, s) > 4096:
             continue
         units = _units_by_powers(view, s)
-        solved = sum(view.inverse(u) is not None for u in view.hom_elements(s, s))
+        solved = sum(inverse(view, u) is not None
+                     for u in hom_elements(view, s, s))
         assert solved == units, s
         # the certified closure, on every sum: multi-object ones and
         # reorderings included
@@ -401,8 +405,8 @@ def _splitting_search(view, a, p, bound):
     pmat = MatMorphism((a,), (a,), [[p]])
     for t in enumerate_objsums(view.base.objects, bound):
         one_t = view.identity(t)
-        for u in view.hom_elements(t, (a,)):
-            for v in view.hom_elements((a,), t):
+        for u in hom_elements(view, t, (a,)):
+            for v in hom_elements(view, (a,), t):
                 if view.compose(v, u) == one_t and view.compose(u, v) == pmat:
                     return t
     return None
@@ -437,10 +441,12 @@ def test_free_class_of_idempotent_unknown_while_types_are_unmerged(f2xf2):
     view = complete(f2xf2)
     e1 = (1, 0)
     assert free_class_of_idempotent(view, "*", e1, 3) is None  # e1 is not free
-    # telling e1 from e2 takes |Hom(*, *)|^2 = 16 candidates: below that
-    # they are two unmerged types, and "not free" cannot be certified
-    res = free_class_of_idempotent(view, "*", e1, 3, ceiling=8)
-    assert isinstance(res, Undecided) and res.size == 16
+    # telling e1 from e2 takes only |End(*)| = 4 under the ceiling ...
+    assert free_class_of_idempotent(view, "*", e1, 3, ceiling=8) is None
+    # ... below it 1_* is not split, and "not free" cannot be certified
+    res = free_class_of_idempotent(view, "*", e1, 3, ceiling=3)
+    assert isinstance(res, Undecided)
+    assert (res.subject, res.size, res.ceiling) == ("*", 4, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +531,68 @@ def test_a_tampered_split_fails_its_check(request, name):
                 dec._checked(a, one, tampered)
 
 
+def _equivalence_by_pair_search(base, a, p, c, q):
+    """Reference for `Decomposition._equivalence`: the first pair (alpha,
+    beta) in q Hom(a, c) p x p Hom(c, a) q with beta . alpha = p and
+    alpha . beta = q, trying every pair, or None."""
+    if (a, p) == (c, q):
+        return p, p
+    alphas = dict.fromkeys(base.compose(a, c, c, q, base.compose(a, a, c, x, p))
+                           for x in base.hom(a, c).elements())
+    betas = dict.fromkeys(base.compose(c, a, a, p, base.compose(c, c, a, y, q))
+                          for y in base.hom(c, a).elements())
+    for alpha in alphas:
+        for beta in betas:
+            if (base.compose(a, c, a, beta, alpha) == p
+                    and base.compose(c, a, c, alpha, beta) == q):
+                return alpha, beta
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(small_ringoids(), incidence_ringoids()))
+def test_equivalence_merges_exactly_what_the_pair_search_merges(r):
+    view = complete(r)
+    dec = view.decomposition()
+    assert not dec.undecided
+    primitives = [(a, x.idem) for a in r.objects for x in dec.summands[a]]
+    for a, p in primitives:
+        for c, q in primitives:
+            res = dec._equivalence(a, p, c, q)
+            ref = _equivalence_by_pair_search(r, a, p, c, q)
+            assert (res is None) == (ref is None), (a, p, c, q)
+            if res is not None:
+                alpha, beta = res
+                assert r.compose(a, c, a, beta, alpha) == p
+                assert r.compose(c, a, c, alpha, beta) == q
+                assert r.compose(a, a, c, alpha, p) == alpha
+                assert r.compose(c, c, a, beta, q) == beta
+
+
+def test_a_unit_product_other_than_p_merges():
+    # a and b are isomorphic, but over F3 the generator of Hom(b, a) is
+    # scaled by 2: t_ba . t_ab = 2 . 1_a, a unit other than 1_a, whose
+    # inverse (itself) rescales beta
+    scale = {("a", "a"): 1, ("b", "b"): 1, ("a", "b"): 1, ("b", "a"): 2}
+    homs = {key: FinAbGroup((3,)) for key in scale}
+    table = {(x, y, z): (((scale[(y, z)] * scale[(x, y)] * scale[(x, z)] % 3,),),)
+             for x, y, z in itertools.product("ab", repeat=3)}
+    r = FiniteRingoid(("a", "b"), homs, table,
+                      identities={"a": (1,), "b": (1,)}, name="F3 scaled")
+    assert validate(r).ok
+    dec = complete(r).decomposition()
+    x = dec.summands["b"][0]
+    assert (x.type, x.alpha, x.beta) == (0, (1,), (2,))
+    assert _equivalence_by_pair_search(r, "b", (1,), "a", (1,)) == ((1,), (2,))
+
+
+@pytest.mark.parametrize("s,t", [(("*",), ("*", "*")), (("*", "*"), ("*",))])
+def test_isomorphism_of_unequal_type_vectors_is_refused(s, t):
+    dec = complete(cyclic_ring(2)).decomposition()
+    with pytest.raises(StructuralError, match="unequal type vectors"):
+        dec.isomorphism(s, t)
+
+
 def test_each_split_is_checked_when_it_is_made(f2xf2, monkeypatch):
     view = complete(f2xf2)
     dec = additive.Decomposition(view, DEFAULT_CEILING)
@@ -607,26 +675,40 @@ def test_undecided_records_carry_sizes(morita):
     view = complete(morita)
     table = iso_class_table(view, 2, ceiling=15)
     assert table.undecided
-    # |End(2)| = 16 is over the ceiling, and so is the comparison of 1_(2)
-    # with 1_(1) (|Hom(2, 1)| * |Hom(1, 2)| = 16): (2) keeps a type of its own
-    one_2, one_1 = morita.identity("2"), morita.identity("1")
+    # |End(2)| = 16 is over the ceiling, so (2) keeps a type of its own and
+    # is not compared with (1)
     assert [(u.subject, u.size, u.ceiling) for u in table.undecided_pairs] == [
-        ("2", 16, 15), ((("2", one_2), ("1", one_1)), 16, 15)]
+        ("2", 16, 15)]
     assert table.class_of[("1", "1")] != table.class_of[("2",)]
     table = iso_class_table(view, 2, ceiling=16)
     assert not table.undecided
     assert table.class_of[("1", "1")] == table.class_of[("2",)]
 
 
-def test_object_over_the_ceiling_merges_only_on_certified_equivalence():
+def test_object_over_the_ceiling_merges_only_on_certified_equivalence(
+        monkeypatch):
     # (3) comes first and is over the ceiling, so it keeps 1_(3) as one
-    # summand; 1_(1) is a retract of it (beta . alpha = 1_(1)) but not
-    # equivalent to it (alpha . beta = E11), so (1) starts its own type
+    # summand and is never compared; 1_(1) is a retract of it
+    # (beta . alpha = 1_(1)) but not equivalent to it (alpha . beta = E11),
+    # so (1) starts its own type
+    compared = []
+    equivalence = additive.Decomposition._equivalence
+
+    def spy(self, a, p, c, q):
+        compared.append((a, c))
+        return equivalence(self, a, p, c, q)
+
+    monkeypatch.setattr(additive.Decomposition, "_equivalence", spy)
     r = elementary_ringoid({"3": 3, "1": 1}, "Morita(3,1)")
     table = iso_class_table(complete(r), 1, ceiling=100)
     assert table.undecided
     assert [u.subject for u in table.undecided_pairs] == ["3"]
     assert table.reps == ((), ("3",), ("1",))
+    assert compared == []
+    # within the ceiling the three primitives of 1_(3) are compared with
+    # the first, and 1_(1) with it
+    iso_class_table(complete(r), 1, ceiling=512)
+    assert compared == [("3", "3")] * 2 + [("1", "3")]
 
 
 def _small_ringoids():
@@ -680,6 +762,16 @@ def test_frontier_c2free_bound_4(tmp_path, capsys, c2free):
     doc = document_from(ringoids=[_bare(c2free, "c2free")])
     code, out = _run_machine(tmp_path, capsys, "k0", doc, 4)
     assert (code, out["presentation"]["text"], out["undecided"]) == (0, "Z", False)
+
+
+def test_k0_m3f2_is_decided_at_a_ceiling_of_its_end(tmp_path, capsys):
+    # |End| = 512: the three primitives of 1_* are compared through the
+    # 9 x 9 products of generators, not |Hom|^2 = 2^18 pairs
+    path = tmp_path / "m3f2.rgd"
+    ring = matrix_ring(cyclic_ring(2, scalar=False), 3)
+    path.write_text(print_rgd(document_from(ringoids=[ring])), encoding="utf-8")
+    code = run(["k0", "--input", str(path), "--bound", "2", "--ceiling", "512"])
+    assert (code, capsys.readouterr().out) == (0, "K0 = Z (stabilized at L=2)\n")
 
 
 def test_frontier_assembly_bound_4(tmp_path, capsys, f2):

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from ringoids import (FiniteRingoid, FinGroup, GSet, Ideal, cyclic_ring,
                       discrete_groupoid, document_from, forget_units,
-                      group_as_groupoid, group_ringoid, print_rgd)
+                      group_as_groupoid, group_ringoid, matrix_ring,
+                      print_rgd)
 from ringoids.additive import TABLE_LETTER_LIMIT
 from ringoids.cli import _COMMANDS, run
 
@@ -364,6 +365,22 @@ def test_k1_frontier(tmp_path, capsys, request, ring_name, gl_max):
     code = run(["k1", "--input", str(path), "--gl-max", str(gl_max)])
     assert code == 0
     assert capsys.readouterr().out == FRONTIER_K1[(ring_name, gl_max)]
+
+
+@pytest.mark.frontier
+@pytest.mark.parametrize("n,args,want", [
+    (4, ["k0", "--bound", "2"], "K0 = Z (stabilized at L=2)\n"),
+    (3, ["k1", "--gl-max", "1"], "GL1^ab = 0\n"),
+], ids=["k0-m4f2", "k1-m3f2"])
+def test_matrix_ring_frontier(tmp_path, capsys, n, args, want):
+    # k0 of M4(F2) compares the four primitives of 1_* (|End| = 2^16)
+    # through 16 x 16 products of generators; k1 of M3(F2) inverts each
+    # unit of its 512 endomorphisms by its powers (GL3(F2), 168 elements)
+    path = tmp_path / "m.rgd"
+    ring = matrix_ring(cyclic_ring(2, scalar=False), n)
+    path.write_text(print_rgd(document_from(ringoids=[ring])), encoding="utf-8")
+    assert run([args[0], "--input", str(path)] + args[1:]) == 0
+    assert capsys.readouterr().out == want
 
 
 def _run_subprocess(args, hash_seed):

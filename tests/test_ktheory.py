@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, settings
 
-from conftest import determinant_of_matmorphism, incidence_ringoids, ring_units
+from conftest import (determinant_of_matmorphism, hom_elements,
+                      incidence_ringoids, inverse, ring_units)
 from ringoids import (AbPresentation, CeilingExceeded, FinAbGroup, Ideal,
                       RingoidHom, cofinality_check, complete, cyclic_ring,
                       enumerate_objsums, exterior_product, fibration_check,
@@ -292,9 +293,13 @@ def test_fibration_reports_undecided_not_inexact(f2xf2_moduloid):
     assert not rep.undecided and rep.unresolved_classes
     # their images live in the K0 of idempotents, not of free sums
     assert rep.exact is None and rep.composite_zero is None
-    # |Hom(*, *)|^2 = 16 is needed to tell e1 from e2; below it the free
-    # classes are unknown, and so is exactness
+    # |End(*)| = 4 is all that telling e1 from e2 takes: at a ceiling of 8
+    # the same is certified, and below 4 the free classes are unknown, and
+    # so is exactness
     rep = fibration_check(f2xf2_moduloid, j, 2, ceiling=8)
+    assert not rep.undecided and rep.unresolved_classes
+    assert rep.exact is None and rep.composite_zero is None
+    rep = fibration_check(f2xf2_moduloid, j, 2, ceiling=3)
     assert rep.undecided
     assert rep.exact is None and rep.composite_zero is None
 
@@ -446,7 +451,7 @@ def test_gl_closure_is_certified_edge_by_edge(f2):
 def reference_gl(view, s):
     """The invertible endomorphisms of s, by one `inverse` solve for every
     element of End(s), in `hom_elements` order."""
-    return [u for u in view.hom_elements(s, s) if view.inverse(u) is not None]
+    return [u for u in hom_elements(view, s, s) if inverse(view, u) is not None]
 
 
 ORDER_RINGS = ["f2", "z4", "f3", "zero", "f2xf2", "m2f2", "disc2", "c2free",
@@ -530,14 +535,14 @@ def test_gl_undecided_decomposition_exceeds_the_ceiling(m2f2, f2):
     assert validate(r).ok
     view = complete(r)
     s = ("a", "b")
-    # |End(s)| = 32 fits a ceiling of 100, but telling e11 from e22 in
-    # End(a) needs 256 > 100 maps: no order is reported
+    # |End(s)| = 32 fits a ceiling of 100, and so does |End(a)| = 16, all
+    # that splitting End(a) and telling e11 from e22 take
     assert view.hom_order(s, s) == 32
+    assert len(gl(view, s, ceiling=100)) == 6
+    assert gl_order(view, s, ceiling=100) == 6
+    # at a ceiling of 10, End(s) is over it and End(a) itself is not split
     with pytest.raises(CeilingExceeded):
-        gl(view, s, ceiling=100)
-    with pytest.raises(CeilingExceeded):
-        gl_order(view, s, ceiling=100)
-    # at a ceiling of 10, End(a) itself is not split
+        gl(view, s, ceiling=10)
     with pytest.raises(CeilingExceeded):
         gl_order(view, s, ceiling=10)
     assert len(gl(view, s)) == 6

@@ -10,9 +10,48 @@ from ringoids import (AbPresentation, check_simplicial_identities, complete,
 from ringoids import nerve
 from ringoids.additive import SizeLimitExceeded, _three_figures
 from ringoids.intlinalg import hom_well_defined
-from ringoids.nerve import (LEVEL_TUPLE_LIMIT, RELATION_CELL_LIMIT, NerveLevel,
-                            level_size)
+from ringoids.nerve import LEVEL_TUPLE_LIMIT, RELATION_CELL_LIMIT, level_size
 from ringoids.ringoid import StructuralError
+
+
+class NerveLevel:
+    """Level n of the nerve of the completion of r: tuples of formal sums
+    with total length within the bound, in lexicographic order.  Morphisms
+    are componentwise matrices; faces and degeneracies act by the
+    merge/drop/insert formulas.  Raises SizeLimitExceeded, before
+    enumerating, when the level would hold more than LEVEL_TUPLE_LIMIT
+    tuples.  No library code builds a level; the tests check the face
+    formulas on its morphisms."""
+
+    __slots__ = ("view", "n", "bound", "objects")
+
+    def __init__(self, r, n, bound):
+        nerve._refuse_large_level(r, n, bound)
+        self.view = complete(r)
+        self.n = n
+        self.bound = bound
+        sums = nerve.enumerate_objsums(r.objects, bound)
+        self.objects = tuple(nerve._tuples_within(sums, n, bound))
+
+    def hom_order(self, src, dst):
+        total = 1
+        for s, t in zip(src, dst):
+            total *= self.view.hom_order(s, t)
+        return total
+
+    def compose(self, fs, gs):
+        return tuple(self.view.compose(f, g) for f, g in zip(fs, gs))
+
+    def face_morphism(self, i, fs):
+        """Image of a componentwise morphism under the i-th face: interior
+        faces take the block sum of the two merged components."""
+        n = len(fs)
+        if i == 0:
+            return tuple(fs[1:])
+        if i == n:
+            return tuple(fs[:-1])
+        merged = self.view.block_sum(fs[i - 1], fs[i])
+        return tuple(fs[:i - 1]) + (merged,) + tuple(fs[i + 1:])
 
 
 # ---------------------------------------------------------------------------

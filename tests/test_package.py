@@ -15,7 +15,7 @@ EXPORTED = (
     "AbPresentation AdditiveView AssemblyZeroMap AxiomFailure CeilingExceeded "
     "FinAbGroup FinGroup FinGroupoid FiniteRingoid GSet GroupQuotient Ideal "
     "IdealError IntMatrix IsoClassTable IsoWitness KOneResult KZeroResult "
-    "MatMorphism NerveLevel PiRing PiRingError RGDDocument RGDSemanticError "
+    "MatMorphism PiRing PiRingError RGDDocument RGDSemanticError "
     "RGDSyntaxError RelativeKZeroResult RingoidHom StructuralError "
     "TensorProduct Undecided ValidationReport abelianization assembly_zero "
     "check_simplicial_identities cofinality_check complete "
@@ -41,7 +41,7 @@ SUBMODULES = ("abgroup", "additive", "assembly", "constructions",
 
 
 def test_all_lists_the_exported_names():
-    assert len(EXPORTED) == 93
+    assert len(EXPORTED) == 92
     assert ringoids.__all__ == sorted(EXPORTED)
     assert set(EXPORTED) | set(SUBMODULES) <= set(dir(ringoids))
 
