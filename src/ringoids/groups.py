@@ -1,5 +1,6 @@
-"""Finite groups by multiplication table, and the abelianization of any
-finite group read off its Cayley graph as a presented abelian group."""
+"""Finite groups by multiplication table, and the abelianization of a
+finite group read off the same breadth-first pass that discovers it from
+its identity, as a presented abelian group."""
 
 from __future__ import annotations
 
@@ -81,41 +82,40 @@ class FinGroup:
         return cls.from_mult(perms, compose)
 
 
-def abelianization(group, gens):
-    """G / [G, G] from one pass over the Cayley graph of G with respect to
-    the given generators (element indices).
+def abelianization(identity, steps):
+    """Discover a finite group and read off its abelianization, in one
+    breadth-first pass.
 
-    Uses only len(group), group.identity and group.mul(x, g) for g in gens,
-    so a group that keeps its Cayley edges (`ktheory.GLGroup`) answers
-    every product from them.  The BFS from the identity gives every
-    element x a tree-path vector coords(x) in Z^gens, and every non-tree
+    The group is what the right-multiplication steps (functions x -> x.g,
+    one per generator g, on hashable elements) reach from the identity;
+    elements are numbered in discovery order.  The pass gives every
+    element x a tree-path vector coords(x) in Z^steps, and every non-tree
     edge x -g-> xg the abelianized Schreier relator coords(x) + e_g -
-    coords(xg); by Schreier's lemma Z^gens modulo these relators is G^ab
-    exactly.  Raises ValueError when the generators do not reach every
-    element.
+    coords(xg); by Schreier's lemma Z^steps modulo these relators is G^ab
+    exactly (Holt, Eick and O'Brien, Handbook of Computational Group
+    Theory, 2005).
 
-    Returns (presentation, coords): coords[x] is the image of element x in
-    the presentation (a homomorphism), and generator k has coords e_k.
-    """
+    Returns (elements, index, presentation, coords): index maps an element
+    to its number, and coords[x] is the image of element number x in the
+    presentation (a homomorphism).  A generator that is neither the
+    identity nor an earlier generator has coords e_k."""
     from .intlinalg import AbPresentation
-    gens = list(gens)
-    k = len(gens)
-    coords = [None] * len(group)
-    coords[group.identity] = (0,) * k
-    queue = [group.identity]
+    k = len(steps)
+    elements = [identity]
+    index = {identity: 0}
+    coords = [(0,) * k]
     relators = {}
-    for x in queue:
+    for x, element in enumerate(elements):
         cx = coords[x]
-        for j, g in enumerate(gens):
-            y = group.mul(x, g)
-            step = cx[:j] + (cx[j] + 1,) + cx[j + 1:]
-            cy = coords[y]
-            if cy is None:
-                coords[y] = step
-                queue.append(y)
-            elif step != cy:
-                relators.setdefault(tuple(a - b for a, b in zip(step, cy)))
-    if len(queue) != len(group):
-        raise ValueError("the generators reach %d of %d elements"
-                         % (len(queue), len(group)))
-    return AbPresentation(k, list(relators)), coords
+        for j, step in enumerate(steps):
+            y = step(element)
+            cy = cx[:j] + (cx[j] + 1,) + cx[j + 1:]
+            known = index.get(y)
+            if known is None:
+                index[y] = len(elements)
+                elements.append(y)
+                coords.append(cy)
+            elif cy != coords[known]:
+                relators.setdefault(tuple(a - b for a, b
+                                          in zip(cy, coords[known])))
+    return elements, index, AbPresentation(k, list(relators)), coords

@@ -8,18 +8,27 @@ of it, since relations between sums beyond the bound are missing.  It is
 not the K0 of idempotent classes: over F2 x F2 free sums give Z and
 idempotent classes give Z^2 (`relative` computes relative K0 on
 idempotent classes).  The induced map on bounded K0 is `k0_induced`.  K1
-is reported per rank as GL_n abelianizations, read off the Cayley graph
-of GL_n on Bass's generators (`gl`, certified by the Krull-Schmidt order
-formula `gl_order`; `groups.abelianization`), with stabilization maps.
+is reported per rank as GL_n abelianizations, read off the one
+breadth-first pass that closes Bass's generators into GL_n (`gl`,
+certified by the Krull-Schmidt order formula `gl_order` and guarded by
+it; `groups.abelianization`), with stabilization maps.
 """
 
 from __future__ import annotations
 
-from .additive import (DEFAULT_CEILING, MatMorphism, complete,
-                       inverse_by_powers, is_nilpotent, iso_class_table)
+from .additive import (DEFAULT_CEILING, MatMorphism, SizeLimitExceeded,
+                       _three_figures, complete, inverse_by_powers,
+                       is_nilpotent, iso_class_table)
 from .intlinalg import (AbPresentation, apply_rows, exponent_row,
                         hom_is_isomorphism, hom_well_defined)
 from .ringoid import StructuralError, _gens
+
+# The largest GL(s) that `gl` closes for a sum of two objects or more, by
+# `gl_order`.  A closure with its Schreier relators takes 1.3-3.8 KB and
+# 110-310 us per element (GL3 of Z/4 and F2[C2], 86 016 elements each, the
+# largest of the tests; CPython 3.11, x86-64), so this refuses about
+# 0.7-1.9 GB and 1-2.5 minutes of work.
+GL_ORDER_LIMIT = 5 * 10 ** 5
 
 
 class CeilingExceeded(Exception):
@@ -129,40 +138,25 @@ def k0_induced(f, source_result, target_result):
 class GLGroup:
     """The subgroup of GL(s) generated by the given invertible matrices,
     closed by breadth-first search from the identity under right
-    multiplication by the generators.  `elements` are in discovery order,
-    `generators` holds the indices of the generators, and edges[x][k] is
-    the index of elements[x] . elements[generators[k]]: the Cayley graph
-    that `abelianization` walks, so it composes nothing.  Any other
-    product is composed and looked up, and one outside the group raises
-    StructuralError."""
+    multiplication by the generators, and its abelianization read off the
+    same pass (`groups.abelianization`).  `elements` are in discovery
+    order, `generators` holds the indices of the generators, and
+    `presentation` presents the abelianization on them, with coords[x] the
+    image of element x.  A product is composed and looked up, and one
+    outside the group raises StructuralError."""
 
-    __slots__ = ("view", "elements", "generators", "edges", "identity",
-                 "_index", "_slot")
+    __slots__ = ("view", "elements", "generators", "presentation", "coords",
+                 "_index")
 
     def __init__(self, view, s, generators):
+        from .groups import abelianization
         one = view.identity(tuple(s))
-        elements = [one]
-        index = {one: 0}
         gens = list(dict.fromkeys(generators))
         steps = [_right_multiplier(view, one, g) for g in gens]
-        edges = []
-        for x in elements:
-            row = []
-            for step in steps:
-                y = step(x)
-                k = index.get(y)
-                if k is None:
-                    k = index[y] = len(elements)
-                    elements.append(y)
-                row.append(k)
-            edges.append(row)
+        self.elements, self._index, self.presentation, self.coords = (
+            abelianization(one, steps))
         self.view = view
-        self.elements = elements
-        self.edges = edges
-        self.identity = 0
-        self._index = index
-        self.generators = [index[g] for g in gens]
-        self._slot = {g: k for k, g in enumerate(self.generators)}
+        self.generators = [self._index[g] for g in gens]
 
     def __len__(self):
         return len(self.elements)
@@ -171,11 +165,7 @@ class GLGroup:
         return self._index[element]
 
     def mul(self, i, j):
-        k = self._slot.get(j)
-        if k is not None:
-            return self.edges[i][k]
-        w = self.view.compose(self.elements[i], self.elements[j])
-        k = self._index.get(w)
+        k = self._index.get(self.view.compose(self.elements[i], self.elements[j]))
         if k is None:
             raise StructuralError("a product of invertibles is not invertible")
         return k
@@ -205,20 +195,24 @@ def _right_multiplier(view, one, g):
 
 def gl(view, s, ceiling=DEFAULT_CEILING):
     """GL(s), the group of invertible endomorphisms of a formal sum, as the
-    closure of Bass's generators (Bass, "K-theory and stable algebra",
-    1964): the elementary matrices e_ij(x) for i != j and x an additive
-    generator of Hom(s_j, s_i), and diag(1, ..., u, ..., 1) for every unit
-    u of End(s_i).  Every generator is built with its inverse and certified
-    by composing the two both ways.  They generate GL(s) over every finite
-    base: modulo the radical J = J(End s) their images generate each GL_m(k)
-    block, and 1 + J splits as lower unitriangular times diagonal times
-    upper unitriangular.  A single object's units are all enumerated, so
-    its closure is GL(s) by construction; a longer sum's closure counts as
-    GL(s) only when its size equals `gl_order`, and a mismatch raises
-    StructuralError.
+    closure of `bass_generators`, with its abelianization (`GLGroup`).
+
+    They generate GL(s) over every finite base.  The elementary matrices
+    E and the unit diagonals at every position do: modulo the radical J
+    of End(s) they generate each GL_m(k) block, and 1 + J splits as lower
+    unitriangular times diagonal times upper unitriangular (over one
+    object, stable rank 1: GL_n = E_n diag(A*, 1, ..., 1); Bass, "K-theory
+    and stable algebra", 1964).  A unit diagonal at a later position of
+    the object a is one at its first position times diag(u^-1, u), which
+    is in E by Whitehead's lemma, and the kept units generate End(a)*.  A
+    single object's closure is End(a)* by construction; a longer sum's
+    counts as GL(s) only when its size equals `gl_order`, and a mismatch
+    raises StructuralError.
 
     Raises CeilingExceeded when |End(s)| exceeds the ceiling.  Below it no
-    End(s_i) is over it, so every object of s is split."""
+    End(s_i) is over it, so every object of s is split.  Raises
+    SizeLimitExceeded, before the closure, when `gl_order` of a sum of two
+    objects or more is over GL_ORDER_LIMIT."""
     s = tuple(s)
     if not view.has_identities:
         raise StructuralError("GL needs a unital base")
@@ -226,21 +220,26 @@ def gl(view, s, ceiling=DEFAULT_CEILING):
     if n > ceiling:
         raise CeilingExceeded("|End| = %d exceeds the ceiling %d" % (n, ceiling),
                               size=n, ceiling=ceiling)
+    order = gl_order(view, s, ceiling) if len(s) > 1 else None
+    if order is not None and order > GL_ORDER_LIMIT:
+        raise SizeLimitExceeded(
+            "GL of a sum of %d objects would hold %s elements, over the limit "
+            "of %d" % (len(s), _three_figures(order), GL_ORDER_LIMIT))
     group = GLGroup(view, s, bass_generators(view, s))
-    if len(s) > 1:
-        certify_gl_order(view, s, group, ceiling)
+    if order is not None:
+        certify_gl_order(s, group, order)
     return group
 
 
 def bass_generators(view, s):
     """The elementary matrices e_ij(x), x an additive generator of
-    Hom(s_j, s_i), and the unit diagonals diag(1, ..., u, ..., 1), u != 1
-    a unit of End(s_i) in element order.  Each is built with its inverse,
-    e_ij(-x) or the diagonal of u^-1 (`inverse_by_powers`), and certified
-    by composing the two both ways."""
+    Hom(s_j, s_i), and, at the first position i of each distinct object a
+    of s, the unit diagonals diag(1, ..., u, ..., 1) for the units u of
+    End(a) that `_unit_generators` keeps.  Each is built with its inverse,
+    e_ij(-x) or the diagonal of u^-1, and certified by composing the two
+    both ways."""
     base = view.base
     one = view.identity(s)
-    units = {}
     pairs = []
 
     def with_entry(i, j, x):
@@ -249,15 +248,9 @@ def bass_generators(view, s):
         return MatMorphism(s, s, entries)
 
     for i, a in enumerate(s):
-        if a not in units:
-            one_a = base.identity(a)
-            units[a] = []
-            for u in base.hom(a, a).elements():
-                v = inverse_by_powers(base, a, u, one_a)
-                if v is not None and u != one_a:
-                    units[a].append((u, v))
-        pairs.extend((with_entry(i, i, u), with_entry(i, i, v))
-                     for u, v in units[a])
+        if a not in s[:i]:
+            pairs.extend((with_entry(i, i, u), with_entry(i, i, v))
+                         for u, v in _unit_generators(base, a))
         for j, b in enumerate(s):
             hom = base.hom(b, a)
             if i != j:
@@ -267,6 +260,28 @@ def bass_generators(view, s):
         if view.compose(g, h) != one or view.compose(h, g) != one:
             raise StructuralError("the generator %r is not invertible" % (g,))
     return [g for g, _ in pairs]
+
+
+def _unit_generators(base, a):
+    """Units u of End(a), each with its inverse (`inverse_by_powers`), kept
+    in element order when the units kept before do not generate u.  Each
+    kept unit at least doubles the group they generate, so at most
+    log2 |End(a)*| are kept, and they generate End(a)*."""
+    one = base.identity(a)
+    kept, reached = [], {one}
+    for u in base.hom(a, a).elements():
+        v = None if u in reached else inverse_by_powers(base, a, u, one)
+        if v is not None:
+            kept.append((u, v))
+            queue = [one]
+            reached = {one}
+            for y in queue:
+                for g, _ in kept:
+                    z = base.compose(a, a, a, y, g)
+                    if z not in reached:
+                        reached.add(z)
+                        queue.append(z)
+    return kept
 
 
 def gl_order(view, s, ceiling=DEFAULT_CEILING):
@@ -321,14 +336,13 @@ def _residue_field_order(base, a, e):
     return q
 
 
-def certify_gl_order(view, s, group, ceiling=DEFAULT_CEILING):
-    """Raise StructuralError unless the closure has the order of GL(s),
-    which for Bass's generators is impossible by theorem."""
-    expected = gl_order(view, s, ceiling)
-    if len(group) != expected:
+def certify_gl_order(s, group, order):
+    """Raise StructuralError unless the closure has `order` elements, the
+    order of GL(s) by `gl_order`; for Bass's generators a mismatch is
+    impossible by theorem."""
+    if len(group) != order:
         raise StructuralError("the closure of GL(%r) has %d elements, the "
-                              "order formula gives %d"
-                              % (s, len(group), expected))
+                              "order formula gives %d" % (s, len(group), order))
 
 
 class StabilizationStep:
@@ -344,8 +358,8 @@ class KOneResult:
     """Per-rank GL abelianizations with stabilization maps; a single group
     would misrepresent the limit (GL_3 over F2 already dips back to 0).
     ranks[n] presents GL_n^ab on the Bass generators of groups[n], read
-    off the Cayley edges of its closure; each step's matrix maps them
-    into ranks[n + 1]."""
+    off the same pass that closes it; each step's matrix maps them into
+    ranks[n + 1]."""
 
     __slots__ = ("ranks", "groups", "steps", "last_step_iso", "truncated_at")
 
@@ -373,36 +387,30 @@ def k1_bounded(r, n_max, ceiling=DEFAULT_CEILING):
     """Abelianizations of GL_n for n <= n_max over a one-object unital base,
     with the induced stabilization maps: the row for generator g of GL_n
     is the coordinate vector of its block-diagonal image in GL_(n+1)."""
-    from .groups import abelianization
-
     if len(r.objects) != 1:
         raise StructuralError("bounded K1 is implemented for one-object bases")
     obj = r.objects[0]
     view = complete(r)
     groups = {}
-    ranks = {}
-    coords = {}
     truncated_at = None
     for n in range(1, n_max + 1):
-        s = (obj,) * n
         try:
-            g = gl(view, s, ceiling=ceiling)
+            groups[n] = gl(view, (obj,) * n, ceiling=ceiling)
         except CeilingExceeded:
             truncated_at = n
             break
-        groups[n] = g
-        ranks[n], coords[n] = abelianization(g, g.generators)
     steps = []
     for n in sorted(groups):
         if n + 1 not in groups:
             break
         embed = stabilization_embedding(view, (obj,) * n, (obj,))
         gn, gn1 = groups[n], groups[n + 1]
-        matrix = [list(coords[n + 1][gn1.index(embed(gn.elements[g]))])
+        matrix = [list(gn1.coords[gn1.index(embed(gn.elements[g]))])
                   for g in gn.generators]
-        iso = hom_is_isomorphism(ranks[n], ranks[n + 1], matrix)
+        iso = hom_is_isomorphism(gn.presentation, gn1.presentation, matrix)
         steps.append(StabilizationStep(n, matrix, iso))
     last_step_iso = steps[-1].is_isomorphism if steps else None
+    ranks = {n: g.presentation for n, g in groups.items()}
     return KOneResult(ranks, groups, steps, last_step_iso, truncated_at)
 
 

@@ -10,7 +10,7 @@ from .abgroup import TRIVIAL_GROUP, FinAbGroup, GroupQuotient, tensor_group
 from .constructions import (direct_sum, forget_units, ringoid_equal_structure,
                             tabulate, tabulate_hom)
 from .intlinalg import left_kernel_rows, solve_row_combinations, lattice_contains
-from .ringoid import StructuralError
+from .ringoid import StructuralError, _gens
 
 
 def _scalar_data(r):
@@ -208,28 +208,17 @@ def validate_ideal(ideal):
         for b in m.objects:
             for g in ideal.generators(a, b):
                 for c in m.objects:
-                    hbc = m.hom(b, c)
-                    for i in range(len(hbc.moduli)):
-                        if hbc.moduli[i] == 1:
-                            continue
-                        x = hbc.basis_element(i)
+                    for _, x, _ in _gens(m.hom(b, c)):
                         if not ideal.contains(a, c, m.compose(a, b, c, x, g)):
                             raise IdealError("ideal not absorbing on the left",
                                              witness=(a, b, c, x, g))
-                    hca = m.hom(c, a)
-                    for i in range(len(hca.moduli)):
-                        if hca.moduli[i] == 1:
-                            continue
-                        x = hca.basis_element(i)
+                    for _, x, _ in _gens(m.hom(c, a)):
                         if not ideal.contains(c, b, m.compose(c, a, b, g, x)):
                             raise IdealError("ideal not absorbing on the right",
                                              witness=(c, a, b, g, x))
                 if m.scalar is not None:
                     _, ro, rg = _scalar_data(m)
-                    for i in range(len(rg.moduli)):
-                        if rg.moduli[i] == 1:
-                            continue
-                        r = rg.basis_element(i)
+                    for _, r, _ in _gens(rg):
                         if not ideal.contains(a, b, m.act(a, b, r, g)):
                             raise IdealError("ideal not closed under the scalar action",
                                              witness=(a, b, r, g))

@@ -14,6 +14,7 @@ from ringoids import (FiniteRingoid, FinGroup, GSet, Ideal, cyclic_ring,
                       print_rgd)
 from ringoids.additive import TABLE_LETTER_LIMIT
 from ringoids.cli import _COMMANDS, run
+from ringoids.ktheory import GL_ORDER_LIMIT
 
 F2_DOC = """\
 ringoid F2
@@ -371,11 +372,13 @@ def test_k1_frontier(tmp_path, capsys, request, ring_name, gl_max):
 @pytest.mark.parametrize("n,args,want", [
     (4, ["k0", "--bound", "2"], "K0 = Z (stabilized at L=2)\n"),
     (3, ["k1", "--gl-max", "1"], "GL1^ab = 0\n"),
-], ids=["k0-m4f2", "k1-m3f2"])
+    (4, ["k1", "--gl-max", "1"], "GL1^ab = 0\n"),
+], ids=["k0-m4f2", "k1-m3f2", "k1-m4f2"])
 def test_matrix_ring_frontier(tmp_path, capsys, n, args, want):
     # k0 of M4(F2) compares the four primitives of 1_* (|End| = 2^16)
-    # through 16 x 16 products of generators; k1 of M3(F2) inverts each
-    # unit of its 512 endomorphisms by its powers (GL3(F2), 168 elements)
+    # through 16 x 16 products of generators; k1 of M3(F2) and M4(F2)
+    # closes GL3(F2) (168 elements) and GL4(F2) (20 160) from the few units
+    # that generate them, testing by powers only units not yet reached
     path = tmp_path / "m.rgd"
     ring = matrix_ring(cyclic_ring(2, scalar=False), n)
     path.write_text(print_rgd(document_from(ringoids=[ring])), encoding="utf-8")
@@ -534,6 +537,22 @@ def test_nerve_side_is_refused_by_its_predicted_size(tmp_path, command, doc,
     assert proc.stderr.count("\n") == 1
     assert proc.stderr.startswith("error: %s at bound %d would hold " % (stage, bound))
     assert "over the limit of " in proc.stderr
+
+
+def test_gl_closure_is_refused_by_its_predicted_order(tmp_path):
+    # with a raised ceiling, |GL4(F3)| = 24 261 120 comes from gl_order at
+    # once, after GL1 to GL3 are closed; without the guard the closure of
+    # GL4 grows until memory runs out
+    path = tmp_path / "f3.rgd"
+    path.write_text(print_rgd(document_from(ringoids=[cyclic_ring(3, name="F3")])),
+                    encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "ringoids.cli", "k1", "--input", str(path),
+         "--gl-max", "4", "--ceiling", str(2 ** 40)],
+        capture_output=True, text=True, timeout=15)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == ("error: GL of a sum of 4 objects would hold 2.43e7 "
+                           "elements, over the limit of %d\n" % GL_ORDER_LIMIT)
 
 
 # ---------------------------------------------------------------------------

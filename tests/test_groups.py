@@ -128,6 +128,21 @@ EXPECTED = {
 }
 
 
+def table_abelianization(group, gens, identity=None):
+    """abelianization(identity, steps) with table steps x -> x.g, one per
+    generator g (element indices), discovering the group from its
+    identity (group.identity unless given).  Returns (presentation,
+    coords), coords[x] the image of element x in index order.  Generators
+    that miss an element raise ValueError."""
+    steps = [lambda x, g=g: group.mul(x, g) for g in gens]
+    elements, index, pres, coords = abelianization(
+        group.identity if identity is None else identity, steps)
+    if len(elements) != len(group):
+        raise ValueError("the generators reach %d of %d elements"
+                         % (len(elements), len(group)))
+    return pres, [coords[index[x]] for x in range(len(group))]
+
+
 def index_order_generators(group):
     """Each element, in index order, that is not yet a product of the ones
     taken before it: at most log2 |G| generators, since each one at least
@@ -149,12 +164,12 @@ def index_order_generators(group):
 
 
 def assert_is_quotient_map(group):
-    """abelianization(group) on index-order generators presents G^ab with
+    """The abelianization on index-order generators presents G^ab with
     coords the quotient map: generator k has coords e_k (so coords is
     onto), coords is a homomorphism, and its kernel is the reference
     [G, G].  Returns the presentation."""
     gens = index_order_generators(group)
-    pres, coords = abelianization(group, gens)
+    pres, coords = table_abelianization(group, gens)
     k = pres.generators
     assert k == len(gens) and 2 ** k <= len(group)
     for pos, g in enumerate(gens):
@@ -191,7 +206,7 @@ def test_bad_table_rejected():
 
 
 def test_abelianization_trivial():
-    pres, _ = abelianization(FinGroup.cyclic(1), [])
+    pres, _ = table_abelianization(FinGroup.cyclic(1), [])
     assert pres.is_trivial()
 
 
@@ -200,24 +215,24 @@ def test_abelianization_s3():
     assert s3.is_valid()
     commutators = reference_commutator_subgroup(s3)
     assert len(commutators) == 3  # brute-force closure gives A3
-    pres, _ = abelianization(s3, [1, 2])
+    pres, _ = table_abelianization(s3, [1, 2])
     assert pres == AbPresentation.cyclic(2)
 
 
 def test_abelianization_fixes_abelian_input():
     c4 = FinGroup.cyclic(4)
-    pres, _ = abelianization(c4, [1])
+    pres, _ = table_abelianization(c4, [1])
     assert pres == AbPresentation.cyclic(4)
     klein = FinGroup.from_mult(
         [(a, b) for a in range(2) for b in range(2)],
         lambda x, y: ((x[0] + y[0]) % 2, (x[1] + y[1]) % 2))
-    pres, _ = abelianization(klein, [1, 2])
+    pres, _ = table_abelianization(klein, [1, 2])
     assert pres == AbPresentation(2, [(2, 0), (0, 2)])
 
 
 def test_abelianization_coords_are_homomorphic():
     s3 = FinGroup.symmetric3()
-    pres, coords = abelianization(s3, range(1, len(s3)))
+    pres, coords = table_abelianization(s3, range(1, len(s3)))
     # the coset map must be a homomorphism into the presented group: the
     # coordinates of a product differ from the sum of coordinates by a
     # relation of the presentation
@@ -245,13 +260,13 @@ def test_abelianization_generators_in_index_order():
     assert index_order_generators(c6) == [1]
     assert index_order_generators(s3) == [1, 2]
     # generator k of the presentation is the k-th one given, in any order
-    pres, coords = abelianization(c6, [1])
+    pres, coords = table_abelianization(c6, [1])
     assert pres == AbPresentation.cyclic(6) and coords[1] == (1,)
-    pres, coords = abelianization(s3, [2, 1])
+    pres, coords = table_abelianization(s3, [2, 1])
     assert pres.generators == 2 and coords[2] == (1, 0) and coords[1] == (0, 1)
     # generators that miss an element are refused: 2 reaches 3 of C6
     with pytest.raises(ValueError):
-        abelianization(c6, [2])
+        table_abelianization(c6, [2])
 
 
 def _order(names):
@@ -331,14 +346,15 @@ def test_k1_steps_from_two_generators():
 
 def assert_steps_are_induced_maps(ring, res):
     """Each step's matrix sends coords_n(x) to coords_(n+1)(diag(x, 1))
-    modulo the relators of GL_(n+1), for every x in GL_n."""
+    modulo the relators of GL_(n+1), for every x in GL_n.  The coords are
+    recomputed from composed products (element 0 is the identity)."""
     view = complete(ring)
     obj = ring.objects[0]
     for step in res.steps:
         n = step.rank
         g, g1 = res.groups[n], res.groups[n + 1]
-        _, coords = abelianization(g, g.generators)
-        pres1, coords1 = abelianization(g1, g1.generators)
+        _, coords = table_abelianization(g, g.generators, 0)
+        pres1, coords1 = table_abelianization(g1, g1.generators, 0)
         embed = stabilization_embedding(view, (obj,) * n, (obj,))
         k1 = pres1.generators
         defects = [[a - b for a, b in zip(apply_rows(coords[x], step.matrix, k1),

@@ -1,12 +1,13 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from conftest import (determinant_of_matmorphism, hom_elements,
-                      incidence_ringoids, inverse, ring_units)
+                      incidence_ringoids, inverse, ring_units, small_ringoids)
 from ringoids import (AbPresentation, CeilingExceeded, FinAbGroup, Ideal,
                       RingoidHom, cofinality_check, complete, cyclic_ring,
-                      enumerate_objsums, exterior_product, fibration_check,
-                      forget_units, gl, gl_order, idem_classes, improper_ideal,
+                      discrete_groupoid, enumerate_objsums, exterior_product,
+                      fibration_check, forget_units, gl, gl_order,
+                      group_ringoid, idem_classes, improper_ideal,
                       iso_class_table, k0_bounded, k0_induced, k0_relative,
                       k1_bounded, matrix_ring, product_ring, scalar_ringoid,
                       tensor, unitize, validate, validate_hom, with_self_scalar,
@@ -432,20 +433,23 @@ def test_gl_closure_is_certified_edge_by_edge(f2):
     view = complete(f2)
     s = ("*", "*")
     group = gl(view, s)
-    assert not hasattr(group, "table")
-    # every Cayley edge the abelianization walks is the product it names
-    for x, row in enumerate(group.edges):
-        for g, y in zip(group.generators, row):
-            assert group.elements[y] == view.compose(group.elements[x],
-                                                     group.elements[g])
-            assert group.mul(x, g) == y
+    assert not hasattr(group, "table") and not hasattr(group, "edges")
+    # every edge x -> x.g_k of the pass that closed the group agrees with
+    # its coordinates: coords(x.g_k) - coords(x) - e_k is a relation
+    pres, coords = group.presentation, group.coords
+    k = pres.generators
+    defects = [[b - a - int(i == pos) for i, (a, b)
+                in enumerate(zip(coords[x], coords[group.mul(x, g)]))]
+               for x in range(len(group))
+               for pos, g in enumerate(group.generators)]
+    assert k == len(group.generators) and all(pres.kills(defects))
     # a closure built by hand from all but one generator misses
     # invertibles, and the order certificate refuses it
     gens = [group.elements[g] for g in group.generators]
     partial = GLGroup(view, s, gens[1:])
     assert 1 < len(partial) < len(group)
     with pytest.raises(StructuralError):
-        certify_gl_order(view, s, partial)
+        certify_gl_order(s, partial, gl_order(view, s))
 
 
 def reference_gl(view, s):
@@ -478,11 +482,14 @@ def test_gl_closure_equals_enumeration(request, name):
 
 
 @settings(max_examples=20, deadline=None)
-@given(incidence_ringoids())
+@given(small_ringoids())
+@example(group_ringoid(discrete_groupoid(("a", "b")), cyclic_ring(3, name="F3")))
 def test_gl_closure_equals_enumeration_on_incidence_ringoids(r):
-    # non-equivalent primitives and maps between two objects
+    # non-equivalent primitives and maps between two objects; the group
+    # ringoids over F3 put units other than 1 at repeated, non-adjacent
+    # positions, as in (a, b, a), where only the first carries diagonals
     view = complete(r)
-    for s in enumerate_objsums(r.objects, 2):
+    for s in enumerate_objsums(r.objects, 3):
         if view.hom_order(s, s) > 1024:
             continue
         units = reference_gl(view, s)
@@ -508,8 +515,29 @@ def test_gl_certificate_catches_a_short_closure(f3):
     short = GLGroup(view, s, elementary)
     assert len(short) == 24
     with pytest.raises(StructuralError):
-        certify_gl_order(view, s, short)
+        certify_gl_order(s, short, gl_order(view, s))
     assert len(gl(view, s)) == 48
+
+
+def test_unit_diagonals_at_each_objects_first_position(m2f2):
+    # over M2(F2) two of the five units other than 1 generate GL2(F2), so
+    # GL2 of M2(F2) has 8 elementary generators and 2 unit diagonals, both
+    # at position 0
+    view = complete(m2f2)
+    s = ("*", "*")
+    one = view.identity(s)
+    gens = bass_generators(view, s)
+    diagonals = [g for g in gens
+                 if all(g.entries[i][j] == one.entries[i][j]
+                        for i in range(2) for j in range(2) if i != j)]
+    assert (len(gens), len(diagonals)) == (10, 2)
+    assert all(g.entries[1][1] == one.entries[1][1] for g in diagonals)
+    # over M3(F2) at rank 1, at most log2 168 kept units close to all 168
+    m3f2 = matrix_ring(cyclic_ring(2, scalar=False), 3)
+    view = complete(m3f2)
+    group = gl(view, ("*",))
+    assert len(group.generators) <= 7  # floor(log2 168)
+    assert len(group) == 168 == gl_order(view, ("*",))
 
 
 def _m2f2_beside_f2(m2f2, f2):
