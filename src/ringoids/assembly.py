@@ -32,7 +32,7 @@ class AssemblyZeroMap:
         self.source_summands = list(source_summands)
         self.source_presentation = source_presentation
         self.target = target
-        self.matrix = [list(r) for r in matrix]
+        self.matrix = list(matrix)
         self.well_defined = well_defined
         self.iso = iso
         self.undecided = undecided
@@ -100,7 +100,7 @@ class NaturalityReport:
                  target_map, commutes, undecided):
         self.assembly_source = assembly_source
         self.assembly_target = assembly_target
-        self.source_map = [list(r) for r in source_map]
+        self.source_map = list(source_map)
         self.target_map = target_map
         self.commutes = commutes
         self.undecided = undecided
@@ -154,15 +154,11 @@ def naturality_check(f, xs, ys, scalar, bound, ceiling=DEFAULT_CEILING):
         cj = next(j for j, cy in enumerate(comps_y) if image_pt in cy.objects)
         source_map += [exponent_row(range(n_src_y), [offsets_y[cj]])
                        for _ in res.gen_labels]
-    # compare the two composites modulo the target relation lattice
-    n_tgt = len(ay.target.gen_labels)
-    diffs = []
-    for i in range(len(source_map)):
-        via_source = apply_rows(source_map[i], ay.matrix, n_tgt)
-        via_target = target_map.apply(ax.matrix[i])
-        diff = [p - q for p, q in zip(via_source, via_target)]
-        if any(diff):
-            diffs.append(diff)
+    # compare the two composites modulo the target relation lattice: each
+    # difference is the image via the source minus the image via the target
+    diffs = [apply_rows({0: 1, 1: -1}, [apply_rows(row, ay.matrix),
+                                        target_map.apply(ax_row)])
+             for row, ax_row in zip(source_map, ax.matrix)]
     commutes = all(ay.target.presentation.kills(diffs))
     undecided = ax.undecided or ay.undecided
     return NaturalityReport(ax, ay, source_map, target_map, commutes, undecided)

@@ -297,9 +297,11 @@ def cmd_assembly(args, doc):
             raise StructuralError("groupoid fails validation")
         am = assembly_zero(g, r, args.bound, ceiling=args.ceiling)
         kind = "groupoid"
+    n = am.target.presentation.generators
+    matrix = [[row.get(j, 0) for j in range(n)] for row in am.matrix]
     lines = ["assembly (%s): %s -> %s" % (kind, am.source_presentation,
                                           am.target.presentation),
-             "matrix: %s" % (am.matrix,),
+             "matrix: %s" % (matrix,),
              "isomorphism: %s" % ("yes" if am.iso else "no")]
     if am.undecided:
         lines.append("WARNING: undecided isomorphism tests at the ceiling")
@@ -307,7 +309,7 @@ def cmd_assembly(args, doc):
         "op": "assembly", "kind": kind,
         "source": _presentation_json(am.source_presentation),
         "target": _presentation_json(am.target.presentation),
-        "matrix": am.matrix, "iso": am.iso, "undecided": am.undecided})
+        "matrix": matrix, "iso": am.iso, "undecided": am.undecided})
     return EXIT_UNDECIDED if am.undecided else EXIT_OK
 
 

@@ -118,4 +118,5 @@ def abelianization(identity, steps):
             elif cy != coords[known]:
                 relators.setdefault(tuple(a - b for a, b
                                           in zip(cy, coords[known])))
-    return elements, index, AbPresentation(k, list(relators)), coords
+    rows = [{i: x for i, x in enumerate(r) if x} for r in relators]
+    return elements, index, AbPresentation(k, rows), coords

@@ -4,16 +4,18 @@ Smith normal form with transform certificates, row-lattice solvers, and
 finitely presented abelian groups in (rank, torsion chain) normal form.
 All arithmetic is arbitrary-precision Python integers; no floating point.
 
-Relation rows over named generators are written by `exponent_row`.  Every
-relation matrix of an `AbPresentation`, and every lattice of
+A relation row is a dict {column: non-zero entry} from its writer,
+`exponent_row`, to the elimination.  Every relation matrix of an
+`AbPresentation`, and every lattice of
 `solve_row_combinations`, first goes through `Elimination`, a certified
 sparse unit-pivot elimination (abelian Tietze moves).  Only its residue
 reaches the dense Smith normal form, once: the elimination keeps that one
 factorization, and both the invariants of a presentation and every solve
 read it.  A presentation keeps its elimination and answers its own lattice
 questions from it: whether vectors are zero in the group (`kills`) and
-whether rows map onto it (`generated_by`).
-`left_kernel_rows` and `lattice_basis` use the dense form directly.
+whether rows map onto it (`generated_by`).  Rows are dense only where
+the Smith normal form reads them (the residue, `left_kernel_rows` and
+`lattice_basis`) and in the coefficients `solve_row_combinations` returns.
 """
 
 from __future__ import annotations
@@ -41,10 +43,6 @@ class IntMatrix:
         r = len(rows_list)
         c = len(rows_list[0]) if rows_list else 0
         return cls(r, c, rows_list)
-
-    @classmethod
-    def zeros(cls, r, c):
-        return cls(r, c, [[0] * c for _ in range(r)])
 
     def mul(self, other):
         if self.cols != other.rows:
@@ -183,21 +181,35 @@ def smith_normal_form(m):
 
 def exponent_row(index, plus=(), minus=()):
     """The relation row +1 per generator in plus, -1 per generator in minus,
-    repeats adding up.  index maps a generator to its position: a dict over
-    named generators (a missing one raises KeyError), or range(n) when the
-    generators are the positions themselves."""
-    row = [0] * len(index)
-    for g in plus:
-        row[index[g]] += 1
-    for g in minus:
-        row[index[g]] -= 1
-    return row
+    repeats adding up, as the dict {position: non-zero entry}.  index maps a
+    generator to its position: a dict over named generators (a missing one
+    raises KeyError), or range(n) when the generators are the positions
+    themselves."""
+    row = {}
+    for sign, gens in ((1, plus), (-1, minus)):
+        for g in gens:
+            j = index[g]
+            row[j] = row.get(j, 0) + sign
+    return {j: x for j, x in row.items() if x}
+
+
+def _sparse(row, n=None):
+    """The relation row as the dict {column: non-zero entry}: a dict is
+    taken as it is, and a dense sequence is converted here, the one place
+    that does.  Given n, a row outside Z^n raises ValueError: a dense row of
+    another length, or a dict with a column outside range(n)."""
+    if isinstance(row, dict):
+        if n is not None and not all(0 <= j < n for j in row):
+            raise ValueError("row length mismatch")
+        return row
+    if n is not None and len(row) != n:
+        raise ValueError("row length mismatch")
+    return dict(itertools.compress(enumerate(row), row))
 
 
 def _snf_of_rows(rows, n):
-    mat = IntMatrix.from_rows(rows) if rows else IntMatrix.zeros(0, n)
-    if mat.cols != n:
-        raise ValueError("row length mismatch")
+    rows = [_sparse(row, n) for row in rows]
+    mat = IntMatrix(len(rows), n, [[row.get(j, 0) for j in range(n)] for row in rows])
     return mat, smith_normal_form(mat)
 
 
@@ -208,7 +220,9 @@ def solve_row_combinations(rows, n, targets):
     normal form of its residue."""
     if not targets:
         return []
-    return Elimination(rows, n).solve(targets)
+    elim = Elimination(rows, n)
+    return [None if c is None else [c.get(i, 0) for i in range(len(elim.rows))]
+            for c in elim.solve(targets)]
 
 
 def lattice_contains(rows, n, target):
@@ -244,12 +258,8 @@ def lattice_basis(rows, n):
 # (Havas, Holt and Rees, "Recognizing badly presented Z-modules", Linear
 # Algebra Appl. 192, 1993; Sims, "Computation with Finitely Presented
 # Groups", 1994, ch. 8).  Only the residue reaches the dense Smith normal
-# form, once per elimination.  Rows are dicts {column: non-zero entry}.
+# form, once per elimination.
 # ---------------------------------------------------------------------------
-
-def _sparse(row):
-    return dict(itertools.compress(enumerate(row), row))
-
 
 def _add_multiple(acc, q, vec):
     """acc += q * vec, in place, on sparse rows."""
@@ -293,10 +303,8 @@ class Elimination:
                  "_order")
 
     def __init__(self, rows, n):
-        if any(len(row) != n for row in rows):
-            raise ValueError("row length mismatch")
         self.n = n
-        self.rows = [_sparse(row) for row in rows]
+        self.rows = tuple(_sparse(row, n) for row in rows)
         # pivots[k] = (column, unit, row, combination)
         self.pivots = []
         # residue[m] = (row, combination)
@@ -421,13 +429,15 @@ class Elimination:
                                       "to its residue row")
 
     def solve(self, targets):
-        """`solve_row_combinations` through the elimination: each target is
+        """`solve_row_combinations` through the elimination, each solution a
+        combination {row index: coefficient} or None: each target is
         substituted through the pivots, its residual is solved against the
         residue, and the coefficients are mapped back to the original rows.
         Every solution is checked."""
         out = []
         for target in targets:
-            coef, v = self.substitute(_sparse(target))
+            target = _sparse(target)
+            coef, v = self.substitute(target)
             z = self._solve_residual(v)
             if z is None:
                 out.append(None)
@@ -438,9 +448,9 @@ class Elimination:
             for (_, comb), q in zip(self.residue, z):
                 if q:
                     _add_multiple(c, q, comb)
-            if self.combine(c) != _sparse(target):
+            if self.combine(c) != target:
                 raise ArithmeticError("solution does not reproduce its target")
-            out.append([c.get(i, 0) for i in range(len(self.rows))])
+            out.append(c)
         return out
 
     def _solve_residual(self, v):
@@ -481,18 +491,19 @@ class AbPresentation:
 
     Two presentations compare equal exactly when their normal forms
     (free rank, torsion divisibility chain) coincide.  `relations` keeps
-    the rows as given, and `elimination` is their one factorization: the
-    invariants come from the Smith normal form it keeps of its residue, and
-    the lattice questions about the group (`kills`, `generated_by`) are
-    answered from it too, so the relations are never factored again.
+    the rows as given (a dense row converted), and `elimination` is their
+    one factorization: the invariants come from the Smith normal form it
+    keeps of its residue, and the lattice questions about the group
+    (`kills`, `generated_by`) are answered from it too, so the relations
+    are never factored again.
     """
 
     __slots__ = ("generators", "relations", "elimination", "rank", "torsion")
 
     def __init__(self, generators, relations=()):
         self.generators = int(generators)
-        self.relations = tuple(tuple(map(int, row)) for row in relations)
-        self.elimination = elim = Elimination(self.relations, self.generators)
+        self.elimination = elim = Elimination(relations, self.generators)
+        self.relations = elim.rows
         nonzero = [d for d in elim.snf[1].diagonal() if d] if elim.snf else []
         self.rank = self.generators - len(elim.pivots) - len(nonzero)
         self.torsion = tuple(d for d in nonzero if d >= 2)
@@ -510,9 +521,10 @@ class AbPresentation:
         residuals and the residue present the trivial group there."""
         elim = self.elimination
         free = [j for j in range(self.generators) if j not in elim._order]
-        residuals = [elim.substitute(_sparse(row))[1] for row in rows]
+        pos = {j: x for x, j in enumerate(free)}
+        residuals = [elim.substitute(_sparse(row, self.generators))[1] for row in rows]
         residuals += [row for row, _ in elim.residue]
-        return AbPresentation(len(free), [[v.get(j, 0) for j in free]
+        return AbPresentation(len(free), [{pos[j]: x for j, x in v.items()}
                                           for v in residuals]).is_trivial()
 
     @classmethod
@@ -528,9 +540,9 @@ class AbPresentation:
         return cls(1, [(n,)])
 
     def direct_sum(self, other):
-        rows = [row + (0,) * other.generators for row in self.relations]
-        rows += [(0,) * self.generators + row for row in other.relations]
-        return AbPresentation(self.generators + other.generators, rows)
+        shift = self.generators
+        rows = [{j + shift: x for j, x in row.items()} for row in other.relations]
+        return AbPresentation(shift + other.generators, self.relations + tuple(rows))
 
     def is_trivial(self):
         return self.rank == 0 and not self.torsion
@@ -560,30 +572,28 @@ class AbPresentation:
 # Homomorphisms between presented abelian groups.
 #
 # A map Z^m/A -> Z^n/B is given by a generator matrix G (m rows, row i is
-# the image of the i-th source generator, as a vector over the n target
-# generators).
+# the image of the i-th source generator, as a relation row over the n
+# target generators).
 # ---------------------------------------------------------------------------
 
 def hom_well_defined(src, tgt, gen_matrix):
     """Check that every relation of the presented source group src maps to
     zero in the presented target group tgt.  Returns (ok,
     offending_relation_or_None)."""
-    images = [apply_rows(row, gen_matrix, tgt.generators) for row in src.relations]
+    images = [apply_rows(row, gen_matrix) for row in src.relations]
     for row, zero in zip(src.relations, tgt.kills(images)):
         if not zero:
             return False, row
     return True, None
 
 
-def apply_rows(vec, matrix, n_out):
-    """The integer row vector vec times matrix (n_out columns).  Rows of
-    matrix under a zero coefficient are never read."""
-    out = [0] * n_out
-    for i, c in enumerate(vec):
-        if c:
-            row = matrix[i]
-            for j in range(n_out):
-                out[j] += c * row[j]
+def apply_rows(vec, matrix):
+    """The row vec times matrix, as the dict {column: non-zero entry}; vec
+    and the rows of matrix are relation rows.  Rows of matrix under a zero
+    coefficient are never read."""
+    out = {}
+    for i, c in _sparse(vec).items():
+        _add_multiple(out, c, _sparse(matrix[i]))
     return out
 
 

@@ -82,12 +82,13 @@ def k0_bounded(r, bound, ceiling=DEFAULT_CEILING):
     # it occurs; first-occurrence order keeps k0_induced's failing relation
     shortest = {}
     for s, cls in table.class_of.items():
-        row = tuple(exponent_row(index, s, table.reps[cls]))
-        if any(row):
-            shortest[row] = min(shortest.get(row, len(s)), len(s))
+        row = exponent_row(index, s, table.reps[cls])
+        if row:
+            key = frozenset(row.items())
+            shortest[key] = min(shortest.get(key, len(s)), len(s))
     per_bound = {}
     for l in range(bound + 1):
-        rows = [row for row, mlen in shortest.items() if mlen <= l]
+        rows = [dict(key) for key, mlen in shortest.items() if mlen <= l]
         per_bound[l] = AbPresentation(len(objects), rows)
     stabilized = bound >= 1 and per_bound[bound] == per_bound[bound - 1]
     stabilized_since = None
@@ -109,12 +110,12 @@ class InducedMap:
     def __init__(self, source, target, matrix, well_defined, failing_relation):
         self.source = source
         self.target = target
-        self.matrix = tuple(tuple(row) for row in matrix)
+        self.matrix = tuple(matrix)
         self.well_defined = well_defined
         self.failing_relation = failing_relation
 
     def apply(self, vec):
-        return apply_rows(vec, self.matrix, len(self.matrix[0]) if self.matrix else 0)
+        return apply_rows(vec, self.matrix)
 
     def is_isomorphism(self):
         return hom_is_isomorphism(self.source.presentation,
@@ -457,25 +458,16 @@ def exterior_product(left_result, right_result, tensor_prod, target_result):
     for i, a in enumerate(m.objects):
         for j, b in enumerate(n.objects):
             pair_index[(i, j)] = t_objects.index((a, b))
-    n_tgt = len(t_objects)
     sides = []
     vecs = []
     for row in left_result.presentation.relations:
         for j in range(len(n.objects)):
-            vec = [0] * n_tgt
-            for i, c in enumerate(row):
-                if c:
-                    vec[pair_index[(i, j)]] += c
             sides.append(("left", row, j))
-            vecs.append(vec)
+            vecs.append({pair_index[(i, j)]: c for i, c in row.items()})
     for row in right_result.presentation.relations:
         for i in range(len(m.objects)):
-            vec = [0] * n_tgt
-            for j, c in enumerate(row):
-                if c:
-                    vec[pair_index[(i, j)]] += c
             sides.append(("right", i, row))
-            vecs.append(vec)
+            vecs.append({pair_index[(i, j)]: c for j, c in row.items()})
     failing = [side for side, zero
                in zip(sides, target_result.presentation.kills(vecs)) if not zero]
     return ExteriorProduct(left_result, right_result, target_result,

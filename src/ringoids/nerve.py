@@ -10,13 +10,13 @@ The oracle computes the fundamental group of the 2-truncated realization
 of the isomorphism nerve: one generator per formal sum within the bound,
 a relation (s)(t) = (s + t) for each level-2 object, and (s) = (t) for
 each discovered isomorphism.  These relations make the group abelian, so
-it is presented directly as an abelian group, one relation row per
-relator.  It must agree with the Grothendieck-completion K0 at equal
+it is presented directly as an abelian group, one sparse relation row
+per relator.  It must agree with the Grothendieck-completion K0 at equal
 bounds; the two pipelines share only the isomorphism searcher.
 
 Both enumerations are refused before they start when their predicted size
-is over a fixed limit: the dense relation cells of the oracle and the
-tuples of a level (`level_size`).
+is over a fixed limit: the relation rows of the oracle and the tuples of
+a level (`level_size`).
 """
 
 from __future__ import annotations
@@ -29,17 +29,16 @@ from .intlinalg import AbPresentation, exponent_row, hom_is_isomorphism
 from .ktheory import k0_bounded
 from .ringoid import StructuralError
 
-# The most dense relation cells (relators x generators) the oracle may
-# build, and the most tuples of a nerve level that may be enumerated.  A
-# cell takes about 16 bytes, its row and the row's copy in the presentation
-# (disc2 at bound 9: 1.0e7 cells, 173 MB), so this refuses relations of
-# about 5 GB and more.  The largest oracle run that finishes, disc2 at
-# bound 11, predicts 2.0e8 cells and takes 47 s; disc3 at bound 8 predicts
-# 9.2e8.  A level is checked at about 80 us per tuple (disc3 at bound 7:
-# 105 796 at level 3, 8.2 s), so this refuses about 40 minutes of work, or
-# about 2 GB for a level held in memory (70 bytes per tuple).  CPython 3.11,
-# x86-64.
-RELATION_CELL_LIMIT = 3 * 10 ** 8
+# The most relation rows the oracle may build, and the most tuples of a
+# nerve level that may be enumerated.  Over the whole oracle job a row
+# takes about 1.6 KB and 30-40 us (disc3 at bound 8: 93 495 rows, 149 MB,
+# 2.9 s; at bound 9: 310 008 rows, 488 MB, 12 s), so this refuses about
+# 1.6 GB and 40 s of work: disc3 at bound 10 (1.02e6 rows) and disc2 at
+# bound 15 (1.05e6) are the first refused.  A level is checked at about
+# 80 us per tuple (disc3 at bound 7: 105 796 at level 3, 8.2 s), so this
+# refuses about 40 minutes of work, or about 2 GB for a level held in
+# memory (70 bytes per tuple).  CPython 3.11, x86-64.
+RELATION_ROW_LIMIT = 10 ** 6
 LEVEL_TUPLE_LIMIT = 3 * 10 ** 7
 
 # With two objects or more a size is at least 2^bound, so over this bound
@@ -200,14 +199,14 @@ def k0_via_nerve(r, bound, ceiling=DEFAULT_CEILING):
     `exponent_row`: e_() first, then e_s - e_rep for each sum s in order,
     then e_s + e_t - e_(s+t) for each level-2 object (s, t) in order.  The
     isomorphism s -> rep is the permutation sorting s followed by one that
-    the iso-class table `k0_bounded` reads certifies by type vector.
-    Raises SizeLimitExceeded, before enumerating, when the dense rows could
-    hold more than RELATION_CELL_LIMIT cells: at most one row per sum and
-    per pair of sums (levels 1 and 2), plus one, over one column per sum."""
+    the iso-class table `k0_bounded` reads certifies by type vector.  Each
+    row is sparse, with at most three non-zero entries.  Raises
+    SizeLimitExceeded, before enumerating, when there could be more than
+    RELATION_ROW_LIMIT rows: at most one per sum and per pair of sums
+    (levels 1 and 2), plus one."""
     k = len(r.objects)
-    _refuse_over("nerve relations", "cells", RELATION_CELL_LIMIT, k, bound,
-                 lambda b: (1 + level_size(k, 1, b) + level_size(k, 2, b))
-                 * level_size(k, 1, b))
+    _refuse_over("nerve relations", "rows", RELATION_ROW_LIMIT, k, bound,
+                 lambda b: 1 + level_size(k, 1, b) + level_size(k, 2, b))
     table = iso_class_table(complete(r), bound, ceiling=ceiling)
     sums = enumerate_objsums(r.objects, bound)
     index = {s: i for i, s in enumerate(sums)}

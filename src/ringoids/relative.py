@@ -102,7 +102,7 @@ class RelativeKZeroResult:
         self.mplus = mplus
         self.rm = rm
         self.projection = projection
-        self.matrix = [list(r) for r in matrix]
+        self.matrix = list(matrix)
         self.undecided = undecided
 
     def __repr__(self):
@@ -193,8 +193,8 @@ def cofinality_check(r, bound, ceiling=DEFAULT_CEILING):
 
     def relate(plus, minus):
         row = exponent_row(index, plus, minus)
-        if any(row):
-            rows.setdefault(tuple(row))
+        if row:
+            rows.setdefault(frozenset(row.items()), row)
 
     for s in sub_objs:
         relate([s], [first_of(s)])
@@ -207,7 +207,7 @@ def cofinality_check(r, bound, ceiling=DEFAULT_CEILING):
                     if len(s) + 1 < len(t) or no_later(s + (x,), t[::-1]):
                         relate([s, first_of((x,) + t)],
                                [first_of(s + (x,)), t])
-    sub_pres = AbPresentation(len(sub_objs), list(rows))
+    sub_pres = AbPresentation(len(sub_objs), list(rows.values()))
     matrix = [exponent_row(obj_index, s) for s in sub_objs]
     iso = hom_is_isomorphism(sub_pres, ambient.presentation, matrix)
     witnesses = [(s, f, s + f) for f in sub_objs[:1]
@@ -307,8 +307,7 @@ def fibration_check(m, ideal, bound, ceiling=DEFAULT_CEILING):
     inclusion_rows = []
     for vec in rel.kernel_basis:
         resolved = all(class_images[i] is not None for i, c in enumerate(vec) if c)
-        inclusion_rows.append(apply_rows(vec, class_images, len(index))
-                              if resolved else None)
+        inclusion_rows.append(apply_rows(vec, class_images) if resolved else None)
 
     composite_zero = exact = None
     if not (undecided or unresolved):

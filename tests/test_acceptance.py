@@ -171,7 +171,7 @@ def test_criterion_10_assembly_point_case(f2):
     am = assembly_zero(pi, f2, 3)
     assert am.source_presentation == Z
     assert am.target.presentation == Z
-    assert am.matrix == [[1]]
+    assert am.matrix == [{0: 1}]
     assert am.iso
     report(10, "assembly point case is the identity Z -> Z")
 

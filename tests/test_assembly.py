@@ -19,7 +19,7 @@ def test_point_case_is_identity(f2):
     am = assembly_zero(pi, f2, 3)
     assert am.source_presentation == Z
     assert am.target.presentation == Z
-    assert am.matrix == [[1]]
+    assert am.matrix == [{0: 1}]
     assert am.iso
 
 
@@ -39,7 +39,7 @@ def test_two_component_discrete_groupoid(f2):
 
 def test_equivariant_point_orbit(f2, c2):
     am = equivariant_assembly_zero(GSet.trivial(c2), f2, 3)
-    assert am.matrix == [[1]]
+    assert am.matrix == [{0: 1}]
     assert am.iso
     assert len(am.components) == 1
     assert len(am.components[0].vertex_group) == 2
@@ -83,7 +83,7 @@ def test_naturality_projection(f2, c2):
     rep = naturality_check(proj, free, point, f2, 3)
     assert rep.commutes
     # the source map is the rank-one induction on components
-    assert rep.source_map == [[1]]
+    assert rep.source_map == [{0: 1}]
 
 
 def test_naturality_rejects_non_equivariant(f2, c2):

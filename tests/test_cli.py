@@ -511,22 +511,25 @@ def test_absurd_bound_is_refused_by_its_predicted_size(tmp_path, command, doc):
     assert "over the limit of %d" % TABLE_LETTER_LIMIT in proc.stderr
 
 
-def _disc3_doc():
-    ring = group_ringoid(discrete_groupoid(("a", "b", "c")),
-                         cyclic_ring(2, name="F2"))
+def _discrete_doc(objects, name):
+    ring = group_ringoid(discrete_groupoid(objects), cyclic_ring(2, name="F2"))
     bare = FiniteRingoid(ring.objects, ring.homs, ring.compose_table,
-                         identities=ring.identities, name="disc3")
+                         identities=ring.identities, name=name)
     return print_rgd(document_from([bare]))
 
 
+def _disc3_doc():
+    return _discrete_doc(("a", "b", "c"), "disc3")
+
+
 @pytest.mark.parametrize("command, doc, bound, stage", [
-    ("oracle-compare", _disc3_doc(), 8, "nerve relations"),
+    ("oracle-compare", _disc3_doc(), 10, "nerve relations"),
     ("nerve-check", F2_DOC, 99999999999999999999999, "nerve level 3"),
     ("nerve-check", _disc3_doc(), 99999999999999999999999, "nerve level 3")])
 def test_nerve_side_is_refused_by_its_predicted_size(tmp_path, command, doc,
                                                      bound, stage):
-    # oracle-compare at disc3 bound 8 passes the iso-class table guard (990
-    # letters), and its dense nerve rows would take gigabytes
+    # oracle-compare at disc3 bound 10 passes the iso-class table guard, and
+    # its 1.02e6 nerve rows would take about 1.6 GB
     path = tmp_path / "input.rgd"
     path.write_text(doc, encoding="utf-8")
     proc = subprocess.run(
@@ -537,6 +540,38 @@ def test_nerve_side_is_refused_by_its_predicted_size(tmp_path, command, doc,
     assert proc.stderr.count("\n") == 1
     assert proc.stderr.startswith("error: %s at bound %d would hold " % (stage, bound))
     assert "over the limit of " in proc.stderr
+
+
+# Spawns one CLI job, then prints its exit code and peak resident size in
+# KB.  A child's ru_maxrss counts what its parent held when it was made, so
+# the launcher is a python -S process and not the test process.
+PEAK_LAUNCHER = """\
+import os, sys
+argv = [sys.executable, "-m", "ringoids.cli"] + sys.argv[1:]
+_, status, usage = os.wait4(os.posix_spawn(sys.executable, argv, os.environ), 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.frontier
+@pytest.mark.parametrize("objects, bound, peak_mb", [
+    ("abc", 7, 200), ("abc", 8, None), ("ab", 12, None)])
+def test_oracle_frontier(tmp_path, objects, bound, peak_mb):
+    # the nerve side holds 27 885 sparse rows at disc3 bound 7 (1.45 GB as
+    # dense rows), 93 495 at disc3 bound 8 and 106 497 at disc2 bound 12
+    path = tmp_path / "disc.rgd"
+    path.write_text(_discrete_doc(tuple(objects), "disc%d" % len(objects)),
+                    encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", PEAK_LAUNCHER, "oracle-compare",
+         "--input", str(path), "--bound", str(bound), "--format", "machine"],
+        capture_output=True, text=True, timeout=60)
+    *printed, last = proc.stdout.splitlines()
+    code, peak_kb = map(int, last.split())
+    assert (code, proc.stderr) == (0, "")
+    assert json.loads("".join(printed))["match"] is True
+    if peak_mb is not None:
+        assert peak_kb < peak_mb * 1024
 
 
 def test_gl_closure_is_refused_by_its_predicted_order(tmp_path):

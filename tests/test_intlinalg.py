@@ -94,7 +94,7 @@ def cokernel(m):
 
 def test_cokernel_examples():
     assert cokernel(IntMatrix.from_rows([[2]])) == AbPresentation.cyclic(2)
-    assert cokernel(IntMatrix.zeros(0, 2)) == AbPresentation.free(2)
+    assert cokernel(IntMatrix(0, 2, [])) == AbPresentation.free(2)
     assert cokernel(IntMatrix.from_rows([[2, 0], [0, 3]])) == AbPresentation.cyclic(6)
 
 
@@ -141,6 +141,12 @@ def test_presentation_torsion_chain():
         assert b % a == 0
 
 
+def _image(vec, matrix, n):
+    """vec times matrix (`apply_rows`, sparse) as a dense row of length n."""
+    row = apply_rows(vec, matrix)
+    return [row.get(j, 0) for j in range(n)]
+
+
 def test_lattice_solvers():
     rows = [[2, 0], [0, 3]]
     assert solve_row_combinations(rows, 2, [[4, 3]]) == [[2, 1]]
@@ -152,18 +158,23 @@ def test_lattice_solvers():
     rows = [[0, 3], [0, 3], [0, 2]]
     [c] = solve_row_combinations(rows, 2, [[0, 2]])
     assert c is not None and len(c) == 3
-    assert apply_rows(c, rows, 2) == [0, 2]
+    assert _image(c, rows, 2) == [0, 2]
 
 
 def test_exponent_row_adds_repeats_and_cancels_equal_sides():
     index = {"a": 0, "b": 1, "c": 2}
-    assert exponent_row(index, ["a", "a", "c"], ["b"]) == [2, -1, 1]
-    assert exponent_row(index, minus=["c", "c"]) == [0, 0, -2]
-    assert exponent_row(range(3), [2, 0, 2]) == [1, 0, 2]
-    assert exponent_row(index) == [0, 0, 0]
+    assert exponent_row(index, ["a", "a", "c"], ["b"]) == {0: 2, 1: -1, 2: 1}
+    assert exponent_row(index, minus=["c", "c"]) == {2: -2}
+    assert exponent_row(range(3), [2, 0, 2]) == {0: 1, 2: 2}
+    assert exponent_row(index) == {}
     sums = {s: i for i, s in enumerate([(), ("a",), ("a", "b")])}
     side = [("a",), ("a", "b"), ("a",)]
-    assert exponent_row(sums, side, side[::-1]) == [0, 0, 0]
+    assert exponent_row(sums, side, side[::-1]) == {}
+    # a cancelled entry is dropped, not kept as a zero, and may come back
+    assert exponent_row(index, ["a", "b"], ["a", "a", "b"]) == {0: -1}
+    rows = [exponent_row(index, ["a", "b"], ["b", "c"]),
+            exponent_row(sums, side, [("a",)] * 3), exponent_row(index, ["a"], ["a"])]
+    assert all(0 not in row.values() for row in rows)
 
 
 def test_exponent_row_never_drops_a_missing_generator():
@@ -216,7 +227,7 @@ def test_hom_iso_checks():
 # batched solver and the invariant-based test replaced.
 
 def _ref_solve(rows, n, target):
-    mat = IntMatrix.from_rows(rows) if rows else IntMatrix.zeros(0, n)
+    mat = IntMatrix.from_rows(rows) if rows else IntMatrix(0, n, [])
     U, D, V = smith_normal_form(mat)
     k = mat.rows
     w = [sum(target[i] * V.data[i][j] for i in range(n)) for j in range(n)]
@@ -238,7 +249,7 @@ def _ref_contains(rows, n, target):
 
 
 def _ref_hom_is_isomorphism(src_rel, tgt_rel, gen_matrix, n_src, n_tgt):
-    if not all(_ref_contains(tgt_rel, n_tgt, apply_rows(row, gen_matrix, n_tgt))
+    if not all(_ref_contains(tgt_rel, n_tgt, _image(row, gen_matrix, n_tgt))
                for row in src_rel):
         return False
     onto_rows = [list(r) for r in gen_matrix] + [list(r) for r in tgt_rel]
@@ -260,7 +271,7 @@ def _lattice_and_targets(draw):
     n = draw(st.integers(0, 4))
     rows = draw(_int_rows(n, 0, 4, 9))
     coeffs = draw(_int_rows(len(rows), 0, 3, 3))
-    members = [apply_rows(c, rows, n) for c in coeffs]
+    members = [_image(c, rows, n) for c in coeffs]
     return rows, n, members, draw(_int_rows(n, 0, 3, 9))
 
 
@@ -277,7 +288,7 @@ def test_solve_row_combinations_matches_per_target_solver(case):
     assert None not in sols[:len(members)]
     for target, c in zip(targets, sols):
         if c is not None:
-            assert apply_rows(c, rows, n) == target
+            assert _image(c, rows, n) == target
 
 
 @st.composite
@@ -296,7 +307,7 @@ def _presented_maps(draw):
             for i, j, q in ops:
                 if i != j:
                     u[i] = [a + q * b for a, b in zip(u[i], u[j])]
-        tgt_rel = [apply_rows(r, u, n_src) for r in src_rel]
+        tgt_rel = [_image(r, u, n_src) for r in src_rel]
         tgt_rel += draw(_int_rows(n_src, 0, 1, 3))
         return src_rel, n_src, tgt_rel, n_src, u
     n_tgt = draw(st.integers(0, 3))
@@ -319,7 +330,7 @@ def test_hom_is_isomorphism_matches_three_part_check(case):
 def test_presentation_queries_match_the_solver(case):
     src_rel, n_src, tgt_rel, n_tgt, gen = case
     tgt = AbPresentation(n_tgt, tgt_rel)
-    vectors = ([apply_rows(row, gen, n_tgt) for row in src_rel]
+    vectors = ([_image(row, gen, n_tgt) for row in src_rel]
                + [list(row) for row in gen] + [list(row) for row in tgt_rel])
     assert tgt.kills(vectors) == [
         c is not None for c in solve_row_combinations(tgt_rel, n_tgt, vectors)]
@@ -345,7 +356,7 @@ def test_hom_is_isomorphism_reuses_the_target_elimination(morita, monkeypatch):
 
     class CountingElimination(intlinalg.Elimination):
         def __init__(self, rows, n):
-            built.append({tuple(row) for row in rows})
+            built.append({frozenset(row.items()) for row in rows})
             super().__init__(rows, n)
 
     monkeypatch.setattr(intlinalg, "Elimination", CountingElimination)
@@ -354,7 +365,8 @@ def test_hom_is_isomorphism_reuses_the_target_elimination(morita, monkeypatch):
     assert built  # the onto test presents the small reduced group
     for tgt in (k0, nerve.abelianized):
         assert tgt.relations
-        assert not any(set(tgt.relations) <= rows for rows in built)
+        relations = {frozenset(row.items()) for row in tgt.relations}
+        assert not any(relations <= rows for rows in built)
 
 
 # ---------------------------------------------------------------------------
@@ -413,14 +425,14 @@ def test_elimination_invariants_match_dense_snf(case):
 def test_elimination_solver_matches_dense_solver(case, data):
     rows, n = case
     coeffs = data.draw(_int_rows(len(rows), 0, 3, 3))
-    targets = [apply_rows(c, rows, n) for c in coeffs]
+    targets = [_image(c, rows, n) for c in coeffs]
     targets += data.draw(_int_rows(n, 0, 3, 9))
     ref = [_ref_solve(rows, n, t) for t in targets]
     sols = Elimination(rows, n).solve(targets)
     assert [c is None for c in sols] == [c is None for c in ref]
     for target, c in zip(targets, sols):
         if c is not None:
-            assert apply_rows(c, rows, n) == target
+            assert _image(c, rows, n) == target
 
 
 def _counting_snf(mp):
@@ -482,6 +494,37 @@ def test_each_elimination_factors_at_most_once(case, data):
 def test_a_relation_of_the_wrong_length_is_refused():
     with pytest.raises(ValueError):
         AbPresentation(2, [(1, 2, 3)])
+
+
+def test_a_sparse_column_outside_the_generators_is_refused_alike():
+    with pytest.raises(ValueError) as dense:
+        AbPresentation(2, [(1, 2, 3)])
+    for row in ({2: 3}, {0: 1, 5: 2}, {-1: 1}):
+        for build in (lambda: AbPresentation(2, [row]),
+                      lambda: solve_row_combinations([row], 2, [[0, 1]]),
+                      lambda: left_kernel_rows([row], 2),
+                      lambda: lattice_basis([[1, 0], row], 2)):
+            with pytest.raises(ValueError) as sparse:
+                build()
+            assert str(sparse.value) == str(dense.value)
+
+
+def _sparse_form(rows):
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_relation_matrices(), st.data())
+def test_sparse_and_dense_rows_give_the_same_answers(case, data):
+    rows, n = case
+    targets = data.draw(_int_rows(n, 0, 4, 3))
+    sparse = _sparse_form(rows)
+    dense_p, sparse_p = AbPresentation(n, rows), AbPresentation(n, sparse)
+    assert (sparse_p.rank, sparse_p.torsion) == (dense_p.rank, dense_p.torsion)
+    assert sparse_p.relations == dense_p.relations == tuple(sparse)
+    assert sparse_p.kills(_sparse_form(targets)) == dense_p.kills(targets)
+    assert (solve_row_combinations(sparse, n, _sparse_form(targets))
+            == solve_row_combinations(rows, n, targets))
 
 
 def test_elimination_clears_unit_relations():

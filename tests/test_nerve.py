@@ -10,7 +10,7 @@ from ringoids import (AbPresentation, check_simplicial_identities, complete,
 from ringoids import nerve
 from ringoids.additive import SizeLimitExceeded, _three_figures
 from ringoids.intlinalg import hom_well_defined
-from ringoids.nerve import LEVEL_TUPLE_LIMIT, RELATION_CELL_LIMIT, level_size
+from ringoids.nerve import LEVEL_TUPLE_LIMIT, RELATION_ROW_LIMIT, level_size
 from ringoids.ringoid import StructuralError
 
 
@@ -212,23 +212,27 @@ def test_level_size_counts_the_tuples(f2, disc2, disc3, zero):
     assert level_size(0, 2, 5) == 1
 
 
-def _cells(k, bound):
-    words = level_size(k, 1, bound)
-    return (1 + words + level_size(k, 2, bound)) * words
+def _rows(k, bound):
+    return 1 + level_size(k, 1, bound) + level_size(k, 2, bound)
 
 
 @pytest.mark.parametrize("ring_name", ["f2", "z4", "disc2", "disc3", "f2c2"])
 def test_nerve_relations_stay_within_their_predicted_cells(ring_name, request):
+    # the name is older than the row prediction it now checks
     r = request.getfixturevalue(ring_name)
     for bound in range(1, 4):
         p = k0_via_nerve(r, bound).abelianized
-        assert len(p.relations) * p.generators <= _cells(len(r.objects), bound)
+        assert len(p.relations) <= _rows(len(r.objects), bound)
+        assert all(0 < len(row) <= 3 and all(row.values()) for row in p.relations)
 
 
-def test_relation_cell_limit_keeps_every_oracle_that_finishes():
-    # disc2 at bound 11 finishes (47 s); disc3 at bound 8 was killed
-    assert _cells(2, 11) == 201281535 <= RELATION_CELL_LIMIT
-    assert _cells(3, 8) == 920084295 > RELATION_CELL_LIMIT
+def test_relation_row_limit_keeps_every_oracle_that_finishes():
+    # the frontier tests run disc3 at bound 8 and disc2 at bound 12; the
+    # next bounds up to 10 and 15 would take about 1.6 GB
+    assert _rows(3, 8) == 93495 and _rows(2, 12) == 106497
+    assert _rows(3, 9) == 310008 and _rows(2, 14) == 491521
+    assert _rows(3, 9) <= RELATION_ROW_LIMIT < _rows(3, 10) == 1018596
+    assert _rows(2, 14) <= RELATION_ROW_LIMIT < _rows(2, 15) == 1048577
 
 
 def _no_enumeration(monkeypatch):
@@ -240,15 +244,15 @@ def _no_enumeration(monkeypatch):
 
 
 def test_nerve_relations_are_refused_by_their_prediction(disc2, monkeypatch):
-    cells = _cells(2, 3)
-    monkeypatch.setattr(nerve, "RELATION_CELL_LIMIT", cells)
+    rows = _rows(2, 3)
+    monkeypatch.setattr(nerve, "RELATION_ROW_LIMIT", rows)
     assert k0_via_nerve(disc2, 3).abelianized == AbPresentation.free(2)
-    monkeypatch.setattr(nerve, "RELATION_CELL_LIMIT", cells - 1)
+    monkeypatch.setattr(nerve, "RELATION_ROW_LIMIT", rows - 1)
     _no_enumeration(monkeypatch)
     with pytest.raises(SizeLimitExceeded,
-                       match="nerve relations at bound 3 would hold %s cells, "
+                       match="nerve relations at bound 3 would hold %s rows, "
                              "over the limit of %d"
-                             % (_three_figures(cells), cells - 1)):
+                             % (_three_figures(rows), rows - 1)):
         k0_via_nerve(disc2, 3)
 
 
