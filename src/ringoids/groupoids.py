@@ -204,7 +204,10 @@ def transport_groupoid(gset, name=None):
         for h in range(len(G)):
             comp[((y, h), (x, g))] = (x, G.mul(g, h))
     identities = {x: (x, G.identity) for x in gset.points}
-    inverses = {(x, g): (gset.apply(x, g), G.inv(g)) for (x, g) in morphisms}
+    try:
+        inverses = {(x, g): (gset.apply(x, g), G.inv(g)) for (x, g) in morphisms}
+    except ValueError as exc:
+        raise StructuralError("the group of the gset is not a group: %s" % exc) from None
     if name is None:
         name = "transport"
     return FinGroupoid(gset.points, morphisms, comp, identities, inverses, name=name)

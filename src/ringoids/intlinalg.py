@@ -6,16 +6,17 @@ All arithmetic is arbitrary-precision Python integers; no floating point.
 
 A relation row is a dict {column: non-zero entry} from its writer,
 `exponent_row`, to the elimination.  Every relation matrix of an
-`AbPresentation`, and every lattice of
-`solve_row_combinations`, first goes through `Elimination`, a certified
-sparse unit-pivot elimination (abelian Tietze moves).  Only its residue
-reaches the dense Smith normal form, once: the elimination keeps that one
-factorization, and both the invariants of a presentation and every solve
-read it.  A presentation keeps its elimination and answers its own lattice
-questions from it: whether vectors are zero in the group (`kills`) and
-whether rows map onto it (`generated_by`).  Rows are dense only where
-the Smith normal form reads them (the residue, `left_kernel_rows` and
-`lattice_basis`) and in the coefficients `solve_row_combinations` returns.
+`AbPresentation`, and every lattice of `solve_row_combinations`, first
+goes through `Elimination`, a sparse unit-pivot elimination (abelian
+Tietze moves) certified by one substitution pass over its rows.  Only its
+residue reaches the dense Smith normal form, once, and the invariants of a
+presentation and every solve read that one factorization.  A presentation
+answers its own lattice questions from its elimination without combining
+rows: whether vectors are zero in the group (`kills`) and whether rows map
+onto it (`generated_by`).  Rows are dense only where the Smith normal form
+reads them (the residue, `left_kernel_rows` and `lattice_basis`) and in
+the coefficients `solve_row_combinations` returns, the one answer carried
+back to the original rows.
 """
 
 from __future__ import annotations
@@ -226,12 +227,12 @@ def solve_row_combinations(rows, n, targets):
 
 
 def lattice_contains(rows, n, target):
-    return solve_row_combinations(rows, n, [target])[0] is not None
+    return AbPresentation(n, rows).kills([target])[0]
 
 
 def lattices_equal(rows_a, rows_b, n):
-    return (None not in solve_row_combinations(rows_b, n, rows_a)
-            and None not in solve_row_combinations(rows_a, n, rows_b))
+    return (all(AbPresentation(n, rows_b).kills(rows_a))
+            and all(AbPresentation(n, rows_a).kills(rows_b)))
 
 
 def left_kernel_rows(rows, n):
@@ -282,16 +283,17 @@ class Elimination:
     vanish.  The distinct non-zero active rows left, up to sign, are the
     residue; they live on the free (never pivoted) columns.
 
-    Each pivot and residue row records the combination of original rows
-    that produced it, as a dict {row index: coefficient}.  The constructor
-    certifies the elimination and raises ArithmeticError when a check fails:
-      - every recorded combination reproduces its pivot or residue row;
-      - the substitution map (`substitute`) sends each original row to its
-        residue row, up to sign, or to 0 when the row became a pivot or
-        vanished, and leaves no pivot column in what it returns;
-      - no residue row touches a pivot column.
-    Then the substitution map and the inclusion of the free columns are
-    mutually inverse isomorphisms Z^n / <rows> <-> Z^free / <residue>.
+    Each pivot and residue row keeps its source, the index of the original
+    row it was reduced from.  The constructor certifies the elimination by
+    one pass of the substitution map (`substitute`) over the original rows,
+    and raises ArithmeticError unless: each row goes to its residue row up
+    to sign, or to 0 when it became a pivot or vanished; each residue row
+    touches no pivot column and is what its source row goes to; and pivot
+    k's source row goes to 0 with coefficient 1 on pivot k and none on a
+    later pivot.  By induction on k every pivot and residue row then lies
+    in the row lattice, and the substitution map and the inclusion of the
+    free columns are mutually inverse isomorphisms
+    Z^n / <rows> <-> Z^free / <residue>.
 
     The residue is factored once, here: `snf` is the Smith normal form
     (U, D, V) of the residue over the free columns it touches (`columns`,
@@ -305,17 +307,15 @@ class Elimination:
     def __init__(self, rows, n):
         self.n = n
         self.rows = tuple(_sparse(row, n) for row in rows)
-        # pivots[k] = (column, unit, row, combination)
-        self.pivots = []
-        # residue[m] = (row, combination)
-        self.residue = []
+        self.pivots = []  # pivots[k] = (column, unit, row, source)
+        self.residue = []  # residue[m] = (row, source)
         # fate[i]: None when row i became a pivot or vanished, else (m, sign)
         # with row i reduced to sign * residue[m]
         self.fate = [None] * len(self.rows)
         self._order = {}
-        active = {i: (dict(row), {i: 1}) for i, row in enumerate(self.rows) if row}
+        active = {i: dict(row) for i, row in enumerate(self.rows) if row}
         col_rows = {}
-        for i, (row, _) in active.items():
+        for i, row in active.items():
             for j in row:
                 col_rows.setdefault(j, set()).add(i)
         heap = [(len(rs), j) for j, rs in col_rows.items()]
@@ -325,16 +325,16 @@ class Elimination:
             rs = col_rows.get(j)
             if not rs or len(rs) != count:
                 continue
-            best = min(((len(active[i][0]), i) for i in rs
-                        if active[i][0][j] in (1, -1)), default=None)
-            if best is None:
+            _, source = min(((len(active[i]), i) for i in rs
+                             if active[i][j] in (1, -1)), default=(0, None))
+            if source is None:
                 continue
-            pivot, comb = active.pop(best[1])
+            pivot = active.pop(source)
             unit = pivot[j]
             for k in pivot:
-                col_rows[k].discard(best[1])
+                col_rows[k].discard(source)
             for i in list(rs):
-                row, row_comb = active[i]
+                row = active[i]
                 q = -row[j] * unit
                 for k, x in pivot.items():
                     y = row.get(k, 0) + q * x
@@ -345,7 +345,6 @@ class Elimination:
                     elif k in row:
                         del row[k]
                         col_rows[k].discard(i)
-                _add_multiple(row_comb, q, comb)
                 if not row:
                     del active[i]
             del col_rows[j]
@@ -353,15 +352,15 @@ class Elimination:
                 if k != j and col_rows[k]:
                     heapq.heappush(heap, (len(col_rows[k]), k))
             self._order[j] = len(self.pivots)
-            self.pivots.append((j, unit, pivot, comb))
+            self.pivots.append((j, unit, pivot, source))
         seen = {}
         for i in sorted(active):
-            row, comb = active[i]
+            row = active[i]
             sign = 1 if row[min(row)] > 0 else -1
             key = tuple(sorted((k, sign * x) for k, x in row.items()))
             if key not in seen:
                 seen[key] = (len(self.residue), sign)
-                self.residue.append((row, comb))
+                self.residue.append((row, i))
             m, kept_sign = seen[key]
             self.fate[i] = (m, sign * kept_sign)
         self.certify()
@@ -371,13 +370,6 @@ class Elimination:
         if self.residue:
             self.snf = smith_normal_form(IntMatrix.from_rows(
                 [[row.get(k, 0) for k in self.columns] for row, _ in self.residue]))
-
-    def combine(self, comb):
-        """The sparse row sum(c_i * rows_i) for a combination {i: c_i}."""
-        out = {}
-        for i, c in comb.items():
-            _add_multiple(out, c, self.rows[i])
-        return out
 
     def substitute(self, vec):
         """Reduce the sparse vector vec through the pivots in order; returns
@@ -411,75 +403,82 @@ class Elimination:
     def certify(self):
         """Raise ArithmeticError unless the checks in the class docstring
         hold."""
-        for _, _, row, comb in self.pivots:
-            if self.combine(comb) != row:
-                raise ArithmeticError("combination does not reproduce its pivot row")
-        for row, comb in self.residue:
-            if self.combine(comb) != row:
-                raise ArithmeticError("combination does not reproduce its residue row")
-            if any(j in self._order for j in row):
-                raise ArithmeticError("residue row touches a pivot column")
-        for row, fate in zip(self.rows, self.fate):
+        for m, (row, source) in enumerate(self.residue):
+            if self.fate[source] != (m, 1) or any(j in self._order for j in row):
+                raise ArithmeticError("residue row is not its source row's residual")
+        pivot_of = {p[3]: k for k, p in enumerate(self.pivots)}
+        distinct = len(pivot_of) == len(self.pivots)
+        for i, (row, fate) in enumerate(zip(self.rows, self.fate)):
             want = {}
             if fate is not None:
                 m, sign = fate
                 want = {k: sign * x for k, x in self.residue[m][0].items()}
-            if self.substitute(row)[1] != want:
+            coef, residual = self.substitute(row)
+            if residual != want:
                 raise ArithmeticError("substitution map does not send a relation "
                                       "to its residue row")
+            k = pivot_of.pop(i, None)
+            if k is not None and (residual or coef.get(k) != 1 or max(coef) != k):
+                raise ArithmeticError("pivot row does not substitute from its source row")
+        if pivot_of or not distinct:
+            raise ArithmeticError("pivot rows have no distinct source rows")
 
     def solve(self, targets):
         """`solve_row_combinations` through the elimination, each solution a
-        combination {row index: coefficient} or None: each target is
-        substituted through the pivots, its residual is solved against the
-        residue, and the coefficients are mapped back to the original rows.
-        Every solution is checked."""
+        combination {row index: coefficient} or None.  A source row is the
+        pivots of its substitution plus its residue row or 0: through these,
+        the coefficients of `_express` go back to the original rows, residue
+        rows first, then each pivot, latest first, once every later step has
+        added to it.  Every solution is checked."""
+        subs = {}
         out = []
         for target in targets:
             target = _sparse(target)
-            coef, v = self.substitute(target)
-            z = self._solve_residual(v)
-            if z is None:
+            found = self._express(target)
+            if found is None:
                 out.append(None)
                 continue
-            c = {}
-            for k, q in coef.items():
-                _add_multiple(c, q, self.pivots[k][3])
-            for (_, comb), q in zip(self.residue, z):
+            (coef, z), c = found, {}
+            for source, q in itertools.chain(
+                    ((source, q) for (_, source), q in zip(self.residue, z)),
+                    ((self.pivots[k][3], coef.get(k))
+                     for k in range(len(self.pivots) - 1, -1, -1))):
                 if q:
-                    _add_multiple(c, q, comb)
-            if self.combine(c) != target:
+                    c[source] = q
+                    if source not in subs:
+                        subs[source] = self.substitute(self.rows[source])[0]
+                    _add_multiple(coef, -q, subs[source])
+            if apply_rows(c, self.rows) != target:
                 raise ArithmeticError("solution does not reproduce its target")
             out.append(c)
         return out
 
-    def _solve_residual(self, v):
-        """Coefficients z with sum(z_m * residue_m) == v for a sparse v over
-        the free columns, or None when v is outside the residue lattice.
-        With U * M * V = D for the residue matrix M, z * M == v exactly when
-        y * D == v * V for y = z * U^-1, and D is diagonal."""
-        pos = self.columns
-        if any(k not in pos for k in v):
+    def _express(self, target):
+        """(q, z) with target == sum(q_k * pivot_k) + sum(z_m * residue_m),
+        checked, or None when the sparse target is outside the row lattice.
+        Its residual v is solved against the residue: with U * M * V = D for
+        the residue matrix M, z * M == v exactly when y * D == v * V for
+        y = z * U^-1, and D is diagonal."""
+        coef, v = self.substitute(target)
+        if any(k not in self.columns for k in v):
             return None
-        if self.snf is None:
-            return []
-        U, D, V = self.snf
-        w = [0] * D.cols
-        for k, x in v.items():
-            for j, e in enumerate(V.data[pos[k]]):
-                w[j] += x * e
-        diag = D.diagonal()
-        if any(w[len(diag):]) or any(wj % d if d else wj for wj, d in zip(w, diag)):
-            return None
-        y = [wj // d if d else 0 for wj, d in zip(w, diag)] + [0] * (U.rows - len(diag))
-        z = [sum(y[i] * U.data[i][m] for i in range(U.rows)) for m in range(U.rows)]
+        z = []
+        if self.snf is not None:
+            U, D, V = self.snf
+            w = [sum(x * V.data[self.columns[k]][j] for k, x in v.items())
+                 for j in range(D.cols)]
+            diag = D.diagonal()
+            if any(w[len(diag):]) or any(wj % d if d else wj for wj, d in zip(w, diag)):
+                return None
+            y = [wj // d if d else 0 for wj, d in zip(w, diag)] + [0] * (U.rows - len(diag))
+            z = [sum(y[i] * U.data[i][m] for i in range(U.rows)) for m in range(U.rows)]
         got = {}
-        for (row, _), q in zip(self.residue, z):
-            if q:
-                _add_multiple(got, q, row)
-        if got != v:
-            raise ArithmeticError("solution does not reproduce its residual")
-        return z
+        for q, row in itertools.chain(((q, self.pivots[k][2]) for k, q in coef.items()),
+                                      zip(z, (row for row, _ in self.residue))):
+            _add_multiple(got, q, row)
+        if got != target:
+            raise ArithmeticError("pivots and residue do not reproduce the target")
+        return coef, z
 
 
 # ---------------------------------------------------------------------------
@@ -510,9 +509,10 @@ class AbPresentation:
 
     def kills(self, vectors):
         """For each vector over the generators, whether it is zero in the
-        group, i.e. lies in the relation lattice.  Every yes is certified by
-        a combination of the relations."""
-        return [c is not None for c in self.elimination.solve(vectors)]
+        group, i.e. lies in the relation lattice.  Every yes is checked
+        against the pivots and the residue of the elimination."""
+        elim = self.elimination
+        return [elim._express(_sparse(v)) is not None for v in vectors]
 
     def generated_by(self, rows):
         """Whether the rows (vectors over the generators) generate the group.

@@ -31,9 +31,9 @@ from .ringoid import StructuralError
 
 # The most relation rows the oracle may build, and the most tuples of a
 # nerve level that may be enumerated.  Over the whole oracle job a row
-# takes about 1.6 KB and 30-40 us (disc3 at bound 8: 93 495 rows, 149 MB,
-# 2.9 s; at bound 9: 310 008 rows, 488 MB, 12 s), so this refuses about
-# 1.6 GB and 40 s of work: disc3 at bound 10 (1.02e6 rows) and disc2 at
+# takes about 1 KB and 30 us (disc3 at bound 8: 93 495 rows, 105 MB,
+# 2.7 s; at bound 9: 310 008 rows, 304 MB, 8.6 s), so this refuses about
+# 1 GB and 30 s of work: disc3 at bound 10 (1.02e6 rows) and disc2 at
 # bound 15 (1.05e6) are the first refused.  A level is checked at about
 # 80 us per tuple (disc3 at bound 7: 105 796 at level 3, 8.2 s), so this
 # refuses about 40 minutes of work, or about 2 GB for a level held in

@@ -125,7 +125,8 @@ class _RingoidBuilder:
         self.compose = {}   # (a,b,c) -> {(i,j): coords}
         self.identities = {}
         self.scalar_name = None
-        self.action = {}    # (a,b) -> {(r,g): coords}
+        self.scalar_line = None
+        self.action = {}    # (a,b) -> {(r,g): (coords, line)}
 
     def require_object(self, obj, lineno):
         if obj not in self.objects:
@@ -165,6 +166,9 @@ class _RingoidBuilder:
             if scalar is None:
                 raise RGDSemanticError(self.lineno, "scalar ring %r is not declared"
                                        % (self.scalar_name,))
+            if not scalar.objects:
+                raise RGDSemanticError(self.scalar_line, "scalar ring %r has no objects"
+                                       % (self.scalar_name,))
             ro = scalar.objects[0]
             rg = scalar.hom(ro, ro)
             action = {}
@@ -173,7 +177,11 @@ class _RingoidBuilder:
                     hom = homs[(a, b)]
                     rows = [[hom.zero() for _ in range(len(hom.moduli))]
                             for _ in range(len(rg.moduli))]
-                    for (r, g), coords in self.action.get((a, b), {}).items():
+                    for (r, g), (coords, lineno) in self.action.get((a, b), {}).items():
+                        if r >= len(rg.moduli):
+                            raise RGDSemanticError(
+                                lineno, "scalar generator %d out of range for the "
+                                "scalar ring %r" % (r, self.scalar_name))
                         rows[r][g] = hom.reduce(coords)
                     action[(a, b)] = tuple(tuple(row) for row in rows)
         return FiniteRingoid(self.objects, homs, table, identities=identities,
@@ -347,6 +355,7 @@ def _ringoid_line(b, head, toks, lineno, col0):
         if len(toks) != 2:
             raise RGDSyntaxError(lineno, col0, "scalar takes exactly one name")
         b.scalar_name = toks[1][0]
+        b.scalar_line = lineno
         return
     if head == "action":
         heads, tail = _strip_colon(toks, lineno, col0)
@@ -371,6 +380,6 @@ def _ringoid_line(b, head, toks, lineno, col0):
         if len(coords) != len(hom.moduli):
             raise RGDSemanticError(lineno, "image has %d coordinates, Hom(%s,%s) has %d"
                                    % (len(coords), a, bb, len(hom.moduli)))
-        b.action.setdefault((a, bb), {})[(r, g)] = tuple(coords)
+        b.action.setdefault((a, bb), {})[(r, g)] = (tuple(coords), lineno)
         return
     raise RGDSyntaxError(lineno, col0, "unknown ringoid directive %r" % (head,))

@@ -66,9 +66,18 @@ def _build_gset(section, doc):
                                % (section["over"],))
     obj = g.objects[0]
     mids = list(g.hom(obj, obj))
+    missing = [(h, k) for h in mids for k in mids if (k, h) not in g.comp]
+    if missing:
+        raise RGDSemanticError(section["line"], "gset %r: groupoid %r has no line "
+                               "'compose %s %s'"
+                               % (section["name"], section["over"], *missing[0]))
     table = [[mids.index(g.compose(mids[j], mids[i])) for j in range(len(mids))]
              for i in range(len(mids))]
-    group = FinGroup(mids, table)
+    try:
+        group = FinGroup(mids, table)
+    except ValueError as exc:
+        raise RGDSemanticError(section["line"], "gset %r: the loops of groupoid %r: %s"
+                               % (section["name"], section["over"], exc)) from None
     points = section["points"]
     act = {}
     for (x, gid, y, lineno) in section["acts"]:

@@ -537,24 +537,30 @@ def test_elimination_clears_unit_relations():
     assert AbPresentation(3, rows) == AbPresentation.cyclic(4)
 
 
+TAMPER_ROWS = [[1, 2, 0, 0], [0, 3, 1, 0], [0, 2, 0, 5], [1, 0, 1, 5]]
+
+
 def _tamper_pivot_sign(elim):
-    j, unit, row, comb = elim.pivots[0]
-    elim.pivots[0] = (j, -unit, row, comb)
+    j, unit, row, source = elim.pivots[0]
+    elim.pivots[0] = (j, -unit, row, source)
 
 
 def _tamper_pivot_entry(elim):
-    j, unit, row, comb = elim.pivots[0]
-    elim.pivots[0] = (j, unit, {k: x + (k != j) for k, x in row.items()}, comb)
+    j, unit, row, source = elim.pivots[0]
+    elim.pivots[0] = (j, unit, {k: x + (k != j) for k, x in row.items()}, source)
 
 
-def _tamper_pivot_combination(elim):
-    j, unit, row, comb = elim.pivots[-1]
-    elim.pivots[-1] = (j, unit, row, {i: -c for i, c in comb.items()})
+def _tamper_pivot_source(elim):
+    # the last pivot claims the source of the last residue row, which
+    # substitutes with coefficient 1 on it and none later, but leaves a
+    # residual
+    j, unit, row, _ = elim.pivots[-1]
+    elim.pivots[-1] = (j, unit, row, elim.residue[-1][1])
 
 
-def _tamper_residue_combination(elim):
-    row, comb = elim.residue[0]
-    elim.residue[0] = (row, {i: 2 * c for i, c in comb.items()})
+def _tamper_residue_source(elim):
+    row, _ = elim.residue[0]
+    elim.residue[0] = (row, elim.pivots[0][3])
 
 
 def _tamper_fate(elim):
@@ -562,34 +568,105 @@ def _tamper_fate(elim):
 
 
 @pytest.mark.parametrize("tamper", [_tamper_pivot_sign, _tamper_pivot_entry,
-                                    _tamper_pivot_combination,
-                                    _tamper_residue_combination, _tamper_fate])
+                                    _tamper_pivot_source,
+                                    _tamper_residue_source, _tamper_fate])
 def test_tampered_elimination_raises(tamper):
-    rows = [[1, 2, 0, 0], [0, 3, 1, 0], [0, 2, 0, 5], [1, 0, 1, 5]]
-    elim = Elimination(rows, 4)
+    elim = Elimination(TAMPER_ROWS, 4)
     assert elim.pivots and elim.residue
     tamper(elim)
     with pytest.raises(ArithmeticError):
         elim.certify()
 
 
-def test_tampered_combination_fails_the_solution_check():
-    rows = [[1, 2, 0, 0], [0, 3, 1, 0], [0, 2, 0, 5], [1, 0, 1, 5]]
-    elim = Elimination(rows, 4)
-    j, unit, row, comb = elim.pivots[0]
-    elim.pivots[0] = (j, unit, row, {i: -c for i, c in comb.items()})
-    with pytest.raises(ArithmeticError):
-        elim.solve([rows[0]])
+@pytest.mark.parametrize("tamper", [_tamper_pivot_source, _tamper_residue_source])
+def test_tampered_source_fails_the_solution_check(tamper):
+    # uncertified, a wrong source carries the coefficients back to the
+    # wrong original rows, and the solution misses its target
+    elim = Elimination(TAMPER_ROWS, 4)
+    tamper(elim)
+    with pytest.raises(ArithmeticError, match="does not reproduce its target"):
+        elim.solve(TAMPER_ROWS)
 
 
 def test_tampered_residue_factorization_fails_the_residual_check():
-    # no unit entries: both rows are residue, factored as U = V = 1
+    # no unit entries: both rows are residue, factored as U = V = 1; the
+    # residual's solution is checked as part of the target's
     elim = Elimination([[2, 0], [0, 4]], 2)
     U, D, V = elim.snf
     assert U == IntMatrix.from_rows([[1, 0], [0, 1]])
     elim.snf = (IntMatrix.from_rows([[0, 1], [1, 0]]), D, V)
-    with pytest.raises(ArithmeticError, match="residual"):
+    with pytest.raises(ArithmeticError, match="residue do not reproduce the target"):
         elim.solve([[2, 0]])
+
+
+def tracked_elimination(rows, n):
+    """Reference: the elimination with every active row carrying the
+    combination of original rows ({row index: coefficient}) that produced
+    it, updated at every row operation.  The pivot column is recomputed at
+    each step, the rarest column with a unit (lowest index on ties), and
+    the pivot row is the shortest active row with a unit there (lowest
+    index on ties).  Returns the (row, combination) pairs of the pivots and
+    of the residue."""
+    active = {i: (dict(row), {i: 1}) for i, row in enumerate(_sparse_form(rows))
+              if any(row.values())}
+    pivots = []
+    while True:
+        counts = {}
+        for row, _ in active.values():
+            for j in row:
+                counts[j] = counts.get(j, 0) + 1
+        units = {j for row, _ in active.values() for j, x in row.items() if x in (1, -1)}
+        if not units:
+            break
+        j = min(units, key=lambda j: (counts[j], j))
+        _, i = min((len(row), i) for i, (row, _) in active.items()
+                   if row.get(j) in (1, -1))
+        pivot, comb = active.pop(i)
+        for i, (row, row_comb) in list(active.items()):
+            if j in row:
+                q = -row[j] * pivot[j]
+                intlinalg._add_multiple(row, q, pivot)
+                intlinalg._add_multiple(row_comb, q, comb)
+                if not row:
+                    del active[i]
+        pivots.append((pivot, comb))
+    residue, seen = [], set()
+    for i in sorted(active):
+        row, comb = active[i]
+        sign = 1 if row[min(row)] > 0 else -1
+        key = tuple(sorted((k, sign * x) for k, x in row.items()))
+        if key not in seen:
+            seen.add(key)
+            residue.append((row, comb))
+    return pivots, residue
+
+
+@settings(max_examples=300, deadline=None)
+@given(_relation_matrices(), st.data())
+def test_solutions_are_the_tracked_combinations(case, data):
+    # each solution is sum(q_k * comb_k) + sum(z_m * comb_m) over the
+    # tracked combinations, for the pivot and residue coefficients (q, z)
+    # of the target: the substitutions of the source rows rebuild them
+    rows, n = case
+    coeffs = data.draw(_int_rows(len(rows), 0, 3, 3))
+    targets = [_image(c, rows, n) for c in coeffs] + data.draw(_int_rows(n, 0, 3, 9))
+    elim = Elimination(rows, n)
+    pivots, residue = tracked_elimination(rows, n)
+    assert [row for _, _, row, _ in elim.pivots] == [row for row, _ in pivots]
+    assert [row for row, _ in elim.residue] == [row for row, _ in residue]
+    want = []
+    for target in targets:
+        found = elim._express(_sparse_form([target])[0])
+        if found is None:
+            want.append(None)
+            continue
+        c = {}
+        for q, (_, comb) in zip(found[1], residue):
+            intlinalg._add_multiple(c, q, comb)
+        for k, q in found[0].items():
+            intlinalg._add_multiple(c, q, pivots[k][1])
+        want.append([c.get(i, 0) for i in range(len(rows))])
+    assert solve_row_combinations(rows, n, targets) == want
 
 
 def echelon_lattice_basis(rows, n):

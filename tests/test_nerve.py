@@ -228,7 +228,7 @@ def test_nerve_relations_stay_within_their_predicted_cells(ring_name, request):
 
 def test_relation_row_limit_keeps_every_oracle_that_finishes():
     # the frontier tests run disc3 at bound 8 and disc2 at bound 12; the
-    # next bounds up to 10 and 15 would take about 1.6 GB
+    # next bounds up to 10 and 15 would take about 1 GB
     assert _rows(3, 8) == 93495 and _rows(2, 12) == 106497
     assert _rows(3, 9) == 310008 and _rows(2, 14) == 491521
     assert _rows(3, 9) <= RELATION_ROW_LIMIT < _rows(3, 10) == 1018596

@@ -86,6 +86,29 @@ def test_coordinate_out_of_range_is_semantic():
                   "compose a a a: 0 3 -> 1\n")
 
 
+def test_scalar_data_out_of_range_names_its_line():
+    # both used to raise IndexError out of the ringoid builder
+    past = F2_DOC.replace("action a a: 0 0 -> 1", "action a a: 1 0 -> 1")
+    with pytest.raises(RGDSemanticError) as exc:
+        parse_rgd(past)
+    assert exc.value.line == 8
+    assert "scalar generator 1 out of range" in str(exc.value)
+    empty = "ringoid E\n" + F2_DOC.replace("scalar F2", "scalar E")
+    with pytest.raises(RGDSemanticError) as exc:
+        parse_rgd(empty)
+    assert exc.value.line == 8
+    assert "scalar ring 'E' has no objects" in str(exc.value)
+
+
+def test_gset_over_a_groupoid_missing_a_composite_is_semantic():
+    # used to raise KeyError while tabulating the loops
+    text = C2_DOC.replace("compose g g -> e\n", "")
+    with pytest.raises(RGDSemanticError) as exc:
+        parse_rgd(text)
+    assert exc.value.line == text.splitlines().index("gset swap over C2") + 1
+    assert "'compose g g'" in str(exc.value)
+
+
 def test_groupoid_document():
     doc = parse_rgd(C2_DOC)
     g = doc.first_groupoid()
