@@ -29,9 +29,9 @@ _EXPORTS = {
                       "one_object_ringoid", "product_ring",
                       "ringoid_equal_structure", "validate_hom",
                       "with_self_scalar", "zero_moduloid", "zero_ring"),
-    "additive": ("AdditiveView", "IsoClassTable", "IsoWitness", "MatMorphism",
-                 "Undecided", "complete", "enumerate_objsums",
-                 "iso_class_table", "map_completion"),
+    "additive": ("AdditiveView", "IsoWitness", "MatMorphism", "Undecided",
+                 "complete", "enumerate_objsums", "iso_class_table",
+                 "map_completion"),
     "moduloids": ("Ideal", "IdealError", "TensorProduct", "ideal_moduloid",
                   "improper_ideal", "quotient", "scalar_ringoid", "tensor",
                   "unitization_projection", "unitization_splitting",

@@ -13,11 +13,11 @@ and order.  `Decomposition` splits each base object once into primitive
 orthogonal idempotents, checks each split and classifies the primitives
 up to equivalence; two formal sums are then isomorphic exactly when their
 type vectors (multisets of indecomposable types) agree, as the checks
-prove without building one.  The bounded iso-class table, whose group
-completion is the bounded K0, buckets sums by type vector.  Direct sum is
-commutative up to a permutation matrix, so the table classifies multisets
-of base objects only, each written as its sorted sum; any other ordering
-(a word) resolves through its sorted form (`IsoClassTable.class_of_word`).
+prove without building one.  A sum's iso class is thus its type vector,
+which ignores the order of the terms, so a word (a sum in any order) is
+classified as it stands.  The bounded iso-class table, whose group
+completion is the bounded K0, maps each type vector of a sum within the
+bound to its first multiset of base objects (`iso_class_table`).
 """
 
 from __future__ import annotations
@@ -28,10 +28,12 @@ import math
 from .ringoid import DEFAULT_CEILING, StructuralError, _gens
 
 # The most letters (base objects, counted over all its multisets) an
-# iso-class table may hold.  Any table takes about 20 bytes per letter
-# (`k0` of F2 at bound 10000: 5.0e7 letters, 1.0 GB peak, CPython 3.11),
-# so this refuses tables of about 2 GB and more.  The largest table of the
-# tests holds 4095 letters (disc3 at bound 12), of the benchmark 105.
+# iso-class table may enumerate.  The table keeps a type vector and a
+# multiset per class, about 17 bytes per letter when every multiset is a
+# class of its own (`k0` of F2 at bound 6000: 1.8e7 letters, 310 MB peak,
+# CPython 3.11, x86-64).  This refuses tables of about 1.7 GB and more.
+# The largest table of the tests enumerates 4095 letters (disc3 at bound
+# 12), of the benchmark 105.
 TABLE_LETTER_LIMIT = 10 ** 8
 
 
@@ -291,6 +293,7 @@ class Decomposition:
         self.ceiling = ceiling
         self.types = []
         self.summands = {}
+        self._types = {}
         self._idempotents = {}
         self._splits = {}
         base = view.base
@@ -311,6 +314,7 @@ class Decomposition:
                     self.types.append((a, e))
                 summands.append(found)
             self.summands[a] = self._splits[(a, one)] = tuple(summands)
+            self._types[a] = self.key(summands)
             self._splits[(a, base.zero(a, a))] = ()
         self.undecided = tuple(undecided)
 
@@ -439,7 +443,9 @@ class Decomposition:
         return [(i, x) for i, a in enumerate(s) for x in self.summands[a]]
 
     def type_vector(self, s):
-        return self.key(x for _, x in self._slots(s))
+        """The type vector of the sum s, whatever the order of its terms."""
+        return tuple(sorted(itertools.chain.from_iterable(
+            map(self._types.__getitem__, s))))
 
     def _transfer(self, s, t):
         """The matrix s -> t carrying the k-th summand of each type in s to
@@ -474,43 +480,6 @@ class Decomposition:
         return IsoWitness(u, v)
 
 
-class IsoClassTable:
-    """Classification of the multisets of base objects of size <= bound
-    into certified isomorphism classes by type vector (`Decomposition`).  A
-    multiset is written as the sum of its objects sorted by their position
-    in `base.objects`; `class_of` is keyed by these sorted sums.  A word (a
-    sum in any order) lies in the class of its sorted form: `class_of_word`.
-    `class_of_type` maps the type vector of each class to its index.
-    `undecided_pairs` holds the `Undecided` records of the decomposition:
-    when it is non-empty, classes may be split that are isomorphic."""
-
-    __slots__ = ("bound", "reps", "class_of", "class_of_type", "undecided_pairs",
-                 "_position")
-
-    def __init__(self, bound, objects, reps, class_of, class_of_type,
-                 undecided_pairs):
-        self.bound = bound
-        self.reps = tuple(reps)
-        self.class_of = dict(class_of)
-        self.class_of_type = dict(class_of_type)
-        self.undecided_pairs = tuple(undecided_pairs)
-        self._position = {a: i for i, a in enumerate(objects)}
-
-    @property
-    def undecided(self):
-        return bool(self.undecided_pairs)
-
-    def class_of_word(self, s):
-        """The class of the word s within the bound: the class of its sorted
-        form.  The permutation matrix that sorts s is an isomorphism by
-        construction (its inverse is its transpose), so it is never built."""
-        return self.class_of[tuple(sorted(s, key=self._position.__getitem__))]
-
-    def __repr__(self):
-        return "IsoClassTable(bound=%d, %d classes, %d multisets)" % (
-            self.bound, len(self.reps), len(self.class_of))
-
-
 def enumerate_objsums(objects, bound):
     """All formal sums of length <= bound, shortest first, lexicographic
     within a length (pinning the deterministic representative choice)."""
@@ -540,32 +509,26 @@ def _three_figures(x):
 
 
 def iso_class_table(view, bound, ceiling=DEFAULT_CEILING):
-    """Bucket the multisets of size <= bound by type vector, once per ringoid,
-    bound and ceiling.  The representative of a class is its first multiset
-    in `enumerate_multisets` order, which is also its first word in
-    `enumerate_objsums` order: the sorted form of a word has its class and
-    comes no later.  No isomorphism is built (see `Decomposition`).
-    Raises SizeLimitExceeded, before enumerating, when the multisets would
-    hold more than TABLE_LETTER_LIMIT letters in all."""
+    """The iso classes of the multisets of size <= bound, computed once per
+    ringoid, bound and ceiling: {type vector: its first multiset in
+    `enumerate_multisets` order}.  That multiset is also the first word of
+    the class in `enumerate_objsums` order, since the sorted form of a word
+    has its type vector and comes no later.  No isomorphism is built (see
+    `Decomposition`).  Raises SizeLimitExceeded, before enumerating, when
+    the multisets would hold more than TABLE_LETTER_LIMIT letters in all."""
     if not view.has_identities:
         raise StructuralError("iso classes need a unital base")
-    if (bound, ceiling) in view._tables:
-        return view._tables[(bound, ceiling)]
+    table = view._tables.get((bound, ceiling))
+    if table is not None:
+        return table
     letters = table_letters(len(view.base.objects), bound)
     if letters > TABLE_LETTER_LIMIT:
         raise SizeLimitExceeded(
             "iso-class table at bound %d would hold %s letters, over the "
             "limit of %d" % (bound, _three_figures(letters), TABLE_LETTER_LIMIT))
     dec = view.decomposition(ceiling)
-    reps = []
-    class_of = {}
-    first = {}
+    table = {}
     for s in enumerate_multisets(view.base.objects, bound):
-        key = dec.type_vector(s)
-        if key not in first:
-            first[key] = len(reps)
-            reps.append(s)
-        class_of[s] = first[key]
-    table = view._tables[(bound, ceiling)] = IsoClassTable(
-        bound, view.base.objects, reps, class_of, first, dec.undecided)
+        table.setdefault(dec.type_vector(s), s)
+    view._tables[(bound, ceiling)] = table
     return table

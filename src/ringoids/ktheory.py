@@ -17,8 +17,8 @@ it; `groups.abelianization`), with stabilization maps.
 from __future__ import annotations
 
 from .additive import (DEFAULT_CEILING, MatMorphism, SizeLimitExceeded,
-                       _three_figures, complete, inverse_by_powers,
-                       is_nilpotent, iso_class_table)
+                       _three_figures, complete, enumerate_multisets,
+                       inverse_by_powers, is_nilpotent, iso_class_table)
 from .intlinalg import (AbPresentation, apply_rows, exponent_row,
                         hom_is_isomorphism, hom_well_defined)
 from .ringoid import StructuralError, _gens
@@ -47,21 +47,20 @@ class CeilingExceeded(Exception):
 class KZeroResult:
     """Bounded K0: presentation on the base objects, one relation per
     distinct non-zero difference [s] - [rep] of isomorphic multisets
-    within the bound.  A word has the row of its sorted form, so the
-    words add no relation."""
+    within the bound.  A word has the type vector and the row of its
+    sorted form, so the words add no relation."""
 
     __slots__ = ("bound", "presentation", "gen_labels", "stabilized",
-                 "stabilized_since", "undecided", "table", "per_bound")
+                 "stabilized_since", "undecided", "per_bound")
 
     def __init__(self, bound, presentation, gen_labels, stabilized,
-                 stabilized_since, undecided, table, per_bound):
+                 stabilized_since, undecided, per_bound):
         self.bound = bound
         self.presentation = presentation
         self.gen_labels = tuple(gen_labels)
         self.stabilized = stabilized
         self.stabilized_since = stabilized_since
         self.undecided = undecided
-        self.table = table
         self.per_bound = per_bound
 
     def __repr__(self):
@@ -72,32 +71,38 @@ class KZeroResult:
 
 
 def k0_bounded(r, bound, ceiling=DEFAULT_CEILING):
-    """Bounded K0, read off the iso-class table of the completion of r."""
+    """Bounded K0, read off the iso-class table of the completion of r.
+
+    `per_bound[l]` presents the group by the rows of the multisets of
+    length <= l, and `stabilized_since` is the first l >= 2 at which
+    per_bound[l - 1] equals per_bound[bound].  That one comparison
+    shows every per_bound[j] between them equal: a row enters at its
+    shortest length, so the row lattices are nested, A_(l-1) <= A_j <=
+    A_bound; Z^n/A_(l-1) -> Z^n/A_bound is then a surjection between
+    groups of equal invariants, so an isomorphism, and A_(l-1) = A_bound."""
     if not r.unital:
         raise StructuralError("absolute K0 needs a unital ringoid")
-    table = iso_class_table(complete(r), bound, ceiling=ceiling)
+    view = complete(r)
+    table = iso_class_table(view, bound, ceiling=ceiling)
+    dec = view.decomposition(ceiling)
     objects = list(r.objects)
     index = {a: i for i, a in enumerate(objects)}
-    # each distinct non-zero row once, with the shortest sum length at which
-    # it occurs; first-occurrence order keeps k0_induced's failing relation
+    # each distinct non-zero row once, with the length of its first multiset,
+    # the shortest; first-occurrence order keeps k0_induced's failing relation
     shortest = {}
-    for s, cls in table.class_of.items():
-        row = exponent_row(index, s, table.reps[cls])
+    for s in enumerate_multisets(objects, bound):
+        row = exponent_row(index, s, table[dec.type_vector(s)])
         if row:
-            key = frozenset(row.items())
-            shortest[key] = min(shortest.get(key, len(s)), len(s))
+            shortest.setdefault(frozenset(row.items()), len(s))
     per_bound = {}
     for l in range(bound + 1):
         rows = [dict(key) for key, mlen in shortest.items() if mlen <= l]
         per_bound[l] = AbPresentation(len(objects), rows)
     stabilized = bound >= 1 and per_bound[bound] == per_bound[bound - 1]
-    stabilized_since = None
-    for l in range(2, bound + 1):
-        if all(per_bound[j] == per_bound[l - 1] for j in range(l, bound + 1)):
-            stabilized_since = l
-            break
+    stabilized_since = next((l for l in range(2, bound + 1)
+                             if per_bound[l - 1] == per_bound[bound]), None)
     return KZeroResult(bound, per_bound[bound], [str(a) for a in objects],
-                       stabilized, stabilized_since, table.undecided, table,
+                       stabilized, stabilized_since, bool(dec.undecided),
                        per_bound)
 
 

@@ -197,9 +197,9 @@ def k0_via_nerve(r, bound, ceiling=DEFAULT_CEILING):
     the zero object is collapsed.  The group is abelian modulo these
     relations, so each relator is written as its exponent-sum row by
     `exponent_row`: e_() first, then e_s - e_rep for each sum s in order,
+    where rep is the iso-class table's multiset of the type vector of s,
     then e_s + e_t - e_(s+t) for each level-2 object (s, t) in order.  The
-    isomorphism s -> rep is the permutation sorting s followed by one that
-    the iso-class table `k0_bounded` reads certifies by type vector.  Each
+    type vectors certify the isomorphisms s -> rep (`Decomposition`).  Each
     row is sparse, with at most three non-zero entries.  Raises
     SizeLimitExceeded, before enumerating, when there could be more than
     RELATION_ROW_LIMIT rows: at most one per sum and per pair of sums
@@ -207,18 +207,20 @@ def k0_via_nerve(r, bound, ceiling=DEFAULT_CEILING):
     k = len(r.objects)
     _refuse_over("nerve relations", "rows", RELATION_ROW_LIMIT, k, bound,
                  lambda b: 1 + level_size(k, 1, b) + level_size(k, 2, b))
-    table = iso_class_table(complete(r), bound, ceiling=ceiling)
+    view = complete(r)
+    table = iso_class_table(view, bound, ceiling=ceiling)
+    dec = view.decomposition(ceiling)
     sums = enumerate_objsums(r.objects, bound)
     index = {s: i for i, s in enumerate(sums)}
     rows = [exponent_row(index, [()])]
     for s in sums:
-        rep = table.reps[table.class_of_word(s)]
+        rep = table[dec.type_vector(s)]
         if s != rep:
             rows.append(exponent_row(index, [s], [rep]))
     for s, t in _tuples_within(sums, 2, bound):
         rows.append(exponent_row(index, [s, t], [s + t]))
     return NerveKZero(bound, AbPresentation(len(sums), rows), sums,
-                      table.undecided)
+                      bool(dec.undecided))
 
 
 class OracleReport:

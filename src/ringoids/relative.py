@@ -13,7 +13,8 @@ the K0 of the subcategory of sums of length at least 2.
 from __future__ import annotations
 
 from .additive import (DEFAULT_CEILING, Undecided, complete,
-                       enumerate_objsums, iso_class_table)
+                       enumerate_multisets, enumerate_objsums,
+                       iso_class_table)
 from .constructions import tabulate_hom
 from .intlinalg import (AbPresentation, apply_rows, exponent_row,
                         hom_is_isomorphism, hom_kernel_lattice,
@@ -166,25 +167,25 @@ class CofinalityReport:
 
 def cofinality_check(r, bound, ceiling=DEFAULT_CEILING):
     """K0 comparison for the strictly cofinal subcategory of sums of length
-    at least 2, on the table's multisets of length >= 2.  Its relations come
-    from the pairs (u, v) of its words, u no later than v in
+    at least 2, on the multisets of length >= 2 within the bound.  Its
+    relations come from the pairs (u, v) of its words, u no later than v in
     `enumerate_objsums` order, with isomorphic flattenings within the bound
-    or one flattening beyond it.  Sparse rows span them, each sum read as
-    the first generator of its class: [u] = [c] for u in the class c;
+    or one flattening beyond it.  Sparse rows span them, each sum u read as
+    the first generator c of its type vector: [u] = [c];
     [s] + [t] = [s t] within the bound; and [s] + [x t] = [s x] + [t] for an
     object x with s x t beyond the bound when |s| + 1 < |t|, or when
     |s| + 1 = |t| and s x is no later than t reversed."""
     ambient = k0_bounded(r, bound, ceiling=ceiling)
-    table = ambient.table
+    dec = complete(r).decomposition(ceiling)
     obj_index = {a: i for i, a in enumerate(r.objects)}
-    sub_objs = [s for s in table.class_of if len(s) >= 2]
+    sub_objs = [s for s in enumerate_multisets(r.objects, bound) if len(s) >= 2]
     index = {s: i for i, s in enumerate(sub_objs)}
     first = {}
     for s in sub_objs:
-        first.setdefault(table.class_of[s], s)
+        first.setdefault(dec.type_vector(s), s)
 
     def first_of(word):
-        return first[table.class_of_word(word)]
+        return first[dec.type_vector(word)]
 
     def no_later(u, v):
         return [obj_index[a] for a in u] <= [obj_index[a] for a in v]
@@ -240,9 +241,9 @@ class FibrationReport:
 
 
 def free_class_of_idempotent(view, a, p, bound, ceiling=DEFAULT_CEILING):
-    """The free class of an idempotent p in End(a): the representative t of
-    the class of the iso-class table whose type vector equals that of im(p)
-    (the first such multiset within the bound, so also the first word).
+    """The free class of an idempotent p in End(a): the multiset t that the
+    iso-class table holds for the type vector of im(p) (the first multiset
+    of that type vector within the bound, so also the first word).
     im(p) is isomorphic to t because the split of p passed its check
     (`Decomposition`), so no splitting is built.  None when no sum within
     the bound has that type vector.  Undecided when im(p) cannot be split
@@ -252,11 +253,10 @@ def free_class_of_idempotent(view, a, p, bound, ceiling=DEFAULT_CEILING):
     summands = dec.split(a, p)
     if isinstance(summands, Undecided):
         return summands
-    table = iso_class_table(view, bound, ceiling=ceiling)
-    cls = table.class_of_type.get(dec.key(summands))
-    if cls is None:
-        return dec.undecided[0] if dec.undecided else None
-    return table.reps[cls]
+    t = iso_class_table(view, bound, ceiling=ceiling).get(dec.key(summands))
+    if t is None and dec.undecided:
+        return dec.undecided[0]
+    return t
 
 
 def fibration_check(m, ideal, bound, ceiling=DEFAULT_CEILING):

@@ -12,7 +12,8 @@ Grammar ('#' starts a comment, blank lines ignored):
     identity A: c1 ...
     scalar NAME                       # a previously declared ringoid
     action A B: r g -> c1 ...         # scalar generator r on generator g
-                                      # of Hom(A,B); 'action A:' means A A
+                                      # of Hom(A,B); 'action A:' means A A;
+                                      # needs a scalar line in the section
   ideal NAME of RINGOID
     gen A B: c1 ...
   groupoid NAME
@@ -127,6 +128,7 @@ class _RingoidBuilder:
         self.scalar_name = None
         self.scalar_line = None
         self.action = {}    # (a,b) -> {(r,g): (coords, line)}
+        self.action_line = None
 
     def require_object(self, obj, lineno):
         if obj not in self.objects:
@@ -152,6 +154,9 @@ class _RingoidBuilder:
         identities = dict(self.identities) if self.identities else None
         scalar = None
         action = None
+        if self.scalar_name is None and self.action_line is not None:
+            raise RGDSemanticError(self.action_line, "action in ringoid %r, which "
+                                   "has no scalar line" % (self.name,))
         if self.scalar_name is not None:
             if self.scalar_name == self.name:
                 # a commutative ring acting on itself: the scalar is a plain
@@ -381,5 +386,7 @@ def _ringoid_line(b, head, toks, lineno, col0):
             raise RGDSemanticError(lineno, "image has %d coordinates, Hom(%s,%s) has %d"
                                    % (len(coords), a, bb, len(hom.moduli)))
         b.action.setdefault((a, bb), {})[(r, g)] = (tuple(coords), lineno)
+        if b.action_line is None:
+            b.action_line = lineno
         return
     raise RGDSyntaxError(lineno, col0, "unknown ringoid directive %r" % (head,))

@@ -172,21 +172,22 @@ def test_undecided_at_tiny_ceiling(f2):
 def test_iso_class_table_f2(f2):
     view = complete(f2)
     table = iso_class_table(view, 3)
-    assert len(table.reps) == 4  # ranks 0..3, no collapse
-    assert not table.undecided
+    assert len(table) == 4  # ranks 0..3, no collapse
+    assert list(table.values()) == [(), ("*",), ("*", "*"), ("*", "*", "*")]
+    assert not view.decomposition().undecided
 
 
 def test_iso_class_table_product_ring():
     pr = product_ring(cyclic_ring(2, scalar=False), cyclic_ring(2, scalar=False))
     view = complete(pr)
     table = iso_class_table(view, 2)
-    assert len(table.reps) == 3  # the single object is free of rank 1
+    assert len(table) == 3  # the single object is free of rank 1
 
 
 def test_iso_class_table_zero_ring(zero):
     view = complete(zero)
     table = iso_class_table(view, 2)
-    assert len(table.reps) == 1  # everything is isomorphic to 0
+    assert table == {(): ()}  # everything is isomorphic to 0
 
 
 def test_one_completion_per_ringoid(f2xf2):
@@ -203,16 +204,24 @@ def test_iso_class_table_is_kept_per_bound_and_ceiling(f2xf2):
     assert at_8 is not table and iso_class_table(view, 3, ceiling=8) is at_8
     below = iso_class_table(view, 3, ceiling=3)
     assert below is not at_8 and iso_class_table(view, 3, ceiling=3) is below
-    # the table answers for the ceiling it was asked for: |End(*)| = 4
-    assert below.undecided and not at_8.undecided and not table.undecided
+    # the table answers for the ceiling it was asked for: |End(*)| = 4, so
+    # at ceiling 3 (*) keeps one type, and within the ceiling it has two
+    assert list(below) == [(), (0,), (0, 0), (0, 0, 0)]
+    assert list(at_8) == list(table) == [(), (0, 1), (0, 0, 1, 1),
+                                         (0, 0, 0, 1, 1, 1)]
+    assert (view.decomposition(3).undecided and not view.decomposition(8).undecided
+            and not view.decomposition().undecided)
 
 
-def test_class_of_type_indexes_the_classes(disc2):
+def test_iso_class_table_keys_each_class_by_its_type_vector(disc2):
     table = iso_class_table(complete(disc2), 3)
     dec = complete(disc2).decomposition()
-    assert sorted(table.class_of_type.values()) == list(range(len(table.reps)))
-    for key, cls in table.class_of_type.items():
-        assert dec.type_vector(table.reps[cls]) == key
+    first = {}
+    for s in enumerate_multisets(disc2.objects, 3):
+        first.setdefault(dec.type_vector(s), s)
+    assert table == first
+    for key, rep in table.items():
+        assert dec.type_vector(rep) == key
 
 
 def test_one_decomposition_per_ceiling(monkeypatch):
@@ -268,7 +277,7 @@ def test_iso_class_table_over_the_letter_limit_is_refused(monkeypatch):
                              "limit of 5"):
         iso_class_table(view, 3)
     monkeypatch.setattr(additive, "TABLE_LETTER_LIMIT", 6)
-    assert len(iso_class_table(view, 3).class_of) == 4
+    assert len(iso_class_table(view, 3)) == 4
 
 
 def test_map_completion_entrywise(z4, f2):
@@ -471,18 +480,16 @@ def _reference_table(view, bound):
 
 def _assert_matches_reference(view, bound):
     table = iso_class_table(view, bound)
-    assert not table.undecided
-    reps, class_of = _reference_table(view, bound)
-    assert table.reps == reps
-    # every word, through its sorted form
-    assert {s: table.class_of_word(s) for s in class_of} == class_of
-    # the table itself holds the multisets only; the decomposition builds
-    # the isomorphism of each to its representative on request
-    multisets = list(enumerate_multisets(view.base.objects, bound))
-    assert list(table.class_of) == multisets
     dec = view.decomposition()
-    for s in multisets:
-        rep = table.reps[table.class_of[s]]
+    assert not dec.undecided
+    reps, class_of = _reference_table(view, bound)
+    assert tuple(table.values()) == reps
+    # every word, through its type vector, whatever its order
+    assert {s: reps.index(table[dec.type_vector(s)]) for s in class_of} == class_of
+    # the table holds one multiset per class; the decomposition builds the
+    # isomorphism of each multiset to its representative on request
+    for s in enumerate_multisets(view.base.objects, bound):
+        rep = table[dec.type_vector(s)]
         if s == rep:
             continue
         w = dec.isomorphism(s, rep)
@@ -634,7 +641,8 @@ def test_bounded_k0_builds_no_witness(monkeypatch):
     res = k0_bounded(r, 30)
     assert res.presentation == AbPresentation.free(1)
     table = iso_class_table(complete(r), 30)
-    assert (len(table.class_of), len(table.reps)) == (496, 31)
+    assert len(list(enumerate_multisets(r.objects, 30))) == 496
+    assert len(table) == 31
     assert built == []
     # one witness on request: two transfers and the two products checking them
     complete(r).decomposition().isomorphism((0, 0), (0, 1))
@@ -666,23 +674,25 @@ def test_decomposition_of_new_fixtures(morita, t2f2):
 
 def test_morita_bound_3_is_decided(morita):
     table = iso_class_table(complete(morita), 3)
-    assert not table.undecided
-    assert len(table.reps) == 7  # one class per total rank 0..6
-    assert table.class_of[("1", "1")] == table.class_of[("2",)]
+    dec = complete(morita).decomposition()
+    assert not dec.undecided
+    assert len(table) == 7  # one class per total rank 0..6
+    assert table[dec.type_vector(("1", "1"))] == ("2",)
 
 
 def test_undecided_records_carry_sizes(morita):
     view = complete(morita)
     table = iso_class_table(view, 2, ceiling=15)
-    assert table.undecided
+    dec = view.decomposition(15)
     # |End(2)| = 16 is over the ceiling, so (2) keeps a type of its own and
     # is not compared with (1)
-    assert [(u.subject, u.size, u.ceiling) for u in table.undecided_pairs] == [
+    assert [(u.subject, u.size, u.ceiling) for u in dec.undecided] == [
         ("2", 16, 15)]
-    assert table.class_of[("1", "1")] != table.class_of[("2",)]
+    assert table[dec.type_vector(("1", "1"))] == ("1", "1")
     table = iso_class_table(view, 2, ceiling=16)
-    assert not table.undecided
-    assert table.class_of[("1", "1")] == table.class_of[("2",)]
+    dec = view.decomposition(16)
+    assert not dec.undecided
+    assert table[dec.type_vector(("1", "1"))] == ("2",)
 
 
 def test_object_over_the_ceiling_merges_only_on_certified_equivalence(
@@ -701,9 +711,8 @@ def test_object_over_the_ceiling_merges_only_on_certified_equivalence(
     monkeypatch.setattr(additive.Decomposition, "_equivalence", spy)
     r = elementary_ringoid({"3": 3, "1": 1}, "Morita(3,1)")
     table = iso_class_table(complete(r), 1, ceiling=100)
-    assert table.undecided
-    assert [u.subject for u in table.undecided_pairs] == ["3"]
-    assert table.reps == ((), ("3",), ("1",))
+    assert [u.subject for u in complete(r).decomposition(100).undecided] == ["3"]
+    assert list(table.values()) == [(), ("3",), ("1",)]
     assert compared == []
     # within the ceiling the three primitives of 1_(3) are compared with
     # the first, and 1_(1) with it

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from ringoids import (FiniteRingoid, FinGroup, GSet, Ideal, cyclic_ring,
                       discrete_groupoid, document_from, forget_units,
                       group_as_groupoid, group_ringoid, matrix_ring,
-                      print_rgd)
+                      print_rgd, transport_groupoid)
 from ringoids.additive import TABLE_LETTER_LIMIT
 from ringoids.cli import _COMMANDS, run
 from ringoids.ktheory import GL_ORDER_LIMIT
@@ -511,11 +511,17 @@ def test_absurd_bound_is_refused_by_its_predicted_size(tmp_path, command, doc):
     assert "over the limit of %d" % TABLE_LETTER_LIMIT in proc.stderr
 
 
-def _discrete_doc(objects, name):
-    ring = group_ringoid(discrete_groupoid(objects), cyclic_ring(2, name="F2"))
+def _bare_doc(groupoid, name):
+    """The group ringoid of the groupoid over F2, printed without its
+    scalar ring, so that it is the first ringoid of its RGD file."""
+    ring = group_ringoid(groupoid, cyclic_ring(2, name="F2"))
     bare = FiniteRingoid(ring.objects, ring.homs, ring.compose_table,
                          identities=ring.identities, name=name)
     return print_rgd(document_from([bare]))
+
+
+def _discrete_doc(objects, name):
+    return _bare_doc(discrete_groupoid(objects), name)
 
 
 def _disc3_doc():
@@ -573,6 +579,25 @@ def test_oracle_frontier(tmp_path, objects, bound, peak_mb):
     assert (code, proc.stderr) == (0, "")
     assert json.loads("".join(printed))["match"] is True
     assert peak_kb < peak_mb * 1024
+
+
+@pytest.mark.frontier
+def test_k0_frontier(tmp_path):
+    # c2free at bound 200 has 20 301 multisets in 201 classes; the table
+    # holds one multiset per class and the rows are read off the type
+    # vectors (42 MB peak when the table kept a class per multiset)
+    path = tmp_path / "c2free.rgd"
+    path.write_text(_bare_doc(transport_groupoid(GSet.regular(FinGroup.cyclic(2))),
+                              "c2free"), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", PEAK_LAUNCHER, "k0", "--input", str(path),
+         "--bound", "200"],
+        capture_output=True, text=True, timeout=60)
+    *printed, last = proc.stdout.splitlines()
+    code, peak_kb = map(int, last.split())
+    assert (code, proc.stderr) == (0, "")
+    assert printed == ["K0 = Z (stabilized at L=2)"]
+    assert peak_kb < 30 * 1024
 
 
 def test_gl_closure_is_refused_by_its_predicted_order(tmp_path):
@@ -714,6 +739,9 @@ act 1 t -> 1
      "'F2'\n"),
     ("validate", "ringoid E\n" + F2_DOC.replace("scalar F2", "scalar E"),
      "parse error: line 7: scalar ring 'E' has no objects\n"),
+    ("validate", F2_DOC.replace("scalar F2\naction a a: 0 0 -> 1",
+                                "action a a: 5 0 -> 1"),
+     "parse error: line 6: action in ringoid 'F2', which has no scalar line\n"),
     ("transport", C2_ASSEMBLY_DOC.replace("compose g g -> e\n",
                                           "inverse e e\ninverse g g\n"),
      "parse error: line 19: gset 'orbit': groupoid 'C2' has no line "
@@ -725,8 +753,9 @@ act 1 t -> 1
      "error: the group of the gset is not a group: element 't' has no inverse\n"),
     ("assembly", MONOID_GSET_DOC,
      "error: the group of the gset is not a group: element 't' has no inverse\n"),
-], ids=["action-past-scalar", "scalar-without-objects", "gset-missing-composite",
-        "gset-without-identity", "transport-monoid-gset", "assembly-monoid-gset"])
+], ids=["action-past-scalar", "scalar-without-objects", "action-without-scalar",
+        "gset-missing-composite", "gset-without-identity", "transport-monoid-gset",
+        "assembly-monoid-gset"])
 def test_bad_scalar_or_gset_data_exits_1_with_one_line(tmp_path, capsys, command,
                                                       doc, err):
     # each of these raised a traceback (IndexError, KeyError or ValueError)

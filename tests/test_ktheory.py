@@ -12,6 +12,7 @@ from ringoids import (AbPresentation, CeilingExceeded, FinAbGroup, Ideal,
                       k1_bounded, matrix_ring, product_ring, scalar_ringoid,
                       tensor, unitize, validate, validate_hom, with_self_scalar,
                       zero_ideal, zero_moduloid)
+from ringoids.additive import enumerate_multisets
 from ringoids.constructions import tabulate
 from ringoids.intlinalg import hom_well_defined, lattices_equal
 from ringoids.ktheory import (GLGroup, bass_generators, certify_gl_order,
@@ -344,13 +345,14 @@ def _word_pair_relations(r, bound):
     inside a bucket as relations.  Rows are mapped to the multisets, each
     word to its sorted form; returns the multisets and the rows."""
     table = iso_class_table(complete(r), bound)
+    dec = complete(r).decomposition()
     words = [s for s in enumerate_objsums(r.objects, bound) if len(s) >= 2]
-    multisets = [s for s in table.class_of if len(s) >= 2]
+    multisets = [s for s in enumerate_multisets(r.objects, bound) if len(s) >= 2]
     column = {s: multisets.index(tuple(sorted(s, key=r.objects.index)))
               for s in words}
 
     def key_of(flat):
-        return (table.class_of_word(flat),) if len(flat) <= bound else flat
+        return (table[dec.type_vector(flat)],) if len(flat) <= bound else flat
 
     buckets = {}
     for i, s in enumerate(words):
@@ -686,9 +688,11 @@ def test_k0_relations_are_distinct_and_nonzero(ring_name, request):
     assert len(set(rows)) == len(rows)
     # the same groups as one raw row per non-representative word
     objects = list(ring.objects)
+    table = iso_class_table(complete(ring), bound)
+    dec = complete(ring).decomposition()
     raw = []
     for s in enumerate_objsums(objects, bound):
-        rep = res.table.reps[res.table.class_of_word(s)]
+        rep = table[dec.type_vector(s)]
         if s != rep:
             raw.append((len(s), [s.count(a) - rep.count(a) for a in objects]))
     for l in range(bound + 1):

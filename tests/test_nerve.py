@@ -150,11 +150,12 @@ def _nerve_words(r, bound):
     object's generator, (s)(rep)^-1 per isomorphism to a class
     representative, and (s)(t)(s+t)^-1 per level-2 object."""
     table = iso_class_table(complete(r), bound)
+    dec = complete(r).decomposition()
     sums = enumerate_objsums(r.objects, bound)
     index = {s: i + 1 for i, s in enumerate(sums)}
     relators = [(index[()],)]
     for s in sums:
-        rep = table.reps[table.class_of_word(s)]
+        rep = table[dec.type_vector(s)]
         if s != rep:
             relators.append((index[s], -index[rep]))
     for s in sums:

@@ -14,7 +14,7 @@ import ringoids
 EXPORTED = (
     "AbPresentation AdditiveView AssemblyZeroMap AxiomFailure CeilingExceeded "
     "FinAbGroup FinGroup FinGroupoid FiniteRingoid GSet GroupQuotient Ideal "
-    "IdealError IntMatrix IsoClassTable IsoWitness KOneResult KZeroResult "
+    "IdealError IntMatrix IsoWitness KOneResult KZeroResult "
     "MatMorphism PiRing PiRingError RGDDocument RGDSemanticError "
     "RGDSyntaxError RelativeKZeroResult RingoidHom StructuralError "
     "TensorProduct Undecided ValidationReport abelianization assembly_zero "
@@ -41,7 +41,7 @@ SUBMODULES = ("abgroup", "additive", "assembly", "constructions",
 
 
 def test_all_lists_the_exported_names():
-    assert len(EXPORTED) == 92
+    assert len(EXPORTED) == 91
     assert ringoids.__all__ == sorted(EXPORTED)
     assert set(EXPORTED) | set(SUBMODULES) <= set(dir(ringoids))
 

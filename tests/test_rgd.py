@@ -100,6 +100,22 @@ def test_scalar_data_out_of_range_names_its_line():
     assert "scalar ring 'E' has no objects" in str(exc.value)
 
 
+def test_action_without_a_scalar_line_names_its_first_line():
+    # used to be dropped without a diagnostic, whatever its indices
+    for action in ("action a a: 0 0 -> 1", "action a a: 5 0 -> 1"):
+        text = F2_DOC.replace("scalar F2\naction a a: 0 0 -> 1",
+                              action + "\naction a: 0 0 -> 0")
+        with pytest.raises(RGDSemanticError) as exc:
+            parse_rgd(text)
+        assert exc.value.line == 7
+        assert "action in ringoid 'F2', which has no scalar line" in str(exc.value)
+    # an action line before its scalar line is kept, as is the self-scalar
+    before = F2_DOC.replace("scalar F2\naction a a: 0 0 -> 1",
+                            "action a a: 0 0 -> 1\nscalar F2")
+    assert parse_rgd(before).ringoids["F2"].action == \
+        parse_rgd(F2_DOC).ringoids["F2"].action
+
+
 def test_gset_over_a_groupoid_missing_a_composite_is_semantic():
     # used to raise KeyError while tabulating the loops
     text = C2_DOC.replace("compose g g -> e\n", "")
