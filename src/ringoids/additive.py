@@ -279,6 +279,11 @@ class Decomposition:
       3. so alpha_z beta_y = alpha_z e_z e_y beta_y is rho if z = y, else 0,
          and V U has blocks sum_x beta_x rho alpha_x = sum_x e_x = 1.
 
+    The image of any idempotent of End(a) is a summand of a, so its type
+    vector is a sub-multiset of that of a: the summands of 1_a realize
+    every class of idempotents (`relative.idem_classes`), and only the
+    splitter lists the idempotents of an End(a).
+
     The ceiling bounds |End(a)|, whose idempotents are enumerated.  An
     object over it keeps 1_a as its one summand with a type of its own,
     is never compared, and leaves an `Undecided` record in `undecided`, so
@@ -294,7 +299,7 @@ class Decomposition:
         self.types = []
         self.summands = {}
         self._types = {}
-        self._idempotents = {}
+        self._idempotent_lists = {}
         self._splits = {}
         base = view.base
         undecided = []
@@ -320,19 +325,16 @@ class Decomposition:
 
     # -- splitting and classification -------------------------------------
 
-    def idempotents(self, a):
-        """The idempotents of End(a) in `elements()` order, zero first, or
-        [] when |End(a)| exceeds the ceiling (`undecided` then holds the
-        record for a)."""
-        idems = self._idempotents.get(a)
+    def _idempotents(self, a):
+        """The non-zero idempotents of End(a) in `elements()` order, listed
+        once for an End(a) within the ceiling; only the splitter reads them."""
+        idems = self._idempotent_lists.get(a)
         if idems is None:
             base = self.view.base
-            hom = base.hom(a, a)
-            idems = []
-            if hom.order() <= self.ceiling:
-                idems = [f for f in hom.elements()
-                         if base.compose(a, a, a, f, f) == f]
-            self._idempotents[a] = idems
+            zero = base.zero(a, a)
+            idems = self._idempotent_lists[a] = [
+                f for f in base.hom(a, a).elements()
+                if f != zero and base.compose(a, a, a, f, f) == f]
         return idems
 
     def _split(self, a, e):
@@ -341,7 +343,7 @@ class Decomposition:
         hom = base.hom(a, a)
         if e == hom.zero():
             return []
-        for f in self.idempotents(a)[1:]:
+        for f in self._idempotents(a):
             if (f != e and base.compose(a, a, a, e, f) == f
                     and base.compose(a, a, a, f, e) == f):
                 return self._split(a, f) + self._split(a, hom.sub(e, f))

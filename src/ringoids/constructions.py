@@ -42,16 +42,6 @@ class RingoidHom:
         tgt = self.target.hom(self.object_map[a], self.object_map[b])
         return tgt.combination(x, self.gen_images.get((a, b), ()))
 
-    def compose_with(self, other):
-        """self after other (other applies first)."""
-        if other.target is not self.source:
-            raise StructuralError("homomorphisms do not compose")
-        object_map = {a: self.object_map[fa] for a, fa in other.object_map.items()}
-        return tabulate_hom(
-            other.source, self.target, object_map,
-            lambda a, b, x: self.apply(other.object_map[a], other.object_map[b],
-                                       other.apply(a, b, x)))
-
     def __repr__(self):
         return "RingoidHom(%r)" % (self.name,)
 

@@ -4,8 +4,6 @@ its identity, as a presented abelian group."""
 
 from __future__ import annotations
 
-import itertools
-
 
 class FinGroup:
     """Finite group: element list plus full multiplication table on indices.
@@ -47,23 +45,6 @@ class FinGroup:
                 return j
         raise ValueError("element %r has no inverse" % (self.elements[i],))
 
-    def is_valid(self):
-        """Exhaustive associativity and inverse check."""
-        n = len(self.elements)
-        t = self.table
-        for i in range(n):
-            for j in range(n):
-                tij = t[i][j]
-                for k in range(n):
-                    if t[tij][k] != t[i][t[j][k]]:
-                        return False
-        try:
-            for i in range(n):
-                self.inv(i)
-        except ValueError:
-            return False
-        return True
-
     @classmethod
     def from_mult(cls, elements, op):
         elements = list(elements)
@@ -74,12 +55,6 @@ class FinGroup:
     @classmethod
     def cyclic(cls, n):
         return cls(list(range(n)), [[(i + j) % n for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def symmetric3(cls):
-        perms = list(itertools.permutations((0, 1, 2)))
-        compose = lambda p, q: tuple(p[q[i]] for i in range(3))
-        return cls.from_mult(perms, compose)
 
 
 def abelianization(identity, steps):

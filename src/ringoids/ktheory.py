@@ -91,8 +91,9 @@ def k0_bounded(r, bound, ceiling=DEFAULT_CEILING):
     # the shortest; first-occurrence order keeps k0_induced's failing relation
     shortest = {}
     for s in enumerate_multisets(objects, bound):
-        row = exponent_row(index, s, table[dec.type_vector(s)])
-        if row:
+        rep = table[dec.type_vector(s)]
+        if s != rep:  # two distinct multisets: the row is not zero
+            row = exponent_row(index, s, rep)
             shortest.setdefault(frozenset(row.items()), len(s))
     per_bound = {}
     for l in range(bound + 1):

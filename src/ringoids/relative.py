@@ -2,15 +2,20 @@
 
 Relative K0 for non-unital moduloids is the kernel, in degree zero, of
 the split surjection induced by the unitization projection, computed on
-the idempotent classes of single objects (keyed by the type vector of the
-image, with relations from the type vectors) so that the splitting is
-visible.  These classes are not bounded by sum length: their only limit
-is the ceiling.  The fibration check maps them to free sums by the same
-type vectors.  The cofinality check compares bounded K0 (`ktheory`) with
-the K0 of the subcategory of sums of length at least 2.
+the idempotent classes of single objects so that the splitting is
+visible.  By Krull-Schmidt these classes are the sub-multisets of the type
+vectors of the objects (`Decomposition`), each represented by a sum of
+primitives, with relations from the type vectors; an idempotent's class is
+looked up by the type vector of its image.  These classes are not bounded
+by sum length: their only limit is the ceiling.  The fibration check maps
+them to free sums by the same type vectors.  The cofinality check
+compares bounded K0 (`ktheory`) with the K0 of the subcategory of sums of
+length at least 2.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from .additive import (DEFAULT_CEILING, Undecided, complete,
                        enumerate_multisets, enumerate_objsums,
@@ -28,20 +33,31 @@ from .ringoid import StructuralError
 # ---------------------------------------------------------------------------
 
 class IdemClasses:
-    """Certified classes of idempotent endomorphisms of single objects,
-    keyed by the type vector of the image, with one relation
-    [c] = sum of [(t,)] over the types t in the key of each split class c
-    whose key does not have length 1 (the empty key gives [0] = 0)."""
+    """The classes of idempotent endomorphisms of single objects within the
+    ceiling, keyed by the type vector of the image, with one relation
+    [c] = sum of [(t,)] over the types t in the key of each class c whose
+    key does not have length 1 (the empty key gives [0] = 0).  Each class
+    is represented by a sum of primitives of `Decomposition.summands`."""
 
-    __slots__ = ("ringoid", "reps", "class_of", "presentation",
-                 "undecided_pairs")
+    __slots__ = ("ringoid", "reps", "presentation", "undecided_pairs",
+                 "_dec", "_index")
 
-    def __init__(self, ringoid, reps, class_of, relations, undecided_pairs):
+    def __init__(self, ringoid, dec, index, reps, relations):
         self.ringoid = ringoid
         self.reps = tuple(reps)
-        self.class_of = dict(class_of)
         self.presentation = AbPresentation(len(reps), relations)
-        self.undecided_pairs = tuple(undecided_pairs)
+        self.undecided_pairs = dec.undecided
+        self._dec = dec
+        self._index = index
+
+    def class_of(self, a, p):
+        """The index of the class of an idempotent p of End(a), looked up by
+        the type vector of im(p) (`Decomposition.split`), or the Undecided
+        record when End(a) is over the ceiling."""
+        summands = self._dec.split(a, p)
+        if isinstance(summands, Undecided):
+            return summands
+        return self._index[self._dec.key(summands)]
 
     def label(self, idx):
         a, p = self.reps[idx]
@@ -49,52 +65,48 @@ class IdemClasses:
 
 
 def idem_classes(r, ceiling=DEFAULT_CEILING):
-    """Classify the idempotents of every End(a), a a single object, by the
-    type vector of im(p): two idempotents are equivalent exactly when their
-    images have the same indecomposable summands (Krull-Schmidt), and type
-    vectors add, so the relations come from the keys.  The idempotents are
-    those the decomposition lists: an End(a) over the ceiling gives none.
-    An idempotent that cannot be split within the ceiling is a class of its
-    own with no relation, and every Undecided record is kept."""
+    """Classify the idempotents of every End(a), a a single object within
+    the ceiling, by the type vector of im(p): two idempotents are
+    equivalent exactly when their images have the same indecomposable
+    summands (Krull-Schmidt).  The image of p is a summand of a, so the
+    classes are the sub-multisets of the type vectors of the objects, each
+    represented by the sum of the matching primitives of the first object
+    that has it; no idempotent is listed or split.  Type vectors add, so
+    the relations come from the keys.  An End(a) over the ceiling gives no
+    classes, and its Undecided record is kept."""
     dec = complete(r).decomposition(ceiling)
     reps = []
-    class_of = {}
-    first = {}
-    undecided_pairs = list(dec.undecided)
+    index = {}
     for a in r.objects:
-        for p in dec.idempotents(a):
-            summands = dec.split(a, p)
-            if isinstance(summands, Undecided):
-                undecided_pairs.append(summands)
-                class_of[(a, p)] = len(reps)
-                reps.append((a, p))
-                continue
-            key = dec.key(summands)
-            assigned = first.get(key)
-            if assigned is None:
-                assigned = first[key] = len(reps)
-                reps.append((a, p))
-            class_of[(a, p)] = assigned
-    # each summand of a split p is a listed idempotent of End(a)
-    relations = [exponent_row(range(len(reps)), [c], [first[(t,)] for t in key])
-                 for key, c in first.items() if len(key) != 1]
-    return IdemClasses(r, reps, class_of, relations, undecided_pairs)
+        hom = r.hom(a, a)
+        if hom.order() > ceiling:
+            continue
+        summands = dec.summands[a]
+        for k in range(len(summands) + 1):
+            for part in itertools.combinations(summands, k):
+                key = dec.key(part)
+                if key not in index:
+                    index[key] = len(reps)
+                    reps.append((a, hom.combination([1] * k,
+                                                    [x.idem for x in part])))
+    # each [(t,)] is a class: (t,) is a sub-multiset of the same type vector
+    relations = [exponent_row(range(len(reps)), [c], [index[(t,)] for t in key])
+                 for key, c in index.items() if len(key) != 1]
+    return IdemClasses(r, dec, index, reps, relations)
 
 
 class RelativeKZeroResult:
     """Degree-zero relative K-theory of a non-unital moduloid: the kernel of
-    K0(M+) -> K0(R_M) on idempotent classes of single objects.  `bound` is
-    recorded as given; no part of the computation reads it.  `kernel_basis`
-    is one basis of the kernel lattice (rows over the classes of M+), and
-    `gen_labels` names its rows."""
+    K0(M+) -> K0(R_M) on idempotent classes of single objects.
+    `kernel_basis` is one basis of the kernel lattice (rows over the
+    classes of M+), and `gen_labels` names its rows."""
 
-    __slots__ = ("bound", "presentation", "gen_labels", "kernel_basis",
+    __slots__ = ("presentation", "gen_labels", "kernel_basis",
                  "idem_plus", "idem_scalar", "mplus", "rm", "projection",
                  "matrix", "undecided")
 
-    def __init__(self, bound, presentation, gen_labels, kernel_basis, idem_plus,
+    def __init__(self, presentation, gen_labels, kernel_basis, idem_plus,
                  idem_scalar, mplus, rm, projection, matrix, undecided):
-        self.bound = bound
         self.presentation = presentation
         self.gen_labels = tuple(gen_labels)
         self.kernel_basis = [list(r) for r in kernel_basis]
@@ -107,18 +119,19 @@ class RelativeKZeroResult:
         self.undecided = undecided
 
     def __repr__(self):
-        return "RelativeKZeroResult(%s at L=%d)" % (self.presentation, self.bound)
+        return "RelativeKZeroResult(%s)" % (self.presentation,)
 
 
-def k0_relative(m, bound, ceiling=DEFAULT_CEILING):
+def k0_relative(m, ceiling=DEFAULT_CEILING):
     """Kernel of the split surjection K0(M+) -> K0(R_M) in degree zero.
 
     The free iso-class monoid cannot see the splitting (M+ has the same
     objects as R_M), so both sides are computed on the idempotent classes
-    of single objects (`idem_classes`), which no bound limits: `bound` is
-    only recorded.  For unital m this recovers the absolute K0, which is
-    the degree-zero content of the unitization corollary.  An End(a) over
-    the ceiling contributes no classes and sets `undecided`.
+    of single objects (`idem_classes`), which no bound limits.  The image
+    in R_M of each representative of M+ is looked up there
+    (`IdemClasses.class_of`).  For unital m this recovers the absolute K0,
+    which is the degree-zero content of the unitization corollary.  An
+    End(a) over the ceiling contributes no classes and sets `undecided`.
     """
     from .moduloids import scalar_ringoid, unitize, unitization_projection
 
@@ -132,7 +145,7 @@ def k0_relative(m, bound, ceiling=DEFAULT_CEILING):
     icp = idem_classes(mplus, ceiling=ceiling)
     icr = idem_classes(rm, ceiling=ceiling)
     matrix = [exponent_row(range(len(icr.reps)),
-                           [icr.class_of[(a, projection.apply(a, a, p))]])
+                           [icr.class_of(a, projection.apply(a, a, p))])
               for (a, p) in icp.reps]
     pres, basis = kernel_presentation(icp.presentation, icr.presentation, matrix)
     labels = []
@@ -143,7 +156,7 @@ def k0_relative(m, bound, ceiling=DEFAULT_CEILING):
                 terms.append(("%+d" % c) + icp.label(i))
         labels.append("".join(terms) or "0")
     undecided = bool(icp.undecided_pairs or icr.undecided_pairs)
-    return RelativeKZeroResult(bound, pres, labels, basis, icp, icr, mplus, rm,
+    return RelativeKZeroResult(pres, labels, basis, icp, icr, mplus, rm,
                                projection, matrix, undecided)
 
 
@@ -274,7 +287,7 @@ def fibration_check(m, ideal, bound, ceiling=DEFAULT_CEILING):
     if not m.unital:
         raise StructuralError("fibration check needs a unital moduloid")
     sub, incl = ideal_moduloid(ideal)
-    rel = k0_relative(sub, bound, ceiling=ceiling)
+    rel = k0_relative(sub, ceiling=ceiling)
     k0m = k0_bounded(m, bound, ceiling=ceiling)
     quot, qhom = quotient(m, ideal)
     k0q = k0_bounded(quot, bound, ceiling=ceiling)

@@ -113,9 +113,6 @@ class FiniteRingoid:
             raise StructuralError("ringoid %r is not unital" % (self.name,))
         return self.identities[a]
 
-    def is_zero_ringoid(self):
-        return all(g.is_trivial() for g in self.homs.values())
-
     # -- composition and scalar action ---------------------------------
 
     def compose(self, a, b, c, y, x):

@@ -8,6 +8,7 @@ from ringoids import (FinAbGroup, FiniteRingoid, FinGroup, GSet, MatMorphism,
                       group_as_groupoid, group_ringoid, matrix_ring,
                       product_ring, tensor, transport_groupoid,
                       with_self_scalar)
+from ringoids.constructions import tabulate_hom
 
 
 @pytest.fixture(scope="session")
@@ -282,3 +283,45 @@ def ring_units(r):
                 units.append(u)
                 break
     return units
+
+
+def idempotents(r, a):
+    """The idempotents of End(a) in element order, zero first, by squaring
+    every element: the reference list for the idempotent classes."""
+    return [p for p in r.hom(a, a).elements() if r.compose(a, a, a, p, p) == p]
+
+
+def group_is_valid(g):
+    """Exhaustive associativity and inverse check of a FinGroup table."""
+    n = len(g)
+    t = g.table
+    if any(t[t[i][j]][k] != t[i][t[j][k]]
+           for i in range(n) for j in range(n) for k in range(n)):
+        return False
+    try:
+        for i in range(n):
+            g.inv(i)
+    except ValueError:
+        return False
+    return True
+
+
+def symmetric3():
+    """S3 on the permutations of (0, 1, 2); p . q applies q first."""
+    return FinGroup.from_mult(itertools.permutations((0, 1, 2)),
+                              lambda p, q: tuple(p[q[i]] for i in range(3)))
+
+
+def is_zero_ringoid(r):
+    return all(g.is_trivial() for g in r.homs.values())
+
+
+def compose_with(f, g):
+    """The homomorphism f after g (g applies first), tabulated on elements."""
+    if g.target is not f.source:
+        raise StructuralError("homomorphisms do not compose")
+    object_map = {a: f.object_map[ga] for a, ga in g.object_map.items()}
+    return tabulate_hom(
+        g.source, f.target, object_map,
+        lambda a, b, x: f.apply(g.object_map[a], g.object_map[b],
+                                g.apply(a, b, x)))

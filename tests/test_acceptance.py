@@ -103,7 +103,7 @@ def test_criterion_05_unitization_corollary(f2, z4):
             assert (sp.projection_plus.apply(obj, obj, y)
                     == sp.projection_sum.apply(obj, obj, x))
         assert len(seen) == sp.mplus.hom(obj, obj).order()
-        rel = k0_relative(forget_units(ring), 3)
+        rel = k0_relative(forget_units(ring))
         assert rel.presentation == k0_bounded(ring, 3).presentation
     report(5, "alpha certified iso, diagram commutes, relative K0 = absolute K0")
 

@@ -4,8 +4,9 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (elementary_ringoid, hom_elements, incidence_ringoids,
-                      inverse, left_divide, small_ringoids)
+from conftest import (compose_with, elementary_ringoid, hom_elements,
+                      idempotents, incidence_ringoids, inverse, left_divide,
+                      small_ringoids)
 from ringoids import (AbPresentation, FinAbGroup, FiniteRingoid, FinGroup, GSet,
                       IsoWitness, MatMorphism, RingoidHom, StructuralError,
                       Undecided, complete, cyclic_ring, discrete_groupoid,
@@ -293,7 +294,7 @@ def test_map_completion_functorial(z4, f2, zero):
     red2 = RingoidHom(f2, zero, {"*": "*"}, {("*", "*"): ((0,),)})
     f1 = map_completion(red1)
     f2_ = map_completion(red2)
-    comp = map_completion(red2.compose_with(red1))
+    comp = map_completion(compose_with(red2, red1))
     import random
     rng = random.Random(7)
     view = complete(z4)
@@ -654,7 +655,7 @@ def test_free_class_of_idempotent_builds_no_splitting(monkeypatch):
     built = _count_witnesses(monkeypatch)
     view = complete(r)
     classes = [free_class_of_idempotent(view, a, p, 2)
-               for a in r.objects for p in view.decomposition().idempotents(a)]
+               for a in r.objects for p in idempotents(r, a)]
     # in element order, End(2) = M2(F2) lists 0, six rank-one idempotents
     # and 1 (the fifth), and End(1) = F2 lists 0 and 1
     one, two = ("1",), ("2",)

@@ -21,7 +21,7 @@ import os
 
 import pytest
 
-from conftest import elementary_ringoid
+from conftest import compose_with, elementary_ringoid, symmetric3
 from ringoids import (FiniteRingoid, FinGroup, GSet, Ideal, PiRing,
                       cyclic_ring, direct_sum, discrete_groupoid,
                       disjoint_union_gset, fibration_check, forget_units,
@@ -140,7 +140,7 @@ def _cases():
                               {("*", "*"): [(0, 0), (0, 1), (1, 1)]})
     c2 = FinGroup.cyclic(2)
     c2g = group_as_groupoid(c2, name="C2")
-    s3g = group_as_groupoid(FinGroup.symmetric3(), name="S3")
+    s3g = group_as_groupoid(symmetric3(), name="S3")
     free = GSet.regular(c2)
     point = GSet.trivial(c2)
     f2c2 = group_ringoid(c2g, f2)
@@ -210,7 +210,7 @@ def _cases():
         out["quot " + name] = qhom
         out["ideal_moduloid " + name] = sub
         out["incl " + name] = incl
-        out["compose_with quot.incl " + name] = qhom.compose_with(incl)
+        out["compose_with quot.incl " + name] = compose_with(qhom, incl)
     for name, m in (("Z/4", z4), ("M2(F2)/F2", m2f2_f2), ("F2[S3]", f2s3),
                     ("disc2", disc2)):
         sp = unitization_splitting(m)
@@ -221,7 +221,7 @@ def _cases():
         out["alpha^-1 " + name] = sp.alpha_inv
         out["pi' " + name] = sp.projection_sum
         out["pi+ " + name] = sp.projection_plus
-        out["compose_with alpha^-1.alpha " + name] = sp.alpha_inv.compose_with(sp.alpha)
+        out["compose_with alpha^-1.alpha " + name] = compose_with(sp.alpha_inv, sp.alpha)
     for name, pi, scalar in (("C2 F2", c2g, f2), ("C2 Z/4", c2g, z4),
                              ("S3 F2", s3g, f2),
                              ("free C2-orbit F2", transport_groupoid(free), f2)):

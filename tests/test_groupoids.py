@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import group_is_valid
 from ringoids import (FinAbGroup, FinGroup, FiniteRingoid, GSet, PiRing,
                       PiRingError, cyclic_ring, disjoint_union_gset,
                       discrete_groupoid, group_as_groupoid, group_ringoid,
@@ -194,7 +195,7 @@ def test_vertex_group_is_stabilizer():
     vg = comps[0].vertex_group
     stab = sorted(g for g in range(4) if (0 + g) % 2 == 0)
     assert sorted(mid[1] for mid in vg.elements) == stab
-    assert vg.is_valid()
+    assert group_is_valid(vg)
 
 
 def test_transitive_action_connected():

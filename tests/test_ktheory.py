@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import example, given, settings
 
-from conftest import (determinant_of_matmorphism, hom_elements,
+from conftest import (compose_with, determinant_of_matmorphism,
+                      elementary_ringoid, hom_elements, idempotents,
                       incidence_ringoids, inverse, ring_units, small_ringoids)
 from ringoids import (AbPresentation, CeilingExceeded, FinAbGroup, Ideal,
                       RingoidHom, cofinality_check, complete, cyclic_ring,
@@ -12,6 +13,7 @@ from ringoids import (AbPresentation, CeilingExceeded, FinAbGroup, Ideal,
                       k1_bounded, matrix_ring, product_ring, scalar_ringoid,
                       tensor, unitize, validate, validate_hom, with_self_scalar,
                       zero_ideal, zero_moduloid)
+from ringoids import additive
 from ringoids.additive import enumerate_multisets
 from ringoids.constructions import tabulate
 from ringoids.intlinalg import hom_well_defined, lattices_equal
@@ -101,24 +103,24 @@ def test_k0_induced_respects_composition(z4, f2, zero):
     r4, r2, r0 = k0_bounded(z4, 2), k0_bounded(f2, 2), k0_bounded(zero, 2)
     m1 = k0_induced(red1, r4, r2)
     m2 = k0_induced(red2, r2, r0)
-    comp = k0_induced(red2.compose_with(red1), r4, r0)
+    comp = k0_induced(compose_with(red2, red1), r4, r0)
     product = tuple(m2.apply(row) for row in m1.matrix)
     assert product == comp.matrix
 
 
 def test_k0_relative_zero_moduloid(f2):
-    rel = k0_relative(zero_moduloid(("a",), f2.scalar), 2)
+    rel = k0_relative(zero_moduloid(("a",), f2.scalar))
     assert rel.presentation.is_trivial()
 
 
 def test_k0_relative_ideal_two(ideal_two_moduloid):
-    rel = k0_relative(ideal_two_moduloid, 2)
+    rel = k0_relative(ideal_two_moduloid)
     assert rel.presentation.is_trivial()
 
 
 def test_k0_relative_has_no_stabilization_flags(z4):
-    # k0_relative never varies the bound, so it has no stabilization to report
-    rel = k0_relative(forget_units(z4), 0)
+    # k0_relative takes no bound, so it has no stabilization to report
+    rel = k0_relative(forget_units(z4))
     assert not hasattr(rel, "stabilized")
     assert not hasattr(rel, "stabilized_since")
 
@@ -126,7 +128,7 @@ def test_k0_relative_has_no_stabilization_flags(z4):
 @pytest.mark.parametrize("ring_name", ["f2", "z4"])
 def test_k0_relative_recovers_absolute_for_unital(ring_name, request):
     ring = request.getfixturevalue(ring_name)
-    rel = k0_relative(forget_units(ring), 3)
+    rel = k0_relative(forget_units(ring))
     absolute = k0_bounded(ring, 3)
     assert rel.presentation == absolute.presentation
 
@@ -184,7 +186,44 @@ def test_idem_classes_match_pair_search(ring_name, request):
     r = request.getfixturevalue(ring_name)
     ic = idem_classes(r)
     assert not ic.undecided_pairs
-    assert (ic.reps, ic.class_of) == _reference_idem_classes(r)
+    assert [ic.class_of(a, p) for (a, p) in ic.reps] == list(range(len(ic.reps)))
+    reps, class_of = _reference_idem_classes(r)
+    # two idempotents share a class of the lookup exactly when they share
+    # one of the reference: the pairs of indices form a bijection
+    pairs = {(i, ic.class_of(a, p)) for (a, p), i in class_of.items()}
+    assert len(pairs) == len(reps) == len(ic.reps)
+    assert {j for _, j in pairs} == set(range(len(ic.reps)))
+
+
+def test_idem_classes_split_no_idempotent(monkeypatch):
+    # a ringoid of its own, so that no cached decomposition answers first
+    r = elementary_ringoid({"2": 2, "1": 1}, "Morita(2,1)")
+    split = additive.Decomposition.split
+    calls = []
+
+    def spy(dec, a, p):
+        calls.append((a, p))
+        return split(dec, a, p)
+
+    monkeypatch.setattr(additive.Decomposition, "split", spy)
+    ic = idem_classes(r)
+    assert calls == []
+    # End(2) = M2(F2) has the classes 0, E22 (its first primitive in
+    # element order) and 1; End(1) adds none
+    assert ic.reps == (("2", (0, 0, 0, 0)), ("2", (0, 0, 0, 1)),
+                       ("2", (1, 0, 0, 1)))
+    assert ic.presentation == Z
+
+
+@pytest.mark.frontier
+def test_idem_classes_of_m4f2():
+    # End(*) = M4(F2) has 2^16 elements; its 1 splits into four equivalent
+    # primitives, so the classes are the ranks 0..4, presenting Z
+    r = matrix_ring(cyclic_ring(2, scalar=False), 4)
+    ic = idem_classes(r)
+    assert not ic.undecided_pairs
+    assert len(ic.reps) == 5
+    assert ic.presentation == Z
 
 
 @pytest.fixture(scope="module")
@@ -212,25 +251,19 @@ def orthogonal_pair_relations(r, ic):
     [0] = 0 once and [p] + [q] = [p + q] for every orthogonal pair p, q of
     idempotents of one End(a)."""
     n = len(ic.reps)
-    relations = []
-    for a in r.objects:
-        zc = ic.class_of.get((a, r.zero(a, a)))
-        if zc is not None:
-            row = [0] * n
-            row[zc] = 1
-            relations.append(row)
-            break
+    a = r.objects[0]
+    relations = [[int(i == ic.class_of(a, r.zero(a, a))) for i in range(n)]]
     for a in r.objects:
         hom = r.hom(a, a)
-        local = [p for (b, p) in ic.class_of if b == a]
+        local = idempotents(r, a)
         for i, p in enumerate(local):
             for q in local[i:]:
                 if (r.compose(a, a, a, p, q) == hom.zero()
                         and r.compose(a, a, a, q, p) == hom.zero()):
                     row = [0] * n
-                    row[ic.class_of[(a, p)]] += 1
-                    row[ic.class_of[(a, q)]] += 1
-                    row[ic.class_of[(a, hom.add(p, q))]] -= 1
+                    row[ic.class_of(a, p)] += 1
+                    row[ic.class_of(a, q)] += 1
+                    row[ic.class_of(a, hom.add(p, q))] -= 1
                     if any(row):
                         relations.append(row)
     return relations

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
-from conftest import small_ringoids
+from conftest import compose_with, small_ringoids
 from ringoids import (FinAbGroup, FiniteRingoid, RingoidHom, StructuralError,
                       cyclic_ring, identity_hom, one_object_ringoid,
                       ringoid_equal_structure, validate, validate_hom,
@@ -86,7 +86,7 @@ def test_validate_hom_doubling_fails(z4):
 def test_hom_composition_of_clean_is_clean(z4, f2):
     red1 = RingoidHom(z4, f2, {"*": "*"}, {("*", "*"): ((1,),)})
     ident = identity_hom(f2)
-    comp = ident.compose_with(red1)
+    comp = compose_with(ident, red1)
     assert validate_hom(comp).ok
 
 
