@@ -109,7 +109,9 @@ def cmd_validate(args, doc):
 
 def _require_ringoid(doc):
     """The first ringoid that no other one in the input takes as its scalar."""
-    rings = [doc.ringoids[name] for kind, name in doc.order if kind == "ringoid"]
+    rings = []
+    while (r := doc.nth("ringoid", len(rings))) is not None:
+        rings.append(r)
     if not rings:
         raise StructuralError("the input declares no ringoid")
     r = next((r for r in rings
@@ -204,7 +206,7 @@ def cmd_unitize(args, doc):
 
 def cmd_quotient(args, doc):
     from .moduloids import quotient
-    first = doc.first_ideal()
+    first = doc.nth("ideal")
     if first is None:
         raise StructuralError("quotient needs an ideal section in the input")
     of_name, ideal = first
@@ -219,8 +221,8 @@ def cmd_quotient(args, doc):
 def cmd_tensor(args, doc):
     from .constructions import ringoid_equal_structure
     from .moduloids import tensor
-    m = doc.nth_ringoid(0)
-    n = doc.nth_ringoid(1)
+    m = doc.nth("ringoid")
+    n = doc.nth("ringoid", 1)
     if m is None or n is None:
         raise StructuralError("tensor needs two ringoids in the input")
     for r in (m, n):
@@ -241,8 +243,8 @@ def cmd_tensor(args, doc):
 
 def cmd_groupring(args, doc):
     from .groupoids import group_ringoid, validate_groupoid
-    g = doc.first_groupoid()
-    r = doc.first_ringoid()
+    g = doc.nth("groupoid")
+    r = doc.nth("ringoid")
     if g is None or r is None:
         raise StructuralError("groupring needs a groupoid and a ringoid")
     grep = validate_groupoid(g)
@@ -257,7 +259,7 @@ def cmd_groupring(args, doc):
 
 def cmd_transport(args, doc):
     from .groupoids import orbit_skeleton, transport_groupoid, validate_groupoid
-    xs = doc.first_gset()
+    xs = doc.nth("gset")
     if xs is None:
         raise StructuralError("transport needs a gset section")
     rep = xs.validate()
@@ -285,12 +287,12 @@ def cmd_assembly(args, doc):
     from .assembly import assembly_zero, equivariant_assembly_zero
     from .groupoids import validate_groupoid
     r = _require_ringoid(doc)
-    xs = doc.first_gset()
+    xs = doc.nth("gset")
     if xs is not None:
         am = equivariant_assembly_zero(xs, r, args.bound, ceiling=args.ceiling)
         kind = "equivariant"
     else:
-        g = doc.first_groupoid()
+        g = doc.nth("groupoid")
         if g is None:
             raise StructuralError("assembly needs a gset or a groupoid")
         if not validate_groupoid(g).ok:

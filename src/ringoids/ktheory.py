@@ -48,20 +48,19 @@ class KZeroResult:
     """Bounded K0: presentation on the base objects, one relation per
     distinct non-zero difference [s] - [rep] of isomorphic multisets
     within the bound.  A word has the type vector and the row of its
-    sorted form, so the words add no relation."""
+    sorted form, so the words add no relation.  `stabilized_since` is the
+    first l >= 2 whose group at l - 1 is the one at the bound, or None."""
 
-    __slots__ = ("bound", "presentation", "gen_labels", "stabilized",
-                 "stabilized_since", "undecided", "per_bound")
+    __slots__ = ("bound", "presentation", "gen_labels", "stabilized_since",
+                 "undecided")
 
-    def __init__(self, bound, presentation, gen_labels, stabilized,
-                 stabilized_since, undecided, per_bound):
+    def __init__(self, bound, presentation, gen_labels, stabilized_since,
+                 undecided):
         self.bound = bound
         self.presentation = presentation
         self.gen_labels = tuple(gen_labels)
-        self.stabilized = stabilized
         self.stabilized_since = stabilized_since
         self.undecided = undecided
-        self.per_bound = per_bound
 
     def __repr__(self):
         return "KZeroResult(%s at L=%d%s)" % (
@@ -73,13 +72,13 @@ class KZeroResult:
 def k0_bounded(r, bound, ceiling=DEFAULT_CEILING):
     """Bounded K0, read off the iso-class table of the completion of r.
 
-    `per_bound[l]` presents the group by the rows of the multisets of
-    length <= l, and `stabilized_since` is the first l >= 2 at which
-    per_bound[l - 1] equals per_bound[bound].  That one comparison
-    shows every per_bound[j] between them equal: a row enters at its
-    shortest length, so the row lattices are nested, A_(l-1) <= A_j <=
-    A_bound; Z^n/A_(l-1) -> Z^n/A_bound is then a surjection between
-    groups of equal invariants, so an isomorphism, and A_(l-1) = A_bound."""
+    The group is Z^n/A_bound, A_l the lattice of the rows of the multisets
+    of length <= l, and `stabilized_since` is the first l >= 2 with
+    A_(l-1) = A_bound.  A row enters at its shortest length, so the
+    lattices are nested, A_(l-1) <= A_(bound-1) <= A_bound; equal
+    invariants make the surjection Z^n/A_(l-1) -> Z^n/A_bound an
+    isomorphism, so A_(l-1) = A_bound.  Hence A_1, A_2, ... are built only
+    when A_(bound-1) = A_bound, and only up to the first equal one."""
     if not r.unital:
         raise StructuralError("absolute K0 needs a unital ringoid")
     view = complete(r)
@@ -95,16 +94,18 @@ def k0_bounded(r, bound, ceiling=DEFAULT_CEILING):
         if s != rep:  # two distinct multisets: the row is not zero
             row = exponent_row(index, s, rep)
             shortest.setdefault(frozenset(row.items()), len(s))
-    per_bound = {}
-    for l in range(bound + 1):
-        rows = [dict(key) for key, mlen in shortest.items() if mlen <= l]
-        per_bound[l] = AbPresentation(len(objects), rows)
-    stabilized = bound >= 1 and per_bound[bound] == per_bound[bound - 1]
-    stabilized_since = next((l for l in range(2, bound + 1)
-                             if per_bound[l - 1] == per_bound[bound]), None)
-    return KZeroResult(bound, per_bound[bound], [str(a) for a in objects],
-                       stabilized, stabilized_since, bool(dec.undecided),
-                       per_bound)
+
+    def lattice(l):
+        return AbPresentation(len(objects), [dict(key) for key, mlen
+                                             in shortest.items() if mlen <= l])
+
+    presentation = lattice(bound)
+    stabilized_since = None
+    if bound >= 2 and lattice(bound - 1) == presentation:
+        stabilized_since = next((l for l in range(2, bound)
+                                 if lattice(l - 1) == presentation), bound)
+    return KZeroResult(bound, presentation, [str(a) for a in objects],
+                       stabilized_since, bool(dec.undecided))
 
 
 class InducedMap:
@@ -364,15 +365,14 @@ class StabilizationStep:
 class KOneResult:
     """Per-rank GL abelianizations with stabilization maps; a single group
     would misrepresent the limit (GL_3 over F2 already dips back to 0).
-    ranks[n] presents GL_n^ab on the Bass generators of groups[n], read
-    off the same pass that closes it; each step's matrix maps them into
+    ranks[n] presents GL_n^ab on the Bass generators of GL_n, read off
+    the same pass that closes it; each step's matrix maps them into
     ranks[n + 1]."""
 
-    __slots__ = ("ranks", "groups", "steps", "last_step_iso", "truncated_at")
+    __slots__ = ("ranks", "steps", "last_step_iso", "truncated_at")
 
-    def __init__(self, ranks, groups, steps, last_step_iso, truncated_at):
+    def __init__(self, ranks, steps, last_step_iso, truncated_at):
         self.ranks = dict(ranks)
-        self.groups = dict(groups)
         self.steps = list(steps)
         self.last_step_iso = last_step_iso
         self.truncated_at = truncated_at
@@ -393,32 +393,31 @@ def stabilization_embedding(view, s, t):
 def k1_bounded(r, n_max, ceiling=DEFAULT_CEILING):
     """Abelianizations of GL_n for n <= n_max over a one-object unital base,
     with the induced stabilization maps: the row for generator g of GL_n
-    is the coordinate vector of its block-diagonal image in GL_(n+1)."""
+    is the coordinate vector of its block-diagonal image in GL_(n+1).
+    Each GL_n is dropped once that step is read."""
     if len(r.objects) != 1:
         raise StructuralError("bounded K1 is implemented for one-object bases")
     obj = r.objects[0]
     view = complete(r)
-    groups = {}
-    truncated_at = None
+    ranks, steps = {}, []
+    truncated_at = prev = None
     for n in range(1, n_max + 1):
         try:
-            groups[n] = gl(view, (obj,) * n, ceiling=ceiling)
+            group = gl(view, (obj,) * n, ceiling=ceiling)
         except CeilingExceeded:
             truncated_at = n
             break
-    steps = []
-    for n in sorted(groups):
-        if n + 1 not in groups:
-            break
-        embed = stabilization_embedding(view, (obj,) * n, (obj,))
-        gn, gn1 = groups[n], groups[n + 1]
-        matrix = [list(gn1.coords[gn1.index(embed(gn.elements[g]))])
-                  for g in gn.generators]
-        iso = hom_is_isomorphism(gn.presentation, gn1.presentation, matrix)
-        steps.append(StabilizationStep(n, matrix, iso))
+        ranks[n] = group.presentation
+        if prev is not None:
+            embed = stabilization_embedding(view, (obj,) * (n - 1), (obj,))
+            matrix = [list(group.coords[group.index(embed(prev.elements[g]))])
+                      for g in prev.generators]
+            iso = hom_is_isomorphism(prev.presentation, group.presentation,
+                                     matrix)
+            steps.append(StabilizationStep(n - 1, matrix, iso))
+        prev = group
     last_step_iso = steps[-1].is_isomorphism if steps else None
-    ranks = {n: g.presentation for n, g in groups.items()}
-    return KOneResult(ranks, groups, steps, last_step_iso, truncated_at)
+    return KOneResult(ranks, steps, last_step_iso, truncated_at)
 
 
 # ---------------------------------------------------------------------------

@@ -65,38 +65,11 @@ class RGDDocument:
         self.ideals = {}   # name -> (ringoid_name, Ideal)
         self.order = []    # (kind, name) in declaration order
 
-    def first_ringoid(self):
-        for kind, name in self.order:
-            if kind == "ringoid":
-                return self.ringoids[name]
-        return None
-
-    def nth_ringoid(self, n):
-        seen = 0
-        for kind, name in self.order:
-            if kind == "ringoid":
-                if seen == n:
-                    return self.ringoids[name]
-                seen += 1
-        return None
-
-    def first_groupoid(self):
-        for kind, name in self.order:
-            if kind == "groupoid":
-                return self.groupoids[name]
-        return None
-
-    def first_gset(self):
-        for kind, name in self.order:
-            if kind == "gset":
-                return self.gsets[name]
-        return None
-
-    def first_ideal(self):
-        for kind, name in self.order:
-            if kind == "ideal":
-                return self.ideals[name]
-        return None
+    def nth(self, kind, n=0):
+        """The n-th section of `kind` ("ringoid", "groupoid", "gset" or
+        "ideal") in declaration order, or None when there are fewer."""
+        names = [name for k, name in self.order if k == kind]
+        return getattr(self, kind + "s")[names[n]] if n < len(names) else None
 
 
 _TOKEN = re.compile(r"\S+")

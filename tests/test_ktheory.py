@@ -13,7 +13,7 @@ from ringoids import (AbPresentation, CeilingExceeded, FinAbGroup, Ideal,
                       k1_bounded, matrix_ring, product_ring, scalar_ringoid,
                       tensor, unitize, validate, validate_hom, with_self_scalar,
                       zero_ideal, zero_moduloid)
-from ringoids import additive
+from ringoids import additive, ktheory
 from ringoids.additive import enumerate_multisets
 from ringoids.constructions import tabulate
 from ringoids.intlinalg import hom_well_defined, lattices_equal
@@ -32,7 +32,6 @@ def k1_f2_3(f2):
 def test_k0_f2(f2):
     res = k0_bounded(f2, 3)
     assert res.presentation == Z
-    assert res.stabilized
     assert res.stabilized_since == 2
 
 
@@ -65,9 +64,38 @@ def test_k0_monotone_in_bound(f2, z4, zero, f2c2):
         n = len(res.gen_labels)
         ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         for l in range(1, res.bound):
-            ok, _ = hom_well_defined(res.per_bound[l], res.per_bound[l + 1],
+            ok, _ = hom_well_defined(k0_bounded(ring, l).presentation,
+                                     k0_bounded(ring, l + 1).presentation,
                                      ident)
             assert ok
+
+
+@pytest.mark.parametrize("ring_name,bound,built_at_most",
+                         [("c2free", 8, 3), ("morita", 2, 2)])
+def test_k0_builds_few_presentations(ring_name, bound, built_at_most, request,
+                                     monkeypatch):
+    # A_bound and A_(bound-1), then A_1, ... only when those two are equal:
+    # c2free has stabilized at L=2 (A_8, A_7, A_1), Morita(1,2) has not at
+    # L=2 (A_2, A_1)
+    ring = request.getfixturevalue(ring_name)
+    built = []
+
+    def spy(*args):
+        built.append(args)
+        return AbPresentation(*args)
+
+    monkeypatch.setattr(ktheory, "AbPresentation", spy)
+    res = k0_bounded(ring, bound)
+    assert res.stabilized_since == (2 if ring_name == "c2free" else None)
+    assert len(built) <= built_at_most
+
+
+def test_k0_at_bound_one_is_not_stabilized(morita):
+    # (1) + (1) = (2) is first seen at length 2
+    res = k0_bounded(morita, 1)
+    assert res.stabilized_since is None
+    assert repr(res) == "KZeroResult(Z^2 at L=1, not stabilized)"
+    assert not hasattr(res, "stabilized")
 
 
 def test_k0_induced_identity(f2):
@@ -631,13 +659,14 @@ def test_stabilization_embedding_is_injective_hom(f2):
             assert images[g1.mul(i, j)] == g2.mul(images[i], images[j])
 
 
-def test_k1_f2(k1_f2_3):
+def test_k1_f2(k1_f2_3, f2):
     res = k1_f2_3
     assert res.ranks[1].is_trivial()
     assert res.ranks[2] == AbPresentation.cyclic(2)
     assert res.ranks[3].is_trivial()
     assert res.last_step_iso is False
-    assert len(res.groups[3]) == 168
+    assert not hasattr(res, "groups")
+    assert len(gl(complete(f2), ("*",) * 3)) == 168
 
 
 def test_k1_f3(f3):
@@ -729,7 +758,7 @@ def test_k0_relations_are_distinct_and_nonzero(ring_name, request):
         if s != rep:
             raw.append((len(s), [s.count(a) - rep.count(a) for a in objects]))
     for l in range(bound + 1):
-        assert res.per_bound[l] == AbPresentation(
+        assert k0_bounded(ring, l).presentation == AbPresentation(
             len(objects), [row for (n, row) in raw if n <= l])
     # first-occurrence order of the raw rows
     first = []

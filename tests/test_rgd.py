@@ -57,11 +57,19 @@ act 2 g -> 1
 
 def test_parse_f2_document():
     doc = parse_rgd(F2_DOC)
-    ring = doc.first_ringoid()
+    ring = doc.nth("ringoid")
     assert ring.name == "F2"
     assert validate(ring).ok
     assert ring.scalar is not None
     assert ring.unital
+
+
+def test_nth_section_in_declaration_order():
+    doc = parse_rgd(C2_DOC + F2_DOC)
+    assert doc.nth("groupoid") is doc.groupoids["C2"]
+    assert doc.nth("ringoid").name == "F2"
+    assert doc.nth("ringoid", 1) is None
+    assert doc.nth("ideal") is None
 
 
 def test_modulus_zero_rejected():
@@ -127,10 +135,10 @@ def test_gset_over_a_groupoid_missing_a_composite_is_semantic():
 
 def test_groupoid_document():
     doc = parse_rgd(C2_DOC)
-    g = doc.first_groupoid()
+    g = doc.nth("groupoid")
     assert validate_groupoid(g).ok
     assert len(g.morphisms) == 2
-    xs = doc.first_gset()
+    xs = doc.nth("gset")
     assert xs.validate().ok
     assert xs.points == ("1", "2")
 
@@ -139,7 +147,7 @@ def test_groupoid_identity_inference():
     doc = parse_rgd("\n".join(line for line in C2_DOC.splitlines()
                               if not line.startswith(("identity", "inverse",
                                                       "gset", "point", "act"))))
-    g = doc.first_groupoid()
+    g = doc.nth("groupoid")
     assert g.identities == {"p": "e"}
     assert validate_groupoid(g).ok
 
@@ -153,7 +161,7 @@ def test_round_trip_normalized():
 
 def test_ideal_section(z4):
     doc = parse_rgd(Z4_WITH_IDEAL)
-    of_name, ideal = doc.first_ideal()
+    of_name, ideal = doc.nth("ideal")
     assert of_name == "Z4"
     assert ideal.gens == {("a", "a"): ((2,),)}
     q, _ = quotient(doc.ringoids["Z4"], ideal)
@@ -162,7 +170,7 @@ def test_ideal_section(z4):
 
 def test_document_from_constructed_ringoid():
     doc = parse_rgd(F2_DOC)
-    f2 = doc.first_ringoid()
+    f2 = doc.nth("ringoid")
     mplus = unitize(forget_units(f2))
     out = document_from(ringoids=[mplus])
     text = print_rgd(out)
