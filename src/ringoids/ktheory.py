@@ -399,6 +399,13 @@ def k1_bounded(r, n_max, ceiling=DEFAULT_CEILING):
         raise StructuralError("bounded K1 is implemented for one-object bases")
     obj = r.objects[0]
     view = complete(r)
+    if view.has_identities and view.hom_order((obj,), (obj,)) == 1 and ceiling >= 1:
+        # a zero object: every GL_n is trivial and every step is the
+        # identity of 0, so no closure is built (a base without identities,
+        # or a ceiling of 0, is left to `gl` to refuse)
+        steps = [StabilizationStep(n, [], True) for n in range(1, n_max)]
+        return KOneResult(dict.fromkeys(range(1, n_max + 1), AbPresentation(0)),
+                          steps, True if steps else None, None)
     ranks, steps = {}, []
     truncated_at = prev = None
     for n in range(1, n_max + 1):

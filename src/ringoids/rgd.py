@@ -26,10 +26,11 @@ Grammar ('#' starts a comment, blank lines ignored):
     point ID
     act X g -> Y
 
-Indices are 0-based.  `parse_rgd` reads this format, with the groupoid,
-gset and ideal sections parsed by `rgdsections`, and `rgdprint.print_rgd`
-writes its normalized form; parse -> print -> parse is the identity on
-that form.
+Indices are 0-based.  `parse_rgd` reads this format: it checks every
+section header against one table and hands each other line to the open
+section, one class per kind (`_RingoidBuilder` here, the groupoid, gset
+and ideal sections in `rgdsections`).  `rgdprint.print_rgd` writes the
+normalized form; parse -> print -> parse is the identity on that form.
 """
 
 from __future__ import annotations
@@ -90,9 +91,37 @@ def _int(tok, lineno, col, minimum=None, what="integer"):
     return val
 
 
+def _split_arrow(toks, lineno, col0):
+    for k, (tok, _c) in enumerate(toks):
+        if tok == "->":
+            return toks[:k], toks[k + 1:]
+    raise RGDSyntaxError(lineno, col0, "expected '->'")
+
+
+def _strip_colon(toks, lineno, col0):
+    """Split 'head a b ... : tail' allowing the colon to be glued."""
+    out = []
+    tail_start = None
+    for k, (tok, col) in enumerate(toks):
+        if tok == ":":
+            tail_start = k + 1
+            break
+        if tok.endswith(":"):
+            out.append((tok[:-1], col))
+            tail_start = k + 1
+            break
+        out.append((tok, col))
+    if tail_start is None:
+        raise RGDSyntaxError(lineno, col0, "expected ':'")
+    return out, toks[tail_start:]
+
+
 class _RingoidBuilder:
-    def __init__(self, name, lineno):
-        self.name = name
+    kind = "ringoid"
+    stage = 0
+
+    def __init__(self, toks, lineno):
+        self.name = toks[1][0]
         self.lineno = lineno
         self.objects = []
         self.homs = {}
@@ -111,7 +140,97 @@ class _RingoidBuilder:
     def hom_group(self, a, b):
         return self.homs.get((a, b), FinAbGroup(()))
 
-    def build(self, documents):
+    def line(self, head, toks, lineno, col0):
+        if head == "object":
+            if len(toks) != 2:
+                raise RGDSyntaxError(lineno, col0, "object takes exactly one id")
+            if toks[1][0] in self.objects:
+                raise RGDSemanticError(lineno, "duplicate object %r" % (toks[1][0],))
+            self.objects.append(toks[1][0])
+            return
+        if head == "hom":
+            if len(toks) < 4 or toks[3][0] != "cyclic":
+                raise RGDSyntaxError(lineno, col0, "expected: hom A B cyclic d1 ...")
+            a, b = toks[1][0], toks[2][0]
+            self.require_object(a, lineno)
+            self.require_object(b, lineno)
+            moduli = [_int(t, lineno, c, minimum=1, what="modulus") for t, c in toks[4:]]
+            self.homs[(a, b)] = FinAbGroup(moduli)
+            return
+        if head == "compose":
+            heads, tail = _strip_colon(toks, lineno, col0)
+            if len(heads) != 4:
+                raise RGDSyntaxError(lineno, col0, "expected: compose A B C: gj gi -> ...")
+            a, b, c = heads[1][0], heads[2][0], heads[3][0]
+            for o in (a, b, c):
+                self.require_object(o, lineno)
+            left, right = _split_arrow(tail, lineno, col0)
+            if len(left) != 2:
+                raise RGDSyntaxError(lineno, col0, "compose needs two generator indices")
+            gj = _int(left[0][0], lineno, left[0][1], minimum=0, what="generator index")
+            gi = _int(left[1][0], lineno, left[1][1], minimum=0, what="generator index")
+            hab, hbc, hac = self.hom_group(a, b), self.hom_group(b, c), self.hom_group(a, c)
+            if gj >= len(hab.moduli):
+                raise RGDSemanticError(lineno, "generator %d out of range for Hom(%s,%s)"
+                                       % (gj, a, b))
+            if gi >= len(hbc.moduli):
+                raise RGDSemanticError(lineno, "generator %d out of range for Hom(%s,%s)"
+                                       % (gi, b, c))
+            coords = [_int(t, lineno, cc) for t, cc in right]
+            if len(coords) != len(hac.moduli):
+                raise RGDSemanticError(lineno, "image has %d coordinates, Hom(%s,%s) has %d"
+                                       % (len(coords), a, c, len(hac.moduli)))
+            self.compose.setdefault((a, b, c), {})[(gi, gj)] = tuple(coords)
+            return
+        if head == "identity":
+            heads, tail = _strip_colon(toks, lineno, col0)
+            if len(heads) != 2:
+                raise RGDSyntaxError(lineno, col0, "expected: identity A: c1 ...")
+            a = heads[1][0]
+            self.require_object(a, lineno)
+            hom = self.hom_group(a, a)
+            coords = [_int(t, lineno, c) for t, c in tail]
+            if len(coords) != len(hom.moduli):
+                raise RGDSemanticError(lineno, "identity has %d coordinates, Hom(%s,%s) has %d"
+                                       % (len(coords), a, a, len(hom.moduli)))
+            self.identities[a] = hom.reduce(coords)
+            return
+        if head == "scalar":
+            if len(toks) != 2:
+                raise RGDSyntaxError(lineno, col0, "scalar takes exactly one name")
+            self.scalar_name = toks[1][0]
+            self.scalar_line = lineno
+            return
+        if head == "action":
+            heads, tail = _strip_colon(toks, lineno, col0)
+            if len(heads) == 2:
+                a, b = heads[1][0], heads[1][0]
+            elif len(heads) == 3:
+                a, b = heads[1][0], heads[2][0]
+            else:
+                raise RGDSyntaxError(lineno, col0, "expected: action A B: r g -> ...")
+            self.require_object(a, lineno)
+            self.require_object(b, lineno)
+            left, right = _split_arrow(tail, lineno, col0)
+            if len(left) != 2:
+                raise RGDSyntaxError(lineno, col0, "action needs two indices")
+            r = _int(left[0][0], lineno, left[0][1], minimum=0, what="scalar generator index")
+            g = _int(left[1][0], lineno, left[1][1], minimum=0, what="generator index")
+            hom = self.hom_group(a, b)
+            if g >= len(hom.moduli):
+                raise RGDSemanticError(lineno, "generator %d out of range for Hom(%s,%s)"
+                                       % (g, a, b))
+            coords = [_int(t, lineno, c) for t, c in right]
+            if len(coords) != len(hom.moduli):
+                raise RGDSemanticError(lineno, "image has %d coordinates, Hom(%s,%s) has %d"
+                                       % (len(coords), a, b, len(hom.moduli)))
+            self.action.setdefault((a, b), {})[(r, g)] = (tuple(coords), lineno)
+            if self.action_line is None:
+                self.action_line = lineno
+            return
+        raise RGDSyntaxError(lineno, col0, "unknown ringoid directive %r" % (head,))
+
+    def build(self, doc):
         homs = {}
         for a in self.objects:
             for b in self.objects:
@@ -140,7 +259,7 @@ class _RingoidBuilder:
                 scalar = FiniteRingoid(self.objects, homs, table,
                                        identities=identities, name=self.name)
             else:
-                scalar = documents.ringoids.get(self.scalar_name)
+                scalar = doc.ringoids.get(self.scalar_name)
             if scalar is None:
                 raise RGDSemanticError(self.lineno, "scalar ring %r is not declared"
                                        % (self.scalar_name,))
@@ -166,200 +285,55 @@ class _RingoidBuilder:
                              scalar=scalar, action=action, name=self.name)
 
 
-def parse_rgd(text):
-    doc = RGDDocument()
-    current = None   # ("ringoid", builder) | ("groupoid", builder) | ...
-    pending_groupoids = []
-    pending_gsets = []
-    pending_ideals = []
+# header word -> (number of tokens, the keyword that must be the third
+# token or None, usage message)
+_HEADERS = {
+    "ringoid": (2, None, "ringoid takes exactly one name"),
+    "groupoid": (2, None, "groupoid takes exactly one name"),
+    "gset": (4, "over", "expected: gset NAME over GROUPOID"),
+    "ideal": (4, "of", "expected: ideal NAME of RINGOID"),
+}
 
-    def close_section():
-        nonlocal current
-        if current is None:
-            return
-        kind, builder = current
-        if kind == "ringoid":
-            doc.ringoids[builder.name] = builder.build(doc)
-            doc.order.append(("ringoid", builder.name))
-        elif kind == "groupoid":
-            doc.groupoids[builder.name] = builder.build()
-            doc.order.append(("groupoid", builder.name))
-        elif kind == "gset":
-            pending_gsets.append(builder)
-            doc.order.append(("gset", builder["name"]))
-        elif kind == "ideal":
-            pending_ideals.append(builder)
-            doc.order.append(("ideal", builder["name"]))
-        current = None
+
+def parse_rgd(text):
+    """Read an RGD document.  Each section has a `kind`, a `name`, a `line`
+    method for its directives and a `build` method, called at stage 0 when
+    the section closes, otherwise once the whole document is read, in stage
+    order."""
+    doc = RGDDocument()
+    sections = []   # in document order; the last one is open
+
+    def build(section):
+        getattr(doc, section.kind + "s")[section.name] = section.build(doc)
+
+    def close():
+        if sections and not sections[-1].stage:
+            build(sections[-1])
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         toks = _tokenize(raw)
         if not toks:
             continue
         head, col0 = toks[0]
-        if head == "ringoid":
-            close_section()
-            if len(toks) != 2:
-                raise RGDSyntaxError(lineno, col0, "ringoid takes exactly one name")
-            current = ("ringoid", _RingoidBuilder(toks[1][0], lineno))
+        if head not in _HEADERS:
+            if not sections:
+                raise RGDSyntaxError(lineno, col0, "directive %r outside any section" % head)
+            sections[-1].line(head, toks, lineno, col0)
             continue
-        if head == "groupoid":
-            close_section()
-            if len(toks) != 2:
-                raise RGDSyntaxError(lineno, col0, "groupoid takes exactly one name")
-            # the groupoid, gset and ideal parsers compile at the first such
+        close()
+        ntoks, keyword, usage = _HEADERS[head]
+        if len(toks) != ntoks or (keyword and toks[2][0] != keyword):
+            raise RGDSyntaxError(lineno, col0, usage)
+        if head == "ringoid":
+            sections.append(_RingoidBuilder(toks, lineno))
+        else:
+            # the groupoid, gset and ideal sections compile at the first such
             # header, so a ringoid-only document never loads them
             from . import rgdsections
-            current = ("groupoid", rgdsections._GroupoidBuilder(toks[1][0], lineno))
-            continue
-        if head == "gset":
-            close_section()
-            if len(toks) != 4 or toks[2][0] != "over":
-                raise RGDSyntaxError(lineno, col0, "expected: gset NAME over GROUPOID")
-            from . import rgdsections
-            current = ("gset", {"name": toks[1][0], "over": toks[3][0],
-                                "points": [], "acts": [], "line": lineno})
-            continue
-        if head == "ideal":
-            close_section()
-            if len(toks) != 4 or toks[2][0] != "of":
-                raise RGDSyntaxError(lineno, col0, "expected: ideal NAME of RINGOID")
-            from . import rgdsections
-            current = ("ideal", {"name": toks[1][0], "of": toks[3][0],
-                                 "gens": [], "line": lineno})
-            continue
-        if current is None:
-            raise RGDSyntaxError(lineno, col0, "directive %r outside any section" % head)
-        kind, builder = current
-        if kind == "ringoid":
-            _ringoid_line(builder, head, toks, lineno, col0)
-        elif kind == "groupoid":
-            rgdsections._groupoid_line(builder, head, toks, lineno, col0)
-        elif kind == "gset":
-            rgdsections._gset_line(builder, head, toks, lineno, col0)
-        elif kind == "ideal":
-            rgdsections._ideal_line(builder, head, toks, lineno, col0)
-    close_section()
-
-    for section in pending_gsets:
-        doc.gsets[section["name"]] = rgdsections._build_gset(section, doc)
-    for section in pending_ideals:
-        doc.ideals[section["name"]] = (section["of"],
-                                       rgdsections._build_ideal(section, doc))
+            sections.append(rgdsections.SECTIONS[head](toks, lineno))
+    close()
+    for section in sorted(sections, key=lambda section: section.stage):
+        if section.stage:
+            build(section)
+    doc.order.extend((section.kind, section.name) for section in sections)
     return doc
-
-
-def _split_arrow(toks, lineno, col0):
-    for k, (tok, _c) in enumerate(toks):
-        if tok == "->":
-            return toks[:k], toks[k + 1:]
-    raise RGDSyntaxError(lineno, col0, "expected '->'")
-
-
-def _strip_colon(toks, lineno, col0):
-    """Split 'head a b ... : tail' allowing the colon to be glued."""
-    out = []
-    tail_start = None
-    for k, (tok, col) in enumerate(toks):
-        if tok == ":":
-            tail_start = k + 1
-            break
-        if tok.endswith(":"):
-            out.append((tok[:-1], col))
-            tail_start = k + 1
-            break
-        out.append((tok, col))
-    if tail_start is None:
-        raise RGDSyntaxError(lineno, col0, "expected ':'")
-    return out, toks[tail_start:]
-
-
-def _ringoid_line(b, head, toks, lineno, col0):
-    if head == "object":
-        if len(toks) != 2:
-            raise RGDSyntaxError(lineno, col0, "object takes exactly one id")
-        if toks[1][0] in b.objects:
-            raise RGDSemanticError(lineno, "duplicate object %r" % (toks[1][0],))
-        b.objects.append(toks[1][0])
-        return
-    if head == "hom":
-        if len(toks) < 4 or toks[3][0] != "cyclic":
-            raise RGDSyntaxError(lineno, col0, "expected: hom A B cyclic d1 ...")
-        a, bb = toks[1][0], toks[2][0]
-        b.require_object(a, lineno)
-        b.require_object(bb, lineno)
-        moduli = [_int(t, lineno, c, minimum=1, what="modulus") for t, c in toks[4:]]
-        b.homs[(a, bb)] = FinAbGroup(moduli)
-        return
-    if head == "compose":
-        heads, tail = _strip_colon(toks, lineno, col0)
-        if len(heads) != 4:
-            raise RGDSyntaxError(lineno, col0, "expected: compose A B C: gj gi -> ...")
-        a, bb, c = heads[1][0], heads[2][0], heads[3][0]
-        for o in (a, bb, c):
-            b.require_object(o, lineno)
-        left, right = _split_arrow(tail, lineno, col0)
-        if len(left) != 2:
-            raise RGDSyntaxError(lineno, col0, "compose needs two generator indices")
-        gj = _int(left[0][0], lineno, left[0][1], minimum=0, what="generator index")
-        gi = _int(left[1][0], lineno, left[1][1], minimum=0, what="generator index")
-        hab, hbc, hac = b.hom_group(a, bb), b.hom_group(bb, c), b.hom_group(a, c)
-        if gj >= len(hab.moduli):
-            raise RGDSemanticError(lineno, "generator %d out of range for Hom(%s,%s)"
-                                   % (gj, a, bb))
-        if gi >= len(hbc.moduli):
-            raise RGDSemanticError(lineno, "generator %d out of range for Hom(%s,%s)"
-                                   % (gi, bb, c))
-        coords = [_int(t, lineno, cc) for t, cc in right]
-        if len(coords) != len(hac.moduli):
-            raise RGDSemanticError(lineno, "image has %d coordinates, Hom(%s,%s) has %d"
-                                   % (len(coords), a, c, len(hac.moduli)))
-        b.compose.setdefault((a, bb, c), {})[(gi, gj)] = tuple(coords)
-        return
-    if head == "identity":
-        heads, tail = _strip_colon(toks, lineno, col0)
-        if len(heads) != 2:
-            raise RGDSyntaxError(lineno, col0, "expected: identity A: c1 ...")
-        a = heads[1][0]
-        b.require_object(a, lineno)
-        hom = b.hom_group(a, a)
-        coords = [_int(t, lineno, c) for t, c in tail]
-        if len(coords) != len(hom.moduli):
-            raise RGDSemanticError(lineno, "identity has %d coordinates, Hom(%s,%s) has %d"
-                                   % (len(coords), a, a, len(hom.moduli)))
-        b.identities[a] = hom.reduce(coords)
-        return
-    if head == "scalar":
-        if len(toks) != 2:
-            raise RGDSyntaxError(lineno, col0, "scalar takes exactly one name")
-        b.scalar_name = toks[1][0]
-        b.scalar_line = lineno
-        return
-    if head == "action":
-        heads, tail = _strip_colon(toks, lineno, col0)
-        if len(heads) == 2:
-            a, bb = heads[1][0], heads[1][0]
-        elif len(heads) == 3:
-            a, bb = heads[1][0], heads[2][0]
-        else:
-            raise RGDSyntaxError(lineno, col0, "expected: action A B: r g -> ...")
-        b.require_object(a, lineno)
-        b.require_object(bb, lineno)
-        left, right = _split_arrow(tail, lineno, col0)
-        if len(left) != 2:
-            raise RGDSyntaxError(lineno, col0, "action needs two indices")
-        r = _int(left[0][0], lineno, left[0][1], minimum=0, what="scalar generator index")
-        g = _int(left[1][0], lineno, left[1][1], minimum=0, what="generator index")
-        hom = b.hom_group(a, bb)
-        if g >= len(hom.moduli):
-            raise RGDSemanticError(lineno, "generator %d out of range for Hom(%s,%s)"
-                                   % (g, a, bb))
-        coords = [_int(t, lineno, c) for t, c in right]
-        if len(coords) != len(hom.moduli):
-            raise RGDSemanticError(lineno, "image has %d coordinates, Hom(%s,%s) has %d"
-                                   % (len(coords), a, bb, len(hom.moduli)))
-        b.action.setdefault((a, bb), {})[(r, g)] = (tuple(coords), lineno)
-        if b.action_line is None:
-            b.action_line = lineno
-        return
-    raise RGDSyntaxError(lineno, col0, "unknown ringoid directive %r" % (head,))

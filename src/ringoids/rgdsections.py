@@ -1,4 +1,6 @@
-"""The groupoid, gset and ideal sections of the RGD format.
+"""The groupoid, gset and ideal sections of the RGD format, one class
+each with the section protocol of `rgd.parse_rgd`, found by header word
+in `SECTIONS`.
 
 `rgd.parse_rgd` imports this module at the first such section header, so
 a process that reads ringoids alone never compiles these parsers.  The
@@ -13,8 +15,11 @@ from .ringoid import StructuralError
 
 
 class _GroupoidBuilder:
-    def __init__(self, name, lineno):
-        self.name = name
+    kind = "groupoid"
+    stage = 0
+
+    def __init__(self, toks, lineno):
+        self.name = toks[1][0]
         self.lineno = lineno
         self.objects = []
         self.morphisms = {}
@@ -22,7 +27,52 @@ class _GroupoidBuilder:
         self.identities = {}
         self.inverses = {}
 
-    def build(self):
+    def line(self, head, toks, lineno, col0):
+        if head == "object":
+            if len(toks) != 2:
+                raise RGDSyntaxError(lineno, col0, "object takes exactly one id")
+            self.objects.append(toks[1][0])
+            return
+        if head == "morphism":
+            if len(toks) != 4:
+                raise RGDSyntaxError(lineno, col0, "expected: morphism A B ID")
+            a, b, mid = toks[1][0], toks[2][0], toks[3][0]
+            if a not in self.objects or b not in self.objects:
+                raise RGDSemanticError(lineno, "morphism endpoints must be declared objects")
+            if mid in self.morphisms:
+                raise RGDSemanticError(lineno, "duplicate morphism id %r" % (mid,))
+            self.morphisms[mid] = (a, b)
+            return
+        if head == "identity":
+            if len(toks) != 3:
+                raise RGDSyntaxError(lineno, col0, "expected: identity A ID")
+            a, mid = toks[1][0], toks[2][0]
+            if mid not in self.morphisms or self.morphisms[mid] != (a, a):
+                raise RGDSemanticError(lineno, "identity must be a declared loop at %r" % (a,))
+            self.identities[a] = mid
+            return
+        if head == "compose":
+            left, right = _split_arrow(toks[1:], lineno, col0)
+            if len(left) != 2 or len(right) != 1:
+                raise RGDSyntaxError(lineno, col0, "expected: compose h g -> k")
+            h, g, k = left[0][0], left[1][0], right[0][0]
+            for mid in (h, g, k):
+                if mid not in self.morphisms:
+                    raise RGDSemanticError(lineno, "unknown morphism %r" % (mid,))
+            self.compose[(g, h)] = k
+            return
+        if head == "inverse":
+            if len(toks) != 3:
+                raise RGDSyntaxError(lineno, col0, "expected: inverse ID ID")
+            g, h = toks[1][0], toks[2][0]
+            for mid in (g, h):
+                if mid not in self.morphisms:
+                    raise RGDSemanticError(lineno, "unknown morphism %r" % (mid,))
+            self.inverses[g] = h
+            return
+        raise RGDSyntaxError(lineno, col0, "unknown groupoid directive %r" % (head,))
+
+    def build(self, doc):
         from .groupoids import FinGroupoid
 
         comp = dict(self.compose)
@@ -53,136 +103,108 @@ class _GroupoidBuilder:
             raise RGDSemanticError(self.lineno, "groupoid %r: %s" % (self.name, exc))
 
 
-def _build_gset(section, doc):
-    from .groupoids import GSet
-    from .groups import FinGroup
+class _GSetSection:
+    kind = "gset"
+    stage = 1   # once the document is read: its groupoid may come later
 
-    g = doc.groupoids.get(section["over"])
-    if g is None:
-        raise RGDSemanticError(section["line"], "gset %r is over undeclared groupoid %r"
-                               % (section["name"], section["over"]))
-    if len(g.objects) != 1:
-        raise RGDSemanticError(section["line"], "gset group %r must have one object"
-                               % (section["over"],))
-    obj = g.objects[0]
-    mids = list(g.hom(obj, obj))
-    missing = [(h, k) for h in mids for k in mids if (k, h) not in g.comp]
-    if missing:
-        raise RGDSemanticError(section["line"], "gset %r: groupoid %r has no line "
-                               "'compose %s %s'"
-                               % (section["name"], section["over"], *missing[0]))
-    table = [[mids.index(g.compose(mids[j], mids[i])) for j in range(len(mids))]
-             for i in range(len(mids))]
-    try:
-        group = FinGroup(mids, table)
-    except ValueError as exc:
-        raise RGDSemanticError(section["line"], "gset %r: the loops of groupoid %r: %s"
-                               % (section["name"], section["over"], exc)) from None
-    points = section["points"]
-    act = {}
-    for (x, gid, y, lineno) in section["acts"]:
-        if x not in points or y not in points:
-            raise RGDSemanticError(lineno, "act line names an unknown point")
-        if gid not in mids:
-            raise RGDSemanticError(lineno, "act line names an unknown morphism %r" % (gid,))
-        act[(x, group.index(gid))] = y
-    for x in points:
-        for gi in range(len(group)):
-            act.setdefault((x, gi), None)
-    for (x, gi), y in act.items():
-        if y is None:
-            raise RGDSemanticError(section["line"],
-                                   "gset %r: action of %r on point %r undeclared"
-                                   % (section["name"], mids[gi], x))
-    return GSet(group, points, act)
+    def __init__(self, toks, lineno):
+        self.name, self.over = toks[1][0], toks[3][0]
+        self.lineno = lineno
+        self.points = []
+        self.acts = []   # (x, g, y, line)
 
+    def line(self, head, toks, lineno, col0):
+        if head == "point":
+            if len(toks) != 2:
+                raise RGDSyntaxError(lineno, col0, "point takes exactly one id")
+            self.points.append(toks[1][0])
+            return
+        if head == "act":
+            left, right = _split_arrow(toks[1:], lineno, col0)
+            if len(left) != 2 or len(right) != 1:
+                raise RGDSyntaxError(lineno, col0, "expected: act X g -> Y")
+            self.acts.append((left[0][0], left[1][0], right[0][0], lineno))
+            return
+        raise RGDSyntaxError(lineno, col0, "unknown gset directive %r" % (head,))
 
-def _build_ideal(section, doc):
-    from .moduloids import Ideal
+    def build(self, doc):
+        from .groupoids import GSet
+        from .groups import FinGroup
 
-    parent = doc.ringoids.get(section["of"])
-    if parent is None:
-        raise RGDSemanticError(section["line"], "ideal %r is of undeclared ringoid %r"
-                               % (section["name"], section["of"]))
-    gens = {}
-    for (a, b, coords, lineno) in section["gens"]:
-        hom = parent.homs.get((a, b))
-        if hom is None:
-            raise RGDSemanticError(lineno, "unknown hom (%r, %r)" % (a, b))
-        if len(coords) != len(hom.moduli):
-            raise RGDSemanticError(lineno, "generator has %d coordinates, hom has %d"
-                                   % (len(coords), len(hom.moduli)))
-        gens.setdefault((a, b), []).append(hom.reduce(coords))
-    return Ideal(parent, gens)
-
-
-def _groupoid_line(b, head, toks, lineno, col0):
-    if head == "object":
-        if len(toks) != 2:
-            raise RGDSyntaxError(lineno, col0, "object takes exactly one id")
-        b.objects.append(toks[1][0])
-        return
-    if head == "morphism":
-        if len(toks) != 4:
-            raise RGDSyntaxError(lineno, col0, "expected: morphism A B ID")
-        a, bb, mid = toks[1][0], toks[2][0], toks[3][0]
-        if a not in b.objects or bb not in b.objects:
-            raise RGDSemanticError(lineno, "morphism endpoints must be declared objects")
-        if mid in b.morphisms:
-            raise RGDSemanticError(lineno, "duplicate morphism id %r" % (mid,))
-        b.morphisms[mid] = (a, bb)
-        return
-    if head == "identity":
-        if len(toks) != 3:
-            raise RGDSyntaxError(lineno, col0, "expected: identity A ID")
-        a, mid = toks[1][0], toks[2][0]
-        if mid not in b.morphisms or b.morphisms[mid] != (a, a):
-            raise RGDSemanticError(lineno, "identity must be a declared loop at %r" % (a,))
-        b.identities[a] = mid
-        return
-    if head == "compose":
-        left, right = _split_arrow(toks[1:], lineno, col0)
-        if len(left) != 2 or len(right) != 1:
-            raise RGDSyntaxError(lineno, col0, "expected: compose h g -> k")
-        h, g, k = left[0][0], left[1][0], right[0][0]
-        for mid in (h, g, k):
-            if mid not in b.morphisms:
-                raise RGDSemanticError(lineno, "unknown morphism %r" % (mid,))
-        b.compose[(g, h)] = k
-        return
-    if head == "inverse":
-        if len(toks) != 3:
-            raise RGDSyntaxError(lineno, col0, "expected: inverse ID ID")
-        g, h = toks[1][0], toks[2][0]
-        for mid in (g, h):
-            if mid not in b.morphisms:
-                raise RGDSemanticError(lineno, "unknown morphism %r" % (mid,))
-        b.inverses[g] = h
-        return
-    raise RGDSyntaxError(lineno, col0, "unknown groupoid directive %r" % (head,))
+        g = doc.groupoids.get(self.over)
+        if g is None:
+            raise RGDSemanticError(self.lineno, "gset %r is over undeclared groupoid %r"
+                                   % (self.name, self.over))
+        if len(g.objects) != 1:
+            raise RGDSemanticError(self.lineno, "gset group %r must have one object"
+                                   % (self.over,))
+        obj = g.objects[0]
+        mids = list(g.hom(obj, obj))
+        missing = [(h, k) for h in mids for k in mids if (k, h) not in g.comp]
+        if missing:
+            raise RGDSemanticError(self.lineno, "gset %r: groupoid %r has no line "
+                                   "'compose %s %s'"
+                                   % (self.name, self.over, *missing[0]))
+        table = [[mids.index(g.compose(mids[j], mids[i])) for j in range(len(mids))]
+                 for i in range(len(mids))]
+        try:
+            group = FinGroup(mids, table)
+        except ValueError as exc:
+            raise RGDSemanticError(self.lineno, "gset %r: the loops of groupoid %r: %s"
+                                   % (self.name, self.over, exc)) from None
+        act = {}
+        for (x, gid, y, lineno) in self.acts:
+            if x not in self.points or y not in self.points:
+                raise RGDSemanticError(lineno, "act line names an unknown point")
+            if gid not in mids:
+                raise RGDSemanticError(lineno, "act line names an unknown morphism %r" % (gid,))
+            act[(x, group.index(gid))] = y
+        for x in self.points:
+            for gi in range(len(group)):
+                if (x, gi) not in act:
+                    raise RGDSemanticError(
+                        self.lineno, "gset %r: action of %r on point %r undeclared"
+                        % (self.name, mids[gi], x))
+        return GSet(group, self.points, act)
 
 
-def _gset_line(section, head, toks, lineno, col0):
-    if head == "point":
-        if len(toks) != 2:
-            raise RGDSyntaxError(lineno, col0, "point takes exactly one id")
-        section["points"].append(toks[1][0])
-        return
-    if head == "act":
-        left, right = _split_arrow(toks[1:], lineno, col0)
-        if len(left) != 2 or len(right) != 1:
-            raise RGDSyntaxError(lineno, col0, "expected: act X g -> Y")
-        section["acts"].append((left[0][0], left[1][0], right[0][0], lineno))
-        return
-    raise RGDSyntaxError(lineno, col0, "unknown gset directive %r" % (head,))
+class _IdealSection:
+    kind = "ideal"
+    stage = 2   # once the document is read, after every G-set
+
+    def __init__(self, toks, lineno):
+        self.name, self.of = toks[1][0], toks[3][0]
+        self.lineno = lineno
+        self.gens = []   # (a, b, coords, line)
+
+    def line(self, head, toks, lineno, col0):
+        if head == "gen":
+            heads, tail = _strip_colon(toks, lineno, col0)
+            if len(heads) != 3:
+                raise RGDSyntaxError(lineno, col0, "expected: gen A B: c1 ...")
+            coords = [_int(t, lineno, c) for t, c in tail]
+            self.gens.append((heads[1][0], heads[2][0], coords, lineno))
+            return
+        raise RGDSyntaxError(lineno, col0, "unknown ideal directive %r" % (head,))
+
+    def build(self, doc):
+        from .moduloids import Ideal
+
+        parent = doc.ringoids.get(self.of)
+        if parent is None:
+            raise RGDSemanticError(self.lineno, "ideal %r is of undeclared ringoid %r"
+                                   % (self.name, self.of))
+        gens = {}
+        for (a, b, coords, lineno) in self.gens:
+            hom = parent.homs.get((a, b))
+            if hom is None:
+                raise RGDSemanticError(lineno, "unknown hom (%r, %r)" % (a, b))
+            if len(coords) != len(hom.moduli):
+                raise RGDSemanticError(lineno, "generator has %d coordinates, hom has %d"
+                                       % (len(coords), len(hom.moduli)))
+            gens.setdefault((a, b), []).append(hom.reduce(coords))
+        return self.of, Ideal(parent, gens)
 
 
-def _ideal_line(section, head, toks, lineno, col0):
-    if head == "gen":
-        heads, tail = _strip_colon(toks, lineno, col0)
-        if len(heads) != 3:
-            raise RGDSyntaxError(lineno, col0, "expected: gen A B: c1 ...")
-        coords = [_int(t, lineno, c) for t, c in tail]
-        section["gens"].append((heads[1][0], heads[2][0], coords, lineno))
-        return
-    raise RGDSyntaxError(lineno, col0, "unknown ideal directive %r" % (head,))
+SECTIONS = {"groupoid": _GroupoidBuilder, "gset": _GSetSection,
+            "ideal": _IdealSection}

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -231,6 +232,21 @@ def test_k1_truncation_exits_2(f2_file, capsys):
     out = capsys.readouterr().out
     assert code == 2
     assert out.endswith("truncated at rank 3 (ceiling)\n")
+
+
+def test_k1_of_the_zero_ring_at_rank_1000(tmp_path, capsys):
+    # used to close GL_n for every n: --gl-max 300 took 26 s
+    path = tmp_path / "zero.rgd"
+    path.write_text("ringoid Z\nobject *\nhom * * cyclic 1\nidentity *: 0\n",
+                    encoding="utf-8")
+    start = time.perf_counter()
+    code = run(["k1", "--input", str(path), "--gl-max", "1000"])
+    assert time.perf_counter() - start < 2
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert lines == ["GL%d^ab = 0" % n for n in range(1, 1001)] + [
+        "stabilization GL%d -> GL%d: isomorphism" % (n, n + 1)
+        for n in range(1, 1000)]
 
 
 def test_first_ringoid_is_named_on_stderr(tmp_path, capsys):

@@ -28,18 +28,17 @@ IDEALS = {"rgdsections"} | MODULOIDS
 # the subcommands that print a constructed ringoid as RGD
 PRINTS = VALIDATE | {"constructions", "rgdprint"}
 
-# subcommand -> (input document, extra flags, loaded ringoids.* modules, or
-# None where the set is not pinned)
+# subcommand -> (input document, extra flags, loaded ringoids.* modules)
 CASES = {
     "validate": (F2_DOC, [], VALIDATE),
-    "complete": (F2_DOC, [], None),
+    "complete": (F2_DOC, [], VALIDATE | {"additive"}),
     "k0": (F2_DOC, ["--bound", "3"], K0),
     "k1": (F2_DOC, ["--gl-max", "2"], K0 | {"groups"}),
     "unitize": (F2_DOC, [], PRINTS | MODULOIDS),
     "quotient": (Z4_WITH_IDEAL, [], PRINTS | IDEALS),
     "tensor": (TWO_RINGS_DOC, [], PRINTS | MODULOIDS),
     "groupring": (C2_ASSEMBLY_DOC, [], PRINTS | GROUPOIDS),
-    "transport": (C2_ASSEMBLY_DOC, [], None),
+    "transport": (C2_ASSEMBLY_DOC, [], VALIDATE | GROUPOIDS),
     "assembly": (C2_ASSEMBLY_DOC, ["--bound", "3"],
                  K0 | {"assembly"} | GROUPOIDS),
     "nerve-check": (F2_DOC, ["--bound", "3"], K0 | {"nerve"}),
@@ -90,8 +89,7 @@ def test_subcommand_in_a_new_interpreter(tmp_path, command):
     assert (fresh_code, fresh_out) == (code, out.getvalue())
     # no subcommand compiles the section parsers for a ringoid-only input
     assert ("rgdsections" in loaded) == _has_section_beyond_ringoids(doc)
-    if modules is not None:
-        assert set(loaded) == modules
+    assert set(loaded) == modules
 
 
 def test_validate_loads_groupoids_only_for_a_groupoid_section(tmp_path):

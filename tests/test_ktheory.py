@@ -4,8 +4,9 @@ from hypothesis import example, given, settings
 from conftest import (compose_with, determinant_of_matmorphism,
                       elementary_ringoid, hom_elements, idempotents,
                       incidence_ringoids, inverse, ring_units, small_ringoids)
-from ringoids import (AbPresentation, CeilingExceeded, FinAbGroup, Ideal,
-                      RingoidHom, cofinality_check, complete, cyclic_ring,
+from ringoids import (AbPresentation, CeilingExceeded, FinAbGroup,
+                      FiniteRingoid, Ideal, RingoidHom, cofinality_check,
+                      complete, cyclic_ring,
                       discrete_groupoid, enumerate_objsums, exterior_product,
                       fibration_check, forget_units, gl, gl_order,
                       group_ringoid, idem_classes, improper_ideal,
@@ -680,6 +681,30 @@ def test_k1_truncates_at_ceiling(f2):
     res = k1_bounded(f2, 3, ceiling=100)
     assert res.truncated_at == 3
     assert 1 in res.ranks and 2 in res.ranks and 3 not in res.ranks
+
+
+def test_k1_of_a_zero_object_closes_no_group(zero, monkeypatch):
+    # every GL_n over the zero ring is trivial and every step is the
+    # identity of 0; closing each rank used to take seconds at rank 150
+    view = complete(zero)
+    want = [gl(view, ("*",) * n).presentation for n in (1, 2, 3)]
+    calls = []
+    monkeypatch.setattr(ktheory, "gl", lambda *args, **kw: calls.append(args))
+    res = k1_bounded(zero, 3)
+    assert calls == []
+    assert [res.ranks[n] for n in (1, 2, 3)] == want
+    assert [(s.rank, s.matrix, s.is_isomorphism) for s in res.steps] == \
+        [(1, [], True), (2, [], True)]
+    assert (res.last_step_iso, res.truncated_at) == (True, None)
+    assert k1_bounded(zero, 1).last_step_iso is None
+
+
+def test_k1_of_a_zero_object_still_refuses_as_gl_does(zero):
+    res = k1_bounded(zero, 3, ceiling=0)
+    assert (res.ranks, res.steps, res.truncated_at) == ({}, [], 1)
+    bare = FiniteRingoid(zero.objects, zero.homs, zero.compose_table)
+    with pytest.raises(StructuralError, match="GL needs a unital base"):
+        k1_bounded(bare, 2)
 
 
 def test_k1_rank_one_needs_no_decomposition(m2f2):

@@ -133,6 +133,72 @@ def test_gset_over_a_groupoid_missing_a_composite_is_semantic():
     assert "'compose g g'" in str(exc.value)
 
 
+def _error(text):
+    with pytest.raises((RGDSyntaxError, RGDSemanticError)) as exc:
+        parse_rgd(text)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("ringoid\n", "line 1, col 1: ringoid takes exactly one name"),
+    ("ringoid A B\n", "line 1, col 1: ringoid takes exactly one name"),
+    ("  groupoid\n", "line 1, col 3: groupoid takes exactly one name"),
+    ("groupoid C2 C3\n", "line 1, col 1: groupoid takes exactly one name"),
+    ("gset swap of C2\n", "line 1, col 1: expected: gset NAME over GROUPOID"),
+    ("gset swap over\n", "line 1, col 1: expected: gset NAME over GROUPOID"),
+    (" ideal two over Z4\n", "line 1, col 2: expected: ideal NAME of RINGOID"),
+    ("ideal two of Z4 Z2\n", "line 1, col 1: expected: ideal NAME of RINGOID"),
+])
+def test_malformed_section_header_names_its_line_and_column(text, message):
+    assert _error(text) == message
+    # after a section that builds cleanly, on line 9
+    assert _error(F2_DOC + text) == message.replace("line 1,", "line 9,")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("\n# a comment\n  x 1\n", "line 3, col 3: directive 'x' outside any section"),
+    ("ringoid A\nx\n", "line 2, col 1: unknown ringoid directive 'x'"),
+    ("groupoid C1\nobject p\n x\n", "line 3, col 2: unknown groupoid directive 'x'"),
+    ("gset s over C1\nx\n", "line 2, col 1: unknown gset directive 'x'"),
+    ("ideal i of A\n  point 1\n", "line 2, col 3: unknown ideal directive 'point'"),
+])
+def test_stray_directive_names_its_line_and_column(text, message):
+    assert _error(text) == message
+
+
+def test_gset_errors_win_over_ideal_errors():
+    # G-sets are built after the whole document is read, before any ideal
+    text = """\
+ringoid Z4
+object a
+hom a a cyclic 4
+compose a a a: 0 0 -> 1
+identity a: 1
+ideal two of Z5
+gen a a: 2
+groupoid C1
+object p
+morphism p p e
+compose e e -> e
+gset swap over C2
+point 1
+"""
+    assert _error(text) == "line 12: gset 'swap' is over undeclared groupoid 'C2'"
+    without_gset = "\n".join(text.splitlines()[:11]) + "\n"
+    assert _error(without_gset) == "line 6: ideal 'two' is of undeclared ringoid 'Z5'"
+
+
+def test_open_section_build_error_wins_over_the_next_header():
+    # a ringoid or groupoid section is built when it closes, before the
+    # header that closes it is read
+    ringoid = "ringoid A\nobject x\nhom x x cyclic 2\naction x: 0 0 -> 1\nringoid\n"
+    assert _error(ringoid) == \
+        "line 4: action in ringoid 'A', which has no scalar line"
+    groupoid = "groupoid G\nobject p\nmorphism p p e\ngset swap C2\n"
+    assert _error(groupoid) == \
+        "line 1: cannot infer the identity at object 'p' of groupoid 'G'; declare it"
+
+
 def test_groupoid_document():
     doc = parse_rgd(C2_DOC)
     g = doc.nth("groupoid")
