@@ -19,8 +19,9 @@ import importlib
 
 # Each submodule and the names this package exports from it.
 _EXPORTS = {
-    "intlinalg": ("AbPresentation", "IntMatrix", "smith_normal_form"),
-    "abgroup": ("FinAbGroup", "GroupQuotient", "tensor_group"),
+    "intlinalg": ("AbPresentation",),
+    "lattice": ("IntMatrix", "smith_normal_form"),
+    "abgroup": ("FinAbGroup",),
     "groups": ("FinGroup", "abelianization"),
     "ringoid": ("AxiomFailure", "FiniteRingoid", "StructuralError",
                 "ValidationReport", "validate"),
@@ -32,8 +33,9 @@ _EXPORTS = {
     "additive": ("AdditiveView", "IsoWitness", "MatMorphism", "Undecided",
                  "complete", "enumerate_objsums", "iso_class_table",
                  "map_completion"),
-    "moduloids": ("Ideal", "IdealError", "TensorProduct", "ideal_moduloid",
-                  "improper_ideal", "quotient", "scalar_ringoid", "tensor",
+    "moduloids": ("GroupQuotient", "Ideal", "IdealError", "TensorProduct",
+                  "ideal_moduloid", "improper_ideal", "quotient",
+                  "scalar_ringoid", "tensor", "tensor_group",
                   "unitization_projection", "unitization_splitting",
                   "unitize", "validate_ideal", "zero_ideal"),
     "groupoids": ("FinGroupoid", "GSet", "PiRing", "PiRingError",
@@ -43,9 +45,9 @@ _EXPORTS = {
                   "orbit_skeleton", "transport_groupoid",
                   "twisted_group_ringoid", "validate_groupoid",
                   "validate_pi_ring"),
-    "ktheory": ("CeilingExceeded", "KOneResult", "KZeroResult",
-                "exterior_product", "gl", "gl_order", "k0_bounded",
-                "k0_induced", "k1_bounded"),
+    "ktheory": ("KZeroResult", "exterior_product", "k0_bounded",
+                "k0_induced"),
+    "k1": ("CeilingExceeded", "KOneResult", "gl", "gl_order", "k1_bounded"),
     "relative": ("RelativeKZeroResult", "cofinality_check",
                  "fibration_check", "idem_classes", "k0_relative"),
     "nerve": ("check_simplicial_identities", "degeneracy", "face",

@@ -172,7 +172,7 @@ def cmd_k0(args, doc):
 
 
 def cmd_k1(args, doc):
-    from .ktheory import k1_bounded
+    from .k1 import k1_bounded
     r = _require_ringoid(doc)
     res = k1_bounded(r, args.gl_max, ceiling=args.ceiling)
     lines = []

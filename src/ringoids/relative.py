@@ -22,9 +22,9 @@ from .additive import (DEFAULT_CEILING, Undecided, complete,
                        iso_class_table)
 from .constructions import tabulate_hom
 from .intlinalg import (AbPresentation, apply_rows, exponent_row,
-                        hom_is_isomorphism, hom_kernel_lattice,
-                        kernel_presentation, lattices_equal)
+                        hom_is_isomorphism)
 from .ktheory import k0_bounded, k0_induced
+from .lattice import hom_kernel_lattice, kernel_presentation, lattices_equal
 from .ringoid import StructuralError
 
 

@@ -72,9 +72,11 @@ def _print_ringoid(r, doc):
     compose_lines.sort(key=lambda t: t[0])
     lines.extend(text for _, text in compose_lines)
     if r.unital and r.identities:
+        # a parsed section may declare identities for some objects only
         for a in r.objects:
-            lines.append("identity %s: %s"
-                         % (names[a], " ".join(str(x) for x in r.identities[a])))
+            if a in r.identities:
+                lines.append("identity %s: %s" % (
+                    names[a], " ".join(str(x) for x in r.identities[a])))
     if r.scalar is not None:
         sname = _scalar_name_of(r, doc)
         if sname is not None:

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ringoids.abgroup import FinAbGroup, GroupQuotient, tensor_group
+from ringoids.abgroup import FinAbGroup
+from ringoids.moduloids import GroupQuotient, tensor_group
 
 
 def test_group_arithmetic():

@@ -15,7 +15,7 @@ from ringoids import (FiniteRingoid, FinGroup, GSet, Ideal, cyclic_ring,
                       print_rgd, transport_groupoid)
 from ringoids.additive import TABLE_LETTER_LIMIT
 from ringoids.cli import _COMMANDS, run
-from ringoids.ktheory import GL_ORDER_LIMIT
+from ringoids.k1 import GL_ORDER_LIMIT
 
 F2_DOC = """\
 ringoid F2
@@ -473,7 +473,7 @@ def test_negative_ceiling_is_rejected(f2_file, capsys, command):
 @pytest.mark.parametrize("command, engine", [
     ("k0", "ringoids.ktheory.k0_bounded"),
     ("oracle-compare", "ringoids.nerve.oracle_compare"),
-    ("k1", "ringoids.ktheory.k1_bounded"),
+    ("k1", "ringoids.k1.k1_bounded"),
 ])
 def test_out_of_memory_exits_1_with_one_line(f2_file, capsys, monkeypatch,
                                              command, engine):

@@ -17,13 +17,18 @@ from ringoids.cli import _COMMANDS, run
 from test_cli import C2_ASSEMBLY_DOC, F2_DOC, TWO_RINGS_DOC, Z4_WITH_IDEAL
 
 VALIDATE = {"cli", "rgd", "ringoid", "abgroup"}
+# the K0 relations of these inputs all eliminate, so no K0 subcommand
+# compiles the K1 line or the dense lattice code
 K0 = VALIDATE | {"additive", "ktheory", "intlinalg"}
+# k1 compiles no K0 code; the Schreier relators of GL2(F2) leave a
+# residue (GL2^ab = Z/2), whose Smith normal form loads lattice
+K1 = VALIDATE | {"additive", "k1", "intlinalg", "groups", "lattice"}
 # a groupoid or gset section loads the section parsers and groupoids,
 # which tabulates
 GROUPOIDS = {"rgdsections", "groupoids", "groups", "constructions"}
 # moduloids solves in the relation lattice; an ideal section loads the
 # section parsers and moduloids
-MODULOIDS = {"moduloids", "constructions", "intlinalg"}
+MODULOIDS = {"moduloids", "constructions", "intlinalg", "lattice"}
 IDEALS = {"rgdsections"} | MODULOIDS
 # the subcommands that print a constructed ringoid as RGD
 PRINTS = VALIDATE | {"constructions", "rgdprint"}
@@ -33,7 +38,7 @@ CASES = {
     "validate": (F2_DOC, [], VALIDATE),
     "complete": (F2_DOC, [], VALIDATE | {"additive"}),
     "k0": (F2_DOC, ["--bound", "3"], K0),
-    "k1": (F2_DOC, ["--gl-max", "2"], K0 | {"groups"}),
+    "k1": (F2_DOC, ["--gl-max", "2"], K1),
     "unitize": (F2_DOC, [], PRINTS | MODULOIDS),
     "quotient": (Z4_WITH_IDEAL, [], PRINTS | IDEALS),
     "tensor": (TWO_RINGS_DOC, [], PRINTS | MODULOIDS),
@@ -106,3 +111,56 @@ def test_validate_loads_moduloids_only_for_an_ideal_section(tmp_path):
     code, _, modules = _fresh_run(["validate", "--input", str(path)])
     assert code == 0
     assert set(modules) == VALIDATE | IDEALS
+
+
+def test_k0_and_k1_subcommands_compile_only_their_own_line():
+    for command in ("k0", "oracle-compare", "nerve-check", "assembly"):
+        assert not {"k1", "lattice"} & CASES[command][2], command
+    assert "k1" in CASES["k1"][2] and "ktheory" not in CASES["k1"][2]
+
+
+def test_validate_loads_no_quotient_code(tmp_path):
+    path = tmp_path / "f2.rgd"
+    path.write_text(F2_DOC, encoding="utf-8")
+    script = ("import sys, types\n"
+              "from ringoids import cli\n"
+              "assert cli.run(sys.argv[1:]) == 0\n"
+              "m = sys.modules['ringoids.abgroup']\n"
+              "print(' '.join(sorted(\n"
+              "    name for name, v in vars(m).items()\n"
+              "    if isinstance(v, (type, types.FunctionType))\n"
+              "    and v.__module__ == m.__name__)))\n")
+    proc = subprocess.run([sys.executable, "-c", script, "validate", "--input",
+                           str(path)], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.splitlines()[-1] == "FinAbGroup"
+
+
+# Builds an AbPresentation from the relation rows in argv (JSON) and
+# prints whether lattice was loaded before and after, with the invariants.
+_PRESENT = """\
+import json, sys
+from ringoids.intlinalg import AbPresentation
+n, rows = json.loads(sys.argv[1])
+before = "ringoids.lattice" in sys.modules
+p = AbPresentation(n, rows)
+print(json.dumps([before, "ringoids.lattice" in sys.modules,
+                  bool(p.elimination.residue), p.rank, list(p.torsion)]))
+"""
+
+
+@pytest.mark.parametrize("n, rows, residue", [
+    # x0 = -x1 is eliminated; 4 x1 = 6 x2 = 0 is left, Z/2 + Z/12
+    (3, [[1, 1, 0], [0, 4, 0], [0, 0, 6]], True),
+    # every relation has a unit pivot: Z
+    (2, [[1, 1]], False),
+])
+def test_presentation_loads_lattice_only_for_a_residue(n, rows, residue):
+    from ringoids.intlinalg import AbPresentation
+
+    proc = subprocess.run([sys.executable, "-c", _PRESENT,
+                           json.dumps([n, rows])],
+                          capture_output=True, text=True, check=True)
+    here = AbPresentation(n, rows)
+    assert json.loads(proc.stdout) == [False, residue, residue, here.rank,
+                                       list(here.torsion)]

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 from conftest import group_is_valid, symmetric3
 from ringoids import complete, cyclic_ring, gl, k1_bounded
 from ringoids.groups import FinGroup, abelianization
-from ringoids.intlinalg import (AbPresentation, apply_rows, hom_is_isomorphism,
-                                solve_row_combinations)
-from ringoids.ktheory import stabilization_embedding
+from ringoids.intlinalg import AbPresentation, apply_rows, hom_is_isomorphism
+from ringoids.k1 import stabilization_embedding
+from ringoids.lattice import solve_row_combinations
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +237,7 @@ def test_abelianization_coords_are_homomorphic():
     # the coset map must be a homomorphism into the presented group: the
     # coordinates of a product differ from the sum of coordinates by a
     # relation of the presentation
-    from ringoids.intlinalg import lattice_contains
+    from ringoids.lattice import lattice_contains
     k = pres.generators
     for i in range(len(s3)):
         for j in range(len(s3)):

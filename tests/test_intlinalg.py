@@ -1,13 +1,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ringoids import intlinalg
-from ringoids.intlinalg import (AbPresentation, Elimination, IntMatrix,
-                                apply_rows, exponent_row, hom_is_isomorphism,
-                                hom_kernel_lattice, kernel_presentation,
-                                lattice_basis, lattice_contains,
-                                lattices_equal, left_kernel_rows, smith_normal_form,
-                                solve_row_combinations)
+from ringoids import intlinalg, lattice
+from ringoids.intlinalg import (AbPresentation, Elimination, apply_rows,
+                                exponent_row, hom_is_isomorphism)
+from ringoids.lattice import (IntMatrix, hom_kernel_lattice,
+                              kernel_presentation, lattice_basis,
+                              lattice_contains, lattices_equal,
+                              left_kernel_rows, smith_normal_form,
+                              solve_row_combinations)
 
 small_matrices = st.integers(0, 4).flatmap(
     lambda r: st.integers(0, 4).flatmap(
@@ -438,13 +439,13 @@ def test_elimination_solver_matches_dense_solver(case, data):
 def _counting_snf(mp):
     """Record every matrix that intlinalg hands to smith_normal_form."""
     calls = []
-    snf = intlinalg.smith_normal_form
+    snf = lattice.smith_normal_form
 
     def counting(m):
         calls.append(m)
         return snf(m)
 
-    mp.setattr(intlinalg, "smith_normal_form", counting)
+    mp.setattr(lattice, "smith_normal_form", counting)
     return calls
 
 

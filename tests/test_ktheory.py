@@ -14,12 +14,13 @@ from ringoids import (AbPresentation, CeilingExceeded, FinAbGroup,
                       k1_bounded, matrix_ring, product_ring, scalar_ringoid,
                       tensor, unitize, validate, validate_hom, with_self_scalar,
                       zero_ideal, zero_moduloid)
-from ringoids import additive, ktheory
+from ringoids import additive, k1, ktheory
 from ringoids.additive import enumerate_multisets
 from ringoids.constructions import tabulate
-from ringoids.intlinalg import hom_well_defined, lattices_equal
-from ringoids.ktheory import (GLGroup, bass_generators, certify_gl_order,
-                              stabilization_embedding)
+from ringoids.intlinalg import hom_well_defined
+from ringoids.k1 import (GLGroup, bass_generators, certify_gl_order,
+                         stabilization_embedding)
+from ringoids.lattice import lattices_equal
 from ringoids.ringoid import StructuralError
 
 Z = AbPresentation.free(1)
@@ -689,7 +690,7 @@ def test_k1_of_a_zero_object_closes_no_group(zero, monkeypatch):
     view = complete(zero)
     want = [gl(view, ("*",) * n).presentation for n in (1, 2, 3)]
     calls = []
-    monkeypatch.setattr(ktheory, "gl", lambda *args, **kw: calls.append(args))
+    monkeypatch.setattr(k1, "gl", lambda *args, **kw: calls.append(args))
     res = k1_bounded(zero, 3)
     assert calls == []
     assert [res.ranks[n] for n in (1, 2, 3)] == want
@@ -760,7 +761,7 @@ def test_exterior_product_tensor_collapse():
     assert ext.well_defined
     # the whole pairing lands in the trivial group
     image = ext.pair([1], [1])
-    from ringoids.intlinalg import lattice_contains
+    from ringoids.lattice import lattice_contains
     assert lattice_contains(target.presentation.relations, len(image), image)
 
 

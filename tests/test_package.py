@@ -35,9 +35,9 @@ EXPORTED = (
     "with_self_scalar zero_ideal zero_moduloid zero_ring").split()
 
 SUBMODULES = ("abgroup", "additive", "assembly", "constructions",
-              "groupoids", "groups", "intlinalg", "ktheory", "moduloids",
-              "nerve", "relative", "rgd", "rgdprint", "rgdsections",
-              "ringoid")
+              "groupoids", "groups", "intlinalg", "k1", "ktheory",
+              "lattice", "moduloids", "nerve", "relative", "rgd", "rgdprint",
+              "rgdsections", "ringoid")
 
 
 def test_all_lists_the_exported_names():
@@ -51,6 +51,12 @@ def test_every_library_module_has_an_export_entry():
     package = pathlib.Path(ringoids.__file__).parent
     modules = {path.stem for path in package.glob("*.py")} - {"__init__", "cli"}
     assert set(ringoids._EXPORTS) == modules == set(SUBMODULES)
+
+
+def test_no_exported_name_is_a_submodule_name():
+    # `ringoids.__getattr__` resolves module names first, so a module named
+    # after an exported name would hide it (a module `gl` would hide `gl`)
+    assert not set(EXPORTED) & set(SUBMODULES)
 
 
 def test_each_name_is_the_object_of_its_defining_module():

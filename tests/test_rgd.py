@@ -225,6 +225,20 @@ def test_round_trip_normalized():
         assert print_rgd(parse_rgd(printed)) == printed
 
 
+def test_round_trip_with_identities_at_some_objects_only():
+    # the parser accepts identities at some objects only; validation, not
+    # the printer, rejects such a ringoid
+    text = ("ringoid R\nobject a\nobject b\nhom a a cyclic 2\n"
+            "hom b b cyclic 2\ncompose a a a: 0 0 -> 1\n"
+            "compose b b b: 0 0 -> 1\nidentity a: 1\n")
+    doc = parse_rgd(text)
+    printed = print_rgd(doc)
+    assert printed == text
+    again = parse_rgd(printed)
+    assert again.ringoids["R"].identities == doc.ringoids["R"].identities == {"a": (1,)}
+    assert print_rgd(again) == printed
+
+
 def test_ideal_section(z4):
     doc = parse_rgd(Z4_WITH_IDEAL)
     of_name, ideal = doc.nth("ideal")
