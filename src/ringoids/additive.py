@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 
+from .abgroup import FinAbGroup
 from .ringoid import DEFAULT_CEILING, StructuralError, _gens
 
 # The most letters (base objects, counted over all its multisets) an
@@ -102,6 +103,7 @@ class AdditiveView:
         self.has_identities = base.unital
         self._decompositions = {}
         self._tables = {}
+        self._ends = {}
 
     def decomposition(self, ceiling=DEFAULT_CEILING):
         """The Krull-Schmidt decomposition of the base objects at this
@@ -192,6 +194,29 @@ def complete(base):
     if view is None:
         view = base._completion = AdditiveView(base)
     return view
+
+
+def end_ring(view, s, name=""):
+    """End(s) of a formal sum s as a one-object ringoid on the object "*":
+    its hom group holds the blocks Hom(s_j, s_i) in `MatMorphism` entry
+    order (row-major), its product is `view.compose`, and its identity is
+    `view.identity(s)` when the base is unital."""
+    from .constructions import tabulate
+    blocks = [[view.base.hom(a, b) for a in s] for b in s]
+    moduli = tuple(m for row in blocks for hom in row for m in hom.moduli)
+
+    def matrix(x):
+        coords = iter(x)
+        return MatMorphism(s, s, [[tuple(itertools.islice(coords, len(hom.moduli)))
+                                   for hom in row] for row in blocks])
+
+    def flat(f):
+        return tuple(v for row in f.entries for entry in row for v in entry)
+
+    identities = {"*": flat(view.identity(s))} if view.has_identities else None
+    return tabulate(("*",), {("*", "*"): FinAbGroup(moduli)},
+                    lambda a, b, c, y, x: flat(view.compose(matrix(y), matrix(x))),
+                    identities=identities, name=name)
 
 
 def is_nilpotent(base, a, y):

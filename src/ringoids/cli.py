@@ -109,9 +109,7 @@ def cmd_validate(args, doc):
 
 def _require_ringoid(doc):
     """The first ringoid that no other one in the input takes as its scalar."""
-    rings = []
-    while (r := doc.nth("ringoid", len(rings))) is not None:
-        rings.append(r)
+    rings = list(doc.ringoids.values())
     if not rings:
         raise StructuralError("the input declares no ringoid")
     r = next((r for r in rings

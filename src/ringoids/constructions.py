@@ -213,37 +213,15 @@ def product_ring(r1, r2, name=None, scalar=False):
 
 
 def matrix_ring(base, n, name=None):
-    """n x n matrices over a one-object ring, as a one-object ringoid.  The
-    entry (p, q) of a matrix is the block of k coordinates starting at
-    (p * n + q) * k, for the k generators of the base."""
+    """n x n matrices over a one-object ring, End((o,) * n) in its completion
+    (`additive.end_ring`).  The entry (p, q) of a matrix is the block of k
+    coordinates starting at (p * n + q) * k, for the k generators of the base."""
+    from .additive import complete, end_ring
     if len(base.objects) != 1:
         raise StructuralError("matrix_ring needs a one-object base")
-    o = base.objects[0]
-    h = base.hom(o, o)
-    k = len(h.moduli)
-
-    def entry(x, p, q):
-        return x[(p * n + q) * k:(p * n + q + 1) * k]
-
-    def mul(a, b, c, y, x):
-        out = ()
-        for p in range(n):
-            for q in range(n):
-                acc = h.zero()
-                for t in range(n):
-                    acc = h.add(acc, base.compose(o, o, o, entry(y, p, t), entry(x, t, q)))
-                out += acc
-        return out
-
-    ident = None
-    if base.unital:
-        one = base.identity(o)
-        ident = {"*": tuple(v for p in range(n) for q in range(n)
-                            for v in (one if p == q else h.zero()))}
     if name is None:
         name = "M%d(%s)" % (n, base.name)
-    return tabulate(("*",), {("*", "*"): FinAbGroup(h.moduli * (n * n))}, mul,
-                    identities=ident, name=name)
+    return end_ring(complete(base), base.objects * n, name)
 
 
 def direct_sum(r1, r2, name=""):

@@ -12,7 +12,7 @@ none of the K1 line and a K1 process none of the K0 line.
 from __future__ import annotations
 
 from .additive import (DEFAULT_CEILING, MatMorphism, SizeLimitExceeded,
-                       _three_figures, complete, inverse_by_powers,
+                       _three_figures, complete, end_ring, inverse_by_powers,
                        is_nilpotent)
 from .intlinalg import AbPresentation, hom_is_isomorphism
 from .ringoid import StructuralError, _gens
@@ -149,7 +149,7 @@ def bass_generators(view, s):
     for i, a in enumerate(s):
         if a not in s[:i]:
             pairs.extend((with_entry(i, i, u), with_entry(i, i, v))
-                         for u, v in _unit_generators(base, a))
+                         for u, v in _unit_generators(_end(view, a)))
         for j, b in enumerate(s):
             hom = base.hom(b, a)
             if i != j:
@@ -161,22 +161,33 @@ def bass_generators(view, s):
     return [g for g, _ in pairs]
 
 
-def _unit_generators(base, a):
-    """Units u of End(a), each with its inverse (`inverse_by_powers`), kept
-    in element order when the units kept before do not generate u.  Each
+def _end(view, a):
+    """End(a) as a one-object ring: the base itself when it has one object,
+    else `end_ring`, tabulated once per view and object."""
+    if len(view.base.objects) == 1:
+        return view.base
+    if a not in view._ends:
+        view._ends[a] = end_ring(view, (a,), "End(%s)" % (a,))
+    return view._ends[a]
+
+
+def _unit_generators(ring):
+    """Units u of a one-object ring, each with its inverse (`inverse_by_powers`),
+    kept in element order when the units kept before do not generate u.  Each
     kept unit at least doubles the group they generate, so at most
-    log2 |End(a)*| are kept, and they generate End(a)*."""
-    one = base.identity(a)
+    log2 |ring*| are kept, and they generate ring*."""
+    o = ring.objects[0]
+    one = ring.identity(o)
     kept, reached = [], {one}
-    for u in base.hom(a, a).elements():
-        v = None if u in reached else inverse_by_powers(base, a, u, one)
+    for u in ring.hom(o, o).elements():
+        v = None if u in reached else inverse_by_powers(ring, o, u, one)
         if v is not None:
             kept.append((u, v))
             queue = [one]
             reached = {one}
             for y in queue:
                 for g, _ in kept:
-                    z = base.compose(a, a, a, y, g)
+                    z = ring.compose(o, o, o, y, g)
                     if z not in reached:
                         reached.add(z)
                         queue.append(z)
@@ -204,15 +215,14 @@ def gl_order(view, s, ceiling=DEFAULT_CEILING):
             raise CeilingExceeded("the decomposition of %r is undecided: %r"
                                   % (s, rec), size=rec.size, ceiling=ceiling)
     first = {}
-    mult = {}
     for a in s:
         for x in dec.summands[a]:
             first.setdefault(x.type, (a, x.idem))
-            mult[x.type] = mult.get(x.type, 0) + 1
+    vector = dec.type_vector(s)
     radical_quotient = 1
     count = 1
-    for t, m in mult.items():
-        q = _residue_field_order(view.base, *first[t])
+    for t, (a, e) in first.items():
+        q, m = _residue_field_order(_end(view, a), e), vector.count(t)
         radical_quotient *= q ** (m * m)
         for i in range(m):
             count *= q ** m - q ** i
@@ -223,15 +233,16 @@ def gl_order(view, s, ceiling=DEFAULT_CEILING):
     return radical * count
 
 
-def _residue_field_order(base, a, e):
-    """|L| / |non-units of L| for the local ring L = e End(a) e, whose
-    non-units are its nilpotents (`is_nilpotent`)."""
-    ring = {base.compose(a, a, a, e, base.compose(a, a, a, y, e))
-            for y in base.hom(a, a).elements()}
-    nilpotent = sum(is_nilpotent(base, a, y) for y in ring)
-    q, rem = divmod(len(ring), nilpotent)
+def _residue_field_order(ring, e):
+    """|L| / |non-units of L| for the local ring L = e ring e of a one-object
+    ring, whose non-units are its nilpotents (`is_nilpotent`)."""
+    o = ring.objects[0]
+    corner = {ring.compose(o, o, o, e, ring.compose(o, o, o, y, e))
+              for y in ring.hom(o, o).elements()}
+    nilpotent = sum(is_nilpotent(ring, o, y) for y in corner)
+    q, rem = divmod(len(corner), nilpotent)
     if rem:
-        raise StructuralError("the corner ring of %r at %r is not local" % (a, e))
+        raise StructuralError("the corner ring of %r at %r is not local" % (ring.name, e))
     return q
 
 

@@ -12,7 +12,8 @@ a relation (s)(t) = (s + t) for each level-2 object, and (s) = (t) for
 each discovered isomorphism.  These relations make the group abelian, so
 it is presented directly as an abelian group, one sparse relation row
 per relator.  It must agree with the Grothendieck-completion K0 at equal
-bounds; the two pipelines share only the isomorphism searcher.
+bounds.  Both read the one `Decomposition` and its type vectors, so this
+checks the group completion, not which sums are isomorphic.
 
 Both enumerations are refused before they start when their predicted size
 is over a fixed limit: the relation rows of the oracle and the tuples of

@@ -301,14 +301,15 @@ def parse_rgd(text):
     the section closes, otherwise once the whole document is read, in stage
     order."""
     doc = RGDDocument()
-    sections = []   # in document order; the last one is open
+    sections = {}   # (kind, name) -> section, in document order
+    section = None  # the open section
 
     def build(section):
         getattr(doc, section.kind + "s")[section.name] = section.build(doc)
 
     def close():
-        if sections and not sections[-1].stage:
-            build(sections[-1])
+        if section is not None and not section.stage:
+            build(section)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         toks = _tokenize(raw)
@@ -316,24 +317,28 @@ def parse_rgd(text):
             continue
         head, col0 = toks[0]
         if head not in _HEADERS:
-            if not sections:
+            if section is None:
                 raise RGDSyntaxError(lineno, col0, "directive %r outside any section" % head)
-            sections[-1].line(head, toks, lineno, col0)
+            section.line(head, toks, lineno, col0)
             continue
         close()
         ntoks, keyword, usage = _HEADERS[head]
         if len(toks) != ntoks or (keyword and toks[2][0] != keyword):
             raise RGDSyntaxError(lineno, col0, usage)
         if head == "ringoid":
-            sections.append(_RingoidBuilder(toks, lineno))
+            section = _RingoidBuilder(toks, lineno)
         else:
             # the groupoid, gset and ideal sections compile at the first such
             # header, so a ringoid-only document never loads them
             from . import rgdsections
-            sections.append(rgdsections.SECTIONS[head](toks, lineno))
+            section = rgdsections.SECTIONS[head](toks, lineno)
+        earlier = sections.setdefault((section.kind, section.name), section)
+        if earlier is not section:
+            raise RGDSemanticError(lineno, "%s %r is already declared at line %d"
+                                   % (section.kind, section.name, earlier.lineno))
     close()
-    for section in sorted(sections, key=lambda section: section.stage):
+    for section in sorted(sections.values(), key=lambda section: section.stage):
         if section.stage:
             build(section)
-    doc.order.extend((section.kind, section.name) for section in sections)
+    doc.order.extend(sections)
     return doc

@@ -269,10 +269,11 @@ def _perm_sign(perm):
     return sign
 
 
-def ring_units(r):
-    """Unit group elements of a one-object ring, by exhaustive O(|R|^2)
-    search: the reference for the units the GL closure finds."""
-    obj = r.objects[0]
+def ring_units(r, obj=None):
+    """Unit group elements of End(obj), by default of the one object of r,
+    by exhaustive O(|R|^2) search: the reference for the units the GL
+    closure finds."""
+    obj = r.objects[0] if obj is None else obj
     hom = r.hom(obj, obj)
     one = r.identity(obj)
     units = []

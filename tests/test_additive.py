@@ -15,7 +15,7 @@ from ringoids import (AbPresentation, FinAbGroup, FiniteRingoid, FinGroup, GSet,
                       map_completion, matrix_ring, print_rgd, product_ring,
                       transport_groupoid, validate)
 from ringoids import additive
-from ringoids.additive import (DEFAULT_CEILING, SizeLimitExceeded,
+from ringoids.additive import (DEFAULT_CEILING, SizeLimitExceeded, end_ring,
                                enumerate_multisets, table_letters)
 from ringoids.cli import run
 from ringoids.relative import free_class_of_idempotent
@@ -741,6 +741,55 @@ def _small_ringoids():
 @given(_small_ringoids())
 def test_classifier_agrees_with_reference_search(r):
     _assert_matches_reference(complete(r), 2)
+
+
+def _flat(f):
+    return tuple(v for row in f.entries for entry in row for v in entry)
+
+
+def _unflat(view, s, x):
+    """The matrix s -> s whose blocks Hom(s_j, s_i), row by row, hold the
+    coordinates x in turn."""
+    entries, pos = [], 0
+    for b in s:
+        row = []
+        for a in s:
+            k = len(view.base.hom(a, b).moduli)
+            row.append(x[pos:pos + k])
+            pos += k
+        entries.append(row)
+    assert pos == len(x)
+    return MatMorphism(s, s, entries)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_ringoids(), st.data())
+def test_end_ring_is_the_matrix_ring_of_the_sum(r, data):
+    # End(s) for a sum of length <= 2 is tabulated from view.compose: it
+    # validates, its identity is the identity matrix, and its product of
+    # two elements is the matrix product of their blocks.  Sums whose End
+    # has more than 8 generators are cut short, to keep the axiom check
+    # (cubic in the generators) quick.
+    view = complete(r)
+    s = tuple(data.draw(st.lists(st.sampled_from(r.objects), max_size=2)))
+    while sum(len(view.base.hom(a, b).moduli) for a in s for b in s) > 8:
+        s = s[:-1]
+    ring = end_ring(view, s, name="End")
+    assert (ring.objects, ring.name) == (("*",), "End")
+    assert validate(ring).ok
+    assert ring.identity("*") == _flat(view.identity(s))
+    hom = ring.hom("*", "*")
+    y, x = (hom.reduce(data.draw(st.lists(st.integers(0, 11), min_size=len(hom.moduli),
+                                          max_size=len(hom.moduli))))
+            for _ in range(2))
+    assert _unflat(view, s, ring.compose("*", "*", "*", y, x)) == view.compose(
+        _unflat(view, s, y), _unflat(view, s, x))
+
+
+def test_end_ring_of_the_zero_object_is_the_zero_ring(f2):
+    ring = end_ring(complete(f2), ())
+    assert validate(ring).ok
+    assert ring.hom("*", "*").order() == 1 and ring.identity("*") == ()
 
 
 # ---------------------------------------------------------------------------

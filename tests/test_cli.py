@@ -781,6 +781,21 @@ def test_bad_scalar_or_gset_data_exits_1_with_one_line(tmp_path, capsys, command
     assert capsys.readouterr() == ("", err)
 
 
+@pytest.mark.parametrize("command", ["validate", "k0"])
+def test_a_duplicate_ringoid_name_exits_1_with_one_line(tmp_path, capsys,
+                                                         command):
+    # validate used to check the second section twice and k0 to note that
+    # it ignored the second section under the name of the first
+    path = tmp_path / "input.rgd"
+    path.write_text("ringoid A\nobject a\nhom a a cyclic 2\n"
+                    "compose a a a: 0 0 -> 1\nidentity a: 1\n\n"
+                    "ringoid A\nobject b\nhom b b cyclic 3\n"
+                    "compose b b b: 0 0 -> 1\nidentity b: 1\n", encoding="utf-8")
+    assert run([command, "--input", str(path)]) == 1
+    assert capsys.readouterr() == (
+        "", "parse error: line 7: ringoid 'A' is already declared at line 1\n")
+
+
 def test_validate_reports_a_monoid_gset_as_before(tmp_path, capsys):
     # the loops of M form a monoid: validate reports the groupoid's failed
     # inverses, while transport and assembly refuse the gset

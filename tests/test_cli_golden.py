@@ -1,10 +1,11 @@
 """Golden CLI outputs: exit code, stdout and stderr of every subcommand on
-the benchmark corpus (bench/corpus.py) and on one document with a scalar
-ring, an ideal section and two ringoids, in human and machine format, with
-the default flags and with the flag each subcommand reads set low
-(`--bound 2`, `--gl-max 1`).  The directory of the input files reads as
-<dir>.  Invocations that took longer than about a second when recorded are
-not part of the data, so that the module stays quick.
+the benchmark corpus (bench/corpus.py), on one document with a scalar
+ring, an ideal section and two ringoids, and on one with a groupoid and no
+G-set, in human and machine format, with the default flags and with the
+flag each subcommand reads set low (`--bound 2`, `--gl-max 1`).  The
+directory of the input files reads as <dir>.  Invocations that took longer
+than about a second when recorded are not part of the data, so that the
+module stays quick.
 
 Regenerate the data (only when a change of the outputs is intended) with
     PYTHONPATH=src:tests python tests/test_cli_golden.py
@@ -52,6 +53,30 @@ ideal two of Z4
 gen a a: 2
 """
 
+# F2 and the groupoid C2 with no G-set: `assembly` takes its groupoid
+# branch (`assembly_zero`), which no corpus document reaches.
+GROUPOID_NO_GSET = """\
+ringoid F2
+object *
+hom * * cyclic 2
+compose * * *: 0 0 -> 1
+identity *: 1
+scalar F2
+action * *: 0 0 -> 1
+
+groupoid C2
+object *
+morphism * * 0
+morphism * * 1
+identity * 0
+compose 0 0 -> 0
+compose 0 1 -> 1
+compose 1 0 -> 1
+compose 1 1 -> 0
+inverse 0 0
+inverse 1 1
+"""
+
 FLAG_SETS = {"k0": ((), ("--bound", "2")),
              "assembly": ((), ("--bound", "2")),
              "nerve-check": ((), ("--bound", "2")),
@@ -64,7 +89,8 @@ def _corpus():
         "bench_corpus", os.path.join(BENCH, "corpus.py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return dict(module.build(), scalar_ideal_pair=SCALAR_IDEAL_PAIR)
+    return dict(module.build(), scalar_ideal_pair=SCALAR_IDEAL_PAIR,
+                groupoid_no_gset=GROUPOID_NO_GSET)
 
 
 def write_inputs(out_dir):

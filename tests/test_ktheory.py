@@ -15,7 +15,7 @@ from ringoids import (AbPresentation, CeilingExceeded, FinAbGroup,
                       tensor, unitize, validate, validate_hom, with_self_scalar,
                       zero_ideal, zero_moduloid)
 from ringoids import additive, k1, ktheory
-from ringoids.additive import enumerate_multisets
+from ringoids.additive import end_ring, enumerate_multisets
 from ringoids.constructions import tabulate
 from ringoids.intlinalg import hom_well_defined
 from ringoids.k1 import (GLGroup, bass_generators, certify_gl_order,
@@ -622,6 +622,39 @@ def _m2f2_beside_f2(m2f2, f2):
 
     return tabulate(objects, homs, mul,
                     identities={x: rings[x].identity("*") for x in objects})
+
+
+def test_unit_helpers_read_end_of_an_object_of_a_two_object_base(disc2, m2f2, f2):
+    # over two objects the K1 helpers get End(a) as a tabulated one-object
+    # ring, whose elements are those of Hom(a, a): the kept units and their
+    # inverses generate exactly the units of End(a)
+    for r in (disc2, _m2f2_beside_f2(m2f2, f2)):
+        view = complete(r)
+        for a in r.objects:
+            ring = end_ring(view, (a,))
+            units = ring_units(r, a)
+            assert ring_units(ring) == units
+            one = r.identity(a)
+            kept = k1._unit_generators(ring)
+            # the helpers tabulate one End(a) per view and object
+            assert k1._end(view, a) is k1._end(view, a)
+            assert ring_units(k1._end(view, a)) == units
+            assert all(r.compose(a, a, a, u, v) == one == r.compose(a, a, a, v, u)
+                       for u, v in kept)
+            reached, queue = {one}, [one]
+            for y in queue:
+                for u, _ in kept:
+                    z = r.compose(a, a, a, y, u)
+                    if z not in reached:
+                        reached.add(z)
+                        queue.append(z)
+            assert reached == set(units)
+    # the order formula reads the residue fields of the same rings
+    view = complete(disc2)
+    assert [gl_order(view, s) for s in [("a",), ("a", "b"), ("a", "a")]] == [1, 1, 6]
+    view = complete(_m2f2_beside_f2(m2f2, f2))
+    assert [gl_order(view, s) for s in [("a",), ("b", "b"), ("a", "b"), ("a", "a")]] \
+        == [6, 6, 6, 20160]
 
 
 def test_gl_undecided_decomposition_exceeds_the_ceiling(m2f2, f2):

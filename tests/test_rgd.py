@@ -199,6 +199,29 @@ def test_open_section_build_error_wins_over_the_next_header():
         "line 1: cannot infer the identity at object 'p' of groupoid 'G'; declare it"
 
 
+_GROUPOID = "".join(C2_DOC.splitlines(keepends=True)[:11])
+_GSET = "".join(C2_DOC.splitlines(keepends=True)[12:])
+
+
+@pytest.mark.parametrize("text, message", [
+    (F2_DOC + F2_DOC, "line 10: ringoid 'F2' is already declared at line 2"),
+    (_GROUPOID + _GROUPOID,
+     "line 12: groupoid 'C2' is already declared at line 1"),
+    (C2_DOC + _GSET, "line 20: gset 'swap' is already declared at line 13"),
+    (Z4_WITH_IDEAL + "ideal two of Z4\ngen a a: 2\n",
+     "line 11: ideal 'two' is already declared at line 9"),
+], ids=["ringoid", "groupoid", "gset", "ideal"])
+def test_a_second_section_of_a_kind_and_name_names_the_first(text, message):
+    # a later section of the same name used to replace the earlier one
+    # silently, while both stayed in the declaration order
+    assert _error(text) == message
+
+
+def test_sections_of_different_kinds_may_share_a_name():
+    doc = parse_rgd(_GROUPOID + F2_DOC.replace("F2", "C2"))
+    assert doc.order == [("groupoid", "C2"), ("ringoid", "C2")]
+
+
 def test_groupoid_document():
     doc = parse_rgd(C2_DOC)
     g = doc.nth("groupoid")
