@@ -5,7 +5,8 @@ and degree-zero assembly maps.  Exact integer arithmetic throughout.
 
 Every operation is pure and every value is immutable after construction,
 apart from caches filled once and idempotently (a ringoid's composition
-tables and its completion), so everything here is thread-safe.
+tables, its completion, its Krull-Schmidt decompositions and its iso-class
+tables), so everything here is thread-safe.
 
 The names below resolve on first use (PEP 562): `ringoids.k0_bounded`
 imports `ringoids.ktheory` and caches the name in this module, so a
@@ -30,30 +31,28 @@ _EXPORTS = {
                       "one_object_ringoid", "product_ring",
                       "ringoid_equal_structure", "validate_hom",
                       "with_self_scalar", "zero_moduloid", "zero_ring"),
-    "additive": ("AdditiveView", "IsoWitness", "MatMorphism", "Undecided",
-                 "complete", "enumerate_objsums", "iso_class_table",
+    "krullschmidt": ("Undecided", "enumerate_objsums", "iso_class_table"),
+    "additive": ("AdditiveView", "IsoWitness", "MatMorphism", "complete",
                  "map_completion"),
     "moduloids": ("GroupQuotient", "Ideal", "IdealError", "TensorProduct",
                   "ideal_moduloid", "improper_ideal", "quotient",
                   "scalar_ringoid", "tensor", "tensor_group",
                   "unitization_projection", "unitization_splitting",
                   "unitize", "validate_ideal", "zero_ideal"),
-    "groupoids": ("FinGroupoid", "GSet", "PiRing", "PiRingError",
-                  "disjoint_union_gset", "discrete_groupoid",
-                  "group_as_groupoid", "group_ringoid",
-                  "group_ringoid_tensor_iso", "hom_is_bijective_everywhere",
-                  "orbit_skeleton", "transport_groupoid",
-                  "twisted_group_ringoid", "validate_groupoid",
-                  "validate_pi_ring"),
-    "ktheory": ("KZeroResult", "exterior_product", "k0_bounded",
-                "k0_induced"),
+    "groupoids": ("FinGroupoid", "GSet", "disjoint_union_gset",
+                  "discrete_groupoid", "group_as_groupoid", "group_ringoid",
+                  "orbit_skeleton", "transport_groupoid", "validate_groupoid"),
+    "ktheory": ("KZeroResult", "k0_bounded", "k0_induced"),
     "k1": ("CeilingExceeded", "KOneResult", "gl", "gl_order", "k1_bounded"),
     "relative": ("RelativeKZeroResult", "cofinality_check",
                  "fibration_check", "idem_classes", "k0_relative"),
     "nerve": ("check_simplicial_identities", "degeneracy", "face",
               "k0_via_nerve", "oracle_compare"),
     "assembly": ("AssemblyZeroMap", "assembly_zero",
-                 "equivariant_assembly_zero", "naturality_check"),
+                 "equivariant_assembly_zero"),
+    "theorems": ("PiRing", "PiRingError", "exterior_product",
+                 "group_ringoid_tensor_iso", "naturality_check",
+                 "twisted_group_ringoid", "validate_pi_ring"),
     "rgd": ("RGDDocument", "RGDSemanticError", "RGDSyntaxError",
             "parse_rgd"),
     "rgdsections": (),

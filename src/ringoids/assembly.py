@@ -5,18 +5,17 @@ source is one copy of K0(R) per connected component of the groupoid (one
 copy of K0(R[H]) per orbit in the equivariant case), and the map sends the
 canonical generator of each summand to the class of the chosen object in
 the group ringoid of the whole groupoid.  Isomorphy is decided exactly on
-the presented groups.
+the presented groups.  The naturality square of the equivariant map is
+checked by `theorems.naturality_check`.
 """
 
 from __future__ import annotations
 
-from .additive import DEFAULT_CEILING
-from .groupoids import (group_as_groupoid, group_ringoid, group_ringoid_map,
-                        orbit_skeleton, transport_groupoid)
-from .intlinalg import (AbPresentation, apply_rows, exponent_row,
-                        hom_well_defined)
-from .ktheory import k0_bounded, k0_induced
-from .ringoid import StructuralError
+from .groupoids import (group_as_groupoid, group_ringoid, orbit_skeleton,
+                        transport_groupoid)
+from .intlinalg import AbPresentation, exponent_row, hom_well_defined
+from .ktheory import k0_bounded
+from .ringoid import DEFAULT_CEILING, StructuralError
 
 
 class AssemblyZeroMap:
@@ -90,75 +89,3 @@ def equivariant_assembly_zero(gset, scalar, bound, ceiling=DEFAULT_CEILING):
         vring = group_ringoid(vertex_groupoid, scalar)
         summand_results.append(k0_bounded(vring, bound, ceiling=ceiling))
     return _assemble(components, summand_results, ringoid, target)
-
-
-class NaturalityReport:
-    __slots__ = ("assembly_source", "assembly_target", "source_map",
-                 "target_map", "commutes", "undecided")
-
-    def __init__(self, assembly_source, assembly_target, source_map,
-                 target_map, commutes, undecided):
-        self.assembly_source = assembly_source
-        self.assembly_target = assembly_target
-        self.source_map = list(source_map)
-        self.target_map = target_map
-        self.commutes = commutes
-        self.undecided = undecided
-
-
-def equivariant_map_is_valid(f, xs, ys):
-    """f: X -> Y commutes with the action."""
-    for x in xs.points:
-        if f[x] not in ys.points:
-            return False
-        for g in range(len(xs.group)):
-            if f[xs.apply(x, g)] != ys.apply(f[x], g):
-                return False
-    return True
-
-
-def naturality_check(f, xs, ys, scalar, bound, ceiling=DEFAULT_CEILING):
-    """Commutativity of the degree-zero naturality square for a G-map
-    f: X -> Y (given as a dict on points): assembly after the induced
-    source map equals the induced target map after assembly, as maps into
-    the presented K0 of the target transport ringoid."""
-    if xs.group is not ys.group:
-        raise StructuralError("naturality needs G-sets over the same group")
-    if not equivariant_map_is_valid(f, xs, ys):
-        raise StructuralError("the map is not equivariant")
-    ax = equivariant_assembly_zero(xs, scalar, bound, ceiling=ceiling)
-    ay = equivariant_assembly_zero(ys, scalar, bound, ceiling=ceiling)
-    bar_x = transport_groupoid(xs)
-    bar_y = transport_groupoid(ys)
-    ring_x = group_ringoid(bar_x, scalar)
-    ring_y = group_ringoid(bar_y, scalar)
-    # induced map on the transport ringoids: x -> f(x), (x, g) -> (f(x), g)
-    rf = group_ringoid_map(ring_x, ring_y, bar_x, bar_y, f,
-                           lambda mid: (f[mid[0]], mid[1]), name="R(f)")
-    target_map = k0_induced(rf, ax.target, ay.target)
-
-    # induced map on source summands: orbit of X -> orbit of its image in Y,
-    # one generator to one generator (the free rank-1 class maps to the free
-    # rank-1 class under the conjugated group-ring inclusion)
-    comps_x = ax.components
-    comps_y = ay.components
-    offsets_y = []
-    pos = 0
-    for res in ay.source_summands:
-        offsets_y.append(pos)
-        pos += len(res.gen_labels)
-    n_src_y = pos
-    source_map = []
-    for comp, res in zip(comps_x, ax.source_summands):
-        image_pt = f[comp.base]
-        cj = next(j for j, cy in enumerate(comps_y) if image_pt in cy.objects)
-        source_map += [exponent_row(range(n_src_y), [offsets_y[cj]])
-                       for _ in res.gen_labels]
-    # compare the two composites modulo the target relation lattice: each
-    # difference is the image via the source minus the image via the target
-    diffs = [apply_rows({0: 1, 1: -1}, [apply_rows(row, ay.matrix),
-                                        target_map.apply(ax_row)])
-             for row, ax_row in zip(source_map, ax.matrix)]
-    commutes = all(ay.target.presentation.kills(diffs))
-    undecided = ax.undecided or ay.undecided
-    return NaturalityReport(ax, ay, source_map, target_map, commutes, undecided)

@@ -1,13 +1,15 @@
-"""Finite groupoids, G-sets, transport groupoids, and group ringoids
-(including the coefficient-twisted variant over a functorial family of
-rings)."""
+"""Finite groupoids, G-sets, transport groupoids, and group ringoids.
+
+A group ringoid is tabulated by `constructions.tabulate`, which
+`group_ringoid` imports when it runs, so validating or transporting a
+groupoid or a G-set compiles no construction.  The twisted group ringoid,
+the map a functor induces on group ringoids and the group-ring tensor
+isomorphism are in `theorems`, which no subcommand loads.
+"""
 
 from __future__ import annotations
 
-from math import lcm
-
 from .abgroup import FinAbGroup
-from .constructions import cyclic_ring, tabulate, tabulate_hom
 from .groups import FinGroup
 from .ringoid import AxiomFailure, StructuralError, ValidationReport
 
@@ -280,6 +282,7 @@ def group_ringoid(pi, scalar, name=None):
     """R pi: the free R-linearization of a groupoid, with convolution
     composition (x_i g_i)(y_j h_j) = (x_i y_j)(g_i h_j) and scalar action
     on coefficients."""
+    from .constructions import tabulate
     ro = scalar.objects[0]
     rg = scalar.hom(ro, ro)
     rk = len(rg.moduli)
@@ -305,205 +308,3 @@ def group_ringoid(pi, scalar, name=None):
         name = "%s[%s]" % (scalar.name, pi.name)
     return tabulate(objects, homs, mul, identities=identities, scalar=scalar,
                     act=act, name=name)
-
-
-def group_ringoid_map(source, target, pi, sigma, object_map, morphism_map,
-                      name=""):
-    """R(F): R pi -> R sigma for a functor F given on objects and on
-    morphism ids, on group ringoids over one coefficient ring:
-    sum x_g g -> sum x_g F(g)."""
-    ro = source.scalar.objects[0]
-    rk = len(source.scalar.hom(ro, ro).moduli)
-    return tabulate_hom(
-        source, target, object_map,
-        lambda a, b, x: _linear(sigma, target.hom(object_map[a], object_map[b]),
-                                object_map[a], object_map[b],
-                                [(morphism_map(g), c)
-                                 for g, c in _terms(pi, a, b, x, rk)], rk),
-        name=name)
-
-
-# ---------------------------------------------------------------------------
-# Twisted group ringoids over a functorial family of rings.
-# ---------------------------------------------------------------------------
-
-class PiRing:
-    """A functor from a groupoid to finite commutative unital rings: one ring
-    per object and a ring isomorphism per morphism (stored on generators)."""
-
-    __slots__ = ("groupoid", "rings", "maps")
-
-    def __init__(self, groupoid, rings, maps):
-        self.groupoid = groupoid
-        self.rings = dict(rings)
-        self.maps = {mid: tuple(tuple(img) for img in imgs)
-                     for mid, imgs in maps.items()}
-
-    def ring(self, obj):
-        return self.rings[obj]
-
-    def apply(self, mid, x):
-        """Image of x in R_target under the morphism's ring map."""
-        _, tgt_obj = self.groupoid.morphisms[mid]
-        tgt = self.rings[tgt_obj]
-        to = tgt.objects[0]
-        return tgt.hom(to, to).combination(x, self.maps[mid])
-
-    @classmethod
-    def constant(cls, groupoid, ring):
-        """The trivial action: every morphism acts as the identity."""
-        ro = ring.objects[0]
-        rg = ring.hom(ro, ro)
-        imgs = tuple(rg.basis_element(j) for j in range(len(rg.moduli)))
-        return cls(groupoid, {a: ring for a in groupoid.objects},
-                   {mid: imgs for mid in groupoid.morphisms})
-
-
-class PiRingError(Exception):
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
-
-def validate_pi_ring(pr):
-    """Functoriality with certified ring isomorphisms; raises with witness."""
-    g = pr.groupoid
-    for a in g.objects:
-        ring = pr.rings.get(a)
-        if ring is None or len(ring.objects) != 1 or not ring.unital:
-            raise PiRingError("object %r lacks a one-object unital ring" % (a,))
-    for mid, (a, b) in g.morphisms.items():
-        src, tgt = pr.rings[a], pr.rings[b]
-        so, to = src.objects[0], tgt.objects[0]
-        sg, tg = src.hom(so, so), tgt.hom(to, to)
-        if len(pr.maps.get(mid, ())) != len(sg.moduli):
-            raise PiRingError("map for morphism %r has wrong arity" % (mid,))
-        # additive bijection
-        seen = set()
-        for x in sg.elements():
-            y = pr.apply(mid, x)
-            if y in seen:
-                raise PiRingError("ring map for %r is not injective" % (mid,), witness=x)
-            seen.add(y)
-        if len(seen) != tg.order():
-            raise PiRingError("ring map for %r is not surjective" % (mid,))
-        # multiplicative with unit
-        for i in range(len(sg.moduli)):
-            for j in range(len(sg.moduli)):
-                x, y = sg.basis_element(i), sg.basis_element(j)
-                lhs = pr.apply(mid, src.compose(so, so, so, x, y))
-                rhs = tgt.compose(to, to, to, pr.apply(mid, x), pr.apply(mid, y))
-                if lhs != rhs:
-                    raise PiRingError("ring map for %r is not multiplicative" % (mid,),
-                                      witness=(x, y))
-        if pr.apply(mid, src.identity(so)) != tgt.identity(to):
-            raise PiRingError("ring map for %r does not preserve the unit" % (mid,))
-    for a in g.objects:
-        e = g.identity(a)
-        ring = pr.rings[a]
-        ro = ring.objects[0]
-        rg = ring.hom(ro, ro)
-        for j in range(len(rg.moduli)):
-            x = rg.basis_element(j)
-            if pr.apply(e, x) != x:
-                raise PiRingError("identity morphism at %r does not act trivially" % (a,),
-                                  witness=x)
-    for h, (a, b) in g.morphisms.items():
-        for gg, (b2, c) in g.morphisms.items():
-            if b2 != b:
-                continue
-            gh = g.compose(gg, h)
-            ring = pr.rings[a]
-            ro = ring.objects[0]
-            rg = ring.hom(ro, ro)
-            for j in range(len(rg.moduli)):
-                x = rg.basis_element(j)
-                if pr.apply(gh, x) != pr.apply(gg, pr.apply(h, x)):
-                    raise PiRingError("action is not functorial", witness=(gg, h, x))
-
-
-def twisted_group_ringoid(pi, pi_ring, name=None):
-    """R pi for a pi-ring: Hom(a,b) is the free R_b-module on Hom(a,b)_pi,
-    and composition twists coefficients through the action:
-    (x g)(y h) = (x . g(y)) (g h)."""
-    validate_pi_ring(pi_ring)
-    objects = pi.objects
-    rings = {b: pi_ring.ring(b) for b in objects}
-    coeffs = {b: r.hom(r.objects[0], r.objects[0]) for b, r in rings.items()}
-    rk = {b: len(g.moduli) for b, g in coeffs.items()}
-    homs = {(a, b): FinAbGroup(coeffs[b].moduli * len(pi.hom(a, b)))
-            for a in objects for b in objects}
-
-    def mul(a, b, c, y, x):
-        rc, co = rings[c], rings[c].objects[0]
-        return _linear(pi, homs[(a, c)], a, c,
-                       [(pi.compose(g, h), rc.compose(co, co, co, s, pi_ring.apply(g, t)))
-                        for g, s in _terms(pi, b, c, y, rk[c])
-                        for h, t in _terms(pi, a, b, x, rk[b])], rk[c])
-
-    identities = {a: _linear(pi, homs[(a, a)], a, a,
-                             [(pi.identity(a), rings[a].identity(rings[a].objects[0]))],
-                             rk[a])
-                  for a in objects}
-    if name is None:
-        name = "Rtw[%s]" % pi.name
-    return tabulate(objects, homs, mul, identities=identities, name=name)
-
-
-# ---------------------------------------------------------------------------
-# R pi  ~  Z pi (x) R, realized with finite coefficients.
-# ---------------------------------------------------------------------------
-
-class GroupRingTensorIso:
-    __slots__ = ("source", "tensor_product", "theta", "exponent")
-
-    def __init__(self, source, tensor_product, theta, exponent):
-        self.source = source
-        self.tensor_product = tensor_product
-        self.theta = theta
-        self.exponent = exponent
-
-
-def group_ringoid_tensor_iso(pi, scalar):
-    """theta: R pi -> (Z/N) pi (x)_Z R where N is the additive exponent of R
-    (so N.R = 0 and the target agrees with Z pi (x)_Z R).  theta sends
-    x_1 g_1 + ... + x_n g_n to g_1 (x) x_1 + ... + g_n (x) x_n."""
-    from .moduloids import tensor
-
-    source = group_ringoid(pi, scalar)
-    ro = scalar.objects[0]
-    rg = scalar.hom(ro, ro)
-    rk = len(rg.moduli)
-    exponent = 1
-    for d in rg.moduli:
-        exponent = lcm(exponent, d)
-    zn_pi = group_ringoid(pi, cyclic_ring(exponent, scalar=False, name="Z/%d" % exponent))
-    tp = tensor(zn_pi, scalar, name="Z%s[%s](x)%s" % (exponent, pi.name, scalar.name))
-    target = tp.ringoid
-    def image(a, b, x):
-        # g in (Z/N) pi is the element 1 . g, and x_g g goes to (1 . g) (x) x_g
-        pures = [tp.pure((a, b), (ro, ro),
-                         _linear(pi, zn_pi.hom(a, b), a, b, [(g, (1,))], 1), c)
-                 for g, c in _terms(pi, a, b, x, rk)]
-        return target.hom((a, ro), (b, ro)).combination([1] * len(pures), pures)
-
-    theta = tabulate_hom(source, target, {a: (a, ro) for a in pi.objects}, image,
-                         name="theta")
-    return GroupRingTensorIso(source, tp, theta, exponent)
-
-
-def hom_is_bijective_everywhere(f):
-    """Certify a RingoidHom is bijective on every hom-group (enumerative)."""
-    for a in f.source.objects:
-        for b in f.source.objects:
-            src = f.source.hom(a, b)
-            tgt = f.target.hom(f.object_map[a], f.object_map[b])
-            seen = set()
-            for x in src.elements():
-                y = f.apply(a, b, x)
-                if y in seen:
-                    return False
-                seen.add(y)
-            if len(seen) != tgt.order():
-                return False
-    return True

@@ -11,11 +11,11 @@ none of the K1 line and a K1 process none of the K0 line.
 
 from __future__ import annotations
 
-from .additive import (DEFAULT_CEILING, MatMorphism, SizeLimitExceeded,
-                       _three_figures, complete, end_ring, inverse_by_powers,
-                       is_nilpotent)
+from .additive import MatMorphism, complete, end_ring
 from .intlinalg import AbPresentation, hom_is_isomorphism
-from .ringoid import StructuralError, _gens
+from .krullschmidt import (SizeLimitExceeded, _three_figures, decomposition,
+                           inverse_by_powers, is_nilpotent)
+from .ringoid import DEFAULT_CEILING, StructuralError, _gens
 
 # The largest GL(s) that `gl` closes for a sum of two objects or more, by
 # `gl_order`.  A closure with its Schreier relators takes 1.3-3.8 KB and
@@ -209,7 +209,7 @@ def gl_order(view, s, ceiling=DEFAULT_CEILING):
     Raises CeilingExceeded when an object of s is over the ceiling (an
     Undecided record of the decomposition): its 1_a is then not split."""
     s = tuple(s)
-    dec = view.decomposition(ceiling)
+    dec = decomposition(view.base, ceiling)
     for rec in dec.undecided:
         if rec.subject in s:
             raise CeilingExceeded("the decomposition of %r is undecided: %r"

@@ -2,23 +2,23 @@
 
 K0 is the Grothendieck completion of the bounded iso-class monoid of free
 formal sums (sums of base objects) in the additive completion, classified
-by Krull-Schmidt type vector (`additive.Decomposition`).  The reported
-group carries an honest-bound contract: the K0 of free sums is a quotient
-of it, since relations between sums beyond the bound are missing.  It is
-not the K0 of idempotent classes: over F2 x F2 free sums give Z and
-idempotent classes give Z^2 (`relative` computes relative K0 on
-idempotent classes).  The induced map on bounded K0 is `k0_induced`, and
-the degree-zero pairing of a tensor product is `exterior_product`.  K1
-lives in `k1`, so a K0 process compiles none of it.
+by Krull-Schmidt type vector (`krullschmidt.Decomposition`), which reads
+the base ringoid alone: a K0 process compiles no matrix arithmetic.  The
+reported group carries an honest-bound contract: the K0 of free sums is a
+quotient of it, since relations between sums beyond the bound are
+missing.  It is not the K0 of idempotent classes: over F2 x F2 free sums
+give Z and idempotent classes give Z^2 (`relative` computes relative K0 on
+idempotent classes).  The induced map on bounded K0 is `k0_induced`; the
+degree-zero pairing of a tensor product is `theorems.exterior_product`.
+K1 lives in `k1`, so a K0 process compiles none of it.
 """
 
 from __future__ import annotations
 
-from .additive import (DEFAULT_CEILING, complete, enumerate_multisets,
-                       iso_class_table)
 from .intlinalg import (AbPresentation, apply_rows, exponent_row,
                         hom_is_isomorphism, hom_well_defined)
-from .ringoid import StructuralError
+from .krullschmidt import decomposition, enumerate_multisets, iso_class_table
+from .ringoid import DEFAULT_CEILING, StructuralError
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +51,7 @@ class KZeroResult:
 
 
 def k0_bounded(r, bound, ceiling=DEFAULT_CEILING):
-    """Bounded K0, read off the iso-class table of the completion of r.
+    """Bounded K0, read off the iso-class table of r.
 
     The group is Z^n/A_bound, A_l the lattice of the rows of the multisets
     of length <= l, and `stabilized_since` is the first l >= 2 with
@@ -62,9 +62,8 @@ def k0_bounded(r, bound, ceiling=DEFAULT_CEILING):
     when A_(bound-1) = A_bound, and only up to the first equal one."""
     if not r.unital:
         raise StructuralError("absolute K0 needs a unital ringoid")
-    view = complete(r)
-    table = iso_class_table(view, bound, ceiling=ceiling)
-    dec = view.decomposition(ceiling)
+    table = iso_class_table(r, bound, ceiling=ceiling)
+    dec = decomposition(r, ceiling)
     objects = list(r.objects)
     index = {a: i for i, a in enumerate(objects)}
     # each distinct non-zero row once, with the length of its first multiset,
@@ -118,63 +117,3 @@ def k0_induced(f, source_result, target_result):
     ok, bad = hom_well_defined(source_result.presentation,
                                target_result.presentation, matrix)
     return InducedMap(source_result, target_result, matrix, ok, bad)
-
-
-# ---------------------------------------------------------------------------
-# Exterior products.
-# ---------------------------------------------------------------------------
-
-class ExteriorProduct:
-    """The degree-zero pairing K0(M) x K0(N) -> K0(M (x) N), on generators
-    [a].[b] = [a (x) b]; bilinear by construction."""
-
-    __slots__ = ("left", "right", "target", "pair_index", "well_defined",
-                 "failing_side")
-
-    def __init__(self, left, right, target, pair_index, well_defined,
-                 failing_side):
-        self.left = left
-        self.right = right
-        self.target = target
-        self.pair_index = pair_index
-        self.well_defined = well_defined
-        self.failing_side = failing_side
-
-    def pair(self, u, v):
-        n = len(self.target.gen_labels)
-        out = [0] * n
-        for i, ci in enumerate(u):
-            if not ci:
-                continue
-            for j, cj in enumerate(v):
-                if cj:
-                    out[self.pair_index[(i, j)]] += ci * cj
-        return out
-
-
-def exterior_product(left_result, right_result, tensor_prod, target_result):
-    """Pairing for a tensor product built by moduloids.tensor, checked for
-    well-definedness against all three relation lattices."""
-    m = tensor_prod.left
-    n = tensor_prod.right
-    t = tensor_prod.ringoid
-    t_objects = list(t.objects)
-    pair_index = {}
-    for i, a in enumerate(m.objects):
-        for j, b in enumerate(n.objects):
-            pair_index[(i, j)] = t_objects.index((a, b))
-    sides = []
-    vecs = []
-    for row in left_result.presentation.relations:
-        for j in range(len(n.objects)):
-            sides.append(("left", row, j))
-            vecs.append({pair_index[(i, j)]: c for i, c in row.items()})
-    for row in right_result.presentation.relations:
-        for i in range(len(m.objects)):
-            sides.append(("right", i, row))
-            vecs.append({pair_index[(i, j)]: c for j, c in row.items()})
-    failing = [side for side, zero
-               in zip(sides, target_result.presentation.kills(vecs)) if not zero]
-    return ExteriorProduct(left_result, right_result, target_result,
-                           pair_index, not failing,
-                           failing[-1] if failing else None)

@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import math
 
-from .additive import (DEFAULT_CEILING, SizeLimitExceeded, _three_figures,
-                       complete, enumerate_objsums, iso_class_table)
 from .intlinalg import AbPresentation, exponent_row, hom_is_isomorphism
+from .krullschmidt import (SizeLimitExceeded, _three_figures, decomposition,
+                           enumerate_objsums, iso_class_table)
 from .ktheory import k0_bounded
-from .ringoid import StructuralError
+from .ringoid import DEFAULT_CEILING, StructuralError
 
 # The most relation rows the oracle may build, and the most tuples of a
 # nerve level that may be enumerated.  Over the whole oracle job a row
@@ -208,9 +208,8 @@ def k0_via_nerve(r, bound, ceiling=DEFAULT_CEILING):
     k = len(r.objects)
     _refuse_over("nerve relations", "rows", RELATION_ROW_LIMIT, k, bound,
                  lambda b: 1 + level_size(k, 1, b) + level_size(k, 2, b))
-    view = complete(r)
-    table = iso_class_table(view, bound, ceiling=ceiling)
-    dec = view.decomposition(ceiling)
+    table = iso_class_table(r, bound, ceiling=ceiling)
+    dec = decomposition(r, ceiling)
     sums = enumerate_objsums(r.objects, bound)
     index = {s: i for i, s in enumerate(sums)}
     rows = [exponent_row(index, [()])]
@@ -248,7 +247,7 @@ def oracle_compare(r, bound, ceiling=DEFAULT_CEILING):
     comparison maps are mutually inverse isomorphisms of the presented
     groups.  The bound must be at least 1, so that the base objects are
     generators of the nerve side.  Both sides read the one iso-class table
-    of the completion at this bound and ceiling."""
+    of r at this bound and ceiling."""
     if bound < 1:
         raise StructuralError("oracle comparison needs a bound of at least 1")
     k0 = k0_bounded(r, bound, ceiling=ceiling)

@@ -17,15 +17,14 @@ from __future__ import annotations
 
 import itertools
 
-from .additive import (DEFAULT_CEILING, Undecided, complete,
-                       enumerate_multisets, enumerate_objsums,
-                       iso_class_table)
 from .constructions import tabulate_hom
 from .intlinalg import (AbPresentation, apply_rows, exponent_row,
                         hom_is_isomorphism)
+from .krullschmidt import (Undecided, decomposition, enumerate_multisets,
+                           enumerate_objsums, iso_class_table)
 from .ktheory import k0_bounded, k0_induced
 from .lattice import hom_kernel_lattice, kernel_presentation, lattices_equal
-from .ringoid import StructuralError
+from .ringoid import DEFAULT_CEILING, StructuralError
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +73,7 @@ def idem_classes(r, ceiling=DEFAULT_CEILING):
     that has it; no idempotent is listed or split.  Type vectors add, so
     the relations come from the keys.  An End(a) over the ceiling gives no
     classes, and its Undecided record is kept."""
-    dec = complete(r).decomposition(ceiling)
+    dec = decomposition(r, ceiling)
     reps = []
     index = {}
     for a in r.objects:
@@ -189,7 +188,7 @@ def cofinality_check(r, bound, ceiling=DEFAULT_CEILING):
     object x with s x t beyond the bound when |s| + 1 < |t|, or when
     |s| + 1 = |t| and s x is no later than t reversed."""
     ambient = k0_bounded(r, bound, ceiling=ceiling)
-    dec = complete(r).decomposition(ceiling)
+    dec = decomposition(r, ceiling)
     obj_index = {a: i for i, a in enumerate(r.objects)}
     sub_objs = [s for s in enumerate_multisets(r.objects, bound) if len(s) >= 2]
     index = {s: i for i, s in enumerate(sub_objs)}
@@ -253,7 +252,7 @@ class FibrationReport:
         self.unresolved_classes = unresolved_classes
 
 
-def free_class_of_idempotent(view, a, p, bound, ceiling=DEFAULT_CEILING):
+def free_class_of_idempotent(r, a, p, bound, ceiling=DEFAULT_CEILING):
     """The free class of an idempotent p in End(a): the multiset t that the
     iso-class table holds for the type vector of im(p) (the first multiset
     of that type vector within the bound, so also the first word).
@@ -262,11 +261,11 @@ def free_class_of_idempotent(view, a, p, bound, ceiling=DEFAULT_CEILING):
     the bound has that type vector.  Undecided when im(p) cannot be split
     within the ceiling, or when no sum matches while the decomposition has
     undecided records (an unmerged type may hide the match)."""
-    dec = view.decomposition(ceiling)
+    dec = decomposition(r, ceiling)
     summands = dec.split(a, p)
     if isinstance(summands, Undecided):
         return summands
-    t = iso_class_table(view, bound, ceiling=ceiling).get(dec.key(summands))
+    t = iso_class_table(r, bound, ceiling=ceiling).get(dec.key(summands))
     if t is None and dec.undecided:
         return dec.undecided[0]
     return t
@@ -310,7 +309,7 @@ def fibration_check(m, ideal, bound, ceiling=DEFAULT_CEILING):
     class_images = []
     for (a, p) in rel.idem_plus.reps:
         q = jplus_to_m.apply(a, a, p)
-        t = free_class_of_idempotent(complete(m), a, q, bound, ceiling=ceiling)
+        t = free_class_of_idempotent(m, a, q, bound, ceiling=ceiling)
         if t is None or isinstance(t, Undecided):
             unresolved.append((a, p))
             class_images.append(None)

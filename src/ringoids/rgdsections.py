@@ -31,6 +31,8 @@ class _GroupoidBuilder:
         if head == "object":
             if len(toks) != 2:
                 raise RGDSyntaxError(lineno, col0, "object takes exactly one id")
+            if toks[1][0] in self.objects:
+                raise RGDSemanticError(lineno, "duplicate object %r" % (toks[1][0],))
             self.objects.append(toks[1][0])
             return
         if head == "morphism":
@@ -117,6 +119,8 @@ class _GSetSection:
         if head == "point":
             if len(toks) != 2:
                 raise RGDSyntaxError(lineno, col0, "point takes exactly one id")
+            if toks[1][0] in self.points:
+                raise RGDSemanticError(lineno, "duplicate point %r" % (toks[1][0],))
             self.points.append(toks[1][0])
             return
         if head == "act":

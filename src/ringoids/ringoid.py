@@ -19,8 +19,8 @@ from __future__ import annotations
 _PAIR_CACHE_LIMIT = 1 << 16
 
 # Default candidate ceiling of the searches in the additive completion
-# (re-exported by `additive`); defined here so that the CLI's parser does
-# not load the completion.
+# and of the Krull-Schmidt decomposition; defined here so that the CLI's
+# parser loads neither.
 DEFAULT_CEILING = 1 << 20
 
 
@@ -79,7 +79,8 @@ class FiniteRingoid:
     """
 
     __slots__ = ("name", "objects", "homs", "compose_table", "identities",
-                 "scalar", "action", "unital", "_pair_mul", "_completion")
+                 "scalar", "action", "unital", "_pair_mul", "_completion",
+                 "_decompositions", "_iso_tables")
 
     def __init__(self, objects, homs, compose_table, identities=None,
                  scalar=None, action=None, unital=None, name=""):
@@ -96,6 +97,8 @@ class FiniteRingoid:
         self.unital = (self.identities is not None) if unital is None else unital
         self._pair_mul = {}
         self._completion = None
+        self._decompositions = {}
+        self._iso_tables = {}
 
     # -- basic access -------------------------------------------------
 

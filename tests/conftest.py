@@ -326,3 +326,20 @@ def compose_with(f, g):
         g.source, f.target, object_map,
         lambda a, b, x: f.apply(g.object_map[a], g.object_map[b],
                                 g.apply(a, b, x)))
+
+
+def hom_is_bijective_everywhere(f):
+    """Certify a RingoidHom is bijective on every hom-group (enumerative)."""
+    for a in f.source.objects:
+        for b in f.source.objects:
+            src = f.source.hom(a, b)
+            tgt = f.target.hom(f.object_map[a], f.object_map[b])
+            seen = set()
+            for x in src.elements():
+                y = f.apply(a, b, x)
+                if y in seen:
+                    return False
+                seen.add(y)
+            if len(seen) != tgt.order():
+                return False
+    return True

@@ -11,16 +11,16 @@ import sys
 
 import pytest
 
-from conftest import determinant_of_matmorphism, ring_units
+from conftest import (determinant_of_matmorphism, hom_is_bijective_everywhere,
+                      ring_units)
 from ringoids import (AbPresentation, FinAbGroup, FinGroup, FiniteRingoid,
                       GSet, Ideal, assembly_zero, check_simplicial_identities,
                       cofinality_check, complete, cyclic_ring,
                       disjoint_union_gset, enumerate_objsums,
                       equivariant_assembly_zero, fibration_check, forget_units,
                       gl, group_as_groupoid, group_ringoid_tensor_iso,
-                      hom_is_bijective_everywhere, improper_ideal, k0_bounded,
-                      k0_relative, k1_bounded, naturality_check,
-                      one_object_ringoid, oracle_compare,
+                      improper_ideal, k0_bounded, k0_relative, k1_bounded,
+                      naturality_check, one_object_ringoid, oracle_compare,
                       unitization_splitting, validate, validate_hom,
                       zero_ideal)
 

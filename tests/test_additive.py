@@ -14,9 +14,11 @@ from ringoids import (AbPresentation, FinAbGroup, FiniteRingoid, FinGroup, GSet,
                       group_ringoid, iso_class_table, k0_bounded,
                       map_completion, matrix_ring, print_rgd, product_ring,
                       transport_groupoid, validate)
-from ringoids import additive
-from ringoids.additive import (DEFAULT_CEILING, SizeLimitExceeded, end_ring,
-                               enumerate_multisets, table_letters)
+from ringoids import additive, krullschmidt
+from ringoids.additive import end_ring, isomorphism
+from ringoids.krullschmidt import (SizeLimitExceeded, decomposition,
+                                   enumerate_multisets, table_letters)
+from ringoids.ringoid import DEFAULT_CEILING
 from ringoids.cli import run
 from ringoids.relative import free_class_of_idempotent
 
@@ -171,23 +173,20 @@ def test_undecided_at_tiny_ceiling(f2):
 
 
 def test_iso_class_table_f2(f2):
-    view = complete(f2)
-    table = iso_class_table(view, 3)
+    table = iso_class_table(f2, 3)
     assert len(table) == 4  # ranks 0..3, no collapse
     assert list(table.values()) == [(), ("*",), ("*", "*"), ("*", "*", "*")]
-    assert not view.decomposition().undecided
+    assert not decomposition(f2).undecided
 
 
 def test_iso_class_table_product_ring():
     pr = product_ring(cyclic_ring(2, scalar=False), cyclic_ring(2, scalar=False))
-    view = complete(pr)
-    table = iso_class_table(view, 2)
+    table = iso_class_table(pr, 2)
     assert len(table) == 3  # the single object is free of rank 1
 
 
 def test_iso_class_table_zero_ring(zero):
-    view = complete(zero)
-    table = iso_class_table(view, 2)
+    table = iso_class_table(zero, 2)
     assert table == {(): ()}  # everything is isomorphic to 0
 
 
@@ -196,27 +195,27 @@ def test_one_completion_per_ringoid(f2xf2):
 
 
 def test_iso_class_table_is_kept_per_bound_and_ceiling(f2xf2):
-    view = complete(f2xf2)
-    table = iso_class_table(view, 3)
-    assert iso_class_table(view, 3) is table
-    assert iso_class_table(view, 3, ceiling=DEFAULT_CEILING) is table
-    assert iso_class_table(view, 2) is not table
-    at_8 = iso_class_table(view, 3, ceiling=8)
-    assert at_8 is not table and iso_class_table(view, 3, ceiling=8) is at_8
-    below = iso_class_table(view, 3, ceiling=3)
-    assert below is not at_8 and iso_class_table(view, 3, ceiling=3) is below
+    table = iso_class_table(f2xf2, 3)
+    assert iso_class_table(f2xf2, 3) is table
+    assert iso_class_table(f2xf2, 3, ceiling=DEFAULT_CEILING) is table
+    assert iso_class_table(f2xf2, 2) is not table
+    at_8 = iso_class_table(f2xf2, 3, ceiling=8)
+    assert at_8 is not table and iso_class_table(f2xf2, 3, ceiling=8) is at_8
+    below = iso_class_table(f2xf2, 3, ceiling=3)
+    assert below is not at_8 and iso_class_table(f2xf2, 3, ceiling=3) is below
     # the table answers for the ceiling it was asked for: |End(*)| = 4, so
     # at ceiling 3 (*) keeps one type, and within the ceiling it has two
     assert list(below) == [(), (0,), (0, 0), (0, 0, 0)]
     assert list(at_8) == list(table) == [(), (0, 1), (0, 0, 1, 1),
                                          (0, 0, 0, 1, 1, 1)]
-    assert (view.decomposition(3).undecided and not view.decomposition(8).undecided
-            and not view.decomposition().undecided)
+    assert (decomposition(f2xf2, 3).undecided
+            and not decomposition(f2xf2, 8).undecided
+            and not decomposition(f2xf2).undecided)
 
 
 def test_iso_class_table_keys_each_class_by_its_type_vector(disc2):
-    table = iso_class_table(complete(disc2), 3)
-    dec = complete(disc2).decomposition()
+    table = iso_class_table(disc2, 3)
+    dec = decomposition(disc2)
     first = {}
     for s in enumerate_multisets(disc2.objects, 3):
         first.setdefault(dec.type_vector(s), s)
@@ -226,22 +225,22 @@ def test_iso_class_table_keys_each_class_by_its_type_vector(disc2):
 
 
 def test_one_decomposition_per_ceiling(monkeypatch):
-    from ringoids import additive, idem_classes, k0_bounded, k0_via_nerve
+    from ringoids import idem_classes, k0_bounded, k0_via_nerve
     r = group_ringoid(discrete_groupoid(("a", "b")), cyclic_ring(2, name="F2"))
     built = []
-    original = additive.Decomposition.__init__
+    original = krullschmidt.Decomposition.__init__
 
-    def counting(self, view, ceiling):
+    def counting(self, base, ceiling):
         built.append(ceiling)
-        original(self, view, ceiling)
+        original(self, base, ceiling)
 
-    monkeypatch.setattr(additive.Decomposition, "__init__", counting)
+    monkeypatch.setattr(krullschmidt.Decomposition, "__init__", counting)
     for ceiling in (DEFAULT_CEILING, 64):
         k0_bounded(r, 3, ceiling=ceiling)
         k0_via_nerve(r, 3, ceiling=ceiling)
         idem_classes(r, ceiling=ceiling)
         for a in r.objects:
-            assert free_class_of_idempotent(complete(r), a, r.identity(a), 3,
+            assert free_class_of_idempotent(r, a, r.identity(a), 3,
                                             ceiling=ceiling) == (a,)
     assert built == [DEFAULT_CEILING, 64]
 
@@ -271,14 +270,14 @@ def test_table_letters_counts_the_letters_of_the_multisets():
 def test_iso_class_table_over_the_letter_limit_is_refused(monkeypatch):
     # a ringoid of its own, so that no cached table answers first; F2 to
     # bound 3 holds 0 + 1 + 2 + 3 letters
-    view = complete(cyclic_ring(2))
-    monkeypatch.setattr(additive, "TABLE_LETTER_LIMIT", 5)
+    f2 = cyclic_ring(2)
+    monkeypatch.setattr(krullschmidt, "TABLE_LETTER_LIMIT", 5)
     with pytest.raises(SizeLimitExceeded,
                        match="at bound 3 would hold 6.00e0 letters, over the "
                              "limit of 5"):
-        iso_class_table(view, 3)
-    monkeypatch.setattr(additive, "TABLE_LETTER_LIMIT", 6)
-    assert len(iso_class_table(view, 3)) == 4
+        iso_class_table(f2, 3)
+    monkeypatch.setattr(krullschmidt, "TABLE_LETTER_LIMIT", 6)
+    assert len(iso_class_table(f2, 3)) == 4
 
 
 def test_map_completion_entrywise(z4, f2):
@@ -429,7 +428,7 @@ def test_free_class_of_idempotent_matches_splitting_search(request, name):
     for a in r.objects:
         for p in r.hom(a, a).elements():
             if r.compose(a, a, a, p, p) == p:
-                assert (free_class_of_idempotent(view, a, p, 3)
+                assert (free_class_of_idempotent(r, a, p, 3)
                         == _splitting_search(view, a, p, 3)), (a, p)
 
 
@@ -437,24 +436,22 @@ def test_free_class_of_idempotent_beyond_the_pair_ceiling(morita13):
     # E11 + E22 in End(3) splits through (1) + (1).  The splitting search
     # over whole sums needs (8 * 8)^2 = 4096 candidates for that sum; the
     # decomposition needs |End(3)| = 512 and 8 * 8 per comparison.
-    view = complete(morita13)
     p = (1, 0, 0, 0, 1, 0, 0, 0, 0)
-    assert free_class_of_idempotent(view, "3", p, 2, ceiling=512) == ("1", "1")
-    assert free_class_of_idempotent(view, "3", p, 1, ceiling=512) is None
+    assert free_class_of_idempotent(morita13, "3", p, 2, ceiling=512) == ("1", "1")
+    assert free_class_of_idempotent(morita13, "3", p, 1, ceiling=512) is None
     # below |End(3)| the answer is unknown, never "no such sum"
-    res = free_class_of_idempotent(complete(morita13), "3", p, 2, ceiling=511)
+    res = free_class_of_idempotent(morita13, "3", p, 2, ceiling=511)
     assert isinstance(res, Undecided)
     assert (res.subject, res.size, res.ceiling) == ("3", 512, 511)
 
 
 def test_free_class_of_idempotent_unknown_while_types_are_unmerged(f2xf2):
-    view = complete(f2xf2)
     e1 = (1, 0)
-    assert free_class_of_idempotent(view, "*", e1, 3) is None  # e1 is not free
+    assert free_class_of_idempotent(f2xf2, "*", e1, 3) is None  # e1 is not free
     # telling e1 from e2 takes only |End(*)| = 4 under the ceiling ...
-    assert free_class_of_idempotent(view, "*", e1, 3, ceiling=8) is None
+    assert free_class_of_idempotent(f2xf2, "*", e1, 3, ceiling=8) is None
     # ... below it 1_* is not split, and "not free" cannot be certified
-    res = free_class_of_idempotent(view, "*", e1, 3, ceiling=3)
+    res = free_class_of_idempotent(f2xf2, "*", e1, 3, ceiling=3)
     assert isinstance(res, Undecided)
     assert (res.subject, res.size, res.ceiling) == ("*", 4, 3)
 
@@ -480,8 +477,8 @@ def _reference_table(view, bound):
 
 
 def _assert_matches_reference(view, bound):
-    table = iso_class_table(view, bound)
-    dec = view.decomposition()
+    table = iso_class_table(view.base, bound)
+    dec = decomposition(view.base)
     assert not dec.undecided
     reps, class_of = _reference_table(view, bound)
     assert tuple(table.values()) == reps
@@ -493,7 +490,7 @@ def _assert_matches_reference(view, bound):
         rep = table[dec.type_vector(s)]
         if s == rep:
             continue
-        w = dec.isomorphism(s, rep)
+        w = isomorphism(dec, s, rep)
         assert (w.forward.src, w.forward.dst) == (s, rep)
         assert view.compose(w.backward, w.forward) == view.identity(s)
         assert view.compose(w.forward, w.backward) == view.identity(rep)
@@ -509,7 +506,7 @@ def test_iso_class_table_matches_reference_search(request, name, length):
                          + ["morita", "t2f2"])
 def test_summands_are_primitive_orthogonal_idempotents(request, name):
     r = request.getfixturevalue(name)
-    dec = complete(r).decomposition()
+    dec = decomposition(r)
     for a in r.objects:
         hom = r.hom(a, a)
         idems = [x.idem for x in dec.summands[a]]
@@ -529,7 +526,7 @@ def test_a_tampered_split_fails_its_check(request, name):
     # over F2 a part added twice more leaves the sum as it is, but is not
     # orthogonal to itself; a dropped part leaves the sum short
     r = request.getfixturevalue(name)
-    dec = complete(r).decomposition()
+    dec = decomposition(r)
     for a in r.objects:
         one = r.identity(a)
         parts = [x.idem for x in dec.summands[a]]
@@ -560,8 +557,7 @@ def _equivalence_by_pair_search(base, a, p, c, q):
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(small_ringoids(), incidence_ringoids()))
 def test_equivalence_merges_exactly_what_the_pair_search_merges(r):
-    view = complete(r)
-    dec = view.decomposition()
+    dec = decomposition(r)
     assert not dec.undecided
     primitives = [(a, x.idem) for a in r.objects for x in dec.summands[a]]
     for a, p in primitives:
@@ -588,7 +584,7 @@ def test_a_unit_product_other_than_p_merges():
     r = FiniteRingoid(("a", "b"), homs, table,
                       identities={"a": (1,), "b": (1,)}, name="F3 scaled")
     assert validate(r).ok
-    dec = complete(r).decomposition()
+    dec = decomposition(r)
     x = dec.summands["b"][0]
     assert (x.type, x.alpha, x.beta) == (0, (1,), (2,))
     assert _equivalence_by_pair_search(r, "b", (1,), "a", (1,)) == ((1,), (2,))
@@ -596,19 +592,18 @@ def test_a_unit_product_other_than_p_merges():
 
 @pytest.mark.parametrize("s,t", [(("*",), ("*", "*")), (("*", "*"), ("*",))])
 def test_isomorphism_of_unequal_type_vectors_is_refused(s, t):
-    dec = complete(cyclic_ring(2)).decomposition()
+    dec = decomposition(cyclic_ring(2))
     with pytest.raises(StructuralError, match="unequal type vectors"):
-        dec.isomorphism(s, t)
+        isomorphism(dec, s, t)
 
 
 def test_each_split_is_checked_when_it_is_made(f2xf2, monkeypatch):
-    view = complete(f2xf2)
-    dec = additive.Decomposition(view, DEFAULT_CEILING)
-    split = additive.Decomposition._split
-    monkeypatch.setattr(additive.Decomposition, "_split",
+    dec = krullschmidt.Decomposition(f2xf2, DEFAULT_CEILING)
+    split = krullschmidt.Decomposition._split
+    monkeypatch.setattr(krullschmidt.Decomposition, "_split",
                         lambda self, a, e: split(self, a, e)[:-1])
     with pytest.raises(StructuralError, match="split of"):
-        additive.Decomposition(view, DEFAULT_CEILING)
+        krullschmidt.Decomposition(f2xf2, DEFAULT_CEILING)
     # the split of an idempotent other than 1_a, made on first request
     with pytest.raises(StructuralError, match="split of"):
         dec.split("*", (1, 0))
@@ -620,15 +615,15 @@ def _count_witnesses(monkeypatch):
     two of each."""
     built = []
 
-    def count(cls, name):
-        original = getattr(cls, name)
+    def count(owner, name):
+        original = getattr(owner, name)
 
         def counting(self, *args):
             built.append(name)
             return original(self, *args)
-        monkeypatch.setattr(cls, name, counting)
+        monkeypatch.setattr(owner, name, counting)
 
-    count(additive.Decomposition, "_transfer")
+    count(additive, "_transfer")
     count(additive.AdditiveView, "compose")
     return built
 
@@ -641,20 +636,19 @@ def test_bounded_k0_builds_no_witness(monkeypatch):
     built = _count_witnesses(monkeypatch)
     res = k0_bounded(r, 30)
     assert res.presentation == AbPresentation.free(1)
-    table = iso_class_table(complete(r), 30)
+    table = iso_class_table(r, 30)
     assert len(list(enumerate_multisets(r.objects, 30))) == 496
     assert len(table) == 31
     assert built == []
     # one witness on request: two transfers and the two products checking them
-    complete(r).decomposition().isomorphism((0, 0), (0, 1))
+    isomorphism(decomposition(r), (0, 0), (0, 1))
     assert sorted(built) == ["_transfer"] * 2 + ["compose"] * 2
 
 
 def test_free_class_of_idempotent_builds_no_splitting(monkeypatch):
     r = elementary_ringoid({"2": 2, "1": 1}, "Morita(2,1)")
     built = _count_witnesses(monkeypatch)
-    view = complete(r)
-    classes = [free_class_of_idempotent(view, a, p, 2)
+    classes = [free_class_of_idempotent(r, a, p, 2)
                for a in r.objects for p in idempotents(r, a)]
     # in element order, End(2) = M2(F2) lists 0, six rank-one idempotents
     # and 1 (the fifth), and End(1) = F2 lists 0 and 1
@@ -664,34 +658,33 @@ def test_free_class_of_idempotent_builds_no_splitting(monkeypatch):
 
 
 def test_decomposition_of_new_fixtures(morita, t2f2):
-    dec = complete(morita).decomposition()
+    dec = decomposition(morita)
     # 1_(2) splits into two primitives, both equivalent to 1_(1)
     assert [x.type for x in dec.summands["2"]] == [0, 0]
-    dec = complete(t2f2).decomposition()
+    dec = decomposition(t2f2)
     # e11 and e22 are not equivalent: two types on one object
     assert sorted(x.type for x in dec.summands["*"]) == [0, 1]
     assert not dec.undecided
 
 
 def test_morita_bound_3_is_decided(morita):
-    table = iso_class_table(complete(morita), 3)
-    dec = complete(morita).decomposition()
+    table = iso_class_table(morita, 3)
+    dec = decomposition(morita)
     assert not dec.undecided
     assert len(table) == 7  # one class per total rank 0..6
     assert table[dec.type_vector(("1", "1"))] == ("2",)
 
 
 def test_undecided_records_carry_sizes(morita):
-    view = complete(morita)
-    table = iso_class_table(view, 2, ceiling=15)
-    dec = view.decomposition(15)
+    table = iso_class_table(morita, 2, ceiling=15)
+    dec = decomposition(morita, 15)
     # |End(2)| = 16 is over the ceiling, so (2) keeps a type of its own and
     # is not compared with (1)
     assert [(u.subject, u.size, u.ceiling) for u in dec.undecided] == [
         ("2", 16, 15)]
     assert table[dec.type_vector(("1", "1"))] == ("1", "1")
-    table = iso_class_table(view, 2, ceiling=16)
-    dec = view.decomposition(16)
+    table = iso_class_table(morita, 2, ceiling=16)
+    dec = decomposition(morita, 16)
     assert not dec.undecided
     assert table[dec.type_vector(("1", "1"))] == ("2",)
 
@@ -703,21 +696,21 @@ def test_object_over_the_ceiling_merges_only_on_certified_equivalence(
     # (beta . alpha = 1_(1)) but not equivalent to it (alpha . beta = E11),
     # so (1) starts its own type
     compared = []
-    equivalence = additive.Decomposition._equivalence
+    equivalence = krullschmidt.Decomposition._equivalence
 
     def spy(self, a, p, c, q):
         compared.append((a, c))
         return equivalence(self, a, p, c, q)
 
-    monkeypatch.setattr(additive.Decomposition, "_equivalence", spy)
+    monkeypatch.setattr(krullschmidt.Decomposition, "_equivalence", spy)
     r = elementary_ringoid({"3": 3, "1": 1}, "Morita(3,1)")
-    table = iso_class_table(complete(r), 1, ceiling=100)
-    assert [u.subject for u in complete(r).decomposition(100).undecided] == ["3"]
+    table = iso_class_table(r, 1, ceiling=100)
+    assert [u.subject for u in decomposition(r, 100).undecided] == ["3"]
     assert list(table.values()) == [(), ("3",), ("1",)]
     assert compared == []
     # within the ceiling the three primitives of 1_(3) are compared with
     # the first, and 1_(1) with it
-    iso_class_table(complete(r), 1, ceiling=512)
+    iso_class_table(r, 1, ceiling=512)
     assert compared == [("3", "3")] * 2 + [("1", "3")]
 
 

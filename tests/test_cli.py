@@ -13,7 +13,7 @@ from ringoids import (FiniteRingoid, FinGroup, GSet, Ideal, cyclic_ring,
                       discrete_groupoid, document_from, forget_units,
                       group_as_groupoid, group_ringoid, matrix_ring,
                       print_rgd, transport_groupoid)
-from ringoids.additive import TABLE_LETTER_LIMIT
+from ringoids.krullschmidt import TABLE_LETTER_LIMIT
 from ringoids.cli import _COMMANDS, run
 from ringoids.k1 import GL_ORDER_LIMIT
 
@@ -794,6 +794,19 @@ def test_a_duplicate_ringoid_name_exits_1_with_one_line(tmp_path, capsys,
     assert run([command, "--input", str(path)]) == 1
     assert capsys.readouterr() == (
         "", "parse error: line 7: ringoid 'A' is already declared at line 1\n")
+
+
+@pytest.mark.parametrize("command", ["validate", "assembly"])
+def test_a_repeated_groupoid_object_exits_1_with_one_line(tmp_path, capsys,
+                                                          command):
+    # validate used to print clean and assembly Z -> Z^2 with exit 0
+    path = tmp_path / "input.rgd"
+    path.write_text(F2_DOC + "\ngroupoid C1\nobject p\nobject p\n"
+                    "morphism p p e\ncompose e e -> e\n", encoding="utf-8")
+    line = F2_DOC.count("\n") + 4
+    assert run([command, "--input", str(path)]) == 1
+    assert capsys.readouterr() == (
+        "", "parse error: line %d: duplicate object 'p'\n" % line)
 
 
 def test_validate_reports_a_monoid_gset_as_before(tmp_path, capsys):

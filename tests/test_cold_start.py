@@ -1,5 +1,6 @@
 """Each subcommand in a new interpreter: it exits as in process, prints the
-same, and loads only the modules it runs.
+same, and loads only the modules it runs: its own handler module in
+`commands`, and no other.
 
 In process every module is loaded by earlier tests, so a module that a
 subcommand imports on first use but fails to import would go unseen there.
@@ -8,6 +9,7 @@ subcommand imports on first use but fails to import would go unseen there.
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -16,16 +18,19 @@ import pytest
 from ringoids.cli import _COMMANDS, run
 from test_cli import C2_ASSEMBLY_DOC, F2_DOC, TWO_RINGS_DOC, Z4_WITH_IDEAL
 
-VALIDATE = {"cli", "rgd", "ringoid", "abgroup"}
+# every subcommand loads these, and its own module of `commands`
+VALIDATE = {"cli", "commands", "rgd", "ringoid", "abgroup"}
 # the K0 relations of these inputs all eliminate, so no K0 subcommand
-# compiles the K1 line or the dense lattice code
-K0 = VALIDATE | {"additive", "ktheory", "intlinalg"}
+# compiles the K1 line or the dense lattice code; the K0 line reads the
+# Krull-Schmidt decomposition, and no matrix of the completion
+K0 = VALIDATE | {"krullschmidt", "ktheory", "intlinalg"}
 # k1 compiles no K0 code; the Schreier relators of GL2(F2) leave a
 # residue (GL2^ab = Z/2), whose Smith normal form loads lattice
-K1 = VALIDATE | {"additive", "k1", "intlinalg", "groups", "lattice"}
+K1 = VALIDATE | {"additive", "krullschmidt", "k1", "intlinalg", "groups",
+                 "lattice"}
 # a groupoid or gset section loads the section parsers and groupoids,
-# which tabulates
-GROUPOIDS = {"rgdsections", "groupoids", "groups", "constructions"}
+# which tabulates only to build a group ringoid
+GROUPOIDS = {"rgdsections", "groupoids", "groups"}
 # moduloids solves in the relation lattice; an ideal section loads the
 # section parsers and moduloids
 MODULOIDS = {"moduloids", "constructions", "intlinalg", "lattice"}
@@ -36,7 +41,7 @@ PRINTS = VALIDATE | {"constructions", "rgdprint"}
 # subcommand -> (input document, extra flags, loaded ringoids.* modules)
 CASES = {
     "validate": (F2_DOC, [], VALIDATE),
-    "complete": (F2_DOC, [], VALIDATE | {"additive"}),
+    "complete": (F2_DOC, [], VALIDATE | {"additive", "krullschmidt"}),
     "k0": (F2_DOC, ["--bound", "3"], K0),
     "k1": (F2_DOC, ["--gl-max", "2"], K1),
     "unitize": (F2_DOC, [], PRINTS | MODULOIDS),
@@ -45,7 +50,7 @@ CASES = {
     "groupring": (C2_ASSEMBLY_DOC, [], PRINTS | GROUPOIDS),
     "transport": (C2_ASSEMBLY_DOC, [], VALIDATE | GROUPOIDS),
     "assembly": (C2_ASSEMBLY_DOC, ["--bound", "3"],
-                 K0 | {"assembly"} | GROUPOIDS),
+                 K0 | {"assembly", "constructions"} | GROUPOIDS),
     "nerve-check": (F2_DOC, ["--bound", "3"], K0 | {"nerve"}),
     "oracle-compare": (F2_DOC, ["--bound", "3"], K0 | {"nerve"}),
 }
@@ -67,6 +72,10 @@ print(json.dumps([code, out.getvalue(),
 def _has_section_beyond_ringoids(doc):
     return any(line.split()[:1] in (["groupoid"], ["gset"], ["ideal"])
                for line in doc.splitlines())
+
+
+def _handler(command):
+    return "commands." + command.replace("-", "_")
 
 
 def _fresh_run(argv):
@@ -94,7 +103,7 @@ def test_subcommand_in_a_new_interpreter(tmp_path, command):
     assert (fresh_code, fresh_out) == (code, out.getvalue())
     # no subcommand compiles the section parsers for a ringoid-only input
     assert ("rgdsections" in loaded) == _has_section_beyond_ringoids(doc)
-    assert set(loaded) == modules
+    assert set(loaded) == modules | {_handler(command)}
 
 
 def test_validate_loads_groupoids_only_for_a_groupoid_section(tmp_path):
@@ -102,7 +111,7 @@ def test_validate_loads_groupoids_only_for_a_groupoid_section(tmp_path):
     path.write_text(C2_ASSEMBLY_DOC, encoding="utf-8")
     code, _, modules = _fresh_run(["validate", "--input", str(path)])
     assert code == 0
-    assert set(modules) == VALIDATE | GROUPOIDS
+    assert set(modules) == VALIDATE | GROUPOIDS | {_handler("validate")}
 
 
 def test_validate_loads_moduloids_only_for_an_ideal_section(tmp_path):
@@ -110,13 +119,46 @@ def test_validate_loads_moduloids_only_for_an_ideal_section(tmp_path):
     path.write_text(Z4_WITH_IDEAL, encoding="utf-8")
     code, _, modules = _fresh_run(["validate", "--input", str(path)])
     assert code == 0
-    assert set(modules) == VALIDATE | IDEALS
+    assert set(modules) == VALIDATE | IDEALS | {_handler("validate")}
 
 
 def test_k0_and_k1_subcommands_compile_only_their_own_line():
     for command in ("k0", "oracle-compare", "nerve-check", "assembly"):
-        assert not {"k1", "lattice"} & CASES[command][2], command
+        assert not {"k1", "lattice", "additive"} & CASES[command][2], command
     assert "k1" in CASES["k1"][2] and "ktheory" not in CASES["k1"][2]
+
+
+def _imported_by_name(argv):
+    """Run `python -X importtime -m ringoids.cli argv`; returns its exit code
+    and the modules that import statements loaded, in import order."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m",
+                           "ringoids.cli", *argv], capture_output=True,
+                          text=True, env=dict(os.environ,
+                                              PYTHONDONTWRITEBYTECODE="1"))
+    names = [line.rsplit("|", 1)[1].strip()
+             for line in proc.stderr.splitlines()
+             if line.startswith("import time:")]
+    return proc.returncode, names
+
+
+@pytest.mark.parametrize("command", sorted(CASES))
+def test_cli_module_is_compiled_once(tmp_path, command):
+    # under -m the front runs as __main__; a handler that imported
+    # ringoids.cli would compile it a second time
+    doc, flags, _ = CASES[command]
+    path = tmp_path / "input.rgd"
+    path.write_text(doc, encoding="utf-8")
+    code, names = _imported_by_name([command, "--input", str(path), *flags])
+    assert code == 0
+    # importlib.import_module, which loads the handler, is not timed, but
+    # the front's own imports are
+    assert "ringoids.rgd" in names and "ringoids.cli" not in names
+
+
+def test_help_imports_no_cli_module_by_name():
+    code, names = _imported_by_name(["--help"])
+    assert code == 0
+    assert "ringoids" in names and "ringoids.cli" not in names
 
 
 def test_validate_loads_no_quotient_code(tmp_path):

@@ -1,13 +1,13 @@
 import pytest
 
-from conftest import group_is_valid
+from conftest import group_is_valid, hom_is_bijective_everywhere
 from ringoids import (FinAbGroup, FinGroup, FiniteRingoid, GSet, PiRing,
                       PiRingError, cyclic_ring, disjoint_union_gset,
                       discrete_groupoid, group_as_groupoid, group_ringoid,
-                      group_ringoid_tensor_iso, hom_is_bijective_everywhere,
-                      orbit_skeleton, product_ring, ringoid_equal_structure,
-                      transport_groupoid, twisted_group_ringoid, validate,
-                      validate_groupoid, validate_hom, validate_pi_ring)
+                      group_ringoid_tensor_iso, orbit_skeleton, product_ring,
+                      ringoid_equal_structure, transport_groupoid,
+                      twisted_group_ringoid, validate, validate_groupoid,
+                      validate_hom, validate_pi_ring)
 
 
 def test_group_as_groupoid_valid(c2_groupoid):

@@ -14,8 +14,9 @@ from ringoids import (AbPresentation, CeilingExceeded, FinAbGroup,
                       k1_bounded, matrix_ring, product_ring, scalar_ringoid,
                       tensor, unitize, validate, validate_hom, with_self_scalar,
                       zero_ideal, zero_moduloid)
-from ringoids import additive, k1, ktheory
-from ringoids.additive import end_ring, enumerate_multisets
+from ringoids import k1, krullschmidt, ktheory
+from ringoids.additive import end_ring
+from ringoids.krullschmidt import decomposition, enumerate_multisets
 from ringoids.constructions import tabulate
 from ringoids.intlinalg import hom_well_defined
 from ringoids.k1 import (GLGroup, bass_generators, certify_gl_order,
@@ -228,14 +229,14 @@ def test_idem_classes_match_pair_search(ring_name, request):
 def test_idem_classes_split_no_idempotent(monkeypatch):
     # a ringoid of its own, so that no cached decomposition answers first
     r = elementary_ringoid({"2": 2, "1": 1}, "Morita(2,1)")
-    split = additive.Decomposition.split
+    split = krullschmidt.Decomposition.split
     calls = []
 
     def spy(dec, a, p):
         calls.append((a, p))
         return split(dec, a, p)
 
-    monkeypatch.setattr(additive.Decomposition, "split", spy)
+    monkeypatch.setattr(krullschmidt.Decomposition, "split", spy)
     ic = idem_classes(r)
     assert calls == []
     # End(2) = M2(F2) has the classes 0, E22 (its first primitive in
@@ -407,8 +408,8 @@ def _word_pair_relations(r, bound):
     the bound and by the flattening itself beyond it, with the differences
     inside a bucket as relations.  Rows are mapped to the multisets, each
     word to its sorted form; returns the multisets and the rows."""
-    table = iso_class_table(complete(r), bound)
-    dec = complete(r).decomposition()
+    table = iso_class_table(r, bound)
+    dec = decomposition(r)
     words = [s for s in enumerate_objsums(r.objects, bound) if len(s) >= 2]
     multisets = [s for s in enumerate_multisets(r.objects, bound) if len(s) >= 2]
     column = {s: multisets.index(tuple(sorted(s, key=r.objects.index)))
@@ -809,8 +810,8 @@ def test_k0_relations_are_distinct_and_nonzero(ring_name, request):
     assert len(set(rows)) == len(rows)
     # the same groups as one raw row per non-representative word
     objects = list(ring.objects)
-    table = iso_class_table(complete(ring), bound)
-    dec = complete(ring).decomposition()
+    table = iso_class_table(ring, bound)
+    dec = decomposition(ring)
     raw = []
     for s in enumerate_objsums(objects, bound):
         rep = table[dec.type_vector(s)]

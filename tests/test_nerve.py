@@ -8,8 +8,9 @@ from ringoids import (AbPresentation, check_simplicial_identities, complete,
                       degeneracy, enumerate_objsums, face, iso_class_table,
                       k0_bounded, k0_via_nerve, oracle_compare)
 from ringoids import nerve
-from ringoids.additive import SizeLimitExceeded, _three_figures
 from ringoids.intlinalg import hom_well_defined
+from ringoids.krullschmidt import (SizeLimitExceeded, _three_figures,
+                                   decomposition)
 from ringoids.nerve import LEVEL_TUPLE_LIMIT, RELATION_ROW_LIMIT, level_size
 from ringoids.ringoid import StructuralError
 
@@ -149,8 +150,8 @@ def _nerve_words(r, bound):
     """The word presentation of the nerve's fundamental group: the zero
     object's generator, (s)(rep)^-1 per isomorphism to a class
     representative, and (s)(t)(s+t)^-1 per level-2 object."""
-    table = iso_class_table(complete(r), bound)
-    dec = complete(r).decomposition()
+    table = iso_class_table(r, bound)
+    dec = decomposition(r)
     sums = enumerate_objsums(r.objects, bound)
     index = {s: i + 1 for i, s in enumerate(sums)}
     relators = [(index[()],)]

@@ -124,6 +124,28 @@ def test_action_without_a_scalar_line_names_its_first_line():
         parse_rgd(F2_DOC).ringoids["F2"].action
 
 
+# the group C1 as a groupoid, and a gset over it with one point
+C1_DOC = ("groupoid C1\nobject p\nmorphism p p e\ncompose e e -> e\n\n"
+          "gset pt over C1\npoint 1\nact 1 e -> 1\n")
+
+
+@pytest.mark.parametrize("text, line, message", [
+    # used to parse as a groupoid on the objects p, p; validate printed
+    # clean and assembly an assembly map Z -> Z^2
+    (C1_DOC.replace("object p\n", "object p\nobject p\n"), 3,
+     "duplicate object 'p'"),
+    # used to parse as a gset on the points 1, 1; transport printed two
+    # objects
+    (C1_DOC.replace("point 1\n", "point 1\npoint 1\n"), 8,
+     "duplicate point '1'"),
+], ids=["groupoid object", "gset point"])
+def test_a_repeated_object_or_point_is_semantic(text, line, message):
+    with pytest.raises(RGDSemanticError) as exc:
+        parse_rgd(text)
+    assert exc.value.line == line
+    assert str(exc.value) == "line %d: %s" % (line, message)
+
+
 def test_gset_over_a_groupoid_missing_a_composite_is_semantic():
     # used to raise KeyError while tabulating the loops
     text = C2_DOC.replace("compose g g -> e\n", "")
