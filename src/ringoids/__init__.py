@@ -25,13 +25,13 @@ _EXPORTS = {
     "abgroup": ("FinAbGroup",),
     "groups": ("FinGroup", "abelianization"),
     "ringoid": ("AxiomFailure", "FiniteRingoid", "StructuralError",
-                "ValidationReport", "validate"),
+                "ValidationReport", "enumerate_objsums", "validate"),
     "constructions": ("RingoidHom", "cyclic_ring", "direct_sum",
                       "forget_units", "identity_hom", "matrix_ring",
                       "one_object_ringoid", "product_ring",
                       "ringoid_equal_structure", "validate_hom",
                       "with_self_scalar", "zero_moduloid", "zero_ring"),
-    "krullschmidt": ("Undecided", "enumerate_objsums", "iso_class_table"),
+    "krullschmidt": ("Undecided", "iso_class_table"),
     "additive": ("AdditiveView", "IsoWitness", "MatMorphism", "complete",
                  "map_completion"),
     "moduloids": ("GroupQuotient", "Ideal", "IdealError", "TensorProduct",

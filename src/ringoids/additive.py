@@ -61,8 +61,6 @@ class AdditiveView:
 
     def __init__(self, base):
         self.base = base
-        self.has_identities = base.unital
-        self._ends = {}
 
     # -- hom-sets --------------------------------------------------------
 
@@ -78,7 +76,7 @@ class AdditiveView:
                            [[self.base.zero(a, b) for a in src] for b in dst])
 
     def identity(self, s):
-        if not self.has_identities:
+        if not self.base.unital:
             raise StructuralError("identity matrices need a unital base")
         return MatMorphism(s, s,
                            [[self.base.identity(a) if i == j else self.base.zero(b, a)
@@ -164,7 +162,7 @@ def end_ring(view, s, name=""):
     def flat(f):
         return tuple(v for row in f.entries for entry in row for v in entry)
 
-    identities = {"*": flat(view.identity(s))} if view.has_identities else None
+    identities = {"*": flat(view.identity(s))} if view.base.unital else None
     return tabulate(("*",), {("*", "*"): FinAbGroup(moduli)},
                     lambda a, b, c, y, x: flat(view.compose(matrix(y), matrix(x))),
                     identities=identities, name=name)

@@ -6,7 +6,7 @@ from . import EXIT_FAIL, EXIT_OK, emit, require_ringoid
 
 def run(args, doc):
     from ..additive import complete
-    from ..krullschmidt import enumerate_objsums
+    from ..ringoid import enumerate_objsums
     r = require_ringoid(doc)
     view = complete(r)
     lines = ["additive completion of %s" % r.name]

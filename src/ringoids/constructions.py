@@ -3,17 +3,19 @@
 A homomorphism (`RingoidHom`) is an additive functor, stored as an object
 map and the images of the hom-group generators.  `tabulate` and
 `tabulate_hom` record a bilinear product or an additive map given on
-elements as structure constants; every construction here and in
-`moduloids` and `groupoids` is written as its formula on elements and
-recorded by them.  The builders make the standard rings (Z/n, products,
-matrix rings) and moduloids (direct sums, zero moduloids) this way.
+elements on the generators (`ringoid.structure_table`); every
+construction here and in `moduloids` and `groupoids` is written as its
+formula on elements and recorded by them.  The builders make the standard
+rings (Z/n, products, matrix rings) and moduloids (direct sums, zero
+moduloids) this way.
 """
 
 from __future__ import annotations
 
 from .abgroup import TRIVIAL_GROUP, FinAbGroup
 from .ringoid import (AxiomFailure, FiniteRingoid, StructuralError,
-                      ValidationReport, _gens)
+                      ValidationReport, _gens, structure_constants,
+                      structure_table)
 
 
 # ---------------------------------------------------------------------------
@@ -112,24 +114,21 @@ def tabulate(objects, homs, compose, identities=None, scalar=None, act=None,
     compose(a, b, c, y, x), the composite y . x for y in Hom(b,c) and x in
     Hom(a,b), and, when a scalar ring is given, whose scalar action is
     act(a, b, r, x).  Both maps are given on elements and must be bilinear;
-    they are evaluated on generators, so this is the only construction
-    that knows the structure-constant layout."""
+    they are evaluated on generators (`ringoid.structure_table`)."""
     objects = tuple(objects)
     basis = {key: _basis(hom) for key, hom in homs.items()}
-    table = {}
-    for a in objects:
-        for b in objects:
-            for c in objects:
-                hac = homs[(a, c)]
-                table[(a, b, c)] = tuple(
-                    tuple(hac.reduce(compose(a, b, c, y, x)) for x in basis[(a, b)])
-                    for y in basis[(b, c)])
+    table = {(a, b, c): structure_table(
+        homs[(b, c)], homs[(a, b)], homs[(a, c)],
+        lambda i, j: compose(a, b, c, basis[(b, c)][i], basis[(a, b)][j]))
+        for a in objects for b in objects for c in objects}
     action = None
     if scalar is not None:
         ro = scalar.objects[0]
-        action = {(a, b): tuple(
-            tuple(homs[(a, b)].reduce(act(a, b, r, x)) for x in basis[(a, b)])
-            for r in _basis(scalar.hom(ro, ro)))
+        rg = scalar.hom(ro, ro)
+        scalars = _basis(rg)
+        action = {(a, b): structure_table(
+            rg, homs[(a, b)], homs[(a, b)],
+            lambda i, j: act(a, b, scalars[i], basis[(a, b)][j]))
             for a in objects for b in objects}
     return FiniteRingoid(objects, homs, table, identities=identities,
                          scalar=scalar, action=action, name=name)
@@ -156,8 +155,8 @@ def one_object_ringoid(moduli, products, identity=None, name="", obj="*"):
     """Ring presented on one object: products[i][j] is generator_i * generator_j
     (note: i is applied second, matching compose(y, x))."""
     hom = FinAbGroup(moduli)
-    table = {(obj, obj, obj): tuple(tuple(hom.reduce(img) for img in row)
-                                    for row in products)}
+    table = {(obj, obj, obj): structure_table(hom, hom, hom,
+                                              lambda i, j: products[i][j])}
     identities = {obj: hom.reduce(identity)} if identity is not None else None
     return FiniteRingoid((obj,), {(obj, obj): hom}, table,
                          identities=identities, name=name)
@@ -274,28 +273,13 @@ def ringoid_equal_structure(r1, r2):
     identities; ignores names and scalar data."""
     if tuple(r1.objects) != tuple(r2.objects):
         return False
-    for key in set(r1.homs) | set(r2.homs):
-        if r1.homs.get(key) != r2.homs.get(key):
-            return False
-    keys = set(r1.compose_table) | set(r2.compose_table)
-    for key in keys:
-        a, b, c = key
-        t1 = r1.compose_table.get(key)
-        t2 = r2.compose_table.get(key)
-        if t1 is None:
-            t1 = _zero_key_table(r1, a, b, c)
-        if t2 is None:
-            t2 = _zero_key_table(r2, a, b, c)
-        if t1 != t2:
-            return False
+    if r1.homs != r2.homs:
+        return False
+    if (set(structure_constants(r1.compose_table))
+            != set(structure_constants(r2.compose_table))):
+        return False
     if r1.unital != r2.unital:
         return False
     if r1.unital and r1.identities != r2.identities:
         return False
     return True
-
-
-def _zero_key_table(r, a, b, c):
-    hbc, hab, hac = r.hom(b, c), r.hom(a, b), r.hom(a, c)
-    return tuple(tuple(hac.zero() for _ in range(len(hab.moduli)))
-                 for _ in range(len(hbc.moduli)))

@@ -240,14 +240,20 @@ def orbit_skeleton(g):
         comp_objs = [o for o in g.objects
                      if g.hom(base, o) or o == base]
         remaining = [o for o in remaining if o not in comp_objs]
-        loops = list(g.hom(base, base))
-        idx = {mid: i for i, mid in enumerate(loops)}
-        table = [[idx[g.compose(loops[j], loops[i])] for j in range(len(loops))]
-                 for i in range(len(loops))]
-        vertex = FinGroup(loops, table)
+        vertex = _vertex_group(g, base)
         components.append(OrbitComponent(comp_objs, base, vertex,
-                                         {i: loops[i] for i in range(len(loops))}))
+                                         dict(enumerate(vertex.elements))))
     return components
+
+
+def _vertex_group(g, a):
+    """The group of loops at a, in g.hom(a, a) order, where element i times
+    element j is loop i followed by loop j (ValueError when not a group)."""
+    loops = list(g.hom(a, a))
+    idx = {mid: i for i, mid in enumerate(loops)}
+    table = [[idx[g.compose(loops[j], loops[i])] for j in range(len(loops))]
+             for i in range(len(loops))]
+    return FinGroup(loops, table)
 
 
 # ---------------------------------------------------------------------------

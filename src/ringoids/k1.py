@@ -11,7 +11,7 @@ none of the K1 line and a K1 process none of the K0 line.
 
 from __future__ import annotations
 
-from .additive import MatMorphism, complete, end_ring
+from .additive import MatMorphism, complete
 from .intlinalg import AbPresentation, hom_is_isomorphism
 from .krullschmidt import (SizeLimitExceeded, _three_figures, decomposition,
                            inverse_by_powers, is_nilpotent)
@@ -113,7 +113,7 @@ def gl(view, s, ceiling=DEFAULT_CEILING):
     SizeLimitExceeded, before the closure, when `gl_order` of a sum of two
     objects or more is over GL_ORDER_LIMIT."""
     s = tuple(s)
-    if not view.has_identities:
+    if not view.base.unital:
         raise StructuralError("GL needs a unital base")
     n = view.hom_order(s, s)
     if n > ceiling:
@@ -149,7 +149,7 @@ def bass_generators(view, s):
     for i, a in enumerate(s):
         if a not in s[:i]:
             pairs.extend((with_entry(i, i, u), with_entry(i, i, v))
-                         for u, v in _unit_generators(_end(view, a)))
+                         for u, v in _unit_generators(base, a))
         for j, b in enumerate(s):
             hom = base.hom(b, a)
             if i != j:
@@ -161,22 +161,11 @@ def bass_generators(view, s):
     return [g for g, _ in pairs]
 
 
-def _end(view, a):
-    """End(a) as a one-object ring: the base itself when it has one object,
-    else `end_ring`, tabulated once per view and object."""
-    if len(view.base.objects) == 1:
-        return view.base
-    if a not in view._ends:
-        view._ends[a] = end_ring(view, (a,), "End(%s)" % (a,))
-    return view._ends[a]
-
-
-def _unit_generators(ring):
-    """Units u of a one-object ring, each with its inverse (`inverse_by_powers`),
-    kept in element order when the units kept before do not generate u.  Each
+def _unit_generators(ring, o):
+    """Units u of End(o), each with its inverse (`inverse_by_powers`), kept
+    in element order when the units kept before do not generate u.  Each
     kept unit at least doubles the group they generate, so at most
-    log2 |ring*| are kept, and they generate ring*."""
-    o = ring.objects[0]
+    log2 |End(o)*| are kept, and they generate End(o)*."""
     one = ring.identity(o)
     kept, reached = [], {one}
     for u in ring.hom(o, o).elements():
@@ -222,7 +211,7 @@ def gl_order(view, s, ceiling=DEFAULT_CEILING):
     radical_quotient = 1
     count = 1
     for t, (a, e) in first.items():
-        q, m = _residue_field_order(_end(view, a), e), vector.count(t)
+        q, m = _residue_field_order(view.base, a, e), vector.count(t)
         radical_quotient *= q ** (m * m)
         for i in range(m):
             count *= q ** m - q ** i
@@ -233,16 +222,15 @@ def gl_order(view, s, ceiling=DEFAULT_CEILING):
     return radical * count
 
 
-def _residue_field_order(ring, e):
-    """|L| / |non-units of L| for the local ring L = e ring e of a one-object
-    ring, whose non-units are its nilpotents (`is_nilpotent`)."""
-    o = ring.objects[0]
+def _residue_field_order(ring, o, e):
+    """|L| / |non-units of L| for the local ring L = e End(o) e of a
+    ringoid, whose non-units are its nilpotents (`is_nilpotent`)."""
     corner = {ring.compose(o, o, o, e, ring.compose(o, o, o, y, e))
               for y in ring.hom(o, o).elements()}
     nilpotent = sum(is_nilpotent(ring, o, y) for y in corner)
     q, rem = divmod(len(corner), nilpotent)
     if rem:
-        raise StructuralError("the corner ring of %r at %r is not local" % (ring.name, e))
+        raise StructuralError("the corner ring of End(%r) at %r is not local" % (o, e))
     return q
 
 
@@ -301,7 +289,7 @@ def k1_bounded(r, n_max, ceiling=DEFAULT_CEILING):
         raise StructuralError("bounded K1 is implemented for one-object bases")
     obj = r.objects[0]
     view = complete(r)
-    if view.has_identities and view.hom_order((obj,), (obj,)) == 1 and ceiling >= 1:
+    if r.unital and view.hom_order((obj,), (obj,)) == 1 and ceiling >= 1:
         # a zero object: every GL_n is trivial and every step is the
         # identity of 0, so no closure is built (a base without identities,
         # or a ceiling of 0, is left to `gl` to refuse)

@@ -29,7 +29,8 @@ from __future__ import annotations
 import itertools
 import math
 
-from .ringoid import DEFAULT_CEILING, StructuralError, _gens
+from .ringoid import (DEFAULT_CEILING, StructuralError, _gens,
+                      enumerate_multisets)
 
 # The most letters (base objects, counted over all its multisets) an
 # iso-class table may enumerate.  The table keeps a type vector and a
@@ -302,22 +303,6 @@ def decomposition(r, ceiling=DEFAULT_CEILING):
     if dec is None:
         dec = r._decompositions[ceiling] = Decomposition(r, ceiling)
     return dec
-
-
-def enumerate_objsums(objects, bound):
-    """All formal sums of length <= bound, shortest first, lexicographic
-    within a length (pinning the deterministic representative choice)."""
-    out = []
-    for n in range(bound + 1):
-        out.extend(itertools.product(objects, repeat=n))
-    return out
-
-
-def enumerate_multisets(objects, bound):
-    """The multisets of objects of size <= bound, each as its sorted sum,
-    in `enumerate_objsums` order: the sorted words of that list."""
-    for n in range(bound + 1):
-        yield from itertools.combinations_with_replacement(objects, n)
 
 
 def table_letters(n, bound):

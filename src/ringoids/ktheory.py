@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from .intlinalg import (AbPresentation, apply_rows, exponent_row,
                         hom_is_isomorphism, hom_well_defined)
-from .krullschmidt import decomposition, enumerate_multisets, iso_class_table
-from .ringoid import DEFAULT_CEILING, StructuralError
+from .krullschmidt import decomposition, iso_class_table
+from .ringoid import DEFAULT_CEILING, StructuralError, enumerate_multisets
 
 
 # ---------------------------------------------------------------------------

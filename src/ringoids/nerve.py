@@ -26,9 +26,9 @@ import math
 
 from .intlinalg import AbPresentation, exponent_row, hom_is_isomorphism
 from .krullschmidt import (SizeLimitExceeded, _three_figures, decomposition,
-                           enumerate_objsums, iso_class_table)
+                           iso_class_table)
 from .ktheory import k0_bounded
-from .ringoid import DEFAULT_CEILING, StructuralError
+from .ringoid import DEFAULT_CEILING, StructuralError, enumerate_objsums
 
 # The most relation rows the oracle may build, and the most tuples of a
 # nerve level that may be enumerated.  Over the whole oracle job a row

@@ -20,11 +20,11 @@ import itertools
 from .constructions import tabulate_hom
 from .intlinalg import (AbPresentation, apply_rows, exponent_row,
                         hom_is_isomorphism)
-from .krullschmidt import (Undecided, decomposition, enumerate_multisets,
-                           enumerate_objsums, iso_class_table)
+from .krullschmidt import Undecided, decomposition, iso_class_table
 from .ktheory import k0_bounded, k0_induced
 from .lattice import hom_kernel_lattice, kernel_presentation, lattices_equal
-from .ringoid import DEFAULT_CEILING, StructuralError
+from .ringoid import (DEFAULT_CEILING, StructuralError, enumerate_multisets,
+                      enumerate_objsums)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from __future__ import annotations
 import re
 
 from .abgroup import FinAbGroup
-from .ringoid import FiniteRingoid
+from .ringoid import FiniteRingoid, structure_table
 
 
 class RGDSyntaxError(Exception):
@@ -125,11 +125,12 @@ class _RingoidBuilder:
         self.lineno = lineno
         self.objects = []
         self.homs = {}
-        self.compose = {}   # (a,b,c) -> {(i,j): coords}
+        # directive -> key -> {(i, j): (coords, line)}: entry [i][j] of the
+        # structure-constant table of compose (a, b, c) or action (a, b)
+        self.constants = {"compose": {}, "action": {}}
         self.identities = {}
         self.scalar_name = None
         self.scalar_line = None
-        self.action = {}    # (a,b) -> {(r,g): (coords, line)}
         self.action_line = None
 
     def require_object(self, obj, lineno):
@@ -157,30 +158,8 @@ class _RingoidBuilder:
             moduli = [_int(t, lineno, c, minimum=1, what="modulus") for t, c in toks[4:]]
             self.homs[(a, b)] = FinAbGroup(moduli)
             return
-        if head == "compose":
-            heads, tail = _strip_colon(toks, lineno, col0)
-            if len(heads) != 4:
-                raise RGDSyntaxError(lineno, col0, "expected: compose A B C: gj gi -> ...")
-            a, b, c = heads[1][0], heads[2][0], heads[3][0]
-            for o in (a, b, c):
-                self.require_object(o, lineno)
-            left, right = _split_arrow(tail, lineno, col0)
-            if len(left) != 2:
-                raise RGDSyntaxError(lineno, col0, "compose needs two generator indices")
-            gj = _int(left[0][0], lineno, left[0][1], minimum=0, what="generator index")
-            gi = _int(left[1][0], lineno, left[1][1], minimum=0, what="generator index")
-            hab, hbc, hac = self.hom_group(a, b), self.hom_group(b, c), self.hom_group(a, c)
-            if gj >= len(hab.moduli):
-                raise RGDSemanticError(lineno, "generator %d out of range for Hom(%s,%s)"
-                                       % (gj, a, b))
-            if gi >= len(hbc.moduli):
-                raise RGDSemanticError(lineno, "generator %d out of range for Hom(%s,%s)"
-                                       % (gi, b, c))
-            coords = [_int(t, lineno, cc) for t, cc in right]
-            if len(coords) != len(hac.moduli):
-                raise RGDSemanticError(lineno, "image has %d coordinates, Hom(%s,%s) has %d"
-                                       % (len(coords), a, c, len(hac.moduli)))
-            self.compose.setdefault((a, b, c), {})[(gi, gj)] = tuple(coords)
+        if head in self.constants:
+            self.constant_line(head, toks, lineno, col0)
             return
         if head == "identity":
             heads, tail = _strip_colon(toks, lineno, col0)
@@ -201,48 +180,47 @@ class _RingoidBuilder:
             self.scalar_name = toks[1][0]
             self.scalar_line = lineno
             return
-        if head == "action":
-            heads, tail = _strip_colon(toks, lineno, col0)
-            if len(heads) == 2:
-                a, b = heads[1][0], heads[1][0]
-            elif len(heads) == 3:
-                a, b = heads[1][0], heads[2][0]
-            else:
-                raise RGDSyntaxError(lineno, col0, "expected: action A B: r g -> ...")
-            self.require_object(a, lineno)
-            self.require_object(b, lineno)
-            left, right = _split_arrow(tail, lineno, col0)
-            if len(left) != 2:
-                raise RGDSyntaxError(lineno, col0, "action needs two indices")
-            r = _int(left[0][0], lineno, left[0][1], minimum=0, what="scalar generator index")
-            g = _int(left[1][0], lineno, left[1][1], minimum=0, what="generator index")
-            hom = self.hom_group(a, b)
-            if g >= len(hom.moduli):
-                raise RGDSemanticError(lineno, "generator %d out of range for Hom(%s,%s)"
-                                       % (g, a, b))
-            coords = [_int(t, lineno, c) for t, c in right]
-            if len(coords) != len(hom.moduli):
-                raise RGDSemanticError(lineno, "image has %d coordinates, Hom(%s,%s) has %d"
-                                       % (len(coords), a, b, len(hom.moduli)))
-            self.action.setdefault((a, b), {})[(r, g)] = (tuple(coords), lineno)
-            if self.action_line is None:
-                self.action_line = lineno
-            return
         raise RGDSyntaxError(lineno, col0, "unknown ringoid directive %r" % (head,))
 
+    def constant_line(self, head, toks, lineno, col0):
+        """Read 'compose A B C: k l -> c1 ...' or 'action A B: k l -> c1 ...'
+        ('action A:' means A A) into `constants`.  l indexes the hom of the
+        last two objects, k the first two's or the scalar ring's."""
+        usage, arity, first = _CONSTANT_LINES[head]
+        heads, tail = _strip_colon(toks, lineno, col0)
+        key = tuple(tok for tok, _ in heads[1:])
+        if head == "action" and len(key) == 1:
+            key *= 2
+        if len(key) != (3 if head == "compose" else 2):
+            raise RGDSyntaxError(lineno, col0, usage)
+        for o in key:
+            self.require_object(o, lineno)
+        left, right = _split_arrow(tail, lineno, col0)
+        if len(left) != 2:
+            raise RGDSyntaxError(lineno, col0, arity)
+        k = _int(left[0][0], lineno, left[0][1], minimum=0, what=first)
+        l = _int(left[1][0], lineno, left[1][1], minimum=0, what="generator index")
+        ranges = [(k, key[:2])] if head == "compose" else []
+        for g, (a, b) in ranges + [(l, key[-2:])]:
+            if g >= len(self.hom_group(a, b).moduli):
+                raise RGDSemanticError(lineno, "generator %d out of range for Hom(%s,%s)"
+                                       % (g, a, b))
+        a, c = key[0], key[-1]
+        hom = self.hom_group(a, c)
+        coords = [_int(t, lineno, cc) for t, cc in right]
+        if len(coords) != len(hom.moduli):
+            raise RGDSemanticError(lineno, "image has %d coordinates, Hom(%s,%s) has %d"
+                                   % (len(coords), a, c, len(hom.moduli)))
+        # a compose line names the right factor first, an action line the left
+        ij = (l, k) if head == "compose" else (k, l)
+        self.constants[head].setdefault(key, {})[ij] = (tuple(coords), lineno)
+        if head == "action" and self.action_line is None:
+            self.action_line = lineno
+
     def build(self, doc):
-        homs = {}
-        for a in self.objects:
-            for b in self.objects:
-                homs[(a, b)] = self.hom_group(a, b)
-        table = {}
-        for (a, b, c), entries in self.compose.items():
-            hbc, hab, hac = homs[(b, c)], homs[(a, b)], homs[(a, c)]
-            rows = [[hac.zero() for _ in range(len(hab.moduli))]
-                    for _ in range(len(hbc.moduli))]
-            for (i, j), coords in entries.items():
-                rows[i][j] = hac.reduce(coords)
-            table[(a, b, c)] = tuple(tuple(row) for row in rows)
+        homs = {(a, b): self.hom_group(a, b) for a in self.objects for b in self.objects}
+        table = {(a, b, c): _table(entries, homs[(b, c)], homs[(a, b)], homs[(a, c)])
+                 for (a, b, c), entries in self.constants["compose"].items()}
         identities = dict(self.identities) if self.identities else None
         scalar = None
         action = None
@@ -268,21 +246,43 @@ class _RingoidBuilder:
                                        % (self.scalar_name,))
             ro = scalar.objects[0]
             rg = scalar.hom(ro, ro)
-            action = {}
-            for a in self.objects:
-                for b in self.objects:
-                    hom = homs[(a, b)]
-                    rows = [[hom.zero() for _ in range(len(hom.moduli))]
-                            for _ in range(len(rg.moduli))]
-                    for (r, g), (coords, lineno) in self.action.get((a, b), {}).items():
-                        if r >= len(rg.moduli):
-                            raise RGDSemanticError(
-                                lineno, "scalar generator %d out of range for the "
-                                "scalar ring %r" % (r, self.scalar_name))
-                        rows[r][g] = hom.reduce(coords)
-                    action[(a, b)] = tuple(tuple(row) for row in rows)
+            past_scalar = ("scalar generator %%d out of range for the scalar ring %r"
+                           % (self.scalar_name,))
+            action = {(a, b): _table(self.constants["action"].get((a, b), {}), rg,
+                                     homs[(a, b)], homs[(a, b)], past_scalar)
+                      for a in self.objects for b in self.objects}
         return FiniteRingoid(self.objects, homs, table, identities=identities,
                              scalar=scalar, action=action, name=self.name)
+
+
+# structure-constant directive -> (usage message, message for a wrong
+# number of indices, what its first index is)
+_CONSTANT_LINES = {
+    "compose": ("expected: compose A B C: gj gi -> ...",
+                "compose needs two generator indices", "generator index"),
+    "action": ("expected: action A B: r g -> ...", "action needs two indices",
+               "scalar generator index"),
+}
+
+
+# a generator that a hom line after its compose or action line took away
+_TAKEN = "generator %d is taken away by a later hom line"
+
+
+def _table(entries, rows, cols, out, past_rows=_TAKEN):
+    """The structure-constant table of the lines read for one key, on the
+    hom-groups at the end of the section; past_rows % i is the message for
+    a row index i that `rows` has no generator for."""
+    for (i, j), (_, lineno) in entries.items():
+        for g, gens, message in ((i, rows, past_rows), (j, cols, _TAKEN)):
+            if g >= len(gens.moduli):
+                raise RGDSemanticError(lineno, message % g)
+
+    def image(i, j):
+        entry = entries.get((i, j))
+        return None if entry is None else entry[0]
+
+    return structure_table(rows, cols, out, image)
 
 
 # header word -> (number of tokens, the keyword that must be the third

@@ -10,7 +10,7 @@ the printer.
 from __future__ import annotations
 
 from .rgd import RGDDocument
-from .ringoid import FiniteRingoid
+from .ringoid import FiniteRingoid, structure_constants
 
 
 def print_rgd(doc):
@@ -60,17 +60,7 @@ def _print_ringoid(r, doc):
             if len(hom.moduli):
                 lines.append("hom %s %s cyclic %s"
                              % (names[a], names[b], " ".join(str(d) for d in hom.moduli)))
-    compose_lines = []
-    for (a, b, c), table in r.compose_table.items():
-        for i, row in enumerate(table):
-            for j, img in enumerate(row):
-                if any(img):
-                    compose_lines.append(((order[a], order[b], order[c], j, i),
-                                          "compose %s %s %s: %d %d -> %s"
-                                          % (names[a], names[b], names[c], j, i,
-                                             " ".join(str(x) for x in img))))
-    compose_lines.sort(key=lambda t: t[0])
-    lines.extend(text for _, text in compose_lines)
+    lines.extend(_constant_lines("compose", r.compose_table, names, order))
     if r.unital and r.identities:
         # a parsed section may declare identities for some objects only
         for a in r.objects:
@@ -81,18 +71,22 @@ def _print_ringoid(r, doc):
         sname = _scalar_name_of(r, doc)
         if sname is not None:
             lines.append("scalar %s" % sname)
-            action_lines = []
-            for (a, b), table in (r.action or {}).items():
-                for i, row in enumerate(table):
-                    for j, img in enumerate(row):
-                        if any(img):
-                            action_lines.append(((order[a], order[b], i, j),
-                                                 "action %s %s: %d %d -> %s"
-                                                 % (names[a], names[b], i, j,
-                                                    " ".join(str(x) for x in img))))
-            action_lines.sort(key=lambda t: t[0])
-            lines.extend(text for _, text in action_lines)
+            lines.extend(_constant_lines("action", r.action, names, order))
     return lines
+
+
+def _constant_lines(head, tables, names, order):
+    """The compose or action lines of a dict of structure-constant tables,
+    sorted by object order and then index: a compose line names the right
+    factor first, an action line the left one."""
+    found = []
+    for key, i, j, img in structure_constants(tables):
+        k, l = (j, i) if head == "compose" else (i, j)
+        found.append(([order[o] for o in key] + [k, l], "%s %s: %d %d -> %s" % (
+            head, " ".join(names[o] for o in key), k, l,
+            " ".join(str(x) for x in img))))
+    found.sort(key=lambda t: t[0])
+    return [text for _, text in found]
 
 
 def _print_groupoid(g):

@@ -132,8 +132,7 @@ class _GSetSection:
         raise RGDSyntaxError(lineno, col0, "unknown gset directive %r" % (head,))
 
     def build(self, doc):
-        from .groupoids import GSet
-        from .groups import FinGroup
+        from .groupoids import GSet, _vertex_group
 
         g = doc.groupoids.get(self.over)
         if g is None:
@@ -149,10 +148,8 @@ class _GSetSection:
             raise RGDSemanticError(self.lineno, "gset %r: groupoid %r has no line "
                                    "'compose %s %s'"
                                    % (self.name, self.over, *missing[0]))
-        table = [[mids.index(g.compose(mids[j], mids[i])) for j in range(len(mids))]
-                 for i in range(len(mids))]
         try:
-            group = FinGroup(mids, table)
+            group = _vertex_group(g, obj)
         except ValueError as exc:
             raise RGDSemanticError(self.lineno, "gset %r: the loops of groupoid %r: %s"
                                    % (self.name, self.over, exc)) from None

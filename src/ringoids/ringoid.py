@@ -6,6 +6,11 @@ is stored as structure constants on the generators of the hom-groups; by
 bilinearity that determines everything, and every axiom check reduces to
 an exhaustive check on generators.
 
+The structure-constant layout (see `FiniteRingoid`) is known to this
+module alone: composition and scalar action share its writer
+(`structure_table`), its reader (`structure_constants`), its shape check
+and its normaliser, and other modules pass a ringoid's tables whole.
+
 A moduloid additionally carries a commutative unital scalar ring (itself
 a one-object ringoid) acting on every hom-group.  "Topological" data is
 always discrete here, so continuity conditions are vacuous and are not
@@ -13,6 +18,8 @@ represented.
 """
 
 from __future__ import annotations
+
+import itertools
 
 # Full multiplication tables are cached per object triple when the pair
 # space is at most this large.
@@ -87,13 +94,10 @@ class FiniteRingoid:
         self.name = name
         self.objects = tuple(objects)
         self.homs = dict(homs)
-        self.compose_table = {
-            key: tuple(tuple(tuple(img) for img in row) for row in table)
-            for key, table in compose_table.items()}
+        self.compose_table = _normalised(compose_table)
         self.identities = dict(identities) if identities else None
         self.scalar = scalar
-        self.action = ({key: tuple(tuple(tuple(img) for img in row) for row in table)
-                        for key, table in action.items()} if action else None)
+        self.action = _normalised(action) if action else None
         self.unital = (self.identities is not None) if unital is None else unital
         self._pair_mul = {}
         self._completion = None
@@ -153,6 +157,32 @@ class FiniteRingoid:
         return "FiniteRingoid(%r, %d objects)" % (self.name, len(self.objects))
 
 
+def _normalised(tables):
+    """A dict of structure-constant tables as nested tuples."""
+    return {key: tuple(tuple(tuple(img) for img in row) for row in table)
+            for key, table in tables.items()}
+
+
+def structure_table(rows, cols, out, image):
+    """The table of a bilinear map from the groups `rows` (left factor)
+    and `cols` (right factor) into `out`: entry [i][j] is image(i, j), the
+    image of their generators i and j, reduced in `out`; None is zero."""
+    images = ([image(i, j) for j in range(len(cols.moduli))]
+              for i in range(len(rows.moduli)))
+    return tuple(tuple(out.zero() if img is None else out.reduce(img)
+                       for img in row) for row in images)
+
+
+def structure_constants(tables):
+    """The non-zero structure constants (key, i, j, image) of a dict of
+    tables (None holds none), table by table and row by row."""
+    for key, table in (tables or {}).items():
+        for i, row in enumerate(table):
+            for j, img in enumerate(row):
+                if any(img):
+                    yield key, i, j, img
+
+
 def _bilinear(hom, table, y, x):
     """The bilinear extension of structure constants: the sum over i, j of
     y_i * x_j * table[i][j] in hom (a missing table is the zero map)."""
@@ -160,6 +190,24 @@ def _bilinear(hom, table, y, x):
         return hom.zero()
     return hom.combination([yi * xj for yi in y for xj in x],
                            [img for row in table for img in row])
+
+
+# The formal sums of objects live here, in a module that every process
+# loads, so that listing them compiles neither `krullschmidt` nor `additive`.
+def enumerate_objsums(objects, bound):
+    """All formal sums of length <= bound, shortest first, lexicographic
+    within a length (pinning the deterministic representative choice)."""
+    out = []
+    for n in range(bound + 1):
+        out.extend(itertools.product(objects, repeat=n))
+    return out
+
+
+def enumerate_multisets(objects, bound):
+    """The multisets of objects of size <= bound, each as its sorted sum,
+    in `enumerate_objsums` order: the sorted words of that list."""
+    for n in range(bound + 1):
+        yield from itertools.combinations_with_replacement(objects, n)
 
 
 # ---------------------------------------------------------------------------
@@ -175,19 +223,8 @@ def _check_structure(r):
         for o in (a, b, c):
             if o not in r.objects:
                 raise StructuralError("compose table names unknown object %r" % (o,))
-        hbc, hab, hac = r.hom(b, c), r.hom(a, b), r.hom(a, c)
-        if len(table) != len(hbc.moduli):
-            raise StructuralError("compose table (%r,%r,%r) has wrong height" % (a, b, c))
-        for row in table:
-            if len(row) != len(hab.moduli):
-                raise StructuralError("compose table (%r,%r,%r) has wrong width" % (a, b, c))
-            for img in row:
-                if len(img) != len(hac.moduli) or not hac.contains(hac.reduce(img)):
-                    raise StructuralError(
-                        "structure constant out of range in (%r,%r,%r)" % (a, b, c))
-                if img != hac.reduce(img):
-                    raise StructuralError(
-                        "unreduced structure constant in (%r,%r,%r)" % (a, b, c))
+        _check_table("compose table", "structure constant", (a, b, c), table,
+                     r.hom(b, c), r.hom(a, b), r.hom(a, c))
     if r.unital:
         if r.identities is None:
             raise StructuralError("unital ringoid without identity table")
@@ -209,15 +246,22 @@ def _check_structure(r):
                     if not hom.is_trivial():
                         raise StructuralError("missing action table for (%r, %r)" % (a, b))
                     continue
-                if len(table) != len(rg.moduli):
-                    raise StructuralError("action table (%r,%r) has wrong height" % (a, b))
-                for row in table:
-                    if len(row) != len(hom.moduli):
-                        raise StructuralError("action table (%r,%r) has wrong width" % (a, b))
-                    for img in row:
-                        if len(img) != len(hom.moduli) or img != hom.reduce(img):
-                            raise StructuralError(
-                                "action constant out of range in (%r,%r)" % (a, b))
+                _check_table("action table", "action constant", (a, b), table,
+                             rg, hom, hom)
+
+
+def _check_table(table_word, constant_word, key, table, rows, cols, out):
+    """Raise StructuralError unless a table has the shape and the reduced
+    entries that `structure_table(rows, cols, out, ...)` writes."""
+    where = "(%s)" % ",".join(map(repr, key))
+    if len(table) != len(rows.moduli):
+        raise StructuralError("%s %s has wrong height" % (table_word, where))
+    for row in table:
+        if len(row) != len(cols.moduli):
+            raise StructuralError("%s %s has wrong width" % (table_word, where))
+        for img in row:
+            if len(img) != len(out.moduli) or img != out.reduce(img):
+                raise StructuralError("%s out of range in %s" % (constant_word, where))
 
 
 def _gens(hom):

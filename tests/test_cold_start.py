@@ -41,7 +41,7 @@ PRINTS = VALIDATE | {"constructions", "rgdprint"}
 # subcommand -> (input document, extra flags, loaded ringoids.* modules)
 CASES = {
     "validate": (F2_DOC, [], VALIDATE),
-    "complete": (F2_DOC, [], VALIDATE | {"additive", "krullschmidt"}),
+    "complete": (F2_DOC, [], VALIDATE | {"additive"}),
     "k0": (F2_DOC, ["--bound", "3"], K0),
     "k1": (F2_DOC, ["--gl-max", "2"], K1),
     "unitize": (F2_DOC, [], PRINTS | MODULOIDS),

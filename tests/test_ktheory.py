@@ -14,15 +14,15 @@ from ringoids import (AbPresentation, CeilingExceeded, FinAbGroup,
                       k1_bounded, matrix_ring, product_ring, scalar_ringoid,
                       tensor, unitize, validate, validate_hom, with_self_scalar,
                       zero_ideal, zero_moduloid)
-from ringoids import k1, krullschmidt, ktheory
+from ringoids import constructions, k1, krullschmidt, ktheory
 from ringoids.additive import end_ring
-from ringoids.krullschmidt import decomposition, enumerate_multisets
+from ringoids.krullschmidt import decomposition
 from ringoids.constructions import tabulate
 from ringoids.intlinalg import hom_well_defined
 from ringoids.k1 import (GLGroup, bass_generators, certify_gl_order,
                          stabilization_embedding)
 from ringoids.lattice import lattices_equal
-from ringoids.ringoid import StructuralError
+from ringoids.ringoid import StructuralError, enumerate_multisets
 
 Z = AbPresentation.free(1)
 
@@ -607,14 +607,14 @@ def test_unit_diagonals_at_each_objects_first_position(m2f2):
     assert len(group) == 168 == gl_order(view, ("*",))
 
 
-def _m2f2_beside_f2(m2f2, f2):
-    """Objects a with End(a) = M2(F2) and b with End(b) = F2, and no maps
-    between them."""
+def _side_by_side(ring_a, ring_b):
+    """Objects a with End(a) = ring_a and b with End(b) = ring_b, two
+    one-object rings on "*", and no maps between them."""
     objects = ("a", "b")
     homs = {(x, y): FinAbGroup(()) for x in objects for y in objects}
-    homs[("a", "a")] = m2f2.hom("*", "*")
-    homs[("b", "b")] = f2.hom("*", "*")
-    rings = {"a": m2f2, "b": f2}
+    homs[("a", "a")] = ring_a.hom("*", "*")
+    homs[("b", "b")] = ring_b.hom("*", "*")
+    rings = {"a": ring_a, "b": ring_b}
 
     def mul(a, b, c, y, x):
         if a == b == c:
@@ -626,20 +626,18 @@ def _m2f2_beside_f2(m2f2, f2):
 
 
 def test_unit_helpers_read_end_of_an_object_of_a_two_object_base(disc2, m2f2, f2):
-    # over two objects the K1 helpers get End(a) as a tabulated one-object
-    # ring, whose elements are those of Hom(a, a): the kept units and their
-    # inverses generate exactly the units of End(a)
-    for r in (disc2, _m2f2_beside_f2(m2f2, f2)):
+    # over two objects the K1 helpers read End(a) in the base: the kept
+    # units are those they keep in End(a) tabulated as a one-object ring,
+    # and with their inverses they generate exactly the units of End(a)
+    for r in (disc2, _side_by_side(m2f2, f2)):
         view = complete(r)
         for a in r.objects:
             ring = end_ring(view, (a,))
             units = ring_units(r, a)
             assert ring_units(ring) == units
             one = r.identity(a)
-            kept = k1._unit_generators(ring)
-            # the helpers tabulate one End(a) per view and object
-            assert k1._end(view, a) is k1._end(view, a)
-            assert ring_units(k1._end(view, a)) == units
+            kept = k1._unit_generators(r, a)
+            assert kept == k1._unit_generators(ring, "*")
             assert all(r.compose(a, a, a, u, v) == one == r.compose(a, a, a, v, u)
                        for u, v in kept)
             reached, queue = {one}, [one]
@@ -653,13 +651,27 @@ def test_unit_helpers_read_end_of_an_object_of_a_two_object_base(disc2, m2f2, f2
     # the order formula reads the residue fields of the same rings
     view = complete(disc2)
     assert [gl_order(view, s) for s in [("a",), ("a", "b"), ("a", "a")]] == [1, 1, 6]
-    view = complete(_m2f2_beside_f2(m2f2, f2))
+    view = complete(_side_by_side(m2f2, f2))
     assert [gl_order(view, s) for s in [("a",), ("b", "b"), ("a", "b"), ("a", "a")]] \
         == [6, 6, 6, 20160]
 
 
+def test_gl_order_tabulates_no_ring(monkeypatch, f2):
+    # End(a) of a two-object base is read in the base, never tabulated as
+    # a one-object ring of its own
+    m2z4 = matrix_ring(cyclic_ring(4, scalar=False), 2)
+    view = complete(_side_by_side(m2z4, f2))
+
+    def tabulate_refused(*args, **kwargs):
+        raise AssertionError("gl_order tabulated a ring")
+
+    monkeypatch.setattr(constructions, "tabulate", tabulate_refused)
+    # |GL2(Z/4)| = |GL2(F2)| |M2(2Z/4)| = 6 * 16
+    assert gl_order(view, ("a", "b")) == 96
+
+
 def test_gl_undecided_decomposition_exceeds_the_ceiling(m2f2, f2):
-    r = _m2f2_beside_f2(m2f2, f2)
+    r = _side_by_side(m2f2, f2)
     assert validate(r).ok
     view = complete(r)
     s = ("a", "b")

@@ -2,6 +2,7 @@
 the object its defining module holds."""
 
 import ast
+import builtins
 import importlib
 import pathlib
 import subprocess
@@ -149,3 +150,49 @@ def test_no_module_keeps_an_unused_top_level_import():
               _unused_top_level_imports(path.read_text("utf-8"))
               for path in sorted(package.rglob("*.py"))}
     assert {name: found for name, found in unused.items() if found} == {}
+
+
+def _table_reads(source):
+    """The lines where a module subscripts, iterates or calls a method on
+    a `compose_table` or `action` attribute (through `x or {}` too);
+    passing it whole to a function is not a read."""
+    tree = ast.parse(source)
+    parent = {child: node for node in ast.walk(tree)
+              for child in ast.iter_child_nodes(node)}
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Attribute)
+                and node.attr in ("compose_table", "action")
+                and isinstance(node.ctx, ast.Load)):
+            continue
+        use = node
+        while isinstance(parent[use], ast.BoolOp):
+            use = parent[use]
+        up = parent[use]
+        if ((isinstance(up, (ast.Subscript, ast.Attribute)) and up.value is use)
+                or (isinstance(up, (ast.For, ast.comprehension)) and up.iter is use)
+                or (isinstance(up, ast.Call) and isinstance(up.func, ast.Name)
+                    and up.func.id in dir(builtins))):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_table_read_detection():
+    assert _table_reads(
+        "f(r.compose_table, action=r.action)\n"
+        "t = r.compose_table[k]\n"
+        "for k in r.compose_table: pass\n"
+        "x = (r.action or {}).items()\n"
+        "y = set(r.compose_table)\n"
+        "z = [t for t in r.action]\n") == [2, 3, 4, 5, 6]
+
+
+def test_the_structure_constant_layout_has_one_home():
+    # only `ringoid` reads a ringoid's tables; the others pass them whole,
+    # so a change of layout touches that one module
+    package = pathlib.Path(ringoids.__file__).parent
+    reads = {str(path.relative_to(package)):
+             _table_reads(path.read_text("utf-8"))
+             for path in sorted(package.rglob("*.py"))
+             if path.name != "ringoid.py"}
+    assert {name: lines for name, lines in reads.items() if lines} == {}

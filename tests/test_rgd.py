@@ -108,6 +108,17 @@ def test_scalar_data_out_of_range_names_its_line():
     assert "scalar ring 'E' has no objects" in str(exc.value)
 
 
+def test_a_later_hom_line_that_takes_a_generator_away_names_the_line():
+    # both used to raise IndexError out of the ringoid builder
+    for text in ("hom a a cyclic 2 2\ncompose a a a: 1 0 -> 1 0\n",
+                 "scalar F2\nhom a a cyclic 2 2\naction a: 0 1 -> 1 0\n"):
+        with pytest.raises(RGDSemanticError) as exc:
+            parse_rgd(F2_DOC + "ringoid X\nobject a\n" + text
+                      + "hom a a cyclic 2\n")
+        assert exc.value.line == F2_DOC.count("\n") + text.count("\n") + 2
+        assert "generator 1 is taken away by a later hom line" in str(exc.value)
+
+
 def test_action_without_a_scalar_line_names_its_first_line():
     # used to be dropped without a diagnostic, whatever its indices
     for action in ("action a a: 0 0 -> 1", "action a a: 5 0 -> 1"):
