@@ -15,7 +15,8 @@ from .additive import MatMorphism, complete
 from .intlinalg import AbPresentation, hom_is_isomorphism
 from .krullschmidt import (SizeLimitExceeded, _three_figures, decomposition,
                            inverse_by_powers, is_nilpotent)
-from .ringoid import DEFAULT_CEILING, StructuralError, _gens
+from .ringoid import (_PAIR_CACHE_LIMIT, DEFAULT_CEILING, StructuralError,
+                      _gens)
 
 # The largest GL(s) that `gl` closes for a sum of two objects or more, by
 # `gl_order`.  A closure with its Schreier relators takes 1.3-3.8 KB and
@@ -42,54 +43,156 @@ class GLGroup:
     order, `generators` holds the indices of the generators, and
     `presentation` presents the abelianization on them, with coords[x] the
     image of element x.  A product is composed and looked up, and one
-    outside the group raises StructuralError."""
+    outside the group raises StructuralError.
 
-    __slots__ = ("view", "elements", "generators", "presentation", "coords",
-                 "_index")
+    The pass runs on entry codes (`_EntryCodes`) where the base keeps the
+    pair tables of the hom-groups of s, and on the matrices themselves
+    (`_Matrices`) above that; the codes are decoded only by `elements`,
+    `element`, `index` and `mul`, and either way the discovery order, the
+    presentation and the coords are the same."""
+
+    __slots__ = ("view", "generators", "presentation", "coords", "_codes",
+                 "_found", "_index")
 
     def __init__(self, view, s, generators):
         from .groups import abelianization
-        one = view.identity(tuple(s))
+        s = tuple(s)
+        one = view.identity(s)
         gens = list(dict.fromkeys(generators))
-        steps = [_right_multiplier(view, one, g) for g in gens]
-        self.elements, self._index, self.presentation, self.coords = (
-            abelianization(one, steps))
+        base = view.base
+        small = all(base.hom(a, b).order() ** 2 <= _PAIR_CACHE_LIMIT
+                    for a in s for b in s)
+        codes = _EntryCodes(base, s) if small else _Matrices(view)
+        steps = [codes.right_multiplier(one, g) for g in gens]
+        self._found, self._index, self.presentation, self.coords = (
+            abelianization(codes.encode(one), steps))
         self.view = view
-        self.generators = [self._index[g] for g in gens]
+        self._codes = codes
+        self.generators = [self._index[codes.encode(g)] for g in gens]
 
     def __len__(self):
-        return len(self.elements)
+        return len(self._found)
+
+    @property
+    def elements(self):
+        return [self._codes.decode(x) for x in self._found]
+
+    def element(self, i):
+        return self._codes.decode(self._found[i])
 
     def index(self, element):
-        return self._index[element]
+        return self._index[self._codes.encode(element)]
 
     def mul(self, i, j):
-        k = self._index.get(self.view.compose(self.elements[i], self.elements[j]))
+        product = self.view.compose(self.element(i), self.element(j))
+        k = self._index.get(self._codes.encode(product))
         if k is None:
             raise StructuralError("a product of invertibles is not invertible")
         return k
 
 
-def _right_multiplier(view, one, g):
-    """x -> x . g, computed as x + x . (g - 1) from the non-zero entries of
-    g - 1: for an elementary or diagonal generator, one column of x
-    changes by n base compositions instead of a full matrix product."""
-    base = view.base
+def _differences(base, one, g):
+    """The non-zero entries (k, l, d) of g - 1, d in Hom(s_l, s_k)."""
     s = g.src
-    diff = [(k, l, base.hom(s[l], s[k]).sub(gkl, one.entries[k][l]))
+    return [(k, l, base.hom(s[l], s[k]).sub(gkl, one.entries[k][l]))
             for k, row in enumerate(g.entries) for l, gkl in enumerate(row)
             if gkl != one.entries[k][l]]
 
-    def step(x):
-        entries = [list(row) for row in x.entries]
-        for k, l, d in diff:
-            for r, row in enumerate(entries):
-                hom = base.hom(s[l], s[r])
-                row[l] = hom.add(row[l], base.compose(s[l], s[k], s[r],
-                                                      x.entries[r][k], d))
-        return MatMorphism(s, s, entries)
 
-    return step
+class _Matrices:
+    """The elements of a closure as the matrices themselves."""
+
+    def __init__(self, view):
+        self.view = view
+
+    @staticmethod
+    def encode(f):
+        return f
+
+    decode = encode
+
+    def right_multiplier(self, one, g):
+        """x -> x . g, computed as x + x . (g - 1) from the non-zero
+        entries of g - 1: for an elementary or diagonal generator, one
+        column of x changes by n base compositions instead of a full
+        matrix product."""
+        base = self.view.base
+        s = g.src
+        diff = _differences(base, one, g)
+
+        def step(x):
+            entries = [list(row) for row in x.entries]
+            for k, l, d in diff:
+                for r, row in enumerate(entries):
+                    hom = base.hom(s[l], s[r])
+                    row[l] = hom.add(row[l], base.compose(
+                        s[l], s[k], s[r], x.entries[r][k], d))
+            return MatMorphism(s, s, entries)
+
+        return step
+
+
+class _EntryCodes:
+    """The elements of a closure over the sum s as flat tuples of entry
+    codes, row by row: the code of an entry is its index in the
+    `FinAbGroup.elements()` order of its hom-group.  Right multiplication
+    adds by table and composes by one column of a product table for each
+    entry of g - 1, so it builds no matrix."""
+
+    def __init__(self, base, s):
+        self.base = base
+        self.s = s
+        # (a, b) -> the elements of Hom(a, b) in code order, their codes,
+        # and the addition table on codes, built on first use
+        objects = dict.fromkeys(s)
+        self._elements = {(a, b): list(base.hom(a, b).elements())
+                          for a in objects for b in objects}
+        self._code = {key: {x: c for c, x in enumerate(elements)}
+                      for key, elements in self._elements.items()}
+        self._sum = {}
+
+    def encode(self, f):
+        s = self.s
+        return tuple(self._code[(a, b)][x]
+                     for b, row in zip(s, f.entries) for a, x in zip(s, row))
+
+    def decode(self, x):
+        s = self.s
+        n = len(s)
+        return MatMorphism(s, s, [[self._elements[(a, b)][x[r * n + l]]
+                                   for l, a in enumerate(s)]
+                                  for r, b in enumerate(s)])
+
+    def _addition(self, key):
+        table = self._sum.get(key)
+        if table is None:
+            hom, code = self.base.hom(*key), self._code[key]
+            elements = self._elements[key]
+            table = self._sum[key] = [[code[hom.add(x, y)] for y in elements]
+                                      for x in elements]
+        return table
+
+    def right_multiplier(self, one, g):
+        """x -> x . g on codes, as x + x . (g - 1): entry (r, l) gains
+        x[r][k] . d for each non-zero entry (k, l, d) of g - 1."""
+        base, s = self.base, self.s
+        n = len(s)
+        terms = []
+        for k, l, d in _differences(base, one, g):
+            for r, c in enumerate(s):
+                code = self._code[(s[l], c)]
+                column = [code[base.compose(s[l], s[k], c, y, d)]
+                          for y in self._elements[(s[k], c)]]
+                terms.append((r * n + l, r * n + k, column,
+                              self._addition((s[l], c))))
+
+        def step(x):
+            entries = list(x)
+            for target, source, column, add in terms:
+                entries[target] = add[entries[target]][column[x[source]]]
+            return tuple(entries)
+
+        return step
 
 
 def gl(view, s, ceiling=DEFAULT_CEILING):
@@ -165,21 +268,28 @@ def _unit_generators(ring, o):
     """Units u of End(o), each with its inverse (`inverse_by_powers`), kept
     in element order when the units kept before do not generate u.  Each
     kept unit at least doubles the group they generate, so at most
-    log2 |End(o)*| are kept, and they generate End(o)*."""
+    log2 |End(o)*| are kept, and they generate End(o)*.  The group reached
+    grows coset by coset with each kept unit, so finding it costs about
+    one composition per element and one per coset and kept unit."""
     one = ring.identity(o)
     kept, reached = [], {one}
     for u in ring.hom(o, o).elements():
         v = None if u in reached else inverse_by_powers(ring, o, u, one)
         if v is not None:
             kept.append((u, v))
+            # the group grows by the right cosets H y of the group H
+            # reached so far: y runs over the products x . g of a first
+            # element x of a coset (1 for H) and a kept unit g
+            others = [h for h in reached if h != one]
             queue = [one]
-            reached = {one}
-            for y in queue:
+            for x in queue:
                 for g, _ in kept:
-                    z = ring.compose(o, o, o, y, g)
-                    if z not in reached:
-                        reached.add(z)
-                        queue.append(z)
+                    y = ring.compose(o, o, o, x, g)
+                    if y not in reached:
+                        reached.add(y)
+                        reached.update(ring.compose(o, o, o, h, y)
+                                       for h in others)
+                        queue.append(y)
     return kept
 
 
@@ -307,7 +417,7 @@ def k1_bounded(r, n_max, ceiling=DEFAULT_CEILING):
         ranks[n] = group.presentation
         if prev is not None:
             embed = stabilization_embedding(view, (obj,) * (n - 1), (obj,))
-            matrix = [list(group.coords[group.index(embed(prev.elements[g]))])
+            matrix = [list(group.coords[group.index(embed(prev.element(g)))])
                       for g in prev.generators]
             iso = hom_is_isomorphism(prev.presentation, group.presentation,
                                      matrix)

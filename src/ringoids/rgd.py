@@ -125,6 +125,7 @@ class _RingoidBuilder:
         self.lineno = lineno
         self.objects = []
         self.homs = {}
+        self.hom_lines = {}
         # directive -> key -> {(i, j): (coords, line)}: entry [i][j] of the
         # structure-constant table of compose (a, b, c) or action (a, b)
         self.constants = {"compose": {}, "action": {}}
@@ -155,8 +156,12 @@ class _RingoidBuilder:
             a, b = toks[1][0], toks[2][0]
             self.require_object(a, lineno)
             self.require_object(b, lineno)
+            if (a, b) in self.hom_lines:
+                raise RGDSemanticError(lineno, "Hom(%s,%s) is already declared "
+                                       "at line %d" % (a, b, self.hom_lines[(a, b)]))
             moduli = [_int(t, lineno, c, minimum=1, what="modulus") for t, c in toks[4:]]
             self.homs[(a, b)] = FinAbGroup(moduli)
+            self.hom_lines[(a, b)] = lineno
             return
         if head in self.constants:
             self.constant_line(head, toks, lineno, col0)
@@ -265,18 +270,17 @@ _CONSTANT_LINES = {
 }
 
 
-# a generator that a hom line after its compose or action line took away
-_TAKEN = "generator %d is taken away by a later hom line"
-
-
-def _table(entries, rows, cols, out, past_rows=_TAKEN):
+def _table(entries, rows, cols, out, past_rows=None):
     """The structure-constant table of the lines read for one key, on the
-    hom-groups at the end of the section; past_rows % i is the message for
-    a row index i that `rows` has no generator for."""
-    for (i, j), (_, lineno) in entries.items():
-        for g, gens, message in ((i, rows, past_rows), (j, cols, _TAKEN)):
-            if g >= len(gens.moduli):
-                raise RGDSemanticError(lineno, message % g)
+    hom-groups of the section.  A line's indices were checked against the
+    hom-groups when it was read, and no later hom line changes one; only
+    a scalar ring, which the section names, is known when it is built:
+    past_rows % i is then the message for a row index i past its
+    generators."""
+    if past_rows is not None:
+        for (i, _), (_, lineno) in entries.items():
+            if i >= len(rows.moduli):
+                raise RGDSemanticError(lineno, past_rows % i)
 
     def image(i, j):
         entry = entries.get((i, j))

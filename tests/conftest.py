@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import itertools
 
 import pytest
@@ -8,7 +11,9 @@ from ringoids import (FinAbGroup, FiniteRingoid, FinGroup, GSet, MatMorphism,
                       group_as_groupoid, group_ringoid, matrix_ring,
                       product_ring, tensor, transport_groupoid,
                       with_self_scalar)
+from ringoids.cli import _COMMANDS
 from ringoids.constructions import tabulate_hom
+from ringoids.ringoid import DEFAULT_CEILING
 
 
 @pytest.fixture(scope="session")
@@ -343,3 +348,43 @@ def hom_is_bijective_everywhere(f):
             if len(seen) != tgt.order():
                 return False
     return True
+
+
+class _ReferenceParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
+def build_parser():
+    """The argparse parser that read the CLI's command line before
+    `cli.parse_flags`: the reference for what the flag reader accepts,
+    with which values, and which messages it gives."""
+    parser = _ReferenceParser(
+        prog="ringoids",
+        description="Finite ringoids, their additive completions, and the "
+                    "decidable shadows of their K-theory.")
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--input", required=True, help="RGD input file")
+    parser.add_argument("--bound", type=int, default=3,
+                        help="length bound L for formal sums (default 3)")
+    parser.add_argument("--gl-max", type=int, default=2, dest="gl_max",
+                        help="largest GL rank for k1 (default 2)")
+    parser.add_argument("--ceiling", type=int, default=DEFAULT_CEILING,
+                        help="candidate ceiling for searches (default 2^20)")
+    parser.add_argument("--format", choices=("human", "machine"),
+                        default="human")
+    return parser
+
+
+def argparse_outcome(argv):
+    """("help", the text printed), ("error", the message) or ("accepted",
+    the parsed values as a dict) for argv under `build_parser`."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            namespace = build_parser().parse_args(argv)
+    except SystemExit:
+        return "help", out.getvalue()
+    except argparse.ArgumentError as exc:
+        return "error", str(exc)
+    return "accepted", vars(namespace)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -14,8 +15,10 @@ from ringoids import (FiniteRingoid, FinGroup, GSet, Ideal, cyclic_ring,
                       group_as_groupoid, group_ringoid, matrix_ring,
                       print_rgd, transport_groupoid)
 from ringoids.krullschmidt import TABLE_LETTER_LIMIT
-from ringoids.cli import _COMMANDS, run
+from ringoids.cli import _COMMANDS, HELP, UsageError, parse_flags, run
 from ringoids.k1 import GL_ORDER_LIMIT
+
+from conftest import argparse_outcome, build_parser
 
 F2_DOC = """\
 ringoid F2
@@ -501,6 +504,125 @@ def test_help_exits_0(argv, capsys):
     assert all(command in usage for command in _COMMANDS)
 
 
+def test_help_is_the_text_argparse_printed(monkeypatch):
+    # argparse wrapped its help at $COLUMNS, and at 80 columns when that
+    # was unset and stdout no terminal
+    monkeypatch.setenv("COLUMNS", "80")
+    assert build_parser().format_help() == HELP
+
+
+def _reader_outcome(argv):
+    """`argparse_outcome` for `cli.parse_flags`."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            flags = parse_flags(argv)
+    except SystemExit as exc:
+        assert exc.code == 0
+        return "help", out.getvalue()
+    except UsageError as exc:
+        return "error", str(exc)
+    return "accepted", vars(flags)
+
+
+_PREFIXES = ["--i", "--inp", "--b", "--bou", "--g", "--gl", "--gl-",
+             "--gl-ma", "--c", "--ceil", "--f", "--form", "--he"]
+_INTS = ["0", "1", "3", "-1", "-7", "+2", " 4", "007", "-0"]
+_NON_INTS = ["x", "", "1e3", "2.5", "-1.5", "-.5", "0x10", "\u00bd"]
+_JUNK = ["-x", "--x", "---", "-1x", "-h=", "-hx", "-hh", "--help=x", "a b",
+         "- 1", "=", "-=", "--=1", "--bound-x", "---input", "--inputx",
+         "human", "machine", "xml", "f.rgd", "-1\n"]
+
+
+def _token(rng):
+    kind = rng.randrange(8)
+    if kind == 0:
+        return rng.choice(_COMMANDS + ("k2", "K0", "oracle"))
+    if kind == 1:
+        return rng.choice(["--input", "--bound", "--gl-max", "--ceiling",
+                           "--format"] + _PREFIXES)
+    if kind == 2:
+        # a glued value; `--flag=--` is refused on purpose, see
+        # test_a_glued_double_dash_is_refused
+        return "%s=%s" % (rng.choice(["--input", "--bound", "--format", "-h"]
+                                     + _PREFIXES),
+                          rng.choice(_INTS + _NON_INTS + ["human", "-h"]))
+    if kind == 3:
+        return rng.choice(_INTS)
+    if kind == 4:
+        return rng.choice(_NON_INTS)
+    if kind == 5:
+        return rng.choice(["-h", "--help", "--", "-"])
+    return rng.choice(_JUNK)
+
+
+def test_flag_reader_matches_argparse(monkeypatch):
+    """On a few thousand argv drawn from subcommands, flags, prefixes,
+    glued values, ints, non-ints, -h, --help, --, - and junk (half of them
+    inserted into a valid command line), the reader gives what argparse
+    gave: the same help text, the same error message, or the same values."""
+    monkeypatch.setenv("COLUMNS", "80")
+    rng = random.Random(34)
+    seen = dict.fromkeys(("help", "error", "accepted"), 0)
+    for _ in range(3000):
+        argv = [_token(rng) for _ in range(rng.randint(0, 6))]
+        if rng.random() < 0.5:
+            line = [rng.choice(_COMMANDS), "--input", "f.rgd"]
+            for token in argv:
+                line.insert(rng.randint(0, len(line)), token)
+            argv = line
+        want = argparse_outcome(argv)
+        assert _reader_outcome(argv) == want, argv
+        seen[want[0]] += 1
+    assert min(seen.values()) >= 200, seen
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command, --input"),
+    (["frobnicate", "--input", "f.rgd"],
+     "argument command: invalid choice: 'frobnicate' (choose from %s)"
+     % ", ".join(map(repr, _COMMANDS))),
+    (["k0", "--input", "f.rgd", "--bound", "x"],
+     "argument --bound: invalid int value: 'x'"),
+    (["k0", "--input", "f.rgd", "--format", "xml"],
+     "argument --format: invalid choice: 'xml' (choose from 'human', "
+     "'machine')"),
+    (["k0", "--input"], "argument --input: expected one argument"),
+    (["k0", "--input", "f.rgd", "extra"], "unrecognized arguments: extra"),
+], ids=["required", "command", "int", "format", "one-argument",
+        "unrecognized"])
+def test_usage_error_messages_are_argparse_s(capsys, argv, message):
+    # f.rgd does not exist: each is refused before any input is read
+    assert argparse_outcome(argv) == ("error", message)
+    assert run(argv) == 1
+    assert capsys.readouterr() == ("", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("flag", ["--input", "--bound", "--b", "--format"])
+def test_a_glued_double_dash_is_refused(f2_file, capsys, flag):
+    # argparse took `--flag=--` as an empty list, on which `run` failed
+    # with a TypeError (`open([])`, `[] < 1`)
+    argv = ["validate", "--input", f2_file, flag + "=--"]
+    assert run(argv) == 1
+    name = "--bound" if flag == "--b" else flag
+    assert capsys.readouterr() == (
+        "", "error: argument %s: expected one argument\n" % name)
+
+
+@pytest.mark.parametrize("argv, values", [
+    (["--b", "4", "k0", "--in=x"], {"bound": 4, "input": "x"}),
+    (["k1", "--gl", "3", "--input", "a", "--input=b"],
+     {"gl_max": 3, "input": "b"}),
+    (["k0", "--input", "x", "--ceiling", "-1", "--f=machine"],
+     {"ceiling": -1, "format": "machine"}),
+    (["--input", "x", "--", "k0"], {"input": "x"}),
+])
+def test_prefixes_glued_values_and_repeats(argv, values):
+    flags = vars(parse_flags(argv))
+    assert {key: flags[key] for key in values} == values
+    assert flags["command"] in _COMMANDS
+
+
 def test_flag_before_the_command_is_accepted(f2_file, capsys):
     assert run(["k0", "--input", f2_file, "--bound", "2"]) == 0
     after = capsys.readouterr()
@@ -701,7 +823,7 @@ def _not_an_int(text):
 
 def _flag(ints):
     """A flag value: an int from the given strategy, or text that int()
-    rejects, which argparse refuses before any input is read."""
+    rejects, which the flag reader refuses before any input is read."""
     return st.one_of(ints.map(str),
                      st.text(max_size=4).filter(_not_an_int))
 

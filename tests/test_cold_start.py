@@ -155,6 +155,18 @@ def test_cli_module_is_compiled_once(tmp_path, command):
     assert "ringoids.rgd" in names and "ringoids.cli" not in names
 
 
+@pytest.mark.parametrize("command", ["validate", "k0", "k1", "oracle-compare"])
+def test_no_job_loads_argparse_gettext_or_locale(tmp_path, command):
+    # the CLI reads its flags itself; argparse loaded gettext, and the
+    # first message it formatted loaded locale
+    doc, flags, _ = CASES[command]
+    path = tmp_path / "input.rgd"
+    path.write_text(doc, encoding="utf-8")
+    code, names = _imported_by_name([command, "--input", str(path), *flags])
+    assert code == 0 and "ringoids.rgd" in names
+    assert not {"argparse", "gettext", "locale"} & set(names)
+
+
 def test_help_imports_no_cli_module_by_name():
     code, names = _imported_by_name(["--help"])
     assert code == 0

@@ -656,6 +656,58 @@ def test_unit_helpers_read_end_of_an_object_of_a_two_object_base(disc2, m2f2, f2
         == [6, 6, 6, 20160]
 
 
+def _restarting_unit_generators(ring, o):
+    """The units `_unit_generators` keeps, with the reached group closed
+    again from 1 after each kept unit: the reference for the kept list."""
+    one = ring.identity(o)
+    kept, reached = [], {one}
+    for u in ring.hom(o, o).elements():
+        v = None if u in reached else krullschmidt.inverse_by_powers(
+            ring, o, u, one)
+        if v is not None:
+            kept.append((u, v))
+            queue, reached = [one], {one}
+            for y in queue:
+                for g, _ in kept:
+                    z = ring.compose(o, o, o, y, g)
+                    if z not in reached:
+                        reached.add(z)
+                        queue.append(z)
+    return kept
+
+
+class _CountingRing:
+    """A ringoid that counts its compositions."""
+
+    def __init__(self, ring):
+        self.ring = ring
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.ring, name)
+
+    def compose(self, *args):
+        self.calls += 1
+        return self.ring.compose(*args)
+
+
+@pytest.mark.parametrize("name", ["f2", "f3", "z4", "f2xf2", "m2f2", "f2c2",
+                                  "disc2", "m3f2"])
+def test_unit_generators_grow_the_reached_group(request, name):
+    # the kept units are those of the restarting search, at fewer
+    # compositions once a second unit is kept
+    ring = (matrix_ring(cyclic_ring(2, scalar=False), 3) if name == "m3f2"
+            else request.getfixturevalue(name))
+    for o in ring.objects:
+        grown, restarted = _CountingRing(ring), _CountingRing(ring)
+        kept = k1._unit_generators(grown, o)
+        assert kept == _restarting_unit_generators(restarted, o)
+        if len(kept) > 1:
+            assert grown.calls < restarted.calls, (name, o)
+        else:
+            assert grown.calls <= restarted.calls, (name, o)
+
+
 def test_gl_order_tabulates_no_ring(monkeypatch, f2):
     # End(a) of a two-object base is read in the base, never tabulated as
     # a one-object ring of its own

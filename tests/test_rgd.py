@@ -109,14 +109,33 @@ def test_scalar_data_out_of_range_names_its_line():
 
 
 def test_a_later_hom_line_that_takes_a_generator_away_names_the_line():
-    # both used to raise IndexError out of the ringoid builder
+    # both used to raise IndexError out of the ringoid builder; a repeated
+    # hom line is refused where it stands, and names the first
     for text in ("hom a a cyclic 2 2\ncompose a a a: 1 0 -> 1 0\n",
                  "scalar F2\nhom a a cyclic 2 2\naction a: 0 1 -> 1 0\n"):
         with pytest.raises(RGDSemanticError) as exc:
             parse_rgd(F2_DOC + "ringoid X\nobject a\n" + text
                       + "hom a a cyclic 2\n")
-        assert exc.value.line == F2_DOC.count("\n") + text.count("\n") + 2
-        assert "generator 1 is taken away by a later hom line" in str(exc.value)
+        start = F2_DOC.count("\n") + 2
+        assert exc.value.line == start + text.count("\n") + 1
+        first = start + 1 + text.split("\n").index("hom a a cyclic 2 2")
+        assert str(exc.value) == ("line %d: Hom(a,a) is already declared at "
+                                  "line %d" % (exc.value.line, first))
+
+
+def test_a_repeated_hom_line_is_refused():
+    # it used to replace the first, and validate then read the compose
+    # line on the new group: exit 0, clean, one coordinate dropped
+    text = ("ringoid R\nobject a\nhom a a cyclic 2 2\n"
+            "compose a a a: 0 0 -> 1 1\nhom a a cyclic 2\n")
+    with pytest.raises(RGDSemanticError) as exc:
+        parse_rgd(text)
+    assert str(exc.value) == "line 5: Hom(a,a) is already declared at line 3"
+    # the same line twice, and a hom line of the other direction
+    with pytest.raises(RGDSemanticError) as exc:
+        parse_rgd("ringoid R\nobject a\nobject b\nhom a b cyclic 2\n"
+                  "hom b a cyclic 2\nhom a b cyclic 2\n")
+    assert str(exc.value) == "line 6: Hom(a,b) is already declared at line 4"
 
 
 def test_action_without_a_scalar_line_names_its_first_line():
