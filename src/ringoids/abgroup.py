@@ -7,8 +7,6 @@ that a process that only reads and validates ringoids compiles none of
 them.
 """
 
-from __future__ import annotations
-
 import itertools
 
 

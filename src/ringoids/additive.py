@@ -14,8 +14,6 @@ it proves between two sums of equal type vector is built here on request
 (`isomorphism`), since checking it composes matrices.
 """
 
-from __future__ import annotations
-
 import itertools
 
 from .abgroup import FinAbGroup

@@ -9,8 +9,6 @@ the presented groups.  The naturality square of the equivariant map is
 checked by `theorems.naturality_check`.
 """
 
-from __future__ import annotations
-
 from .groupoids import (group_as_groupoid, group_ringoid, orbit_skeleton,
                         transport_groupoid)
 from .intlinalg import AbPresentation, exponent_row, hom_well_defined

@@ -10,7 +10,6 @@ No handler imports `cli`: under `python -m ringoids.cli` that module runs
 as `__main__`, and importing it by name would compile it a second time.
 """
 
-import json
 import sys
 
 # `validate` under another name: importing the handler module `validate`
@@ -24,6 +23,8 @@ EXIT_UNDECIDED = 2
 
 def emit(args, human_lines, machine_obj):
     if args.format == "machine":
+        # only machine output compiles json
+        import json
         sys.stdout.write(json.dumps(machine_obj, sort_keys=True,
                                     separators=(",", ":")) + "\n")
     else:

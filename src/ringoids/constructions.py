@@ -10,8 +10,6 @@ rings (Z/n, products, matrix rings) and moduloids (direct sums, zero
 moduloids) this way.
 """
 
-from __future__ import annotations
-
 from .abgroup import TRIVIAL_GROUP, FinAbGroup
 from .ringoid import (AxiomFailure, FiniteRingoid, StructuralError,
                       ValidationReport, _gens, structure_constants,

@@ -7,8 +7,6 @@ the map a functor induces on group ringoids and the group-ring tensor
 isomorphism are in `theorems`, which no subcommand loads.
 """
 
-from __future__ import annotations
-
 from .abgroup import FinAbGroup
 from .groups import FinGroup
 from .ringoid import AxiomFailure, StructuralError, ValidationReport

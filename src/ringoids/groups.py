@@ -2,8 +2,6 @@
 finite group read off the same breadth-first pass that discovers it from
 its identity, as a presented abelian group."""
 
-from __future__ import annotations
-
 
 class FinGroup:
     """Finite group: element list plus full multiplication table on indices.

@@ -18,8 +18,6 @@ and whether rows map onto it (`generated_by`).  Rows are dense only where
 the Smith normal form reads them, in the residue here and in `lattice`.
 """
 
-from __future__ import annotations
-
 import heapq
 import itertools
 

@@ -9,8 +9,6 @@ it; `groups.abelianization`), with stabilization maps.  K0 lives in
 none of the K1 line and a K1 process none of the K0 line.
 """
 
-from __future__ import annotations
-
 from .additive import MatMorphism, complete
 from .intlinalg import AbPresentation, hom_is_isomorphism
 from .krullschmidt import (SizeLimitExceeded, _three_figures, decomposition,

@@ -24,8 +24,6 @@ and its iso-class table per bound and ceiling (`decomposition`,
 `iso_class_table`), as it keeps its completion.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 

@@ -13,8 +13,6 @@ degree-zero pairing of a tensor product is `theorems.exterior_product`.
 K1 lives in `k1`, so a K0 process compiles none of it.
 """
 
-from __future__ import annotations
-
 from .intlinalg import (AbPresentation, apply_rows, exponent_row,
                         hom_is_isomorphism, hom_well_defined)
 from .krullschmidt import decomposition, iso_class_table

@@ -10,8 +10,6 @@ elimination leaves a non-empty residue, so a process whose relations all
 eliminate compiles none of it.
 """
 
-from __future__ import annotations
-
 from .intlinalg import AbPresentation, Elimination, _sparse
 
 

@@ -3,8 +3,6 @@ splitting isomorphism for unital moduloids, ideals and quotients, tensor
 products over a commutative base ring, and the quotient and tensor groups
 of finite abelian groups that these build on."""
 
-from __future__ import annotations
-
 from math import gcd, lcm
 
 from .abgroup import TRIVIAL_GROUP, FinAbGroup

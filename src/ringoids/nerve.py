@@ -20,8 +20,6 @@ is over a fixed limit: the relation rows of the oracle and the tuples of
 a level (`level_size`).
 """
 
-from __future__ import annotations
-
 import math
 
 from .intlinalg import AbPresentation, exponent_row, hom_is_isomorphism

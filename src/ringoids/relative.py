@@ -13,8 +13,6 @@ compares bounded K0 (`ktheory`) with the K0 of the subcategory of sums of
 length at least 2.
 """
 
-from __future__ import annotations
-
 import itertools
 
 from .constructions import tabulate_hom

@@ -33,8 +33,6 @@ and ideal sections in `rgdsections`).  `rgdprint.print_rgd` writes the
 normalized form; parse -> print -> parse is the identity on that form.
 """
 
-from __future__ import annotations
-
 import re
 
 from .abgroup import FinAbGroup
@@ -130,6 +128,10 @@ class _RingoidBuilder:
         # structure-constant table of compose (a, b, c) or action (a, b)
         self.constants = {"compose": {}, "action": {}}
         self.identities = {}
+        # (line, (a, b), n, what): the line's generator index n of Hom(a,b)
+        # (what None) or its `what` with n coordinates in Hom(a,b), checked
+        # on the section's hom-groups when it is built
+        self.checks = []
         self.scalar_name = None
         self.scalar_line = None
         self.action_line = None
@@ -138,9 +140,6 @@ class _RingoidBuilder:
         if obj not in self.objects:
             raise RGDSemanticError(lineno, "unknown object %r in ringoid %r"
                                    % (obj, self.name))
-
-    def hom_group(self, a, b):
-        return self.homs.get((a, b), FinAbGroup(()))
 
     def line(self, head, toks, lineno, col0):
         if head == "object":
@@ -172,12 +171,9 @@ class _RingoidBuilder:
                 raise RGDSyntaxError(lineno, col0, "expected: identity A: c1 ...")
             a = heads[1][0]
             self.require_object(a, lineno)
-            hom = self.hom_group(a, a)
             coords = [_int(t, lineno, c) for t, c in tail]
-            if len(coords) != len(hom.moduli):
-                raise RGDSemanticError(lineno, "identity has %d coordinates, Hom(%s,%s) has %d"
-                                       % (len(coords), a, a, len(hom.moduli)))
-            self.identities[a] = hom.reduce(coords)
+            self.checks.append((lineno, (a, a), len(coords), "identity"))
+            self.identities[a] = coords
             return
         if head == "scalar":
             if len(toks) != 2:
@@ -205,17 +201,11 @@ class _RingoidBuilder:
             raise RGDSyntaxError(lineno, col0, arity)
         k = _int(left[0][0], lineno, left[0][1], minimum=0, what=first)
         l = _int(left[1][0], lineno, left[1][1], minimum=0, what="generator index")
-        ranges = [(k, key[:2])] if head == "compose" else []
-        for g, (a, b) in ranges + [(l, key[-2:])]:
-            if g >= len(self.hom_group(a, b).moduli):
-                raise RGDSemanticError(lineno, "generator %d out of range for Hom(%s,%s)"
-                                       % (g, a, b))
-        a, c = key[0], key[-1]
-        hom = self.hom_group(a, c)
         coords = [_int(t, lineno, cc) for t, cc in right]
-        if len(coords) != len(hom.moduli):
-            raise RGDSemanticError(lineno, "image has %d coordinates, Hom(%s,%s) has %d"
-                                   % (len(coords), a, c, len(hom.moduli)))
+        if head == "compose":
+            self.checks.append((lineno, key[:2], k, None))
+        self.checks += [(lineno, key[-2:], l, None),
+                       (lineno, (key[0], key[-1]), len(coords), "image")]
         # a compose line names the right factor first, an action line the left
         ij = (l, k) if head == "compose" else (k, l)
         self.constants[head].setdefault(key, {})[ij] = (tuple(coords), lineno)
@@ -223,10 +213,21 @@ class _RingoidBuilder:
             self.action_line = lineno
 
     def build(self, doc):
-        homs = {(a, b): self.hom_group(a, b) for a in self.objects for b in self.objects}
+        trivial = FinAbGroup(())
+        homs = {(a, b): self.homs.get((a, b), trivial)
+                for a in self.objects for b in self.objects}
+        for lineno, (a, b), n, what in self.checks:
+            size = len(homs[(a, b)].moduli)
+            if what is None and n >= size:
+                raise RGDSemanticError(lineno, "generator %d out of range for "
+                                       "Hom(%s,%s)" % (n, a, b))
+            if what is not None and n != size:
+                raise RGDSemanticError(lineno, "%s has %d coordinates, Hom(%s,%s) "
+                                       "has %d" % (what, n, a, b, size))
         table = {(a, b, c): _table(entries, homs[(b, c)], homs[(a, b)], homs[(a, c)])
                  for (a, b, c), entries in self.constants["compose"].items()}
-        identities = dict(self.identities) if self.identities else None
+        identities = {a: homs[(a, a)].reduce(coords)
+                      for a, coords in self.identities.items()} or None
         scalar = None
         action = None
         if self.scalar_name is None and self.action_line is not None:
@@ -272,11 +273,11 @@ _CONSTANT_LINES = {
 
 def _table(entries, rows, cols, out, past_rows=None):
     """The structure-constant table of the lines read for one key, on the
-    hom-groups of the section.  A line's indices were checked against the
-    hom-groups when it was read, and no later hom line changes one; only
-    a scalar ring, which the section names, is known when it is built:
-    past_rows % i is then the message for a row index i past its
-    generators."""
+    hom-groups of the section.  `build` has checked each line's indices
+    and image length on these hom-groups, wherever in the section their
+    hom lines stand; only the rows of a scalar ring, which the section
+    names, are checked here: past_rows % i is the message for a row index
+    i past its generators."""
     if past_rows is not None:
         for (i, _), (_, lineno) in entries.items():
             if i >= len(rows.moduli):

@@ -7,8 +7,6 @@ in separate modules so that a program that only reads RGD does not load
 the printer.
 """
 
-from __future__ import annotations
-
 from .rgd import RGDDocument
 from .ringoid import FiniteRingoid, structure_constants
 

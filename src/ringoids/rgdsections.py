@@ -7,8 +7,6 @@ a process that reads ringoids alone never compiles these parsers.  The
 grammar of each section is in the `rgd` docstring.
 """
 
-from __future__ import annotations
-
 from .rgd import (RGDSemanticError, RGDSyntaxError, _int, _split_arrow,
                   _strip_colon)
 from .ringoid import StructuralError

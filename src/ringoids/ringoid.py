@@ -17,8 +17,6 @@ always discrete here, so continuity conditions are vacuous and are not
 represented.
 """
 
-from __future__ import annotations
-
 import itertools
 
 # Full multiplication tables are cached per object triple when the pair

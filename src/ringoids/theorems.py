@@ -8,8 +8,6 @@ They are kept apart from the engines they read (`ktheory`, `assembly`,
 `groupoids`), so that no CLI process compiles them.
 """
 
-from __future__ import annotations
-
 from math import lcm
 
 from .abgroup import FinAbGroup

@@ -1,6 +1,8 @@
 """Each subcommand in a new interpreter: it exits as in process, prints the
 same, and loads only the modules it runs: its own handler module in
-`commands`, and no other.
+`commands`, and no other.  `python -m ringoids.cli` exits and prints as
+`cli.run` does in process, with its heap frozen at exit; `cli.run` leaves
+the collector as it was.
 
 In process every module is loaded by earlier tests, so a module that a
 subcommand imports on first use but fails to import would go unseen there.
@@ -16,7 +18,8 @@ import sys
 import pytest
 
 from ringoids.cli import _COMMANDS, run
-from test_cli import C2_ASSEMBLY_DOC, F2_DOC, TWO_RINGS_DOC, Z4_WITH_IDEAL
+from test_cli import (C2_ASSEMBLY_DOC, F2_DOC, PAIR_DOC, TWO_RINGS_DOC,
+                      Z4_WITH_IDEAL)
 
 # every subcommand loads these, and its own module of `commands`
 VALIDATE = {"cli", "commands", "rgd", "ringoid", "abgroup"}
@@ -158,13 +161,79 @@ def test_cli_module_is_compiled_once(tmp_path, command):
 @pytest.mark.parametrize("command", ["validate", "k0", "k1", "oracle-compare"])
 def test_no_job_loads_argparse_gettext_or_locale(tmp_path, command):
     # the CLI reads its flags itself; argparse loaded gettext, and the
-    # first message it formatted loaded locale
+    # first message it formatted loaded locale.  No module of the package
+    # takes a `from __future__` line, and only machine output loads json
     doc, flags, _ = CASES[command]
     path = tmp_path / "input.rgd"
     path.write_text(doc, encoding="utf-8")
-    code, names = _imported_by_name([command, "--input", str(path), *flags])
+    argv = [command, "--input", str(path), *flags]
+    code, names = _imported_by_name(argv)
     assert code == 0 and "ringoids.rgd" in names
-    assert not {"argparse", "gettext", "locale"} & set(names)
+    assert not {"argparse", "gettext", "locale", "__future__", "json"} & set(names)
+    code, names = _imported_by_name(argv + ["--format", "machine"])
+    assert code == 0 and "json" in names and "__future__" not in names
+
+
+# a parse error (the image is read before its hom line): exit 1
+IMAGE_BEFORE_HOM_DOC = ("ringoid R\nobject a\nobject b\nobject c\n"
+                        "hom a b cyclic 2\nhom b c cyclic 2\n"
+                        "compose a b c: 0 0 ->\nhom a c cyclic 2\n")
+
+# name -> (input document, subcommand and flags, exit code)
+MAIN_CASES = {command: (doc, [command, *flags], 0)
+              for command, (doc, flags, _) in CASES.items()}
+MAIN_CASES["parse error"] = (IMAGE_BEFORE_HOM_DOC, ["validate"], 1)
+# a zero ceiling leaves the (a) vs (b) test undecided
+MAIN_CASES["undecided"] = (PAIR_DOC, ["k0", "--bound", "2", "--ceiling", "0",
+                                      "--format", "machine"], 2)
+
+
+@pytest.mark.parametrize("case", sorted(MAIN_CASES))
+def test_main_exits_and_prints_as_run(tmp_path, case):
+    # cli.main freezes the heap once run has returned; the streams are
+    # still flushed and the exit code is run's
+    doc, argv, expected = MAIN_CASES[case]
+    path = tmp_path / "input.rgd"
+    path.write_text(doc, encoding="utf-8")
+    argv = [argv[0], "--input", str(path), *argv[1:]]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code == expected
+    proc = subprocess.run([sys.executable, "-m", "ringoids.cli", *argv],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (code, out.getvalue(), err.getvalue())
+
+
+# Calls cli.main or cli.run on the rest of argv; an atexit handler, which
+# runs after either has returned, prints the freeze count to stderr.
+_FREEZE = """\
+import atexit, gc, sys
+atexit.register(lambda: sys.stderr.write(
+    "freeze count %d\\n" % gc.get_freeze_count()))
+from ringoids import cli
+entry = getattr(cli, sys.argv.pop(1))
+sys.exit(entry())
+"""
+
+
+def test_only_main_freezes_the_heap(tmp_path):
+    path = tmp_path / "f2.rgd"
+    path.write_text(F2_DOC, encoding="utf-8")
+    runs = {entry: subprocess.run([sys.executable, "-c", _FREEZE, entry, "k0",
+                                   "--input", str(path)],
+                                  capture_output=True, text=True)
+            for entry in ("main", "run")}
+    frozen = {}
+    for entry, proc in runs.items():
+        assert proc.returncode == 0 and proc.stdout.startswith("K0 = Z")
+        head, _, count = proc.stderr.splitlines()[-1].rpartition(" ")
+        assert head == "freeze count"
+        frozen[entry] = int(count)
+    assert runs["main"].stdout == runs["run"].stdout
+    # a library caller of run keeps a collector that scans its objects
+    assert frozen["main"] > 0 and frozen["run"] == 0
 
 
 def test_help_imports_no_cli_module_by_name():

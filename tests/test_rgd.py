@@ -138,6 +138,40 @@ def test_a_repeated_hom_line_is_refused():
     assert str(exc.value) == "line 6: Hom(a,b) is already declared at line 4"
 
 
+def test_an_image_read_before_its_hom_line_names_the_line():
+    # the image was checked against the trivial group, and validate then
+    # failed on a structure constant out of range, naming no line
+    text = ("ringoid R\nobject a\nobject b\nobject c\nhom a b cyclic 2\n"
+            "hom b c cyclic 2\ncompose a b c: 0 0 ->\nhom a c cyclic 2\n")
+    with pytest.raises(RGDSemanticError) as exc:
+        parse_rgd(text)
+    assert str(exc.value) == "line 7: image has 0 coordinates, Hom(a,c) has 1"
+
+
+def test_an_identity_read_before_its_hom_line_names_the_line():
+    # validate used to fail with "identity at 'a' out of range"
+    with pytest.raises(RGDSemanticError) as exc:
+        parse_rgd("ringoid R\nobject a\nidentity a:\nhom a a cyclic 2\n")
+    assert str(exc.value) == "line 3: identity has 0 coordinates, Hom(a,a) has 1"
+
+
+def test_hom_lines_may_follow_the_lines_that_use_them():
+    # the hom-groups are checked when the section is built, so the order
+    # of the lines does not matter as long as their lengths agree
+    lines = F2_DOC.splitlines()
+    hom = lines.index("hom a a cyclic 2")
+    moved = "\n".join(lines[:hom] + lines[hom + 1:] + [lines[hom]]) + "\n"
+    assert moved != F2_DOC
+    here, there = parse_rgd(F2_DOC).ringoids["F2"], parse_rgd(moved).ringoids["F2"]
+    assert (there.compose_table, there.identities, there.action) == \
+        (here.compose_table, here.identities, here.action)
+    # a generator index past a hom-group declared later is still refused
+    with pytest.raises(RGDSemanticError) as exc:
+        parse_rgd("ringoid R\nobject a\ncompose a a a: 0 1 -> 1\n"
+                  "hom a a cyclic 2\n")
+    assert str(exc.value) == "line 3: generator 1 out of range for Hom(a,a)"
+
+
 def test_action_without_a_scalar_line_names_its_first_line():
     # used to be dropped without a diagnostic, whatever its indices
     for action in ("action a a: 0 0 -> 1", "action a a: 5 0 -> 1"):
