@@ -36,6 +36,31 @@ def note(msg):
     sys.stderr.write(msg + "\n")
 
 
+def _power(n):
+    """n as p^k when it is a power k >= 2 of a prime p under 1000, else
+    in decimal."""
+    p = next((p for p in range(2, 1000) if n % p == 0), None)
+    k, m = 0, n
+    while p and m > 1 and m % p == 0:
+        k, m = k + 1, m // p
+    return "%d^%d" % (p, k) if m == 1 and k > 1 else str(n)
+
+
+def note_too_large(subject, ring, size, ceiling):
+    """The note that says why a result is undecided: End(subject) of the
+    ringoid has more elements than the ceiling lets a search list."""
+    note("note: End(%s) of %s has %s elements, over the ceiling %s"
+         % (subject, ring.name, _power(size), _power(ceiling)))
+
+
+def note_undecided(ring, ceiling):
+    """One note for each object whose End is over the ceiling, so left
+    unsplit by the Krull-Schmidt decomposition."""
+    from ..krullschmidt import decomposition
+    for rec in decomposition(ring, ceiling).undecided:
+        note_too_large(rec.subject, ring, rec.size, rec.ceiling)
+
+
 def emit_rgd(args, ring, machine_obj):
     """Validate a constructed ringoid and emit it as an RGD document, so
     that human-format stdout parses again, with its validation status on

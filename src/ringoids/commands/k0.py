@@ -1,7 +1,7 @@
 """`ringoids k0`: bounded K0 of the input ringoid."""
 
-from . import (EXIT_OK, EXIT_UNDECIDED, emit, presentation_json,
-               require_ringoid)
+from . import (EXIT_OK, EXIT_UNDECIDED, emit, note_undecided,
+               presentation_json, require_ringoid)
 
 
 def _stab_text(res):
@@ -21,4 +21,6 @@ def run(args, doc):
                        "presentation": presentation_json(res.presentation),
                        "stabilized_since": res.stabilized_since,
                        "undecided": res.undecided})
+    if res.undecided:
+        note_undecided(r, args.ceiling)
     return EXIT_UNDECIDED if res.undecided else EXIT_OK

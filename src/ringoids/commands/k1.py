@@ -1,8 +1,8 @@
 """`ringoids k1`: the GL_n abelianizations of the input ringoid up to
 --gl-max, with the stabilization maps."""
 
-from . import (EXIT_OK, EXIT_UNDECIDED, emit, presentation_json,
-               require_ringoid)
+from . import (EXIT_OK, EXIT_UNDECIDED, emit, note_too_large,
+               presentation_json, require_ringoid)
 
 
 def run(args, doc):
@@ -23,4 +23,10 @@ def run(args, doc):
         "ranks": {str(n): presentation_json(p) for n, p in res.ranks.items()},
         "last_step_iso": res.last_step_iso,
         "truncated_at": res.truncated_at})
+    n = res.truncated_at
+    if n is not None:
+        # GLn is closed in End(o^n), which has |End(o)|^(n^2) elements
+        o = r.objects[0]
+        note_too_large(o if n == 1 else "%s^%d" % (o, n), r,
+                       r.hom(o, o).order() ** (n * n), args.ceiling)
     return EXIT_OK if res.truncated_at is None else EXIT_UNDECIDED

@@ -1,7 +1,7 @@
 """`ringoids oracle-compare`: bounded K0 against the nerve oracle."""
 
-from . import (EXIT_FAIL, EXIT_OK, EXIT_UNDECIDED, emit, presentation_json,
-               require_ringoid)
+from . import (EXIT_FAIL, EXIT_OK, EXIT_UNDECIDED, emit, note_undecided,
+               presentation_json, require_ringoid)
 
 
 def run(args, doc):
@@ -21,6 +21,8 @@ def run(args, doc):
         "k0": presentation_json(rep.k0.presentation),
         "nerve": presentation_json(rep.nerve.abelianized),
         "undecided": rep.undecided})
+    if rep.undecided:
+        note_undecided(r, args.ceiling)
     if not rep.ok:
         return EXIT_FAIL
     return EXIT_UNDECIDED if rep.undecided else EXIT_OK

@@ -13,8 +13,7 @@ from .additive import MatMorphism, complete
 from .intlinalg import AbPresentation, hom_is_isomorphism
 from .krullschmidt import (SizeLimitExceeded, _three_figures, decomposition,
                            inverse_by_powers, is_nilpotent)
-from .ringoid import (_PAIR_CACHE_LIMIT, DEFAULT_CEILING, StructuralError,
-                      _gens)
+from .ringoid import DEFAULT_CEILING, StructuralError, _gens
 
 # The largest GL(s) that `gl` closes for a sum of two objects or more, by
 # `gl_order`.  A closure with its Schreier relators takes 1.3-3.8 KB and
@@ -22,6 +21,9 @@ from .ringoid import (_PAIR_CACHE_LIMIT, DEFAULT_CEILING, StructuralError,
 # largest of the tests; CPython 3.11, x86-64), so this refuses about
 # 0.7-1.9 GB and 1-2.5 minutes of work.
 GL_ORDER_LIMIT = 5 * 10 ** 5
+
+# The largest |Hom|^2 whose addition table of codes a GL closure builds.
+CODE_TABLE_LIMIT = 1 << 16
 
 
 class CeilingExceeded(Exception):
@@ -43,8 +45,8 @@ class GLGroup:
     image of element x.  A product is composed and looked up, and one
     outside the group raises StructuralError.
 
-    The pass runs on entry codes (`_EntryCodes`) where the base keeps the
-    pair tables of the hom-groups of s, and on the matrices themselves
+    The pass runs on entry codes (`_EntryCodes`) when no hom-group of s
+    has |Hom|^2 over CODE_TABLE_LIMIT, and on the matrices themselves
     (`_Matrices`) above that; the codes are decoded only by `elements`,
     `element`, `index` and `mul`, and either way the discovery order, the
     presentation and the coords are the same."""
@@ -58,7 +60,7 @@ class GLGroup:
         one = view.identity(s)
         gens = list(dict.fromkeys(generators))
         base = view.base
-        small = all(base.hom(a, b).order() ** 2 <= _PAIR_CACHE_LIMIT
+        small = all(base.hom(a, b).order() ** 2 <= CODE_TABLE_LIMIT
                     for a in s for b in s)
         codes = _EntryCodes(base, s) if small else _Matrices(view)
         steps = [codes.right_multiplier(one, g) for g in gens]

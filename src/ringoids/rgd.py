@@ -26,7 +26,10 @@ Grammar ('#' starts a comment, blank lines ignored):
     point ID
     act X g -> Y
 
-Indices are 0-based.  `parse_rgd` reads this format: it checks every
+Indices are 0-based.  A line that declares again what an earlier line of
+its section declared (a hom-group, an identity, a structure constant, a
+composite, an inverse or the image of a point) is an error that names
+the earlier line.  `parse_rgd` reads this format: it checks every
 section header against one table and hands each other line to the open
 section, one class per kind (`_RingoidBuilder` here, the groupoid, gset
 and ideal sections in `rgdsections`).  `rgdprint.print_rgd` writes the
@@ -114,6 +117,15 @@ def _strip_colon(toks, lineno, col0):
     return out, toks[tail_start:]
 
 
+def _declare(lines, key, lineno, what):
+    """Record that line `lineno` declares `key`, or raise RGDSemanticError
+    naming the line that declared it first; `what` is how it is named."""
+    first = lines.setdefault(key, lineno)
+    if first != lineno:
+        raise RGDSemanticError(lineno, "%s is already declared at line %d"
+                               % (what, first))
+
+
 class _RingoidBuilder:
     kind = "ringoid"
     stage = 0
@@ -123,7 +135,8 @@ class _RingoidBuilder:
         self.lineno = lineno
         self.objects = []
         self.homs = {}
-        self.hom_lines = {}
+        # the line of each hom, identity and structure-constant declaration
+        self.lines = {}
         # directive -> key -> {(i, j): (coords, line)}: entry [i][j] of the
         # structure-constant table of compose (a, b, c) or action (a, b)
         self.constants = {"compose": {}, "action": {}}
@@ -155,12 +168,9 @@ class _RingoidBuilder:
             a, b = toks[1][0], toks[2][0]
             self.require_object(a, lineno)
             self.require_object(b, lineno)
-            if (a, b) in self.hom_lines:
-                raise RGDSemanticError(lineno, "Hom(%s,%s) is already declared "
-                                       "at line %d" % (a, b, self.hom_lines[(a, b)]))
+            _declare(self.lines, ("hom", a, b), lineno, "Hom(%s,%s)" % (a, b))
             moduli = [_int(t, lineno, c, minimum=1, what="modulus") for t, c in toks[4:]]
             self.homs[(a, b)] = FinAbGroup(moduli)
-            self.hom_lines[(a, b)] = lineno
             return
         if head in self.constants:
             self.constant_line(head, toks, lineno, col0)
@@ -171,6 +181,7 @@ class _RingoidBuilder:
                 raise RGDSyntaxError(lineno, col0, "expected: identity A: c1 ...")
             a = heads[1][0]
             self.require_object(a, lineno)
+            _declare(self.lines, ("identity", a), lineno, "identity %s" % a)
             coords = [_int(t, lineno, c) for t, c in tail]
             self.checks.append((lineno, (a, a), len(coords), "identity"))
             self.identities[a] = coords
@@ -201,6 +212,8 @@ class _RingoidBuilder:
             raise RGDSyntaxError(lineno, col0, arity)
         k = _int(left[0][0], lineno, left[0][1], minimum=0, what=first)
         l = _int(left[1][0], lineno, left[1][1], minimum=0, what="generator index")
+        _declare(self.lines, (head, key, k, l), lineno,
+                 "%s %s: %d %d" % (head, " ".join(key), k, l))
         coords = [_int(t, lineno, cc) for t, cc in right]
         if head == "compose":
             self.checks.append((lineno, key[:2], k, None))

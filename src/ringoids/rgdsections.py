@@ -7,8 +7,8 @@ a process that reads ringoids alone never compiles these parsers.  The
 grammar of each section is in the `rgd` docstring.
 """
 
-from .rgd import (RGDSemanticError, RGDSyntaxError, _int, _split_arrow,
-                  _strip_colon)
+from .rgd import (RGDSemanticError, RGDSyntaxError, _declare, _int,
+                  _split_arrow, _strip_colon)
 from .ringoid import StructuralError
 
 
@@ -24,6 +24,7 @@ class _GroupoidBuilder:
         self.compose = {}
         self.identities = {}
         self.inverses = {}
+        self.lines = {}   # the line of each identity, compose and inverse
 
     def line(self, head, toks, lineno, col0):
         if head == "object":
@@ -49,6 +50,7 @@ class _GroupoidBuilder:
             a, mid = toks[1][0], toks[2][0]
             if mid not in self.morphisms or self.morphisms[mid] != (a, a):
                 raise RGDSemanticError(lineno, "identity must be a declared loop at %r" % (a,))
+            _declare(self.lines, ("identity", a), lineno, "identity %s" % a)
             self.identities[a] = mid
             return
         if head == "compose":
@@ -59,6 +61,7 @@ class _GroupoidBuilder:
             for mid in (h, g, k):
                 if mid not in self.morphisms:
                     raise RGDSemanticError(lineno, "unknown morphism %r" % (mid,))
+            _declare(self.lines, ("compose", h, g), lineno, "compose %s %s" % (h, g))
             self.compose[(g, h)] = k
             return
         if head == "inverse":
@@ -68,6 +71,7 @@ class _GroupoidBuilder:
             for mid in (g, h):
                 if mid not in self.morphisms:
                     raise RGDSemanticError(lineno, "unknown morphism %r" % (mid,))
+            _declare(self.lines, ("inverse", g), lineno, "inverse %s" % g)
             self.inverses[g] = h
             return
         raise RGDSyntaxError(lineno, col0, "unknown groupoid directive %r" % (head,))
@@ -112,6 +116,7 @@ class _GSetSection:
         self.lineno = lineno
         self.points = []
         self.acts = []   # (x, g, y, line)
+        self.lines = {}  # (x, g) -> the line of its act
 
     def line(self, head, toks, lineno, col0):
         if head == "point":
@@ -125,7 +130,9 @@ class _GSetSection:
             left, right = _split_arrow(toks[1:], lineno, col0)
             if len(left) != 2 or len(right) != 1:
                 raise RGDSyntaxError(lineno, col0, "expected: act X g -> Y")
-            self.acts.append((left[0][0], left[1][0], right[0][0], lineno))
+            x, g = left[0][0], left[1][0]
+            _declare(self.lines, (x, g), lineno, "act %s %s" % (x, g))
+            self.acts.append((x, g, right[0][0], lineno))
             return
         raise RGDSyntaxError(lineno, col0, "unknown gset directive %r" % (head,))
 

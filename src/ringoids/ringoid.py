@@ -8,8 +8,9 @@ an exhaustive check on generators.
 
 The structure-constant layout (see `FiniteRingoid`) is known to this
 module alone: composition and scalar action share its writer
-(`structure_table`), its reader (`structure_constants`), its shape check
-and its normaliser, and other modules pass a ringoid's tables whole.
+(`structure_table`), its reader (`structure_constants`), its shape check,
+its normaliser and its one evaluator (`_bilinear`, of the sparse form a
+ringoid reads once when built); other modules pass the tables whole.
 
 A moduloid additionally carries a commutative unital scalar ring (itself
 a one-object ringoid) acting on every hom-group.  "Topological" data is
@@ -18,10 +19,7 @@ represented.
 """
 
 import itertools
-
-# Full multiplication tables are cached per object triple when the pair
-# space is at most this large.
-_PAIR_CACHE_LIMIT = 1 << 16
+from operator import mod
 
 # Default candidate ceiling of the searches in the additive completion
 # and of the Krull-Schmidt decomposition; defined here so that the CLI's
@@ -84,8 +82,8 @@ class FiniteRingoid:
     """
 
     __slots__ = ("name", "objects", "homs", "compose_table", "identities",
-                 "scalar", "action", "unital", "_pair_mul", "_completion",
-                 "_decompositions", "_iso_tables")
+                 "scalar", "action", "unital", "_compose_rows", "_action_rows",
+                 "_completion", "_decompositions", "_iso_tables")
 
     def __init__(self, objects, homs, compose_table, identities=None,
                  scalar=None, action=None, unital=None, name=""):
@@ -97,7 +95,8 @@ class FiniteRingoid:
         self.scalar = scalar
         self.action = _normalised(action) if action else None
         self.unital = (self.identities is not None) if unital is None else unital
-        self._pair_mul = {}
+        self._compose_rows = _sparse(self.compose_table)
+        self._action_rows = _sparse(self.action)
         self._completion = None
         self._decompositions = {}
         self._iso_tables = {}
@@ -122,34 +121,14 @@ class FiniteRingoid:
 
     def compose(self, a, b, c, y, x):
         """Composite y . x for y in Hom(b,c), x in Hom(a,b)."""
-        mul = self._pair_mul.get((a, b, c))
-        if mul is None:
-            mul = self._build_pair_mul(a, b, c)
-        if mul is not False:
-            return mul[(y, x)]
-        return self._compose_raw(a, b, c, y, x)
-
-    def _build_pair_mul(self, a, b, c):
-        hbc, hab = self.hom(b, c), self.hom(a, b)
-        if hbc.order() * hab.order() > _PAIR_CACHE_LIMIT:
-            self._pair_mul[(a, b, c)] = False
-            return False
-        table = {}
-        for y in hbc.elements():
-            for x in hab.elements():
-                table[(y, x)] = self._compose_raw(a, b, c, y, x)
-        self._pair_mul[(a, b, c)] = table
-        return table
-
-    def _compose_raw(self, a, b, c, y, x):
-        return _bilinear(self.hom(a, c), self.compose_table.get((a, b, c)), y, x)
+        return _bilinear(self.hom(a, c), self._compose_rows.get((a, b, c), ()),
+                         y, x)
 
     def act(self, a, b, r, x):
         """Scalar action r . x for r in the scalar ring, x in Hom(a,b)."""
         if self.scalar is None:
             raise StructuralError("ringoid %r has no scalar ring" % (self.name,))
-        table = self.action.get((a, b)) if self.action else None
-        return _bilinear(self.hom(a, b), table, r, x)
+        return _bilinear(self.hom(a, b), self._action_rows.get((a, b), ()), r, x)
 
     def __repr__(self):
         return "FiniteRingoid(%r, %d objects)" % (self.name, len(self.objects))
@@ -181,13 +160,32 @@ def structure_constants(tables):
                     yield key, i, j, img
 
 
-def _bilinear(hom, table, y, x):
-    """The bilinear extension of structure constants: the sum over i, j of
-    y_i * x_j * table[i][j] in hom (a missing table is the zero map)."""
-    if table is None:
-        return hom.zero()
-    return hom.combination([yi * xj for yi in y for xj in x],
-                           [img for row in table for img in row])
+def _sparse(tables):
+    """The non-zero constants of a dict of tables: per key, the rows (i,
+    ((j, image), ...)) that hold one, each image as its non-zero (t, v)."""
+    rows = {}
+    for key, i, j, img in structure_constants(tables):
+        entries = rows.setdefault(key, {}).setdefault(i, [])
+        entries.append((j, tuple((t, v) for t, v in enumerate(img) if v)))
+    return {key: tuple((i, tuple(entries)) for i, entries in table.items())
+            for key, table in rows.items()}
+
+
+def _bilinear(hom, rows, y, x):
+    """The bilinear extension of sparse structure constants (`_sparse`):
+    the sum over i, j of y_i * x_j * image(i, j) in hom, skipping the zero
+    coordinates of y and x (no rows is the zero map)."""
+    acc = [0] * len(hom.moduli)
+    for i, entries in rows:
+        yi = y[i]
+        if yi:
+            for j, image in entries:
+                c = x[j]
+                if c:
+                    c *= yi
+                    for t, v in image:
+                        acc[t] += c * v
+    return tuple(map(mod, acc, hom.moduli))
 
 
 # The formal sums of objects live here, in a module that every process

@@ -237,6 +237,35 @@ def test_k1_truncation_exits_2(f2_file, capsys):
     assert out.endswith("truncated at rank 3 (ceiling)\n")
 
 
+def test_an_undecided_k0_names_the_object_over_the_ceiling(tmp_path, capsys):
+    # End(*) of M5(F2) has 2^25 elements, so its 1 is left unsplit; the
+    # note goes to stderr, and stdout and the exit code stay as they were
+    path = tmp_path / "m5.rgd"
+    ring = matrix_ring(cyclic_ring(2, scalar=False), 5)
+    path.write_text(print_rgd(document_from(ringoids=[ring])), encoding="utf-8")
+    assert run(["k0", "--input", str(path), "--bound", "3"]) == 2
+    assert capsys.readouterr() == (
+        "K0 = Z (stabilized at L=2)\n"
+        "WARNING: undecided isomorphism tests at the ceiling\n",
+        "note: End(*) of M5(Z/2) has 2^25 elements, over the ceiling 2^20\n")
+
+
+def test_undecided_notes_name_each_object_and_the_rank(tmp_path, f2_file,
+                                                       capsys):
+    path = tmp_path / "pair.rgd"
+    path.write_text(PAIR_DOC, encoding="utf-8")
+    assert run(["oracle-compare", "--input", str(path), "--bound", "2",
+                "--ceiling", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "note: End(a) of PAIR has 2 elements, over the ceiling 1\n"
+        "note: End(b) of PAIR has 2 elements, over the ceiling 1\n")
+    # GL3 of F2 is closed in End(a^3) = M3(F2)
+    assert run(["k1", "--input", f2_file, "--gl-max", "3",
+                "--ceiling", "100"]) == 2
+    assert capsys.readouterr().err == (
+        "note: End(a^3) of F2 has 2^9 elements, over the ceiling 100\n")
+
+
 def test_k1_of_the_zero_ring_at_rank_1000(tmp_path, capsys):
     # used to close GL_n for every n: --gl-max 300 took 26 s
     path = tmp_path / "zero.rgd"
@@ -387,17 +416,22 @@ def test_k1_frontier(tmp_path, capsys, request, ring_name, gl_max):
     assert capsys.readouterr().out == FRONTIER_K1[(ring_name, gl_max)]
 
 
-@pytest.mark.frontier
 @pytest.mark.parametrize("n,args,want", [
-    (4, ["k0", "--bound", "2"], "K0 = Z (stabilized at L=2)\n"),
-    (3, ["k1", "--gl-max", "1"], "GL1^ab = 0\n"),
-    (4, ["k1", "--gl-max", "1"], "GL1^ab = 0\n"),
-], ids=["k0-m4f2", "k1-m3f2", "k1-m4f2"])
+    pytest.param(4, ["k0", "--bound", "2"], "K0 = Z (stabilized at L=2)\n",
+                 id="k0-m4f2"),
+    pytest.param(3, ["k1", "--gl-max", "1"], "GL1^ab = 0\n", id="k1-m3f2",
+                 marks=pytest.mark.frontier),
+    pytest.param(4, ["k1", "--gl-max", "1"], "GL1^ab = 0\n", id="k1-m4f2",
+                 marks=pytest.mark.frontier),
+    pytest.param(6, ["validate"], "ringoid M6(Z/2): clean\n",
+                 id="validate-m6f2", marks=pytest.mark.frontier),
+])
 def test_matrix_ring_frontier(tmp_path, capsys, n, args, want):
     # k0 of M4(F2) compares the four primitives of 1_* (|End| = 2^16)
     # through 16 x 16 products of generators; k1 of M3(F2) and M4(F2)
     # closes GL3(F2) (168 elements) and GL4(F2) (20 160) from the few units
-    # that generate them, testing by powers only units not yet reached
+    # that generate them, testing by powers only units not yet reached;
+    # validate of M6(F2) checks 36^3 generator triples for associativity
     path = tmp_path / "m.rgd"
     ring = matrix_ring(cyclic_ring(2, scalar=False), n)
     path.write_text(print_rgd(document_from(ringoids=[ring])), encoding="utf-8")

@@ -246,7 +246,6 @@ def test_idem_classes_split_no_idempotent(monkeypatch):
     assert ic.presentation == Z
 
 
-@pytest.mark.frontier
 def test_idem_classes_of_m4f2():
     # End(*) = M4(F2) has 2^16 elements; its 1 splits into four equivalent
     # primitives, so the classes are the ranks 0..4, presenting Z

@@ -187,12 +187,31 @@ def test_table_read_detection():
         "z = [t for t in r.action]\n") == [2, 3, 4, 5, 6]
 
 
+def _sparse_reads(source):
+    """The lines where a module names the sparse form of a ringoid's
+    tables, as an attribute or as a string (for getattr)."""
+    names = ("_compose_rows", "_action_rows")
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if (isinstance(node, ast.Attribute) and node.attr in names)
+                  or (isinstance(node, ast.Constant) and node.value in names))
+
+
+def test_sparse_read_detection():
+    assert _sparse_reads(
+        "f(r.compose_table)\n"
+        "rows = r._compose_rows\n"
+        "g(r._action_rows[k])\n"
+        "h = getattr(r, '_action_rows')\n") == [2, 3, 4]
+
+
 def test_the_structure_constant_layout_has_one_home():
-    # only `ringoid` reads a ringoid's tables; the others pass them whole,
-    # so a change of layout touches that one module
+    # only `ringoid` reads a ringoid's tables and names their sparse form;
+    # the others pass the tables whole, so a change of layout touches that
+    # one module
     package = pathlib.Path(ringoids.__file__).parent
     reads = {str(path.relative_to(package)):
              _table_reads(path.read_text("utf-8"))
+             + _sparse_reads(path.read_text("utf-8"))
              for path in sorted(package.rglob("*.py"))
              if path.name != "ringoid.py"}
     assert {name: lines for name, lines in reads.items() if lines} == {}

@@ -5,6 +5,7 @@ from conftest import small_ringoids
 from ringoids import (FiniteRingoid, RGDSemanticError, RGDSyntaxError,
                       document_from, parse_rgd, print_rgd,
                       ringoid_equal_structure, validate, validate_groupoid)
+from ringoids.cli import run
 from ringoids.moduloids import quotient, unitize
 from ringoids.constructions import forget_units
 
@@ -173,10 +174,12 @@ def test_hom_lines_may_follow_the_lines_that_use_them():
 
 
 def test_action_without_a_scalar_line_names_its_first_line():
-    # used to be dropped without a diagnostic, whatever its indices
+    # used to be dropped without a diagnostic, whatever its indices; the
+    # second line is of another scalar generator, since a repeated one is
+    # refused where it stands
     for action in ("action a a: 0 0 -> 1", "action a a: 5 0 -> 1"):
         text = F2_DOC.replace("scalar F2\naction a a: 0 0 -> 1",
-                              action + "\naction a: 0 0 -> 0")
+                              action + "\naction a: 1 0 -> 0")
         with pytest.raises(RGDSemanticError) as exc:
             parse_rgd(text)
         assert exc.value.line == 7
@@ -306,6 +309,44 @@ def test_a_second_section_of_a_kind_and_name_names_the_first(text, message):
 def test_sections_of_different_kinds_may_share_a_name():
     doc = parse_rgd(_GROUPOID + F2_DOC.replace("F2", "C2"))
     assert doc.order == [("groupoid", "C2"), ("ringoid", "C2")]
+
+
+@pytest.mark.parametrize("text, message", [
+    (F2_DOC + "compose a a a: 0 0 -> 0\n",
+     "line 9: compose a a a: 0 0 is already declared at line 5"),
+    (F2_DOC + "identity a: 0\n",
+     "line 9: identity a is already declared at line 6"),
+    (F2_DOC + "action a: 0 0 -> 0\n",
+     "line 9: action a a: 0 0 is already declared at line 8"),
+    (_GROUPOID + "compose g g -> g\n",
+     "line 12: compose g g is already declared at line 9"),
+    (_GROUPOID + "inverse g e\n",
+     "line 12: inverse g is already declared at line 11"),
+    (_GROUPOID + "identity p e\n",
+     "line 12: identity p is already declared at line 5"),
+    (C2_DOC + "act 2 g -> 2\n",
+     "line 20: act 2 g is already declared at line 19"),
+], ids=["ringoid compose", "ringoid identity", "ringoid action",
+        "groupoid compose", "groupoid inverse", "groupoid identity",
+        "gset act"])
+def test_a_repeated_constant_line_names_the_first(text, message):
+    # the later line used to replace the earlier one silently
+    with pytest.raises(RGDSemanticError) as exc:
+        parse_rgd(text)
+    assert str(exc.value) == message
+
+
+def test_a_contradictory_composite_is_a_parse_error(tmp_path, capsys):
+    # validate used to read the second compose line only, and printed
+    # clean with exit 0
+    path = tmp_path / "r.rgd"
+    path.write_text("ringoid R\nobject a\nhom a a cyclic 2\n"
+                    "compose a a a: 0 0 -> 0\nidentity a: 1\n"
+                    "compose a a a: 0 0 -> 1\n", encoding="utf-8")
+    assert run(["validate", "--input", str(path)]) == 1
+    assert capsys.readouterr() == (
+        "", "parse error: line 6: compose a a a: 0 0 is already declared "
+        "at line 4\n")
 
 
 def test_groupoid_document():

@@ -1,11 +1,15 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import compose_with, small_ringoids
-from ringoids import (FinAbGroup, FiniteRingoid, RingoidHom, StructuralError,
-                      cyclic_ring, identity_hom, one_object_ringoid,
-                      ringoid_equal_structure, validate, validate_hom,
-                      zero_moduloid)
+from ringoids import (FinAbGroup, FiniteRingoid, FinGroup, RingoidHom,
+                      StructuralError, cyclic_ring, group_as_groupoid,
+                      group_ringoid, identity_hom, one_object_ringoid,
+                      product_ring, ringoid_equal_structure, validate,
+                      validate_hom, with_self_scalar, zero_moduloid)
 from ringoids.constructions import tabulate
 
 
@@ -102,6 +106,52 @@ def test_compose_bilinearity_generates_full_product(z4):
     for x in h.elements():
         for y in h.elements():
             assert z4.compose("*", "*", "*", x, y) == ((x[0] * y[0]) % 4,)
+
+
+def _dense_bilinear(out, table, y, x):
+    """The reference: the sum over every i, j of y_i * x_j * table[i][j],
+    reduced in `out` (a missing table is the zero map)."""
+    acc = [0] * len(out.moduli)
+    for yi, row in zip(y, table or ()):
+        for xj, img in zip(x, row):
+            for t, v in enumerate(img):
+                acc[t] += yi * xj * v
+    return out.reduce(acc)
+
+
+def _element(hom):
+    return st.tuples(*(st.integers(0, d - 1) for d in hom.moduli))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_ringoids(), st.data())
+def test_compose_is_the_bilinear_extension_of_the_constants(r, data):
+    for a, b, c in itertools.product(r.objects, repeat=3):
+        y = data.draw(_element(r.hom(b, c)))
+        x = data.draw(_element(r.hom(a, b)))
+        assert r.compose(a, b, c, y, x) == _dense_bilinear(
+            r.hom(a, c), r.compose_table.get((a, b, c)), y, x)
+
+
+# F2 x Z/4 acting on itself, then on its group ringoid over C2: a scalar
+# ring of two generators acting on hom-groups of four
+_MODULOID = group_ringoid(group_as_groupoid(FinGroup.cyclic(2)), with_self_scalar(
+    product_ring(cyclic_ring(2, scalar=False), cyclic_ring(4, scalar=False))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_act_is_the_bilinear_extension_of_the_constants(data):
+    r = _MODULOID
+    ro = r.scalar.objects[0]
+    for a, b, c in itertools.product(r.objects, repeat=3):
+        s = data.draw(_element(r.scalar.hom(ro, ro)))
+        y = data.draw(_element(r.hom(b, c)))
+        x = data.draw(_element(r.hom(a, b)))
+        assert r.act(a, b, s, x) == _dense_bilinear(
+            r.hom(a, b), r.action[(a, b)], s, x)
+        assert r.compose(a, b, c, y, x) == _dense_bilinear(
+            r.hom(a, c), r.compose_table.get((a, b, c)), y, x)
 
 
 @settings(max_examples=60, deadline=None)
