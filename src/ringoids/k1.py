@@ -16,14 +16,11 @@ from .krullschmidt import (SizeLimitExceeded, _three_figures, decomposition,
 from .ringoid import DEFAULT_CEILING, StructuralError, _gens
 
 # The largest GL(s) that `gl` closes for a sum of two objects or more, by
-# `gl_order`.  A closure with its Schreier relators takes 1.3-3.8 KB and
-# 110-310 us per element (GL3 of Z/4 and F2[C2], 86 016 elements each, the
+# `gl_order`.  A closure with its Schreier relators takes 0.8-1.9 KB and
+# 29-69 us per element (GL3 of Z/4 and F2[C2], 86 016 elements each, the
 # largest of the tests; CPython 3.11, x86-64), so this refuses about
-# 0.7-1.9 GB and 1-2.5 minutes of work.
+# 0.4-0.9 GB and 15-35 s of work.
 GL_ORDER_LIMIT = 5 * 10 ** 5
-
-# The largest |Hom|^2 whose addition table of codes a GL closure builds.
-CODE_TABLE_LIMIT = 1 << 16
 
 
 class CeilingExceeded(Exception):
@@ -45,151 +42,101 @@ class GLGroup:
     image of element x.  A product is composed and looked up, and one
     outside the group raises StructuralError.
 
-    The pass runs on entry codes (`_EntryCodes`) when no hom-group of s
-    has |Hom|^2 over CODE_TABLE_LIMIT, and on the matrices themselves
-    (`_Matrices`) above that; the codes are decoded only by `elements`,
-    `element`, `index` and `mul`, and either way the discovery order, the
-    presentation and the coords are the same."""
+    The pass runs on entry codes: an element is the flat tuple, row by
+    row, of the codes of its entries, and the code of an entry is the
+    order in which the pass first met it, so no hom-group is listed.  The
+    codes are decoded only by `elements`, `element`, `index` and `mul`."""
 
-    __slots__ = ("view", "generators", "presentation", "coords", "_codes",
-                 "_found", "_index")
+    __slots__ = ("view", "generators", "presentation", "coords", "_s",
+                 "_found", "_index", "_values", "_codes")
 
     def __init__(self, view, s, generators):
         from .groups import abelianization
-        s = tuple(s)
+        self.view = view
+        self._s = s = tuple(s)
+        self._values, self._codes = [], {}
         one = view.identity(s)
         gens = list(dict.fromkeys(generators))
-        base = view.base
-        small = all(base.hom(a, b).order() ** 2 <= CODE_TABLE_LIMIT
-                    for a in s for b in s)
-        codes = _EntryCodes(base, s) if small else _Matrices(view)
-        steps = [codes.right_multiplier(one, g) for g in gens]
+        memos = {}
+        steps = [self._right_multiplier(one, g, memos) for g in gens]
         self._found, self._index, self.presentation, self.coords = (
-            abelianization(codes.encode(one), steps))
-        self.view = view
-        self._codes = codes
-        self.generators = [self._index[codes.encode(g)] for g in gens]
+            abelianization(self._encode(one), steps))
+        self.generators = [self._index[self._encode(g)] for g in gens]
 
     def __len__(self):
         return len(self._found)
 
     @property
     def elements(self):
-        return [self._codes.decode(x) for x in self._found]
+        return [self._decode(x) for x in self._found]
 
     def element(self, i):
-        return self._codes.decode(self._found[i])
+        return self._decode(self._found[i])
 
     def index(self, element):
-        return self._index[self._codes.encode(element)]
+        return self._index[self._encode(element)]
 
     def mul(self, i, j):
         product = self.view.compose(self.element(i), self.element(j))
-        k = self._index.get(self._codes.encode(product))
+        k = self._index.get(self._encode(product))
         if k is None:
             raise StructuralError("a product of invertibles is not invertible")
         return k
 
+    def _intern(self, x):
+        code = self._codes.get(x)
+        if code is None:
+            code = self._codes[x] = len(self._values)
+            self._values.append(x)
+        return code
 
-def _differences(base, one, g):
-    """The non-zero entries (k, l, d) of g - 1, d in Hom(s_l, s_k)."""
-    s = g.src
-    return [(k, l, base.hom(s[l], s[k]).sub(gkl, one.entries[k][l]))
-            for k, row in enumerate(g.entries) for l, gkl in enumerate(row)
-            if gkl != one.entries[k][l]]
+    def _encode(self, f):
+        return tuple(self._intern(x) for row in f.entries for x in row)
 
-
-class _Matrices:
-    """The elements of a closure as the matrices themselves."""
-
-    def __init__(self, view):
-        self.view = view
-
-    @staticmethod
-    def encode(f):
-        return f
-
-    decode = encode
-
-    def right_multiplier(self, one, g):
-        """x -> x . g, computed as x + x . (g - 1) from the non-zero
-        entries of g - 1: for an elementary or diagonal generator, one
-        column of x changes by n base compositions instead of a full
-        matrix product."""
-        base = self.view.base
-        s = g.src
-        diff = _differences(base, one, g)
-
-        def step(x):
-            entries = [list(row) for row in x.entries]
-            for k, l, d in diff:
-                for r, row in enumerate(entries):
-                    hom = base.hom(s[l], s[r])
-                    row[l] = hom.add(row[l], base.compose(
-                        s[l], s[k], s[r], x.entries[r][k], d))
-            return MatMorphism(s, s, entries)
-
-        return step
-
-
-class _EntryCodes:
-    """The elements of a closure over the sum s as flat tuples of entry
-    codes, row by row: the code of an entry is its index in the
-    `FinAbGroup.elements()` order of its hom-group.  Right multiplication
-    adds by table and composes by one column of a product table for each
-    entry of g - 1, so it builds no matrix."""
-
-    def __init__(self, base, s):
-        self.base = base
-        self.s = s
-        # (a, b) -> the elements of Hom(a, b) in code order, their codes,
-        # and the addition table on codes, built on first use
-        objects = dict.fromkeys(s)
-        self._elements = {(a, b): list(base.hom(a, b).elements())
-                          for a in objects for b in objects}
-        self._code = {key: {x: c for c, x in enumerate(elements)}
-                      for key, elements in self._elements.items()}
-        self._sum = {}
-
-    def encode(self, f):
-        s = self.s
-        return tuple(self._code[(a, b)][x]
-                     for b, row in zip(s, f.entries) for a, x in zip(s, row))
-
-    def decode(self, x):
-        s = self.s
+    def _decode(self, x):
+        s, values = self._s, self._values
         n = len(s)
-        return MatMorphism(s, s, [[self._elements[(a, b)][x[r * n + l]]
-                                   for l, a in enumerate(s)]
-                                  for r, b in enumerate(s)])
+        return MatMorphism(s, s, [[values[c] for c in x[r * n:r * n + n]]
+                                  for r in range(n)])
 
-    def _addition(self, key):
-        table = self._sum.get(key)
-        if table is None:
-            hom, code = self.base.hom(*key), self._code[key]
-            elements = self._elements[key]
-            table = self._sum[key] = [[code[hom.add(x, y)] for y in elements]
-                                      for x in elements]
-        return table
-
-    def right_multiplier(self, one, g):
+    def _right_multiplier(self, one, g, memos):
         """x -> x . g on codes, as x + x . (g - 1): entry (r, l) gains
-        x[r][k] . d for each non-zero entry (k, l, d) of g - 1."""
-        base, s = self.base, self.s
+        x[r][k] . d for each non-zero entry (k, l, d) of g - 1.  Each such
+        term reads a memo from the codes of the entry and of x[r][k] to the
+        new code, filled on a miss by one composition and one addition;
+        the terms with the same objects and d share one memo."""
+        base, s = self.view.base, self._s
+        values, intern = self._values, self._intern
+        objects = dict.fromkeys(s)
+        # at most this many codes, each of an entry in a hom-group of s, so
+        # a key t * bound + y stands for the pair (t, y)
+        bound = sum(base.hom(a, b).order() for a in objects for b in objects)
         n = len(s)
         terms = []
-        for k, l, d in _differences(base, one, g):
-            for r, c in enumerate(s):
-                code = self._code[(s[l], c)]
-                column = [code[base.compose(s[l], s[k], c, y, d)]
-                          for y in self._elements[(s[k], c)]]
-                terms.append((r * n + l, r * n + k, column,
-                              self._addition((s[l], c))))
+        for k, row in enumerate(g.entries):
+            for l, gkl in enumerate(row):
+                if gkl == one.entries[k][l]:
+                    continue
+                d = base.hom(s[l], s[k]).sub(gkl, one.entries[k][l])
+                for r, c in enumerate(s):
+                    def miss(key, a=s[l], b=s[k], c=c, d=d,
+                             add=base.hom(s[l], c).add):
+                        t, y = divmod(key, bound)
+                        return intern(add(values[t],
+                                          base.compose(a, b, c, values[y], d)))
+
+                    terms.append((r * n + l, r * n + k,
+                                  memos.setdefault((s[l], s[k], c, d), {}),
+                                  miss))
 
         def step(x):
             entries = list(x)
-            for target, source, column, add in terms:
-                entries[target] = add[entries[target]][column[x[source]]]
+            for target, source, memo, miss in terms:
+                key = entries[target] * bound + x[source]
+                try:
+                    entries[target] = memo[key]
+                except KeyError:
+                    entries[target] = memo[key] = miss(key)
             return tuple(entries)
 
         return step

@@ -419,8 +419,7 @@ def test_k1_frontier(tmp_path, capsys, request, ring_name, gl_max):
 @pytest.mark.parametrize("n,args,want", [
     pytest.param(4, ["k0", "--bound", "2"], "K0 = Z (stabilized at L=2)\n",
                  id="k0-m4f2"),
-    pytest.param(3, ["k1", "--gl-max", "1"], "GL1^ab = 0\n", id="k1-m3f2",
-                 marks=pytest.mark.frontier),
+    pytest.param(3, ["k1", "--gl-max", "1"], "GL1^ab = 0\n", id="k1-m3f2"),
     pytest.param(4, ["k1", "--gl-max", "1"], "GL1^ab = 0\n", id="k1-m4f2",
                  marks=pytest.mark.frontier),
     pytest.param(6, ["validate"], "ringoid M6(Z/2): clean\n",

@@ -18,6 +18,7 @@ from ringoids import constructions, k1, krullschmidt, ktheory
 from ringoids.additive import end_ring
 from ringoids.krullschmidt import decomposition
 from ringoids.constructions import tabulate
+from ringoids.groups import abelianization
 from ringoids.intlinalg import hom_well_defined
 from ringoids.k1 import (GLGroup, bass_generators, certify_gl_order,
                          stabilization_embedding)
@@ -583,6 +584,63 @@ def test_gl_certificate_catches_a_short_closure(f3):
     with pytest.raises(StructuralError):
         certify_gl_order(s, short, gl_order(view, s))
     assert len(gl(view, s)) == 48
+
+
+def matrix_closure(view, s, generators):
+    """`abelianization` on the matrices themselves, one `view.compose(x, g)`
+    per step: the closure of `GLGroup` with no entry codes."""
+    steps = [lambda x, g=g: view.compose(x, g)
+             for g in dict.fromkeys(generators)]
+    return abelianization(view.identity(s), steps)
+
+
+def assert_closure_on_codes_is_on_matrices(view, s, gens):
+    group = GLGroup(view, s, gens)
+    elements, index, pres, coords = matrix_closure(view, s, gens)
+    assert group.elements == elements, s
+    assert group.generators == [index[g] for g in dict.fromkeys(gens)], s
+    assert (group.presentation.generators, group.presentation.relations) == (
+        pres.generators, pres.relations), s
+    assert group.coords == coords, s
+    return group
+
+
+def assert_gl_closures_on_codes_are_on_matrices(view, s):
+    # Bass's generators, then the last element that they reach with two
+    # more: its g - 1 may hold two non-zero entries in one column, whose
+    # terms then update the same entry of x . g in turn
+    group = assert_closure_on_codes_is_on_matrices(
+        view, s, bass_generators(view, s))
+    assert_closure_on_codes_is_on_matrices(
+        view, s, [group.element(len(group) - 1)] + group.elements[1:3])
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_ringoids())
+@example(matrix_ring(cyclic_ring(2, scalar=False), 3))
+def test_gl_closure_on_codes_is_the_closure_on_matrices(r):
+    # the elements in discovery order, the presentation and the coords;
+    # GL1 of M3(F2) (|End| = 512) is GL3(F2), 168 elements
+    view = complete(r)
+    for s in enumerate_objsums(r.objects, 2):
+        if view.hom_order(s, s) <= 1024:
+            assert_gl_closures_on_codes_are_on_matrices(view, s)
+
+
+def test_gl_closure_lists_no_hom_group(monkeypatch, z4):
+    # GL2(Z/4) has 6 * 2^4 elements and GL1 of M3(F2) is GL3(F2); the
+    # generators list the units of End(a), so they are built first
+    m3f2 = matrix_ring(cyclic_ring(2, scalar=False), 3)
+    cases = [(complete(z4), z4.objects * 2, 96),
+             (complete(m3f2), m3f2.objects, 168)]
+    gens = [bass_generators(view, s) for view, s, _ in cases]
+
+    def refuse(group):
+        raise AssertionError("Hom was listed: %r" % (group,))
+
+    monkeypatch.setattr(FinAbGroup, "elements", refuse)
+    for (view, s, order), g in zip(cases, gens):
+        assert len(GLGroup(view, s, g)) == order
 
 
 def test_unit_diagonals_at_each_objects_first_position(m2f2):
