@@ -2,9 +2,10 @@
 abelianization per rank.
 
 K1 is reported per rank as GL_n abelianizations, read off the one
-breadth-first pass that closes Bass's generators into GL_n (`gl`,
-certified by the Krull-Schmidt order formula `gl_order` and guarded by
-it; `groups.abelianization`), with stabilization maps.  K0 lives in
+breadth-first pass that closes GL_n (`gl`: GL_1 from the units it takes
+as it goes, GL_n from Bass's generators, certified by the Krull-Schmidt
+order formula `gl_order` and guarded by it; `groups.abelianization`),
+with stabilization maps.  K0 lives in
 `ktheory`, which this module does not import, so a K0 process compiles
 none of the K1 line and a K1 process none of the K0 line.
 """
@@ -42,6 +43,12 @@ class GLGroup:
     image of element x.  A product is composed and looked up, and one
     outside the group raises StructuralError.
 
+    With `units` (s is one object a), each time its generators are closed
+    the pass takes one more: the next unit of End(a), in element order,
+    that it has not reached (`inverse_by_powers`).  Each at least doubles
+    the group, so at most log2 |End(a)*| are kept, and End(a)* is closed
+    once.
+
     The pass runs on entry codes: an element is the flat tuple, row by
     row, of the codes of its entries, and the code of an entry is the
     order in which the pass first met it, so no hom-group is listed.  The
@@ -50,7 +57,7 @@ class GLGroup:
     __slots__ = ("view", "generators", "presentation", "coords", "_s",
                  "_found", "_index", "_values", "_codes")
 
-    def __init__(self, view, s, generators):
+    def __init__(self, view, s, generators, units=False):
         from .groups import abelianization
         self.view = view
         self._s = s = tuple(s)
@@ -59,8 +66,20 @@ class GLGroup:
         gens = list(dict.fromkeys(generators))
         memos = {}
         steps = [self._right_multiplier(one, g, memos) for g in gens]
+        grow = None
+        if units:
+            (a,) = s
+            base, candidates = view.base, iter(view.base.hom(a, a).elements())
+
+            def grow(index):
+                for u in candidates:
+                    if ((self._codes.get(u),) not in index and inverse_by_powers(
+                            base, a, u, one.entries[0][0]) is not None):
+                        gens.append(MatMorphism(s, s, [[u]]))
+                        return self._right_multiplier(one, gens[-1], memos)
+
         self._found, self._index, self.presentation, self.coords = (
-            abelianization(self._encode(one), steps))
+            abelianization(self._encode(one), steps, grow))
         self.generators = [self._index[self._encode(g)] for g in gens]
 
     def __len__(self):
@@ -143,8 +162,10 @@ class GLGroup:
 
 
 def gl(view, s, ceiling=DEFAULT_CEILING):
-    """GL(s), the group of invertible endomorphisms of a formal sum, as the
-    closure of `bass_generators`, with its abelianization (`GLGroup`).
+    """GL(s), the group of invertible endomorphisms of a formal sum, with
+    its abelianization (`GLGroup`): for one object a, End(a)* closed from
+    the units the pass keeps, and for a longer sum the closure of
+    `bass_generators`.
 
     They generate GL(s) over every finite base.  The elementary matrices
     E and the unit diagonals at every position do: modulo the radical J
@@ -153,10 +174,10 @@ def gl(view, s, ceiling=DEFAULT_CEILING):
     object, stable rank 1: GL_n = E_n diag(A*, 1, ..., 1); Bass, "K-theory
     and stable algebra", 1964).  A unit diagonal at a later position of
     the object a is one at its first position times diag(u^-1, u), which
-    is in E by Whitehead's lemma, and the kept units generate End(a)*.  A
-    single object's closure is End(a)* by construction; a longer sum's
-    counts as GL(s) only when its size equals `gl_order`, and a mismatch
-    raises StructuralError.
+    is in E by Whitehead's lemma, and the units kept at rank 1 generate
+    End(a)*.  A single object's closure is End(a)* by construction; a
+    longer sum's counts as GL(s) only when its size equals `gl_order`,
+    and a mismatch raises StructuralError.
 
     Raises CeilingExceeded when |End(s)| exceeds the ceiling.  Below it no
     End(s_i) is over it, so every object of s is split.  Raises
@@ -169,14 +190,15 @@ def gl(view, s, ceiling=DEFAULT_CEILING):
     if n > ceiling:
         raise CeilingExceeded("|End| = %d exceeds the ceiling %d" % (n, ceiling),
                               size=n, ceiling=ceiling)
-    order = gl_order(view, s, ceiling) if len(s) > 1 else None
-    if order is not None and order > GL_ORDER_LIMIT:
+    if len(s) == 1:
+        return GLGroup(view, s, (), units=True)
+    order = gl_order(view, s, ceiling) if s else 1
+    if order > GL_ORDER_LIMIT:
         raise SizeLimitExceeded(
             "GL of a sum of %d objects would hold %s elements, over the limit "
             "of %d" % (len(s), _three_figures(order), GL_ORDER_LIMIT))
     group = GLGroup(view, s, bass_generators(view, s))
-    if order is not None:
-        certify_gl_order(s, group, order)
+    certify_gl_order(s, group, order)
     return group
 
 
@@ -184,9 +206,9 @@ def bass_generators(view, s):
     """The elementary matrices e_ij(x), x an additive generator of
     Hom(s_j, s_i), and, at the first position i of each distinct object a
     of s, the unit diagonals diag(1, ..., u, ..., 1) for the units u of
-    End(a) that `_unit_generators` keeps.  Each is built with its inverse,
-    e_ij(-x) or the diagonal of u^-1, and certified by composing the two
-    both ways."""
+    End(a) that the closure of End(a)* keeps (`GLGroup` with `units`).
+    Each is built with its inverse, e_ij(-x) or the diagonal of u^-1
+    (`inverse_by_powers`), and certified by composing the two both ways."""
     base = view.base
     one = view.identity(s)
     pairs = []
@@ -198,8 +220,11 @@ def bass_generators(view, s):
 
     for i, a in enumerate(s):
         if a not in s[:i]:
-            pairs.extend((with_entry(i, i, u), with_entry(i, i, v))
-                         for u, v in _unit_generators(base, a))
+            units = GLGroup(view, (a,), (), units=True)
+            for g in units.generators:
+                u = units.element(g).entries[0][0]
+                v = inverse_by_powers(base, a, u, base.identity(a))
+                pairs.append((with_entry(i, i, u), with_entry(i, i, v)))
         for j, b in enumerate(s):
             hom = base.hom(b, a)
             if i != j:
@@ -209,35 +234,6 @@ def bass_generators(view, s):
         if view.compose(g, h) != one or view.compose(h, g) != one:
             raise StructuralError("the generator %r is not invertible" % (g,))
     return [g for g, _ in pairs]
-
-
-def _unit_generators(ring, o):
-    """Units u of End(o), each with its inverse (`inverse_by_powers`), kept
-    in element order when the units kept before do not generate u.  Each
-    kept unit at least doubles the group they generate, so at most
-    log2 |End(o)*| are kept, and they generate End(o)*.  The group reached
-    grows coset by coset with each kept unit, so finding it costs about
-    one composition per element and one per coset and kept unit."""
-    one = ring.identity(o)
-    kept, reached = [], {one}
-    for u in ring.hom(o, o).elements():
-        v = None if u in reached else inverse_by_powers(ring, o, u, one)
-        if v is not None:
-            kept.append((u, v))
-            # the group grows by the right cosets H y of the group H
-            # reached so far: y runs over the products x . g of a first
-            # element x of a coset (1 for H) and a kept unit g
-            others = [h for h in reached if h != one]
-            queue = [one]
-            for x in queue:
-                for g, _ in kept:
-                    y = ring.compose(o, o, o, x, g)
-                    if y not in reached:
-                        reached.add(y)
-                        reached.update(ring.compose(o, o, o, h, y)
-                                       for h in others)
-                        queue.append(y)
-    return kept
 
 
 def gl_order(view, s, ceiling=DEFAULT_CEILING):

@@ -291,6 +291,26 @@ def ring_units(r, obj=None):
     return units
 
 
+def kept_units(r, a):
+    """The units of End(a) (`ring_units`) that the units kept before them,
+    in element order, do not generate, each generated group closed again
+    from 1 under composition: the reference for the unit generators of
+    the GL closure."""
+    one = r.identity(a)
+    kept, reached = [], {one}
+    for u in ring_units(r, a):
+        if u not in reached:
+            kept.append(u)
+            reached, queue = {one}, [one]
+            for y in queue:
+                for g in kept:
+                    z = r.compose(a, a, a, y, g)
+                    if z not in reached:
+                        reached.add(z)
+                        queue.append(z)
+    return kept
+
+
 def idempotents(r, a):
     """The idempotents of End(a) in element order, zero first, by squaring
     every element: the reference list for the idempotent classes."""

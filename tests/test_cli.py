@@ -400,14 +400,18 @@ FRONTIER_K1 = {
                 "stabilization GL1 -> GL2: not an isomorphism\n"
                 "stabilization GL2 -> GL3: not an isomorphism\n"
                 "stabilization GL3 -> GL4: isomorphism\n"),
+    ("f2c2", 3): ("GL1^ab = Z/2\nGL2^ab = Z/2 + Z/2\nGL3^ab = Z/2\n"
+                  "stabilization GL1 -> GL2: not an isomorphism\n"
+                  "stabilization GL2 -> GL3: not an isomorphism\n"),
 }
 
 
 @pytest.mark.frontier
 @pytest.mark.parametrize("ring_name,gl_max", sorted(FRONTIER_K1))
 def test_k1_frontier(tmp_path, capsys, request, ring_name, gl_max):
-    # GL3(F3) has 11232 elements, GL3(Z/4) 86016, GL4(F2) 20160 (as GL2
-    # of M2(F2) and as GL4 of F2); each closure passes the order formula
+    # GL3(F3) has 11232 elements, GL3(Z/4) and GL3(F2[C2]) 86016 each,
+    # GL4(F2) 20160 (as GL2 of M2(F2) and as GL4 of F2); each closure
+    # passes the order formula
     path = tmp_path / (ring_name + ".rgd")
     ring = request.getfixturevalue(ring_name)
     path.write_text(print_rgd(document_from(ringoids=[ring])), encoding="utf-8")
@@ -428,8 +432,9 @@ def test_k1_frontier(tmp_path, capsys, request, ring_name, gl_max):
 def test_matrix_ring_frontier(tmp_path, capsys, n, args, want):
     # k0 of M4(F2) compares the four primitives of 1_* (|End| = 2^16)
     # through 16 x 16 products of generators; k1 of M3(F2) and M4(F2)
-    # closes GL3(F2) (168 elements) and GL4(F2) (20 160) from the few units
-    # that generate them, testing by powers only units not yet reached;
+    # closes GL3(F2) (168 elements) and GL4(F2) (20 160) in one pass, which
+    # takes as a generator each unit it has not reached when its
+    # generators so far are closed, testing by powers only those units;
     # validate of M6(F2) checks 36^3 generator triples for associativity
     path = tmp_path / "m.rgd"
     ring = matrix_ring(cyclic_ring(2, scalar=False), n)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import group_is_valid, symmetric3
-from ringoids import complete, cyclic_ring, gl, k1_bounded
+from ringoids import complete, cyclic_ring, gl, groups, k1_bounded
 from ringoids.groups import FinGroup, abelianization
 from ringoids.intlinalg import AbPresentation, apply_rows, hom_is_isomorphism
 from ringoids.k1 import stabilization_embedding
@@ -268,6 +268,80 @@ def test_abelianization_generators_in_index_order():
     # generators that miss an element are refused: 2 reaches 3 of C6
     with pytest.raises(ValueError):
         table_abelianization(c6, [2])
+
+
+def grown_abelianization(group, first):
+    """The pass from the one generator `first` (an element index, or None
+    for none), handed one more generator each time it has closed those it
+    has: the first element, in index order, that it has not reached.
+    Returns (generators, elements, presentation, coords, edges), coords in
+    index order and edges the number of steps taken."""
+    gens, edges = [] if first is None else [first], []
+
+    def step(g):
+        def right(x):
+            edges.append(x)
+            return group.mul(x, g)
+        return right
+
+    def grow(index):
+        x = next((x for x in range(len(group)) if x not in index), None)
+        if x is not None:
+            assert x not in gens, "the pass has not reached a generator"
+            gens.append(x)
+            return step(x)
+
+    elements, index, pres, coords = abelianization(
+        group.identity, [step(g) for g in gens], grow)
+    return (gens, elements, pres, [coords[index[x]] for x in range(len(group))],
+            len(edges))
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_GROUPS))
+def test_abelianization_takes_generators_as_it_goes(name):
+    # handed its generators one at a time, the pass keeps those of the
+    # index-order rule, takes each edge once and gives the invariants of
+    # the pass handed all of them at once; its coords stay a homomorphism
+    # onto G^ab with kernel [G, G], and generator k has coords e_k
+    group = SMALL_GROUPS[name]
+    at_once = index_order_generators(group)
+    for first in (None, at_once[0] if at_once else None):
+        gens, elements, pres, coords, edges = grown_abelianization(group, first)
+        assert gens == at_once
+        assert sorted(elements) == list(range(len(group)))
+        assert edges == len(group) * len(gens)
+        assert pres == table_abelianization(group, gens)[0]
+        k = pres.generators
+        assert k == len(gens)
+        for pos, g in enumerate(gens):
+            assert coords[g] == tuple(int(i == pos) for i in range(k))
+        n = len(group)
+        defects = [[a + b - c for a, b, c in zip(coords[i], coords[j],
+                                                 coords[group.mul(i, j)])]
+                   for i in range(n) for j in range(n)]
+        assert all(pres.kills(defects))
+        kernel = [x for x, zero in enumerate(pres.kills(coords)) if zero]
+        assert kernel == reference_commutator_subgroup(group)
+
+
+def test_abelianization_refuses_a_coordinate_over_its_field(monkeypatch):
+    # with 4 bits a field holds a coordinate difference in (-8, 8]: C8
+    # (coordinates up to 7, and the relator 8 of its last edge) is still
+    # presented exactly, and each longer cycle raises rather than return
+    # a relator that wrapped around
+    monkeypatch.setattr(groups, "COORD_BITS", 4)
+    for n in range(2, 9):
+        pres, coords = table_abelianization(FinGroup.cyclic(n), [1])
+        assert pres == AbPresentation.cyclic(n)
+        assert coords == [(x,) for x in range(n)]
+    for n in (9, 16, 17, 20):
+        with pytest.raises(ArithmeticError):
+            table_abelianization(FinGroup.cyclic(n), [1])
+    # C2 x C4 on (1, 0) and (0, 1): each field keeps its own coordinate
+    pres, coords = table_abelianization(
+        _direct_product(FinGroup.cyclic(2), FinGroup.cyclic(4)), [4, 1])
+    assert pres == AbPresentation(2, [(2, 0), (0, 4)])
+    assert coords == [(i, j) for i in range(2) for j in range(4)]
 
 
 def _order(names):

@@ -3,7 +3,8 @@ from hypothesis import example, given, settings
 
 from conftest import (compose_with, determinant_of_matmorphism,
                       elementary_ringoid, hom_elements, idempotents,
-                      incidence_ringoids, inverse, ring_units, small_ringoids)
+                      incidence_ringoids, inverse, kept_units, ring_units,
+                      small_ringoids)
 from ringoids import (AbPresentation, CeilingExceeded, FinAbGroup,
                       FiniteRingoid, Ideal, RingoidHom, cofinality_check,
                       complete, cyclic_ring,
@@ -14,7 +15,7 @@ from ringoids import (AbPresentation, CeilingExceeded, FinAbGroup,
                       k1_bounded, matrix_ring, product_ring, scalar_ringoid,
                       tensor, unitize, validate, validate_hom, with_self_scalar,
                       zero_ideal, zero_moduloid)
-from ringoids import constructions, k1, krullschmidt, ktheory
+from ringoids import constructions, groups, k1, krullschmidt, ktheory
 from ringoids.additive import end_ring
 from ringoids.krullschmidt import decomposition
 from ringoids.constructions import tabulate
@@ -682,10 +683,16 @@ def _side_by_side(ring_a, ring_b):
                     identities={x: rings[x].identity("*") for x in objects})
 
 
+def rank_one_units(view, a):
+    """The units of End(a) that the closure of GL1 keeps, in order."""
+    group = gl(view, (a,))
+    return [group.element(g).entries[0][0] for g in group.generators]
+
+
 def test_unit_helpers_read_end_of_an_object_of_a_two_object_base(disc2, m2f2, f2):
     # over two objects the K1 helpers read End(a) in the base: the kept
-    # units are those they keep in End(a) tabulated as a one-object ring,
-    # and with their inverses they generate exactly the units of End(a)
+    # units are those kept in End(a) tabulated as a one-object ring, and
+    # they generate exactly the units of End(a)
     for r in (disc2, _side_by_side(m2f2, f2)):
         view = complete(r)
         for a in r.objects:
@@ -693,13 +700,11 @@ def test_unit_helpers_read_end_of_an_object_of_a_two_object_base(disc2, m2f2, f2
             units = ring_units(r, a)
             assert ring_units(ring) == units
             one = r.identity(a)
-            kept = k1._unit_generators(r, a)
-            assert kept == k1._unit_generators(ring, "*")
-            assert all(r.compose(a, a, a, u, v) == one == r.compose(a, a, a, v, u)
-                       for u, v in kept)
+            kept = rank_one_units(view, a)
+            assert kept == rank_one_units(complete(ring), "*")
             reached, queue = {one}, [one]
             for y in queue:
-                for u, _ in kept:
+                for u in kept:
                     z = r.compose(a, a, a, y, u)
                     if z not in reached:
                         reached.add(z)
@@ -713,56 +718,72 @@ def test_unit_helpers_read_end_of_an_object_of_a_two_object_base(disc2, m2f2, f2
         == [6, 6, 6, 20160]
 
 
-def _restarting_unit_generators(ring, o):
-    """The units `_unit_generators` keeps, with the reached group closed
-    again from 1 after each kept unit: the reference for the kept list."""
-    one = ring.identity(o)
-    kept, reached = [], {one}
-    for u in ring.hom(o, o).elements():
-        v = None if u in reached else krullschmidt.inverse_by_powers(
-            ring, o, u, one)
-        if v is not None:
-            kept.append((u, v))
-            queue, reached = [one], {one}
-            for y in queue:
-                for g, _ in kept:
-                    z = ring.compose(o, o, o, y, g)
-                    if z not in reached:
-                        reached.add(z)
-                        queue.append(z)
-    return kept
-
-
-class _CountingRing:
-    """A ringoid that counts its compositions."""
-
-    def __init__(self, ring):
-        self.ring = ring
-        self.calls = 0
-
-    def __getattr__(self, name):
-        return getattr(self.ring, name)
-
-    def compose(self, *args):
-        self.calls += 1
-        return self.ring.compose(*args)
+def assert_rank_one_generators_are_the_kept_units(r):
+    """GL1(a) is generated by the units of the element-order rule (the
+    `kept_units` reference), and so are the unit diagonals of Bass's
+    generators at the first position of a in a sum of two."""
+    view = complete(r)
+    for a in r.objects:
+        kept = kept_units(r, a)
+        assert rank_one_units(view, a) == kept, a
+        assert len(gl(view, (a,))) == len(ring_units(r, a)), a
+        one = view.identity((a, a))
+        diagonals = [g.entries[0][0] for g in bass_generators(view, (a, a))
+                     if g.entries[1] == one.entries[1]
+                     and g.entries[0][1] == one.entries[0][1]]
+        assert diagonals == kept, a
 
 
 @pytest.mark.parametrize("name", ["f2", "f3", "z4", "f2xf2", "m2f2", "f2c2",
                                   "disc2", "m3f2"])
 def test_unit_generators_grow_the_reached_group(request, name):
-    # the kept units are those of the restarting search, at fewer
-    # compositions once a second unit is kept
+    # the pass that closes GL1 takes as a generator each unit, in element
+    # order, that it has not reached, so it keeps the reference's units
     ring = (matrix_ring(cyclic_ring(2, scalar=False), 3) if name == "m3f2"
             else request.getfixturevalue(name))
-    for o in ring.objects:
-        grown, restarted = _CountingRing(ring), _CountingRing(ring)
-        kept = k1._unit_generators(grown, o)
-        assert kept == _restarting_unit_generators(restarted, o)
-        if len(kept) > 1:
-            assert grown.calls < restarted.calls, (name, o)
-        else:
-            assert grown.calls <= restarted.calls, (name, o)
+    assert_rank_one_generators_are_the_kept_units(ring)
+
+
+@settings(max_examples=20, deadline=None)
+@given(incidence_ringoids())
+def test_rank_one_generators_are_the_kept_units_on_incidence_ringoids(r):
+    assert_rank_one_generators_are_the_kept_units(r)
+
+
+def test_k1_rank_one_closes_the_units_once(monkeypatch):
+    # k1 of M3(F2) at rank 1 makes one pass over GL3(F2) (168 elements):
+    # every composition is either a power of a candidate unit or the one
+    # composition of a step of that pass, at most one per edge
+    m3f2 = matrix_ring(cyclic_ring(2, scalar=False), 3)
+    phase, counts, passes = [], {}, []
+    compose = FiniteRingoid.compose
+
+    def counted(self, *args):
+        key = phase[-1] if phase else "elsewhere"
+        counts[key] = counts.get(key, 0) + 1
+        return compose(self, *args)
+
+    def in_phase(name, fn):
+        def run(*args):
+            phase.append(name)
+            try:
+                return fn(*args)
+            finally:
+                phase.pop()
+        return run
+
+    def one_pass(*args):
+        passes.append(args)
+        return in_phase("pass", abelianization)(*args)
+
+    monkeypatch.setattr(FiniteRingoid, "compose", counted)
+    monkeypatch.setattr(k1, "inverse_by_powers",
+                        in_phase("powers", k1.inverse_by_powers))
+    monkeypatch.setattr(groups, "abelianization", one_pass)
+    res = k1_bounded(m3f2, 1)
+    assert str(res.ranks[1]) == "0" and len(passes) == 1
+    assert counts.get("elsewhere", 0) == 0
+    assert 0 < counts["pass"] <= 168 * res.ranks[1].generators
 
 
 def test_gl_order_tabulates_no_ring(monkeypatch, f2):
