@@ -2,10 +2,10 @@
 abelianization per rank.
 
 K1 is reported per rank as GL_n abelianizations, read off the one
-breadth-first pass that closes GL_n (`gl`: GL_1 from the units it takes
-as it goes, GL_n from Bass's generators, certified by the Krull-Schmidt
-order formula `gl_order` and guarded by it; `groups.abelianization`),
-with stabilization maps.  K0 lives in
+breadth-first pass that closes GL_n (`gl`: from unit diagonals and
+Bass's elementary matrices, each kept only when the pass has not reached
+it, certified by the Krull-Schmidt order formula `gl_order` and guarded
+by it; `groups.abelianization`), with stabilization maps.  K0 lives in
 `ktheory`, which this module does not import, so a K0 process compiles
 none of the K1 line and a K1 process none of the K0 line.
 """
@@ -17,10 +17,10 @@ from .krullschmidt import (SizeLimitExceeded, _three_figures, decomposition,
 from .ringoid import DEFAULT_CEILING, StructuralError, _gens
 
 # The largest GL(s) that `gl` closes for a sum of two objects or more, by
-# `gl_order`.  A closure with its Schreier relators takes 0.8-1.9 KB and
-# 29-69 us per element (GL3 of Z/4 and F2[C2], 86 016 elements each, the
+# `gl_order`.  A closure with its Schreier relators takes 0.27-0.30 KB and
+# 8-11 us per element (GL3 of Z/4 and F2[C2], 86 016 elements each, the
 # largest of the tests; CPython 3.11, x86-64), so this refuses about
-# 0.4-0.9 GB and 15-35 s of work.
+# 0.14-0.15 GB and 4-6 s of work.
 GL_ORDER_LIMIT = 5 * 10 ** 5
 
 
@@ -43,11 +43,10 @@ class GLGroup:
     image of element x.  A product is composed and looked up, and one
     outside the group raises StructuralError.
 
-    With `units` (s is one object a), each time its generators are closed
-    the pass takes one more: the next unit of End(a), in element order,
-    that it has not reached (`inverse_by_powers`).  Each at least doubles
-    the group, so at most log2 |End(a)*| are kept, and End(a)* is closed
-    once.
+    With `units`, the pass takes its candidates (`_candidates`) one at a
+    time, each once the generators before it are closed, and keeps one
+    only when it has not reached it, so each kept one at least doubles
+    the group and at most log2 of its order are kept.
 
     The pass runs on entry codes: an element is the flat tuple, row by
     row, of the codes of its entries, and the code of an entry is the
@@ -63,23 +62,21 @@ class GLGroup:
         self._s = s = tuple(s)
         self._values, self._codes = [], {}
         one = view.identity(s)
-        gens = list(dict.fromkeys(generators))
-        memos = {}
-        steps = [self._right_multiplier(one, g, memos) for g in gens]
-        grow = None
-        if units:
-            (a,) = s
-            base, candidates = view.base, iter(view.base.hom(a, a).elements())
+        memos, pending = {}, None
+        gens = [] if units else list(dict.fromkeys(generators))
 
-            def grow(index):
-                for u in candidates:
-                    if ((self._codes.get(u),) not in index and inverse_by_powers(
-                            base, a, u, one.entries[0][0]) is not None):
-                        gens.append(MatMorphism(s, s, [[u]]))
-                        return self._right_multiplier(one, gens[-1], memos)
+        def grow(index):
+            nonlocal pending
+            pending = pending or self._candidates(one, generators, index)
+            g = next(pending, None)
+            if g is not None:
+                gens.append(g)
+                return self._right_multiplier(one, g, memos)
 
         self._found, self._index, self.presentation, self.coords = (
-            abelianization(self._encode(one), steps, grow))
+            abelianization(self._encode(one),
+                           [self._right_multiplier(one, g, memos) for g in gens],
+                           grow if units else None))
         self.generators = [self._index[self._encode(g)] for g in gens]
 
     def __len__(self):
@@ -113,40 +110,57 @@ class GLGroup:
         return tuple(self._intern(x) for row in f.entries for x in row)
 
     def _decode(self, x):
-        s, values = self._s, self._values
-        n = len(s)
+        s, values, n = self._s, self._values, len(self._s)
         return MatMorphism(s, s, [[values[c] for c in x[r * n:r * n + n]]
                                   for r in range(n)])
 
+    def _candidates(self, one, generators, index):
+        """The candidates that `index` does not hold when the pass asks:
+        at the first position i of each distinct object a of s, diag_i(u)
+        for each unit u of End(a) in element order (`inverse_by_powers`),
+        looked up on codes and built only when kept; then `generators`."""
+        s, codes, base = self._s, self._codes, self.view.base
+        ident, n = self._encode(one), len(s)
+        for i, a in enumerate(s):
+            if a in s[:i]:
+                continue
+            p, e = i * (n + 1), one.entries[i][i]
+            for u in base.hom(a, a).elements():
+                if (ident[:p] + (codes.get(u),) + ident[p + 1:] not in index
+                        and inverse_by_powers(base, a, u, e) is not None):
+                    yield _with_entry(one, i, i, u)
+        for g in generators:
+            if tuple(codes.get(x) for row in g.entries for x in row) not in index:
+                yield g
+
     def _right_multiplier(self, one, g, memos):
-        """x -> x . g on codes, as x + x . (g - 1): entry (r, l) gains
-        x[r][k] . d for each non-zero entry (k, l, d) of g - 1.  Each such
-        term reads a memo from the codes of the entry and of x[r][k] to the
-        new code, filled on a miss by one composition and one addition;
-        the terms with the same objects and d share one memo."""
-        base, s = self.view.base, self._s
+        """x -> x . g on codes: entry (r, l) is x[r][l] . u for the diagonal
+        entry u (not 1) of g, plus x[r][k] . d for each non-zero entry
+        (k, l, d) of g off it.  A term reads a memo from the codes of the
+        entry and of x[r][k] to the new code, filled on a miss by one
+        composition, and one addition off the diagonal; the diagonal terms
+        come first, and the terms of one kind and entry share one memo."""
+        base, s, n = self.view.base, self._s, len(self._s)
         values, intern = self._values, self._intern
-        objects = dict.fromkeys(s)
         # at most this many codes, each of an entry in a hom-group of s, so
         # a key t * bound + y stands for the pair (t, y)
-        bound = sum(base.hom(a, b).order() for a in objects for b in objects)
-        n = len(s)
+        bound = sum(base.hom(a, b).order() for a in set(s) for b in set(s))
         terms = []
         for k, row in enumerate(g.entries):
-            for l, gkl in enumerate(row):
-                if gkl == one.entries[k][l]:
+            for l, d in enumerate(row):
+                if d == one.entries[k][l]:
                     continue
-                d = base.hom(s[l], s[k]).sub(gkl, one.entries[k][l])
                 for r, c in enumerate(s):
                     def miss(key, a=s[l], b=s[k], c=c, d=d,
-                             add=base.hom(s[l], c).add):
+                             add=None if k == l else base.hom(s[l], c).add):
                         t, y = divmod(key, bound)
-                        return intern(add(values[t],
-                                          base.compose(a, b, c, values[y], d)))
+                        product = base.compose(a, b, c, values[y], d)
+                        return intern(add(values[t], product) if add else product)
 
                     terms.append((r * n + l, r * n + k,
-                                  memos.setdefault((s[l], s[k], c, d), {}),
+                                  memos.setdefault((s[l], s[k], c, d, k == l), {}),
                                   miss))
+        terms.sort(key=lambda term: term[0] != term[1])
 
         def step(x):
             entries = list(x)
@@ -161,23 +175,28 @@ class GLGroup:
         return step
 
 
+def _with_entry(one, i, j, x):
+    """The identity `one` with x at entry (i, j)."""
+    entries = [list(row) for row in one.entries]
+    entries[i][j] = x
+    return MatMorphism(one.src, one.dst, entries)
+
+
 def gl(view, s, ceiling=DEFAULT_CEILING):
     """GL(s), the group of invertible endomorphisms of a formal sum, with
-    its abelianization (`GLGroup`): for one object a, End(a)* closed from
-    the units the pass keeps, and for a longer sum the closure of
-    `bass_generators`.
+    its abelianization: `GLGroup` with `units` over `bass_generators`.
 
-    They generate GL(s) over every finite base.  The elementary matrices
-    E and the unit diagonals at every position do: modulo the radical J
-    of End(s) they generate each GL_m(k) block, and 1 + J splits as lower
-    unitriangular times diagonal times upper unitriangular (over one
-    object, stable rank 1: GL_n = E_n diag(A*, 1, ..., 1); Bass, "K-theory
-    and stable algebra", 1964).  A unit diagonal at a later position of
-    the object a is one at its first position times diag(u^-1, u), which
-    is in E by Whitehead's lemma, and the units kept at rank 1 generate
-    End(a)*.  A single object's closure is End(a)* by construction; a
-    longer sum's counts as GL(s) only when its size equals `gl_order`,
-    and a mismatch raises StructuralError.
+    Its candidates generate GL(s) over every finite base.  The elementary
+    matrices E and the unit diagonals at every position do: modulo the
+    radical J of End(s) they generate each GL_m(k) block, and 1 + J splits
+    as lower unitriangular times diagonal times upper unitriangular (over
+    one object, stable rank 1: GL_n = E_n diag(A*, 1, ..., 1); Bass,
+    "K-theory and stable algebra", 1964).  A unit diagonal at a later
+    position of the object a is one at its first position times
+    diag(u^-1, u), which is in E by Whitehead's lemma.  A single object's
+    closure is End(a)* by construction; a longer sum's counts as GL(s)
+    only when its size equals `gl_order`, and a mismatch raises
+    StructuralError.
 
     Raises CeilingExceeded when |End(s)| exceeds the ceiling.  Below it no
     End(s_i) is over it, so every object of s is split.  Raises
@@ -190,50 +209,31 @@ def gl(view, s, ceiling=DEFAULT_CEILING):
     if n > ceiling:
         raise CeilingExceeded("|End| = %d exceeds the ceiling %d" % (n, ceiling),
                               size=n, ceiling=ceiling)
-    if len(s) == 1:
-        return GLGroup(view, s, (), units=True)
-    order = gl_order(view, s, ceiling) if s else 1
+    order = gl_order(view, s, ceiling) if len(s) > 1 else 0
     if order > GL_ORDER_LIMIT:
         raise SizeLimitExceeded(
             "GL of a sum of %d objects would hold %s elements, over the limit "
             "of %d" % (len(s), _three_figures(order), GL_ORDER_LIMIT))
-    group = GLGroup(view, s, bass_generators(view, s))
-    certify_gl_order(s, group, order)
+    group = GLGroup(view, s, bass_generators(view, s), units=True)
+    if order:
+        certify_gl_order(s, group, order)
     return group
 
 
 def bass_generators(view, s):
-    """The elementary matrices e_ij(x), x an additive generator of
-    Hom(s_j, s_i), and, at the first position i of each distinct object a
-    of s, the unit diagonals diag(1, ..., u, ..., 1) for the units u of
-    End(a) that the closure of End(a)* keeps (`GLGroup` with `units`).
-    Each is built with its inverse, e_ij(-x) or the diagonal of u^-1
-    (`inverse_by_powers`), and certified by composing the two both ways."""
-    base = view.base
-    one = view.identity(s)
-    pairs = []
-
-    def with_entry(i, j, x):
-        entries = [list(row) for row in one.entries]
-        entries[i][j] = x
-        return MatMorphism(s, s, entries)
-
+    """The elementary matrices e_ij(x), i != j and x an additive generator
+    of Hom(s_j, s_i), each built with its inverse e_ij(-x) and certified
+    by composing the two both ways."""
+    one, gens = view.identity(s), []
     for i, a in enumerate(s):
-        if a not in s[:i]:
-            units = GLGroup(view, (a,), (), units=True)
-            for g in units.generators:
-                u = units.element(g).entries[0][0]
-                v = inverse_by_powers(base, a, u, base.identity(a))
-                pairs.append((with_entry(i, i, u), with_entry(i, i, v)))
         for j, b in enumerate(s):
-            hom = base.hom(b, a)
-            if i != j:
-                pairs.extend((with_entry(i, j, x), with_entry(i, j, hom.neg(x)))
-                             for _, x, _ in _gens(hom))
-    for g, h in pairs:
-        if view.compose(g, h) != one or view.compose(h, g) != one:
-            raise StructuralError("the generator %r is not invertible" % (g,))
-    return [g for g, _ in pairs]
+            hom = view.base.hom(b, a)
+            for _, x, _ in (_gens(hom) if i != j else ()):
+                g, h = _with_entry(one, i, j, x), _with_entry(one, i, j, hom.neg(x))
+                if view.compose(g, h) != one or view.compose(h, g) != one:
+                    raise StructuralError("the generator %r is not invertible" % (g,))
+                gens.append(g)
+    return gens
 
 
 def gl_order(view, s, ceiling=DEFAULT_CEILING):
@@ -289,7 +289,7 @@ def _residue_field_order(ring, o, e):
 
 def certify_gl_order(s, group, order):
     """Raise StructuralError unless the closure has `order` elements, the
-    order of GL(s) by `gl_order`; for Bass's generators a mismatch is
+    order of GL(s) by `gl_order`; for the candidates of `gl` a mismatch is
     impossible by theorem."""
     if len(group) != order:
         raise StructuralError("the closure of GL(%r) has %d elements, the "
@@ -308,9 +308,9 @@ class StabilizationStep:
 class KOneResult:
     """Per-rank GL abelianizations with stabilization maps; a single group
     would misrepresent the limit (GL_3 over F2 already dips back to 0).
-    ranks[n] presents GL_n^ab on the Bass generators of GL_n, read off
-    the same pass that closes it; each step's matrix maps them into
-    ranks[n + 1]."""
+    ranks[n] presents GL_n^ab on the generators that the pass closing
+    GL_n keeps (`gl`), read off that pass; each step's matrix maps them
+    into ranks[n + 1]."""
 
     __slots__ = ("ranks", "steps", "last_step_iso", "truncated_at")
 

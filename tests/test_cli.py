@@ -406,7 +406,6 @@ FRONTIER_K1 = {
 }
 
 
-@pytest.mark.frontier
 @pytest.mark.parametrize("ring_name,gl_max", sorted(FRONTIER_K1))
 def test_k1_frontier(tmp_path, capsys, request, ring_name, gl_max):
     # GL3(F3) has 11232 elements, GL3(Z/4) and GL3(F2[C2]) 86016 each,

@@ -3,8 +3,8 @@ from hypothesis import example, given, settings
 
 from conftest import (compose_with, determinant_of_matmorphism,
                       elementary_ringoid, hom_elements, idempotents,
-                      incidence_ringoids, inverse, kept_units, ring_units,
-                      small_ringoids)
+                      incidence_ringoids, kept_units, power_inverse,
+                      ring_units, small_ringoids)
 from ringoids import (AbPresentation, CeilingExceeded, FinAbGroup,
                       FiniteRingoid, Ideal, RingoidHom, cofinality_check,
                       complete, cyclic_ring,
@@ -24,7 +24,8 @@ from ringoids.intlinalg import hom_well_defined
 from ringoids.k1 import (GLGroup, bass_generators, certify_gl_order,
                          stabilization_embedding)
 from ringoids.lattice import lattices_equal
-from ringoids.ringoid import StructuralError, enumerate_multisets
+from ringoids.ringoid import (DEFAULT_CEILING, StructuralError,
+                              enumerate_multisets)
 
 Z = AbPresentation.free(1)
 
@@ -521,9 +522,10 @@ def test_gl_closure_is_certified_edge_by_edge(f2):
 
 
 def reference_gl(view, s):
-    """The invertible endomorphisms of s, by one `inverse` solve for every
-    element of End(s), in `hom_elements` order."""
-    return [u for u in hom_elements(view, s, s) if inverse(view, u) is not None]
+    """The invertible endomorphisms of s, by the powers of every element
+    of End(s) (`power_inverse`), in `hom_elements` order."""
+    return [u for u in hom_elements(view, s, s)
+            if power_inverse(view, u) is not None]
 
 
 ORDER_RINGS = ["f2", "z4", "f3", "zero", "f2xf2", "m2f2", "disc2", "c2free",
@@ -628,13 +630,33 @@ def test_gl_closure_on_codes_is_the_closure_on_matrices(r):
             assert_gl_closures_on_codes_are_on_matrices(view, s)
 
 
+@settings(max_examples=20, deadline=None)
+@given(small_ringoids())
+@example(matrix_ring(cyclic_ring(2, scalar=False), 3))
+def test_gl_keeps_only_generators_it_has_not_reached(r):
+    # each generator that `gl` keeps lies outside the group that the
+    # generators before it generate on matrices, so it at least doubles
+    # that group; on codes and on matrices they give the same pass
+    view = complete(r)
+    for s in enumerate_objsums(r.objects, 2):
+        if view.hom_order(s, s) > 1024:
+            continue
+        group = gl(view, s)
+        gens = kept_generators(group)
+        for i, g in enumerate(gens):
+            assert g not in matrix_closure(view, s, gens[:i])[1], (s, i)
+        assert 2 ** len(gens) <= len(group), s
+        assert_closure_on_codes_is_on_matrices(view, s, gens)
+
+
 def test_gl_closure_lists_no_hom_group(monkeypatch, z4):
-    # GL2(Z/4) has 6 * 2^4 elements and GL1 of M3(F2) is GL3(F2); the
-    # generators list the units of End(a), so they are built first
+    # GL2(Z/4) has 6 * 2^4 elements and GL1 of M3(F2) is GL3(F2); `gl`
+    # lists the units of End(a) to find its generators, so they are read
+    # from it first
     m3f2 = matrix_ring(cyclic_ring(2, scalar=False), 3)
     cases = [(complete(z4), z4.objects * 2, 96),
              (complete(m3f2), m3f2.objects, 168)]
-    gens = [bass_generators(view, s) for view, s, _ in cases]
+    gens = [kept_generators(gl(view, s)) for view, s, _ in cases]
 
     def refuse(group):
         raise AssertionError("Hom was listed: %r" % (group,))
@@ -646,16 +668,17 @@ def test_gl_closure_lists_no_hom_group(monkeypatch, z4):
 
 def test_unit_diagonals_at_each_objects_first_position(m2f2):
     # over M2(F2) two of the five units other than 1 generate GL2(F2), so
-    # GL2 of M2(F2) has 8 elementary generators and 2 unit diagonals, both
-    # at position 0
+    # GL2 of M2(F2) keeps 2 unit diagonals, both at position 0, and 4 of
+    # its 8 elementary candidates
     view = complete(m2f2)
     s = ("*", "*")
     one = view.identity(s)
-    gens = bass_generators(view, s)
+    gens = kept_generators(gl(view, s))
     diagonals = [g for g in gens
                  if all(g.entries[i][j] == one.entries[i][j]
                         for i in range(2) for j in range(2) if i != j)]
-    assert (len(gens), len(diagonals)) == (10, 2)
+    assert (len(gens), len(diagonals)) == (6, 2)
+    assert gens[:2] == diagonals
     assert all(g.entries[1][1] == one.entries[1][1] for g in diagonals)
     # over M3(F2) at rank 1, at most log2 168 kept units close to all 168
     m3f2 = matrix_ring(cyclic_ring(2, scalar=False), 3)
@@ -683,10 +706,14 @@ def _side_by_side(ring_a, ring_b):
                     identities={x: rings[x].identity("*") for x in objects})
 
 
+def kept_generators(group):
+    """The generators of a `GLGroup`, in the order the pass kept them."""
+    return [group.element(g) for g in group.generators]
+
+
 def rank_one_units(view, a):
     """The units of End(a) that the closure of GL1 keeps, in order."""
-    group = gl(view, (a,))
-    return [group.element(g).entries[0][0] for g in group.generators]
+    return [g.entries[0][0] for g in kept_generators(gl(view, (a,)))]
 
 
 def test_unit_helpers_read_end_of_an_object_of_a_two_object_base(disc2, m2f2, f2):
@@ -720,15 +747,20 @@ def test_unit_helpers_read_end_of_an_object_of_a_two_object_base(disc2, m2f2, f2
 
 def assert_rank_one_generators_are_the_kept_units(r):
     """GL1(a) is generated by the units of the element-order rule (the
-    `kept_units` reference), and so are the unit diagonals of Bass's
-    generators at the first position of a in a sum of two."""
+    `kept_units` reference), and so are the unit diagonals that GL of a
+    sum of two keeps at the first position of a.  Over M3(F2), End(a, a)
+    is over the ceiling; the unit diagonals come before the elementary
+    matrices, so there the pass runs without them."""
     view = complete(r)
     for a in r.objects:
         kept = kept_units(r, a)
         assert rank_one_units(view, a) == kept, a
         assert len(gl(view, (a,))) == len(ring_units(r, a)), a
-        one = view.identity((a, a))
-        diagonals = [g.entries[0][0] for g in bass_generators(view, (a, a))
+        s = (a, a)
+        one = view.identity(s)
+        group = (gl(view, s) if view.hom_order(s, s) <= DEFAULT_CEILING
+                 else GLGroup(view, s, (), units=True))
+        diagonals = [g.entries[0][0] for g in kept_generators(group)
                      if g.entries[1] == one.entries[1]
                      and g.entries[0][1] == one.entries[0][1]]
         assert diagonals == kept, a
@@ -784,6 +816,22 @@ def test_k1_rank_one_closes_the_units_once(monkeypatch):
     assert str(res.ranks[1]) == "0" and len(passes) == 1
     assert counts.get("elsewhere", 0) == 0
     assert 0 < counts["pass"] <= 168 * res.ranks[1].generators
+
+
+@pytest.mark.parametrize("name,n_max", [("z4", 3), ("m2f2", 2)])
+def test_k1_makes_one_pass_per_rank(monkeypatch, request, name, n_max):
+    # the unit diagonals of GLn are taken by the pass that closes GLn, so
+    # no rank closes End(a)* a second time
+    passes = []
+
+    def one_pass(*args):
+        passes.append(args)
+        return abelianization(*args)
+
+    monkeypatch.setattr(groups, "abelianization", one_pass)
+    res = k1_bounded(request.getfixturevalue(name), n_max)
+    assert sorted(res.ranks) == list(range(1, n_max + 1))
+    assert len(passes) == n_max
 
 
 def test_gl_order_tabulates_no_ring(monkeypatch, f2):
