@@ -43,7 +43,7 @@ _EXPORTS = {
                   "discrete_groupoid", "group_as_groupoid", "group_ringoid",
                   "orbit_skeleton", "transport_groupoid", "validate_groupoid"),
     "ktheory": ("KZeroResult", "k0_bounded", "k0_induced"),
-    "k1": ("CeilingExceeded", "KOneResult", "gl", "gl_order", "k1_bounded"),
+    "k1": ("KOneResult", "gl", "gl_order", "k1_bounded"),
     "relative": ("RelativeKZeroResult", "cofinality_check",
                  "fibration_check", "idem_classes", "k0_relative"),
     "nerve": ("check_simplicial_identities", "degeneracy", "face",

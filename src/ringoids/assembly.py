@@ -18,7 +18,8 @@ from .ringoid import DEFAULT_CEILING, StructuralError
 
 class AssemblyZeroMap:
     """Matrix of the degree-zero assembly map, with its source decomposition
-    and an exact isomorphy verdict."""
+    and an exact isomorphy verdict; `undecided` holds the records of the
+    K0s of its target and summands, each once."""
 
     __slots__ = ("components", "source_summands", "source_presentation",
                  "target", "matrix", "well_defined", "iso", "undecided")
@@ -53,7 +54,8 @@ def _assemble(components, summand_results, target_ringoid, target_result):
     ok = hom_well_defined(source_pres, target, matrix)[0]
     # hom_is_isomorphism, with well-definedness computed once
     iso = ok and source_pres == target and target.generated_by(matrix)
-    undecided = target_result.undecided or any(r.undecided for r in summand_results)
+    undecided = tuple(dict.fromkeys(
+        rec for res in [target_result] + summand_results for rec in res.undecided))
     return AssemblyZeroMap(components, summand_results, source_pres,
                            target_result, matrix, ok, iso, undecided)
 

@@ -46,19 +46,17 @@ def _power(n):
     return "%d^%d" % (p, k) if m == 1 and k > 1 else str(n)
 
 
-def note_too_large(subject, ring, size, ceiling):
-    """The note that says why a result is undecided: End(subject) of the
-    ringoid has more elements than the ceiling lets a search list."""
-    note("note: End(%s) of %s has %s elements, over the ceiling %s"
-         % (subject, ring.name, _power(size), _power(ceiling)))
-
-
-def note_undecided(ring, ceiling):
-    """One note for each object whose End is over the ceiling, so left
-    unsplit by the Krull-Schmidt decomposition."""
-    from ..krullschmidt import decomposition
-    for rec in decomposition(ring, ceiling).undecided:
-        note_too_large(rec.subject, ring, rec.size, rec.ceiling)
+def note_undecided(ring, records):
+    """One note for each Undecided record of a result of the ringoid, that
+    says why it is undecided: End(subject) has more elements than the
+    ceiling lets a search list.  A sum o + ... + o of n terms reads o^n."""
+    for rec in records:
+        x = rec.subject
+        if isinstance(x, tuple):
+            x = ("%s^%d" % (x[0], len(x)) if len(set(x)) == 1 < len(x)
+                 else "+".join(map(str, x)))
+        note("note: End(%s) of %s has %s elements, over the ceiling %s"
+             % (x, ring.name, _power(rec.size), _power(rec.ceiling)))
 
 
 def emit_rgd(args, ring, machine_obj):

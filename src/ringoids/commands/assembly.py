@@ -1,8 +1,8 @@
 """`ringoids assembly`: the degree-zero assembly map of the first G-set of
 the input, or else of its first groupoid."""
 
-from . import (EXIT_OK, EXIT_UNDECIDED, emit, presentation_json,
-               require_ringoid)
+from . import (EXIT_OK, EXIT_UNDECIDED, emit, note_undecided,
+               presentation_json, require_ringoid)
 from ..ringoid import StructuralError
 
 
@@ -34,5 +34,7 @@ def run(args, doc):
         "op": "assembly", "kind": kind,
         "source": presentation_json(am.source_presentation),
         "target": presentation_json(am.target.presentation),
-        "matrix": matrix, "iso": am.iso, "undecided": am.undecided})
+        "matrix": matrix, "iso": am.iso, "undecided": bool(am.undecided)})
+    for res in dict.fromkeys([am.target] + am.source_summands):
+        note_undecided(res.ringoid, res.undecided)
     return EXIT_UNDECIDED if am.undecided else EXIT_OK

@@ -20,7 +20,6 @@ def run(args, doc):
     emit(args, lines, {"op": "k0", "ringoid": r.name, "bound": res.bound,
                        "presentation": presentation_json(res.presentation),
                        "stabilized_since": res.stabilized_since,
-                       "undecided": res.undecided})
-    if res.undecided:
-        note_undecided(r, args.ceiling)
+                       "undecided": bool(res.undecided)})
+    note_undecided(r, res.undecided)
     return EXIT_UNDECIDED if res.undecided else EXIT_OK

@@ -1,7 +1,7 @@
 """`ringoids k1`: the GL_n abelianizations of the input ringoid up to
 --gl-max, with the stabilization maps."""
 
-from . import (EXIT_OK, EXIT_UNDECIDED, emit, note_too_large,
+from . import (EXIT_OK, EXIT_UNDECIDED, emit, note_undecided,
                presentation_json, require_ringoid)
 
 
@@ -23,10 +23,5 @@ def run(args, doc):
         "ranks": {str(n): presentation_json(p) for n, p in res.ranks.items()},
         "last_step_iso": res.last_step_iso,
         "truncated_at": res.truncated_at})
-    n = res.truncated_at
-    if n is not None:
-        # GLn is closed in End(o^n), which has |End(o)|^(n^2) elements
-        o = r.objects[0]
-        note_too_large(o if n == 1 else "%s^%d" % (o, n), r,
-                       r.hom(o, o).order() ** (n * n), args.ceiling)
-    return EXIT_OK if res.truncated_at is None else EXIT_UNDECIDED
+    note_undecided(r, res.undecided)
+    return EXIT_UNDECIDED if res.undecided else EXIT_OK

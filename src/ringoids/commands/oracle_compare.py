@@ -20,9 +20,8 @@ def run(args, doc):
         "op": "oracle-compare", "match": rep.ok,
         "k0": presentation_json(rep.k0.presentation),
         "nerve": presentation_json(rep.nerve.abelianized),
-        "undecided": rep.undecided})
-    if rep.undecided:
-        note_undecided(r, args.ceiling)
+        "undecided": bool(rep.undecided)})
+    note_undecided(r, rep.undecided)
     if not rep.ok:
         return EXIT_FAIL
     return EXIT_UNDECIDED if rep.undecided else EXIT_OK

@@ -12,8 +12,8 @@ none of the K1 line and a K1 process none of the K0 line.
 
 from .additive import MatMorphism, complete
 from .intlinalg import AbPresentation, hom_is_isomorphism
-from .krullschmidt import (SizeLimitExceeded, _three_figures, decomposition,
-                           inverse_by_powers, is_nilpotent)
+from .krullschmidt import (SizeLimitExceeded, Undecided, _three_figures,
+                           decomposition, inverse_by_powers, is_nilpotent)
 from .ringoid import DEFAULT_CEILING, StructuralError, _gens
 
 # The largest GL(s) that `gl` closes for a sum of two objects or more, by
@@ -22,15 +22,6 @@ from .ringoid import DEFAULT_CEILING, StructuralError, _gens
 # largest of the tests; CPython 3.11, x86-64), so this refuses about
 # 0.14-0.15 GB and 4-6 s of work.
 GL_ORDER_LIMIT = 5 * 10 ** 5
-
-
-class CeilingExceeded(Exception):
-    """An enumeration was abandoned because its size exceeds the ceiling."""
-
-    def __init__(self, message, size=None, ceiling=None):
-        super().__init__(message)
-        self.size = size
-        self.ceiling = ceiling
 
 
 class GLGroup:
@@ -117,17 +108,24 @@ class GLGroup:
     def _candidates(self, one, generators, index):
         """The candidates that `index` does not hold when the pass asks:
         at the first position i of each distinct object a of s, diag_i(u)
-        for each unit u of End(a) in element order (`inverse_by_powers`),
-        looked up on codes and built only when kept; then `generators`."""
+        for each unit u of End(a) in element order (`inverse_by_powers`,
+        not run on the powers of a non-unit), looked up on codes and built
+        only when kept; then `generators`."""
         s, codes, base = self._s, self._codes, self.view.base
         ident, n = self._encode(one), len(s)
         for i, a in enumerate(s):
             if a in s[:i]:
                 continue
             p, e = i * (n + 1), one.entries[i][i]
+            non_units = set()
             for u in base.hom(a, a).elements():
-                if (ident[:p] + (codes.get(u),) + ident[p + 1:] not in index
-                        and inverse_by_powers(base, a, u, e) is not None):
+                if (u in non_units
+                        or ident[:p] + (codes.get(u),) + ident[p + 1:] in index):
+                    continue
+                powers = set()
+                if inverse_by_powers(base, a, u, e, powers) is None:
+                    non_units |= powers
+                else:
                     yield _with_entry(one, i, i, u)
         for g in generators:
             if tuple(codes.get(x) for row in g.entries for x in row) not in index:
@@ -198,7 +196,7 @@ def gl(view, s, ceiling=DEFAULT_CEILING):
     only when its size equals `gl_order`, and a mismatch raises
     StructuralError.
 
-    Raises CeilingExceeded when |End(s)| exceeds the ceiling.  Below it no
+    Raises Undecided(s, |End(s)|, ceiling) over the ceiling.  Below it no
     End(s_i) is over it, so every object of s is split.  Raises
     SizeLimitExceeded, before the closure, when `gl_order` of a sum of two
     objects or more is over GL_ORDER_LIMIT."""
@@ -207,8 +205,7 @@ def gl(view, s, ceiling=DEFAULT_CEILING):
         raise StructuralError("GL needs a unital base")
     n = view.hom_order(s, s)
     if n > ceiling:
-        raise CeilingExceeded("|End| = %d exceeds the ceiling %d" % (n, ceiling),
-                              size=n, ceiling=ceiling)
+        raise Undecided(s, n, ceiling)
     order = gl_order(view, s, ceiling) if len(s) > 1 else 0
     if order > GL_ORDER_LIMIT:
         raise SizeLimitExceeded(
@@ -248,14 +245,13 @@ def gl_order(view, s, ceiling=DEFAULT_CEILING):
     and no larger than End(s).  Its non-units are its nilpotents (the
     radical), and |k_t| = |e End e| / |non-units|.
 
-    Raises CeilingExceeded when an object of s is over the ceiling (an
-    Undecided record of the decomposition): its 1_a is then not split."""
+    Raises a new Undecided with the decomposition's record of an object
+    of s over the ceiling, whose 1_a is not split."""
     s = tuple(s)
     dec = decomposition(view.base, ceiling)
     for rec in dec.undecided:
         if rec.subject in s:
-            raise CeilingExceeded("the decomposition of %r is undecided: %r"
-                                  % (s, rec), size=rec.size, ceiling=ceiling)
+            raise Undecided(rec.subject, rec.size, rec.ceiling)
     first = {}
     for a in s:
         for x in dec.summands[a]:
@@ -310,15 +306,18 @@ class KOneResult:
     would misrepresent the limit (GL_3 over F2 already dips back to 0).
     ranks[n] presents GL_n^ab on the generators that the pass closing
     GL_n keeps (`gl`), read off that pass; each step's matrix maps them
-    into ranks[n + 1]."""
+    into ranks[n + 1].  A rank n over the ceiling stops them at
+    `truncated_at` = n, and `undecided` holds the record gl raised, or ()."""
 
-    __slots__ = ("ranks", "steps", "last_step_iso", "truncated_at")
+    __slots__ = ("ranks", "steps", "last_step_iso", "truncated_at",
+                 "undecided")
 
-    def __init__(self, ranks, steps, last_step_iso, truncated_at):
+    def __init__(self, ranks, steps, last_step_iso, truncated_at, undecided):
         self.ranks = dict(ranks)
         self.steps = list(steps)
         self.last_step_iso = last_step_iso
         self.truncated_at = truncated_at
+        self.undecided = undecided
 
     def __repr__(self):
         inner = ", ".join("GL%d^ab=%s" % (n, self.ranks[n])
@@ -348,14 +347,14 @@ def k1_bounded(r, n_max, ceiling=DEFAULT_CEILING):
         # or a ceiling of 0, is left to `gl` to refuse)
         steps = [StabilizationStep(n, [], True) for n in range(1, n_max)]
         return KOneResult(dict.fromkeys(range(1, n_max + 1), AbPresentation(0)),
-                          steps, True if steps else None, None)
-    ranks, steps = {}, []
+                          steps, True if steps else None, None, ())
+    ranks, steps, undecided = {}, [], ()
     truncated_at = prev = None
     for n in range(1, n_max + 1):
         try:
             group = gl(view, (obj,) * n, ceiling=ceiling)
-        except CeilingExceeded:
-            truncated_at = n
+        except Undecided as exc:
+            truncated_at, undecided = n, (exc.with_traceback(None),)
             break
         ranks[n] = group.presentation
         if prev is not None:
@@ -367,4 +366,4 @@ def k1_bounded(r, n_max, ceiling=DEFAULT_CEILING):
             steps.append(StabilizationStep(n - 1, matrix, iso))
         prev = group
     last_step_iso = steps[-1].is_isomorphism if steps else None
-    return KOneResult(ranks, steps, last_step_iso, truncated_at)
+    return KOneResult(ranks, steps, last_step_iso, truncated_at, undecided)

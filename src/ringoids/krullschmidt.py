@@ -40,12 +40,11 @@ from .ringoid import (DEFAULT_CEILING, StructuralError, _gens,
 TABLE_LETTER_LIMIT = 10 ** 8
 
 
-class Undecided:
-    """Outcome of a search whose size exceeds the ceiling.  Distinct from
-    None (= certified negative).  The subject is a base object whose End is
-    too large to enumerate (`Decomposition`)."""
-
-    __slots__ = ("subject", "size", "ceiling")
+class Undecided(Exception):
+    """The record of an answer left open: End(subject) has `size` elements,
+    over the ceiling.  Distinct from None (= certified negative).  The
+    subject is a base object (`Decomposition`) or a formal sum (`k1.gl`
+    raises it).  A K-theory result keeps a tuple of them, () if decided."""
 
     def __init__(self, subject, size, ceiling):
         self.subject = subject
@@ -77,12 +76,13 @@ def is_nilpotent(base, a, y):
     return power == zero
 
 
-def inverse_by_powers(base, a, u, one):
+def inverse_by_powers(base, a, u, one, seen=None):
     """The inverse of u in the ring of End(a) with unit `one` that holds
     it (a corner ring one End(a) one): u^(k-1) for the first k with
     u^k = one, or None when a power repeats first, as it does exactly
-    when u is not a unit of that finite ring."""
-    previous, power, seen = one, u, set()
+    when u is not a unit of that finite ring.  It adds the powers met to
+    `seen`, a new set unless the caller passes one."""
+    previous, power, seen = one, u, set() if seen is None else seen
     while power != one:
         if power in seen:
             return None

@@ -28,13 +28,15 @@ class KZeroResult:
     distinct non-zero difference [s] - [rep] of isomorphic multisets
     within the bound.  A word has the type vector and the row of its
     sorted form, so the words add no relation.  `stabilized_since` is the
-    first l >= 2 whose group at l - 1 is the one at the bound, or None."""
+    first l >= 2 whose group at l - 1 is the one at the bound, or None.
+    `undecided` holds the records of the objects of `ringoid` left unsplit."""
 
-    __slots__ = ("bound", "presentation", "gen_labels", "stabilized_since",
-                 "undecided")
+    __slots__ = ("ringoid", "bound", "presentation", "gen_labels",
+                 "stabilized_since", "undecided")
 
-    def __init__(self, bound, presentation, gen_labels, stabilized_since,
-                 undecided):
+    def __init__(self, ringoid, bound, presentation, gen_labels,
+                 stabilized_since, undecided):
+        self.ringoid = ringoid
         self.bound = bound
         self.presentation = presentation
         self.gen_labels = tuple(gen_labels)
@@ -82,8 +84,8 @@ def k0_bounded(r, bound, ceiling=DEFAULT_CEILING):
     if bound >= 2 and lattice(bound - 1) == presentation:
         stabilized_since = next((l for l in range(2, bound)
                                  if lattice(l - 1) == presentation), bound)
-    return KZeroResult(bound, presentation, [str(a) for a in objects],
-                       stabilized_since, bool(dec.undecided))
+    return KZeroResult(r, bound, presentation, [str(a) for a in objects],
+                       stabilized_since, dec.undecided)
 
 
 class InducedMap:

@@ -174,7 +174,8 @@ def check_simplicial_identities(r, n_max, bound):
 class NerveKZero:
     """The nerve oracle's result: the fundamental group as a presented
     abelian group (one generator per level-1 sum, one relation row per
-    relator), and the level-1 sums behind the generators."""
+    relator), the level-1 sums behind the generators, and the `undecided`
+    records of the decomposition that certified its isomorphisms."""
 
     __slots__ = ("bound", "abelianized", "generator_sums", "undecided")
 
@@ -218,7 +219,7 @@ def k0_via_nerve(r, bound, ceiling=DEFAULT_CEILING):
     for s, t in _tuples_within(sums, 2, bound):
         rows.append(exponent_row(index, [s, t], [s + t]))
     return NerveKZero(bound, AbPresentation(len(sums), rows), sums,
-                      bool(dec.undecided))
+                      dec.undecided)
 
 
 class OracleReport:

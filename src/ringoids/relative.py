@@ -34,16 +34,17 @@ class IdemClasses:
     ceiling, keyed by the type vector of the image, with one relation
     [c] = sum of [(t,)] over the types t in the key of each class c whose
     key does not have length 1 (the empty key gives [0] = 0).  Each class
-    is represented by a sum of primitives of `Decomposition.summands`."""
+    is represented by a sum of primitives of `Decomposition.summands`.
+    The objects over the ceiling give no classes but `undecided` records."""
 
-    __slots__ = ("ringoid", "reps", "presentation", "undecided_pairs",
+    __slots__ = ("ringoid", "reps", "presentation", "undecided",
                  "_dec", "_index")
 
     def __init__(self, ringoid, dec, index, reps, relations):
         self.ringoid = ringoid
         self.reps = tuple(reps)
         self.presentation = AbPresentation(len(reps), relations)
-        self.undecided_pairs = dec.undecided
+        self.undecided = dec.undecided
         self._dec = dec
         self._index = index
 
@@ -128,7 +129,7 @@ def k0_relative(m, ceiling=DEFAULT_CEILING):
     in R_M of each representative of M+ is looked up there
     (`IdemClasses.class_of`).  For unital m this recovers the absolute K0,
     which is the degree-zero content of the unitization corollary.  An
-    End(a) over the ceiling contributes no classes and sets `undecided`.
+    End(a) over the ceiling contributes no classes but an `undecided` record.
     """
     from .moduloids import scalar_ringoid, unitize, unitization_projection
 
@@ -152,9 +153,9 @@ def k0_relative(m, ceiling=DEFAULT_CEILING):
             if c:
                 terms.append(("%+d" % c) + icp.label(i))
         labels.append("".join(terms) or "0")
-    undecided = bool(icp.undecided_pairs or icr.undecided_pairs)
     return RelativeKZeroResult(pres, labels, basis, icp, icr, mplus, rm,
-                               projection, matrix, undecided)
+                               projection, matrix,
+                               icp.undecided + icr.undecided)
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +273,8 @@ def free_class_of_idempotent(r, a, p, bound, ceiling=DEFAULT_CEILING):
 def fibration_check(m, ideal, bound, ceiling=DEFAULT_CEILING):
     """Degree-zero exactness of K(J) -> K(M) -> K(M/J) for an ideal in a
     unital moduloid: composite zero and image = kernel at K0(M), exactly.
-    `undecided` is set when any of the three K0s, or the free class of some
-    idempotent class of J+, has an Undecided record.  `unresolved_classes`
+    `undecided` holds the records of the three K0s (a free class of J+ is
+    Undecided only when K0(M) has one).  `unresolved_classes`
     lists the idempotent classes of J+ with no certified free class within
     the bound: such a class lives in the K0 of the idempotent completion,
     not of free sums, so its image is not known here.  When either is
@@ -302,7 +303,7 @@ def fibration_check(m, ideal, bound, ceiling=DEFAULT_CEILING):
                               name="J+ -> M")
 
     index = {a: i for i, a in enumerate(m.objects)}
-    undecided = rel.undecided or k0m.undecided or k0q.undecided
+    undecided = rel.undecided + k0m.undecided + k0q.undecided
     unresolved = []
     class_images = []
     for (a, p) in rel.idem_plus.reps:
@@ -311,7 +312,6 @@ def fibration_check(m, ideal, bound, ceiling=DEFAULT_CEILING):
         if t is None or isinstance(t, Undecided):
             unresolved.append((a, p))
             class_images.append(None)
-            undecided = undecided or t is not None
         else:
             class_images.append(exponent_row(index, t))
     inclusion_rows = []

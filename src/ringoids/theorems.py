@@ -168,8 +168,8 @@ def naturality_check(f, xs, ys, scalar, bound, ceiling=DEFAULT_CEILING):
                                         target_map.apply(ax_row)])
              for row, ax_row in zip(source_map, ax.matrix)]
     commutes = all(ay.target.presentation.kills(diffs))
-    undecided = ax.undecided or ay.undecided
-    return NaturalityReport(ax, ay, source_map, target_map, commutes, undecided)
+    return NaturalityReport(ax, ay, source_map, target_map, commutes,
+                            ax.undecided + ay.undecided)
 
 
 # ---------------------------------------------------------------------------

@@ -241,23 +241,6 @@ def inverse(view, u):
     return v
 
 
-def power_inverse(view, u):
-    """The two-sided inverse of an endomorphism u, or None, from its
-    powers: u is a unit when u^k = 1 for some k, and u^(k-1) is then
-    checked as its inverse on both sides; a power that repeats before 1
-    is reached rules u out."""
-    one = view.identity(u.src)
-    previous, power, seen = one, u, set()
-    while power != one:
-        if power in seen:
-            return None
-        seen.add(power)
-        previous, power = power, view.compose(u, power)
-    if view.compose(u, previous) != one or view.compose(previous, u) != one:
-        return None
-    return previous
-
-
 def determinant_of_matmorphism(r, f):
     """Leibniz determinant of a square matrix over a one-object commutative
     base; a checkable property of the computed GL groups."""

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -19,6 +20,7 @@ from ringoids.cli import _COMMANDS, HELP, UsageError, parse_flags, run
 from ringoids.k1 import GL_ORDER_LIMIT
 
 from conftest import argparse_outcome, build_parser
+from test_cli_golden import write_inputs
 
 F2_DOC = """\
 ringoid F2
@@ -264,6 +266,62 @@ def test_undecided_notes_name_each_object_and_the_rank(tmp_path, f2_file,
                 "--ceiling", "100"]) == 2
     assert capsys.readouterr().err == (
         "note: End(a^3) of F2 has 2^9 elements, over the ceiling 100\n")
+
+
+def _note_number(text):
+    """A size or ceiling as a note writes it, p^k or decimal."""
+    base, _, exponent = text.partition("^")
+    return int(base) ** int(exponent or 1)
+
+
+@pytest.fixture(scope="module")
+def golden_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("golden_inputs")
+    write_inputs(str(out))
+    return out
+
+
+@pytest.mark.parametrize("ceiling", [0, 3])
+@pytest.mark.parametrize("command", ["k0", "oracle-compare", "k1", "assembly"])
+def test_every_undecided_run_notes_a_size_over_the_ceiling(golden_dir, capsys,
+                                                           command, ceiling):
+    # on each document of the golden corpus, a run that exits 2 writes a
+    # note for each End over the ceiling, naming its size and the ceiling
+    flag = ["--gl-max", "2"] if command == "k1" else ["--bound", "2"]
+    undecided = 0
+    for path in sorted(golden_dir.iterdir()):
+        code = run([command, "--input", str(path), *flag,
+                    "--ceiling", str(ceiling)])
+        err = capsys.readouterr().err
+        notes = [line for line in err.splitlines()
+                 if line.startswith("note: End(")]
+        if code == 2:
+            undecided += 1
+            assert notes, (path.name, err)
+        for line in notes:
+            size, ceiling_text = re.fullmatch(
+                r"note: End\(.+\) of .+ has (\S+) elements, over the "
+                r"ceiling (\S+)", line).groups()
+            assert _note_number(ceiling_text) == ceiling, line
+            assert _note_number(size) > ceiling, line
+    assert undecided
+
+
+def test_an_undecided_assembly_names_each_ringoid_it_read(golden_dir, capsys):
+    # End(p) of the transport ringoid for each point p of the G-set, and
+    # End(*) of the group ringoid of the one stabilizer, each once; the
+    # groupoid branch reads K0(F2) itself, once for its one component
+    assert run(["assembly", "--input", str(golden_dir / "assembly.rgd"),
+                "--ceiling", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "note: End(0) of F2[transport] has 2 elements, over the ceiling 1\n"
+        "note: End(1) of F2[transport] has 2 elements, over the ceiling 1\n"
+        "note: End(*) of F2[H@0] has 2 elements, over the ceiling 1\n")
+    assert run(["assembly", "--input", str(golden_dir / "groupoid_no_gset.rgd"),
+                "--ceiling", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "note: End(*) of F2[C2] has 2^2 elements, over the ceiling 1\n"
+        "note: End(*) of F2 has 2 elements, over the ceiling 1\n")
 
 
 def test_k1_of_the_zero_ring_at_rank_1000(tmp_path, capsys):

@@ -3,10 +3,11 @@ from hypothesis import example, given, settings
 
 from conftest import (compose_with, determinant_of_matmorphism,
                       elementary_ringoid, hom_elements, idempotents,
-                      incidence_ringoids, kept_units, power_inverse,
-                      ring_units, small_ringoids)
-from ringoids import (AbPresentation, CeilingExceeded, FinAbGroup,
-                      FiniteRingoid, Ideal, RingoidHom, cofinality_check,
+                      incidence_ringoids, kept_units, ring_units,
+                      small_ringoids)
+from ringoids import (AbPresentation, FinAbGroup,
+                      FiniteRingoid, Ideal, RingoidHom, Undecided,
+                      cofinality_check,
                       complete, cyclic_ring,
                       discrete_groupoid, enumerate_objsums, exterior_product,
                       fibration_check, forget_units, gl, gl_order,
@@ -219,7 +220,7 @@ def _reference_idem_classes(r):
 def test_idem_classes_match_pair_search(ring_name, request):
     r = request.getfixturevalue(ring_name)
     ic = idem_classes(r)
-    assert not ic.undecided_pairs
+    assert not ic.undecided
     assert [ic.class_of(a, p) for (a, p) in ic.reps] == list(range(len(ic.reps)))
     reps, class_of = _reference_idem_classes(r)
     # two idempotents share a class of the lookup exactly when they share
@@ -254,7 +255,7 @@ def test_idem_classes_of_m4f2():
     # primitives, so the classes are the ranks 0..4, presenting Z
     r = matrix_ring(cyclic_ring(2, scalar=False), 4)
     ic = idem_classes(r)
-    assert not ic.undecided_pairs
+    assert not ic.undecided
     assert len(ic.reps) == 5
     assert ic.presentation == Z
 
@@ -304,7 +305,7 @@ def orthogonal_pair_relations(r, ic):
 
 def _assert_type_vector_relations_match_pair_search(r):
     ic = idem_classes(r)
-    assert not ic.undecided_pairs
+    assert not ic.undecided
     ref = orthogonal_pair_relations(r, ic)
     assert lattices_equal(ic.presentation.relations, ref, len(ic.reps))
     assert ic.presentation == AbPresentation(len(ic.reps), ref)
@@ -338,7 +339,7 @@ def test_idem_classes_never_enumerate_an_end_over_the_ceiling(morita,
     ic = idem_classes(morita, ceiling=8)
     assert enumerated and max(enumerated) <= 8
     assert ("2", 16, 8) in [(u.subject, u.size, u.ceiling)
-                            for u in ic.undecided_pairs]
+                            for u in ic.undecided]
     assert ic.reps == (("1", (0,)), ("1", (1,)))
 
 
@@ -522,10 +523,21 @@ def test_gl_closure_is_certified_edge_by_edge(f2):
 
 
 def reference_gl(view, s):
-    """The invertible endomorphisms of s, by the powers of every element
-    of End(s) (`power_inverse`), in `hom_elements` order."""
-    return [u for u in hom_elements(view, s, s)
-            if power_inverse(view, u) is not None]
+    """The invertible endomorphisms of s, in `hom_elements` order, by the
+    powers of each element of End(s): u is a unit exactly when a power of
+    u is 1, and then exactly when its power u^i is.  So a walk from u
+    stops at its first power already classified, or at a repeat (u is no
+    unit), and classifies every power it met; each element is walked
+    about once, with one composition each."""
+    unit = {view.identity(s): True}
+    elements = list(hom_elements(view, s, s))
+    for u in elements:
+        walk, power = {}, u
+        while power not in unit and power not in walk:
+            walk[power] = None
+            power = view.compose(u, power)
+        unit.update(dict.fromkeys(walk, unit.get(power, False)))
+    return [u for u in elements if unit[u]]
 
 
 ORDER_RINGS = ["f2", "z4", "f3", "zero", "f2xf2", "m2f2", "disc2", "c2free",
@@ -609,11 +621,13 @@ def assert_closure_on_codes_is_on_matrices(view, s, gens):
 
 
 def assert_gl_closures_on_codes_are_on_matrices(view, s):
-    # Bass's generators, then the last element that they reach with two
-    # more: its g - 1 may hold two non-zero entries in one column, whose
-    # terms then update the same entry of x . g in turn
+    # the generators that `gl` keeps, unit diagonals first, which close
+    # all of GL(s), End(a)* at rank 1; then the last element that they
+    # reach with two more: its g - 1 may hold two non-zero entries in one
+    # column, whose terms then update the same entry of x . g in turn
     group = assert_closure_on_codes_is_on_matrices(
-        view, s, bass_generators(view, s))
+        view, s, kept_generators(gl(view, s)))
+    assert len(group) == gl_order(view, s), s
     assert_closure_on_codes_is_on_matrices(
         view, s, [group.element(len(group) - 1)] + group.elements[1:3])
 
@@ -782,6 +796,55 @@ def test_rank_one_generators_are_the_kept_units_on_incidence_ringoids(r):
     assert_rank_one_generators_are_the_kept_units(r)
 
 
+def test_gl_powers_no_element_that_a_failed_walk_met(monkeypatch):
+    # the powers of a non-unit are non-units, so the pass that closes GL1
+    # of M3(F2) walks the powers of no element that an earlier failed walk
+    # met; it keeps the same units, with fewer walks and compositions
+    m3f2 = matrix_ring(cyclic_ring(2, scalar=False), 3)
+    one = m3f2.identity("*")
+    walks, counts = [], []
+    compose, walk = FiniteRingoid.compose, k1.inverse_by_powers
+
+    def counted(self, *args):
+        counts[-1] += 1
+        return compose(self, *args)
+
+    def spy(base, a, u, e, *rest):
+        walks.append(u)
+        counts.append(0)
+        monkeypatch.setattr(FiniteRingoid, "compose", counted)
+        try:
+            return walk(base, a, u, e, *rest)
+        finally:
+            monkeypatch.setattr(FiniteRingoid, "compose", compose)
+
+    monkeypatch.setattr(k1, "inverse_by_powers", spy)
+    kept = rank_one_units(complete(m3f2), "*")
+    monkeypatch.undo()
+    assert kept == kept_units(m3f2, "*")
+
+    def powers_of(u):
+        """u, u^2, ... up to the first repeat or 1, and whether it is 1."""
+        powers = [u]
+        while True:
+            power = m3f2.compose("*", "*", "*", u, powers[-1])
+            if power == one or power in powers:
+                return powers, power == one
+            powers.append(power)
+
+    met = set()
+    for u, count in zip(walks, counts):
+        assert u not in met
+        powers, unit = powers_of(u)
+        assert count == len(powers)
+        if not unit:
+            met.update(powers)
+    # each non-unit that is not walked was met by a walk before its turn
+    skipped = [u for u in m3f2.hom("*", "*").elements()
+               if u not in walks and not powers_of(u)[1]]
+    assert skipped and met >= set(skipped)
+
+
 def test_k1_rank_one_closes_the_units_once(monkeypatch):
     # k1 of M3(F2) at rank 1 makes one pass over GL3(F2) (168 elements):
     # every composition is either a power of a candidate unit or the one
@@ -859,16 +922,25 @@ def test_gl_undecided_decomposition_exceeds_the_ceiling(m2f2, f2):
     assert len(gl(view, s, ceiling=100)) == 6
     assert gl_order(view, s, ceiling=100) == 6
     # at a ceiling of 10, End(s) is over it and End(a) itself is not split
-    with pytest.raises(CeilingExceeded):
+    with pytest.raises(Undecided) as raised:
         gl(view, s, ceiling=10)
-    with pytest.raises(CeilingExceeded):
+    assert (raised.value.subject, raised.value.size, raised.value.ceiling) == (
+        s, 32, 10)
+    with pytest.raises(Undecided) as raised:
         gl_order(view, s, ceiling=10)
+    # a copy of the decomposition's record, which keeps no frames
+    record = decomposition(r, 10).undecided[0]
+    assert (raised.value.subject, raised.value.size, raised.value.ceiling) == (
+        record.subject, record.size, record.ceiling) == ("a", 16, 10)
+    assert raised.value is not record and record.__traceback__ is None
     assert len(gl(view, s)) == 6
 
 
 def test_gl_ceiling(f2):
-    with pytest.raises(CeilingExceeded):
+    with pytest.raises(Undecided) as raised:
         gl(complete(f2), ("*", "*"), ceiling=10)
+    assert (raised.value.subject, raised.value.size, raised.value.ceiling) == (
+        ("*", "*"), 16, 10)
 
 
 def test_stabilization_embedding_is_injective_hom(f2):
@@ -906,6 +978,11 @@ def test_k1_truncates_at_ceiling(f2):
     res = k1_bounded(f2, 3, ceiling=100)
     assert res.truncated_at == 3
     assert 1 in res.ranks and 2 in res.ranks and 3 not in res.ranks
+    # the record that gl raised for End(*^3), with no frames kept
+    [record] = res.undecided
+    assert (record.subject, record.size, record.ceiling) == (("*",) * 3, 512, 100)
+    assert record.__traceback__ is None
+    assert k1_bounded(f2, 2, ceiling=100).undecided == ()
 
 
 def test_k1_of_a_zero_object_closes_no_group(zero, monkeypatch):
@@ -920,13 +997,14 @@ def test_k1_of_a_zero_object_closes_no_group(zero, monkeypatch):
     assert [res.ranks[n] for n in (1, 2, 3)] == want
     assert [(s.rank, s.matrix, s.is_isomorphism) for s in res.steps] == \
         [(1, [], True), (2, [], True)]
-    assert (res.last_step_iso, res.truncated_at) == (True, None)
+    assert (res.last_step_iso, res.truncated_at, res.undecided) == (True, None, ())
     assert k1_bounded(zero, 1).last_step_iso is None
 
 
 def test_k1_of_a_zero_object_still_refuses_as_gl_does(zero):
     res = k1_bounded(zero, 3, ceiling=0)
     assert (res.ranks, res.steps, res.truncated_at) == ({}, [], 1)
+    assert [(u.subject, u.size, u.ceiling) for u in res.undecided] == [(("*",), 1, 0)]
     bare = FiniteRingoid(zero.objects, zero.homs, zero.compose_table)
     with pytest.raises(StructuralError, match="GL needs a unital base"):
         k1_bounded(bare, 2)
